@@ -3,8 +3,8 @@
 Unlike the per-figure benchmarks (which run once and verify shape
 checks), these use pytest-benchmark's statistical repetition to track
 the throughput of the primitives every experiment leans on: radix
-longest-prefix match, the streaming classifier, the RFC 4271 codec,
-the damping penalty update, and the BGP decision process.
+longest-prefix match, the classifier, the RFC 4271 codec, the damping
+penalty update, and the BGP decision process.
 
 Run with::
 
@@ -20,7 +20,7 @@ from repro.bgp.messages import UpdateMessage
 from repro.bgp.rib import Route, best_route
 from repro.bgp.wire import decode_message, encode_message
 from repro.collector.record import UpdateKind, UpdateRecord
-from repro.core.classifier import StreamClassifier
+from repro.core.columns import ColumnClassifier, RecordColumns
 from repro.net.prefix import Prefix
 from repro.net.radix import RadixTree
 
@@ -82,10 +82,11 @@ def test_classifier_throughput(benchmark):
                 UpdateRecord(float(i), 1, 701, prefix, UpdateKind.WITHDRAW)
             )
 
+    columns = RecordColumns.from_records(records)
+
     def run():
-        classifier = StreamClassifier()
-        for record in records:
-            classifier.feed(record)
+        classifier = ColumnClassifier()
+        classifier.classify(columns)
         return classifier.tracked_routes()
 
     benchmark(run)

@@ -1,10 +1,8 @@
 #!/usr/bin/env python3
-"""Acceptance benchmarks for the columnar tier and the campaign runner.
+"""Acceptance benchmarks for the campaign runner and the simulator.
 
-Default mode measures classify+bin wall-clock on the streaming vs the
-columnar tier over the same record stream, verifies the outputs
-agree, and writes ``BENCH_columns.json`` at the repo root.  The
-acceptance bar is a >=10x columnar speedup.
+(Absolute classify throughput is the repo benchmark's
+``core.columns.classify_rows_per_s``, see ``perf/``.)
 
 ``--campaign`` mode first times day synthesis itself — the vectorized
 generator against the pre-vectorization reference tier
@@ -42,8 +40,7 @@ calendar-queue engine vs the reference heap, digest-checked, written
 to ``BENCH_sim.json``.  ``--smoke`` shrinks it to a seconds-long
 digest-equivalence check with no timing bar (CI quick lane).
 
-Run:  PYTHONPATH=src python benchmarks/run_bench.py [--records N]
-      PYTHONPATH=src python benchmarks/run_bench.py --campaign [--days N]
+Run:  PYTHONPATH=src python benchmarks/run_bench.py --campaign [--days N]
       PYTHONPATH=src python benchmarks/run_bench.py --sim [--smoke]
 """
 
@@ -58,104 +55,6 @@ import tempfile
 import time
 from dataclasses import replace
 from pathlib import Path
-
-from repro.analysis.timeseries import bin_records
-from repro.core.classifier import StreamClassifier
-from repro.core.columns import (
-    CATEGORY_OF_CODE,
-    ColumnClassifier,
-    RecordColumns,
-)
-from repro.core.instability import CategoryCounts
-from repro.verify.reference import reference_classify
-from repro.workloads.generator import TraceGenerator
-
-
-def materialize(target_records: int, seed: int):
-    """Generate whole days until ``target_records`` rows accumulate,
-    on both layouts (identical streams by construction)."""
-    g_rec = TraceGenerator(seed=seed)
-    g_col = TraceGenerator(seed=seed)
-    records, batches = [], []
-    day = 0
-    while len(records) < target_records:
-        records.extend(g_rec.day_records(day, pair_fraction=1.0))
-        batches.append(g_col.day_columns(day, pair_fraction=1.0))
-        day += 1
-    columns = RecordColumns.concat(batches)
-    assert len(columns) == len(records)
-    return records, columns
-
-
-def oracle_check(records, sample_size):
-    """Check both timed tiers against the naive reference oracle
-    (repro.verify.reference) on a prefix of the bench stream, so the
-    benchmark can never time wrong answers.
-
-    A stream prefix is closed under classification (per-route state
-    depends only on the past), so checking the first ``sample_size``
-    records is exact, not approximate.
-    """
-    sample = list(records[:sample_size])
-    expected = reference_classify(sample)
-    classifier = StreamClassifier()
-    streaming = [
-        (update.category.name, update.policy_change)
-        for update in (classifier.feed(record) for record in sample)
-    ]
-    if streaming != expected:
-        index = next(
-            i for i, (a, b) in enumerate(zip(expected, streaming)) if a != b
-        )
-        raise SystemExit(
-            f"streaming tier disagrees with the reference oracle at "
-            f"record {index}: expected {expected[index]}, "
-            f"got {streaming[index]}"
-        )
-    codes, policy = ColumnClassifier().classify(
-        RecordColumns.from_records(sample)
-    )
-    columnar = [
-        (CATEGORY_OF_CODE[int(code)].name, bool(flag))
-        for code, flag in zip(codes, policy)
-    ]
-    if columnar != expected:
-        index = next(
-            i for i, (a, b) in enumerate(zip(expected, columnar)) if a != b
-        )
-        raise SystemExit(
-            f"columnar tier disagrees with the reference oracle at "
-            f"record {index}: expected {expected[index]}, "
-            f"got {columnar[index]}"
-        )
-    return len(sample)
-
-
-def bench_streaming(records, repeats):
-    best, counts, bins = None, None, None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        classifier = StreamClassifier()
-        counts = CategoryCounts()
-        for record in records:
-            counts.add(classifier.feed(record))
-        bins = bin_records(records, bin_width=600.0)
-        elapsed = time.perf_counter() - start
-        best = elapsed if best is None else min(best, elapsed)
-    return best, counts, bins
-
-
-def bench_columnar(columns, repeats):
-    best, counts, bins = None, None, None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        codes, policy = ColumnClassifier().classify(columns)
-        counts = CategoryCounts.from_codes(codes, policy)
-        bins = bin_records(columns, bin_width=600.0)
-        elapsed = time.perf_counter() - start
-        best = elapsed if best is None else min(best, elapsed)
-    return best, counts, bins
-
 
 try:
     from bar_policy import available_cpus, bar_skip_failure
@@ -535,15 +434,15 @@ def run_campaign_bench(args) -> None:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument(
         "--campaign", action="store_true",
-        help="benchmark the sharded campaign runner instead of the "
-             "streaming-vs-columnar tiers",
+        help="benchmark the sharded campaign runner",
     )
-    parser.add_argument(
+    mode.add_argument(
         "--sim", action="store_true",
         help="benchmark the discrete-event scheduler (calendar queue "
-             "vs reference heap) instead of the columnar tiers",
+             "vs reference heap)",
     )
     parser.add_argument(
         "--smoke", action="store_true",
@@ -552,7 +451,6 @@ def main() -> None:
              "one phase-timed 1-worker run, no timing bars, no RSS "
              "probe",
     )
-    parser.add_argument("--records", type=int, default=1_000_000)
     parser.add_argument("--days", type=int, default=4,
                         help="campaign mode: campaign length")
     parser.add_argument("--peers", type=int, default=30)
@@ -561,11 +459,6 @@ def main() -> None:
     parser.add_argument(
         "--repeats", type=int, default=3,
         help="runs per tier; the best (minimum) time is reported",
-    )
-    parser.add_argument(
-        "--oracle-sample", type=int, default=50_000,
-        help="records checked against the reference oracle before "
-             "timing (0 disables)",
     )
     parser.add_argument(
         "--no-bar", action="store_true",
@@ -610,61 +503,9 @@ def main() -> None:
             args.output = str(root / "BENCH_sim.json")
         run_sim_bench(args)
         return
-    if args.campaign:
-        if args.output is None:
-            args.output = str(root / "BENCH_campaign.json")
-        run_campaign_bench(args)
-        return
     if args.output is None:
-        args.output = str(root / "BENCH_columns.json")
-
-    print(f"Materializing >= {args.records:,} records...")
-    records, columns = materialize(args.records, args.seed)
-    n = len(records)
-    print(f"  {n:,} records across {int(columns.time.max() // 86400) + 1} "
-          f"days, {len(columns.attrs)} interned attribute bundles")
-
-    oracle_checked = 0
-    if args.oracle_sample > 0:
-        oracle_checked = oracle_check(records, args.oracle_sample)
-        print(f"Oracle check OK: both tiers match the reference oracle "
-              f"over the first {oracle_checked:,} records")
-
-    print(f"Streaming classify+bin (best of {args.repeats})...")
-    t_stream, counts_stream, bins_stream = bench_streaming(
-        records, args.repeats
-    )
-    print(f"  {t_stream:.2f} s ({n / t_stream:,.0f} records/s)")
-
-    print(f"Columnar classify+bin (best of {args.repeats})...")
-    t_col, counts_col, bins_col = bench_columnar(columns, args.repeats)
-    print(f"  {t_col:.2f} s ({n / t_col:,.0f} records/s)")
-
-    assert counts_col.counts == counts_stream.counts, "tier disagreement"
-    assert counts_col.policy_changes == counts_stream.policy_changes
-    assert (bins_col == bins_stream).all()
-    speedup = t_stream / t_col
-    print(f"Speedup: {speedup:.1f}x (acceptance bar: 10x)")
-
-    payload = {
-        "records": n,
-        "streaming_seconds": round(t_stream, 4),
-        "columnar_seconds": round(t_col, 4),
-        "streaming_records_per_second": round(n / t_stream),
-        "columnar_records_per_second": round(n / t_col),
-        "speedup": round(speedup, 2),
-        "workload": "classify + 10-minute binning, generated days, "
-                    "pair_fraction=1.0",
-        "seed": args.seed,
-        "repeats": args.repeats,
-        "timing": "best (minimum) of repeats per tier",
-        "outputs_identical": True,
-        "oracle_checked_records": oracle_checked,
-    }
-    Path(args.output).write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"Wrote {args.output}")
-    if speedup < 10.0:
-        raise SystemExit(f"speedup {speedup:.1f}x below the 10x bar")
+        args.output = str(root / "BENCH_campaign.json")
+    run_campaign_bench(args)
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from repro.analysis.interarrival import (
     timer_bin_mass,
 )
 from repro.collector.log import MemoryLog
-from repro.core.classifier import classify
+from repro.core.columns import RecordColumns
 from repro.net.prefix import Prefix
 from repro.sim.engine import Engine
 from repro.sim.igp import IgpBgpRedistribution, IgpTable
@@ -54,7 +54,9 @@ def csu_mechanism():
     server = RouteServer(engine, asn=65000, router_id=99, sink=sink)
     connect(provider, server)
     engine.run_until(4 * 3600.0)
-    return interarrival_times(classify(sink.sorted_by_time()))
+    return interarrival_times(
+        RecordColumns.from_records(sink.sorted_by_time())
+    )
 
 
 def igp_mechanism():
@@ -67,7 +69,9 @@ def igp_mechanism():
     server = RouteServer(engine, asn=65000, router_id=99, sink=sink)
     connect(router, server)
     engine.run_until(4 * 3600.0)
-    return interarrival_times(classify(sink.sorted_by_time()))
+    return interarrival_times(
+        RecordColumns.from_records(sink.sorted_by_time())
+    )
 
 
 def main() -> None:

@@ -6,7 +6,7 @@ This walks the library's central loop in miniature:
 1. build a tiny simulated exchange (two providers + a logging route
    server),
 2. make one provider's customer route flap,
-3. classify the logged updates with the streaming classifier,
+3. classify the logged updates with the columnar classifier,
 4. print the taxonomy breakdown — the same counting behind every
    figure in the paper.
 
@@ -14,7 +14,11 @@ Run:  python examples/quickstart.py
 """
 
 from repro.collector.log import MemoryLog
-from repro.core.classifier import classify
+from repro.core.columns import (
+    RecordColumns,
+    classify_columns,
+    decode_categories,
+)
 from repro.core.instability import CategoryCounts
 from repro.net.prefix import Prefix
 from repro.sim.engine import Engine
@@ -49,14 +53,15 @@ def main() -> None:
     engine.run_until(700.0)
 
     # Classify everything the route server observed.
-    counts = CategoryCounts()
+    records = sink.sorted_by_time()
+    codes, policy = classify_columns(RecordColumns.from_records(records))
+    counts = CategoryCounts.from_codes(codes, policy)
     print("Updates observed at the route server:")
-    for update in classify(sink.sorted_by_time()):
-        counts.add(update)
+    for record, category in zip(records, decode_categories(codes)):
         print(
-            f"  t={update.time:7.2f}s  AS{update.peer_asn}  "
-            f"{update.record.kind.name:8s} {update.prefix}  "
-            f"-> {update.category.name}"
+            f"  t={record.time:7.2f}s  AS{record.peer_asn}  "
+            f"{record.kind.name:8s} {record.prefix}  "
+            f"-> {category.name}"
         )
     print()
     print("Taxonomy breakdown:")

@@ -17,18 +17,18 @@ The package provides, from the bottom up:
   month-scale campaigns;
 - :mod:`repro.analysis` — the paper's analyses (classification,
   density, FFT/MEM/SSA spectra, inter-arrival histograms, ...);
-- :mod:`repro.core` — the update taxonomy and streaming classifier
+- :mod:`repro.core` — the update taxonomy and the columnar classifier
   (the paper's primary analytical contribution);
 - :mod:`repro.experiments` — one runner per paper table and figure.
 
 Quick start::
 
-    from repro.core import classify, CategoryCounts
+    from repro.core import CategoryCounts, classify_columns
     from repro.workloads import TraceGenerator
 
     generator = TraceGenerator(seed=1)
-    counts = CategoryCounts()
-    counts.extend(classify(generator.day_records(0, pair_fraction=0.01)))
+    columns = generator.day_columns(0, pair_fraction=0.01)
+    counts = CategoryCounts.from_codes(*classify_columns(columns))
     print(counts.as_dict(), counts.pathological_fraction)
 """
 

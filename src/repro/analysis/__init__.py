@@ -72,8 +72,6 @@ from .detection import (
     AsRelationships,
     ColumnDetector,
     DetectionResult,
-    StreamDetector,
-    detect_records,
     detect_records_columnar,
     detection_digest,
     flag_names,
@@ -137,8 +135,6 @@ __all__ = [
     "AsRelationships",
     "ColumnDetector",
     "DetectionResult",
-    "StreamDetector",
-    "detect_records",
     "detect_records_columnar",
     "detection_digest",
     "flag_names",

@@ -9,19 +9,18 @@ each category of routing update.  The paper's readings:
 - hence most (~80%) of routes are stable on a typical day;
 - only days with ≥80% collection coverage are shown.
 
-The computation needs only *which pairs had events*, so it can run
-either on classified records or directly on generator day plans (the
-unscaled allocation) — both entry points are provided.
+The computation needs only *which pairs had events*: one sort/diff
+pass over the batch per category.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from ..core.classifier import ClassifiedUpdate
+from ..core.instability import counts_by_prefix_as_columns
 from ..core.taxonomy import UpdateCategory
 
 __all__ = ["DayAffected", "affected_from_updates", "affected_series_stats"]
@@ -42,27 +41,26 @@ class DayAffected:
 
 
 def affected_from_updates(
-    updates: Iterable[ClassifiedUpdate],
+    columns,
+    codes: np.ndarray,
     total_pairs: int,
     day: int = 0,
     coverage: float = 1.0,
     categories: Sequence[UpdateCategory] = tuple(UpdateCategory),
 ) -> DayAffected:
-    """Compute one day's affected fractions from classified updates."""
-    seen: Dict[UpdateCategory, Set] = {c: set() for c in categories}
-    seen_any: Set = set()
-    for update in updates:
-        if update.category in seen:
-            seen[update.category].add(update.prefix_as)
-        seen_any.add(update.prefix_as)
-    fractions = {
-        category: len(pairs) / total_pairs if total_pairs else 0.0
-        for category, pairs in seen.items()
-    }
+    """Compute one day's affected fractions from a classified batch
+    (``codes`` row-aligned with ``columns``)."""
+
+    def fraction(category) -> float:
+        if not total_pairs:
+            return 0.0
+        touched = counts_by_prefix_as_columns(columns, codes, category)
+        return len(touched) / total_pairs
+
     return DayAffected(
         day=day,
-        fractions=fractions,
-        any_fraction=len(seen_any) / total_pairs if total_pairs else 0.0,
+        fractions={category: fraction(category) for category in categories},
+        any_fraction=fraction(None),
         coverage=coverage,
     )
 

@@ -13,12 +13,12 @@ and :func:`consistent_dominators` compute the two checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..core.classifier import ClassifiedUpdate
-from ..core.instability import counts_by_peer
+from ..core.columns import RecordColumns
+from ..core.instability import counts_by_peer_columns
 from ..core.taxonomy import UpdateCategory
 
 __all__ = [
@@ -40,24 +40,19 @@ class ContributionPoint:
 
 
 def contribution_points(
-    daily_updates: Dict[int, Sequence[ClassifiedUpdate]],
+    daily_updates: Dict[int, Tuple[RecordColumns, np.ndarray]],
     table_shares: Dict[int, float],
     category: UpdateCategory,
 ) -> List[ContributionPoint]:
     """Build Figure 6's scatter for one category.
 
-    ``daily_updates`` maps day → that day's classified updates — or,
-    on the columnar tier, day → ``(RecordColumns, codes)``;
-    ``table_shares`` maps peer ASN → share of the routing table.
+    ``daily_updates`` maps day → that day's classified batch
+    ``(columns, codes)``; ``table_shares`` maps peer ASN → share of
+    the routing table.
     """
     points: List[ContributionPoint] = []
-    for day, updates in sorted(daily_updates.items()):
-        if isinstance(updates, tuple):
-            from ..core.instability import counts_by_peer_columns
-
-            by_peer = counts_by_peer_columns(*updates)
-        else:
-            by_peer = counts_by_peer(updates)
+    for day, (columns, codes) in sorted(daily_updates.items()):
+        by_peer = counts_by_peer_columns(columns, codes)
         day_total = sum(
             counts[category] for counts in by_peer.values()
         )

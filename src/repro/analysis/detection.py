@@ -38,31 +38,26 @@ path-vector stability metrics of Papadimitriou & Cabellos
 update activity that does **not** perturb reachability or forwarding —
 see :func:`stability_scores`.
 
-Two implementations are provided and proven bit-identical by the
-differential harness (``repro.verify``):
+:class:`ColumnDetector` is the one production implementation: batched
+over :class:`~repro.core.columns.RecordColumns`, with the
+per-attribute work (origin extraction, path checks) and the stability
+counters vectorized and the concurrent-origin multiset updated in one
+scan over primitive arrays.  State carries across batches, so a
+campaign fed day by day detects exactly like one continuous stream.
 
-- :class:`StreamDetector` — record-by-record, layered on
-  :class:`~repro.core.classifier.StreamClassifier` categories;
-- :class:`ColumnDetector` — batched over
-  :class:`~repro.core.columns.RecordColumns`, with the per-attribute
-  work (origin extraction, path checks) and the stability counters
-  vectorized and the concurrent-origin multiset updated in one scan
-  over primitive arrays.  State carries across batches, so a campaign
-  fed day by day detects exactly like one continuous stream.
-
-A third, dependency-free oracle lives in
-:mod:`repro.verify.reference` and is deliberately *not* imported here.
+The differential harness (``repro.verify``) holds it to the
+dependency-free oracle in :mod:`repro.verify.reference`, which is
+deliberately *not* imported here.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..collector.record import UpdateKind, UpdateRecord
-from ..core.classifier import StreamClassifier
 from ..core.columns import NO_ATTR, AttributeTable, ColumnClassifier, RecordColumns
 from ..core.taxonomy import INSTABILITY_CATEGORIES, UpdateCategory
 
@@ -77,8 +72,6 @@ __all__ = [
     "AsRelationships",
     "ColumnDetector",
     "DetectionResult",
-    "StreamDetector",
-    "detect_records",
     "detect_records_columnar",
     "detection_digest",
     "flag_names",
@@ -187,7 +180,7 @@ def path_flags(path: Sequence[int], topology: Optional[AsRelationships]) -> int:
     return 0
 
 
-# -- shared state helpers (pure dict manipulation, no detection logic) ------
+# -- state helpers (pure dict manipulation, no detection logic) -------------
 
 
 def _drop_origin(
@@ -217,27 +210,6 @@ def _covering(
     return None
 
 
-def _state_digest(
-    route_origin: Dict[Tuple[int, int, int], int],
-    origin_count: Dict[Tuple[int, int], Dict[int, int]],
-    last_origin: Dict[Tuple[int, int], int],
-    events: Dict[Tuple[int, int], int],
-    instability: Dict[Tuple[int, int], int],
-    withdrawals: Dict[Tuple[int, int], int],
-    moas_prefixes,
-) -> str:
-    state = (
-        sorted(route_origin.items()),
-        sorted((p, sorted(b.items())) for p, b in origin_count.items()),
-        sorted(last_origin.items()),
-        sorted(events.items()),
-        sorted(instability.items()),
-        sorted(withdrawals.items()),
-        sorted(moas_prefixes),
-    )
-    return hashlib.sha256(repr(state).encode()).hexdigest()
-
-
 _INSTABILITY_VALUES = frozenset(c.value for c in INSTABILITY_CATEGORIES)
 _PLAIN_WITHDRAW_VALUE = UpdateCategory.PLAIN_WITHDRAW.value
 _ANNOUNCE = int(UpdateKind.ANNOUNCE)
@@ -248,135 +220,19 @@ for _value in sorted(_INSTABILITY_VALUES):
 del _value
 
 
-class StreamDetector:
-    """Record-by-record detection (the streaming tier).
-
-    Feed time-ordered ``(record, category)`` pairs — the category comes
-    from the taxonomy classifier and drives the stability counters.
-    State persists across calls, so a month can be fed day by day.
-    """
-
-    __slots__ = (
-        "topology",
-        "counts",
-        "moas_prefixes",
-        "_route_origin",
-        "_origin_count",
-        "_last_origin",
-        "_events",
-        "_instability",
-        "_withdrawals",
-        "_flag_cache",
-    )
-
-    def __init__(self, topology: Optional[AsRelationships] = None) -> None:
-        self.topology = topology
-        #: Cumulative per-flag totals, canonical order.
-        self.counts: Dict[str, int] = {name: 0 for _, name in FLAGS}
-        #: Every (net, plen) that ever raised a MOAS conflict.
-        self.moas_prefixes = set()
-        self._route_origin: Dict[Tuple[int, int, int], int] = {}
-        self._origin_count: Dict[Tuple[int, int], Dict[int, int]] = {}
-        self._last_origin: Dict[Tuple[int, int], int] = {}
-        self._events: Dict[Tuple[int, int], int] = {}
-        self._instability: Dict[Tuple[int, int], int] = {}
-        self._withdrawals: Dict[Tuple[int, int], int] = {}
-        self._flag_cache: Dict[tuple, int] = {}
-
-    def feed(self, record: UpdateRecord, category: UpdateCategory) -> int:
-        """Detection flags for one record; updates carried state."""
-        prefix = record.prefix
-        net, plen = prefix.network, prefix.length
-        p = (net, plen)
-        key = (record.peer_id, net, plen)
-        flags = 0
-        if record.kind is UpdateKind.ANNOUNCE:
-            path = record.attributes.as_path
-            origin = path[-1] if path else record.peer_asn
-            flags = self._path_flags(path)
-            old = self._route_origin.get(key)
-            if old is not None:
-                _drop_origin(self._origin_count, p, old)
-            bucket = self._origin_count.get(p)
-            if bucket and any(o != origin for o in bucket):
-                flags |= MOAS_CONFLICT
-                self.moas_prefixes.add(p)
-            last = self._last_origin.get(p)
-            if last is not None and last != origin:
-                flags |= ORIGIN_CHANGE
-            self._last_origin[p] = origin
-            cover = _covering(self._origin_count, net, plen)
-            if cover is not None:
-                flags |= (
-                    SUBPREFIX_DEAGG
-                    if origin in self._origin_count[cover]
-                    else SUBPREFIX_FOREIGN
-                )
-            if bucket is None:
-                self._origin_count[p] = {origin: 1}
-            else:
-                bucket[origin] = bucket.get(origin, 0) + 1
-            self._route_origin[key] = origin
-        else:
-            old = self._route_origin.pop(key, None)
-            if old is not None:
-                _drop_origin(self._origin_count, p, old)
-        self._events[p] = self._events.get(p, 0) + 1
-        if category in INSTABILITY_CATEGORIES:
-            self._instability[p] = self._instability.get(p, 0) + 1
-        elif category is UpdateCategory.PLAIN_WITHDRAW:
-            self._withdrawals[p] = self._withdrawals.get(p, 0) + 1
-        if flags:
-            for bit, name in FLAGS:
-                if flags & bit:
-                    self.counts[name] += 1
-        return flags
-
-    def _path_flags(self, path) -> int:
-        if self.topology is None:
-            return 0
-        try:
-            return self._flag_cache[path]
-        except KeyError:
-            flags = path_flags(path, self.topology)
-            self._flag_cache[path] = flags
-            return flags
-
-    def stability(self) -> Dict[Tuple[int, int], Tuple[int, int, int]]:
-        """Per-prefix ``(events, instability, withdrawals)`` counters."""
-        return {
-            p: (
-                self._events[p],
-                self._instability.get(p, 0),
-                self._withdrawals.get(p, 0),
-            )
-            for p in self._events
-        }
-
-    def state_digest(self) -> str:
-        """Digest of all carried state — tier-comparable."""
-        return _state_digest(
-            self._route_origin,
-            self._origin_count,
-            self._last_origin,
-            self._events,
-            self._instability,
-            self._withdrawals,
-            self.moas_prefixes,
-        )
-
-
 class ColumnDetector:
-    """Batched detection over :class:`RecordColumns` (vectorized tier).
+    """Batched detection over :class:`RecordColumns`.
 
-    Per-attribute work — origin extraction and the valley/forgery path
-    checks — is computed once per interned attribute id and gathered
-    over the batch with array takes; the stability counters reduce with
-    ``np.bincount`` per unique prefix.  The concurrent-origin multiset
+    Feed time-ordered batches with their taxonomy codes — the codes
+    drive the stability counters.  Per-attribute work — origin
+    extraction and the valley/forgery path checks — is computed once
+    per interned attribute id and gathered over the batch with array
+    takes; the stability counters reduce with ``np.bincount`` per
+    unique prefix.  The concurrent-origin multiset
     (MOAS / origin-change / sub-prefix state) is inherently sequential
-    and runs as one scan over primitive lists.  Bit-identical to
-    :class:`StreamDetector` including cross-batch carry (proven by the
-    ``repro.verify`` differential harness).
+    and runs as one scan over primitive lists.  Results do not depend
+    on where the stream is cut into batches (proven against the oracle
+    by the ``repro.verify`` differential harness).
     """
 
     __slots__ = (
@@ -398,7 +254,9 @@ class ColumnDetector:
 
     def __init__(self, topology: Optional[AsRelationships] = None) -> None:
         self.topology = topology
+        #: Cumulative per-flag totals, canonical order.
         self.counts: Dict[str, int] = {name: 0 for _, name in FLAGS}
+        #: Every (net, plen) that ever raised a MOAS conflict.
         self.moas_prefixes = set()
         self._route_origin: Dict[Tuple[int, int, int], int] = {}
         self._origin_count: Dict[Tuple[int, int], Dict[int, int]] = {}
@@ -441,8 +299,7 @@ class ColumnDetector:
 
         ``codes`` are the row-aligned taxonomy codes from
         :meth:`~repro.core.columns.ColumnClassifier.classify` — they
-        drive the stability counters exactly as categories do in the
-        streaming tier.
+        drive the stability counters.
         """
         data = columns.data
         n = len(data)
@@ -542,6 +399,7 @@ class ColumnDetector:
         return result
 
     def stability(self) -> Dict[Tuple[int, int], Tuple[int, int, int]]:
+        """Per-prefix ``(events, instability, withdrawals)`` counters."""
         return {
             p: (
                 self._events[p],
@@ -552,15 +410,19 @@ class ColumnDetector:
         }
 
     def state_digest(self) -> str:
-        return _state_digest(
-            self._route_origin,
-            self._origin_count,
-            self._last_origin,
-            self._events,
-            self._instability,
-            self._withdrawals,
-            self.moas_prefixes,
+        """Digest of all carried state — batching-comparable."""
+        state = (
+            sorted(self._route_origin.items()),
+            sorted(
+                (p, sorted(b.items())) for p, b in self._origin_count.items()
+            ),
+            sorted(self._last_origin.items()),
+            sorted(self._events.items()),
+            sorted(self._instability.items()),
+            sorted(self._withdrawals.items()),
+            sorted(self.moas_prefixes),
         )
+        return hashlib.sha256(repr(state).encode()).hexdigest()
 
 
 class DetectionResult:
@@ -580,29 +442,14 @@ class DetectionResult:
         return detection_digest(records, self.flags)
 
 
-def detect_records(
-    records: Iterable[UpdateRecord],
-    topology: Optional[AsRelationships] = None,
-    detector: Optional[StreamDetector] = None,
-    classifier: Optional[StreamClassifier] = None,
-) -> DetectionResult:
-    """Streaming-tier detection over a time-ordered record stream."""
-    detector = detector if detector is not None else StreamDetector(topology)
-    classifier = classifier if classifier is not None else StreamClassifier()
-    flags = [
-        detector.feed(record, classifier.feed(record).category)
-        for record in records
-    ]
-    return DetectionResult(flags, detector)
-
-
 def detect_records_columnar(
     records: Sequence[UpdateRecord],
     topology: Optional[AsRelationships] = None,
     boundaries: Sequence[int] = (),
 ) -> DetectionResult:
-    """Columnar-tier detection, optionally cut into batches at
-    ``boundaries`` (row indices) to exercise the cross-batch carry."""
+    """Classify and detect over a time-ordered record list, optionally
+    cut into batches at ``boundaries`` (row indices) to exercise the
+    cross-batch carry."""
     table = AttributeTable()
     classifier = ColumnClassifier()
     detector = ColumnDetector(topology)
@@ -621,8 +468,8 @@ def detection_digest(
     records: Sequence[UpdateRecord], flags: Sequence[int]
 ) -> str:
     """Canonical line digest over (record, flags) pairs — the common
-    coin of all three detection tiers (the verify oracle re-implements
-    this format without importing it)."""
+    coin of the detection tier and the verify oracle (which
+    re-implements this format without importing it)."""
     if len(records) != len(flags):
         raise ValueError("records and flags are not aligned")
     hasher = hashlib.sha256()
@@ -647,7 +494,7 @@ def stability_scores(
     instability (AADiff/WADiff/WADup) and *not* a reachability loss
     (plain withdrawal).  A never-perturbed route scores 1.0; a route
     whose every event churns forwarding scores 0.0.  Scores are derived
-    from the integer counters, so every tier computes identical floats.
+    from the integer counters, so the oracle computes identical floats.
     """
     return {
         p: 1.0 - (instability + withdrawals) / events

@@ -11,12 +11,15 @@ pull a curve far down.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.classifier import ClassifiedUpdate
-from ..core.instability import counts_by_prefix_as
+from ..core.columns import RecordColumns
+from ..core.instability import (
+    counts_by_prefix_as_columns,
+    counts_by_prefix_columns,
+)
 from ..core.taxonomy import UpdateCategory
 
 __all__ = [
@@ -55,37 +58,25 @@ class DailyCdf:
 
 
 def daily_cdf(
-    updates: Iterable[ClassifiedUpdate],
+    columns: RecordColumns,
+    codes: np.ndarray,
     category: UpdateCategory,
     day: int = 0,
     by_prefix_only: bool = False,
 ) -> Optional[DailyCdf]:
-    """Build one Figure 7 curve; None if the day has no such events.
+    """Build one Figure 7 curve from a classified batch; None if the
+    day has no such events.
 
     ``by_prefix_only`` collapses the AS dimension — the aggregation
     the paper says "generated results similar ... and have been
-    omitted".  ``updates`` may also be a ``(RecordColumns, codes)``
-    pair from the columnar tier.
+    omitted".
     """
-    if isinstance(updates, tuple):
-        from ..core.instability import (
-            counts_by_prefix_as_columns,
-            counts_by_prefix_columns,
-        )
-
-        columns, codes = updates
-        grouped = (
-            counts_by_prefix_columns
-            if by_prefix_only
-            else counts_by_prefix_as_columns
-        )
-        per_pair = grouped(columns, codes, category)
-    elif by_prefix_only:
-        from ..core.instability import counts_by_prefix
-
-        per_pair = counts_by_prefix(updates, category)
-    else:
-        per_pair = counts_by_prefix_as(updates, category)
+    grouped = (
+        counts_by_prefix_columns
+        if by_prefix_only
+        else counts_by_prefix_as_columns
+    )
+    per_pair = grouped(columns, codes, category)
     if not per_pair:
         return None
     counts = sorted(per_pair.values())
@@ -113,13 +104,14 @@ def daily_cdf(
 
 
 def monthly_cdfs(
-    daily_updates: Dict[int, Sequence[ClassifiedUpdate]],
+    daily_updates: Dict[int, Tuple[RecordColumns, np.ndarray]],
     category: UpdateCategory,
 ) -> List[DailyCdf]:
-    """One curve per day of the month (Figure 7's line bundles)."""
+    """One curve per day of the month (Figure 7's line bundles);
+    ``daily_updates`` maps day → ``(columns, codes)``."""
     curves = []
-    for day, updates in sorted(daily_updates.items()):
-        curve = daily_cdf(updates, category, day)
+    for day, (columns, codes) in sorted(daily_updates.items()):
+        curve = daily_cdf(columns, codes, category, day)
         if curve is not None:
             curves.append(curve)
     return curves

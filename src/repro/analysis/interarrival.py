@@ -14,21 +14,18 @@ frequencies account for half of the measured statistics."
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..collector.record import PrefixAs
-from ..core.classifier import ClassifiedUpdate
+from ..core.columns import RecordColumns
 from ..core.taxonomy import UpdateCategory
 
 __all__ = [
     "FIGURE8_BINS",
     "bin_label",
     "interarrival_times",
-    "interarrival_columns",
     "histogram_counts",
     "histogram_proportions",
     "proportions_from_counts",
@@ -54,49 +51,19 @@ def bin_label(index: int) -> str:
     return _LABELS[index]
 
 
-def bin_index(gap: float) -> Optional[int]:
-    """The Figure 8 bin holding ``gap`` seconds (None if > 24h)."""
-    for i, edge in enumerate(FIGURE8_BINS):
-        if gap <= edge:
-            return i
-    return None
-
-
 def interarrival_times(
-    updates: Iterable[ClassifiedUpdate],
-    category: Optional[UpdateCategory] = None,
-) -> List[float]:
-    """Gaps between consecutive events of each Prefix+AS pair.
-
-    Restricted to one category when given (Figure 8 plots each of the
-    four fine-grained categories separately).  ``updates`` may also be
-    a ``(RecordColumns, codes)`` pair from the columnar tier, which is
-    dispatched to :func:`interarrival_columns`.
-    """
-    if isinstance(updates, tuple):
-        columns, codes = updates
-        return interarrival_columns(columns, codes, category)
-    by_pair: Dict[PrefixAs, List[float]] = defaultdict(list)
-    for update in updates:
-        if category is None or update.category is category:
-            by_pair[update.prefix_as].append(update.time)
-    gaps: List[float] = []
-    for times in by_pair.values():
-        times.sort()
-        gaps.extend(b - a for a, b in zip(times, times[1:]))
-    return gaps
-
-
-def interarrival_columns(
-    columns,
+    columns: RecordColumns,
     codes: Optional[np.ndarray] = None,
     category: Optional[UpdateCategory] = None,
 ) -> np.ndarray:
-    """Columnar :func:`interarrival_times`: per-pair gaps computed by
-    one lexsort over (Prefix+AS, time) and a masked diff.
+    """Gaps between consecutive events of each Prefix+AS pair, by one
+    lexsort over (Prefix+AS, time) and a masked diff.
 
-    Returns the same multiset of gaps as the streaming version (the
-    ordering differs — gaps are grouped per pair in key order)."""
+    Restricted to one category when given (Figure 8 plots each of the
+    four fine-grained categories separately); ``codes`` are the
+    row-aligned category codes.  Gaps come out grouped per pair in
+    key order.
+    """
     data = columns.data
     if category is not None:
         data = data[np.asarray(codes) == category.value]
@@ -141,18 +108,7 @@ def proportions_from_counts(counts: Sequence[int]) -> List[float]:
 
 def histogram_proportions(gaps: Sequence[float]) -> List[float]:
     """The proportion of ``gaps`` in each Figure 8 bin."""
-    if isinstance(gaps, np.ndarray):
-        return proportions_from_counts(histogram_counts(gaps))
-    counts = [0] * len(FIGURE8_BINS)
-    total = 0
-    for gap in gaps:
-        index = bin_index(gap)
-        if index is not None:
-            counts[index] += 1
-            total += 1
-    if total == 0:
-        return [0.0] * len(FIGURE8_BINS)
-    return [c / total for c in counts]
+    return proportions_from_counts(histogram_counts(gaps))
 
 
 @dataclass(frozen=True)
@@ -167,17 +123,15 @@ class BinBox:
 
 
 def daily_boxes(
-    daily_updates: Sequence[Sequence[ClassifiedUpdate]],
+    daily_updates: Sequence[Tuple[RecordColumns, np.ndarray]],
     category: UpdateCategory,
 ) -> List[BinBox]:
-    """Box statistics over days for one category (one Figure 8 panel).
-
-    ``daily_updates`` is one classified-update sequence per day — or,
-    on the columnar tier, one ``(RecordColumns, codes)`` pair per day.
-    """
+    """Box statistics over days for one category (one Figure 8 panel);
+    ``daily_updates`` is one classified ``(columns, codes)`` batch per
+    day."""
     per_day: List[List[float]] = []
-    for updates in daily_updates:
-        gaps = interarrival_times(updates, category)
+    for columns, codes in daily_updates:
+        gaps = interarrival_times(columns, codes, category)
         per_day.append(histogram_proportions(gaps))
     boxes: List[BinBox] = []
     for i in range(len(FIGURE8_BINS)):

@@ -95,22 +95,30 @@ def write_records(
     return count
 
 
-def read_records(stream: BinaryIO) -> Iterator[UpdateRecord]:
-    """Deserialize records from ``stream`` (reverse of
-    :func:`write_records`)."""
+def _read_frames(
+    stream: BinaryIO,
+) -> Iterator[Tuple[float, int, int, UpdateMessage]]:
+    """Validate and decode an archive frame by frame.
+
+    The one validation ladder both front ends consume: file magic,
+    whole header, whole payload, a payload that is exactly one BGP
+    UPDATE, and that UPDATE carrying exactly one prefix.  Yields
+    ``(time, peer_ip, peer_asn, message)``.
+    """
     magic = stream.read(len(MAGIC))
     if magic != MAGIC:
         raise MrtError(f"bad magic {magic!r}")
+    read = stream.read
+    header_size = _RECORD_HEADER.size
+    unpack = _RECORD_HEADER.unpack
     while True:
-        header = stream.read(_RECORD_HEADER.size)
+        header = read(header_size)
         if not header:
             return
-        if len(header) != _RECORD_HEADER.size:
+        if len(header) != header_size:
             raise MrtError("truncated record header")
-        seconds, microseconds, peer_asn, peer_ip, length = (
-            _RECORD_HEADER.unpack(header)
-        )
-        payload = stream.read(length)
+        seconds, microseconds, peer_asn, peer_ip, length = unpack(header)
+        payload = read(length)
         if len(payload) != length:
             raise MrtError("truncated record payload")
         try:
@@ -119,11 +127,16 @@ def read_records(stream: BinaryIO) -> Iterator[UpdateRecord]:
             raise MrtError(f"bad BGP payload: {exc}") from exc
         if consumed != length or not isinstance(message, UpdateMessage):
             raise MrtError("record payload is not a single BGP UPDATE")
-        time = seconds + microseconds / 1_000_000
-        records = flatten_update(time, peer_ip, peer_asn, message)
-        if len(records) != 1:
+        if len(message.withdrawn) + len(message.announced) != 1:
             raise MrtError("archive records must carry exactly one prefix")
-        yield records[0]
+        yield seconds + microseconds / 1_000_000, peer_ip, peer_asn, message
+
+
+def read_records(stream: BinaryIO) -> Iterator[UpdateRecord]:
+    """Deserialize records from ``stream`` (reverse of
+    :func:`write_records`)."""
+    for time, peer_ip, peer_asn, message in _read_frames(stream):
+        yield flatten_update(time, peer_ip, peer_asn, message)[0]
 
 
 def write_column_bodies(stream: BinaryIO, columns) -> int:
@@ -202,31 +215,8 @@ def read_column_batches(
     no_attr = int(NO_ATTR)
     announce = int(UpdateKind.ANNOUNCE)
     withdraw = int(UpdateKind.WITHDRAW)
-    magic = stream.read(len(MAGIC))
-    if magic != MAGIC:
-        raise MrtError(f"bad magic {magic!r}")
     rows: List[tuple] = []
-    while True:
-        header = stream.read(_RECORD_HEADER.size)
-        if not header:
-            break
-        if len(header) != _RECORD_HEADER.size:
-            raise MrtError("truncated record header")
-        seconds, microseconds, peer_asn, peer_ip, length = (
-            _RECORD_HEADER.unpack(header)
-        )
-        payload = stream.read(length)
-        if len(payload) != length:
-            raise MrtError("truncated record payload")
-        try:
-            message, consumed = decode_message(payload)
-        except WireError as exc:
-            raise MrtError(f"bad BGP payload: {exc}") from exc
-        if consumed != length or not isinstance(message, UpdateMessage):
-            raise MrtError("record payload is not a single BGP UPDATE")
-        if len(message.withdrawn) + len(message.announced) != 1:
-            raise MrtError("archive records must carry exactly one prefix")
-        time = seconds + microseconds / 1_000_000
+    for time, peer_ip, peer_asn, message in _read_frames(stream):
         if message.announced:
             prefix = message.announced[0]
             kind = announce

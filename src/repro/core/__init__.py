@@ -1,4 +1,4 @@
-"""The paper's primary contribution: the update taxonomy, the streaming
+"""The paper's primary contribution: the update taxonomy, the columnar
 classifier, instability metrics, and result reporting."""
 
 from .taxonomy import (
@@ -8,7 +8,6 @@ from .taxonomy import (
     PATHOLOGICAL_CATEGORIES,
     UpdateCategory,
 )
-from .classifier import ClassifiedUpdate, StreamClassifier, classify
 from .columns import (
     AttributeTable,
     ColumnClassifier,
@@ -19,9 +18,7 @@ from .columns import (
 from .instability import (
     CategoryCounts,
     Incident,
-    counts_by_peer,
     counts_by_peer_columns,
-    counts_by_prefix_as,
     counts_by_prefix_as_columns,
     detect_incidents,
     persistence,
@@ -34,9 +31,6 @@ __all__ = [
     "INSTABILITY_CATEGORIES",
     "PATHOLOGICAL_CATEGORIES",
     "UpdateCategory",
-    "ClassifiedUpdate",
-    "StreamClassifier",
-    "classify",
     "AttributeTable",
     "ColumnClassifier",
     "RecordColumns",
@@ -44,9 +38,7 @@ __all__ = [
     "decode_categories",
     "CategoryCounts",
     "Incident",
-    "counts_by_peer",
     "counts_by_peer_columns",
-    "counts_by_prefix_as",
     "counts_by_prefix_as_columns",
     "detect_incidents",
     "persistence",

@@ -1,10 +1,9 @@
-"""Columnar execution tier: vectorized record batches.
+"""The execution tier: vectorized record batches and the classifier.
 
-The streaming tier processes one Python object per update — at the
-paper's scale (3–6 million updates/day for nine months) a full replay
-is CPU-bound on object churn.  This module defines the columnar
-counterpart: a :class:`RecordColumns` batch holds an entire day (or
-month) of updates as NumPy structured arrays
+One Python object per update is CPU-bound on object churn at the
+paper's scale (3–6 million updates/day for nine months), so records
+are processed in columnar form: a :class:`RecordColumns` batch holds
+an entire day (or month) of updates as NumPy structured arrays
 
     ``time:f8, peer_id:u4, peer_asn:u4, net:u4, plen:u1, kind:u1,
     attr_id:u4``
@@ -14,24 +13,31 @@ plus an :class:`AttributeTable` interning the distinct
 streams repeat a tiny attribute vocabulary millions of times — the
 paper's logs carry ~1,500 unique ASPATHs against millions of updates).
 
-On top of the layout, :func:`classify_columns` reproduces the
-streaming :class:`~repro.core.classifier.StreamClassifier` taxonomy
-bit-for-bit with array operations: records are grouped per
-``(peer_id, prefix)`` by a stable lexsort, per-group predecessor state
-(reachable / ever-announced / last-announced attributes) is derived
-with cumulative array ops, and the taxonomy transition table is
-applied to whole masks at once.  :class:`ColumnClassifier` carries the
-per-route state across batches, so a month can be classified day by
-day exactly like the streaming tier.
+On top of the layout, :func:`classify_columns` applies the paper's
+§4.1 taxonomy with array operations.  It tracks, for every
+``(peer_id, prefix)`` route, whether the route is currently
+*reachable* via that peer and the last announced attributes (kept
+across withdrawals, so a re-announcement can be told WADup from
+WADiff): records are grouped per route by a stable sort, per-group
+predecessor state is derived with cumulative array ops, and the
+taxonomy transition table is applied to whole masks at once.  A
+duplicate is "the receipt of two or more updates with identical
+(Prefix, NextHop, ASPATH) tuple information"; announcements that
+repeat the forwarding tuple but alter other attributes are flagged
+``policy`` — the paper's *policy fluctuation*.
+:class:`ColumnClassifier` carries the per-route state across batches,
+so a month classified day by day labels exactly as one continuous
+stream.
 
-Conversions to and from :class:`~repro.collector.record.UpdateRecord`
-streams are lossless; the streaming tier remains the reference
-implementation (and the equivalence is asserted record-for-record in
-``tests/test_columns.py``).
+This is the only production classifier; the dependency-free oracle in
+:mod:`repro.verify.reference` is the one second implementation it is
+held to.  Conversions to and from
+:class:`~repro.collector.record.UpdateRecord` streams are lossless.
 """
 
 from __future__ import annotations
 
+import hashlib
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,7 +45,6 @@ import numpy as np
 from ..bgp.attributes import PathAttributes
 from ..collector.record import UpdateKind, UpdateRecord
 from ..net.prefix import Prefix
-from .classifier import route_state_digest
 from .taxonomy import UpdateCategory
 
 __all__ = [
@@ -51,6 +56,7 @@ __all__ = [
     "ColumnClassifier",
     "classify_columns",
     "decode_categories",
+    "route_state_digest",
 ]
 
 #: The columnar record layout.  ``net``/``plen`` unpack a prefix;
@@ -342,8 +348,8 @@ def _group_sort(
     ``new_group[i]`` marks the first sorted row of each group and
     ``key_sorted`` packs ``(peer_id << 32) | net``.  Stability
     matters: within a group, rows stay in batch (i.e. stream) order,
-    which is what makes the vectorized classification replay the
-    streaming one exactly.  Sorting on the packed key plus ``plen``
+    which is what makes the vectorized classification label each
+    record as a record-at-a-time replay would.  Sorting on the packed key plus ``plen``
     costs two sort passes instead of three and lets the boundary test
     compare two arrays instead of three.
     """
@@ -456,6 +462,48 @@ _CODE_LUT = _build_code_lut()
 _AADUP_CODE = np.uint8(UpdateCategory.AADUP.value)
 
 
+def route_state_digest(
+    entries: Iterable[
+        Tuple[Tuple[int, int, int], bool, bool, Optional[PathAttributes]]
+    ],
+) -> str:
+    """SHA-256 over normalized per-route classifier state.
+
+    ``entries`` are ``((peer_id, network, length), reachable,
+    ever_announced, last_attributes)`` tuples; order does not matter
+    (entries are sorted by key here).  Equal states — however they are
+    keyed internally — produce equal digests, so the verify layer can
+    prove that a stream classified at different batchings carries the
+    same state forward, and the simulator's partition digests can pin
+    router state the same way.
+    """
+    digest = hashlib.sha256()
+    for key, reachable, ever_announced, attrs in sorted(
+        entries, key=lambda entry: entry[0]
+    ):
+        if attrs is None:
+            rendered = "-"
+        else:
+            rendered = repr(
+                (
+                    attrs.next_hop,
+                    tuple(attrs.as_path),
+                    int(attrs.origin),
+                    attrs.med,
+                    attrs.local_pref,
+                    tuple(sorted(attrs.communities)),
+                    attrs.atomic_aggregate,
+                    attrs.aggregator,
+                )
+            )
+        line = (
+            f"{key[0]}|{key[1]}|{key[2]}"
+            f"|{int(reachable)}|{int(ever_announced)}|{rendered}\n"
+        )
+        digest.update(line.encode("ascii"))
+    return digest.hexdigest()
+
+
 class _CarryState:
     """Cross-batch classifier memory for one (peer, prefix) pair."""
 
@@ -468,7 +516,7 @@ class _CarryState:
 
 
 class ColumnClassifier:
-    """Batch classifier equivalent to :class:`StreamClassifier`.
+    """The stateful taxonomy classifier.
 
     :meth:`classify` labels every row of a batch with a taxonomy code
     (``UpdateCategory.value``) and a policy-fluctuation flag, updating
@@ -608,7 +656,7 @@ class ColumnClassifier:
         policy[order] = sorted_policy
         return codes, policy
 
-    # -- introspection (parity with StreamClassifier) ----------------------
+    # -- introspection ------------------------------------------------------
 
     def is_reachable(self, peer_id: int, prefix: Prefix) -> bool:
         state = self._states.get((peer_id, prefix.network, prefix.length))
@@ -619,10 +667,9 @@ class ColumnClassifier:
         return len(self._states)
 
     def state_digest(self) -> str:
-        """Digest of all per-route state, rendered through the same
-        :func:`~repro.core.classifier.route_state_digest` as the
-        streaming tier — equal classifier states give equal digests
-        regardless of tier."""
+        """Digest of all per-route state (see
+        :func:`route_state_digest`) — equal classifier states give
+        equal digests regardless of how the stream was batched."""
         return route_state_digest(
             (
                 key,
@@ -644,8 +691,8 @@ def classify_columns(
     """Classify a whole batch; see :meth:`ColumnClassifier.classify`.
 
     Pass an existing ``classifier`` to continue from prior state (e.g.
-    a campaign fed day by day), exactly like the streaming
-    :func:`~repro.core.classifier.classify`.
+    a campaign fed day by day, so cross-midnight sequences classify
+    correctly).
     """
     classifier = classifier or ColumnClassifier()
     return classifier.classify(columns)

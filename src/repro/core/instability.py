@@ -1,11 +1,14 @@
-"""Instability metrics over classified update streams.
+"""Instability metrics over classified update batches.
 
-Aggregations the paper's analyses and the benchmark harness share:
+Aggregations the paper's analyses and the benchmark harness share,
+all over a :class:`~repro.core.columns.RecordColumns` batch and its
+row-aligned category codes:
 
 - :class:`CategoryCounts` — per-category tallies with the paper's
   instability / pathological / uncategorized roll-ups;
-- :func:`counts_by_peer`, :func:`counts_by_prefix_as` — the groupings
-  behind Figures 6 and 7;
+- :func:`counts_by_peer_columns`, :func:`counts_by_prefix_as_columns`,
+  :func:`counts_by_prefix_columns` — the groupings behind Figures 6
+  and 7;
 - :func:`detect_incidents` — the paper's "pathological routing
   incident": a period where aggregate instability exceeds the normal
   level by an order of magnitude or more;
@@ -17,15 +20,14 @@ Aggregations the paper's analyses and the benchmark harness share:
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..collector.record import PrefixAs
 from ..net.prefix import Prefix
-from .classifier import ClassifiedUpdate
 from .taxonomy import (
     INSTABILITY_CATEGORIES,
     PATHOLOGICAL_CATEGORIES,
@@ -34,10 +36,9 @@ from .taxonomy import (
 
 __all__ = [
     "CategoryCounts",
-    "counts_by_peer",
     "counts_by_peer_columns",
-    "counts_by_prefix_as",
     "counts_by_prefix_as_columns",
+    "counts_by_prefix_columns",
     "detect_incidents",
     "persistence",
     "Incident",
@@ -50,15 +51,6 @@ class CategoryCounts:
 
     counts: Counter = field(default_factory=Counter)
     policy_changes: int = 0
-
-    def add(self, update: ClassifiedUpdate) -> None:
-        self.counts[update.category] += 1
-        if update.policy_change:
-            self.policy_changes += 1
-
-    def extend(self, updates: Iterable[ClassifiedUpdate]) -> None:
-        for update in updates:
-            self.add(update)
 
     @classmethod
     def from_codes(
@@ -161,37 +153,14 @@ class CategoryCounts:
         return result
 
 
-def counts_by_peer(
-    updates: Iterable[ClassifiedUpdate],
-) -> Dict[int, CategoryCounts]:
-    """Per-peer-AS category counts (Figure 6's per-peer points)."""
-    result: Dict[int, CategoryCounts] = defaultdict(CategoryCounts)
-    for update in updates:
-        result[update.peer_asn].add(update)
-    return dict(result)
-
-
-def counts_by_prefix_as(
-    updates: Iterable[ClassifiedUpdate],
-    category: Optional[UpdateCategory] = None,
-) -> Dict[PrefixAs, int]:
-    """Events per Prefix+AS pair, optionally restricted to one category
-    (Figure 7's histogram input)."""
-    result: Counter = Counter()
-    for update in updates:
-        if category is None or update.category is category:
-            result[update.prefix_as] += 1
-    return dict(result)
-
-
 def counts_by_peer_columns(
     columns,
     codes: "np.ndarray",
     policy: Optional["np.ndarray"] = None,
 ) -> Dict[int, "CategoryCounts"]:
-    """Columnar :func:`counts_by_peer`: per-peer-AS category counts
-    from a classified :class:`~repro.core.columns.RecordColumns`
-    batch, via one ``np.unique`` over (peer ASN, code) keys."""
+    """Per-peer-AS category counts (Figure 6's per-peer points) from
+    a classified :class:`~repro.core.columns.RecordColumns` batch, via
+    one ``np.unique`` over (peer ASN, code) keys."""
     codes = np.asarray(codes)
     key = columns.peer_asn.astype(np.uint64) * 16 + codes
     unique, totals = np.unique(key, return_counts=True)
@@ -241,8 +210,8 @@ def counts_by_prefix_as_columns(
     codes: Optional["np.ndarray"] = None,
     category: Optional[UpdateCategory] = None,
 ) -> Dict[PrefixAs, int]:
-    """Columnar :func:`counts_by_prefix_as`: events per Prefix+AS pair
-    (Figure 7's histogram input) from a
+    """Events per Prefix+AS pair, optionally restricted to one
+    category (Figure 7's histogram input), from a
     :class:`~repro.core.columns.RecordColumns` batch."""
     s, starts, counts = _pair_group_counts(
         columns, codes, category, ("peer_asn", "net", "plen")
@@ -261,7 +230,13 @@ def counts_by_prefix_columns(
     codes: Optional["np.ndarray"] = None,
     category: Optional[UpdateCategory] = None,
 ) -> Dict[Prefix, int]:
-    """Columnar :func:`counts_by_prefix` (AS dimension collapsed)."""
+    """Events per bare prefix (AS dimension collapsed).
+
+    The paper: "An investigation of instability aggregated on prefix
+    alone generated results similar to those shown in this section and
+    have been omitted" — this is that aggregation, so the claim can be
+    verified rather than taken on faith.
+    """
     s, starts, counts = _pair_group_counts(
         columns, codes, category, ("net", "plen")
     )
@@ -271,24 +246,6 @@ def counts_by_prefix_columns(
     for net, plen, count in zip(nets, plens, counts.tolist()):
         result[Prefix(net, plen)] = count
     return result
-
-
-def counts_by_prefix(
-    updates: Iterable[ClassifiedUpdate],
-    category: Optional[UpdateCategory] = None,
-) -> Dict:
-    """Events per bare prefix (AS dimension collapsed).
-
-    The paper: "An investigation of instability aggregated on prefix
-    alone generated results similar to those shown in this section and
-    have been omitted" — this is that aggregation, so the claim can be
-    verified rather than taken on faith.
-    """
-    result: Counter = Counter()
-    for update in updates:
-        if category is None or update.category is category:
-            result[update.prefix] += 1
-    return dict(result)
 
 
 @dataclass(frozen=True, slots=True)
@@ -359,7 +316,7 @@ def _make_incident(
 
 
 def persistence(
-    updates: Iterable[ClassifiedUpdate],
+    columns,
     quiet_gap: float = 300.0,
 ) -> Dict[PrefixAs, List[float]]:
     """Fluctuation-episode durations per Prefix+AS pair.
@@ -368,22 +325,36 @@ def persistence(
     spacing stays under ``quiet_gap`` (default five minutes — the
     paper's observed upper bound on pathological persistence); the
     episode's persistence is last-event time minus first-event time.
-    Single-event episodes have persistence 0.
+    Single-event episodes have persistence 0.  One lexsort over
+    (Prefix+AS, time) puts each pair's events in time order; an
+    episode starts wherever the pair changes or the gap exceeds
+    ``quiet_gap``.
     """
-    by_pair: Dict[PrefixAs, List[float]] = defaultdict(list)
-    for update in updates:
-        by_pair[update.prefix_as].append(update.time)
+    data = columns.data
+    n = len(data)
+    if n == 0:
+        return {}
+    order = np.lexsort(
+        (data["time"], data["plen"], data["net"], data["peer_asn"])
+    )
+    s = data[order]
+    time = s["time"]
+    new_episode = np.empty(n, dtype=bool)
+    new_episode[0] = True
+    new_episode[1:] = (
+        (s["peer_asn"][1:] != s["peer_asn"][:-1])
+        | (s["net"][1:] != s["net"][:-1])
+        | (s["plen"][1:] != s["plen"][:-1])
+        | (np.diff(time) > quiet_gap)
+    )
+    starts = np.flatnonzero(new_episode)
+    ends = np.append(starts[1:], n) - 1
     episodes: Dict[PrefixAs, List[float]] = {}
-    for pair, times in by_pair.items():
-        times.sort()
-        durations: List[float] = []
-        episode_start = times[0]
-        last = times[0]
-        for time in times[1:]:
-            if time - last > quiet_gap:
-                durations.append(last - episode_start)
-                episode_start = time
-            last = time
-        durations.append(last - episode_start)
-        episodes[pair] = durations
+    for net, plen, asn, duration in zip(
+        s["net"][starts].tolist(),
+        s["plen"][starts].tolist(),
+        s["peer_asn"][starts].tolist(),
+        (time[ends] - time[starts]).tolist(),
+    ):
+        episodes.setdefault((Prefix(net, plen), asn), []).append(duration)
     return episodes

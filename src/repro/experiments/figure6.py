@@ -16,7 +16,7 @@ them per day, and computes both checks per category.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from ..analysis.contribution import (
     contribution_points,
     correlation,
 )
-from ..core.classifier import ClassifiedUpdate, StreamClassifier, classify
 from ..core.columns import AttributeTable, ColumnClassifier, RecordColumns
 from ..core.report import ExperimentResult, Table
 from ..core.taxonomy import FINE_GRAINED_CATEGORIES
@@ -35,7 +34,6 @@ __all__ = [
     "run",
     "AUGUST",
     "fine_grained_generator",
-    "classified_month",
     "classified_month_columns",
 ]
 
@@ -59,47 +57,19 @@ def fine_grained_generator(seed: int, **generator_kwargs) -> TraceGenerator:
     )
 
 
-def classified_month(
-    generator: TraceGenerator,
-    days: Sequence[int],
-    pair_fraction: float = 1.0,
-    warmup_days: int = 2,
-) -> Dict[int, List[ClassifiedUpdate]]:
-    """Materialize and classify a month of fine-grained records,
-    preserving classifier state across days (with a warm-up so WA*/AA*
-    states are populated).  WWDup is excluded — none of the
-    fine-grained figures (6, 7, 8) plot it."""
-    classifier = StreamClassifier()
-    first = min(days)
-    for day in range(first - warmup_days, first):
-        for _ in classify(
-            generator.day_records(
-                day, pair_fraction, categories=FINE_GRAINED_CATEGORIES
-            ),
-            classifier,
-        ):
-            pass
-    result: Dict[int, List[ClassifiedUpdate]] = {}
-    for day in days:
-        records = generator.day_records(
-            day, pair_fraction, categories=FINE_GRAINED_CATEGORIES
-        )
-        result[day] = list(classify(records, classifier))
-    return result
-
-
 def classified_month_columns(
     generator: TraceGenerator,
     days: Sequence[int],
     pair_fraction: float = 1.0,
     warmup_days: int = 2,
 ) -> Dict[int, Tuple[RecordColumns, np.ndarray]]:
-    """Columnar :func:`classified_month`: day → ``(columns, codes)``.
+    """Materialize and classify a month of fine-grained records:
+    day → ``(columns, codes)``.
 
-    The same record stream (identical RNG draws) materialized and
-    classified on the columnar tier — one attribute table and one
-    :class:`ColumnClassifier` span the month, so per-route state
-    carries across days exactly like the streaming version.
+    One attribute table and one :class:`ColumnClassifier` span the
+    month, so per-route state carries across days (with a warm-up so
+    WA*/AA* states are populated).  WWDup is excluded — none of the
+    fine-grained figures (6, 7, 8) plot it.
     """
     classifier = ColumnClassifier()
     table = AttributeTable()

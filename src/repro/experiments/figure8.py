@@ -20,8 +20,6 @@ Two-part reproduction:
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 from ..analysis.interarrival import (
@@ -31,7 +29,7 @@ from ..analysis.interarrival import (
     timer_bin_mass,
 )
 from ..collector.log import MemoryLog
-from ..core.classifier import classify
+from ..core.columns import RecordColumns
 from ..core.report import ExperimentResult, Series, Table
 from ..core.taxonomy import FINE_GRAINED_CATEGORIES, UpdateCategory
 from ..net.prefix import Prefix
@@ -45,8 +43,8 @@ from .figure6 import AUGUST, classified_month_columns, fine_grained_generator
 __all__ = ["run", "run_mechanisms"]
 
 
-def run_mechanisms(duration: float = 4 * 3600.0) -> List[float]:
-    """The mechanism tier: returns the gap list from an event-driven
+def run_mechanisms(duration: float = 4 * 3600.0) -> np.ndarray:
+    """The mechanism tier: returns the gaps from an event-driven
     simulation containing a CSU link and an IGP/BGP loop."""
     engine = Engine()
     sink = MemoryLog()
@@ -71,8 +69,9 @@ def run_mechanisms(duration: float = 4 * 3600.0) -> List[float]:
     loop.start()
     connect(provider_b, server)
     engine.run_until(duration)
-    updates = list(classify(sink.sorted_by_time()))
-    return interarrival_times(updates)
+    return interarrival_times(
+        RecordColumns.from_records(sink.sorted_by_time())
+    )
 
 
 def run(seed: int = 4) -> ExperimentResult:

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.classifier import classify
+from ..core.columns import classify_columns
 from ..core.instability import CategoryCounts, persistence
 from ..core.report import ExperimentResult, Table
-from ..core.taxonomy import UpdateCategory
+from ..core.taxonomy import PATHOLOGICAL_CATEGORIES, UpdateCategory
 from ..collector.log import MemoryLog
 from ..net.prefix import Prefix
 from ..sim.engine import Engine
@@ -168,22 +168,20 @@ def run(seed: int = 3) -> ExperimentResult:
     # policy-fluctuation share of AADups (updates whose forwarding
     # tuple is unchanged but whose MED/communities moved — §4.1's
     # "policy fluctuation" distinction).
-    records = generator.day_records(130, pair_fraction=0.02)
-    classified = list(classify(records))
-    aadups = [
-        u for u in classified if u.category is UpdateCategory.AADUP
-    ]
+    columns = generator.day_columns(130, pair_fraction=0.02)
+    codes, policy = classify_columns(columns)
+    counts = CategoryCounts.from_codes(codes, policy)
+    aadups = counts[UpdateCategory.AADUP]
     if aadups:
-        policy_share = sum(
-            1 for u in aadups if u.policy_change
-        ) / len(aadups)
         result.record(
             "policy_fluctuation_share_of_aadup",
-            policy_share,
+            counts.policy_changes / aadups,
             expect=(0.1, 0.5),
         )
-    updates = [u for u in classified if u.category.is_pathological]
-    episodes = persistence(updates)
+    pathological = np.isin(
+        codes, sorted(c.value for c in PATHOLOGICAL_CATEGORIES)
+    )
+    episodes = persistence(columns.select(pathological))
     durations = [d for ds in episodes.values() for d in ds if d > 0]
     if durations:
         under_5min = sum(1 for d in durations if d < 300.0) / len(durations)

@@ -17,7 +17,7 @@ per-shard accumulator state.  The parallel simulator
 (``repro.sim.partition`` / ``repro.sim.parallel`` — cross-exchange
 messages, partitions, shard ports) is covered via the ``repro/sim/``
 prefix, and so is the trace generator (``repro/workloads/`` — pair
-state, day plans, and the emission sinks the vectorized
+state, day plans, and the emission sink the vectorized
 materialization tier drives once per pair per day).  The rule keeps
 the discipline from
 silently eroding: every class in those modules

@@ -22,7 +22,6 @@ storm.
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -144,25 +143,6 @@ class FlapStormScenario:
             self.engine.schedule_at(
                 at, victim.flap_origin, prefix, 0.5
             )
-
-    def run_storm(
-        self,
-        flaps: int = 200,
-        over_seconds: float = 10.0,
-        observe_for: float = 300.0,
-    ) -> StormResult:
-        """Deprecated alias of :meth:`storm` (``run_storm`` predates
-        the :class:`~repro.sim.scheduler.EventScheduler` protocol and
-        the :func:`repro.sim.simulate` façade)."""
-        warnings.warn(
-            "FlapStormScenario.run_storm() is deprecated; use "
-            "FlapStormScenario.storm() or repro.sim.simulate()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.storm(
-            flaps=flaps, over_seconds=over_seconds, observe_for=observe_for
-        )
 
     def storm(
         self,

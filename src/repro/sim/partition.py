@@ -40,7 +40,7 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from ..core.classifier import route_state_digest
+from ..core.columns import route_state_digest
 from ..net.prefix import Prefix
 from .router import Router
 

@@ -47,7 +47,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..collector.record import UpdateRecord
-from ..core.classifier import route_state_digest
+from ..core.columns import route_state_digest
 from ..net.prefix import Prefix
 from .adversary import ATTACK_KINDS, AdversaryConfig
 from .engine import Engine, SimulationError

@@ -35,7 +35,6 @@ from __future__ import annotations
 import cmath
 import math
 import random
-import warnings
 from typing import List, Optional, Sequence
 
 from .engine import Engine
@@ -225,18 +224,6 @@ class SynchronizationStudy:
         scenario instead of driving the study directly.)
         """
         self.engine.run_until(duration)
-
-    def run(self, duration: float) -> None:
-        """Deprecated alias of :meth:`advance` (``run`` collided with
-        the :class:`~repro.sim.scheduler.EventScheduler` verb for
-        draining a queue)."""
-        warnings.warn(
-            "SynchronizationStudy.run() is deprecated; use "
-            "SynchronizationStudy.advance() or repro.sim.simulate()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.advance(duration)
 
     def final_coherence(self) -> float:
         """Phase coherence of the last firing per router."""

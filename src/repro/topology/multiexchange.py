@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..collector.log import MemoryLog
-from ..core.classifier import StreamClassifier, classify
+from ..core.columns import RecordColumns, classify_columns
 from ..core.instability import CategoryCounts
 from ..net.prefix import Prefix
 from ..sim.engine import Engine
@@ -153,9 +153,10 @@ class MultiExchangeScenario:
 
     def classify_exchange(self, name: str) -> CategoryCounts:
         """The taxonomy breakdown of one exchange's log."""
-        counts = CategoryCounts()
-        counts.extend(classify(self.sinks[name].sorted_by_time()))
-        return counts
+        columns = RecordColumns.from_records(
+            self.sinks[name].sorted_by_time()
+        )
+        return CategoryCounts.from_codes(*classify_columns(columns))
 
     def category_profiles(self) -> Dict[str, Dict[str, float]]:
         """Per-exchange normalized category shares (for similarity)."""

@@ -13,9 +13,9 @@ per-record semantics.  This package makes that claim checkable:
   (cross-batch carry, duplicate timestamps, re-announce-after-withdraw,
   attribute-interning collisions).
 - :mod:`repro.verify.differential` — the differential runner: pipes a
-  stream through StreamClassifier, ColumnClassifier, and the reference
-  oracle, asserts identical labels/counts/digests, and minimizes any
-  failing stream with delta-debugging shrink.
+  stream through ColumnClassifier (at several batchings) and the
+  reference oracle, asserts identical labels/counts/digests, and
+  minimizes any failing stream with delta-debugging shrink.
 - :mod:`repro.verify.golden` — the golden corpus: committed traces
   under ``tests/golden/`` with frozen expected outputs, plus the
   regeneration script.
@@ -37,7 +37,6 @@ from .differential import (
     run_differential,
     shrink_stream,
     stream_digest,
-    streaming_detection,
 )
 from .reference import (
     DETECTION_FLAGS,
@@ -72,7 +71,6 @@ __all__ = [
     "DifferentialReport",
     "run_differential",
     "run_detection_differential",
-    "streaming_detection",
     "columnar_detection",
     "shrink_stream",
     "stream_digest",

@@ -1,26 +1,23 @@
-"""The differential runner: three tiers, one answer.
+"""The differential runner: one production tier, one oracle, one answer.
 
-:func:`run_differential` pipes a stream through the three independent
+:func:`run_differential` pipes a stream through the two independent
 implementations of the paper's semantics —
 
 1. the **reference oracle** (:mod:`repro.verify.reference`): naive
    dict-of-lists Python, the ground truth;
-2. the **streaming tier**
-   (:class:`~repro.core.classifier.StreamClassifier`), fed record by
-   record;
-3. the **columnar tier**
+2. the **columnar tier**
    (:class:`~repro.core.columns.ColumnClassifier`), fed as batches cut
    at several boundary sets (one batch, the stream's own adversarial
    boundaries, a midpoint split) with one shared
    :class:`~repro.core.columns.AttributeTable` across batches —
 
 and asserts they agree on every per-record label, on the category
-counts, on the stream digest, and (between the two stateful tiers) on
-the carried per-route state digest.  Any disagreement is minimized
-with delta-debugging shrink (:func:`shrink_stream`) into a
-counterexample small enough to read.
+counts, on the stream digest, and (across the batchings) on the
+carried per-route state digest.  Any disagreement is minimized with
+delta-debugging shrink (:func:`shrink_stream`) into a counterexample
+small enough to read.
 
-The tier callables are injectable, so a test can hand in a broken
+The tier callable is injectable, so a test can hand in a broken
 classifier and watch the harness catch and shrink it.
 """
 
@@ -32,11 +29,9 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..analysis.detection import (
     AsRelationships,
-    detect_records,
     detect_records_columnar,
     detection_digest,
 )
-from ..core.classifier import StreamClassifier
 from ..core.columns import (
     AttributeTable,
     CATEGORY_OF_CODE,
@@ -60,24 +55,21 @@ __all__ = [
     "run_detection_differential",
     "shrink_stream",
     "stream_digest",
-    "streaming_labels",
     "columnar_labels",
-    "streaming_detection",
     "columnar_detection",
 ]
 
 #: A tier's verdict on a stream: per-record ``(category name, policy)``
 #: labels plus the classifier's end-of-stream state digest (None for
-#: the stateless reference oracle).
+#: an injected stand-in that opts out).
 Labels = List[Tuple[str, bool]]
 TierRun = Tuple[Labels, Optional[str]]
-StreamTier = Callable[[Sequence], TierRun]
 ColumnTier = Callable[[Sequence, Sequence[int]], TierRun]
 
 
 def stream_digest(records: Sequence, labels: Labels) -> str:
     """SHA-256 over a labeled stream; the same rendering as
-    :func:`~repro.verify.reference.reference_digest`, so any tier's
+    :func:`~repro.verify.reference.reference_digest`, so the tier's
     labels can be digested and compared against the oracle's."""
     digest = hashlib.sha256()
     for record, (category, policy) in zip(records, labels):
@@ -89,16 +81,6 @@ def stream_digest(records: Sequence, labels: Labels) -> str:
         )
         digest.update(line.encode("ascii"))
     return digest.hexdigest()
-
-
-def streaming_labels(records: Sequence) -> TierRun:
-    """Run the streaming tier record by record."""
-    classifier = StreamClassifier()
-    labels: Labels = [
-        (update.category.name, update.policy_change)
-        for update in (classifier.feed(record) for record in records)
-    ]
-    return labels, classifier.state_digest()
 
 
 def columnar_labels(
@@ -140,15 +122,23 @@ def _batchings(
     return batchings
 
 
+def _render(record) -> str:
+    return (
+        f"t={record.time!r} peer={record.peer_id} "
+        f"prefix={record.prefix.network}/{record.prefix.length} "
+        f"{'A' if record.is_announce else 'W'}"
+    )
+
+
 @dataclass
 class DifferentialMismatch:
-    """One tier disagreeing with the reference oracle, minimized.
+    """The tier disagreeing with the reference oracle, minimized.
 
-    ``kind`` is ``"label"`` (a per-record category/policy divergence),
+    ``kind`` is ``"label"`` / ``"flags"`` (a per-record divergence),
     ``"digest"`` (stream digests differ — only possible with a
     rendering bug, since labels already compared equal), ``"counts"``
-    (aggregate tallies differ), or ``"state"`` (the streaming and
-    columnar tiers ended with different carried state).
+    (aggregate tallies differ), or ``"state"`` (two batchings of the
+    same stream ended with different carried state).
     """
 
     stream_name: str
@@ -178,10 +168,7 @@ class DifferentialMismatch:
             expected = reference_classify(self.shrunk)
             for position, record in enumerate(self.shrunk):
                 lines.append(
-                    f"  [{position}] t={record.time!r} "
-                    f"peer={record.peer_id} "
-                    f"prefix={record.prefix.network}/{record.prefix.length} "
-                    f"{'A' if record.is_announce else 'W'} "
+                    f"  [{position}] {_render(record)} "
                     f"→ {expected[position][0]}"
                 )
         return "\n".join(lines)
@@ -207,33 +194,28 @@ class DifferentialReport:
         )
 
 
-def _first_mismatch(
-    stream: FuzzStream,
-    stream_tier: StreamTier,
-    column_tier: ColumnTier,
-) -> Optional[DifferentialMismatch]:
-    """Check one stream against the oracle; None when all tiers agree."""
-    records = stream.records
-    expected = reference_classify(records)
-    expected_counts = reference_counts(records)
-    expected_digest = stream_digest(records, expected)
+#: One batching's verdict: ``(tier name, per-record verdicts, state
+#: digest or None)``.
+_Run = Tuple[str, List, Optional[str]]
+#: Oracle comparison of one run: ``(kind, index, expected, actual)``
+#: for the first disagreement, None when the run matches.
+_Compare = Callable[
+    [List], Optional[Tuple[str, Optional[int], object, object]]
+]
 
-    runs: List[Tuple[str, Labels, Optional[str]]] = []
-    labels, state = stream_tier(records)
-    runs.append(("streaming", labels, state))
-    for batching_name, cuts in _batchings(len(records), stream.boundaries):
-        labels, state = column_tier(records, cuts)
-        runs.append((f"columnar[{batching_name}]", labels, state))
+
+def _first_disagreement(
+    stream: FuzzStream,
+    runs: Sequence[_Run],
+    expected: Sequence,
+    per_record_kind: str,
+    compare_aggregates: _Compare,
+) -> Optional[DifferentialMismatch]:
+    """The first way any run departs from the oracle — per record,
+    then in aggregate — or, failing that, the first pair of batchings
+    whose carried state differs; None when everything agrees."""
 
     def mismatch(tier, kind, index, exp, act) -> DifferentialMismatch:
-        rendered = None
-        if index is not None:
-            r = records[index]
-            rendered = (
-                f"t={r.time!r} peer={r.peer_id} "
-                f"prefix={r.prefix.network}/{r.prefix.length} "
-                f"{'A' if r.is_announce else 'W'}"
-            )
         return DifferentialMismatch(
             stream_name=stream.name,
             seed=stream.seed,
@@ -242,17 +224,47 @@ def _first_mismatch(
             index=index,
             expected=exp,
             actual=act,
-            record=rendered,
+            record=None if index is None else _render(stream.records[index]),
         )
 
-    for tier, labels, _ in runs:
-        if len(labels) != len(expected):
+    for tier, verdicts, _ in runs:
+        if len(verdicts) != len(expected):
             return mismatch(
-                tier, "label", None, len(expected), len(labels)
+                tier, per_record_kind, None, len(expected), len(verdicts)
             )
-        for index, (exp, act) in enumerate(zip(expected, labels)):
+        for index, (exp, act) in enumerate(zip(expected, verdicts)):
             if exp != act:
-                return mismatch(tier, "label", index, exp, act)
+                return mismatch(tier, per_record_kind, index, exp, act)
+        found = compare_aggregates(verdicts)
+        if found is not None:
+            return mismatch(tier, *found)
+
+    # Every batching must also agree on the state it would carry into
+    # a hypothetical next batch.  Runs without a state digest (an
+    # injected stand-in returning None) simply opt out.
+    stateful = [(tier, state) for tier, _, state in runs if state is not None]
+    if stateful:
+        first_tier, first_state = stateful[0]
+        for tier, state in stateful[1:]:
+            if state != first_state:
+                return mismatch(
+                    f"{tier} vs {first_tier}",
+                    "state", None, first_state, state,
+                )
+    return None
+
+
+def _first_mismatch(
+    stream: FuzzStream, column_tier: ColumnTier
+) -> Optional[DifferentialMismatch]:
+    """Check one stream against the oracle; None when the tier agrees
+    at every batching."""
+    records = stream.records
+    expected = reference_classify(records)
+    expected_counts = reference_counts(records)
+    expected_digest = stream_digest(records, expected)
+
+    def compare_aggregates(labels: Labels):
         counts: Dict[str, int] = {}
         policy_changes = 0
         for category, policy in labels:
@@ -261,28 +273,19 @@ def _first_mismatch(
         tier_counts = {name: counts[name] for name in sorted(counts)}
         tier_counts["policy_changes"] = policy_changes
         if tier_counts != expected_counts:
-            return mismatch(
-                tier, "counts", None, expected_counts, tier_counts
-            )
+            return "counts", None, expected_counts, tier_counts
         digest = stream_digest(records, labels)
         if digest != expected_digest:
-            return mismatch(tier, "digest", None, expected_digest, digest)
+            return "digest", None, expected_digest, digest
+        return None
 
-    # All stateful tiers must also agree on the state they would carry
-    # into a hypothetical next batch.  Tiers without a state digest
-    # (e.g. an injected stand-in returning None) simply opt out.
-    state_digests = [
-        (tier, state) for tier, _, state in runs if state is not None
+    runs = [
+        (f"columnar[{name}]", *column_tier(records, cuts))
+        for name, cuts in _batchings(len(records), stream.boundaries)
     ]
-    if len(state_digests) >= 2:
-        reference_tier, reference_state = state_digests[0]
-        for tier, state in state_digests[1:]:
-            if state != reference_state:
-                return mismatch(
-                    f"{tier} vs {reference_tier}",
-                    "state", None, reference_state, state,
-                )
-    return None
+    return _first_disagreement(
+        stream, runs, expected, "label", compare_aggregates
+    )
 
 
 def shrink_stream(
@@ -340,77 +343,70 @@ def shrink_stream(
     return current
 
 
-def _shrink_predicate(
-    stream_tier: StreamTier, column_tier: ColumnTier
-) -> Callable[[List], bool]:
-    """Does any tier disagree with the oracle on this record list?
+def _run_streams(
+    streams: Iterable[FuzzStream],
+    first_mismatch: Callable[[FuzzStream], Optional[DifferentialMismatch]],
+    shrink: bool,
+    stop_on_first: bool,
+) -> DifferentialReport:
+    """Check every stream, shrinking each mismatch when asked.
 
-    Batch boundaries do not survive subsetting, so the shrunk stream
+    Batch boundaries do not survive subsetting, so a shrinking stream
     is re-checked at every possible single cut — exhaustive but cheap
     at counterexample sizes, and it keeps cross-batch bugs failing as
     the list shrinks.
     """
 
     def failing(subset: List) -> bool:
-        cuts = tuple(range(1, len(subset)))
-        probe = FuzzStream("shrink", 0, list(subset), list(cuts))
-        return (
-            _first_mismatch(probe, stream_tier, column_tier) is not None
-        )
+        cuts = list(range(1, len(subset)))
+        probe = FuzzStream("shrink", 0, list(subset), cuts)
+        return first_mismatch(probe) is not None
 
-    return failing
-
-
-def run_differential(
-    streams: Iterable[FuzzStream],
-    stream_tier: StreamTier = streaming_labels,
-    column_tier: ColumnTier = columnar_labels,
-    shrink: bool = True,
-    stop_on_first: bool = False,
-) -> DifferentialReport:
-    """Check every stream against the oracle; see module docstring.
-
-    ``stream_tier`` / ``column_tier`` default to the real
-    implementations; tests inject broken ones to prove the harness
-    catches and minimizes them.  With ``shrink``, each mismatch
-    carries a ddmin-minimized counterexample.
-    """
     report = DifferentialReport()
     for stream in streams:
         report.streams += 1
         report.records += len(stream.records)
-        found = _first_mismatch(stream, stream_tier, column_tier)
+        found = first_mismatch(stream)
         if found is None:
             continue
-        if shrink:
-            predicate = _shrink_predicate(stream_tier, column_tier)
-            if predicate(stream.records):
-                found.shrunk = shrink_stream(stream.records, predicate)
+        if shrink and failing(stream.records):
+            found.shrunk = shrink_stream(stream.records, failing)
         report.mismatches.append(found)
         if stop_on_first:
             break
     return report
 
 
-# -- the detection differential: three tiers of adversarial flags -----------
+def run_differential(
+    streams: Iterable[FuzzStream],
+    column_tier: ColumnTier = columnar_labels,
+    shrink: bool = True,
+    stop_on_first: bool = False,
+) -> DifferentialReport:
+    """Check every stream against the oracle; see module docstring.
 
-#: A detection tier's verdict: per-record flag bitmasks plus the
-#: detector's end-of-stream state digest (None for the stateless
-#: reference oracle, or for injected stand-ins that opt out).
+    ``column_tier`` defaults to the real implementation; tests inject
+    a broken one to prove the harness catches and minimizes it.  With
+    ``shrink``, each mismatch carries a ddmin-minimized counterexample.
+    """
+    return _run_streams(
+        streams,
+        lambda stream: _first_mismatch(stream, column_tier),
+        shrink,
+        stop_on_first,
+    )
+
+
+# -- the detection differential: adversarial flags vs the oracle ------------
+
+#: The detection tier's verdict: per-record flag bitmasks plus the
+#: detector's end-of-stream state digest (None for an injected
+#: stand-in that opts out).
 Flags = List[int]
 DetectionRun = Tuple[Flags, Optional[str]]
-StreamDetectionTier = Callable[[Sequence, Optional[AsRelationships]], DetectionRun]
 ColumnDetectionTier = Callable[
     [Sequence, Sequence[int], Optional[AsRelationships]], DetectionRun
 ]
-
-
-def streaming_detection(
-    records: Sequence, topology: Optional[AsRelationships] = None
-) -> DetectionRun:
-    """Run the streaming detection tier record by record."""
-    result = detect_records(records, topology)
-    return result.flags, result.detector.state_digest()
 
 
 def columnar_detection(
@@ -418,8 +414,8 @@ def columnar_detection(
     boundaries: Sequence[int] = (),
     topology: Optional[AsRelationships] = None,
 ) -> DetectionRun:
-    """Run the columnar detection tier over batches cut at
-    ``boundaries``, with one detector carrying state across batches."""
+    """Run the detection tier over batches cut at ``boundaries``, with
+    one detector carrying state across batches."""
     result = detect_records_columnar(records, topology, boundaries)
     return result.flags, result.detector.state_digest()
 
@@ -427,7 +423,6 @@ def columnar_detection(
 def _first_detection_mismatch(
     stream: FuzzStream,
     topology: Optional[AsRelationships],
-    stream_tier: StreamDetectionTier,
     column_tier: ColumnDetectionTier,
 ) -> Optional[DifferentialMismatch]:
     """Check one stream's detection flags against the oracle."""
@@ -437,123 +432,50 @@ def _first_detection_mismatch(
     expected_counts = reference_detection_counts(records, edges)
     expected_digest = reference_detection_digest(records, edges)
 
-    runs: List[Tuple[str, Flags, Optional[str]]] = []
-    flags, state = stream_tier(records, topology)
-    runs.append(("det-streaming", flags, state))
-    for batching_name, cuts in _batchings(len(records), stream.boundaries):
-        flags, state = column_tier(records, cuts, topology)
-        runs.append((f"det-columnar[{batching_name}]", flags, state))
-
-    def mismatch(tier, kind, index, exp, act) -> DifferentialMismatch:
-        rendered = None
-        if index is not None:
-            r = records[index]
-            rendered = (
-                f"t={r.time!r} peer={r.peer_id} "
-                f"prefix={r.prefix.network}/{r.prefix.length} "
-                f"{'A' if r.is_announce else 'W'}"
-            )
-        return DifferentialMismatch(
-            stream_name=stream.name,
-            seed=stream.seed,
-            tier=tier,
-            kind=kind,
-            index=index,
-            expected=exp,
-            actual=act,
-            record=rendered,
-        )
-
-    for tier, flags, _ in runs:
-        if len(flags) != len(expected):
-            return mismatch(tier, "flags", None, len(expected), len(flags))
-        for index, (exp, act) in enumerate(zip(expected, flags)):
-            if int(exp) != int(act):
-                return mismatch(tier, "flags", index, exp, act)
+    def compare_aggregates(flags: Flags):
         tier_counts = {
-            name: sum(1 for f in flags if int(f) & bit)
+            name: sum(1 for f in flags if f & bit)
             for bit, name in DETECTION_FLAGS
         }
         if tier_counts != expected_counts:
-            return mismatch(tier, "counts", None, expected_counts, tier_counts)
+            return "counts", None, expected_counts, tier_counts
         digest = detection_digest(records, flags)
         if digest != expected_digest:
-            return mismatch(tier, "digest", None, expected_digest, digest)
+            return "digest", None, expected_digest, digest
+        return None
 
-    state_digests = [
-        (tier, state) for tier, _, state in runs if state is not None
+    runs = [
+        (f"det-columnar[{name}]", *column_tier(records, cuts, topology))
+        for name, cuts in _batchings(len(records), stream.boundaries)
     ]
-    if len(state_digests) >= 2:
-        reference_tier, reference_state = state_digests[0]
-        for tier, state in state_digests[1:]:
-            if state != reference_state:
-                return mismatch(
-                    f"{tier} vs {reference_tier}",
-                    "state", None, reference_state, state,
-                )
-    return None
-
-
-def _detection_shrink_predicate(
-    topology: Optional[AsRelationships],
-    stream_tier: StreamDetectionTier,
-    column_tier: ColumnDetectionTier,
-) -> Callable[[List], bool]:
-    """Does any detection tier disagree with the oracle on this list?
-
-    As in :func:`_shrink_predicate`, the shrunk stream is re-checked at
-    every possible single batch cut so cross-batch detection bugs keep
-    failing while the list shrinks.
-    """
-
-    def failing(subset: List) -> bool:
-        cuts = tuple(range(1, len(subset)))
-        probe = FuzzStream("shrink", 0, list(subset), list(cuts))
-        return (
-            _first_detection_mismatch(
-                probe, topology, stream_tier, column_tier
-            )
-            is not None
-        )
-
-    return failing
+    return _first_disagreement(
+        stream, runs, expected, "flags", compare_aggregates
+    )
 
 
 def run_detection_differential(
     streams: Iterable[FuzzStream],
     topology: Optional[AsRelationships] = None,
-    stream_tier: StreamDetectionTier = streaming_detection,
     column_tier: ColumnDetectionTier = columnar_detection,
     shrink: bool = True,
     stop_on_first: bool = False,
 ) -> DifferentialReport:
     """The detection analogue of :func:`run_differential`.
 
-    Pipes every stream through :class:`~repro.analysis.detection.StreamDetector`,
+    Pipes every stream through
     :class:`~repro.analysis.detection.ColumnDetector` (at several batch
-    cuts, one detector carrying state across batches), and the
+    cuts, one detector carrying state across batches) and the
     dependency-free :func:`~repro.verify.reference.reference_detect`
     oracle, and asserts identical per-record flag bitmasks, per-flag
-    counts, detection digests, and (between the stateful tiers) carried
+    counts, detection digests, and (across the batchings) carried
     state digests.  Mismatches are ddmin-minimized exactly like the
     classifier differential.
     """
-    report = DifferentialReport()
-    for stream in streams:
-        report.streams += 1
-        report.records += len(stream.records)
-        found = _first_detection_mismatch(
-            stream, topology, stream_tier, column_tier
-        )
-        if found is None:
-            continue
-        if shrink:
-            predicate = _detection_shrink_predicate(
-                topology, stream_tier, column_tier
-            )
-            if predicate(stream.records):
-                found.shrunk = shrink_stream(stream.records, predicate)
-        report.mismatches.append(found)
-        if stop_on_first:
-            break
-    return report
+    return _run_streams(
+        streams,
+        lambda stream: _first_detection_mismatch(
+            stream, topology, column_tier
+        ),
+        shrink,
+        stop_on_first,
+    )

@@ -37,8 +37,8 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Tuple
 
-from ..analysis.detection import detect_records
-from ..analysis.interarrival import histogram_counts, interarrival_columns
+from ..analysis.detection import detect_records_columnar
+from ..analysis.interarrival import histogram_counts, interarrival_times
 from ..analysis.timeseries import bin_records
 from ..campaign import CampaignConfig, run_campaign
 from ..collector import mrt
@@ -50,7 +50,7 @@ from ..sim.scenarios import (
     run_exchange_day_records,
     simulate,
 )
-from .differential import stream_digest, streaming_labels
+from .differential import columnar_labels, stream_digest
 from .reference import reference_counts, reference_interarrival_histogram
 from .streams import (
     ADVERSARIAL_GENERATORS,
@@ -98,7 +98,7 @@ def _detection_streams() -> List[FuzzStream]:
 
 
 def _detection_case(stream: FuzzStream, topology) -> Dict:
-    result = detect_records(stream.records, topology)
+    result = detect_records_columnar(stream.records, topology)
     return {
         "name": stream.name,
         "seed": stream.seed,
@@ -125,7 +125,9 @@ def _scenario_case(kind: str) -> Dict:
             f"{kind}: parallel workers={workers} digest "
             f"{parallel.digest} != single-engine {digest}"
         )
-    detection = detect_records(records, scenario_relationships(config))
+    detection = detect_records_columnar(
+        records, scenario_relationships(config)
+    )
     return {
         "scenario": kind,
         "events": events,
@@ -137,7 +139,7 @@ def _scenario_case(kind: str) -> Dict:
 
 
 def _stream_case(stream: FuzzStream) -> Dict:
-    labels, state = streaming_labels(stream.records)
+    labels, state = columnar_labels(stream.records)
     return {
         "name": stream.name,
         "seed": stream.seed,
@@ -160,7 +162,7 @@ def _figure_case() -> Dict:
     columns = RecordColumns.from_records(stream.records)
     codes, _ = classify_columns(columns)
     bins = bin_records(columns, bin_width=600.0).tolist()
-    histogram = histogram_counts(interarrival_columns(columns)).tolist()
+    histogram = histogram_counts(interarrival_times(columns)).tolist()
     payload = {
         "seed": FIGURE_SEED,
         "bin_counts": [int(count) for count in bins],
@@ -178,7 +180,7 @@ def build_golden() -> Tuple[Dict, bytes]:
     """The golden payload and trace bytes, fully determined by code."""
     trace = _trace_bytes()
     decoded = list(mrt.read_records(io.BytesIO(trace)))
-    labels, state = streaming_labels(decoded)
+    labels, state = columnar_labels(decoded)
     campaign = run_campaign(CAMPAIGN)
     topology = detection_topology()
     payload = {

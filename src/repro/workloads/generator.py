@@ -21,7 +21,7 @@ whose per-update mechanisms mirror the Tier-A simulation:
    across the day's 144 ten-minute bins proportionally to the diurnal
    intensity and incident multipliers.  No records are materialized.
 
-3. **Materialization** (:meth:`TraceGenerator.day_records`): when an
+3. **Materialization** (:meth:`TraceGenerator.day_columns`): when an
    analysis needs actual records (Figures 6, 7, 8; Table-1-style
    runs), active pairs are subsampled by ``pair_fraction`` — keeping
    each pair's episode structure intact, which preserves distribution
@@ -39,7 +39,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -300,32 +300,6 @@ class _PairState:
         self.med: Optional[int] = None
 
 
-class _RecordSink:
-    """Materialization sink building :class:`UpdateRecord` objects
-    (the streaming tier's representation)."""
-
-    __slots__ = ("records",)
-
-    def __init__(self) -> None:
-        self.records: List[UpdateRecord] = []
-
-    def announce(self, time, peer_id, asn, prefix, attrs) -> None:
-        self.records.append(
-            UpdateRecord(
-                time, peer_id, asn, prefix, UpdateKind.ANNOUNCE, attrs
-            )
-        )
-
-    def withdraw(self, time, peer_id, asn, prefix) -> None:
-        self.records.append(
-            UpdateRecord(time, peer_id, asn, prefix, UpdateKind.WITHDRAW)
-        )
-
-    def finish(self) -> List[UpdateRecord]:
-        self.records.sort(key=lambda r: r.time)
-        return self.records
-
-
 class _ColumnSink:
     """Materialization sink appending primitive columns — no
     per-record dataclasses are ever constructed.
@@ -391,7 +365,7 @@ class _ColumnSink:
         scalar["plen"] = self.plens
         scalar["kind"] = self.kinds
         scalar["attr_id"] = self.attr_ids
-        # Stable time sort matches the record tier's list.sort().
+        # Stable time sort: equal timestamps keep emission order.
         return RecordColumns.from_segments(
             [scalar, *self.segments], self.table
         )
@@ -644,9 +618,9 @@ class TraceGenerator:
         ``categories`` restricts materialization (e.g. the fine-grained
         figures never need the WWDup flood).
         """
-        sink = _RecordSink()
-        self._materialize_day(day, pair_fraction, plan, categories, sink)
-        return sink.finish()
+        return self.day_columns(
+            day, pair_fraction, plan, categories
+        ).to_records()
 
     def day_columns(
         self,
@@ -656,8 +630,8 @@ class TraceGenerator:
         categories: Optional[Sequence[UpdateCategory]] = None,
         attrs: Optional[AttributeTable] = None,
     ) -> RecordColumns:
-        """Columnar :meth:`day_records`: the identical record stream
-        (same RNG draws, same ordering) materialized directly into a
+        """One day's records (see :meth:`day_records` for the
+        subsampling contract) materialized directly into a
         :class:`~repro.core.columns.RecordColumns` batch — no
         per-record dataclasses are built.  Pass a shared ``attrs``
         table to keep attribute ids consistent across a campaign's
@@ -672,18 +646,18 @@ class TraceGenerator:
         pair_fraction: float,
         plan: Optional[DayPlan],
         categories: Optional[Sequence[UpdateCategory]],
-        sink,
+        sink: "_ColumnSink",
         vectorize: bool = True,
     ) -> None:
         """Drive ``sink`` through one day's emission stream.
 
         WWDup — the flood category, ~95% of a full day's records — is
-        routed through the vectorized tier when the sink can accept
-        whole segments; every other category (and any plain sink) runs
-        the scalar reference loop.  Both paths consume the *same*
-        ``rng`` draws in the *same* order, so the split is invisible in
-        the output.  ``vectorize=False`` forces the all-scalar path
-        (the parity tests diff the two).
+        routed through the vectorized tier; every other category runs
+        the scalar loop.  Both paths consume the *same* ``rng`` draws
+        in the *same* order, so the split is invisible in the output.
+        ``vectorize=False`` forces the all-scalar path (the
+        :mod:`repro.verify.refgen` oracle the parity tests diff
+        against).
         """
         plan = plan or self.plan_day(day)
         rng = self._day_rng(day, salt=1)
@@ -691,11 +665,7 @@ class TraceGenerator:
         for category in PLANNED_CATEGORIES:
             if category not in wanted:
                 continue
-            if (
-                vectorize
-                and category is UpdateCategory.WWDUP
-                and isinstance(sink, _ColumnSink)
-            ):
+            if vectorize and category is UpdateCategory.WWDUP:
                 self._emit_wwdup_columns(
                     rng, plan, plan.participation[category],
                     pair_fraction, sink,
@@ -705,18 +675,6 @@ class TraceGenerator:
                 if pair_fraction < 1.0 and rng.random() > pair_fraction:
                     continue
                 self._emit_pair_day(rng, plan, category, pair, count, sink)
-
-    def stream_records(
-        self,
-        days: Sequence[int],
-        pair_fraction: float = 0.05,
-        categories: Optional[Sequence[UpdateCategory]] = None,
-    ) -> Iterator[UpdateRecord]:
-        """Materialized records over multiple days, time-ordered."""
-        for day in days:
-            yield from self.day_records(
-                day, pair_fraction, categories=categories
-            )
 
     # -- per-pair emission -----------------------------------------------------
 

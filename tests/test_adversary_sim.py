@@ -10,10 +10,7 @@ dependency-free verify oracle.
 
 import pytest
 
-from repro.analysis.detection import (
-    detect_records,
-    detect_records_columnar,
-)
+from repro.analysis.detection import detect_records_columnar
 from repro.sim.adversary import (
     ATTACK_KINDS,
     AdversaryConfig,
@@ -151,23 +148,24 @@ class TestScenarios:
             ReferenceEngine, config
         )
         assert (events, digest) == (ref_events, ref_digest)
-        detection = detect_records(records, scenario_relationships(config))
+        detection = detect_records_columnar(
+            records, scenario_relationships(config)
+        )
         assert detection.counts[SIGNATURES[kind]] > 0
 
     def test_detection_tiers_and_oracle_agree(self, kind):
         config = adversary_day_config(kind, smoke=True)
         _, _, records = run_exchange_day_records(Engine, config)
         topology = scenario_relationships(config)
-        streamed = detect_records(records, topology)
-        columnar = detect_records_columnar(
+        whole = detect_records_columnar(records, topology)
+        cut = detect_records_columnar(
             records, topology, boundaries=(len(records) // 3,)
         )
         oracle = reference_detect(records, topology.edges())
-        assert streamed.flags == oracle
-        assert columnar.flags == oracle
+        assert whole.flags == oracle
+        assert cut.flags == oracle
         assert (
-            streamed.detector.state_digest()
-            == columnar.detector.state_digest()
+            whole.detector.state_digest() == cut.detector.state_digest()
         )
 
 

@@ -39,11 +39,12 @@ from repro.analysis.multihoming import (
 )
 from repro.bgp.attributes import AsPath, PathAttributes
 from repro.bgp.rib import LocRib
-from repro.core.classifier import classify
 from repro.core.taxonomy import UpdateCategory
 from repro.collector.record import UpdateKind, UpdateRecord
 from repro.net.prefix import Prefix
 from repro.topology.multihoming import MultihomingGrowthModel
+
+from . import helpers
 
 P = Prefix.parse
 ATTRS = PathAttributes(as_path=AsPath((701,)), next_hop=1)
@@ -58,7 +59,11 @@ def W(time, prefix="10.0.0.0/8", asn=701, peer=1):
 
 
 def classified(records):
-    return list(classify(sorted(records, key=lambda r: r.time)))
+    """``(columns, codes)`` for the records in time order."""
+    columns, codes, _ = helpers.classified(
+        sorted(records, key=lambda r: r.time)
+    )
+    return columns, codes
 
 
 class TestInterarrival:
@@ -72,13 +77,13 @@ class TestInterarrival:
             [A(0), A(30), A(60), A(0, prefix="11.0.0.0/8"),
              A(45, prefix="11.0.0.0/8")]
         )
-        gaps = sorted(interarrival_times(updates))
+        gaps = sorted(interarrival_times(*updates))
         assert gaps == [30.0, 30.0, 45.0]
 
     def test_category_filter(self):
         updates = classified([A(0), A(30), W(60), W(90), W(120)])
-        wwdup_gaps = interarrival_times(updates, UpdateCategory.WWDUP)
-        assert wwdup_gaps == [30.0]  # gaps among the two WWDUPs only
+        wwdup_gaps = interarrival_times(*updates, UpdateCategory.WWDUP)
+        assert wwdup_gaps.tolist() == [30.0]  # gaps among the two WWDUPs only
 
     def test_histogram_proportions(self):
         proportions = histogram_proportions([30.0, 30.0, 59.0, 3000.0])
@@ -232,20 +237,20 @@ class TestDistribution:
         return classified(records)
 
     def test_cdf_structure(self):
-        curve = daily_cdf(self._updates(), UpdateCategory.WWDUP)
+        curve = daily_cdf(*self._updates(), UpdateCategory.WWDUP)
         assert curve.total_events == 100
         assert curve.cumulative[-1] == pytest.approx(1.0)
         assert curve.thresholds == sorted(curve.thresholds)
 
     def test_mass_at_or_below(self):
-        curve = daily_cdf(self._updates(), UpdateCategory.WWDUP)
+        curve = daily_cdf(*self._updates(), UpdateCategory.WWDUP)
         # Pairs with <=2 events hold 20 of 100 events.
         assert curve.mass_at_or_below(2) == pytest.approx(0.2)
         assert curve.mass_at_or_below(80) == pytest.approx(1.0)
         assert curve.mass_at_or_below(1) == 0.0
 
     def test_none_when_category_absent(self):
-        assert daily_cdf(self._updates(), UpdateCategory.AADIFF) is None
+        assert daily_cdf(*self._updates(), UpdateCategory.AADIFF) is None
 
     def test_monthly_and_dominated_days(self):
         daily = {0: self._updates(), 1: classified([W(86400.0 + i * 7)
@@ -265,7 +270,7 @@ class TestAffected:
             [W(0, prefix="10.0.0.0/24"), W(1, prefix="10.0.1.0/24"),
              A(2, prefix="10.0.2.0/24")]
         )
-        day = affected_from_updates(updates, total_pairs=10)
+        day = affected_from_updates(*updates, total_pairs=10)
         assert day.any_fraction == pytest.approx(0.3)
         assert day.stable_fraction() == pytest.approx(0.7)
         assert day.fractions[UpdateCategory.WWDUP] == pytest.approx(0.2)
@@ -280,7 +285,7 @@ class TestAffected:
             coverage = 0.5 if d == 9 else 1.0  # last day badly covered
             days.append(
                 affected_from_updates(
-                    updates, total_pairs=20, day=d, coverage=coverage
+                    *updates, total_pairs=20, day=d, coverage=coverage
                 )
             )
         stats = affected_series_stats(days)
@@ -288,8 +293,43 @@ class TestAffected:
         assert stats.any_range[0] == pytest.approx(1 / 20)
         assert stats.any_range[1] == pytest.approx(9 / 20)
 
+    def test_degenerate_batches(self):
+        """The sort/diff kernel on the shapes that have broken
+        columnar code before: empty, one record, all withdrawals."""
+        empty = affected_from_updates(*classified([]), total_pairs=4)
+        assert empty.any_fraction == 0.0
+        assert set(empty.fractions.values()) == {0.0}
+
+        single = affected_from_updates(*classified([A(0)]), total_pairs=4)
+        assert single.any_fraction == pytest.approx(0.25)
+        assert single.fractions[UpdateCategory.NEW_ANNOUNCE] == (
+            pytest.approx(0.25)
+        )
+        assert single.fractions[UpdateCategory.WWDUP] == 0.0
+
+        # Two pairs, repeated withdrawals: pairs count once each.
+        withdrawn = affected_from_updates(
+            *classified(
+                [W(0), W(1), W(2), W(3, prefix="11.0.0.0/8"),
+                 W(4, prefix="11.0.0.0/8", asn=702, peer=2)]
+            ),
+            total_pairs=4,
+        )
+        assert withdrawn.any_fraction == pytest.approx(0.75)
+        assert withdrawn.fractions[UpdateCategory.WWDUP] == (
+            pytest.approx(0.75)
+        )
+        assert withdrawn.fractions[UpdateCategory.PLAIN_WITHDRAW] == 0.0
+
+    def test_zero_total_pairs_yields_zero_fractions(self):
+        day = affected_from_updates(*classified([W(0)]), total_pairs=0)
+        assert day.any_fraction == 0.0
+        assert day.fractions[UpdateCategory.WWDUP] == 0.0
+
     def test_all_days_filtered_raises(self):
-        day = affected_from_updates([], total_pairs=5, coverage=0.1)
+        day = affected_from_updates(
+            *classified([]), total_pairs=5, coverage=0.1
+        )
         with pytest.raises(ValueError):
             affected_series_stats([day])
 

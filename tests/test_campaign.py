@@ -316,7 +316,7 @@ class TestOutOfCore:
     def test_streaming_fold_matches_whole_batch_reference(self):
         """ShardAccumulator fed day by day reproduces the aggregates
         computed over the shard's days as one concatenated batch."""
-        from repro.analysis.interarrival import interarrival_columns
+        from repro.analysis.interarrival import interarrival_times
         from repro.campaign import ShardAccumulator
         from repro.core.columns import (
             AttributeTable,
@@ -362,13 +362,13 @@ class TestOutOfCore:
         assert streamed.bins == reference_bins
         # Inter-arrival: the day-boundary carry recovers every
         # cross-day gap the whole-batch lexsort sees.
-        whole_hist = histogram_counts(interarrival_columns(whole))
+        whole_hist = histogram_counts(interarrival_times(whole))
         assert (streamed.interarrival["TOTAL"] == whole_hist).all()
         from repro.core.taxonomy import FINE_GRAINED_CATEGORIES
 
         for category in FINE_GRAINED_CATEGORIES:
             expected = histogram_counts(
-                interarrival_columns(whole, codes, category)
+                interarrival_times(whole, codes, category)
             )
             assert (
                 streamed.interarrival[category.name] == expected

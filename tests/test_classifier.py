@@ -1,7 +1,10 @@
-"""Unit and property tests for the taxonomy and streaming classifier.
+"""Unit and property tests for the taxonomy and the classifier.
 
 These test the paper's central definitions, so they are deliberately
-exhaustive about sequence semantics.
+exhaustive about sequence semantics.  Every sequence goes through
+:func:`tests.helpers.labels`, which runs the production
+``ColumnClassifier`` and also holds it to the ``reference_classify``
+oracle.
 """
 
 import pytest
@@ -10,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.bgp.attributes import AsPath, PathAttributes
 from repro.collector.record import UpdateKind, UpdateRecord
-from repro.core.classifier import StreamClassifier, classify
+from repro.core.columns import ColumnClassifier
 from repro.core.taxonomy import (
     FIGURE2_CATEGORIES,
     INSTABILITY_CATEGORIES,
@@ -18,6 +21,8 @@ from repro.core.taxonomy import (
     UpdateCategory,
 )
 from repro.net.prefix import Prefix
+
+from .helpers import labels
 
 P = Prefix.parse
 PFX = P("192.42.113.0/24")
@@ -40,7 +45,7 @@ def W(time, peer=1, asn=701, prefix=PFX):
 
 
 def categories(records):
-    return [u.category for u in classify(records)]
+    return [category for category, _ in labels(records)]
 
 
 class TestSequences:
@@ -57,13 +62,12 @@ class TestSequences:
         assert cats == [UpdateCategory.NEW_ANNOUNCE, UpdateCategory.AADUP]
 
     def test_aadup_policy_change_flagged(self):
-        updates = list(classify([A(0), A(1, ATTRS_A_POLICY)]))
-        assert updates[1].category is UpdateCategory.AADUP
-        assert updates[1].policy_change
+        updates = labels([A(0), A(1, ATTRS_A_POLICY)])
+        assert updates[1] == (UpdateCategory.AADUP, True)
 
     def test_pure_aadup_not_policy_flagged(self):
-        updates = list(classify([A(0), A(1)]))
-        assert not updates[1].policy_change
+        updates = labels([A(0), A(1)])
+        assert updates[1] == (UpdateCategory.AADUP, False)
 
     def test_aadiff_different_path(self):
         cats = categories([A(0), A(1, ATTRS_B)])
@@ -131,22 +135,22 @@ class TestStateIsolation:
         ]
 
     def test_state_persists_across_classify_calls(self):
-        clf = StreamClassifier()
-        list(classify([A(0)], clf))
-        (second,) = list(classify([A(1)], clf))
-        assert second.category is UpdateCategory.AADUP
+        clf = ColumnClassifier()
+        labels([A(0)], clf)
+        ((second, _),) = labels([A(1)], clf)
+        assert second is UpdateCategory.AADUP
 
     def test_reset_clears_state(self):
-        clf = StreamClassifier()
-        clf.feed(A(0))
+        clf = ColumnClassifier()
+        labels([A(0)], clf)
         clf.reset()
-        assert clf.feed(A(1)).category is UpdateCategory.NEW_ANNOUNCE
+        assert labels([A(1)], clf) == [(UpdateCategory.NEW_ANNOUNCE, False)]
 
     def test_reachability_introspection(self):
-        clf = StreamClassifier()
-        clf.feed(A(0, peer=5))
+        clf = ColumnClassifier()
+        labels([A(0, peer=5)], clf)
         assert clf.is_reachable(5, PFX)
-        clf.feed(W(1, peer=5))
+        labels([W(1, peer=5)], clf)
         assert not clf.is_reachable(5, PFX)
         assert clf.tracked_routes() == 1
 
@@ -201,9 +205,8 @@ def test_classifier_invariants(seq):
             records.append(A(float(i), attrs[op], peer=peer))
     reachable = {}
     announced_ever = set()
-    for record, update in zip(records, classify(records)):
+    for record, cat in zip(records, categories(records)):
         key = (record.peer_id, record.prefix)
-        cat = update.category
         if record.kind is UpdateKind.WITHDRAW:
             if reachable.get(key):
                 assert cat is UpdateCategory.PLAIN_WITHDRAW
@@ -230,14 +233,14 @@ def test_every_update_gets_exactly_one_category(seq):
             records.append(W(float(i), peer=peer))
         else:
             records.append(A(float(i), ATTRS_A if op == "A1" else ATTRS_B, peer=peer))
-    updates = list(classify(records))
-    assert len(updates) == len(records)
-    for u in updates:
-        assert isinstance(u.category, UpdateCategory)
+    cats = categories(records)
+    assert len(cats) == len(records)
+    for category in cats:
+        assert isinstance(category, UpdateCategory)
         # Exactly one of the three super-classes.
         flags = [
-            u.category.is_instability,
-            u.category.is_pathological,
-            u.category.is_uncategorized,
+            category.is_instability,
+            category.is_pathological,
+            category.is_uncategorized,
         ]
         assert sum(flags) == 1

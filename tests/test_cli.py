@@ -125,7 +125,7 @@ class TestReportRendering:
         assert "| metric_in_range | 5 | 1 .. 10 | ok |" in text
         assert "**MISMATCH**" in text
         assert "*a note*" in text
-        assert "bench_figure1.py" in text
+        assert "bench_experiments.py::test_experiment[figure1]" in text
 
     def test_report_command_writes_markdown(self, tmp_path, monkeypatch):
         """cmd_report over a stubbed registry produces a valid file."""

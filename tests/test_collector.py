@@ -1,15 +1,23 @@
 """Unit and property tests for the collector subpackage."""
 
 import io
+import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bgp.attributes import AsPath, PathAttributes
-from repro.bgp.messages import UpdateMessage
+from repro.bgp.messages import KeepAliveMessage, UpdateMessage
+from repro.bgp.wire import encode_message
 from repro.collector.log import CountingLog, FileLog, MemoryLog, open_log
-from repro.collector.mrt import MAGIC, MrtError, read_records, write_records
+from repro.collector.mrt import (
+    MAGIC,
+    MrtError,
+    read_column_batches,
+    read_records,
+    write_records,
+)
 from repro.collector.record import (
     UpdateKind,
     UpdateRecord,
@@ -151,6 +159,71 @@ class TestMrtCodec:
             assert a.prefix == b.prefix
             assert a.kind == b.kind
             assert a.time == pytest.approx(b.time, abs=1e-6)
+
+
+def _frame(payload: bytes, length=None) -> bytes:
+    """One archive frame around ``payload`` (the on-disk header:
+    seconds, microseconds, peer AS, peer IP, payload length)."""
+    size = len(payload) if length is None else length
+    return struct.pack(">IIHIH", 1, 0, 701, 1, size) + payload
+
+
+_WITHDRAW_ONE = encode_message(UpdateMessage(withdrawn=(P("10.0.0.0/8"),)))
+
+#: name → (archive bytes, the exact error the reader must raise).
+MALFORMED_ARCHIVES = {
+    "bad magic": (b"NOTMAGIC", "bad magic b'NOTMAG'"),
+    "truncated header": (
+        MAGIC + _frame(_WITHDRAW_ONE) + b"\x00\x01\x02",
+        "truncated record header",
+    ),
+    "truncated payload": (
+        MAGIC + _frame(_WITHDRAW_ONE)[:-3],
+        "truncated record payload",
+    ),
+    "undecodable payload": (
+        MAGIC + _frame(b"\x00" * len(_WITHDRAW_ONE)),
+        "bad BGP payload: ",
+    ),
+    "non-UPDATE payload": (
+        MAGIC + _frame(encode_message(KeepAliveMessage())),
+        "record payload is not a single BGP UPDATE",
+    ),
+    "trailing bytes inside a payload": (
+        MAGIC + _frame(_WITHDRAW_ONE + b"\xff" * 4),
+        "record payload is not a single BGP UPDATE",
+    ),
+    "two-prefix UPDATE": (
+        MAGIC
+        + _frame(
+            encode_message(
+                UpdateMessage(
+                    withdrawn=(P("10.0.0.0/8"), P("192.0.2.0/24"))
+                )
+            )
+        ),
+        "archive records must carry exactly one prefix",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "reader", (read_records, read_column_batches), ids=lambda f: f.__name__
+)
+@pytest.mark.parametrize("case", sorted(MALFORMED_ARCHIVES))
+def test_malformed_archive_rejected_by_both_front_ends(case, reader):
+    """Hostile bytes surface as MrtError — same message from the
+    record reader and the columnar reader, whichever hits them — and
+    a good frame ahead of the damage does not mask it."""
+    data, message = MALFORMED_ARCHIVES[case]
+    with pytest.raises(MrtError) as caught:
+        list(reader(io.BytesIO(data)))
+    assert str(caught.value).startswith(message)
+    if data.startswith(MAGIC):
+        shifted = MAGIC + _frame(_WITHDRAW_ONE) + data[len(MAGIC):]
+        with pytest.raises(MrtError) as caught:
+            list(reader(io.BytesIO(shifted)))
+        assert str(caught.value).startswith(message)
 
 
 class TestLogs:

@@ -1,25 +1,23 @@
 """Columnar tier equivalence tests.
 
-The streaming classifier is the reference implementation of the
-paper's taxonomy; the columnar tier must reproduce it bit for bit.
-These tests assert record-for-record agreement on randomized mixed
-streams (including cross-batch state carryover), lossless conversion,
-archive roundtrips, and equality of every columnar analysis entry
-point with its streaming counterpart.
+The dependency-free oracle (``repro.verify.reference``) is the
+reference implementation of the paper's taxonomy; the columnar tier
+must reproduce it bit for bit.  These tests assert record-for-record
+agreement on randomized mixed streams (including cross-batch state
+carryover), lossless conversion, archive roundtrips, and equality of
+every columnar analysis entry point with the obvious per-record
+computation over the oracle's labels.
 """
 
 import io
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.analysis.distribution import daily_cdf
-from repro.analysis.interarrival import (
-    histogram_proportions,
-    interarrival_columns,
-    interarrival_times,
-)
+from repro.analysis.interarrival import histogram_counts, interarrival_times
 from repro.analysis.timeseries import bin_records
 from repro.bgp.attributes import AsPath, PathAttributes
 from repro.collector.log import FileLog
@@ -30,7 +28,6 @@ from repro.collector.mrt import (
     write_records,
 )
 from repro.collector.record import UpdateKind, UpdateRecord
-from repro.core.classifier import StreamClassifier, classify
 from repro.core.columns import (
     NO_ATTR,
     AttributeTable,
@@ -41,13 +38,17 @@ from repro.core.columns import (
 )
 from repro.core.instability import (
     CategoryCounts,
-    counts_by_peer,
     counts_by_peer_columns,
-    counts_by_prefix_as,
     counts_by_prefix_as_columns,
 )
 from repro.core.taxonomy import UpdateCategory
 from repro.net.prefix import Prefix
+from repro.verify.reference import (
+    reference_classify,
+    reference_counts,
+    reference_counts_by_peer,
+    reference_interarrival_histogram,
+)
 from repro.workloads.generator import TraceGenerator
 
 #: A small attribute vocabulary exercising every comparison outcome:
@@ -87,27 +88,30 @@ def random_stream(rng, n, n_peers=3, n_prefixes=5):
     return records
 
 
-def assert_matches_streaming(batches):
-    """Classify ``batches`` on both tiers (carrying state across
-    batches) and compare every record's category and policy flag."""
-    streaming = StreamClassifier()
+def assert_matches_oracle(batches):
+    """Classify ``batches`` on the columnar tier (carrying state
+    across batches) and compare every record's category and policy
+    flag with the oracle's labels for the one continuous stream."""
     columnar = ColumnClassifier()
     table = AttributeTable()
+    expected = iter(
+        reference_classify([r for batch in batches for r in batch])
+    )
     for batch in batches:
         columns = RecordColumns.from_records(batch, table)
         codes, policy = columnar.classify(columns)
-        expected = list(classify(batch, streaming))
-        assert len(expected) == len(codes)
-        for i, update in enumerate(expected):
-            assert codes[i] == update.category.value, (i, update)
-            assert policy[i] == update.policy_change, (i, update)
+        assert len(codes) == len(batch)
+        for i, record in enumerate(batch):
+            name, flag = next(expected)
+            assert codes[i] == UpdateCategory[name].value, (i, record)
+            assert policy[i] == flag, (i, record)
 
 
 class TestClassifyEquivalence:
     @pytest.mark.parametrize("seed", range(8))
     def test_randomized_single_batch(self, seed):
         rng = random.Random(seed)
-        assert_matches_streaming([random_stream(rng, 600)])
+        assert_matches_oracle([random_stream(rng, 600)])
 
     @pytest.mark.parametrize("seed", range(8))
     def test_randomized_cross_batch_carryover(self, seed):
@@ -118,14 +122,14 @@ class TestClassifyEquivalence:
         batches = [
             random_stream(rng, rng.randrange(1, 250)) for _ in range(5)
         ]
-        assert_matches_streaming(batches)
+        assert_matches_oracle(batches)
 
     def test_tiny_batches(self):
         """One-record batches force every comparison through the carry
         path."""
         rng = random.Random(42)
         stream = random_stream(rng, 60)
-        assert_matches_streaming([[r] for r in stream])
+        assert_matches_oracle([[r] for r in stream])
 
     def test_empty_batch(self):
         codes, policy = classify_columns(RecordColumns.empty())
@@ -136,21 +140,20 @@ class TestClassifyEquivalence:
         generator = TraceGenerator(seed=5)
         records = generator.day_records(3, pair_fraction=0.02)
         assert len(records) > 100
-        assert_matches_streaming([records])
+        assert_matches_oracle([records])
 
     def test_state_introspection_matches(self):
         rng = random.Random(7)
         stream = random_stream(rng, 300)
-        streaming = StreamClassifier()
-        for record in stream:
-            streaming.feed(record)
+        # A route is reachable iff its last event was an announcement.
+        reachable = {
+            (r.peer_id, r.prefix): r.is_announce for r in stream
+        }
         columnar = ColumnClassifier()
         columnar.classify(RecordColumns.from_records(stream))
-        assert columnar.tracked_routes() == streaming.tracked_routes()
-        for record in stream:
-            assert columnar.is_reachable(
-                record.peer_id, record.prefix
-            ) == streaming.is_reachable(record.peer_id, record.prefix)
+        assert columnar.tracked_routes() == len(reachable)
+        for (peer_id, prefix), expected in reachable.items():
+            assert columnar.is_reachable(peer_id, prefix) == expected
 
 
 class TestConversions:
@@ -255,62 +258,89 @@ class TestColumnarArchive:
 
 class TestColumnarAnalyses:
     def _classified(self, seed=11, n=800):
+        """A stream, its columnar classification, and the oracle's
+        per-record category names."""
         rng = random.Random(seed)
         stream = random_stream(rng, n)
         columns = RecordColumns.from_records(stream)
         codes, policy = classify_columns(columns)
-        updates = list(classify(stream))
-        return stream, columns, codes, policy, updates
+        names = [name for name, _ in reference_classify(stream)]
+        return stream, columns, codes, policy, names
+
+    @staticmethod
+    def _pair_counts(stream, names, category):
+        return Counter(
+            record.prefix_as
+            for record, name in zip(stream, names)
+            if category is None or name == category.name
+        )
 
     def test_category_counts_from_codes(self):
-        _, _, codes, policy, updates = self._classified()
-        expected = CategoryCounts()
-        expected.extend(updates)
+        stream, _, codes, policy, names = self._classified()
         result = CategoryCounts.from_codes(codes, policy)
-        assert result.counts == expected.counts
-        assert result.policy_changes == expected.policy_changes
-        assert result.instability == expected.instability
-        assert result.pathological == expected.pathological
+        assert {
+            **result.nonzero_dict(),
+            "policy_changes": result.policy_changes,
+        } == reference_counts(stream)
+        tally = Counter(names)
+        assert result.instability == (
+            tally["AADIFF"] + tally["WADIFF"] + tally["WADUP"]
+        )
+        assert result.pathological == tally["AADUP"] + tally["WWDUP"]
 
     def test_counts_by_peer_columns(self):
-        _, columns, codes, policy, updates = self._classified()
-        expected = counts_by_peer(updates)
+        stream, columns, codes, policy, _ = self._classified()
+        expected = reference_counts_by_peer(stream)
         result = counts_by_peer_columns(columns, codes, policy)
         assert set(result) == set(expected)
-        for asn in expected:
-            assert result[asn].counts == expected[asn].counts
-            assert result[asn].policy_changes == expected[asn].policy_changes
+        for asn, counts in result.items():
+            assert {
+                **counts.nonzero_dict(),
+                "policy_changes": counts.policy_changes,
+            } == expected[asn]
 
     @pytest.mark.parametrize(
         "category", [None, UpdateCategory.AADUP, UpdateCategory.WWDUP]
     )
     def test_counts_by_prefix_as_columns(self, category):
-        _, columns, codes, _, updates = self._classified()
+        stream, columns, codes, _, names = self._classified()
         assert counts_by_prefix_as_columns(
             columns, codes, category
-        ) == counts_by_prefix_as(updates, category)
+        ) == self._pair_counts(stream, names, category)
 
     def test_daily_cdf_columns(self):
-        _, columns, codes, _, updates = self._classified()
-        streaming = daily_cdf(updates, UpdateCategory.AADUP)
-        columnar = daily_cdf((columns, codes), UpdateCategory.AADUP)
-        assert columnar.thresholds == streaming.thresholds
-        assert columnar.cumulative == streaming.cumulative
-        assert columnar.total_events == streaming.total_events
+        stream, columns, codes, _, names = self._classified()
+        per_pair = self._pair_counts(stream, names, UpdateCategory.AADUP)
+        total = sum(per_pair.values())
+        thresholds = sorted(set(per_pair.values()))
+        curve = daily_cdf(columns, codes, UpdateCategory.AADUP)
+        assert curve.thresholds == thresholds
+        assert curve.cumulative == [
+            sum(c for c in per_pair.values() if c <= k) / total
+            for k in thresholds
+        ]
+        assert curve.total_events == total
 
     def test_interarrival_columns(self):
-        _, columns, codes, _, updates = self._classified()
+        stream, columns, codes, _, names = self._classified()
         for category in (None, UpdateCategory.AADUP):
-            streaming = sorted(interarrival_times(updates, category))
-            columnar = np.sort(
-                interarrival_columns(columns, codes, category)
+            by_pair = {}
+            for record, name in zip(stream, names):
+                if category is None or name == category.name:
+                    by_pair.setdefault(record.prefix_as, []).append(
+                        record.time
+                    )
+            expected = sorted(
+                later - earlier
+                for times in by_pair.values()
+                for earlier, later in zip(sorted(times), sorted(times)[1:])
             )
-            assert len(streaming) == len(columnar)
-            assert np.allclose(streaming, columnar)
-            # The tuple dispatch and the vectorized histogram agree too.
-            tupled = interarrival_times((columns, codes), category)
-            assert histogram_proportions(tupled) == histogram_proportions(
-                interarrival_times(updates, category)
+            gaps = interarrival_times(columns, codes, category)
+            assert np.sort(gaps).tolist() == expected
+            assert histogram_counts(
+                gaps
+            ).tolist() == reference_interarrival_histogram(
+                stream, category and category.name
             )
 
     def test_bin_records_columnar(self):

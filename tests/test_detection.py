@@ -2,10 +2,10 @@
 
 Unit tests for each flag's semantics, the valley-free path machine,
 the sub-prefix foreign/deaggregation split, the stability counters and
-scores, and the bit-identity of the streaming and columnar detectors —
-including cross-batch carry and property-style seeded checks (valley-
-free paths are never flagged; MOAS detection is injection-order
-independent).
+scores, and the bit-identity of the columnar detector with the
+reference oracle at every batch cut — including cross-batch carry and
+property-style seeded checks (valley-free paths are never flagged;
+MOAS detection is injection-order independent).
 """
 
 import random
@@ -22,8 +22,6 @@ from repro.analysis.detection import (
     VALLEY_VIOLATION,
     AsRelationships,
     ColumnDetector,
-    StreamDetector,
-    detect_records,
     detect_records_columnar,
     detection_digest,
     flag_names,
@@ -60,8 +58,12 @@ def wd(time, peer, prefix):
 
 
 def feed_all(records, topology=None):
-    """Flags from the streaming tier (the unit under test here)."""
-    return detect_records(records, topology).flags
+    """Flags from the detection tier (the unit under test here),
+    which must also be the reference oracle's verdict."""
+    flags = detect_records_columnar(records, topology).flags
+    edges = None if topology is None else topology.edges()
+    assert flags == reference_detect(records, edges)
+    return flags
 
 
 def topology():
@@ -170,7 +172,7 @@ class TestMoasAndOriginChange:
         assert flags[1] & MOAS_CONFLICT
 
     def test_moas_prefix_set_is_cumulative(self):
-        result = detect_records([
+        result = detect_records_columnar([
             ann(0.0, PEER_A, P24, (64, 7)),
             ann(1.0, PEER_B, P24, (65, 8)),
             wd(2.0, PEER_B, P24),
@@ -225,7 +227,7 @@ class TestStability:
             wd(2.0, PEER_A, P24),              # PLAIN_WITHDRAW
             ann(3.0, PEER_A, P24, (64, 9)),    # WADIFF (instability)
         ]
-        result = detect_records(records)
+        result = detect_records_columnar(records)
         stability = result.detector.stability()
         p = (P24.network, P24.length)
         assert stability[p] == (4, 1, 1)
@@ -233,7 +235,7 @@ class TestStability:
         assert scores[p] == pytest.approx(1.0 - 2 / 4)
 
     def test_untouched_prefix_scores_one(self):
-        result = detect_records([ann(0.0, PEER_A, P24, (64, 7))])
+        result = detect_records_columnar([ann(0.0, PEER_A, P24, (64, 7))])
         scores = stability_scores(result.detector.stability())
         assert scores[(P24.network, P24.length)] == 1.0
 
@@ -253,21 +255,21 @@ class TestTierEquivalence:
     def test_stream_equals_columnar_with_batch_cuts(self):
         records = self.records()
         topo = topology()
-        streamed = detect_records(records, topo)
-        for boundaries in ((), (1,), (3,), (1, 2, 3, 4, 5)):
-            columnar = detect_records_columnar(records, topo, boundaries)
-            assert columnar.flags == streamed.flags, boundaries
+        whole = detect_records_columnar(records, topo)
+        for boundaries in ((1,), (3,), (1, 2, 3, 4, 5)):
+            cut = detect_records_columnar(records, topo, boundaries)
+            assert cut.flags == whole.flags, boundaries
             assert (
-                columnar.detector.state_digest()
-                == streamed.detector.state_digest()
+                cut.detector.state_digest()
+                == whole.detector.state_digest()
             )
-            assert columnar.counts == streamed.counts
+            assert cut.counts == whole.counts
 
     def test_both_tiers_match_the_reference_oracle(self):
         records = self.records()
         topo = topology()
         expected = reference_detect(records, topo.edges())
-        assert detect_records(records, topo).flags == expected
+        assert detect_records_columnar(records, topo).flags == expected
         assert (
             detect_records_columnar(records, topo, (2,)).flags == expected
         )
@@ -281,9 +283,9 @@ class TestTierEquivalence:
         # Same detector, two batches, second batch interns new paths.
         topo = topology()
         records = self.records()
-        streamed = detect_records(records, topo)
+        expected = reference_detect(records, topo.edges())
         columnar = detect_records_columnar(records, topo, (2, 4))
-        assert columnar.flags == streamed.flags
+        assert columnar.flags == expected
 
     def test_all_withdraw_first_batch(self):
         # First batch carries no announcements, so the attribute table
@@ -293,20 +295,19 @@ class TestTierEquivalence:
             wd(0.5, PEER_B, P24),
             ann(1.0, PEER_A, P24, (64, 7)),
         ]
-        streamed = detect_records(records)
+        whole = detect_records_columnar(records)
         columnar = detect_records_columnar(records, None, (2,))
-        assert columnar.flags == streamed.flags
+        assert columnar.flags == whole.flags == reference_detect(records, None)
         assert (
             columnar.detector.state_digest()
-            == streamed.detector.state_digest()
+            == whole.detector.state_digest()
         )
 
     def test_empty_stream(self):
-        assert detect_records([]).flags == []
-        assert detect_records_columnar([]).flags == []
-        detector = ColumnDetector()
+        result = detect_records_columnar([])
+        assert result.flags == []
         assert (
-            detector.state_digest() == StreamDetector().state_digest()
+            result.detector.state_digest() == ColumnDetector().state_digest()
         )
 
 
@@ -343,7 +344,7 @@ class TestProperties:
             ann(float(i), peer, P24, (peer[1], 7 if i % 2 else 8))
             for i, peer in enumerate(peers)
         ]
-        baseline = detect_records(base).detector
+        baseline = detect_records_columnar(base).detector
         for seed in range(10):
             rng = random.Random(seed)
             shuffled = base[:]
@@ -355,7 +356,7 @@ class TestProperties:
                 )
                 for i, r in enumerate(shuffled)
             ]
-            detector = detect_records(shuffled).detector
+            detector = detect_records_columnar(shuffled).detector
             assert detector.moas_prefixes == baseline.moas_prefixes
             assert (
                 detector.stability() == baseline.stability()

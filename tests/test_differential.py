@@ -1,10 +1,11 @@
 """The differential conformance harness (repro.verify.differential).
 
-Two kinds of test: the real tiers must agree with the reference oracle
-over large seeded fuzz campaigns (including the adversarial hard-case
-generators), and deliberately broken tiers must be *caught* — with the
-failure minimized by ddmin shrink into a counterexample small enough
-to read (the acceptance bar is ≤ 10 records).
+Two kinds of test: the real tier must agree with the reference oracle
+at every batching over large seeded fuzz campaigns (including the
+adversarial hard-case generators), and deliberately broken tiers must
+be *caught* — with the failure minimized by ddmin shrink into a
+counterexample small enough to read (the acceptance bar is ≤ 10
+records).
 """
 
 import os
@@ -23,7 +24,6 @@ from repro.verify.differential import (
     run_differential,
     shrink_stream,
     stream_digest,
-    streaming_labels,
 )
 from repro.verify.reference import reference_classify
 from repro.verify.streams import (
@@ -74,22 +74,24 @@ class TestRealTiersAgree:
     @pytest.mark.fuzz
     def test_thousand_stream_campaign(self):
         # The acceptance bar: >= 1000 seeded streams, adversarial
-        # generators included, all three tiers bit-identical.
+        # generators included, every batching bit-identical to the
+        # oracle.
         report = run_differential(make_streams(840, 40), shrink=False)
         assert report.streams == 1000
         assert_ok(report)
 
     def test_state_digests_agree_across_tiers(self):
+        """The carried state does not depend on where the stream was
+        cut — whole, at its own boundaries, or record by record."""
         stream = fuzz_stream(123)
-        _, stream_state = streaming_labels(stream.records)
-        _, column_state = columnar_labels(
-            stream.records, stream.boundaries
-        )
-        assert stream_state == column_state
+        _, whole_state = columnar_labels(stream.records)
+        for cuts in (stream.boundaries, range(1, len(stream.records))):
+            _, cut_state = columnar_labels(stream.records, cuts)
+            assert cut_state == whole_state
 
     def test_digest_matches_reference(self):
         stream = fuzz_stream(7)
-        labels, _ = streaming_labels(stream.records)
+        labels, _ = columnar_labels(stream.records, stream.boundaries)
         expected = reference_classify(stream.records)
         assert labels == expected
         assert stream_digest(stream.records, labels) == stream_digest(
@@ -97,10 +99,10 @@ class TestRealTiersAgree:
         )
 
 
-def broken_forwarding_tier(records):
-    """A streaming tier with a deliberate off-by-one: the forwarding
-    comparison slices one element instead of two, so it compares next
-    hops only and ignores ASPATH changes."""
+def broken_forwarding_tier(records, boundaries=()):
+    """A tier with a deliberate off-by-one: the forwarding comparison
+    slices one element instead of two, so it compares next hops only
+    and ignores ASPATH changes (at any batching)."""
     reachable, ever, last = {}, {}, {}
     labels = []
     for r in records:
@@ -158,7 +160,7 @@ def broken_carry_tier(records, boundaries=()):
 class TestBrokenTiersAreCaught:
     def test_off_by_one_caught_with_tiny_counterexample(self):
         report = run_differential(
-            make_streams(20, 3), stream_tier=broken_forwarding_tier
+            make_streams(20, 3), column_tier=broken_forwarding_tier
         )
         assert not report.ok
         found = report.mismatches[0]
@@ -296,22 +298,23 @@ class TestDetectionTiersAgree:
         assert all(count > 0 for count in totals.values()), totals
 
 
-def broken_moas_tier(records, topology=None):
-    """A streaming detection tier that forgets to retire a peer's old
-    origin on re-announcement — origins accumulate and MOAS over-fires."""
-    from repro.analysis.detection import StreamDetector
-    from repro.core.classifier import StreamClassifier
+def broken_moas_tier(records, boundaries=(), topology=None):
+    """A detection tier that forgets to retire a peer's old origin on
+    re-announcement — origins accumulate and MOAS over-fires."""
+    from repro.analysis.detection import ColumnDetector
 
-    detector = StreamDetector(topology)
-    classifier = StreamClassifier()
+    detector = ColumnDetector(topology)
+    classifier = ColumnClassifier()
+    table = AttributeTable()
     flags = []
     for record in records:
-        category = classifier.feed(record).category
+        batch = RecordColumns.from_records([record], table)
+        codes, _ = classifier.classify(batch)
         if record.is_announce:
             key = (record.peer_id, record.prefix.network,
                    record.prefix.length)
             detector._route_origin.pop(key, None)  # the bug
-        flags.append(detector.feed(record, category))
+        flags.extend(detector.detect(batch, codes).tolist())
     return flags, None
 
 
@@ -323,11 +326,11 @@ class TestBrokenDetectionTiersAreCaught:
         report = run_detection_differential(
             make_detection_streams(10, 2),
             detection_topology(),
-            stream_tier=broken_moas_tier,
+            column_tier=broken_moas_tier,
         )
         assert not report.ok
         found = report.mismatches[0]
-        assert found.tier == "det-streaming"
+        assert found.tier.startswith("det-columnar")
         assert found.shrunk is not None
         assert len(found.shrunk) <= 10  # same acceptance bar
 

@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from repro.core.classifier import route_state_digest
+from repro.core.columns import route_state_digest
 from repro.sim.engine import Engine
 from repro.sim.flapstorm import FlapStormScenario
 from repro.sim.refengine import ReferenceEngine

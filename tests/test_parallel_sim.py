@@ -209,35 +209,7 @@ def test_day_config_presets():
     assert smoke.seed == 3
 
 
-# -- deprecation shims ------------------------------------------------------
-
-def test_run_storm_shim_warns_and_forwards():
-    def scenario():
-        return FlapStormScenario(
-            n_routers=3, prefixes_per_router=2, seed=1
-        )
-
-    with pytest.warns(DeprecationWarning, match="run_storm"):
-        old = scenario().run_storm(
-            flaps=5, over_seconds=2.0, observe_for=30.0
-        )
-    new = scenario().storm(flaps=5, over_seconds=2.0, observe_for=30.0)
-    assert (old.session_drops, old.total_updates_sent, old.drop_times) == (
-        new.session_drops, new.total_updates_sent, new.drop_times
-    )
-
-
-def test_sync_run_shim_warns_and_forwards():
-    def study():
-        return SynchronizationStudy(n=4, seed=2, external_rate=0.0)
-
-    with pytest.warns(DeprecationWarning, match="advance"):
-        old = study()
-        old.run(600.0)
-    new = study()
-    new.advance(600.0)
-    assert old.final_coherence() == new.final_coherence()
-
+# -- canonical entry points -------------------------------------------------
 
 def test_canonical_entry_points_do_not_warn():
     with warnings.catch_warnings():

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from repro.bgp.attributes import AsPath, PathAttributes
 from repro.bgp.rib import LocRib, Route, best_route
 from repro.collector.record import UpdateKind, UpdateRecord
-from repro.core.classifier import classify
-from repro.core.instability import CategoryCounts
 from repro.net.prefix import Prefix
 from repro.sim.engine import Engine
 from repro.workloads.generator import PeerPopulation, TraceGenerator
+
+from .helpers import classified_counts
 
 P = Prefix.parse
 
@@ -165,8 +165,7 @@ class TestGeneratorInvariants:
         planned categories plus bootstrap/uncategorized events."""
         records = tiny_generator.day_records(7, pair_fraction=1.0)
         tiny_generator.reset_state()
-        counts = CategoryCounts()
-        counts.extend(classify(records))
+        counts = classified_counts(records)
         assert counts.total == len(records)
 
     def test_plan_totals_bound_materialized_counts(self, tiny_generator):

@@ -7,14 +7,14 @@ import pytest
 
 from repro.bgp.attributes import AsPath, PathAttributes
 from repro.collector.log import MemoryLog
-from repro.core.classifier import classify
-from repro.core.instability import CategoryCounts
 from repro.core.taxonomy import UpdateCategory
 from repro.net.prefix import Prefix
 from repro.sim.engine import Engine
 from repro.sim.link import Link
 from repro.sim.router import CpuModel, RouteCache, Router, connect
 from repro.sim.routeserver import RouteServer
+
+from .helpers import classified_counts
 
 P = Prefix.parse
 
@@ -143,8 +143,7 @@ class TestStatefulVsStateless:
         for i in range(5):
             engine.schedule(i * 10.0, origin.flap_origin, P("10.0.0.0/8"), 4.0)
         engine.run_until(200.0)
-        counts = CategoryCounts()
-        counts.extend(classify(sink.sorted_by_time()))
+        counts = classified_counts(sink.sorted_by_time())
         # Stateless middle withdraws to the server even when the state
         # it advertised is already gone -> some withdrawals are WWDup.
         assert counts[UpdateCategory.WWDUP] >= 0  # sanity
@@ -161,8 +160,7 @@ class TestStatefulVsStateless:
         # internal; middle sees duplicate and must not forward it).
         origin.originate(P("10.0.0.0/8"))
         engine.run_until(120.0)
-        counts = CategoryCounts()
-        counts.extend(classify(sink.sorted_by_time()))
+        counts = classified_counts(sink.sorted_by_time())
         assert counts[UpdateCategory.AADUP] == 0
         assert middle.suppressed_outputs >= before
 
@@ -197,8 +195,7 @@ class TestStatefulVsStateless:
         primary.withdraw_origin(P("10.0.0.0/8"))
         engine.schedule(6.0, primary.originate, P("10.0.0.0/8"))
         engine.run_until(start + 100.0)
-        counts = CategoryCounts()
-        counts.extend(classify(sink.sorted_by_time()))
+        counts = classified_counts(sink.sorted_by_time())
         return counts, len(sink) - count_before, middle
 
     def test_stateless_emits_aadup_on_a1_a2_a1(self):
@@ -248,8 +245,7 @@ class TestStatefulVsStateless:
         engine.run_until(60.0)
         origin.withdraw_origin(P("10.0.0.0/8"))
         engine.run_until(120.0)
-        counts = CategoryCounts()
-        counts.extend(classify(sink.sorted_by_time()))
+        counts = classified_counts(sink.sorted_by_time())
         assert counts[UpdateCategory.WWDUP] >= 1
 
     def test_mrai_collapse_hides_fast_flap_from_stateful(self):

@@ -6,8 +6,6 @@ import random
 import pytest
 
 from repro.collector.log import MemoryLog
-from repro.core.classifier import classify
-from repro.core.instability import CategoryCounts
 from repro.core.taxonomy import UpdateCategory
 from repro.net.prefix import Prefix
 from repro.sim.engine import Engine
@@ -23,6 +21,8 @@ from repro.sim.link import Link
 from repro.sim.router import CpuModel, Router, connect
 from repro.sim.routeserver import RouteServer
 from repro.sim.sync import SynchronizationStudy, phase_coherence
+
+from .helpers import classified_counts
 
 P = Prefix.parse
 
@@ -73,8 +73,7 @@ class TestIgpBgpOscillation:
         redist, sink = self._run(filtered=False)
         # A full W/A cycle per two IGP ticks over 600s of 30s ticks.
         assert redist.oscillation_count >= 8
-        counts = CategoryCounts()
-        counts.extend(classify(sink.sorted_by_time()))
+        counts = classified_counts(sink.sorted_by_time())
         assert counts[UpdateCategory.WADUP] >= 3
 
     def test_oscillation_interarrivals_are_multiples_of_period(self):
@@ -89,8 +88,7 @@ class TestIgpBgpOscillation:
     def test_filtered_configuration_stabilizes(self):
         redist, sink = self._run(filtered=True)
         # One announcement settles it: no withdrawals ever.
-        counts = CategoryCounts()
-        counts.extend(classify(sink.sorted_by_time()))
+        counts = classified_counts(sink.sorted_by_time())
         assert counts[UpdateCategory.WADUP] == 0
         assert counts[UpdateCategory.WWDUP] == 0
         assert redist.oscillation_count <= 2
@@ -183,8 +181,7 @@ class TestFaultInjectors:
         )
         mis.start()
         engine.run_until(330.0)
-        counts = CategoryCounts()
-        counts.extend(classify(sink.sorted_by_time()))
+        counts = classified_counts(sink.sorted_by_time())
         # Every emitted withdrawal concerns a never-announced prefix.
         assert counts[UpdateCategory.WWDUP] >= 10
         assert counts.total == counts[UpdateCategory.WWDUP]

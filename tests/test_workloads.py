@@ -6,7 +6,7 @@ import math
 import pytest
 
 from repro.collector.store import SECONDS_PER_DAY, SECONDS_PER_HOUR
-from repro.core.classifier import StreamClassifier, classify
+from repro.core.columns import AttributeTable, ColumnClassifier
 from repro.core.instability import CategoryCounts
 from repro.core.taxonomy import UpdateCategory
 from repro.workloads.calibration import FIGURE2_CATEGORY_MIX, PAPER
@@ -246,14 +246,15 @@ class TestMaterialization:
         """After a warm-up day, classified counts should be close to
         the planned per-category totals (scaled by pair_fraction=1)."""
         gen = TraceGenerator(population=small_population, seed=9)
-        clf = StreamClassifier()
+        clf = ColumnClassifier()
+        table = AttributeTable()
         # Warm-up: state (generator's and classifier's) converges.
-        for _ in classify(gen.day_records(0, pair_fraction=1.0), clf):
-            pass
+        clf.classify(gen.day_columns(0, pair_fraction=1.0, attrs=table))
         plan = gen.plan_day(1)
-        counts = CategoryCounts()
-        counts.extend(
-            classify(gen.day_records(1, pair_fraction=1.0, plan=plan), clf)
+        counts = CategoryCounts.from_codes(
+            *clf.classify(
+                gen.day_columns(1, pair_fraction=1.0, plan=plan, attrs=table)
+            )
         )
         for category in (
             UpdateCategory.AADUP,
@@ -283,17 +284,19 @@ class TestMaterialization:
             interarrival_times,
             timer_bin_mass,
         )
-        from repro.core.classifier import StreamClassifier, classify
+        from repro.core.columns import RecordColumns, classify_columns
 
         gen = TraceGenerator(population=small_population, seed=3)
-        clf = StreamClassifier()
-        updates = []
-        for day in range(3):
-            updates.extend(
-                classify(gen.day_records(day, pair_fraction=1.0), clf)
-            )
+        table = AttributeTable()
+        columns = RecordColumns.concat(
+            [
+                gen.day_columns(day, pair_fraction=1.0, attrs=table)
+                for day in range(3)
+            ]
+        )
+        codes, _ = classify_columns(columns)
         for category in (UpdateCategory.AADUP, UpdateCategory.AADIFF):
-            gaps = interarrival_times(updates, category)
+            gaps = interarrival_times(columns, codes, category)
             mass = timer_bin_mass(histogram_proportions(gaps))
             assert mass > 0.4, category
 

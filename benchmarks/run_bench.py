@@ -9,9 +9,11 @@ generator against the pre-vectorization reference tier
 (``repro.verify.refgen``), digest-compared day chunk by day chunk,
 with a >=5x single-process bar — then runs the same sharded campaign
 at 1, 2, and 4 workers, asserts the merged results are bit-identical,
-and writes per-worker wall-clock + speedups, the per-phase
-generate/classify/fold breakdown (via the runner's injected clock),
-and the machine's CPU count to ``BENCH_campaign.json``.  The >=1.7x
+and writes per-worker wall-clock + speedups and the machine's CPU
+count to ``BENCH_campaign.json`` (the per-layer generate / classify /
+fold split is the repo benchmark's ``workloads.generator.busy_s`` /
+``core.columns.classify_s`` / ``campaign.fold.busy_s``, see
+``perf/``).  The >=1.7x
 speedup-at-4-workers bar is enforced whenever the machine has >= 4
 CPUs — on fewer cores the pool cannot physically beat the inline run,
 so the file records the honest numbers and ``bar_skipped_reason`` says
@@ -21,7 +23,7 @@ with ``REPRO_ALLOW_BAR_SKIP=1`` (see ``benchmarks/bar_policy.py``) —
 a CI lane cannot silently stop enforcing it.  The generation bar is
 single-process, so its skip needs the waiver on *any* machine.
 ``--campaign --smoke`` is the CI parity lane: old-vs-new generation
-digest check plus one phase-timed 1-worker run, no timing bars, no
+digest check plus one timed 1-worker run, no timing bars, no
 RSS probe.
 
 Campaign mode also probes the out-of-core tier: it runs a short and a
@@ -323,34 +325,22 @@ def run_campaign_bench(args) -> None:
     generation, failures = bench_generation(args, config, cpus)
 
     timings = {}
-    phases = {}
     digests = {}
     records = 0
     worker_counts = (1,) if args.smoke else (1, 2, 4)
     for workers in worker_counts:
         best = None
-        best_phases = None
         for _ in range(args.repeats):
             start = time.perf_counter()
-            result = run_campaign(
-                config, workers=workers, clock=time.perf_counter
-            )
+            result = run_campaign(config, workers=workers)
             elapsed = time.perf_counter() - start
             if best is None or elapsed < best:
                 best = elapsed
-                best_phases = result.timings
         timings[workers] = best
-        phases[workers] = {
-            name: round(seconds, 4)
-            for name, seconds in best_phases.items()
-        }
         digests[workers] = result.partial.digest()
         records = result.records
         print(f"  {workers} worker(s): {best:.2f} s "
-              f"(generate {phases[workers]['generate_seconds']:.2f} / "
-              f"classify {phases[workers]['classify_seconds']:.2f} / "
-              f"fold {phases[workers]['fold_seconds']:.2f}; "
-              f"digest {digests[workers][:12]})")
+              f"(digest {digests[workers][:12]})")
 
     reference = digests[1]
     assert all(d == reference for d in digests.values()), (
@@ -407,9 +397,6 @@ def run_campaign_bench(args) -> None:
         "seconds_by_workers": {
             str(w): round(t, 4) for w, t in timings.items()
         },
-        "phases_by_workers": {
-            str(w): p for w, p in phases.items()
-        },
         "speedup_2_workers": (
             round(timings[1] / timings[2], 3) if 2 in timings else None
         ),
@@ -448,7 +435,7 @@ def main() -> None:
         "--smoke", action="store_true",
         help="sim mode: small sizes, one repeat, digest check only; "
              "campaign mode: generation old-vs-new digest parity plus "
-             "one phase-timed 1-worker run, no timing bars, no RSS "
+             "one timed 1-worker run, no timing bars, no RSS "
              "probe",
     )
     parser.add_argument("--days", type=int, default=4,

@@ -9,7 +9,7 @@ count, shard completion order, or kill/resume cycles.
 """
 
 from .config import CampaignConfig, ShardSpec
-from .fold import ShardAccumulator, ShardTimings
+from .fold import ShardAccumulator
 from .handoff import HandoffError, ShardHandoff
 from .manifest import CampaignLayout, ConfigMismatch
 from .results import CampaignResult, PartialResult, merge_partials
@@ -30,5 +30,4 @@ __all__ = [
     "merge_partials",
     "run_campaign",
     "run_shard",
-    "ShardTimings",
 ]

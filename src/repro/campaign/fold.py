@@ -32,7 +32,7 @@ against a whole-batch reference.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -50,20 +50,14 @@ from .config import CampaignConfig, ShardSpec
 from .results import (
     TOTAL,
     PartialResult,
-    ShardTimings,
     _merge_count_tables,
     _merge_int_tables,
 )
 
-__all__ = ["ShardAccumulator", "ShardTimings", "pairs_per_day"]
+__all__ = ["ShardAccumulator", "pairs_per_day"]
 
 #: Per-pair key for the inter-arrival carry: (peer ASN, net, plen).
 PairKey = Tuple[int, int, int]
-
-#: Injected monotonic clock.  The campaign package reads no wall clock
-#: itself (it sits on the golden corpus's digest call graph, DET102);
-#: callers that want phase timings pass ``time.perf_counter`` in.
-Clock = Callable[[], float]
 
 
 def pairs_per_day(columns: RecordColumns) -> Dict[int, int]:
@@ -124,21 +118,12 @@ class ShardAccumulator:
         "_by_peer",
         "_by_prefix",
         "_pairs_per_day",
-        "_clock",
-        "timings",
     )
 
-    def __init__(
-        self,
-        config: CampaignConfig,
-        spec: ShardSpec,
-        clock: Optional[Clock] = None,
-    ) -> None:
+    def __init__(self, config: CampaignConfig, spec: ShardSpec) -> None:
         self.config = config
         self.spec = spec
         self.records = 0
-        self._clock = clock
-        self.timings = ShardTimings()
         self._classifier = ColumnClassifier()
         self._counts = CategoryCounts()
         self._bin_counts = np.zeros(
@@ -167,12 +152,7 @@ class ShardAccumulator:
                 f"day {day} outside shard range "
                 f"[{self.spec.day_lo}, {self.spec.day_hi})"
             )
-        clock = self._clock
-        started = clock() if clock is not None else 0.0
         codes, policy = self._classifier.classify(columns)
-        if clock is not None:
-            classified = clock()
-            self.timings.classify += classified - started
         self.records += len(columns)
         self._counts = self._counts + CategoryCounts.from_codes(
             codes, policy
@@ -192,8 +172,6 @@ class ShardAccumulator:
         self._pairs_per_day = _merge_int_tables(
             self._pairs_per_day, pairs_per_day(columns)
         )
-        if clock is not None:
-            self.timings.fold += clock() - classified
 
     def _fold_bins(self, columns: RecordColumns) -> None:
         # The exact whole-shard expression — indices relative to the

@@ -1,29 +1,24 @@
-"""Zero-copy shard handoff: descriptors across the pool, not pickles.
+"""Shard handoff: digest-verified descriptors across the pool.
 
-The original pool path returned each shard's full
-:class:`~repro.campaign.results.PartialResult` payload through
-``imap_unordered`` — a pickle of every aggregate, serialized in the
-worker, deserialized in the parent, scaling with shard size.  This
-module replaces that with a descriptor handoff: the worker publishes
-its canonical result payload out-of-band and returns only a small
+A pool worker does not return its shard's
+:class:`~repro.campaign.results.PartialResult` as a pickle of every
+aggregate.  It publishes the canonical result payload — the exact
+bytes the manifest digests — and returns a small
 :class:`ShardHandoff` carrying counts, chunk descriptors, and a
 sha256; the parent collects the payload, verifies the digest, and
 folds it incrementally.
 
-Transports, picked automatically:
+Transports, picked by whether the campaign has an output directory:
 
-- ``file``: the campaign has an output directory — the worker writes
-  the shard's result file itself (the same bytes the manifest will
-  digest), so the payload crosses processes via the filesystem.
-- ``shm``: in-memory campaigns — the payload bytes go into a
-  ``multiprocessing.shared_memory`` block the parent attaches, reads,
-  and unlinks; nothing but the descriptor crosses the pipe.
-- ``inline``: fallback when shared memory is unavailable (exotic
-  platforms); the bytes ride inside the descriptor.
+- ``file``: it does — the worker writes the shard's result file
+  itself (the same bytes the manifest will digest), so the payload
+  crosses processes via the filesystem.
+- ``inline``: in-memory campaigns — the canonical bytes (tens of
+  kilobytes per shard) ride inside the descriptor.
 
-Digest verification happens in the parent for every transport, so a
-torn file or stray shared-memory write surfaces as
-:class:`HandoffError` instead of a silently wrong merge.
+Digest verification happens in the parent for both transports, so a
+torn file or a corrupted descriptor surfaces as :class:`HandoffError`
+instead of a silently wrong merge.
 """
 
 from __future__ import annotations
@@ -52,8 +47,7 @@ class HandoffError(RuntimeError):
 class ShardHandoff:
     """What a pool worker returns: a lightweight shard descriptor.
 
-    ``nbytes`` is the payload's UTF-8 length (shared-memory blocks are
-    page-rounded, so the parent must slice).  ``chunks`` carries the
+    ``nbytes`` is the payload's UTF-8 length.  ``chunks`` carries the
     per-day spill-chunk descriptors destined for the manifest.
     """
 
@@ -61,50 +55,15 @@ class ShardHandoff:
     records: int
     result_sha256: str
     nbytes: int
-    transport: str  # "file" | "shm" | "inline"
+    transport: str  # "file" | "inline"
     chunks: List[dict] = field(default_factory=list)
-    shm_name: Optional[str] = None
     inline: Optional[bytes] = None
-    #: Per-phase wall-clock payload (:meth:`ShardTimings.to_payload`)
-    #: when the parent injected a clock; observability only — never
-    #: folded into any digest or manifest.
-    timings: Optional[dict] = None
 
 
 #: Process-boundary contract (CON001): the descriptor is the only
 #: project type this module lets cross a worker seam — payload bytes
-#: travel out-of-band (file/shm) and are digest-verified on arrival.
+#: travel as a file or inside it and are digest-verified on arrival.
 TRANSFERABLE_TYPES = (ShardHandoff,)
-
-
-def _publish_shm(blob: bytes) -> Optional[str]:
-    """Stash ``blob`` in a fresh shared-memory block; returns its name,
-    or None when shared memory is unusable (caller falls back)."""
-    try:
-        from multiprocessing import resource_tracker, shared_memory
-
-        shm = shared_memory.SharedMemory(create=True, size=max(1, len(blob)))
-    except Exception:
-        return None
-    try:
-        shm.buf[: len(blob)] = blob
-        name = shm.name
-        shm.close()
-        try:
-            # The parent owns the block's lifetime (it unlinks after
-            # reading); stop this process's resource tracker from
-            # destroying it at worker exit.
-            resource_tracker.unregister(shm._name, "shared_memory")
-        except Exception:
-            pass
-        return name
-    except Exception:
-        try:
-            shm.close()
-            shm.unlink()
-        except Exception:
-            pass
-        return None
 
 
 def publish_partial(
@@ -113,44 +72,20 @@ def publish_partial(
     records: int,
     chunks: List[dict],
     layout: Optional[CampaignLayout],
-    timings: Optional[dict] = None,
 ) -> ShardHandoff:
     """Worker side: persist/stash the payload, return its descriptor."""
     text = canonical_json(payload)
-    sha256 = sha256_text(text)
+    blob = text.encode("utf-8")
     if layout is not None:
         layout.write_result(spec, text)
-        return ShardHandoff(
-            index=spec.index,
-            records=records,
-            result_sha256=sha256,
-            nbytes=len(text.encode("utf-8")),
-            transport="file",
-            chunks=chunks,
-            timings=timings,
-        )
-    blob = text.encode("utf-8")
-    shm_name = _publish_shm(blob)
-    if shm_name is not None:
-        return ShardHandoff(
-            index=spec.index,
-            records=records,
-            result_sha256=sha256,
-            nbytes=len(blob),
-            transport="shm",
-            chunks=chunks,
-            shm_name=shm_name,
-            timings=timings,
-        )
     return ShardHandoff(
         index=spec.index,
         records=records,
-        result_sha256=sha256,
+        result_sha256=sha256_text(text),
         nbytes=len(blob),
-        transport="inline",
+        transport="file" if layout is not None else "inline",
         chunks=chunks,
-        inline=blob,
-        timings=timings,
+        inline=None if layout is not None else blob,
     )
 
 
@@ -171,24 +106,6 @@ def collect_partial(
             raise HandoffError(
                 f"shard {handoff.index}: result file unreadable: {exc}"
             ) from exc
-    elif handoff.transport == "shm":
-        from multiprocessing import shared_memory
-
-        try:
-            shm = shared_memory.SharedMemory(name=handoff.shm_name)
-        except (OSError, ValueError) as exc:
-            raise HandoffError(
-                f"shard {handoff.index}: shared memory "
-                f"{handoff.shm_name!r} missing: {exc}"
-            ) from exc
-        try:
-            text = bytes(shm.buf[: handoff.nbytes]).decode("utf-8")
-        finally:
-            shm.close()
-            try:
-                shm.unlink()
-            except FileNotFoundError:
-                pass
     elif handoff.transport == "inline":
         text = (handoff.inline or b"").decode("utf-8")
     else:

@@ -27,7 +27,7 @@ from worker processes to the parent, persisting completed shards for
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -45,7 +45,6 @@ __all__ = [
     "COMMUTATIVE_MERGES",
     "PartialResult",
     "ShardResult",
-    "ShardTimings",
     "CampaignResult",
     "merge_partials",
 ]
@@ -217,50 +216,6 @@ class PartialResult:
         return timer_bin_mass(self.interarrival_proportions())
 
 
-@dataclass(slots=True)
-class ShardTimings:
-    """Per-phase wall-clock seconds for one shard (or a whole run).
-
-    ``generate`` covers :meth:`TraceGenerator.day_columns`,
-    ``classify`` the :class:`ColumnClassifier` pass, ``fold`` the
-    remaining per-day aggregation.  All zero unless a clock was
-    injected (see :mod:`repro.campaign.fold`) — timings are
-    observability, never part of any digest or manifest.
-    """
-
-    generate: float = 0.0
-    classify: float = 0.0
-    fold: float = 0.0
-
-    def __add__(self, other: object) -> "ShardTimings":
-        if isinstance(other, int) and other == 0:  # sum() start value
-            return self
-        if not isinstance(other, ShardTimings):
-            return NotImplemented
-        return ShardTimings(
-            generate=self.generate + other.generate,
-            classify=self.classify + other.classify,
-            fold=self.fold + other.fold,
-        )
-
-    __radd__ = __add__
-
-    def to_payload(self) -> Dict[str, float]:
-        return {
-            "generate_seconds": self.generate,
-            "classify_seconds": self.classify,
-            "fold_seconds": self.fold,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, float]) -> "ShardTimings":
-        return cls(
-            generate=float(payload.get("generate_seconds", 0.0)),
-            classify=float(payload.get("classify_seconds", 0.0)),
-            fold=float(payload.get("fold_seconds", 0.0)),
-        )
-
-
 #: Every ``+``-mergeable result type in the campaign pipeline.  A class
 #: listed here asserts: ``__add__`` is associative and commutative over
 #: its contents, with an explicit identity.  ``repro.lint`` (MRG001)
@@ -271,7 +226,6 @@ COMMUTATIVE_MERGES = (
     CategoryCounts,
     BinnedSeries,
     PartialResult,
-    ShardTimings,
 )
 
 
@@ -310,11 +264,6 @@ class CampaignResult:
     shard_count: int
     shards_run: int
     shards_loaded: int
-    #: Per-phase seconds (``generate_seconds`` / ``classify_seconds``
-    #: / ``fold_seconds``) summed over shards that ran — present only
-    #: when a clock was injected into :func:`run_campaign`; purely
-    #: observational, never part of any digest.
-    timings: Optional[Dict[str, float]] = None
 
     @property
     def complete(self) -> bool:

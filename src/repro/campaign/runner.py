@@ -15,8 +15,8 @@ The pipeline is streaming end to end, which is what makes
   most one day of records lives in a worker at once;
 - pool workers hand back lightweight :class:`ShardHandoff`
   descriptors (:mod:`repro.campaign.handoff`) instead of pickled
-  aggregates, with the payload crossing via the result file or a
-  shared-memory block;
+  aggregates, with the payload crossing via the result file or,
+  without an output directory, inside the descriptor;
 - the parent folds partials incrementally as shards complete (the
   merge is commutative, so completion order cannot matter), never
   holding more than the running total;
@@ -47,7 +47,7 @@ from ..core.spill import (
 )
 from ..workloads.generator import campaign_generator
 from .config import CampaignConfig, ShardSpec
-from .fold import Clock, ShardAccumulator, ShardTimings
+from .fold import ShardAccumulator
 from .handoff import ShardHandoff, collect_partial, publish_partial
 from .manifest import CampaignLayout
 from .results import CampaignResult, PartialResult
@@ -127,8 +127,7 @@ def run_shard(
     spec: ShardSpec,
     layout: Optional[CampaignLayout] = None,
     on_chunk: Optional[ChunkFn] = None,
-    clock: Optional[Clock] = None,
-) -> Tuple[PartialResult, int, List[dict], ShardTimings]:
+) -> Tuple[PartialResult, int, List[dict]]:
     """Run one shard's streaming pipeline; pure function of its
     arguments plus whatever verifiable chunks already sit on disk.
 
@@ -138,10 +137,7 @@ def run_shard(
     way the day folds through the accumulator and is dropped.  Peak
     memory is one day of records — on the reuse path a read-only memmap
     of the chunk.  Returns ``(partial, record count, chunk
-    descriptors, timings)``; the descriptor list is empty without a
-    layout, and the timings stay zero unless a monotonic ``clock`` is
-    injected (this module reads no wall clock itself — DET102 holds it
-    to that, since it sits on the golden corpus's digest call graph).
+    descriptors)``; the descriptor list is empty without a layout.
 
     A fresh attribute table per day keeps each chunk's bytes a pure
     function of ``(config, spec, day)`` — classification and every
@@ -156,7 +152,7 @@ def run_shard(
     )
     categories = config.category_set()
     fingerprint = config.fingerprint()
-    accumulator = ShardAccumulator(config, spec, clock=clock)
+    accumulator = ShardAccumulator(config, spec)
     chunks: List[dict] = []
     for day in spec.days:
         columns: Optional[RecordColumns] = None
@@ -183,15 +179,12 @@ def run_shard(
                     info = chunk.info
                     how = "loaded"
         if columns is None:
-            started = clock() if clock is not None else 0.0
             columns = generator.day_columns(
                 day,
                 pair_fraction=config.pair_fraction,
                 categories=categories,
                 attrs=AttributeTable(),
             )
-            if clock is not None:
-                accumulator.timings.generate += clock() - started
             if layout is not None:
                 info = write_chunk(
                     layout.chunk_path(spec, day),
@@ -216,39 +209,20 @@ def run_shard(
         accumulator.fold_day(day, columns)
         if on_chunk is not None:
             on_chunk(spec, day, how)
-    return (
-        accumulator.result(),
-        accumulator.records,
-        chunks,
-        accumulator.timings,
-    )
+    return accumulator.result(), accumulator.records, chunks
 
 
-def _shard_task(
-    task: Tuple[dict, dict, Optional[str], Optional[Clock]]
-) -> ShardHandoff:
-    """Pool entry point (top-level so it pickles under spawn).
-
-    The clock rides the task tuple: module-level callables like
-    ``time.perf_counter`` pickle by reference, so the parent's choice
-    of clock reaches the worker without this module importing one.
-    """
-    config_payload, spec_payload, out, clock = task
+def _shard_task(task: Tuple[dict, dict, Optional[str]]) -> ShardHandoff:
+    """Pool entry point (top-level so it pickles under spawn)."""
+    config_payload, spec_payload, out = task
     config = CampaignConfig.from_payload(config_payload, out=out)
     spec = ShardSpec.from_payload(spec_payload)
     layout = CampaignLayout(out) if out is not None else None
     if layout is not None:
         layout.chunk_dir(spec).mkdir(parents=True, exist_ok=True)
-    partial, records, chunks, timings = run_shard(
-        config, spec, layout, clock=clock
-    )
+    partial, records, chunks = run_shard(config, spec, layout)
     return publish_partial(
-        spec,
-        partial.to_payload(),
-        records,
-        chunks,
-        layout,
-        timings=timings.to_payload() if clock is not None else None,
+        spec, partial.to_payload(), records, chunks, layout
     )
 
 
@@ -266,7 +240,6 @@ def run_campaign(
     stop_after: Optional[int] = None,
     progress: Optional[ProgressFn] = None,
     hooks: Optional[CampaignHooks] = None,
-    clock: Optional[Clock] = None,
 ) -> CampaignResult:
     """Run (or resume) a campaign; see module docstring.
 
@@ -281,10 +254,7 @@ def run_campaign(
     exactly only with ``workers <= 1``.  ``hooks`` injects
     observation/fault points (see :class:`CampaignHooks`); a hook
     raising :class:`KillRun` aborts the run with the on-disk state of
-    a killed process.  ``clock`` (e.g. ``time.perf_counter``) turns on
-    the per-phase generate/classify/fold timing breakdown on
-    ``result.timings`` — summed across the shards that actually ran,
-    zero-cost and absent when no clock is given.
+    a killed process.
     """
     plan = config.shard_plan()
     layout: Optional[CampaignLayout] = None
@@ -328,7 +298,6 @@ def run_campaign(
         hooks.on_shard_written(spec, layout)
 
     ran = len(pending)
-    phase_totals = ShardTimings()
     if pending:
         if workers <= 1 or len(pending) == 1:
             # In-process fast path: no Pool, no serialization round
@@ -337,10 +306,9 @@ def run_campaign(
             for spec in pending:
                 if hooks is not None and hooks.on_shard_start is not None:
                     hooks.on_shard_start(spec)
-                partial, records, chunks, shard_timings = run_shard(
-                    config, spec, layout, on_chunk=on_chunk, clock=clock
+                partial, records, chunks = run_shard(
+                    config, spec, layout, on_chunk=on_chunk
                 )
-                phase_totals = phase_totals + shard_timings
                 if layout is not None:
                     layout.write_shard(
                         spec,
@@ -355,7 +323,7 @@ def run_campaign(
                     progress(spec, "run", records)
         else:
             tasks = [
-                (config.to_payload(), spec.to_payload(), config.out, clock)
+                (config.to_payload(), spec.to_payload(), config.out)
                 for spec in pending
             ]
             by_index = {spec.index: spec for spec in pending}
@@ -366,10 +334,6 @@ def run_campaign(
                 for handoff in pool.imap_unordered(_shard_task, tasks):
                     spec = by_index[handoff.index]
                     payload = collect_partial(handoff, layout, spec)
-                    if handoff.timings is not None:
-                        phase_totals = phase_totals + (
-                            ShardTimings.from_payload(handoff.timings)
-                        )
                     if layout is not None:
                         # The worker already wrote the result file;
                         # the parent seals the shard manifest-last.
@@ -395,5 +359,4 @@ def run_campaign(
         shard_count=len(plan),
         shards_run=ran,
         shards_loaded=loaded,
-        timings=phase_totals.to_payload() if clock is not None else None,
     )

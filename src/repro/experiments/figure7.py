@@ -129,9 +129,9 @@ def run(seed: int = 4) -> ExperimentResult:
     from ..analysis.distribution import daily_cdf
 
     prefix_only_mass = []
-    for day, updates in sorted(daily.items()):
+    for day, (columns, codes) in sorted(daily.items()):
         curve = daily_cdf(
-            updates, UpdateCategory.AADIFF, day, by_prefix_only=True
+            columns, codes, UpdateCategory.AADIFF, day, by_prefix_only=True
         )
         if curve is not None:
             prefix_only_mass.append(curve.mass_at_or_below(10))

@@ -8,7 +8,6 @@ statically.  Run ``python -m repro.lint`` from the repo root; see
 ``docs/LINTING.md`` for the rule catalogue and the pragma grammar.
 """
 
-from .baseline import apply_baseline, load_baseline, write_baseline
 from .cli import main
 from .engine import (
     Finding,
@@ -29,10 +28,7 @@ __all__ = [
     "Pragma",
     "Rule",
     "all_rules",
-    "apply_baseline",
     "iter_python_files",
-    "load_baseline",
     "main",
     "rules_by_id",
-    "write_baseline",
 ]

@@ -1,7 +1,7 @@
 """The ``python -m repro.lint`` command line.
 
-Exit codes: 0 = clean (every finding fixed, pragma-justified, or
-baselined), 1 = new findings, 2 = usage or internal error.  ``--json``
+Exit codes: 0 = clean (every finding fixed or pragma-justified),
+1 = new findings, 2 = usage or internal error.  ``--json``
 prints the machine-readable report (the same payload ``--output``
 writes for CI artifact upload on failure).
 """
@@ -15,18 +15,13 @@ import time
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from .baseline import apply_baseline, load_baseline, write_baseline
 from .engine import Finding, LintEngine, LintError
 from .rules import all_rules
 
 __all__ = ["main", "build_report"]
 
-#: Bumped 1 -> 2 when the whole-program passes landed: the report
-#: gained ``cache`` (hits/misses) and an optional ``stats`` block.
+#: Bumped 1 -> 2 when the whole-program passes landed.
 JSON_SCHEMA_VERSION = 2
-
-#: Default on-disk result cache, keyed by content sha (gitignored).
-CACHE_FILENAME = ".lint-cache.json"
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -63,29 +58,9 @@ def _parser() -> argparse.ArgumentParser:
         "an artifact on failure)",
     )
     parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="baseline file of grandfathered findings "
-        "(default: <root>/lint-baseline.json when present)",
-    )
-    parser.add_argument(
-        "--fix-baseline",
-        action="store_true",
-        help="rewrite the baseline to absorb all current findings, "
-        "then exit 0",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalogue and exit",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="analyze uncached files with N worker processes "
-        "(default: 1, serial)",
     )
     parser.add_argument(
         "--graph",
@@ -96,31 +71,14 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--stats",
         action="store_true",
-        help="print findings per rule, files analyzed, cache hit "
-        "rate, and wall time to stderr",
-    )
-    parser.add_argument(
-        "--cache",
-        metavar="FILE",
-        help=f"per-file result cache location "
-        f"(default: <root>/{CACHE_FILENAME})",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the per-file result cache for this run",
+        help="print findings per rule, files analyzed, and wall "
+        "time to stderr",
     )
     return parser
 
 
 def build_report(
-    root: Path,
-    new: List[Finding],
-    baselined: int,
-    suppressed: int,
-    files: int,
-    cache_hits: int = 0,
-    cache_misses: int = 0,
+    root: Path, new: List[Finding], suppressed: int, files: int
 ) -> dict:
     counts: dict = {}
     for finding in new:
@@ -131,26 +89,15 @@ def build_report(
         "files": files,
         "findings": [finding.to_payload() for finding in new],
         "counts": {rule: counts[rule] for rule in sorted(counts)},
-        "baselined": baselined,
         "suppressed": suppressed,
-        "cache": {"hits": cache_hits, "misses": cache_misses},
     }
 
 
-def _render_stats(
-    report: dict, elapsed: float, jobs: int
-) -> str:
-    cache = report["cache"]
-    looked_up = cache["hits"] + cache["misses"]
-    rate = cache["hits"] / looked_up if looked_up else 0.0
+def _render_stats(report: dict, elapsed: float) -> str:
     lines = [
-        f"files analyzed:   {report['files']} "
-        f"({cache['misses']} parsed, {cache['hits']} from cache; "
-        f"hit rate {rate:.0%})",
-        f"jobs:             {jobs}",
+        f"files analyzed:   {report['files']}",
         f"wall time:        {elapsed:.2f}s",
         f"findings:         {len(report['findings'])} new, "
-        f"{report['baselined']} baselined, "
         f"{report['suppressed']} suppressed",
     ]
     for rule, count in report["counts"].items():
@@ -185,29 +132,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("error: nothing to lint", file=sys.stderr)
         return 2
 
-    if args.baseline is not None:
-        baseline_path = Path(args.baseline)
-    else:
-        baseline_path = root / "lint-baseline.json"
-    if args.no_cache:
-        cache_path = None
-    elif args.cache is not None:
-        cache_path = Path(args.cache)
-    else:
-        cache_path = root / CACHE_FILENAME
-    if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 2
-
     engine = LintEngine(root)
     # lint: allow[DET002] -- wall time is --stats display output only
     started = time.perf_counter()
     try:
-        result = engine.lint_paths(
-            paths, jobs=args.jobs, cache_path=cache_path
-        )
-        baseline = load_baseline(baseline_path)
-    except (LintError, ValueError, OSError) as error:
+        result = engine.lint_paths(paths)
+    except (LintError, UnicodeDecodeError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     # lint: allow[DET002] -- wall time is --stats display output only
@@ -221,23 +151,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             encoding="utf-8",
         )
 
-    if args.fix_baseline:
-        write_baseline(baseline_path, result.findings)
-        print(
-            f"wrote {len(result.findings)} finding(s) to {baseline_path}"
-        )
-        return 0
-
-    new, baselined = apply_baseline(result.findings, baseline)
-    report = build_report(
-        root,
-        new,
-        baselined,
-        len(result.suppressed),
-        result.files,
-        cache_hits=result.cache_hits,
-        cache_misses=result.cache_misses,
-    )
+    new = result.findings
+    report = build_report(root, new, len(result.suppressed), result.files)
     if args.output:
         Path(args.output).write_text(
             json.dumps(report, indent=2, sort_keys=True) + "\n",
@@ -250,10 +165,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(finding.render())
         summary = (
             f"{result.files} file(s): {len(new)} new finding(s), "
-            f"{baselined} baselined, "
             f"{len(result.suppressed)} pragma-suppressed"
         )
         print(summary)
     if args.stats:
-        print(_render_stats(report, elapsed, args.jobs), file=sys.stderr)
+        print(_render_stats(report, elapsed), file=sys.stderr)
     return 1 if new else 0

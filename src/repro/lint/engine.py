@@ -16,19 +16,22 @@ rule modules share:
 - :class:`LintEngine` — runs every rule over every file, applies
   pragma suppression, and reports stale pragmas.
 
-Rules live one-per-module under :mod:`repro.lint.rules`; see
+Rules live one family per module under :mod:`repro.lint.rules`; see
 ``docs/LINTING.md`` for the catalogue and how to add one.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import io
 import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+
+from .origins import OriginSite, scan_origins
 
 __all__ = [
     "Finding",
@@ -57,11 +60,7 @@ class Finding:
     line: int
     col: int
     message: str
-    snippet: str  # the stripped source line, for humans and baselines
-
-    def key(self) -> Tuple[str, str, str]:
-        """Baseline identity: line numbers shift, snippets rarely do."""
-        return (self.rule, self.path, self.snippet)
+    snippet: str  # the stripped source line
 
     def sort_key(self) -> Tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.rule)
@@ -533,6 +532,12 @@ class ModuleContext:
 
     # -- findings -----------------------------------------------------------
 
+    @functools.cached_property
+    def origin_sites(self) -> Tuple[OriginSite, ...]:
+        """The file's origin-table sites (see :mod:`repro.lint.origins`),
+        scanned once however many rules and passes read them."""
+        return scan_origins(self)
+
     def finding(self, rule: str, node: ast.AST, message: str) -> Finding:
         line = getattr(node, "lineno", 1)
         col = getattr(node, "col_offset", 0) + 1
@@ -567,32 +572,25 @@ class Rule:
 
 class ProgramContext:
     """Everything a whole-program rule may ask about the run: the
-    project index, the call graph, and lazily parsed per-file
-    contexts (program rules that need live ASTs — CON001's send-site
-    typing — re-parse only the few files they inspect)."""
+    project index, the call graph, and the live per-file contexts the
+    file phase already parsed (CON001's send-site typing reads ASTs
+    from them)."""
 
-    def __init__(self, root: Path, files, index, graph) -> None:
+    def __init__(
+        self, root: Path, contexts: Dict[str, ModuleContext], index, graph
+    ) -> None:
         self.root = root
+        self._contexts = contexts
         #: sorted ``(path, rel)`` pairs for every linted file
-        self.files = list(files)
+        self.files = [
+            (contexts[rel].path, rel) for rel in sorted(contexts)
+        ]
         self.index = index
         self.graph = graph
-        self._by_rel = {rel: path for path, rel in self.files}
-        self._contexts: Dict[str, ModuleContext] = {}
-        self._lines: Dict[str, List[str]] = {}
         self._taint: Optional[List[dict]] = None
 
     def context(self, rel: str) -> Optional[ModuleContext]:
-        if rel in self._contexts:
-            return self._contexts[rel]
-        path = self._by_rel.get(rel)
-        if path is None:
-            return None
-        ctx = ModuleContext(
-            path, rel, path.read_text(encoding="utf-8")
-        )
-        self._contexts[rel] = ctx
-        return ctx
+        return self._contexts.get(rel)
 
     def taint_findings(self) -> List[dict]:
         """The DET1xx payloads, computed once per run (each DET1xx
@@ -606,15 +604,7 @@ class ProgramContext:
     def finding(
         self, rule: str, rel: str, line: int, message: str
     ) -> Finding:
-        lines = self._lines.get(rel)
-        if lines is None:
-            path = self._by_rel.get(rel)
-            lines = (
-                path.read_text(encoding="utf-8").splitlines()
-                if path is not None
-                else []
-            )
-            self._lines[rel] = lines
+        lines = self._contexts[rel].lines
         snippet = ""
         if 1 <= line <= len(lines):
             snippet = lines[line - 1].strip()
@@ -631,7 +621,7 @@ class ProgramContext:
 class ProgramRule(Rule):
     """A rule that runs once over the whole program instead of once
     per file.  Findings still anchor at a concrete file/line, so the
-    pragma and baseline machinery apply unchanged."""
+    pragma machinery applies unchanged."""
 
     def check(self, ctx: ModuleContext) -> Iterable[Finding]:
         return ()
@@ -682,142 +672,21 @@ def iter_python_files(paths: Sequence[Path]) -> List[Path]:
 
 @dataclass
 class LintReport:
-    """The outcome of one engine run (before baseline filtering)."""
+    """The outcome of one engine run."""
 
     findings: List[Finding] = field(default_factory=list)
     suppressed: List[Tuple[Finding, Pragma]] = field(default_factory=list)
     files: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-
-
-def _file_phase(path: Path, rel: str, rules: Sequence[Rule]) -> dict:
-    """The cacheable per-file phase: per-file rule findings (pragma
-    suppression already applied), the pragma inventory, and the
-    semantic summary the program passes consume.  Everything in the
-    returned payload is plain JSON data, so the content-sha cache and
-    the ``--jobs`` worker pool both speak it natively."""
-    from .semantic import summarize_module
-
-    try:
-        ctx = ModuleContext(
-            path, rel, path.read_text(encoding="utf-8")
-        )
-    except LintError as error:
-        return {"error": str(error)}
-    findings: List[dict] = []
-    suppressed: List[list] = []
-    for rule in rules:
-        if isinstance(rule, ProgramRule):
-            continue
-        if not rule.applies_to(ctx):
-            continue
-        for finding in rule.check(ctx):
-            pragma = ctx.pragma_for(finding.line, finding.rule)
-            if pragma is not None:
-                pragma.used = True
-                suppressed.append([finding.to_payload(), pragma.line])
-            else:
-                findings.append(finding.to_payload())
-    return {
-        "error": None,
-        "findings": findings,
-        "suppressed": suppressed,
-        "pragmas": [
-            {
-                "line": line,
-                "rules": list(ctx.pragmas[line].rules),
-                "justification": ctx.pragmas[line].justification,
-                "own_line": ctx.pragmas[line].own_line,
-                "used": ctx.pragmas[line].used,
-                "snippet": ctx.lines[line - 1].strip(),
-            }
-            for line in sorted(ctx.pragmas)
-        ],
-        "pragma_issues": [
-            {
-                "line": issue.line,
-                "message": issue.message,
-                "snippet": issue.snippet,
-            }
-            for issue in ctx.pragma_issues
-        ],
-        "summary": summarize_module(ctx).to_payload(),
-    }
-
-
-def _file_phase_worker(task) -> Tuple[str, dict]:
-    """``--jobs`` pool entry: rebuilds the rule pack from ids (rule
-    objects never cross the process boundary)."""
-    path_str, rel, rule_ids = task
-    from .rules import rules_by_id
-
-    return rel, _file_phase(Path(path_str), rel, rules_by_id(*rule_ids))
-
-
-class _PragmaState:
-    """Runtime pragma bookkeeping for one run: per-file inventories
-    from the (possibly cached) payloads, with ``used`` flags that
-    program-rule suppression updates before the LINT000 stale check.
-    Kept outside the cache payloads so a cached entry never bakes in
-    whether some *other* file's taint finding used its pragma."""
-
-    def __init__(self) -> None:
-        #: rel -> line -> mutable pragma record
-        self.by_file: Dict[str, Dict[int, dict]] = {}
-        self.issues: Dict[str, List[dict]] = {}
-
-    def load(self, rel: str, payload: dict) -> None:
-        # Copies, not references: program-phase ``used`` marking must
-        # never leak back into a cached payload.
-        self.by_file[rel] = {
-            record["line"]: dict(record)
-            for record in payload["pragmas"]
-        }
-        self.issues[rel] = payload["pragma_issues"]
-
-    def suppressor(
-        self, rel: str, line: int, rule: str
-    ) -> Optional[dict]:
-        """Mirror of :meth:`ModuleContext.pragma_for` over the
-        inventory; marks the pragma used."""
-        records = self.by_file.get(rel, {})
-        record = records.get(line)
-        if (
-            record is not None
-            and not record["own_line"]
-            and rule in record["rules"]
-        ):
-            record["used"] = True
-            return record
-        above = records.get(line - 1)
-        if (
-            above is not None
-            and above["own_line"]
-            and rule in above["rules"]
-        ):
-            above["used"] = True
-            return above
-        return None
-
-    def pragma(self, record: dict) -> Pragma:
-        return Pragma(
-            line=record["line"],
-            rules=tuple(record["rules"]),
-            justification=record["justification"],
-            own_line=record["own_line"],
-            used=record["used"],
-        )
 
 
 class LintEngine:
     """Runs the rule pack over a source tree.
 
-    Per-file rules run in a cacheable (and optionally parallel)
-    per-file phase; :class:`ProgramRule` passes then run once over
-    the assembled project index and call graph.  The last run's
-    :class:`ProgramContext` stays on ``self.last_program`` for the
-    CLI's ``--graph`` dump.
+    Every run parses every file in-process: per-file rules run over
+    each :class:`ModuleContext`, then the :class:`ProgramRule` passes
+    run once over the project index and call graph built from those
+    same live contexts.  The last run's :class:`ProgramContext` stays
+    on ``self.last_program`` for the CLI's ``--graph`` dump.
     """
 
     def __init__(
@@ -839,9 +708,6 @@ class LintEngine:
         self.known_ids = self.enabled_ids | frozenset(
             rule.id for rule in registry
         )
-        self._registry_types = frozenset(
-            type(rule) for rule in registry
-        )
         self.last_program: Optional[ProgramContext] = None
 
     def _rel_for(self, path: Path) -> str:
@@ -851,212 +717,106 @@ class LintEngine:
             rel = path
         return rel.as_posix()
 
-    def context_for(self, path: Path) -> ModuleContext:
-        return ModuleContext(
-            path,
-            self._rel_for(path),
-            path.read_text(encoding="utf-8"),
-        )
-
-    def _cache_version(self) -> str:
-        from .semantic import ANALYZER_VERSION
-
-        return f"{ANALYZER_VERSION}:" + ",".join(sorted(self.enabled_ids))
-
-    def lint_file(self, path: Path) -> LintReport:
-        """Single-file compatibility entry: per-file rules plus the
-        pragma audit, no whole-program passes."""
-        rel = self._rel_for(path)
-        payload = _file_phase(path, rel, self.rules)
-        if payload.get("error"):
-            raise LintError(payload["error"])
-        pragmas = _PragmaState()
-        pragmas.load(rel, payload)
-        report = LintReport(files=1)
-        self._collect_file(report, rel, payload, pragmas)
-        report.findings.extend(self._pragma_findings(rel, pragmas))
-        report.findings.sort(key=Finding.sort_key)
-        return report
-
-    def _collect_file(
-        self,
-        report: LintReport,
-        rel: str,
-        payload: dict,
-        pragmas: _PragmaState,
+    def _report(
+        self, report: LintReport, ctx: ModuleContext, finding: Finding
     ) -> None:
-        for finding_payload in payload["findings"]:
-            report.findings.append(Finding(**finding_payload))
-        for finding_payload, pragma_line in payload["suppressed"]:
-            record = pragmas.by_file[rel].get(pragma_line)
-            if record is None:
-                continue
-            report.suppressed.append(
-                (Finding(**finding_payload), pragmas.pragma(record))
-            )
+        """File ``finding`` under the pragma covering its line (marking
+        the pragma used), or as a live finding."""
+        pragma = ctx.pragma_for(finding.line, finding.rule)
+        if pragma is not None:
+            pragma.used = True
+            report.suppressed.append((finding, pragma))
+        else:
+            report.findings.append(finding)
 
-    def _pragma_findings(
-        self, rel: str, pragmas: _PragmaState
-    ) -> List[Finding]:
+    def _pragma_findings(self, ctx: ModuleContext) -> List[Finding]:
         """LINT000: malformed, unknown-id, and stale pragmas — run
         after program suppression so a pragma whose only job is
         silencing an interprocedural finding is not "stale"."""
-        findings = []
-        for issue in pragmas.issues.get(rel, []):
-            findings.append(
-                Finding(
-                    rule="LINT000",
-                    path=rel,
-                    line=issue["line"],
-                    col=1,
-                    message=issue["message"],
-                    snippet=issue["snippet"],
-                )
+
+        def lint000(line: int, message: str, snippet: str) -> Finding:
+            return Finding(
+                rule="LINT000",
+                path=ctx.rel,
+                line=line,
+                col=1,
+                message=message,
+                snippet=snippet,
             )
-        records = pragmas.by_file.get(rel, {})
-        for line in sorted(records):
-            record = records[line]
-            unknown = sorted(set(record["rules"]) - self.known_ids)
+
+        findings = [
+            lint000(issue.line, issue.message, issue.snippet)
+            for issue in ctx.pragma_issues
+        ]
+        for line in sorted(ctx.pragmas):
+            pragma = ctx.pragmas[line]
+            snippet = ctx.lines[line - 1].strip()
+            unknown = sorted(set(pragma.rules) - self.known_ids)
             if unknown:
                 findings.append(
-                    Finding(
-                        rule="LINT000",
-                        path=rel,
-                        line=line,
-                        col=1,
-                        message=(
-                            "pragma names unknown rule id(s): "
-                            + ", ".join(unknown)
-                        ),
-                        snippet=record["snippet"],
+                    lint000(
+                        line,
+                        "pragma names unknown rule id(s): "
+                        + ", ".join(unknown),
+                        snippet,
                     )
                 )
             elif (
-                not record["used"]
-                and set(record["rules"]) <= self.enabled_ids
+                not pragma.used
+                and set(pragma.rules) <= self.enabled_ids
             ):
                 findings.append(
-                    Finding(
-                        rule="LINT000",
-                        path=rel,
-                        line=line,
-                        col=1,
-                        message=(
-                            "stale pragma: suppresses nothing on this "
-                            "line — remove it (dead grants hide real "
-                            "regressions)"
-                        ),
-                        snippet=record["snippet"],
+                    lint000(
+                        line,
+                        "stale pragma: suppresses nothing on this "
+                        "line — remove it (dead grants hide real "
+                        "regressions)",
+                        snippet,
                     )
                 )
         return findings
 
-    def _run_file_phase(
-        self,
-        misses: List[Tuple[Path, str]],
-        jobs: int,
-    ) -> Dict[str, dict]:
-        """Analyze cache misses, in-process or via a worker pool."""
-        payloads: Dict[str, dict] = {}
-        parallel = (
-            jobs > 1
-            and len(misses) > 1
-            and all(type(rule) in self._registry_types for rule in self.rules)
-        )
-        if parallel:
-            import multiprocessing
-
-            rule_ids = sorted(self.enabled_ids)
-            tasks = [
-                (str(path), rel, rule_ids) for path, rel in misses
-            ]
-            with multiprocessing.Pool(processes=jobs) as pool:
-                for rel, payload in pool.imap_unordered(
-                    _file_phase_worker, tasks
-                ):
-                    payloads[rel] = payload
-        else:
-            for path, rel in misses:
-                payloads[rel] = _file_phase(path, rel, self.rules)
-        for rel in sorted(payloads):
-            if payloads[rel].get("error"):
-                raise LintError(payloads[rel]["error"])
-        return payloads
-
-    def lint_paths(
-        self,
-        paths: Sequence[Path],
-        jobs: int = 1,
-        cache_path: Optional[Path] = None,
-    ) -> LintReport:
+    def lint_paths(self, paths: Sequence[Path]) -> LintReport:
         from .semantic import (
-            ModuleSummary,
             ProjectIndex,
-            ResultCache,
             build_callgraph,
-            content_sha,
+            summarize_module,
         )
 
-        files = [
-            (path, self._rel_for(path))
-            for path in iter_python_files(paths)
+        contexts: Dict[str, ModuleContext] = {}
+        for path in iter_python_files(paths):
+            rel = self._rel_for(path)
+            contexts[rel] = ModuleContext(
+                path, rel, path.read_text(encoding="utf-8")
+            )
+        report = LintReport(files=len(contexts))
+        file_rules = [
+            rule for rule in self.rules if not isinstance(rule, ProgramRule)
         ]
-        cache = ResultCache(cache_path, self._cache_version())
-        report = LintReport(files=len(files))
-        payloads: Dict[str, dict] = {}
-        misses: List[Tuple[Path, str]] = []
-        shas: Dict[str, str] = {}
-        for path, rel in files:
-            sha = content_sha(path.read_bytes())
-            shas[rel] = sha
-            hit = cache.get(rel, sha)
-            if hit is not None:
-                payloads[rel] = hit
-                report.cache_hits += 1
-            else:
-                misses.append((path, rel))
-        report.cache_misses = len(misses)
-        fresh = self._run_file_phase(misses, jobs)
-        for rel in sorted(fresh):
-            payloads[rel] = fresh[rel]
-            cache.put(rel, shas[rel], fresh[rel])
-        cache.save(keep=sorted(payloads))
+        for rel in sorted(contexts):
+            ctx = contexts[rel]
+            for rule in file_rules:
+                if not rule.applies_to(ctx):
+                    continue
+                for finding in rule.check(ctx):
+                    self._report(report, ctx, finding)
 
-        pragmas = _PragmaState()
-        for rel in sorted(payloads):
-            pragmas.load(rel, payloads[rel])
-            self._collect_file(report, rel, payloads[rel], pragmas)
-
-        # Whole-program phase over the summaries (cached files
-        # contribute without a re-parse).
         program = None
-        if files:
+        if contexts:
             index = ProjectIndex(
-                [
-                    ModuleSummary.from_payload(payloads[rel]["summary"])
-                    for rel in sorted(payloads)
-                ]
+                [summarize_module(contexts[rel]) for rel in sorted(contexts)]
             )
             program = ProgramContext(
-                self.root, files, index, build_callgraph(index)
+                self.root, contexts, index, build_callgraph(index)
             )
-        self.last_program = program
-        if program is not None:
             for rule in self.rules:
                 if not isinstance(rule, ProgramRule):
                     continue
                 for finding in rule.check_program(program):
-                    record = pragmas.suppressor(
-                        finding.path, finding.line, finding.rule
-                    )
-                    if record is not None:
-                        report.suppressed.append(
-                            (finding, pragmas.pragma(record))
-                        )
-                    else:
-                        report.findings.append(finding)
+                    self._report(report, contexts[finding.path], finding)
+        self.last_program = program
 
-        for rel in sorted(payloads):
-            report.findings.extend(self._pragma_findings(rel, pragmas))
+        for rel in sorted(contexts):
+            report.findings.extend(self._pragma_findings(contexts[rel]))
         report.findings.sort(key=Finding.sort_key)
         return report

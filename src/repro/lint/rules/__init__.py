@@ -1,4 +1,4 @@
-"""The rule pack: one module per rule, assembled in id order.
+"""The rule pack: one module per rule family, assembled in id order.
 
 Adding a rule is three steps (see ``docs/LINTING.md``):
 
@@ -15,17 +15,9 @@ from typing import List
 
 from ..engine import Rule
 from .con001_transferable import TransferableRule
-from .det001_global_random import GlobalRandomRule
-from .det002_wall_clock import WallClockRule
 from .det003_unsorted_iter import UnsortedIterationRule
-from .det004_builtin_hash import BuiltinHashRule
-from .det1xx_taint import (
-    TaintEnvironRule,
-    TaintGlobalRandomRule,
-    TaintSaltedHashRule,
-    TaintUnsortedIterRule,
-    TaintWallClockRule,
-)
+from .det1xx_taint import TAINT_RULE_CLASSES
+from .det_origins import BuiltinHashRule, GlobalRandomRule, WallClockRule
 from .hot001_slots import SlotsRule
 from .lint000_pragma import PragmaRule
 from .mrg001_merge_registry import MergeRegistryRule
@@ -39,11 +31,7 @@ _RULE_CLASSES = (
     WallClockRule,
     UnsortedIterationRule,
     BuiltinHashRule,
-    TaintGlobalRandomRule,
-    TaintWallClockRule,
-    TaintUnsortedIterRule,
-    TaintSaltedHashRule,
-    TaintEnvironRule,
+    *TAINT_RULE_CLASSES,
     SlotsRule,
     MergeRegistryRule,
     TransferableRule,

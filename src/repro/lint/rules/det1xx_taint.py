@@ -23,14 +23,9 @@ from __future__ import annotations
 from typing import Iterable
 
 from ..engine import Finding, ProgramContext, ProgramRule
+from ..semantic.taint import TAINT_RULES
 
-__all__ = [
-    "TaintEnvironRule",
-    "TaintGlobalRandomRule",
-    "TaintSaltedHashRule",
-    "TaintUnsortedIterRule",
-    "TaintWallClockRule",
-]
+__all__ = ["TAINT_RULE_CLASSES"]
 
 
 class _TaintRule(ProgramRule):
@@ -51,61 +46,12 @@ class _TaintRule(ProgramRule):
             )
 
 
-class TaintGlobalRandomRule(_TaintRule):
-    id = "DET101"
-    title = "global RNG reachable from a digest entry point"
-    rationale = (
-        "A module-level random.* draw anywhere under a digest's call "
-        "graph makes the digest depend on interpreter-global RNG "
-        "state.  DET001 flags the call site; DET101 proves a digest "
-        "can actually reach it — route a seeded random.Random "
-        "instance instead."
+#: One rule class per :data:`TAINT_RULES` row, in id order.
+TAINT_RULE_CLASSES = tuple(
+    type(
+        f"Taint{rule_id}Rule",
+        (_TaintRule,),
+        {"id": rule_id, "title": kind.title, "rationale": kind.rationale},
     )
-
-
-class TaintWallClockRule(_TaintRule):
-    id = "DET102"
-    title = "wall-clock read reachable from a digest entry point"
-    rationale = (
-        "time.time()/perf_counter()/datetime.now() reachable from a "
-        "digest means rerunning the same input can hash differently. "
-        "A DET002 pragma claims the value is display-only; DET102 is "
-        "the static check of that claim — it fires exactly when the "
-        "clock read sits under state_digest/detection_digest/"
-        "partition_digest/combined_digest or the golden-corpus "
-        "builders, with the offending call chain in the message."
-    )
-
-
-class TaintUnsortedIterRule(_TaintRule):
-    id = "DET103"
-    title = "unsorted iteration reachable from a digest entry point"
-    rationale = (
-        "Set/dict/filesystem iteration order is not part of the "
-        "language contract; three frames below a digest it silently "
-        "reorders the bytes being hashed.  Same fix as DET003 "
-        "(sorted()/canonical order), enforced transitively."
-    )
-
-
-class TaintSaltedHashRule(_TaintRule):
-    id = "DET104"
-    title = "salted hash() reachable from a digest entry point"
-    rationale = (
-        "builtins.hash() of str/bytes changes per process "
-        "(PYTHONHASHSEED); feeding it into anything a digest reaches "
-        "breaks cross-run stability.  Use hashlib or the repo's "
-        "stable-hash helpers."
-    )
-
-
-class TaintEnvironRule(_TaintRule):
-    id = "DET105"
-    title = "environment read reachable from a digest entry point"
-    rationale = (
-        "os.environ/os.getenv under a digest makes the result depend "
-        "on host configuration.  There is deliberately no per-file "
-        "rule for environment reads — they are legitimate in CLI "
-        "glue — so this interprocedural check is the only line of "
-        "defense."
-    )
+    for rule_id, kind in sorted(TAINT_RULES.items())
+)

@@ -10,15 +10,11 @@ Per-file rules see one AST; the semantic layer sees the project:
   (direct calls, inferred method dispatch, Protocol fan-out, escaping
   function references);
 - :mod:`~repro.lint.semantic.taint` — impure facts propagated to a
-  fixed point, and the DET1xx findings with full call chains;
-- :mod:`~repro.lint.semantic.cache` — the content-sha result cache
-  that keeps whole-program mode fast on warm runs.
+  fixed point, and the DET1xx findings with full call chains.
 """
 
-from .cache import ResultCache, content_sha
 from .callgraph import CallGraph, build_callgraph
 from .symbols import (
-    ANALYZER_VERSION,
     ModuleSummary,
     ProjectIndex,
     module_name_for,
@@ -34,15 +30,12 @@ from .taint import (
 )
 
 __all__ = [
-    "ANALYZER_VERSION",
     "CallGraph",
     "ENTRY_NAMES",
     "ModuleSummary",
     "ProjectIndex",
-    "ResultCache",
     "TAINT_RULES",
     "build_callgraph",
-    "content_sha",
     "direct_impure_sites",
     "entry_points",
     "module_name_for",

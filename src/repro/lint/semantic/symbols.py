@@ -5,19 +5,15 @@ contracts, Protocol conformance) need facts no single
 :class:`~repro.lint.engine.ModuleContext` can provide: what a dotted
 name means *in another module*, which class a method lives on, which
 classes structurally implement a Protocol.  This module extracts a
-JSON-serializable :class:`ModuleSummary` per file — functions with
+plain-data :class:`ModuleSummary` per file — functions with
 their call sites, local type bindings, impure sites, classes with
 bases/fields/methods, resolved import aliases (including relative
 imports, which the per-file rules ignore) — and assembles them into a
 :class:`ProjectIndex` that resolves references *across* modules,
 following re-export chains through package ``__init__`` files.
 
-Summaries are deliberately flat dictionaries: they are what the
-engine's content-sha cache persists, so an unchanged file contributes
-to whole-program analysis without being re-parsed.
-
 Type descriptors — the small language local bindings and annotations
-are lowered into (``{"k": ...}`` dicts so they serialize):
+are lowered into (plain ``{"k": ...}`` dicts):
 
 - ``ref``      a name resolved through imports to a dotted path
 - ``builtin``  a builtin scalar/container name (``str``, ``dict``...)
@@ -39,7 +35,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..engine import ModuleContext
 
 __all__ = [
-    "ANALYZER_VERSION",
     "ModuleSummary",
     "ProjectIndex",
     "module_name_for",
@@ -47,10 +42,6 @@ __all__ = [
     "unit_typer",
     "UNKNOWN",
 ]
-
-#: Bumped whenever summary extraction changes shape or meaning; part
-#: of the cache version token, so stale summaries never feed a run.
-ANALYZER_VERSION = 1
 
 UNKNOWN = {"k": "?"}
 
@@ -588,22 +579,6 @@ class ModuleSummary:
     def registries(self) -> Dict[str, List[str]]:
         return self.payload["registries"]
 
-    def to_payload(self) -> dict:
-        return {
-            "rel": self.rel,
-            "module": self.module,
-            **self.payload,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "ModuleSummary":
-        body = {
-            key: value
-            for key, value in payload.items()
-            if key not in ("rel", "module")
-        }
-        return cls(payload["rel"], payload["module"], body)
-
 
 def summarize_module(ctx: ModuleContext) -> ModuleSummary:
     """Extract the semantic summary of one parsed file."""
@@ -632,9 +607,9 @@ def _attach_impure_sites(ctx: ModuleContext, summary: ModuleSummary) -> None:
     """Tag each function unit with the impure sites the taint pass
     treats as sources (see :mod:`repro.lint.semantic.taint`).
 
-    The per-file determinism rules are re-run here so the transitive
-    pass flags exactly what they would — including sites whose
-    *per-file* finding is pragma-suppressed: a ``DET002`` pragma
+    The sites are the ones the per-file determinism rules report, so
+    the transitive pass flags exactly what they would — including
+    sites whose *per-file* finding is pragma-suppressed: a ``DET002`` pragma
     claims "display-only", and reachability from a digest is precisely
     the evidence that claim needs re-review, so only the matching
     ``DET1xx`` pragma silences the interprocedural finding.
@@ -684,8 +659,8 @@ def unit_typer(
 ) -> "_UnitExtractor":
     """A live expression typer scoped to one function unit.
 
-    Program rules that must type arbitrary expressions in a re-parsed
-    file (e.g. CON001 on ``conn.send(...)`` arguments) get the same
+    Program rules that must type arbitrary expressions in a file's
+    live AST (e.g. CON001 on ``conn.send(...)`` arguments) get the same
     binding/descriptor machinery the summaries are built from; feed
     the returned object's ``expr_type(node)`` any expression inside
     ``func``.

@@ -32,8 +32,7 @@ such a pragma's "display-only" justification needs re-review.
 
 from __future__ import annotations
 
-import ast
-from typing import Dict, FrozenSet, Iterable, List, Optional
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional
 
 from ..engine import ModuleContext
 from .callgraph import CallGraph
@@ -63,81 +62,100 @@ ENTRY_NAMES = frozenset(
     }
 )
 
-#: Interprocedural rule id -> (per-file counterpart, human label).
+class TaintKind(NamedTuple):
+    """One interprocedural rule: the id that reports the same site
+    per file (DET105's source has no per-file rule, so it reports
+    under its own id), the label its messages open with, and the
+    catalogue text ``--list-rules`` prints."""
+
+    source: str
+    label: str
+    title: str
+    rationale: str
+
+
+#: Interprocedural rule id -> its :class:`TaintKind`; the DET1xx rule
+#: classes are generated from this table.
 TAINT_RULES = {
-    "DET101": ("DET001", "global RNG draw"),
-    "DET102": ("DET002", "wall-clock read"),
-    "DET103": ("DET003", "unsorted iteration"),
-    "DET104": ("DET004", "salted hash()"),
-    "DET105": (None, "environment read"),
+    "DET101": TaintKind(
+        "DET001",
+        "global RNG draw",
+        "global RNG reachable from a digest entry point",
+        "A module-level random.* draw anywhere under a digest's call "
+        "graph makes the digest depend on interpreter-global RNG "
+        "state.  DET001 flags the call site; DET101 proves a digest "
+        "can actually reach it — route a seeded random.Random "
+        "instance instead.",
+    ),
+    "DET102": TaintKind(
+        "DET002",
+        "wall-clock read",
+        "wall-clock read reachable from a digest entry point",
+        "time.time()/perf_counter()/datetime.now() reachable from a "
+        "digest means rerunning the same input can hash differently. "
+        "A DET002 pragma claims the value is display-only; DET102 is "
+        "the static check of that claim — it fires exactly when the "
+        "clock read sits under state_digest/detection_digest/"
+        "partition_digest/combined_digest or the golden-corpus "
+        "builders, with the offending call chain in the message.",
+    ),
+    "DET103": TaintKind(
+        "DET003",
+        "unsorted iteration",
+        "unsorted iteration reachable from a digest entry point",
+        "Set/dict/filesystem iteration order is not part of the "
+        "language contract; three frames below a digest it silently "
+        "reorders the bytes being hashed.  Same fix as DET003 "
+        "(sorted()/canonical order), enforced transitively.",
+    ),
+    "DET104": TaintKind(
+        "DET004",
+        "salted hash()",
+        "salted hash() reachable from a digest entry point",
+        "builtins.hash() of str/bytes changes per process "
+        "(PYTHONHASHSEED); feeding it into anything a digest reaches "
+        "breaks cross-run stability.  Use hashlib or the repo's "
+        "stable-hash helpers.",
+    ),
+    "DET105": TaintKind(
+        "DET105",
+        "environment read",
+        "environment read reachable from a digest entry point",
+        "os.environ/os.getenv under a digest makes the result depend "
+        "on host configuration.  There is deliberately no per-file "
+        "rule for environment reads — they are legitimate in CLI "
+        "glue — so this interprocedural check is the only line of "
+        "defense.",
+    ),
 }
 
-_PER_FILE_TO_TAINT = {
-    "DET001": "DET101",
-    "DET002": "DET102",
-    "DET003": "DET103",
-    "DET004": "DET104",
+_TAINT_OF_SOURCE = {
+    kind.source: rule for rule, kind in TAINT_RULES.items()
 }
-
-#: ``os.environ`` / ``os.getenv`` origins (DET105 has no per-file
-#: counterpart: environment reads are legitimate in CLI glue, so only
-#: reachability from a digest makes one a finding).
-_ENV_ORIGINS = frozenset(
-    {"os.environ", "os.getenv", "os.environb", "os.getenvb"}
-)
 
 
 def direct_impure_sites(ctx: ModuleContext) -> List[dict]:
     """Every impure site in one file, as taint sources.
 
-    Re-runs the per-file determinism rules (so per-file and
-    interprocedural semantics can never drift apart) — *ignoring*
-    per-file pragmas, which suppress the local finding but not the
-    fact — and adds the environment-read scan.
+    Reads the same origin-table scan and DET003 walk the per-file
+    rules report from (so per-file and interprocedural semantics can
+    never drift apart) — *ignoring* per-file pragmas, which suppress
+    the local finding but not the fact.
     """
-    from ..rules.det001_global_random import GlobalRandomRule
-    from ..rules.det002_wall_clock import WallClockRule
     from ..rules.det003_unsorted_iter import UnsortedIterationRule
-    from ..rules.det004_builtin_hash import BuiltinHashRule
 
-    sites: List[dict] = []
-    for rule in (
-        GlobalRandomRule(),
-        WallClockRule(),
-        UnsortedIterationRule(),
-        BuiltinHashRule(),
-    ):
-        if not rule.applies_to(ctx):
-            continue
-        for finding in rule.check(ctx):
-            sites.append(
-                {
-                    "line": finding.line,
-                    "rule": _PER_FILE_TO_TAINT[finding.rule],
-                    "what": finding.message,
-                }
-            )
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, (ast.Attribute, ast.Name)):
-            continue
-        origin = ctx.resolve(node)
-        if origin in _ENV_ORIGINS:
-            parent = ctx.parent(node)
-            if (
-                isinstance(parent, ast.Attribute)
-                and ctx.resolve(parent) in _ENV_ORIGINS
-            ):
-                continue  # counted once, at the outermost origin
-            sites.append(
-                {
-                    "line": node.lineno,
-                    "rule": "DET105",
-                    "what": (
-                        f"reads the process environment ({origin}) — "
-                        "host-dependent state"
-                    ),
-                }
-            )
+    found = [
+        (site.node.lineno, site.rule, site.message)
+        for site in ctx.origin_sites
+    ]
+    found += [
+        (finding.line, finding.rule, finding.message)
+        for finding in UnsortedIterationRule().check(ctx)
+    ]
+    sites = [
+        {"line": line, "rule": _TAINT_OF_SOURCE[rule], "what": what}
+        for line, rule, what in found
+    ]
     sites.sort(key=lambda site: (site["line"], site["rule"]))
     return sites
 
@@ -208,7 +226,7 @@ def taint_findings(
             if key in found:
                 continue
             chain = CallGraph.chain(parents, fqn)
-            label = TAINT_RULES[rule][1]
+            label = TAINT_RULES[rule].label
             found[key] = {
                 "rule": rule,
                 "path": info["path"],

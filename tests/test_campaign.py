@@ -385,7 +385,7 @@ class TestOutOfCore:
         result = run_campaign(fast_config(), workers=1)
         assert result.complete
 
-    def test_shm_handoff_round_trip_verifies_digest(self):
+    def test_inline_handoff_round_trip_verifies_digest(self):
         from repro.campaign import HandoffError
         from repro.campaign.handoff import collect_partial, publish_partial
 
@@ -395,19 +395,36 @@ class TestOutOfCore:
         handoff = publish_partial(
             spec, partial.to_payload(), partial.records, [], layout=None
         )
-        assert handoff.transport in ("shm", "inline")
+        assert handoff.transport == "inline"
         payload = collect_partial(handoff, None, spec)
         assert (
             PartialResult.from_payload(payload).digest()
             == partial.digest()
         )
         # A tampered digest must be caught, not merged.
-        handoff2 = publish_partial(
-            spec, partial.to_payload(), partial.records, [], layout=None
-        )
-        handoff2.result_sha256 = "0" * 64
+        handoff.result_sha256 = "0" * 64
         with pytest.raises(HandoffError):
-            collect_partial(handoff2, None, spec)
+            collect_partial(handoff, None, spec)
+
+    def test_file_handoff_catches_corrupted_result_file(self, tmp_path):
+        from repro.campaign import CampaignLayout, HandoffError
+        from repro.campaign.handoff import collect_partial, publish_partial
+
+        config = fast_config(days=1, shards=1)
+        spec = config.shard_plan()[0]
+        partial = run_shard(config, spec)[0]
+        layout = CampaignLayout(tmp_path)
+        layout.prepare()
+        handoff = publish_partial(
+            spec, partial.to_payload(), partial.records, [], layout
+        )
+        assert handoff.transport == "file"
+        assert collect_partial(handoff, layout, spec) == partial.to_payload()
+        # Corrupt the result file between publish and collect.
+        path = layout.result_path(spec)
+        path.write_text(path.read_text().replace("1", "2", 1))
+        with pytest.raises(HandoffError):
+            collect_partial(handoff, layout, spec)
 
     def test_mid_shard_kill_resumes_at_first_unfinished_day(
         self, tmp_path

@@ -1,11 +1,11 @@
-"""Tests for ``repro.lint``: per-rule fixtures, pragmas, baseline, CLI.
+"""Tests for ``repro.lint``: per-rule fixtures, pragmas, CLI.
 
 Each rule gets at least a positive fixture (a snippet the rule must
 flag — these tests fail if the rule is deleted), a negative fixture
 (the compliant spelling), an aliased/edge variant the old regex audit
 could not see, and a pragma-suppressed case.  ``TestRepoIsClean`` is
 the tier-1 gate that replaced the regex determinism audit: the whole
-repo at HEAD must lint clean with an empty baseline.
+repo at HEAD must lint clean.
 """
 
 import json
@@ -17,13 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import (
-    LintEngine,
-    apply_baseline,
-    load_baseline,
-    rules_by_id,
-    write_baseline,
-)
+from repro.lint import LintEngine, rules_by_id
 
 ROOT = Path(__file__).parent.parent
 
@@ -601,47 +595,6 @@ class TestLINT000Pragmas:
         assert findings == []
 
 
-class TestBaseline:
-    def test_baseline_absorbs_exactly_its_multiset(self, tmp_path):
-        files = {
-            "mod.py": """
-            import random
-            a = random.random()
-            b = random.random()
-            """
-        }
-        findings = lint_snippets(tmp_path, files, rule="DET001")
-        assert len(findings) == 2
-        baseline_path = tmp_path / "baseline.json"
-        # Baseline only the first occurrence: the second (same snippet,
-        # same rule, same file) must still fail the run.
-        write_baseline(baseline_path, findings[:1])
-        new, matched = apply_baseline(
-            findings, load_baseline(baseline_path)
-        )
-        assert matched == 1
-        assert len(new) == 1
-
-    def test_round_trip_is_clean(self, tmp_path):
-        files = {
-            "repro/core/hot.py": """
-            class Unslotted:
-                pass
-            """
-        }
-        findings = lint_snippets(tmp_path, files, rule="HOT001")
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(baseline_path, findings)
-        new, matched = apply_baseline(
-            findings, load_baseline(baseline_path)
-        )
-        assert new == []
-        assert matched == len(findings)
-
-    def test_missing_baseline_is_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "absent.json") == {}
-
-
 def run_cli(args, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src") + (
@@ -671,7 +624,6 @@ class TestCli:
         report = json.loads(result.stdout)
         assert report["schema"] == 2
         assert report["counts"] == {"HOT001": 1}
-        assert report["baselined"] == 0
         assert report["suppressed"] == 0
         (finding,) = report["findings"]
         assert finding["rule"] == "HOT001"
@@ -690,17 +642,6 @@ class TestCli:
         assert result.returncode == 0
         assert "0 new finding(s)" in result.stdout
 
-    def test_fix_baseline_then_clean(self, fixture_repo):
-        first = run_cli(["--fix-baseline"], cwd=fixture_repo)
-        assert first.returncode == 0
-        baseline = json.loads(
-            (fixture_repo / "lint-baseline.json").read_text()
-        )
-        assert len(baseline["findings"]) == 1
-        second = run_cli([], cwd=fixture_repo)
-        assert second.returncode == 0
-        assert "1 baselined" in second.stdout
-
     def test_output_writes_report_file(self, fixture_repo):
         result = run_cli(
             ["--output", "report.json"], cwd=fixture_repo
@@ -713,19 +654,42 @@ class TestCli:
         result = run_cli(["--root", "does-not-exist"], cwd=tmp_path)
         assert result.returncode == 2
 
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--jobs", "2"],
+            ["--cache", "c.json"],
+            ["--no-cache"],
+            ["--baseline", "b.json"],
+            ["--fix-baseline"],
+        ],
+        ids=lambda flag: flag[0],
+    )
+    def test_removed_flags_are_rejected(self, tmp_path, flag):
+        # One execution mode: the cache / pool / baseline knobs are
+        # gone and must not drift back.
+        result = run_cli(flag, cwd=tmp_path)
+        assert result.returncode == 2
+        assert "unrecognized arguments" in result.stderr
+
     def test_list_rules_names_all_fourteen(self, tmp_path):
         result = run_cli(["--list-rules"], cwd=tmp_path)
         assert result.returncode == 0
-        for rule_id in (
-            "LINT000", "DET001", "DET002", "DET003", "DET004",
+        listed = [
+            line.split()[0]
+            for line in result.stdout.splitlines()
+            if not line.startswith(" ")
+        ]
+        # Exact, ordered: a dropped, renamed, or added id fails here.
+        assert listed == [
+            "CON001", "DET001", "DET002", "DET003", "DET004",
             "DET101", "DET102", "DET103", "DET104", "DET105",
-            "HOT001", "MRG001", "CON001", "PRO001",
-        ):
-            assert rule_id in result.stdout
+            "HOT001", "LINT000", "MRG001", "PRO001",
+        ]
 
 
 class TestRepoIsClean:
-    """The tier-1 gate: the repo at HEAD lints clean, empty baseline."""
+    """The tier-1 gate: the repo at HEAD lints clean."""
 
     def test_src_and_tests_have_no_findings(self):
         engine = LintEngine(ROOT)
@@ -733,11 +697,4 @@ class TestRepoIsClean:
         assert report.files > 100, "gate is not seeing the repo"
         assert report.findings == [], "\n".join(
             f.render() for f in report.findings
-        )
-
-    def test_committed_baseline_is_empty(self):
-        baseline = load_baseline(ROOT / "lint-baseline.json")
-        assert sum(baseline.values()) == 0, (
-            "policy: fix or pragma-justify findings instead of "
-            "baselining them (see docs/LINTING.md)"
         )

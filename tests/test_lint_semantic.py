@@ -5,8 +5,7 @@ method dispatch through inferred receiver types, Protocol fan-out,
 cycles), the interprocedural determinism taint pass (DET1xx: fixed
 point, multi-frame call chains in messages, pragma discipline at the
 *source* site), the process-boundary contract rule (CON001), static
-Protocol conformance (PRO001), the content-sha result cache, the
-parallel front-end, and file discovery exclusions.
+Protocol conformance (PRO001), and file discovery exclusions.
 
 The regression class at the bottom re-introduces a wall-clock read
 into a copy of the real ``run_campaign`` and asserts DET102 reports
@@ -37,14 +36,12 @@ def write_tree(tmp_path, files):
         path.write_text(textwrap.dedent(text))
 
 
-def lint_tree(tmp_path, files, rule=None, **kwargs):
+def lint_tree(tmp_path, files, rule=None):
     """Write fixture files, lint the tree, return findings (for one
     rule id when given, else all)."""
     write_tree(tmp_path, files)
     rules = None if rule is None else rules_by_id(rule)
-    report = LintEngine(tmp_path, rules=rules).lint_paths(
-        [tmp_path], **kwargs
-    )
+    report = LintEngine(tmp_path, rules=rules).lint_paths([tmp_path])
     findings = report.findings
     if rule is not None:
         findings = [f for f in findings if f.rule == rule]
@@ -507,64 +504,6 @@ class TestPRO001:
             rule="PRO001",
         )
         assert findings == []
-
-
-class TestCacheAndJobs:
-    FILES = {
-        "pkg/__init__.py": "",
-        "pkg/a.py": "def f():\n    return 1\n",
-        "pkg/b.py": "def g():\n    return 2\n",
-    }
-
-    def test_warm_cache_hits_and_edit_invalidates(self, tmp_path):
-        write_tree(tmp_path, self.FILES)
-        cache = tmp_path / "cache.json"
-        engine = LintEngine(tmp_path)
-        cold = engine.lint_paths([tmp_path], cache_path=cache)
-        assert cold.cache_hits == 0
-        assert cold.cache_misses == cold.files > 0
-
-        warm = engine.lint_paths([tmp_path], cache_path=cache)
-        assert warm.cache_misses == 0
-        assert warm.cache_hits == warm.files
-        assert warm.findings == []
-
-        # Edit one file to introduce a violation: only that file
-        # re-analyzes, and the finding is NOT served stale.
-        (tmp_path / "pkg/a.py").write_text(
-            "import random\n\ndef f():\n    return random.random()\n"
-        )
-        third = engine.lint_paths([tmp_path], cache_path=cache)
-        assert third.cache_misses == 1
-        assert third.cache_hits == third.files - 1
-        assert [f.rule for f in third.findings] == ["DET001"]
-
-    def test_cache_keyed_by_rule_set(self, tmp_path):
-        write_tree(tmp_path, self.FILES)
-        cache = tmp_path / "cache.json"
-        LintEngine(tmp_path, rules=rules_by_id("DET001")).lint_paths(
-            [tmp_path], cache_path=cache
-        )
-        # A different rule set must not reuse those entries.
-        full = LintEngine(tmp_path).lint_paths(
-            [tmp_path], cache_path=cache
-        )
-        assert full.cache_hits == 0
-
-    def test_parallel_front_end_matches_serial(self, tmp_path):
-        files = dict(TAINT_FIXTURE)
-        files["pkg/dirty.py"] = (
-            "import random\n\nVALUE = random.random()\n"
-        )
-        write_tree(tmp_path, files)
-        serial = LintEngine(tmp_path).lint_paths([tmp_path], jobs=1)
-        parallel = LintEngine(tmp_path).lint_paths([tmp_path], jobs=2)
-        as_tuples = lambda report: [
-            (f.rule, f.path, f.line, f.message)
-            for f in report.findings
-        ]
-        assert as_tuples(serial) == as_tuples(parallel)
-        assert any(f.rule == "DET102" for f in serial.findings)
 
 
 class TestFileDiscovery:

@@ -13,8 +13,7 @@ range, seeds), the record count, a descriptor per day chunk (file,
 rows, sha256), and the result payload's digest.  Because the manifest
 file is written only after the chunks and result are safely on disk, a
 killed run leaves at worst unmanifested state — which a resumed run
-recomputes, reusing any day chunks whose digests still verify
-(:func:`first_unfinished_day` finds where real work restarts).  On
+recomputes, reusing any day chunks whose digests still verify.  On
 ``--resume`` the runner loads every manifested shard whose digests
 verify and re-runs only the rest, so finished days are never
 regenerated.
@@ -25,7 +24,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Tuple, Union
 
 from ..core.spill import ChunkCorrupt, verify_chunk
 from .config import CampaignConfig, ShardSpec, canonical_json, sha256_text
@@ -227,23 +226,3 @@ class CampaignLayout:
             partial = self.load_shard(spec)
             if partial is not None:
                 yield spec, partial
-
-    def completed(self, plan) -> Dict[int, PartialResult]:
-        """All verifiably finished shards of ``plan``, by index."""
-        return {
-            spec.index: partial for spec, partial in self.iter_completed(plan)
-        }
-
-    def first_unfinished_day(self, spec: ShardSpec) -> int:
-        """The first day of ``spec`` without a verifiable chunk on
-        disk (``day_hi`` when every day's chunk survives) — where a
-        restarted shard actually resumes generating."""
-        for day in spec.days:
-            path = self.chunk_path(spec, day)
-            if not path.exists():
-                return day
-            try:
-                verify_chunk(path)
-            except ChunkCorrupt:
-                return day
-        return spec.day_hi

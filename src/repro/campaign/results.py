@@ -44,7 +44,6 @@ from .config import CampaignConfig, canonical_json, sha256_text
 __all__ = [
     "COMMUTATIVE_MERGES",
     "PartialResult",
-    "ShardResult",
     "CampaignResult",
     "merge_partials",
 ]
@@ -235,24 +234,6 @@ def merge_partials(partials: List[PartialResult]) -> PartialResult:
     for partial in partials:
         total = total + partial
     return total
-
-
-@dataclass
-class ShardResult:
-    """A completed shard: its spec echo plus the partial aggregates.
-
-    ``chunks`` mirrors the manifest's per-day spill-chunk descriptors
-    (``{"day", "file", "rows", "sha256"}`` each); empty for in-memory
-    runs that never spilled.
-    """
-
-    index: int
-    exchange: str
-    day_lo: int
-    day_hi: int
-    records: int
-    partial: PartialResult
-    chunks: List[dict] = field(default_factory=list)
 
 
 @dataclass

@@ -10,7 +10,7 @@ from .record import (
     unique_prefixes,
 )
 from .mrt import MAGIC, MrtError, read_records, write_records
-from .log import CountingLog, FileLog, MemoryLog, open_log
+from .log import CountingLog, FileLog, MemoryLog
 from .mrt_rfc import (
     SessionEvent,
     read_bgp4mp,
@@ -29,7 +29,6 @@ from .snapshot import (
     snapshot,
 )
 from .store import (
-    DayStore,
     SECONDS_PER_DAY,
     SECONDS_PER_HOUR,
     SECONDS_PER_WEEK,
@@ -51,7 +50,6 @@ __all__ = [
     "CountingLog",
     "FileLog",
     "MemoryLog",
-    "open_log",
     "SessionEvent",
     "read_bgp4mp",
     "read_state_changes",
@@ -65,7 +63,6 @@ __all__ = [
     "dump_table",
     "load_table",
     "snapshot",
-    "DayStore",
     "SECONDS_PER_DAY",
     "SECONDS_PER_HOUR",
     "SECONDS_PER_WEEK",

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 from collections import Counter
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Union
+from typing import Dict, Iterable, Iterator, List, Union
 
 from .mrt import read_records, write_records
 from .record import UpdateKind, UpdateRecord
 
-__all__ = ["MemoryLog", "FileLog", "CountingLog", "open_log"]
+__all__ = ["MemoryLog", "FileLog", "CountingLog"]
 
 
 class MemoryLog:
@@ -90,17 +90,6 @@ class FileLog:
         from ..core.columns import RecordColumns
 
         return RecordColumns.concat(list(self.iter_column_batches(attrs=attrs)))
-
-    def sha256(self) -> str:
-        """Hex digest of the archive bytes (campaign shard manifests
-        record this so a resumed run can verify finished output)."""
-        import hashlib
-
-        digest = hashlib.sha256()
-        with open(self.path, "rb") as stream:
-            for chunk in iter(lambda: stream.read(1 << 20), b""):
-                digest.update(chunk)
-        return digest.hexdigest()
 
 
 class _FileLogWriter:
@@ -177,9 +166,3 @@ class CountingLog:
             "withdraw": self.withdraws.get(asn, 0),
             "unique": self.unique_prefixes(asn),
         }
-
-
-def open_log(path: Optional[Union[str, Path]] = None):
-    """Convenience factory: a FileLog if ``path`` is given, else a
-    MemoryLog."""
-    return FileLog(path) if path is not None else MemoryLog()

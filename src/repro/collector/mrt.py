@@ -236,11 +236,3 @@ def read_column_batches(
             rows = []
     if rows:
         yield RecordColumns(np.array(rows, dtype=RECORD_DTYPE), table)
-
-
-def roundtrip_file(path: str, records: Iterable[UpdateRecord]) -> List[UpdateRecord]:
-    """Write ``records`` to ``path`` and read them back (test helper)."""
-    with open(path, "wb") as f:
-        write_records(f, records)
-    with open(path, "rb") as f:
-        return list(read_records(f))

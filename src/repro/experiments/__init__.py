@@ -2,7 +2,6 @@
 pathology study and the countermeasure ablations."""
 
 from .registry import (
-    EXPERIMENTS,
     SPECS,
     ExperimentSpec,
     experiment_ids,
@@ -10,7 +9,6 @@ from .registry import (
 )
 
 __all__ = [
-    "EXPERIMENTS",
     "SPECS",
     "ExperimentSpec",
     "experiment_ids",

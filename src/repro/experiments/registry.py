@@ -8,9 +8,7 @@ published defaults).  The CLI, the benchmark harness, the examples,
 and EXPERIMENTS.md generation all read from this one table — the
 paper-context strings live nowhere else.
 
-``EXPERIMENTS`` / ``run_experiment`` / ``experiment_ids`` keep their
-historical shapes as thin views over the specs, so pre-spec callers
-keep working unchanged.
+``run_experiment`` / ``experiment_ids`` are thin views over the specs.
 """
 
 from __future__ import annotations
@@ -50,7 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cost
 __all__ = [
     "ExperimentSpec",
     "SPECS",
-    "EXPERIMENTS",
     "run_experiment",
     "experiment_ids",
 ]
@@ -427,12 +424,6 @@ _SPEC_LIST = [
 
 #: Experiment id → spec, paper order first.
 SPECS: Dict[str, ExperimentSpec] = {spec.id: spec for spec in _SPEC_LIST}
-
-#: Back-compat view: experiment id → zero-argument runner returning
-#: ExperimentResult (the registry's original shape).
-EXPERIMENTS: Dict[str, Callable[[], ExperimentResult]] = {
-    spec.id: spec.run for spec in _SPEC_LIST
-}
 
 
 def experiment_ids() -> List[str]:

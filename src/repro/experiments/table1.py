@@ -37,7 +37,7 @@ from ..sim.faults import CustomerFlapGenerator, MisconfiguredProvider
 from ..sim.router import Router
 from ..topology.exchange import ExchangePoint
 
-__all__ = ["run", "PROVIDER_SPECS"]
+__all__ = ["run", "simulate_exchange", "PROVIDER_SPECS"]
 
 #: Provider behaviour mirroring Table 1's spread.  ``flaps`` is the
 #: per-provider customer flap rate (per second); ``bad`` marks the
@@ -55,6 +55,10 @@ PROVIDER_SPECS = {
     "Provider J": dict(stateless=False, flaps=1 / 100.0),
 }
 
+#: Provider ``index`` (in ``PROVIDER_SPECS`` order) peers as AS
+#: ``_BASE_ASN + index``; the report finds its rows by the same rule.
+_BASE_ASN = 100
+
 
 def _own_routes_only(own: list) -> RouteMap:
     """The no-transit exchange export policy: advertise own customer
@@ -67,12 +71,11 @@ def _own_routes_only(own: list) -> RouteMap:
     )
 
 
-def run(
-    duration: float = 3 * 3600.0,
-    prefixes_per_provider: int = 40,
-    seed: int = 7,
-) -> ExperimentResult:
-    """Run the Table 1 experiment; see module docstring."""
+def simulate_exchange(
+    duration: float, prefixes_per_provider: int, seed: int
+) -> MemoryLog:
+    """The Table 1 scenario (see module docstring): the updates the
+    AADS route server logged over ``duration`` steady-state seconds."""
     engine = Engine()
     sink = MemoryLog()
     exchange = ExchangePoint(engine, name="AADS", sink=sink, full_mesh=True)
@@ -92,7 +95,7 @@ def run(
         all_prefixes.extend(own)
         router = Router(
             engine,
-            asn=100 + index,
+            asn=_BASE_ASN + index,
             router_id=(10 << 24) + index + 1,
             stateless_bgp=spec.get("stateless", False),
             mrai_interval=30.0,
@@ -135,16 +138,24 @@ def run(
             bad.start()
             generators.append(bad)
     engine.run_until(engine.now + duration)
+    return sink
 
+
+def run(
+    duration: float = 3 * 3600.0,
+    prefixes_per_provider: int = 40,
+    seed: int = 7,
+) -> ExperimentResult:
+    """Run the Table 1 experiment; see module docstring."""
     counting = CountingLog()
-    counting.extend(sink)
+    counting.extend(simulate_exchange(duration, prefixes_per_provider, seed))
     table = Table(
         "Table 1 — per-ISP update totals (simulated AADS day, scaled)",
         ["Provider", "Announce", "Withdraw", "Unique"],
     )
     rows = {}
-    for name, router in routers.items():
-        row = counting.row(router.asn)
+    for index, name in enumerate(PROVIDER_SPECS):
+        row = counting.row(_BASE_ASN + index)
         rows[name] = row
         table.add_row(name, row["announce"], row["withdraw"], row["unique"])
 

@@ -37,7 +37,6 @@ CONTRACTS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
         (
             "repro.sim.engine.Engine",
             "repro.sim.refengine.ReferenceEngine",
-            "repro.sim.parallel.ParallelDriver",
         ),
     ),
 )
@@ -47,7 +46,7 @@ class ProtocolConformanceRule(ProgramRule):
     id = "PRO001"
     title = "implementer drifts from its Protocol's method contract"
     rationale = (
-        "Engine, ReferenceEngine, and ParallelDriver must stay "
+        "Engine and ReferenceEngine must stay "
         "call-compatible with the EventScheduler Protocol: the "
         "differential harness swaps them freely, and runtime "
         "isinstance() only checks method names.  A renamed method, a "

@@ -49,8 +49,9 @@ flap storm schedules thousands of events at *irregular* continuous
 times, so nearly every insert allocates a fresh single-handle bucket
 (dict miss + list allocation + float heappush) and every drained
 instant pays a dict lookup, an inner-loop setup, and a bucket
-retirement (dict delete + heappop) for one event.  BENCH_sim.json on
-one box showed flap_storm at 0.82x against the plain reference heap.
+retirement (dict delete + heappop) for one event.  Before the
+fallback, one box showed flap_storm at 0.82x against the plain
+reference heap (history: CHANGES.md PR 7).
 
 The engine therefore runs in one of two modes and migrates between
 them at safe points, preserving (time, seq) order bit-exactly:

@@ -30,12 +30,6 @@ conservative (CMB-style) parallel discrete-event simulation:
 window loop — the differential tests drive that path against a single
 :class:`~repro.sim.refengine.ReferenceEngine` run as the oracle, and
 the multi-process path must match it bit-for-bit.
-
-The driver itself implements :class:`~repro.sim.scheduler.EventScheduler`:
-``schedule``/``schedule_at``/``reschedule``/``cancel`` manage
-*host-side* events on a controller engine whose clock is the global
-window clock (useful for progress sampling at simulated instants);
-``run``/``run_until``/``step`` advance the partitioned world.
 """
 
 from __future__ import annotations
@@ -45,7 +39,7 @@ import multiprocessing
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .engine import Engine, EventHandle, SimulationError
+from .engine import Engine, SimulationError
 from .partition import (
     CrossMessage,
     ExchangeDayConfig,
@@ -80,8 +74,8 @@ class ParallelResult:
 
     #: exchange index -> domain digest (see partition_digest).
     digests: Dict[int, str]
-    #: Events processed across all partition engines (host controller
-    #: events excluded) — must equal the single-engine oracle's count.
+    #: Events processed across all partition engines — must equal the
+    #: single-engine oracle's count.
     events: int
     windows: int
     workers: int
@@ -266,17 +260,14 @@ def _mp_context():
 
 class ParallelDriver:
     """Conservative-lookahead parallel driver for the multi-exchange
-    day (see module docstring).  Implements
-    :class:`~repro.sim.scheduler.EventScheduler` over the global window
-    clock."""
+    day (see module docstring)."""
 
     __slots__ = (
         "config",
         "workers",
         "lookahead",
         "windows",
-        "_engine_cls",
-        "_controller",
+        "now",
         "_ports",
         "_routing",
         "_bounds",
@@ -300,9 +291,8 @@ class ParallelDriver:
         self.workers = max(1, min(requested, config.exchanges))
         self.lookahead = min_lookahead(config.exchanges)
         self.windows = 0
-        self._engine_cls = engine_cls
-        #: Host-side scheduler; its clock is the global window clock.
-        self._controller = Engine()
+        #: Global simulated time (the last window barrier).
+        self.now = 0.0
         #: Round-robin partition -> shard assignment (deterministic,
         #: independent of live core count).
         assignment: List[List[int]] = [[] for _ in range(self.workers)]
@@ -332,75 +322,27 @@ class ParallelDriver:
         self._result: Optional[ParallelResult] = None
         self._closed = False
 
-    # -- EventScheduler surface (host-side controller) ----------------------
+    def run(self) -> None:
+        """Run the configured day to completion (totals are reported
+        by :meth:`finish`)."""
+        self.run_until(self.config.end_time)
 
-    @property
-    def now(self) -> float:
-        """Global simulated time (the last window barrier)."""
-        return self._controller.now
-
-    @property
-    def pending(self) -> int:
-        """Host-side events still queued on the controller."""
-        return self._controller.pending
-
-    def schedule(
-        self, delay: float, callback: Callable, *args: Any
-    ) -> EventHandle:
-        """Schedule a host-side callback ``delay`` seconds from the
-        window clock; it fires at the first barrier at/after its time."""
-        return self._controller.schedule(delay, callback, *args)
-
-    def schedule_at(
-        self, time: float, callback: Callable, *args: Any
-    ) -> EventHandle:
-        return self._controller.schedule_at(time, callback, *args)
-
-    def reschedule(self, handle: EventHandle, time: float) -> EventHandle:
-        return self._controller.reschedule(handle, time)
-
-    def cancel(self, handle: EventHandle) -> None:
-        self._controller.cancel(handle)
-
-    def next_event_time(self) -> Optional[float]:
-        return self._controller.next_event_time()
-
-    def step(self) -> bool:
-        """Advance one window; False once the day is complete."""
-        end = self.config.end_time
-        if self.now >= end:
-            return False
-        self._advance_window(end)
-        return True
-
-    def run(self, max_events: Optional[int] = None) -> int:
-        """Run the configured day to completion.  Returns the number
-        of host-side controller events fired (partition event totals
-        are reported by :meth:`finish`)."""
-        return self.run_until(self.config.end_time, max_events)
-
-    def run_until(
-        self, end_time: float, max_events: Optional[int] = None
-    ) -> int:
+    def run_until(self, end_time: float) -> None:
         """Advance the partitioned world (and the window clock) to
         ``end_time`` in conservative windows."""
         if self._result is not None:
             raise SimulationError("driver already finished")
-        fired = 0
-        limit = float("inf") if max_events is None else max_events
-        while self.now < end_time and fired < limit:
-            fired += self._advance_window(end_time)
-        return fired
+        while self.now < end_time:
+            self._advance_window(end_time)
 
     # -- the window loop ----------------------------------------------------
 
-    def _advance_window(self, end_time: float) -> int:
+    def _advance_window(self, end_time: float) -> None:
         """One barrier-synchronous window: route pending messages,
         advance every shard to the safe horizon, collect sends and
-        bounds, then fire host events up to the new clock."""
-        now = self._controller.now
+        bounds, then move the clock to the barrier."""
         horizon = min(self._bounds) + self.lookahead
-        window_end = min(end_time, max(horizon, now + self.lookahead))
+        window_end = min(end_time, max(horizon, self.now + self.lookahead))
         outgoing: List[List[CrossMessage]] = [
             [] for _ in range(len(self._ports))
         ]
@@ -417,7 +359,7 @@ class ParallelDriver:
         collected.sort(key=lambda m: m.sort_key)
         self._pending = collected
         self.windows += 1
-        return self._controller.run_until(window_end)
+        self.now = window_end
 
     # -- completion ---------------------------------------------------------
 

@@ -5,8 +5,9 @@ preserved verbatim as a *differential oracle*: one ``heappush`` and one
 ``heappop`` per event, handles compared by ``EventHandle.__lt__`` in
 Python.  ``tests/test_engine_equivalence.py`` drives randomized
 schedule/cancel/re-arm workloads through both engines and asserts
-identical ``(time, seq)`` firing order; ``benchmarks/bench_sim.py``
-uses it as the timing baseline and checks old-vs-new digests.
+identical ``(time, seq)`` firing order;
+``tests/test_parallel_sim.py::test_simulate_engines_agree`` checks
+old-vs-new digests on every named scenario.
 
 It shares :class:`~repro.sim.engine.EventHandle` (handles are created
 with ``engine=None`` so cancellation skips the calendar queue's

@@ -1,17 +1,17 @@
 """The formal scheduler contract of the simulation substrate.
 
-Every driver of simulated time — the calendar-queue :class:`~repro.sim.engine.Engine`,
-the plain-heap :class:`~repro.sim.refengine.ReferenceEngine` oracle,
-and the partitioned :class:`~repro.sim.parallel.ParallelDriver` — is an
-:class:`EventScheduler`.  Scenario code written against this protocol
-(routers, timers, links, fault injectors, the
-:func:`repro.sim.scenarios.simulate` façade) runs unchanged on any of
-them; the differential test suite leans on that substitutability.
+Both engines — the calendar-queue :class:`~repro.sim.engine.Engine`
+and the plain-heap :class:`~repro.sim.refengine.ReferenceEngine`
+oracle — are :class:`EventScheduler` implementations.  Scenario code
+written against this protocol (routers, timers, links, fault
+injectors, the :func:`repro.sim.scenarios.simulate` façade) runs
+unchanged on either; the differential test suite leans on that
+substitutability.
 
 The contract, beyond the signatures:
 
 - Events fire in ``(time, insertion-order)`` order; two events at the
-  same instant fire in the order they were scheduled.  All
+  same instant fire in the order they were scheduled.  Both
   implementations must reproduce this order *bit-exactly* — it is what
   the engine-equivalence digests pin down.
 - ``schedule``/``schedule_at`` return an :class:`~repro.sim.engine.EventHandle`
@@ -20,9 +20,6 @@ The contract, beyond the signatures:
 - ``run_until(end_time)`` fires everything with ``time <= end_time``
   and then advances the clock to ``end_time`` even if idle;
   ``run()`` drains the queue; ``step()`` fires exactly one event.
-- Implementations may restrict *when* scheduling is legal (the
-  parallel driver only accepts host-side events between windows), but
-  never reorder what they accepted.
 """
 
 from __future__ import annotations

@@ -18,9 +18,8 @@ the calendar-queue simulator:
   start from identical ground.
 
 Do NOT optimize this module; its only job is to stay the fixed point
-the vectorized tier is diffed (and timed) against — the parity tests
-in ``tests/test_generator_parity.py`` and the generation-throughput
-bar in ``benchmarks/run_bench.py`` both rest on it.
+the vectorized tier is diffed against — the parity tests in
+``tests/test_generator_parity.py`` rest on it.
 """
 
 from __future__ import annotations

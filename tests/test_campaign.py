@@ -9,7 +9,10 @@ over randomized shard splits and fold orders.
 """
 
 import json
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -449,8 +452,7 @@ class TestOutOfCore:
             )
         layout = CampaignLayout(config.out)
         # Days 0 and 1 spilled; the manifest never happened.
-        assert layout.completed([spec]) == {}
-        assert layout.first_unfinished_day(spec) == 2
+        assert list(layout.iter_completed([spec])) == []
 
         seen = []
         resumed = run_campaign(
@@ -469,6 +471,7 @@ class TestOutOfCore:
         assert resumed.partial.digest() == fresh.partial.digest()
 
     def test_corrupt_chunk_regenerated_on_resume(self, tmp_path):
+        from repro.campaign import CampaignHooks
         from repro.core.spill import ChunkCorrupt, verify_chunk
 
         config = fast_config(
@@ -486,12 +489,58 @@ class TestOutOfCore:
         # reusing the intact chunks and regenerating the damaged day
         # to identical bytes.
         assert layout.load_shard(spec) is None
-        assert layout.first_unfinished_day(spec) == 1
-        resumed = run_campaign(config, resume=True)
+        seen = []
+        resumed = run_campaign(
+            config,
+            resume=True,
+            hooks=CampaignHooks(
+                on_chunk=lambda s, day, how: seen.append((day, how))
+            ),
+        )
+        assert seen == [(0, "loaded"), (1, "generated"), (2, "loaded")]
         assert resumed.shards_run == 1
         assert chunk.read_bytes() == good
         fresh = run_campaign(fast_config(days=3, shards=1))
         assert resumed.partial.digest() == fresh.partial.digest()
+
+    @pytest.mark.slow
+    @pytest.mark.skipif(
+        not hasattr(os, "wait4"), reason="needs os.wait4 for child RSS"
+    )
+    def test_peak_rss_flat_across_horizon(self, tmp_path):
+        """The flat-memory claim: tripling the horizon of a spilling
+        campaign leaves the process's peak RSS within 1.25x, because
+        only one day of columns is ever alive per worker.  Sized so a
+        retained day batch shows: at this population a day is ~200k
+        records, and the short run already pays the fixed start-up."""
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get(
+            "PYTHONPATH", ""
+        )
+
+        def peak_rss(days: int) -> int:
+            child = subprocess.Popen(
+                [
+                    sys.executable, "-m", "repro", "campaign",
+                    "--days", str(days), "--shards", "4",
+                    "--workers", "1", "--seed", "17",
+                    "--peers", "30", "--prefixes", "4000",
+                    "--out", str(tmp_path / f"days-{days}"),
+                ],
+                env=env,
+                stdout=subprocess.DEVNULL,
+                stderr=subprocess.DEVNULL,
+            )
+            _, status, usage = os.wait4(child.pid, 0)
+            child.returncode = os.waitstatus_to_exitcode(status)
+            assert child.returncode == 0
+            return usage.ru_maxrss
+
+        short, long = peak_rss(4), peak_rss(12)
+        assert long <= 1.25 * short, (
+            f"peak RSS grew {long / short:.2f}x from 4 to 12 days"
+        )
 
 
 class TestCampaignResult:

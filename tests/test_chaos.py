@@ -86,7 +86,7 @@ class TestHooks:
                 config, hooks=CampaignHooks(before_manifest=kill_first)
             )
         layout = CampaignLayout(config.out)
-        assert layout.completed(config.shard_plan()) == {}
+        assert list(layout.iter_completed(config.shard_plan())) == []
         resumed = run_campaign(config, resume=True)
         assert resumed.shards_loaded == 0
         assert resumed.partial.digest() == clean_digest

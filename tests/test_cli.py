@@ -41,6 +41,33 @@ class TestSimulateClassify:
         assert "updates" in out
         assert "pathological" in out
 
+    def test_archive_is_the_route_server_log(self, tmp_path, capsys):
+        """``simulate`` archives exactly what the Table 1 scenario's
+        route server logged, and ``classify`` reads all of it back."""
+        from repro.collector.mrt_rfc import read_bgp4mp
+        from repro.experiments.table1 import simulate_exchange
+
+        archive = tmp_path / "exchange.mrt"
+        assert main(
+            ["simulate", "-o", str(archive), "--hours", "0.1", "--seed", "3"]
+        ) == 0
+        logged = simulate_exchange(
+            duration=360.0, prefixes_per_provider=40, seed=3
+        ).sorted_by_time()
+        assert logged
+        with open(archive, "rb") as stream:
+            replayed = list(read_bgp4mp(stream))
+        # MRT timestamps are whole seconds; everything else survives.
+        assert [
+            (int(r.time), r.peer_asn, r.kind, r.prefix, r.attributes)
+            for r in replayed
+        ] == [
+            (int(r.time), r.peer_asn, r.kind, r.prefix, r.attributes)
+            for r in logged
+        ]
+        assert main(["classify", str(archive)]) == 0
+        assert f"{len(logged)} updates" in capsys.readouterr().out
+
     def test_classify_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             main(["classify", str(tmp_path / "nope.mrt")])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.bgp.attributes import AsPath, PathAttributes
 from repro.bgp.messages import KeepAliveMessage, UpdateMessage
 from repro.bgp.wire import encode_message
-from repro.collector.log import CountingLog, FileLog, MemoryLog, open_log
+from repro.collector.log import CountingLog, FileLog, MemoryLog
 from repro.collector.mrt import (
     MAGIC,
     MrtError,
@@ -25,7 +25,7 @@ from repro.collector.record import (
     flatten_update,
     unique_prefixes,
 )
-from repro.collector.store import SECONDS_PER_DAY, DayStore, day_of
+from repro.collector.store import SECONDS_PER_DAY, day_of
 from repro.net.prefix import Prefix
 
 from .test_prefix import prefixes
@@ -244,10 +244,6 @@ class TestLogs:
             assert writer.count == 2
         assert FileLog(path).read_all() == records
 
-    def test_open_log_factory(self, tmp_path):
-        assert isinstance(open_log(), MemoryLog)
-        assert isinstance(open_log(tmp_path / "x.mrt"), FileLog)
-
     def test_counting_log_rows(self):
         log = CountingLog()
         log.extend(
@@ -265,44 +261,7 @@ class TestLogs:
 
 
 class TestDayStore:
-    def test_partitions_by_day(self):
-        store = DayStore()
-        store.extend(
-            [
-                withdraw(time=10.0),
-                withdraw(time=SECONDS_PER_DAY + 5.0),
-                announce(time=SECONDS_PER_DAY + 1.0),
-            ]
-        )
-        assert store.days() == [0, 1]
-        assert len(store.records_for(0)) == 1
-        day1 = store.records_for(1)
-        assert [r.time for r in day1] == [SECONDS_PER_DAY + 1.0,
-                                          SECONDS_PER_DAY + 5.0]
-        assert len(store) == 3
-
     def test_day_of(self):
         assert day_of(0.0) == 0
         assert day_of(SECONDS_PER_DAY - 0.001) == 0
         assert day_of(SECONDS_PER_DAY) == 1
-
-    def test_coverage_filter(self):
-        store = DayStore()
-        store.add(withdraw(time=100.0))
-        # Lose 40 of 144 bins on day 0 -> coverage ~0.72 < 0.8.
-        for b in range(40):
-            store.mark_lost(0, b)
-        store.add(withdraw(time=SECONDS_PER_DAY + 1))
-        assert store.coverage(0) == pytest.approx(1 - 40 / 144)
-        assert store.well_covered_days() == [1]
-
-    def test_mark_lost_validates_bin(self):
-        store = DayStore()
-        with pytest.raises(ValueError):
-            store.mark_lost(0, 144)
-
-    def test_iteration_yields_sorted_days(self):
-        store = DayStore()
-        store.add(withdraw(time=SECONDS_PER_DAY * 3))
-        store.add(withdraw(time=0.0))
-        assert [day for day, _ in store] == [0, 3]

@@ -8,9 +8,7 @@ materializations of any day stay bit-identical forever:
 - vectorized ``day_columns`` (NumPy slab emission), the production
   path (``day_records`` is its ``to_records()``),
 - the preserved pre-vectorization tier
-  (:mod:`repro.verify.refgen`, the single scalar draw-order oracle
-  the generation-throughput bar in ``benchmarks/run_bench.py`` is
-  also timed against).
+  (:mod:`repro.verify.refgen`, the single scalar draw-order oracle).
 
 These tests pin that contract across the fuzz-seed corpus, pair
 fractions, incident overlays, diurnal schedules, and the shared

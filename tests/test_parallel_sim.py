@@ -7,7 +7,8 @@ domain digests bit-for-bit.  The property tests drive seeded
 :class:`ExchangeDayConfig` days through oracle and driver and compare;
 the golden test pins a 5-exchange parallel digest; the API tests cover
 the :class:`EventScheduler` protocol, the :func:`repro.sim.simulate`
-façade, the deprecation shims, and the ``sim`` CLI.
+façade (both engines agree on every named scenario), and the ``sim``
+CLI.
 """
 
 import warnings
@@ -16,6 +17,8 @@ import pytest
 
 from repro.__main__ import main as repro_main
 from repro.sim import (
+    DAY_SCENARIOS,
+    SCENARIOS,
     Engine,
     EventScheduler,
     ExchangeDayConfig,
@@ -135,11 +138,6 @@ def test_worker_failure_surfaces_as_parallel_error():
 def test_engines_implement_event_scheduler():
     assert isinstance(Engine(), EventScheduler)
     assert isinstance(ReferenceEngine(), EventScheduler)
-    driver = ParallelDriver(_small_day(1), workers=1)
-    try:
-        assert isinstance(driver, EventScheduler)
-    finally:
-        driver.close()
 
 
 def test_engine_level_cancel():
@@ -152,33 +150,19 @@ def test_engine_level_cancel():
         assert fired == [] and engine.pending == 0
 
 
-def test_driver_host_side_scheduling():
-    """Host events on the window clock fire at/after their instants,
-    interleaved with the partitioned run."""
-    config = _small_day(2)
-    samples = []
-    with ParallelDriver(config, workers=1) as driver:
-        driver.schedule(50.0, lambda: samples.append(driver.now))
-        cancelled = driver.schedule_at(60.0, samples.append, -1.0)
-        driver.cancel(cancelled)
-        driver.run()
-        result = driver.finish()
-    assert len(samples) == 1 and samples[0] >= 50.0
-    assert -1.0 not in samples
-    assert result.events > 0
-
-
 # -- the simulate() façade --------------------------------------------------
 
-def test_simulate_engines_agree():
-    ref = simulate("multi_exchange_day", engine="reference", smoke=True)
-    cal = simulate("multi_exchange_day", engine="calendar", smoke=True)
-    par = simulate(
-        "multi_exchange_day", engine="parallel", workers=2, smoke=True
-    )
-    assert ref.digest == cal.digest == par.digest
-    assert ref.events == cal.events == par.events
-    assert par.workers == 2 and par.windows > 1
+@pytest.mark.parametrize("name", [name for name, _ in SCENARIOS])
+def test_simulate_engines_agree(name):
+    ref = simulate(name, engine="reference", smoke=True)
+    cal = simulate(name, engine="calendar", smoke=True)
+    assert ref.digest == cal.digest
+    assert ref.events == cal.events
+    if name in DAY_SCENARIOS:
+        par = simulate(name, engine="parallel", workers=2, smoke=True)
+        assert par.digest == cal.digest
+        assert par.events == cal.events
+        assert par.workers == 2 and par.windows > 1
 
 
 def test_simulate_seed_changes_digest():

@@ -17,14 +17,25 @@ tools re-parsed real packets.
 from __future__ import annotations
 
 import struct
-from typing import BinaryIO, Dict, Iterable, Iterator, List, Tuple
+from typing import (
+    Any,
+    BinaryIO,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+)
 
 import numpy as np
 
+from ..bgp.attributes import PathAttributes
 from ..bgp.messages import UpdateMessage
 from ..bgp.wire import WireError, decode_message, encode_message
 from ..net.prefix import Prefix
-from .record import UpdateKind, UpdateRecord, flatten_update
+from .record import UpdateKind, UpdateRecord
 
 __all__ = [
     "MrtError",
@@ -40,6 +51,29 @@ __all__ = [
 MAGIC = b"RRIL1\x00"
 
 _RECORD_HEADER = struct.Struct(">IIHIH")  # secs, usecs, peer_asn, peer_ip, length
+_RECORD_LENGTH = struct.Struct(">14xH")  # the length field alone
+#: The same header as a NumPy record, for a batch of frames at once.
+_HEADER_DTYPE = np.dtype(
+    [
+        ("seconds", ">u4"),
+        ("microseconds", ">u4"),
+        ("peer_asn", ">u2"),
+        ("peer_id", ">u4"),
+        ("length", ">u2"),
+    ]
+)
+#: ``RECORD_DTYPE``'s payload-determined fields, as the columnar
+#: reader's memo keeps them per distinct payload.
+_ROW_TAIL = struct.Struct("=IBBI")  # net, plen, kind, attr_id
+_ROW_TAIL_DTYPE = np.dtype(
+    [("net", "u4"), ("plen", "u1"), ("kind", "u1"), ("attr_id", "u4")]
+)
+
+#: The reader takes the stream in blocks of this many bytes and walks
+#: the frames of each block in place.
+_BLOCK_BYTES = 1 << 18
+#: Total payload bytes one read's memo may hold as keys.
+_MEMO_KEY_BYTES = 1 << 20
 
 
 class MrtError(ValueError):
@@ -95,48 +129,157 @@ def write_records(
     return count
 
 
-def _read_frames(
-    stream: BinaryIO,
-) -> Iterator[Tuple[float, int, int, UpdateMessage]]:
-    """Validate and decode an archive frame by frame.
+class PayloadMemo:
+    """Per-read memo ``payload bytes → row``: the one place an archived
+    BGP UPDATE is decoded.
+
+    The paper's traffic is mostly byte-for-byte repeats (WWDup, AADup),
+    so each *distinct* payload is decoded and validated once per read
+    and a repeat costs one dict lookup.  ``row_of`` turns the decoded
+    :class:`UpdateMessage` into what the calling reader keeps per
+    payload, or rejects it; only accepted payloads are remembered.
+
+    The memo is bounded by total key bytes: at ``_MEMO_KEY_BYTES`` it
+    is cleared wholesale, so a hostile archive of all-distinct payloads
+    pays a decode per frame — what every frame paid before — and does
+    not grow the process.
+    """
+
+    __slots__ = ("_rows", "_row_of", "key_bytes")
+
+    def __init__(self, row_of: Callable[[UpdateMessage], Any]) -> None:
+        self._rows: Dict[bytes, Any] = {}
+        self._row_of = row_of
+        self.key_bytes = 0
+
+    def resolve(self, payload: bytes) -> Any:
+        """The row of ``payload``; ``None`` when it is not exactly one
+        BGP UPDATE.  The decoder's :class:`WireError` and whatever
+        ``row_of`` raises propagate."""
+        row = self._rows.get(payload)
+        if row is None:
+            message, consumed = decode_message(payload)
+            if consumed != len(payload) or not isinstance(
+                message, UpdateMessage
+            ):
+                return None
+            row = self._row_of(message)
+            if self.key_bytes + len(payload) > _MEMO_KEY_BYTES:
+                self._rows.clear()
+                self.key_bytes = 0
+            self._rows[payload] = row
+            self.key_bytes += len(payload)
+        return row
+
+
+def update_rows(
+    message: UpdateMessage,
+) -> Tuple[Tuple[Prefix, UpdateKind, Optional[PathAttributes]], ...]:
+    """One ``(prefix, kind, attributes)`` row per prefix of an UPDATE,
+    withdrawals first: :func:`~repro.collector.record.flatten_update`'s
+    counting convention without the per-frame header fields."""
+    attributes = message.attributes
+    return tuple(
+        (prefix, UpdateKind.WITHDRAW, None) for prefix in message.withdrawn
+    ) + tuple(
+        (prefix, UpdateKind.ANNOUNCE, attributes)
+        for prefix in message.announced
+    )
+
+
+def _archive_row(
+    message: UpdateMessage,
+) -> Tuple[Prefix, UpdateKind, Optional[PathAttributes]]:
+    rows = update_rows(message)
+    if len(rows) != 1:
+        raise MrtError("archive records must carry exactly one prefix")
+    return rows[0]
+
+
+def _scan_frames(
+    stream: BinaryIO, memo: PayloadMemo
+) -> Iterator[Tuple[bytes, List[int], list]]:
+    """Validate and decode an archive block by block.
 
     The one validation ladder both front ends consume: file magic,
     whole header, whole payload, a payload that is exactly one BGP
-    UPDATE, and that UPDATE carrying exactly one prefix.  Yields
-    ``(time, peer_ip, peer_asn, message)``.
+    UPDATE, and that UPDATE passing ``memo``'s ``row_of`` (exactly one
+    prefix).  Yields ``(buffer, offsets, rows)`` per block: frame
+    ``i``'s header starts at ``buffer[offsets[i]]`` and ``rows[i]`` is
+    its payload's memo row.  A frame that straddles a block boundary is
+    carried into the next block; the frames ahead of any damage are
+    yielded before the error is raised.
     """
     magic = stream.read(len(MAGIC))
     if magic != MAGIC:
         raise MrtError(f"bad magic {magic!r}")
     read = stream.read
     header_size = _RECORD_HEADER.size
-    unpack = _RECORD_HEADER.unpack
+    length_of = _RECORD_LENGTH.unpack_from
+    resolve = memo.resolve
+    carry = b""
     while True:
-        header = read(header_size)
-        if not header:
-            return
-        if len(header) != header_size:
-            raise MrtError("truncated record header")
-        seconds, microseconds, peer_asn, peer_ip, length = unpack(header)
-        payload = read(length)
-        if len(payload) != length:
-            raise MrtError("truncated record payload")
+        block = read(_BLOCK_BYTES)
+        buffer = carry + block if carry else block
+        end = len(buffer)
+        offsets: List[int] = []
+        rows: list = []
+        position = 0
         try:
-            message, consumed = decode_message(payload)
-        except WireError as exc:
-            raise MrtError(f"bad BGP payload: {exc}") from exc
-        if consumed != length or not isinstance(message, UpdateMessage):
-            raise MrtError("record payload is not a single BGP UPDATE")
-        if len(message.withdrawn) + len(message.announced) != 1:
-            raise MrtError("archive records must carry exactly one prefix")
-        yield seconds + microseconds / 1_000_000, peer_ip, peer_asn, message
+            while True:
+                body = position + header_size
+                if body > end:
+                    break
+                stop = body + length_of(buffer, position)[0]
+                if stop > end:
+                    break
+                try:
+                    row = resolve(buffer[body:stop])
+                except WireError as exc:
+                    raise MrtError(f"bad BGP payload: {exc}") from exc
+                if row is None:
+                    raise MrtError(
+                        "record payload is not a single BGP UPDATE"
+                    )
+                offsets.append(position)
+                rows.append(row)
+                position = stop
+        except MrtError:
+            if offsets:
+                yield buffer, offsets, rows
+            raise
+        if offsets:
+            yield buffer, offsets, rows
+        carry = buffer[position:]
+        if not block:  # end of stream: whatever is carried is cut short
+            if not carry:
+                return
+            raise MrtError(
+                "truncated record header"
+                if len(carry) < header_size
+                else "truncated record payload"
+            )
 
 
 def read_records(stream: BinaryIO) -> Iterator[UpdateRecord]:
     """Deserialize records from ``stream`` (reverse of
     :func:`write_records`)."""
-    for time, peer_ip, peer_asn, message in _read_frames(stream):
-        yield flatten_update(time, peer_ip, peer_asn, message)[0]
+    header = _RECORD_HEADER.unpack_from
+    for buffer, offsets, rows in _scan_frames(
+        stream, PayloadMemo(_archive_row)
+    ):
+        for offset, (prefix, kind, attributes) in zip(offsets, rows):
+            seconds, microseconds, peer_asn, peer_ip, _ = header(
+                buffer, offset
+            )
+            yield UpdateRecord(
+                seconds + microseconds / 1_000_000,
+                peer_ip,
+                peer_asn,
+                prefix,
+                kind,
+                attributes,
+            )
 
 
 def write_column_bodies(stream: BinaryIO, columns) -> int:
@@ -146,6 +289,9 @@ def write_column_bodies(stream: BinaryIO, columns) -> int:
     The wire payload depends only on (prefix, attributes), so encoded
     payloads are cached per distinct ``(net, plen, attr_id)`` — a flap
     re-announcing the same bundle thousands of times encodes once.
+    The headers are packed for the whole batch at once
+    (:func:`_split_time` over the time column) and the batch leaves in
+    one write.
     """
     from ..core.columns import NO_ATTR  # local: core.columns imports us
 
@@ -154,12 +300,8 @@ def write_column_bodies(stream: BinaryIO, columns) -> int:
     no_attr = int(NO_ATTR)
     announce = int(UpdateKind.ANNOUNCE)
     payloads: Dict[Tuple[int, int, int], bytes] = {}
-    pack = _RECORD_HEADER.pack
-    write = stream.write
-    for time, peer_id, peer_asn, net, plen, kind, attr_id in zip(
-        data["time"].tolist(),
-        data["peer_id"].tolist(),
-        data["peer_asn"].tolist(),
+    bodies: List[bytes] = []
+    for net, plen, kind, attr_id in zip(
         data["net"].tolist(),
         data["plen"].tolist(),
         data["kind"].tolist(),
@@ -178,9 +320,35 @@ def write_column_bodies(stream: BinaryIO, columns) -> int:
             else:
                 message = UpdateMessage(withdrawn=(prefix,))
             payload = payloads[key] = encode_message(message)
-        seconds, microseconds = _split_time(time)
-        write(pack(seconds, microseconds, peer_asn, peer_id, len(payload)))
-        write(payload)
+        bodies.append(payload)
+
+    times = data["time"]
+    seconds = np.trunc(times)
+    microseconds = np.rint((times - seconds) * 1_000_000)
+    spill = microseconds == 1_000_000  # rounding spill-over
+    seconds[spill] += 1
+    microseconds[spill] = 0
+    # The casts below would wrap where struct.pack refuses.
+    if not (
+        (seconds >= 0) & (seconds <= 0xFFFFFFFF) & (microseconds >= 0)
+    ).all() or (data["peer_asn"] > 0xFFFF).any():
+        raise struct.error("record header field out of range")
+    headers = np.empty(len(data), dtype=_HEADER_DTYPE)
+    headers["seconds"] = seconds
+    headers["microseconds"] = microseconds
+    headers["peer_asn"] = data["peer_asn"]
+    headers["peer_id"] = data["peer_id"]
+    headers["length"] = np.fromiter(
+        map(len, bodies), dtype=np.uint16, count=len(bodies)
+    )
+    packed = headers.tobytes()
+    size = _HEADER_DTYPE.itemsize
+    frames: List[bytes] = [b""] * (2 * len(bodies))
+    frames[0::2] = [
+        packed[start:start + size] for start in range(0, len(packed), size)
+    ]
+    frames[1::2] = bodies
+    stream.write(b"".join(frames))
     return len(data)
 
 
@@ -197,12 +365,15 @@ def read_column_batches(
     batch_size: int = 65536,
     attrs=None,
 ) -> Iterator:
-    """Deserialize an archive into :class:`RecordColumns` batches of up
-    to ``batch_size`` rows — no per-record Python objects are built.
+    """Deserialize an archive into :class:`RecordColumns` batches of
+    ``batch_size`` rows (the last may be shorter) — no per-record
+    Python objects are built: a frame costs a header walk and a memo
+    lookup, and the columns are filled per block with NumPy.
 
     Pass a shared ``attrs`` :class:`AttributeTable` so every yielded
     batch (and any other batches in the campaign) indexes one
-    vocabulary; by default the batches share a fresh table.
+    vocabulary; by default the batches share a fresh table.  Attribute
+    ids are interned in the order the archive first shows them.
     """
     from ..core.columns import (
         NO_ATTR,
@@ -211,28 +382,40 @@ def read_column_batches(
         RecordColumns,
     )
 
+    if batch_size <= 0:
+        raise ValueError(f"batch_size must be positive, got {batch_size}")
     table = attrs if attrs is not None else AttributeTable()
+    intern = table.intern
     no_attr = int(NO_ATTR)
-    announce = int(UpdateKind.ANNOUNCE)
-    withdraw = int(UpdateKind.WITHDRAW)
-    rows: List[tuple] = []
-    for time, peer_ip, peer_asn, message in _read_frames(stream):
-        if message.announced:
-            prefix = message.announced[0]
-            kind = announce
-            attr_id = table.intern(message.attributes)
-        else:
-            prefix = message.withdrawn[0]
-            kind = withdraw
-            attr_id = no_attr
-        rows.append(
-            (
-                time, peer_ip, peer_asn,
-                prefix.network, prefix.length, kind, attr_id,
-            )
-        )
-        if len(rows) >= batch_size:
-            yield RecordColumns(np.array(rows, dtype=RECORD_DTYPE), table)
-            rows = []
-    if rows:
-        yield RecordColumns(np.array(rows, dtype=RECORD_DTYPE), table)
+    pack = _ROW_TAIL.pack
+    header_span = np.arange(_HEADER_DTYPE.itemsize)
+
+    def row_of(message: UpdateMessage) -> bytes:
+        prefix, kind, attributes = _archive_row(message)
+        attr_id = no_attr if attributes is None else intern(attributes)
+        return pack(prefix.network, prefix.length, kind, attr_id)
+
+    pending: List[np.ndarray] = []
+    count = 0
+    for buffer, offsets, tails in _scan_frames(stream, PayloadMemo(row_of)):
+        starts = np.array(offsets, dtype=np.intp)[:, None]
+        head = np.frombuffer(buffer, dtype=np.uint8)[starts + header_span]
+        head = head.view(_HEADER_DTYPE)[:, 0]
+        tail = np.frombuffer(b"".join(tails), dtype=_ROW_TAIL_DTYPE)
+        data = np.empty(len(offsets), dtype=RECORD_DTYPE)
+        data["time"] = head["seconds"] + head["microseconds"] / 1_000_000
+        data["peer_id"] = head["peer_id"]
+        data["peer_asn"] = head["peer_asn"]
+        for name in _ROW_TAIL_DTYPE.names:
+            data[name] = tail[name]
+        pending.append(data)
+        count += len(data)
+        if count >= batch_size:
+            data = np.concatenate(pending)
+            full = count - count % batch_size
+            for start in range(0, full, batch_size):
+                yield RecordColumns(data[start:start + batch_size], table)
+            pending = [data[full:]]
+            count -= full
+    if count:
+        yield RecordColumns(np.concatenate(pending), table)

@@ -26,10 +26,11 @@ from typing import BinaryIO, Iterable, Iterator, List, Tuple
 
 from ..bgp.attributes import PathAttributes
 from ..bgp.messages import UpdateMessage
-from ..bgp.wire import WireError, decode_message, encode_message
+from ..bgp.wire import WireError, encode_message
 from ..bgp.wire import _encode_attributes, _decode_attributes  # noqa: internal reuse
 from ..net.prefix import Prefix
-from .record import UpdateKind, UpdateRecord, flatten_update
+from .mrt import PayloadMemo, update_rows
+from .record import UpdateKind, UpdateRecord
 from .snapshot import TableSnapshot
 
 __all__ = [
@@ -124,7 +125,9 @@ def write_bgp4mp(
 
 
 def read_bgp4mp(stream: BinaryIO) -> Iterator[UpdateRecord]:
-    """Read BGP4MP_MESSAGE entries back into update records."""
+    """Read BGP4MP_MESSAGE entries back into update records.  Each
+    distinct BGP payload is decoded once per read."""
+    memo = PayloadMemo(update_rows)
     while True:
         parsed = _read_common_header(stream)
         if parsed is None:
@@ -142,14 +145,14 @@ def read_bgp4mp(stream: BinaryIO) -> Iterator[UpdateRecord]:
         peer_ip, _local_ip = struct.unpack_from(
             ">II", body, _BGP4MP_HEADER.size
         )
-        payload = body[_BGP4MP_HEADER.size + 8:]
-        message, consumed = decode_message(payload)
-        if consumed != len(payload) or not isinstance(message, UpdateMessage):
+        rows = memo.resolve(body[_BGP4MP_HEADER.size + 8:])
+        if rows is None:
             raise WireError("BGP4MP payload is not a single BGP UPDATE")
-        for record in flatten_update(
-            float(timestamp), peer_ip, peer_as, message
-        ):
-            yield record
+        time = float(timestamp)
+        for prefix, kind, attributes in rows:
+            yield UpdateRecord(
+                time, peer_ip, peer_as, prefix, kind, attributes
+            )
 
 
 # ---------------------------------------------------------------------------

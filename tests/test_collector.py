@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.bgp.attributes import AsPath, PathAttributes
 from repro.bgp.messages import KeepAliveMessage, UpdateMessage
 from repro.bgp.wire import encode_message
+from repro.collector import mrt
 from repro.collector.log import CountingLog, FileLog, MemoryLog
 from repro.collector.mrt import (
     MAGIC,
@@ -26,6 +27,7 @@ from repro.collector.record import (
     unique_prefixes,
 )
 from repro.collector.store import SECONDS_PER_DAY, day_of
+from repro.core.columns import RecordColumns
 from repro.net.prefix import Prefix
 
 from .test_prefix import prefixes
@@ -224,6 +226,130 @@ def test_malformed_archive_rejected_by_both_front_ends(case, reader):
         with pytest.raises(MrtError) as caught:
             list(reader(io.BytesIO(shifted)))
         assert str(caught.value).startswith(message)
+
+
+def _records_until_error(reader, data: bytes) -> tuple:
+    """Every record ``reader`` yields before it raises, and the error's
+    message (``None`` without one).  Column batches are one row each,
+    so none is lost with the error."""
+    seen, error = [], None
+    try:
+        if reader is read_column_batches:
+            for batch in reader(io.BytesIO(data), batch_size=1):
+                seen.extend(batch.to_records())
+        else:
+            seen.extend(reader(io.BytesIO(data)))
+    except MrtError as exc:
+        error = str(exc)
+    return seen, error
+
+
+_BOTH_READERS = pytest.mark.parametrize(
+    "reader", (read_records, read_column_batches), ids=lambda f: f.__name__
+)
+
+
+@_BOTH_READERS
+def test_bad_payload_after_its_good_twin_is_memoized(reader):
+    """The memo skips the decode of byte-identical repeats only: a
+    payload one byte off a remembered one still meets the whole ladder,
+    and the frames ahead of it still come out."""
+    bad = _WITHDRAW_ONE[:-1] + b"\x09"  # attribute length overruns
+    data = MAGIC + _frame(_WITHDRAW_ONE) * 3 + _frame(bad)
+    seen, error = _records_until_error(reader, data)
+    assert seen == [withdraw(time=1.0)] * 3
+    assert error.startswith("bad BGP payload: ")
+
+
+@_BOTH_READERS
+def test_truncation_at_every_byte_offset(reader):
+    """Cut a small archive at each offset: the whole frames before the
+    cut come out, then ``MrtError`` names the half-frame — whether the
+    cut lands in a header, in a payload or (no error) exactly between
+    frames."""
+    records = [
+        announce(time=1.25, peer=3, med=9),
+        withdraw(time=2.5, peer=4, asn=1239, prefix="192.0.2.0/24"),
+        announce(time=3.0, path=(701, 1239, 3561)),
+        withdraw(time=2.5, peer=4, asn=1239, prefix="192.0.2.0/24"),
+    ]
+    buffer = io.BytesIO()
+    write_records(buffer, records)
+    data = buffer.getvalue()
+    ends, position = [], len(MAGIC)
+    for record in records:
+        single = io.BytesIO()
+        write_records(single, [record])
+        position += len(single.getvalue()) - len(MAGIC)
+        ends.append(position)
+    assert position == len(data)
+    for cut in range(len(MAGIC), len(data) + 1):
+        whole = sum(end <= cut for end in ends)
+        start = ([len(MAGIC)] + ends)[whole]
+        if cut == start:
+            expected = None
+        elif cut - start < 16:
+            expected = "truncated record header"
+        else:
+            expected = "truncated record payload"
+        assert _records_until_error(reader, data[:cut]) == (
+            records[:whole], expected
+        ), cut
+
+
+@pytest.mark.parametrize("batch_size", (0, -5))
+def test_nonpositive_batch_size_rejected(batch_size, tmp_path):
+    """Used to yield one-row batches, silently."""
+    log = FileLog(tmp_path / "three.mrt")
+    with log.writer() as writer:
+        writer.extend([withdraw(), withdraw(), withdraw()])
+    with pytest.raises(ValueError, match="batch_size"):
+        next(log.iter_column_batches(batch_size))
+    with open(log.path, "rb") as stream:
+        with pytest.raises(ValueError, match="batch_size"):
+            next(read_column_batches(stream, batch_size))
+
+
+def test_memo_is_bounded_in_bytes(monkeypatch):
+    """An archive of all-distinct ~4 KiB payloads (the largest BGP
+    allows) cannot grow the reader: the memo is cleared at its byte
+    cap, and decoding is unaffected."""
+    records = [
+        announce(
+            time=float(i),
+            path=(701,),
+            communities=tuple(range(i << 10, (i << 10) + 1000)),
+        )
+        for i in range(40)
+    ]
+    buffer = io.BytesIO()
+    write_records(buffer, records)
+    data = buffer.getvalue()
+    assert len(data) > 40 * 4000
+
+    cap = 32 * 1024
+    monkeypatch.setattr(mrt, "_MEMO_KEY_BYTES", cap)
+    held = []
+    resolve = mrt.PayloadMemo.resolve
+
+    def spy(memo, payload):
+        row = resolve(memo, payload)
+        held.append(memo.key_bytes)
+        return row
+
+    monkeypatch.setattr(mrt.PayloadMemo, "resolve", spy)
+    expected = RecordColumns.from_records(read_records(io.BytesIO(data)))
+    assert expected.to_records() == records
+    assert max(held) <= cap
+    assert any(after < before for before, after in zip(held, held[1:]))
+
+    del held[:]
+    columns = RecordColumns.concat(
+        list(read_column_batches(io.BytesIO(data), batch_size=7))
+    )
+    assert max(held) <= cap
+    assert columns.data.tobytes() == expected.data.tobytes()
+    assert list(columns.attrs) == list(expected.attrs)
 
 
 class TestLogs:

@@ -11,6 +11,7 @@ computation over the oracle's labels.
 
 import io
 import random
+import struct
 from collections import Counter
 
 import numpy as np
@@ -20,6 +21,7 @@ from repro.analysis.distribution import daily_cdf
 from repro.analysis.interarrival import histogram_counts, interarrival_times
 from repro.analysis.timeseries import bin_records
 from repro.bgp.attributes import AsPath, PathAttributes
+from repro.collector import mrt
 from repro.collector.log import FileLog
 from repro.collector.mrt import (
     read_column_batches,
@@ -43,12 +45,14 @@ from repro.core.instability import (
 )
 from repro.core.taxonomy import UpdateCategory
 from repro.net.prefix import Prefix
+from repro.verify.golden import FUZZ_SEEDS
 from repro.verify.reference import (
     reference_classify,
     reference_counts,
     reference_counts_by_peer,
     reference_interarrival_histogram,
 )
+from repro.verify.streams import fuzz_stream
 from repro.workloads.generator import TraceGenerator
 
 #: A small attribute vocabulary exercising every comparison outcome:
@@ -241,6 +245,67 @@ class TestColumnarArchive:
         assert sum(len(b) for b in batches) == len(expected)
         merged = RecordColumns.concat(batches)
         assert merged.to_records() == expected
+
+    @pytest.mark.parametrize("seed", FUZZ_SEEDS)
+    def test_block_and_batch_size_never_show(self, seed, monkeypatch):
+        """Wherever the block boundary cuts a frame (mid-header, on the
+        header's last byte, mid-payload) and however rows are batched,
+        the columnar reader's rows, attribute ids and table equal
+        columnarizing the record reader's output, byte for byte."""
+        buf = io.BytesIO()
+        write_records(buf, fuzz_stream(seed).records)
+        data = buf.getvalue()
+        expected = RecordColumns.from_records(read_records(io.BytesIO(data)))
+        for block in (1, 15, 16, 17, 4096):
+            monkeypatch.setattr(mrt, "_BLOCK_BYTES", block)
+            for batch_size in (1, 7, 8192):
+                batches = list(
+                    read_column_batches(io.BytesIO(data), batch_size)
+                )
+                assert [len(b) for b in batches[:-1]] == [batch_size] * (
+                    len(batches) - 1
+                )
+                assert 0 < len(batches[-1]) <= batch_size
+                assert b"".join(b.data.tobytes() for b in batches) == (
+                    expected.data.tobytes()
+                ), (block, batch_size)
+                assert list(batches[0].attrs) == list(expected.attrs)
+
+    @pytest.mark.parametrize("seed", FUZZ_SEEDS)
+    def test_vectorized_writer_matches_record_writer(self, seed):
+        """Headers packed a batch at a time are the bytes
+        ``struct.pack`` writes one record at a time — on times whose
+        microseconds round up into the next second too."""
+        stream = fuzz_stream(seed).records
+        spills = (0.9999996, 41.9999995, 1234.99999951, 7.0000004)
+        prefix = Prefix(10 << 24, 8)
+        stream += [
+            UpdateRecord(time, 1, 701, prefix, UpdateKind.WITHDRAW)
+            for time in spills
+        ]
+        buf_columns, buf_records = io.BytesIO(), io.BytesIO()
+        write_columns(buf_columns, RecordColumns.from_records(stream))
+        write_records(buf_records, stream)
+        assert buf_columns.getvalue() == buf_records.getvalue()
+        back = list(read_records(io.BytesIO(buf_columns.getvalue())))
+        assert [r.time for r in back[-4:]] == [1.0, 42.0, 1235.0, 7.0]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("peer_asn", 70000), ("time", -1.0), ("time", 2.0**32),
+         ("time", float("nan"))],
+    )
+    def test_vectorized_writer_refuses_what_struct_refuses(self, field, value):
+        """NumPy casts wrap silently; the record writer's
+        ``struct.pack`` raises — so must the batch writer."""
+        columns = RecordColumns.from_records(
+            random_stream(random.Random(1), 5)
+        )
+        columns.data[field][2] = value
+        with pytest.raises(struct.error):
+            write_columns(io.BytesIO(), columns)
+        with pytest.raises((struct.error, ValueError)):
+            write_records(io.BytesIO(), columns.to_records())
 
     def test_filelog_columnar_roundtrip(self, tmp_path):
         generator = TraceGenerator(seed=8)

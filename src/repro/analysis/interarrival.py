@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.columns import RecordColumns
+from ..core.columns import RecordColumns, group_order, prefix_key
 from ..core.taxonomy import UpdateCategory
 
 __all__ = [
@@ -57,7 +57,8 @@ def interarrival_times(
     category: Optional[UpdateCategory] = None,
 ) -> np.ndarray:
     """Gaps between consecutive events of each Prefix+AS pair, by one
-    lexsort over (Prefix+AS, time) and a masked diff.
+    :func:`~repro.core.columns.group_order` sort over (Prefix+AS,
+    time) and a masked diff.
 
     Restricted to one category when given (Figure 8 plots each of the
     four fine-grained categories separately); ``codes`` are the
@@ -69,16 +70,11 @@ def interarrival_times(
         data = data[np.asarray(codes) == category.value]
     if len(data) < 2:
         return np.empty(0, dtype=float)
-    order = np.lexsort(
-        (data["time"], data["plen"], data["net"], data["peer_asn"])
+    order, new_pair = group_order(
+        (data["peer_asn"], prefix_key(data["net"], data["plen"])),
+        data["time"],
     )
-    s = data[order]
-    same_pair = (
-        (s["peer_asn"][1:] == s["peer_asn"][:-1])
-        & (s["net"][1:] == s["net"][:-1])
-        & (s["plen"][1:] == s["plen"][:-1])
-    )
-    return np.diff(s["time"])[same_pair]
+    return np.diff(np.take(data["time"], order))[~new_pair[1:]]
 
 
 def histogram_counts(gaps: Sequence[float]) -> np.ndarray:

@@ -1,12 +1,18 @@
 """Streaming shard aggregation: fold day chunks, never whole shards.
 
-The original runner materialized a shard's full day range as one
-:class:`~repro.core.columns.RecordColumns` batch and ran every
-aggregate over it — O(shard length) memory, which is exactly what a
-270-day horizon cannot afford.  :class:`ShardAccumulator` replaces
-that with a fold: each day's batch is classified and absorbed into
-the mergeable aggregates, then dropped, so a worker holds at most one
-day of records (usually a read-only memmap of its spill chunk).
+:class:`ShardAccumulator` classifies each day's batch, absorbs it into
+the mergeable aggregates and drops it, so a worker holds at most one
+day of records (usually a read-only memmap of its spill chunk) however
+long the horizon.
+
+A day is ordered **once**.  Each row's ``(prefix, peer ASN)`` pair is
+packed into one ``uint64`` — ``net << 8 | plen`` in the high 40 bits,
+a dense per-shard peer-ASN index in the low 24 — and one
+:func:`~repro.core.columns.group_order` sort on ``(key, time)`` serves
+every per-pair aggregate.  What outlives a day is arrays, not per-pair
+Python objects: a sorted pair-key registry holding, per pair, its row
+count and one last-event time per histogram (NaN = none yet), merged
+with the day's groups by ``np.searchsorted``.
 
 The fold is *bit-identical* to the whole-shard computation, by
 construction rather than by luck:
@@ -16,15 +22,18 @@ construction rather than by luck:
   one-batch classification in ``tests/test_columns.py``;
 - binned series: bin indices are computed against the *shard* start
   with the same float expression ``floor((t - start) / width)`` the
-  whole-shard path used, accumulated into one dense window — same
-  floats, same bins;
-- inter-arrival histograms: within-day gaps come from the same
-  lexsort-and-diff; the gap that straddles a day boundary is
-  recovered from a per-pair last-event carry, so the merged gap
-  multiset equals the whole-shard one (days are time-disjoint);
-- everything else (category tallies, per-peer/per-prefix tables,
-  pairs-per-day) is a key-union integer sum, associative by the same
-  argument the cross-shard merge rests on.
+  whole-shard path used, accumulated into one dense window;
+- inter-arrival histograms: a row subset of the sorted day is still
+  sorted, so TOTAL and each category take the ``(pair, time)``-ordered
+  masked diff :func:`~repro.analysis.interarrival.interarrival_times`
+  takes; the gap straddling a day boundary is the pair's first event
+  today minus its registered last one, so the merged gap multiset is
+  the whole-shard one (days are time-disjoint and arrive in order —
+  :meth:`ShardAccumulator.fold_day` rejects anything else);
+- per-peer tallies are one ``np.bincount`` over ``asn_index * 16 +
+  code``, per-prefix counts sum registry runs of equal prefix bits,
+  pairs-per-day is the day's number of key groups: key-union integer
+  sums, associative as the cross-shard merge is.
 
 ``tests/test_campaign.py`` asserts the equivalence digest-for-digest
 against a whole-batch reference.
@@ -39,62 +48,25 @@ import numpy as np
 from ..analysis.interarrival import FIGURE8_BINS, histogram_counts
 from ..analysis.timeseries import BinnedSeries
 from ..collector.store import SECONDS_PER_DAY
-from ..core.columns import ColumnClassifier, RecordColumns
-from ..core.instability import (
-    CategoryCounts,
-    counts_by_peer_columns,
-    counts_by_prefix_columns,
+from ..core.columns import (
+    ColumnClassifier,
+    RecordColumns,
+    first_of_run,
+    group_order,
+    prefix_key,
 )
+from ..core.instability import CategoryCounts, peer_table, peer_tallies
 from ..core.taxonomy import FINE_GRAINED_CATEGORIES
+from ..net.prefix import Prefix
 from .config import CampaignConfig, ShardSpec
-from .results import (
-    TOTAL,
-    PartialResult,
-    _merge_count_tables,
-    _merge_int_tables,
-)
+from .results import TOTAL, PartialResult
 
-__all__ = ["ShardAccumulator", "pairs_per_day"]
+__all__ = ["ShardAccumulator"]
 
-#: Per-pair key for the inter-arrival carry: (peer ASN, net, plen).
-PairKey = Tuple[int, int, int]
-
-
-def pairs_per_day(columns: RecordColumns) -> Dict[int, int]:
-    """Distinct Prefix+AS pairs per day (the Figure 9 'affected
-    routes' numerator, computed shard-locally — days never span
-    shards).
-
-    Keys are packed into scalar integers and deduplicated with a
-    lexsort + adjacent-diff scan instead of ``np.unique`` over a
-    structured array: structured dtypes fall back to generic
-    compare-based sorting, which dominated shard wall-clock on the
-    bench day.  Prefix net/plen fit one uint64 exactly (32 + 8 bits);
-    day and ASN stay separate sort keys so no width assumption is
-    needed for them.
-    """
-    n = len(columns)
-    if n == 0:
-        return {}
-    day = (columns.time // SECONDS_PER_DAY).astype(np.int64)
-    asn = columns.peer_asn
-    prefix = (columns.net.astype(np.uint64) << np.uint64(8)) | columns.plen
-    order = np.lexsort((prefix, asn, day))
-    day_s = day[order]
-    asn_s = asn[order]
-    prefix_s = prefix[order]
-    new_pair = np.empty(n, dtype=bool)
-    new_pair[0] = True
-    new_pair[1:] = (
-        (day_s[1:] != day_s[:-1])
-        | (asn_s[1:] != asn_s[:-1])
-        | (prefix_s[1:] != prefix_s[:-1])
-    )
-    days, counts = np.unique(day_s[new_pair], return_counts=True)
-    return {
-        int(d): int(count)
-        for d, count in zip(days.tolist(), counts.tolist())
-    }
+#: Low bits of a pair key, holding the dense peer-ASN index (so at most
+#: 2**24 peer ASNs per shard); the 40 prefix bits sit above them, which
+#: makes one prefix's pairs adjacent in key order.
+_ASN_BITS = 24
 
 
 class ShardAccumulator:
@@ -106,80 +78,71 @@ class ShardAccumulator:
     """
 
     __slots__ = (
-        "config",
-        "spec",
-        "records",
-        "_classifier",
-        "_counts",
-        "_bin_counts",
-        "_names",
-        "_hists",
-        "_last_event",
-        "_by_peer",
-        "_by_prefix",
-        "_pairs_per_day",
+        "config", "spec", "records", "_last_day",
+        "_classifier", "_counts", "_bin_counts", "_hists",
+        "_asns", "_peer_counts",
+        "_pair_keys", "_pair_rows", "_pair_last", "_pairs_per_day",
     )
 
     def __init__(self, config: CampaignConfig, spec: ShardSpec) -> None:
         self.config = config
         self.spec = spec
         self.records = 0
+        self._last_day = spec.day_lo - 1
         self._classifier = ColumnClassifier()
         self._counts = CategoryCounts()
-        self._bin_counts = np.zeros(
-            (spec.day_hi - spec.day_lo) * config.bins_per_day,
-            dtype=np.int64,
-        )
-        self._names = (TOTAL,) + tuple(
-            c.name for c in FINE_GRAINED_CATEGORIES
-        )
-        self._hists = {
-            name: np.zeros(len(FIGURE8_BINS), dtype=np.int64)
-            for name in self._names
-        }
-        self._last_event: Dict[str, Dict[PairKey, float]] = {
-            name: {} for name in self._names
-        }
-        self._by_peer: Dict[int, CategoryCounts] = {}
-        self._by_prefix: Dict = {}
+        n_bins = len(spec.days) * config.bins_per_day
+        self._bin_counts = np.zeros(n_bins, dtype=np.int64)
+        #: Figure 8 histograms: row 0 is TOTAL, then one row per
+        #: fine-grained category.
+        rows = 1 + len(FINE_GRAINED_CATEGORIES)
+        self._hists = np.zeros((rows, len(FIGURE8_BINS)), dtype=np.int64)
+        #: Peer ASNs in first-seen order: a peer's position is its
+        #: dense index for the shard's life, so registered pair keys
+        #: stay valid when a later day brings a new peer.
+        self._asns = np.empty(0, dtype=np.uint32)
+        self._peer_counts = np.zeros((0, 16), dtype=np.int64)
+        #: The pair registry: sorted keys and, per pair, its row count
+        #: and its last event time in each histogram (NaN = none yet).
+        self._pair_keys = np.empty(0, dtype=np.uint64)
+        self._pair_rows = np.empty(0, dtype=np.int64)
+        self._pair_last = np.empty((rows, 0), dtype=float)
         self._pairs_per_day: Dict[int, int] = {}
 
     def fold_day(self, day: int, columns: RecordColumns) -> None:
-        """Classify and absorb one day's batch (must arrive in day
-        order — the classifier and gap carries are sequential)."""
-        if not self.spec.day_lo <= day < self.spec.day_hi:
+        """Classify and absorb one day's batch.  A shard's days fold
+        once each, in increasing order, and hold only their own day's
+        times: the classifier and gap carries are sequential, and a
+        gap taken against a later event would be negative."""
+        if not self._last_day < day < self.spec.day_hi:
             raise ValueError(
-                f"day {day} outside shard range "
-                f"[{self.spec.day_lo}, {self.spec.day_hi})"
+                f"day {day} not in ({self._last_day}, {self.spec.day_hi}): "
+                "a shard's days fold once each, in increasing order"
             )
+        data = columns.data
+        times = data["time"]
+        if len(data) and not (
+            day * SECONDS_PER_DAY <= times.min()
+            and times.max() < (day + 1) * SECONDS_PER_DAY
+        ):
+            raise ValueError(f"day {day} batch holds times outside the day")
+        self._last_day = day
         codes, policy = self._classifier.classify(columns)
-        self.records += len(columns)
-        self._counts = self._counts + CategoryCounts.from_codes(
-            codes, policy
-        )
-        self._fold_bins(columns)
-        self._fold_gaps(TOTAL, columns.data)
-        for category in FINE_GRAINED_CATEGORIES:
-            self._fold_gaps(
-                category.name, columns.data[codes == category.value]
-            )
-        self._by_peer = _merge_count_tables(
-            self._by_peer, counts_by_peer_columns(columns, codes, policy)
-        )
-        self._by_prefix = _merge_int_tables(
-            self._by_prefix, counts_by_prefix_columns(columns)
-        )
-        self._pairs_per_day = _merge_int_tables(
-            self._pairs_per_day, pairs_per_day(columns)
-        )
+        if len(data) == 0:
+            return
+        self.records += len(data)
+        self._counts += CategoryCounts.from_codes(codes, policy)
+        self._fold_bins(times)
+        times, slots, codes = self._group_day(day, data, codes, policy)
+        self._fold_interarrival(0, times, slots)
+        for row, category in enumerate(FINE_GRAINED_CATEGORIES, start=1):
+            rows = np.flatnonzero(codes == category.value)
+            self._fold_interarrival(row, times[rows], slots[rows])
 
-    def _fold_bins(self, columns: RecordColumns) -> None:
+    def _fold_bins(self, times: np.ndarray) -> None:
         # The exact whole-shard expression — indices relative to the
         # SHARD start, not the day start, so float rounding at bin
         # edges cannot diverge from the reference computation.
-        times = columns.data["time"]
-        if times.size == 0:
-            return
         start = self.spec.day_lo * SECONDS_PER_DAY
         indices = np.floor(
             (times - start) / self.config.bin_width
@@ -189,52 +152,83 @@ class ShardAccumulator:
             indices[valid], minlength=len(self._bin_counts)
         )
 
-    def _fold_gaps(self, name: str, data: np.ndarray) -> None:
-        """Inter-arrival gaps of ``data`` folded into histogram
-        ``name``: within-batch gaps by lexsort+diff (identical to
-        :func:`~repro.analysis.interarrival.interarrival_columns`),
-        plus each pair's boundary gap against the carried last event
-        time from earlier days."""
-        n = len(data)
-        if n == 0:
-            return
-        last = self._last_event[name]
-        order = np.lexsort(
-            (data["time"], data["plen"], data["net"], data["peer_asn"])
+    def _peer_index(self, asn: np.ndarray) -> np.ndarray:
+        """Row-aligned dense index of each row's peer ASN, registering
+        ASNs not seen before."""
+        day_asns, inverse = np.unique(asn, return_inverse=True)
+        fresh = np.setdiff1d(day_asns, self._asns, assume_unique=True)
+        if fresh.size:
+            self._asns = np.concatenate((self._asns, fresh))
+            self._peer_counts = np.pad(  # zero rows for the new peers
+                self._peer_counts, ((0, len(fresh)), (0, 0))
+            )
+        sorter = np.argsort(self._asns)
+        index = sorter[np.searchsorted(self._asns, day_asns, sorter=sorter)]
+        return index[inverse]
+
+    def _group_day(
+        self, day: int, data: np.ndarray, codes: np.ndarray, policy: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The day's one sort.  Counts the day into the per-peer table
+        and the pair registry and returns ``(time, registry slot,
+        code)`` per row in ``(pair, time)`` order; the peer index, the
+        key, the permutation and the group mask die here, before the
+        gap passes allocate."""
+        peer = self._peer_index(data["peer_asn"])
+        self._peer_counts += peer_tallies(
+            peer, len(self._asns), codes, policy
         )
-        s = data[order]
-        asn, net, plen, t = s["peer_asn"], s["net"], s["plen"], s["time"]
-        new_group = np.empty(n, dtype=bool)
-        new_group[0] = True
-        if n > 1:
-            same = (
-                (asn[1:] == asn[:-1])
-                & (net[1:] == net[:-1])
-                & (plen[1:] == plen[:-1])
+        key = prefix_key(data["net"], data["plen"])
+        key <<= np.uint64(_ASN_BITS)
+        key |= peer.view(np.uint64)
+        order, new_pair = group_order((key,), data["time"])
+        starts = np.flatnonzero(new_pair)
+        sizes = np.diff(np.append(starts, len(order)))
+        slots = self._pair_slots(key[order[starts]])
+        self._pair_rows[slots] += sizes
+        self._pairs_per_day[day] = len(starts)
+        return (
+            np.take(data["time"], order),
+            np.repeat(slots, sizes),
+            np.take(codes, order),
+        )
+
+    def _pair_slots(self, keys: np.ndarray) -> np.ndarray:
+        """Registry positions of ``keys`` (sorted, distinct), inserting
+        the ones not registered yet."""
+        at = np.searchsorted(self._pair_keys, keys)
+        fresh = np.ones(len(keys), dtype=bool)
+        inside = at < len(self._pair_keys)
+        fresh[inside] = self._pair_keys[at[inside]] != keys[inside]
+        if fresh.any():
+            where = at[fresh]
+            self._pair_keys = np.insert(self._pair_keys, where, keys[fresh])
+            self._pair_rows = np.insert(self._pair_rows, where, 0)
+            self._pair_last = np.insert(
+                self._pair_last, where, np.nan, axis=1
             )
-            new_group[1:] = ~same
-            gaps = np.diff(t)[same]
-            if gaps.size:
-                self._hists[name] += histogram_counts(gaps)
-        starts = np.flatnonzero(new_group)
-        ends = np.append(starts[1:], n) - 1
-        carry = []
-        for a, nt, pl, first, final in zip(
-            asn[starts].tolist(),
-            net[starts].tolist(),
-            plen[starts].tolist(),
-            t[starts].tolist(),
-            t[ends].tolist(),
-        ):
-            key = (a, nt, pl)
-            previous = last.get(key)
-            if previous is not None:
-                carry.append(first - previous)
-            last[key] = final
-        if carry:
-            self._hists[name] += histogram_counts(
-                np.asarray(carry, dtype=float)
-            )
+            # Every fresh key before this one shifted it right by one.
+            at += np.cumsum(fresh) - fresh
+        return at
+
+    def _fold_interarrival(
+        self, row: int, times: np.ndarray, slots: np.ndarray
+    ) -> None:
+        """Inter-arrival gaps of rows already in ``(pair, time)`` order
+        into histogram ``row``: the masked diff within the day, plus
+        each pair's first event against its registered last one."""
+        if times.size == 0:
+            return
+        first = first_of_run(slots)
+        starts = np.flatnonzero(first)
+        ends = np.append(starts[1:], len(slots)) - 1
+        pairs = slots[starts]
+        last = self._pair_last[row]
+        carried = times[starts] - last[pairs]
+        last[pairs] = times[ends]
+        self._hists[row] += histogram_counts(
+            np.diff(times)[~first[1:]]
+        ) + histogram_counts(carried[~np.isnan(carried)])
 
     def result(self) -> PartialResult:
         """The shard's aggregates; call once, after the last day."""
@@ -244,19 +238,26 @@ class ShardAccumulator:
         # An all-empty shard reproduces the whole-batch form exactly:
         # BinnedSeries.from_records yields a zero-length window when no
         # records exist, a full [day_lo, day_hi) window otherwise.
-        counts = (
-            self._bin_counts
-            if self.records
-            else np.zeros(0, dtype=np.int64)
-        )
+        counts = self._bin_counts if self.records else self._bin_counts[:0]
         bins = BinnedSeries(offset, counts, self.config.bin_width)
+        names = (TOTAL,) + tuple(c.name for c in FINE_GRAINED_CATEGORIES)
+        # Prefix bits lead the key, so a prefix's pairs are one run.
+        prefixes = self._pair_keys >> np.uint64(_ASN_BITS)
+        runs = np.flatnonzero(first_of_run(prefixes))
+        by_prefix = {
+            Prefix(prefix >> 8, prefix & 0xFF): count
+            for prefix, count in zip(
+                prefixes[runs].tolist(),
+                np.add.reduceat(self._pair_rows, runs).tolist(),
+            )
+        }
         return PartialResult(
             records=self.records,
             counts=self._counts,
             bins=bins,
-            interarrival=dict(self._hists),
-            by_peer=self._by_peer,
-            by_prefix=self._by_prefix,
+            interarrival=dict(zip(names, self._hists)),
+            by_peer=peer_table(self._asns, self._peer_counts),
+            by_prefix=by_prefix,
             pairs_per_day=self._pairs_per_day,
             by_exchange={self.spec.exchange: self._counts},
         )

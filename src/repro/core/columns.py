@@ -56,6 +56,9 @@ __all__ = [
     "ColumnClassifier",
     "classify_columns",
     "decode_categories",
+    "first_of_run",
+    "group_order",
+    "prefix_key",
     "route_state_digest",
 ]
 
@@ -416,9 +419,44 @@ def _group_sort(
     return order, new_group, key_sorted, plen_sorted
 
 
-def group_order(data: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Public :func:`_group_sort` without the sorted key columns."""
-    order, new_group, _, _ = _group_sort(data)
+def prefix_key(net: np.ndarray, plen: np.ndarray) -> np.ndarray:
+    """``(net << 8) | plen`` as ``uint64``: one 40-bit sort key whose
+    numeric order is the lexicographic ``(net, plen)`` order."""
+    key = net.astype(np.uint64)
+    key <<= np.uint64(8)
+    key |= plen
+    return key
+
+
+def first_of_run(values: np.ndarray) -> np.ndarray:
+    """Mask over ``values`` marking every element that differs from
+    its predecessor (the first always does): the run starts of an
+    already grouped array."""
+    first = np.ones(len(values), dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    return first
+
+
+def group_order(
+    keys: Sequence[np.ndarray], time: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One stable sort grouping rows by ``keys`` (most significant
+    first), each group in ``time`` order when ``time`` is given and in
+    batch order otherwise.
+
+    Returns ``(order, new_group)``: the permutation, and a mask over
+    the *sorted* rows marking the first row of each distinct key
+    tuple.  This is the shared grouping step of every per-pair and
+    per-prefix aggregate (inter-arrival gaps, persistence, the
+    Figure 6/7 tables, the campaign fold); the classifier's
+    ``(peer_id, prefix)`` sort is a different key with its own
+    fast paths (:func:`_group_sort`).
+    """
+    columns = tuple(reversed(keys))
+    order = np.lexsort(columns if time is None else (time,) + columns)
+    new_group = np.zeros(len(order), dtype=bool)
+    for key in keys:
+        new_group |= first_of_run(np.take(key, order))
     return order, new_group
 
 

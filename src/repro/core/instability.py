@@ -28,6 +28,7 @@ import numpy as np
 
 from ..collector.record import PrefixAs
 from ..net.prefix import Prefix
+from .columns import group_order, prefix_key
 from .taxonomy import (
     INSTABILITY_CATEGORIES,
     PATHOLOGICAL_CATEGORIES,
@@ -39,6 +40,8 @@ __all__ = [
     "counts_by_peer_columns",
     "counts_by_prefix_as_columns",
     "counts_by_prefix_columns",
+    "peer_tallies",
+    "peer_table",
     "detect_incidents",
     "persistence",
     "Incident",
@@ -61,16 +64,24 @@ class CategoryCounts:
         """Tallies from a columnar classification (category-code and
         policy arrays, as produced by
         :func:`~repro.core.columns.classify_columns`)."""
-        result = cls()
         totals = np.bincount(
             np.asarray(codes), minlength=len(UpdateCategory) + 1
         )
+        return cls.from_totals(
+            totals, 0 if policy is None else int(np.count_nonzero(policy))
+        )
+
+    @classmethod
+    def from_totals(
+        cls, totals: Sequence[int], policy_changes: int = 0
+    ) -> "CategoryCounts":
+        """Tallies from a count vector indexed by category code
+        (``UpdateCategory.value``); zero entries are dropped."""
+        result = cls(policy_changes=policy_changes)
         for category in UpdateCategory:
             count = int(totals[category.value])
             if count:
                 result.counts[category] = count
-        if policy is not None:
-            result.policy_changes = int(np.count_nonzero(policy))
         return result
 
     def __getitem__(self, category: UpdateCategory) -> int:
@@ -153,56 +164,56 @@ class CategoryCounts:
         return result
 
 
+def peer_tallies(
+    peer: "np.ndarray",
+    n_peers: int,
+    codes: "np.ndarray",
+    policy: Optional["np.ndarray"] = None,
+) -> "np.ndarray":
+    """``(n_peers, 16)`` tallies of classified rows whose peers are
+    dense indices: ``[i, c]`` counts peer ``i``'s rows of category code
+    ``c``, and column 0 — no category has code 0 — its policy
+    fluctuations.  One ``np.bincount``, no sort; tallies add."""
+    keys = peer * 16 + np.asarray(codes)
+    if policy is not None:
+        keys = np.concatenate((keys, peer[np.asarray(policy)] * 16))
+    return np.bincount(keys, minlength=n_peers * 16).reshape(n_peers, 16)
+
+
+def peer_table(asns, tallies) -> Dict[int, "CategoryCounts"]:
+    """:func:`peer_tallies` rows as ``{peer ASN: CategoryCounts}``,
+    ``asns[i]`` naming dense index ``i``."""
+    return {
+        asn: CategoryCounts.from_totals(row, int(row[0]))
+        for asn, row in zip(asns.tolist(), tallies)
+    }
+
+
 def counts_by_peer_columns(
     columns,
     codes: "np.ndarray",
     policy: Optional["np.ndarray"] = None,
 ) -> Dict[int, "CategoryCounts"]:
     """Per-peer-AS category counts (Figure 6's per-peer points) from
-    a classified :class:`~repro.core.columns.RecordColumns` batch, via
-    one ``np.unique`` over (peer ASN, code) keys."""
-    codes = np.asarray(codes)
-    key = columns.peer_asn.astype(np.uint64) * 16 + codes
-    unique, totals = np.unique(key, return_counts=True)
-    result: Dict[int, CategoryCounts] = {}
-    for combined, count in zip(unique.tolist(), totals.tolist()):
-        asn, code = divmod(combined, 16)
-        counts = result.get(asn)
-        if counts is None:
-            counts = result[asn] = CategoryCounts()
-        counts.counts[UpdateCategory(code)] = count
-    if policy is not None:
-        asns, flips = np.unique(
-            columns.peer_asn[np.asarray(policy)], return_counts=True
-        )
-        for asn, count in zip(asns.tolist(), flips.tolist()):
-            if asn in result:
-                result[asn].policy_changes = count
-    return result
+    a classified :class:`~repro.core.columns.RecordColumns` batch."""
+    asns, peer = np.unique(columns.peer_asn, return_inverse=True)
+    return peer_table(asns, peer_tallies(peer, len(asns), codes, policy))
 
 
-def _pair_group_counts(columns, codes, category, keys):
-    """Group rows of ``columns`` by the given key columns (optionally
-    restricted to one category); returns ``(sorted_rows, group_starts,
-    group_counts)``."""
+def _pair_group_counts(columns, codes, category, by_peer):
+    """Group rows of ``columns`` per prefix — per (peer ASN, prefix)
+    when ``by_peer`` — optionally restricted to one category; returns
+    one representative row per group, in key order, and the group
+    sizes."""
     data = columns.data
     if category is not None:
         data = data[np.asarray(codes) == category.value]
-    if len(data) == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return data, empty, empty
-    order = np.lexsort(tuple(data[k] for k in reversed(keys)))
-    s = data[order]
-    n = len(s)
-    new_group = np.empty(n, dtype=bool)
-    new_group[0] = True
-    changed = np.zeros(n - 1, dtype=bool)
-    for k in keys:
-        changed |= s[k][1:] != s[k][:-1]
-    new_group[1:] = changed
+    prefix = prefix_key(data["net"], data["plen"])
+    order, new_group = group_order(
+        (data["peer_asn"], prefix) if by_peer else (prefix,)
+    )
     starts = np.flatnonzero(new_group)
-    counts = np.diff(np.append(starts, n))
-    return s, starts, counts
+    return data[order[starts]], np.diff(np.append(starts, len(order)))
 
 
 def counts_by_prefix_as_columns(
@@ -213,16 +224,16 @@ def counts_by_prefix_as_columns(
     """Events per Prefix+AS pair, optionally restricted to one
     category (Figure 7's histogram input), from a
     :class:`~repro.core.columns.RecordColumns` batch."""
-    s, starts, counts = _pair_group_counts(
-        columns, codes, category, ("peer_asn", "net", "plen")
-    )
-    result: Dict[PrefixAs, int] = {}
-    nets = s["net"][starts].tolist()
-    plens = s["plen"][starts].tolist()
-    asns = s["peer_asn"][starts].tolist()
-    for net, plen, asn, count in zip(nets, plens, asns, counts.tolist()):
-        result[(Prefix(net, plen), asn)] = count
-    return result
+    first, counts = _pair_group_counts(columns, codes, category, True)
+    return {
+        (Prefix(net, plen), asn): count
+        for net, plen, asn, count in zip(
+            first["net"].tolist(),
+            first["plen"].tolist(),
+            first["peer_asn"].tolist(),
+            counts.tolist(),
+        )
+    }
 
 
 def counts_by_prefix_columns(
@@ -237,15 +248,13 @@ def counts_by_prefix_columns(
     have been omitted" — this is that aggregation, so the claim can be
     verified rather than taken on faith.
     """
-    s, starts, counts = _pair_group_counts(
-        columns, codes, category, ("net", "plen")
-    )
-    result: Dict[Prefix, int] = {}
-    nets = s["net"][starts].tolist()
-    plens = s["plen"][starts].tolist()
-    for net, plen, count in zip(nets, plens, counts.tolist()):
-        result[Prefix(net, plen)] = count
-    return result
+    first, counts = _pair_group_counts(columns, codes, category, False)
+    return {
+        Prefix(net, plen): count
+        for net, plen, count in zip(
+            first["net"].tolist(), first["plen"].tolist(), counts.tolist()
+        )
+    }
 
 
 @dataclass(frozen=True, slots=True)
@@ -325,35 +334,29 @@ def persistence(
     spacing stays under ``quiet_gap`` (default five minutes — the
     paper's observed upper bound on pathological persistence); the
     episode's persistence is last-event time minus first-event time.
-    Single-event episodes have persistence 0.  One lexsort over
-    (Prefix+AS, time) puts each pair's events in time order; an
-    episode starts wherever the pair changes or the gap exceeds
-    ``quiet_gap``.
+    Single-event episodes have persistence 0.  One
+    :func:`~repro.core.columns.group_order` sort over (Prefix+AS,
+    time) puts each pair's events in time order; an episode starts
+    wherever the pair changes or the gap exceeds ``quiet_gap``.
     """
     data = columns.data
     n = len(data)
     if n == 0:
         return {}
-    order = np.lexsort(
-        (data["time"], data["plen"], data["net"], data["peer_asn"])
+    order, new_episode = group_order(
+        (data["peer_asn"], prefix_key(data["net"], data["plen"])),
+        data["time"],
     )
-    s = data[order]
-    time = s["time"]
-    new_episode = np.empty(n, dtype=bool)
-    new_episode[0] = True
-    new_episode[1:] = (
-        (s["peer_asn"][1:] != s["peer_asn"][:-1])
-        | (s["net"][1:] != s["net"][:-1])
-        | (s["plen"][1:] != s["plen"][:-1])
-        | (np.diff(time) > quiet_gap)
-    )
+    time = np.take(data["time"], order)
+    new_episode[1:] |= np.diff(time) > quiet_gap
     starts = np.flatnonzero(new_episode)
     ends = np.append(starts[1:], n) - 1
+    rows = order[starts]
     episodes: Dict[PrefixAs, List[float]] = {}
     for net, plen, asn, duration in zip(
-        s["net"][starts].tolist(),
-        s["plen"][starts].tolist(),
-        s["peer_asn"][starts].tolist(),
+        data["net"][rows].tolist(),
+        data["plen"][rows].tolist(),
+        data["peer_asn"][rows].tolist(),
         (time[ends] - time[starts]).tolist(),
     ):
         episodes.setdefault((Prefix(net, plen), asn), []).append(duration)

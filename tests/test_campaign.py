@@ -28,8 +28,25 @@ from repro.campaign import (
     run_campaign,
     run_shard,
 )
-from repro.core.instability import CategoryCounts
-from repro.core.taxonomy import UpdateCategory
+from repro.analysis.interarrival import interarrival_times
+from repro.bgp.attributes import PathAttributes
+from repro.campaign import ShardAccumulator
+from repro.collector.record import UpdateKind
+from repro.core.columns import (
+    NO_ATTR,
+    RECORD_DTYPE,
+    AttributeTable,
+    ColumnClassifier,
+    RecordColumns,
+)
+from repro.core.instability import (
+    CategoryCounts,
+    counts_by_peer_columns,
+    counts_by_prefix_columns,
+)
+from repro.core.taxonomy import FINE_GRAINED_CATEGORIES, UpdateCategory
+
+ANNOUNCE, WITHDRAW = int(UpdateKind.ANNOUNCE), int(UpdateKind.WITHDRAW)
 
 # Small population: ~13k records/day keeps each test run sub-second.
 FAST = dict(n_peers=8, total_prefixes=240)
@@ -44,6 +61,42 @@ def fast_config(**overrides) -> CampaignConfig:
 def shard_partials(config: CampaignConfig):
     """Each planned shard's PartialResult, computed inline."""
     return [run_shard(config, spec)[0] for spec in config.shard_plan()]
+
+
+def whole_batch_partial(config, spec, whole) -> PartialResult:
+    """The shard's PartialResult computed over its days as ONE batch,
+    by the whole-batch analysis functions (and plain Python sets for
+    pairs-per-day) — none of the streaming fold's code."""
+    codes, policy = ColumnClassifier().classify(whole)
+    counts = CategoryCounts.from_codes(codes, policy)
+    interarrival = {"TOTAL": histogram_counts(interarrival_times(whole))}
+    for category in FINE_GRAINED_CATEGORIES:
+        interarrival[category.name] = histogram_counts(
+            interarrival_times(whole, codes, category)
+        )
+    pairs = {}
+    for time, asn, net, plen in zip(
+        whole.time.tolist(),
+        whole.peer_asn.tolist(),
+        whole.net.tolist(),
+        whole.plen.tolist(),
+    ):
+        pairs.setdefault(int(time // 86400), set()).add((asn, net, plen))
+    return PartialResult(
+        records=len(whole),
+        counts=counts,
+        bins=BinnedSeries.from_records(
+            whole,
+            config.bin_width,
+            start=spec.day_lo * 86400.0,
+            end=spec.day_hi * 86400.0,
+        ),
+        interarrival=interarrival,
+        by_peer=counts_by_peer_columns(whole, codes, policy),
+        by_prefix=counts_by_prefix_columns(whole),
+        pairs_per_day={day: len(seen) for day, seen in pairs.items()},
+        by_exchange={spec.exchange: counts},
+    )
 
 
 class TestCampaignConfig:
@@ -319,14 +372,6 @@ class TestOutOfCore:
     def test_streaming_fold_matches_whole_batch_reference(self):
         """ShardAccumulator fed day by day reproduces the aggregates
         computed over the shard's days as one concatenated batch."""
-        from repro.analysis.interarrival import interarrival_times
-        from repro.campaign import ShardAccumulator
-        from repro.core.columns import (
-            AttributeTable,
-            ColumnClassifier,
-            RecordColumns,
-        )
-        from repro.core.instability import CategoryCounts
         from repro.workloads.generator import campaign_generator
 
         config = fast_config(days=4, shards=1)
@@ -348,34 +393,161 @@ class TestOutOfCore:
             accumulator.fold_day(day, columns)
         streamed = accumulator.result()
 
-        whole = RecordColumns.concat(batches)
-        codes, policy = ColumnClassifier().classify(whole)
-        assert streamed.records == len(whole)
-        assert (
-            streamed.counts.as_dict()
-            == CategoryCounts.from_codes(codes, policy).as_dict()
+        reference = whole_batch_partial(
+            config, spec, RecordColumns.concat(batches)
         )
+        assert streamed.records == reference.records
+        assert streamed.counts.as_dict() == reference.counts.as_dict()
         # Bins: dense over the shard window, bit-identical.
-        reference_bins = BinnedSeries.from_records(
-            whole,
-            config.bin_width,
-            start=spec.day_lo * 86400.0,
-            end=spec.day_hi * 86400.0,
-        )
-        assert streamed.bins == reference_bins
+        assert streamed.bins == reference.bins
         # Inter-arrival: the day-boundary carry recovers every
-        # cross-day gap the whole-batch lexsort sees.
-        whole_hist = histogram_counts(interarrival_times(whole))
-        assert (streamed.interarrival["TOTAL"] == whole_hist).all()
-        from repro.core.taxonomy import FINE_GRAINED_CATEGORIES
+        # cross-day gap the whole-batch sort sees.
+        assert set(streamed.interarrival) == set(reference.interarrival)
+        for name, expected in reference.interarrival.items():
+            assert (streamed.interarrival[name] == expected).all(), name
+        # The key-grouped tables, from the one packed-key order.
+        assert streamed.by_peer == reference.by_peer
+        assert streamed.by_prefix == reference.by_prefix
+        assert streamed.pairs_per_day == reference.pairs_per_day
+        assert sorted(streamed.pairs_per_day) == list(spec.days)
+        assert streamed.digest() == reference.digest()
 
-        for category in FINE_GRAINED_CATEGORIES:
-            expected = histogram_counts(
-                interarrival_times(whole, codes, category)
+    @pytest.mark.parametrize("seed", range(8))
+    def test_handbuilt_stream_folds_to_whole_batch_digest(self, seed):
+        """A hand-built stream, cut into days a different way per seed,
+        folds to the whole-batch digest.  It carries the shapes the
+        packed (prefix, peer-ASN index) key has to survive: two
+        peer_ids on one ASN, a 4-byte ASN, an ASN that first shows up
+        mid-shard, one net at two prefix lengths, a pair silent for
+        whole days, a category that comes and goes, and empty /
+        single-record / all-withdraw / not-time-sorted day batches."""
+        rng = random.Random(seed)
+        table = AttributeTable()
+        variants = [
+            table.intern(PathAttributes(as_path=(701, 7), next_hop=1)),
+            table.intern(PathAttributes(as_path=(701, 9, 7), next_hop=2)),
+            table.intern(
+                PathAttributes(as_path=(701, 7), next_hop=1, med=20)
+            ),  # same forwarding tuple as variant 0: a policy flip
+        ]
+        ten = 10 << 24
+        # (peer_id, peer_asn, net, plen)
+        shared_a = (1, 701, ten, 8)
+        shared_b = (2, 701, ten, 8)  # second peer_id, same Prefix+AS
+        wide_asn = (3, 4_200_000_001, ten, 8)
+        longer = (3, 4_200_000_001, ten, 16)  # same net, other length
+        quiet = (1, 701, (192 << 24) | (168 << 16), 24)
+        flapper = (4, 1239, (172 << 24) | (16 << 16), 12)
+        latecomer = (5, 3, ten, 8)  # lowest ASN, first seen on day 2
+        busy = (shared_a, shared_b, wide_asn, longer)
+        everyone = busy + (quiet, flapper)
+
+        days = rng.randint(7, 10)
+        kinds = ["empty", "single", "withdraws"] + ["busy"] * (days - 5)
+        rng.shuffle(kinds)
+        kinds = ["busy"] + kinds + ["busy"]  # events before and after
+        config = CampaignConfig(days=days, shards=1, seed=seed, **FAST)
+        spec = config.shard_plan()[0]
+
+        def rows_of(day, kind):
+            def at():
+                return day * 86400.0 + rng.uniform(0.0, 86399.0)
+
+            if kind == "empty":
+                return []
+            if kind == "single":
+                return [(at(), *rng.choice(busy), ANNOUNCE, variants[0])]
+            if kind == "withdraws":
+                return [
+                    (at(), *route, WITHDRAW, int(NO_ATTR))
+                    for route in everyone
+                    for _ in range(rng.randint(1, 3))
+                ]
+            rows = []
+            for route in busy:
+                for _ in range(rng.randint(2, 12)):
+                    rows.append((at(), *route, ANNOUNCE, rng.choice(variants)))
+                rows.append((rows[-1][0], *rows[-1][1:]))  # a time tie
+            if day in (0, days - 1):
+                rows.append((at(), *quiet, ANNOUNCE, variants[1]))
+            if day >= 2:
+                rows.append((at(), *latecomer, ANNOUNCE, variants[0]))
+            rng.shuffle(rows)  # batch order is not time order
+            # The flapper flaps (WADUP, 31 s apart) on even days only
+            # and merely repeats itself on odd ones; its rows keep
+            # their stream order so the labels are the intended ones.
+            t = day * 86400.0 + rng.uniform(0.0, 86000.0)
+            flaps = [(t, *flapper, ANNOUNCE, variants[0])]
+            if day % 2 == 0:
+                for offset in (1.0, 32.0):
+                    flaps.append(
+                        (t + offset, *flapper, WITHDRAW, int(NO_ATTR))
+                    )
+                    flaps.append(
+                        (t + offset + 30.0, *flapper, ANNOUNCE, variants[0])
+                    )
+            position = 0
+            for row in flaps:
+                position = rng.randint(position, len(rows))
+                rows.insert(position, row)
+                position += 1
+            return rows
+
+        accumulator = ShardAccumulator(config, spec)
+        batches = []
+        for day, kind in enumerate(kinds):
+            columns = RecordColumns(
+                np.array(rows_of(day, kind), dtype=RECORD_DTYPE), table
             )
-            assert (
-                streamed.interarrival[category.name] == expected
-            ).all()
+            batches.append(columns)
+            # A day with no records may be fed or skipped.
+            if len(columns) or rng.random() < 0.5:
+                accumulator.fold_day(day, columns)
+        streamed = accumulator.result()
+
+        whole = RecordColumns.concat(batches)
+        assert not (np.diff(whole.time) >= 0).all()
+        reference = whole_batch_partial(config, spec, whole)
+        assert streamed.by_peer == reference.by_peer
+        assert streamed.by_prefix == reference.by_prefix
+        assert streamed.pairs_per_day == reference.pairs_per_day
+        assert streamed.digest() == reference.digest()
+        # The shapes are really there: the ASNs and both lengths kept
+        # apart, cross-day gaps found, the flapper's WADUP gaps kept.
+        assert {3, 701, 1239, 4_200_000_001} == set(streamed.by_peer)
+        assert len(streamed.by_prefix) == 4
+        assert "empty" in kinds and kinds.index("empty") not in (
+            streamed.pairs_per_day
+        )
+        assert streamed.interarrival["TOTAL"][-1] > 0  # (8h, 24h] gaps
+        assert streamed.interarrival["WADUP"].sum() > 0
+
+    def test_fold_day_rejects_out_of_order_and_misdated_days(self):
+        """A repeated or earlier day would put negative gaps into the
+        first Figure 8 bin; so would a batch dated to the wrong day."""
+        config = fast_config(days=4, shards=1)
+        spec = config.shard_plan()[0]
+
+        def batch(time):
+            row = (time, 1, 701, 10 << 24, 8, WITHDRAW, int(NO_ATTR))
+            return RecordColumns(np.array([row], dtype=RECORD_DTYPE))
+
+        accumulator = ShardAccumulator(config, spec)
+        accumulator.fold_day(1, batch(86400.0 + 5.0))
+        for day in (1, 0):  # repeated, then earlier
+            with pytest.raises(ValueError, match="increasing order"):
+                accumulator.fold_day(day, batch(day * 86400.0 + 9.0))
+        with pytest.raises(ValueError, match="increasing order"):
+            accumulator.fold_day(4, batch(4 * 86400.0))  # past the shard
+        for time in (2 * 86400.0 - 1.0, 3 * 86400.0):
+            with pytest.raises(ValueError, match="outside the day"):
+                accumulator.fold_day(2, batch(time))
+        # None of the rejected batches left a trace.
+        accumulator.fold_day(2, batch(2 * 86400.0 + 5.0))
+        result = accumulator.result()
+        assert result.records == 2
+        assert result.pairs_per_day == {1: 1, 2: 1}
+        assert result.interarrival["TOTAL"].sum() == 1
 
     def test_single_worker_never_spawns_a_pool(self, monkeypatch):
         """The workers=1 fast path must not touch multiprocessing."""

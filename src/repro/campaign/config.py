@@ -95,8 +95,10 @@ class CampaignConfig:
     of shard tasks is ``shards * len(exchanges)``.  ``categories``
     optionally restricts generation to a subset of taxonomy category
     names (e.g. the fine-grained set — no WWDup flood); ``None`` means
-    all planned categories.  ``out`` is the output/manifest directory;
-    ``None`` runs fully in memory (no archives, no resume).
+    all planned categories, and an empty selection is rejected (a
+    campaign of nothing is a mistake, not a request).  ``out`` is the
+    output/manifest directory; ``None`` runs fully in memory (no
+    archives, no resume).
     """
 
     days: int = 14
@@ -134,6 +136,11 @@ class CampaignConfig:
             object.__setattr__(self, "out", str(self.out))
         if self.categories is not None:
             names = tuple(str(c).upper() for c in self.categories)
+            if not names:
+                raise ValueError(
+                    "categories must name at least one category "
+                    "(None selects all of them)"
+                )
             for name in names:
                 UpdateCategory[name]  # raises KeyError for unknown names
             object.__setattr__(self, "categories", names)

@@ -4,10 +4,13 @@ determinism hazard of the form "resolve the origin, look it up".
 Four checks share that shape and therefore this walk:
 
 - **DET001** — a call whose origin is the module-level ``random``
-  stream.  Those functions all draw from one hidden
-  ``random.Random``, so a result produced through them depends on
+  or ``numpy.random`` stream.  Those functions all draw from one
+  hidden generator, so a result produced through them depends on
   call order across the whole process, not on a seed.  Constructing
-  seeded instances (:data:`SEEDED_RANDOM`) is the fix, not the bug.
+  seeded instances (:data:`SEEDED_RANDOM`, :data:`NUMPY_GENERATORS`)
+  is the fix, not the bug — but a NumPy generator built with no seed
+  seeds itself from OS entropy, so that is flagged too.  Methods on
+  an instance never resolve to an origin and stay clean.
   Aliases resolve: ``from random import randint as ri`` and
   ``import random as rnd`` are both seen.
 - **DET002** — a call whose origin is in :data:`WALL_CLOCK`.  Results
@@ -60,6 +63,23 @@ WALL_CLOCK = frozenset(
 #: the bug.
 SEEDED_RANDOM = frozenset({"random.Random", "random.SystemRandom"})
 
+#: ``numpy.random`` constructors.  Given a seed (or, for ``Generator``,
+#: a bit generator) they are the fix; given nothing they read OS
+#: entropy.
+NUMPY_GENERATORS = frozenset(
+    {
+        "numpy.random.default_rng",
+        "numpy.random.RandomState",
+        "numpy.random.Generator",
+        "numpy.random.SeedSequence",
+        "numpy.random.MT19937",
+        "numpy.random.PCG64",
+        "numpy.random.PCG64DXSM",
+        "numpy.random.Philox",
+        "numpy.random.SFC64",
+    }
+)
+
 ENV_ORIGINS = frozenset(
     {"os.environ", "os.getenv", "os.environb", "os.getenvb"}
 )
@@ -95,6 +115,26 @@ def _call_site(ctx: "ModuleContext", node: ast.Call) -> Optional[OriginSite]:
             "process-wide stream; use a seeded "
             "random.Random instance)",
         )
+    if origin.startswith("numpy.random."):
+        if origin not in NUMPY_GENERATORS:
+            return OriginSite(
+                "DET001",
+                node,
+                f"call to global '{origin}' (numpy's process-wide "
+                "stream; use a seeded numpy.random generator "
+                "instance)",
+            )
+        given = node.args + [keyword.value for keyword in node.keywords]
+        if not given or (
+            isinstance(given[0], ast.Constant) and given[0].value is None
+        ):
+            return OriginSite(
+                "DET001",
+                node,
+                f"'{origin}' constructed without a seed (it seeds "
+                "itself from OS entropy; pass an explicit seed)",
+            )
+        return None
     if origin == "builtins.hash" and len(node.args) == 1:
         inferred = ctx.infer(node.args[0])
         if inferred in ("str", "bytes"):

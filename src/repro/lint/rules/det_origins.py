@@ -25,8 +25,10 @@ class GlobalRandomRule(_OriginRule):
     title = "call on the global random stream"
     rationale = (
         "All randomness must flow from explicitly seeded "
-        "random.Random / numpy default_rng(seed) instances; the "
-        "module-level functions share one process-global stream."
+        "random.Random / numpy.random generator instances; the "
+        "module-level functions of both share one process-global "
+        "stream, and a numpy generator built without a seed reads "
+        "OS entropy."
     )
 
 

@@ -2,17 +2,20 @@
 
 When the generator's materialization loop went vectorized
 (``TraceGenerator._emit_wwdup_columns``), the contract was that every
-``random.Random`` draw happens in the *same order* as the scalar
-per-record loop, so digests never move.  This module preserves the
-original tier verbatim so that contract stays checkable forever —
-the same role :class:`repro.sim.refengine.ReferenceEngine` plays for
-the calendar-queue simulator:
+draw is the scalar per-record loop's: the same MT19937 stream,
+position for position — the vectorized tier continues the day's
+``random.Random`` state in a NumPy clone and reads it in blocks — so
+digests never move.  This module preserves the original tier verbatim
+so that contract stays checkable forever — the same role
+:class:`repro.sim.refengine.ReferenceEngine` plays for the
+calendar-queue simulator:
 
 - :class:`ReferenceTraceGenerator` overrides ``_sample_bin`` with the
   pre-optimization O(bins) weight-list rebuild and linear scan
   (copied verbatim from the pre-vectorization tree), and forces
-  ``vectorize=False`` so WWDup runs the scalar per-pair emission loop
-  appending one record at a time.
+  ``vectorize=False`` so WWDup runs the scalar per-pair emission loop,
+  drawing from the ``random.Random`` itself and appending one record
+  at a time.
 - :func:`reference_twin` clones an existing generator's configuration
   into a reference instance with fresh state, so differential runs
   start from identical ground.
@@ -38,8 +41,8 @@ class ReferenceTraceGenerator(TraceGenerator):
 
     Planning (``plan_day``) is untouched — it was always scalar and
     cheap.  Only the two materialization-time differences are rolled
-    back: the cached-bisect bin sampler and the slab-vectorized WWDup
-    emission.
+    back: the cached-bisect bin sampler and the block-drawn,
+    whole-array WWDup emission.
     """
 
     __slots__ = ()

@@ -29,7 +29,16 @@ whose per-update mechanisms mirror the Tier-A simulation:
    sequences whose in-episode spacing follows the 30/60-second timer
    mixture (Figure 8) and whose classifier labels match the planned
    category (the generator tracks the same per-route state the
-   classifier does).
+   classifier does).  The scalar per-pair loop
+   (:meth:`TraceGenerator._emit_pair_day`) defines the stream.  WWDup
+   — the flood, ~95% of a day — does not run it: the day's MT19937
+   stream is continued in a NumPy clone and read in bounded blocks
+   (:class:`_DrawStream`), a pair's episodes are six-draw strides of
+   it, and bursts, bins, periods and timestamps are array expressions
+   over each block (:meth:`TraceGenerator._emit_wwdup_columns`).
+   Every draw keeps the role the scalar loop gives it, so the output
+   is byte-identical to :mod:`repro.verify.refgen`, which still runs
+   the loop.
 """
 
 from __future__ import annotations
@@ -51,6 +60,7 @@ from ..core.columns import (
     RECORD_DTYPE,
     AttributeTable,
     RecordColumns,
+    stable_argsort,
 )
 from ..core.taxonomy import UpdateCategory
 from ..net.prefix import Prefix
@@ -78,6 +88,10 @@ PLANNED_CATEGORIES = (
     UpdateCategory.WADUP,
     UpdateCategory.WWDUP,
 )
+# The flood is emitted after every scalar category: its tier takes over
+# the day's draw stream for good, and its array events follow every
+# scalar event in emission order.
+assert PLANNED_CATEGORIES[-1] is UpdateCategory.WWDUP
 
 
 @dataclass(slots=True)
@@ -304,95 +318,204 @@ class _ColumnSink:
     """Materialization sink appending primitive columns — no
     per-record dataclasses are ever constructed.
 
-    Two ingest paths share one emission stream: scalar ``announce`` /
-    ``withdraw`` calls append to Python lists, while the vectorized
-    WWDup tier hands over whole :data:`RECORD_DTYPE` segments via
-    :meth:`withdraw_block`.  Because WWDup is the *last* planned
-    category, every scalar event precedes every segment in emission
-    order, so ``finish``'s stable time sort resolves equal timestamps
-    exactly as the all-scalar stream did.
+    A record's identity (``peer_id, asn, net, plen``) is stored once
+    per *block* — one :meth:`block` per pair and category — and every
+    event is ``(time, block, kind, attr_id)``: the scalar categories
+    append to Python lists, the WWDup tier hands over whole
+    ``(times, blocks)`` arrays via :meth:`withdraw_block`.  WWDup is
+    the *last* planned category, so every scalar event precedes every
+    array event in emission order and ``finish``'s stable time order
+    resolves equal timestamps exactly as the all-scalar stream did.
     """
 
-    __slots__ = ("times", "peer_ids", "asns", "nets", "plens", "kinds",
-                 "attr_ids", "table", "segments")
+    __slots__ = ("table", "peer_ids", "asns", "nets", "plens",
+                 "times", "blocks", "kinds", "attr_ids", "floods")
 
     def __init__(self, table) -> None:
-        self.times: List[float] = []
+        self.table = table
         self.peer_ids: List[int] = []
         self.asns: List[int] = []
         self.nets: List[int] = []
         self.plens: List[int] = []
+        self.times: List[float] = []
+        self.blocks: List[int] = []
         self.kinds: List[int] = []
         self.attr_ids: List[int] = []
-        self.table = table
-        self.segments: List[np.ndarray] = []
+        self.floods: List[Tuple[np.ndarray, np.ndarray]] = []
 
-    def announce(self, time, peer_id, asn, prefix, attrs) -> None:
-        self._push(time, peer_id, asn, prefix,
-                   int(UpdateKind.ANNOUNCE), self.table.intern(attrs))
-
-    def withdraw(self, time, peer_id, asn, prefix) -> None:
-        self._push(time, peer_id, asn, prefix,
-                   int(UpdateKind.WITHDRAW), int(NO_ATTR))
-
-    def _push(self, time, peer_id, asn, prefix, kind, attr_id) -> None:
-        self.times.append(time)
+    def block(self, peer_id: int, asn: int, prefix: Prefix) -> int:
+        """Register one record identity; events refer to it by the
+        returned index."""
         self.peer_ids.append(peer_id)
         self.asns.append(asn)
         self.nets.append(prefix.network)
         self.plens.append(prefix.length)
+        return len(self.peer_ids) - 1
+
+    def announce(self, time, block, attrs) -> None:
+        self._push(time, block, int(UpdateKind.ANNOUNCE),
+                   self.table.intern(attrs))
+
+    def withdraw(self, time, block) -> None:
+        self._push(time, block, int(UpdateKind.WITHDRAW), int(NO_ATTR))
+
+    def _push(self, time, block, kind, attr_id) -> None:
+        self.times.append(time)
+        self.blocks.append(block)
         self.kinds.append(kind)
         self.attr_ids.append(attr_id)
 
-    def withdraw_block(self, times, peer_ids, asns, nets, plens) -> None:
+    def withdraw_block(self, times: np.ndarray, blocks: np.ndarray) -> None:
         """Append a batch of withdrawals already in emission order."""
-        segment = np.empty(len(times), dtype=RECORD_DTYPE)
-        segment["time"] = times
-        segment["peer_id"] = peer_ids
-        segment["peer_asn"] = asns
-        segment["net"] = nets
-        segment["plen"] = plens
-        segment["kind"] = int(UpdateKind.WITHDRAW)
-        segment["attr_id"] = int(NO_ATTR)
-        self.segments.append(segment)
+        self.floods.append((times, blocks))
 
-    def finish(self):
-        scalar = np.empty(len(self.times), dtype=RECORD_DTYPE)
-        scalar["time"] = self.times
-        scalar["peer_id"] = self.peer_ids
-        scalar["peer_asn"] = self.asns
-        scalar["net"] = self.nets
-        scalar["plen"] = self.plens
-        scalar["kind"] = self.kinds
-        scalar["attr_id"] = self.attr_ids
-        # Stable time sort: equal timestamps keep emission order.
-        return RecordColumns.from_segments(
-            [scalar, *self.segments], self.table
+    def finish(self) -> RecordColumns:
+        """The day's batch: events in stable time order, each identity
+        column one gather through the event's block."""
+        scalar = len(self.times)
+        time = np.concatenate(
+            [np.asarray(self.times, dtype=np.float64)]
+            + [times for times, _ in self.floods]
         )
+        block = np.concatenate(
+            [np.asarray(self.blocks, dtype=np.intp)]
+            + [blocks for _, blocks in self.floods]
+        )
+        kind = np.full(len(time), int(UpdateKind.WITHDRAW), dtype=np.uint8)
+        kind[:scalar] = self.kinds
+        attr_id = np.full(len(time), NO_ATTR, dtype=np.uint32)
+        attr_id[:scalar] = self.attr_ids
+        # Stable: equal timestamps keep emission order.
+        order = stable_argsort(time)
+        block = block[order]
+        data = np.empty(len(time), dtype=RECORD_DTYPE)
+        data["time"] = time[order]
+        data["peer_id"] = np.asarray(self.peer_ids, dtype=np.uint32)[block]
+        data["peer_asn"] = np.asarray(self.asns, dtype=np.uint32)[block]
+        data["net"] = np.asarray(self.nets, dtype=np.uint32)[block]
+        data["plen"] = np.asarray(self.plens, dtype=np.uint8)[block]
+        data["kind"] = kind[order]
+        data["attr_id"] = attr_id[order]
+        return RecordColumns(data, self.table)
 
 
-#: Dense-slab cell budget for the vectorized episode expansion: a
-#: (rows × max_len) float64 scratch block stays ≲ 32 MiB.
-_SLAB_CELLS = 1 << 22
+#: Draws one WWDup episode takes from the day's stream, in
+#: :meth:`TraceGenerator._emit_pair_day`'s order: burst length, bin,
+#: in-bin offset, period selector, period, micro-gap.
+_EPISODE_DRAWS = 6
+
+#: Doubles drawn from the stream per refill.  This, not the day's
+#: size, bounds what the WWDup tier holds at once: one window of draws
+#: and the episodes planned from it.
+_STREAM_BLOCK = 1 << 17
+
+#: ``log(1 - p)`` of the episode burst length's geometric law, p = 1/3.
+_BURST_LOG = math.log(1.0 - 1.0 / 3.0)
 
 
-def _slab_spans(lengths: np.ndarray, start: int, end: int):
-    """Split rows ``[start, end)`` into spans whose dense
-    ``rows × max(length)`` slab fits the cell budget.
+def _burst_lengths(draws: np.ndarray) -> np.ndarray:
+    """:meth:`TraceGenerator._geometric` at ``p = 1/3`` over an array
+    of uniform draws.
 
-    Episode lengths are geometric (mean 3) but a single row may run to
-    thousands of events; recursive halving isolates such outliers so
-    the padded expansion never allocates rows × global-max cells.
-    Yields ``(start, end, width)`` in row order — order preservation is
-    what keeps the flattened emission stream identical.
+    ``np.log`` is not libm's ``log`` to the last bit, but the quotient
+    only passes through ``ceil``: a last-bit difference changes the
+    result only where the quotient sits on an integer, and those
+    elements are recomputed with ``math.log``.  A burst is at most 91
+    events (a draw is at most 1 − 2⁻⁵³), so 16 bits hold it — and
+    keep the length sort in :func:`_episode_times` a radix sort.
     """
-    width = int(lengths[start:end].max())
-    if (end - start) * width > _SLAB_CELLS and end - start > 1:
-        mid = (start + end) // 2
-        yield from _slab_spans(lengths, start, mid)
-        yield from _slab_spans(lengths, mid, end)
-    else:
-        yield start, end, width
+    ratio = np.log(1.0 - draws) / _BURST_LOG
+    for i in np.flatnonzero(np.abs(ratio - np.rint(ratio)) < 1e-9).tolist():
+        ratio[i] = math.log(1.0 - draws[i]) / _BURST_LOG
+    return np.maximum(np.ceil(ratio), 1.0).astype(np.int16)
+
+
+class _DrawStream:
+    """The day rng's MT19937 stream from the WWDup hand-over onwards,
+    drawn a block at a time.
+
+    ``random.Random.random()`` and NumPy's legacy MT19937 double are
+    the same function of the same state (``(a >> 5, b >> 6) →
+    (a·2²⁶ + b) / 2⁵³``), so a ``RandomState`` loaded with the Python
+    generator's state continues its stream position for position.
+    ``window`` holds the drawn doubles not yet consumed (``at`` is the
+    next one); :meth:`more` drops the consumed head and appends a
+    block, so every position is drawn once.
+    """
+
+    __slots__ = ("_source", "window", "at", "lengths", "_sums")
+
+    def __init__(self, rng: random.Random) -> None:
+        _, words, _ = rng.getstate()
+        # Seeded, then overwritten: the seed never produces a draw.
+        self._source = np.random.RandomState(0)
+        self._source.set_state(
+            ("MT19937", np.array(words[:-1], dtype=np.uint32), words[-1])
+        )
+        self.window = np.empty(0, dtype=np.float64)
+        self._start_window()
+
+    def _start_window(self) -> None:
+        self.at = 0
+        #: Burst length of an episode *starting* at each window
+        #: position, filled lane by lane (0 = lane not computed).
+        self.lengths = np.zeros(len(self.window), dtype=np.int16)
+        self._sums: List[Optional[np.ndarray]] = [None] * _EPISODE_DRAWS
+
+    def more(self) -> None:
+        """Extend the unconsumed tail of the window by one block."""
+        self.window = np.concatenate(
+            (self.window[self.at:], self._source.random_sample(_STREAM_BLOCK))
+        )
+        self._start_window()
+
+    def lane(self, lane: int) -> np.ndarray:
+        """Running sum of the burst lengths drawn at
+        ``window[lane::6]``.
+
+        Consecutive episodes of a pair sit six draws apart, so they
+        share a lane and a pair's event budget is one search in its
+        running sum.  A lane is transformed on first use: subsampling
+        draws shift the lane, and a day at ``pair_fraction = 1`` only
+        ever asks for lane 0.
+        """
+        sums = self._sums[lane]
+        if sums is None:
+            lengths = _burst_lengths(self.window[lane::_EPISODE_DRAWS])
+            self.lengths[lane::_EPISODE_DRAWS] = lengths
+            sums = self._sums[lane] = np.cumsum(lengths, dtype=np.int64)
+        return sums
+
+
+def _episode_times(
+    t0: np.ndarray, period: np.ndarray, length: np.ndarray
+) -> np.ndarray:
+    """Each row's ``length`` event times ``t0, t0 + period,
+    (t0 + period) + period, …``, rows back to back.
+
+    Rows are taken longest first, so the rows still running after
+    ``k`` steps are a prefix that only shrinks: step ``k`` is one
+    in-place add over that prefix — the same sequential float adds as
+    the scalar ``t += period`` — scattered into each row's ``k``-th
+    cell.  Σ length cells are touched, not rows × the longest row.
+    """
+    order = np.argsort(length, kind="stable")[::-1]
+    longest_first = length[order]
+    cell = (np.cumsum(length) - length)[order]
+    now = t0[order]
+    step = period[order]
+    times = np.empty(int(length.sum()), dtype=np.float64)
+    times[cell] = now
+    running = len(order) - np.searchsorted(
+        longest_first[::-1], np.arange(1, longest_first[0]), side="right"
+    )
+    for rows in running.tolist():
+        now = now[:rows]
+        now += step[:rows]
+        cell = cell[:rows]
+        cell += 1
+        times[cell] = now
+    return times
 
 
 class TraceGenerator:
@@ -635,7 +758,9 @@ class TraceGenerator:
         :class:`~repro.core.columns.RecordColumns` batch — no
         per-record dataclasses are built.  Pass a shared ``attrs``
         table to keep attribute ids consistent across a campaign's
-        days."""
+        days.  ``categories=()`` is an empty day."""
+        if not 0.0 < pair_fraction <= 1.0:
+            raise ValueError("pair_fraction must be in (0, 1]")
         sink = _ColumnSink(attrs if attrs is not None else AttributeTable())
         self._materialize_day(day, pair_fraction, plan, categories, sink)
         return sink.finish()
@@ -651,30 +776,36 @@ class TraceGenerator:
     ) -> None:
         """Drive ``sink`` through one day's emission stream.
 
-        WWDup — the flood category, ~95% of a full day's records — is
-        routed through the vectorized tier; every other category runs
-        the scalar loop.  Both paths consume the *same* ``rng`` draws
-        in the *same* order, so the split is invisible in the output.
-        ``vectorize=False`` forces the all-scalar path (the
+        Every category but the last runs the scalar per-pair loop on
+        the day's ``rng``.  WWDup — the flood category, ~95% of a full
+        day's records — comes last and is handed the *stream*: a
+        :class:`_DrawStream` continuing ``rng``'s MT19937 sequence
+        position for position, so the split is invisible in the output
+        and nothing can draw from ``rng`` behind it.
+        ``vectorize=False`` keeps WWDup on the scalar loop too (the
         :mod:`repro.verify.refgen` oracle the parity tests diff
         against).
         """
         plan = plan or self.plan_day(day)
         rng = self._day_rng(day, salt=1)
-        wanted = tuple(categories) if categories else PLANNED_CATEGORIES
-        for category in PLANNED_CATEGORIES:
-            if category not in wanted:
-                continue
-            if vectorize and category is UpdateCategory.WWDUP:
-                self._emit_wwdup_columns(
-                    rng, plan, plan.participation[category],
-                    pair_fraction, sink,
-                )
-                continue
+        wanted = (
+            PLANNED_CATEGORIES if categories is None else tuple(categories)
+        )
+        scalar = [c for c in PLANNED_CATEGORIES if c in wanted]
+        flood = vectorize and UpdateCategory.WWDUP in scalar
+        if flood:
+            scalar.pop()  # WWDup, last: emitted below, from the stream
+        for category in scalar:
             for pair, count in plan.participation[category]:
                 if pair_fraction < 1.0 and rng.random() > pair_fraction:
                     continue
                 self._emit_pair_day(rng, plan, category, pair, count, sink)
+        if flood:
+            self._emit_wwdup_columns(
+                _DrawStream(rng), plan,
+                plan.participation[UpdateCategory.WWDUP],
+                pair_fraction, sink,
+            )
 
     # -- per-pair emission -----------------------------------------------------
 
@@ -770,21 +901,19 @@ class TraceGenerator:
         peer = self.population.by_asn[asn]
         state = self._state(pair)
         day_start = plan.day * SECONDS_PER_DAY
-        peer_id = peer.peer_id
+        block = sink.block(peer.peer_id, asn, prefix)
 
         def announce(
             t: float, variant: int, med: Optional[int] = None
         ) -> None:
-            sink.announce(
-                t, peer_id, asn, prefix, self._attrs(pair, variant, med=med)
-            )
+            sink.announce(t, block, self._attrs(pair, variant, med=med))
             state.reachable = True
             state.ever_announced = True
             state.variant = variant
             state.med = med
 
         def withdraw(t: float) -> None:
-            sink.withdraw(t, peer_id, asn, prefix)
+            sink.withdraw(t, block)
             state.reachable = False
 
         # Split the count into episodes of a few events each.  Each
@@ -860,172 +989,189 @@ class TraceGenerator:
 
     def _emit_wwdup_columns(
         self,
-        rng: random.Random,
+        stream: _DrawStream,
         plan: DayPlan,
         allocation: List[Tuple[Pair, int]],
         pair_fraction: float,
         sink: "_ColumnSink",
     ) -> None:
-        """WWDup, vectorized: scalar draw-faithful episode *planning*
-        followed by one batched timestamp expansion.
+        """WWDup as whole-array work over the day's draw stream.
 
-        The planning loop consumes exactly the ``rng.random()`` draws
-        :meth:`_emit_pair_day` would (subsample, geometric episode
-        length, bin, in-bin offset, period, micro-gap — six per
-        episode) and records each episode as a ``(t0, period, length)``
-        row; a pair entering the day reachable contributes a length-1
-        pseudo-episode for its leading PLAIN withdrawal.  Rows then
-        expand to timestamps with ``np.add.accumulate`` — whose
-        sequential partial sums bit-exactly replicate the scalar
-        ``t += period`` walk — and a prefix mask reproduces the
-        midnight cut-off (``t >= day_end`` breaks before emitting, and
-        the accumulated times are strictly increasing).  The masked
-        C-order flatten is the scalar emission order, row by row.
+        :meth:`_emit_pair_day` spends six draws per episode (see
+        :data:`_EPISODE_DRAWS`) plus one per considered pair when
+        subsampling, so every draw's role follows from where its pair
+        starts.  The walk below touches each *pair* once: it finds in
+        the lane's running burst lengths where the pair's ``count`` is
+        used up, clips the last burst, and records the pair's episodes
+        in the current stream window as one *run*.  When the window
+        runs out — and after the last pair — :meth:`_expand_runs` turns
+        its runs into timestamps in one pass.
         """
         cum, total = plan.materialization_weights()
         subsample = pair_fraction < 1.0
-        rand = rng.random
-        if total <= 0:
-            # Whole day lost: the scalar path still consumes the
-            # subsample draw and one geometric draw per surviving pair
-            # (the bin sampler bails before drawing), creates the pair
-            # state, and emits nothing.
-            for pair, count in allocation:
-                if subsample and rand() > pair_fraction:
-                    continue
-                self._state(pair)
-                if count > 0:
-                    self._geometric(rng, 1.0 / 3.0)
-            return
-
-        targets = self.targets
         day_start = plan.day * SECONDS_PER_DAY
         day_end = day_start + SECONDS_PER_DAY
         bin_width = SECONDS_PER_DAY / BINS_PER_DAY
+        last_bin = len(cum) - 1
+        by_asn = self.population.by_asn
+        # The runs planned from the current window, in emission order:
+        # window offset of the first draw, episodes, clipped length of
+        # the last burst (0 = unclipped), sink block; and the
+        # (run, episode) places of the lead withdrawals.
+        runs: Tuple[list, ...] = ([], [], [], [], [])
+        starts, counts, clips, blocks, leads = runs
+
+        def refill() -> None:
+            if starts:
+                self._expand_runs(stream, plan, runs, sink)
+                for column in runs:
+                    column.clear()
+            stream.more()
+
+        def draw() -> float:
+            if stream.at == len(stream.window):
+                refill()
+            stream.at += 1
+            return stream.window[stream.at - 1]
+
+        for pair, count in allocation:
+            if subsample and draw() > pair_fraction:
+                continue
+            state = self._state(pair)
+            if count <= 0:
+                continue
+            if total <= 0:
+                # Whole day lost: the scalar loop draws one burst
+                # length, finds no bin to put it in and gives up on
+                # the pair.
+                draw()
+                continue
+            prefix, asn = pair
+            block = sink.block(by_asn[asn].peer_id, asn, prefix)
+            remaining = count
+            while remaining > 0:
+                at = stream.at
+                whole = (len(stream.window) - at) // _EPISODE_DRAWS
+                if not whole:
+                    refill()
+                    continue
+                sums = stream.lane(at % _EPISODE_DRAWS)
+                first = at // _EPISODE_DRAWS
+                before = int(sums[first - 1]) if first else 0
+                last = int(sums.searchsorted(before + remaining))
+                if last < first + whole:
+                    # The budget runs out in this window: the last
+                    # burst is cut to what is left of it.
+                    episodes = last - first + 1
+                    clip = remaining + before - (
+                        int(sums[last - 1]) if last else 0
+                    )
+                    remaining = 0
+                else:
+                    episodes = whole
+                    clip = 0
+                    remaining -= int(sums[first + whole - 1]) - before
+                if state.reachable:
+                    # The pair entered the day reachable: a PLAIN
+                    # withdrawal leads its first episode that starts
+                    # before midnight (the first, unless an in-bin
+                    # offset rounded up to the day's last instant).
+                    window = stream.window
+                    for episode in range(episodes):
+                        bin_index = min(
+                            bisect_left(cum, window[at + 1] * total),
+                            last_bin,
+                        )
+                        t0 = day_start + (
+                            bin_index + window[at + 2]
+                        ) * bin_width
+                        if t0 < day_end:
+                            leads.append((len(starts), episode))
+                            state.reachable = False
+                            break
+                        at += _EPISODE_DRAWS
+                starts.append(stream.at)
+                counts.append(episodes)
+                clips.append(clip)
+                blocks.append(block)
+                stream.at += episodes * _EPISODE_DRAWS
+        if starts:
+            self._expand_runs(stream, plan, runs, sink)
+
+    def _expand_runs(
+        self,
+        stream: _DrawStream,
+        plan: DayPlan,
+        runs: Tuple[list, ...],
+        sink: "_ColumnSink",
+    ) -> None:
+        """Turn the episode ``runs`` planned from ``stream.window``
+        (see :meth:`_emit_wwdup_columns`) into withdrawal events, as
+        array expressions in the scalar loop's operand order.
+
+        Only ``exp`` stays libm: the background period reaches a
+        timestamp, and ``np.exp`` differs from ``math.exp`` in the
+        last bit often enough to show.
+        """
+        starts, counts, clips, blocks, leads = runs
+        window = stream.window
+        cum, total = plan.materialization_weights()
+        day_start = plan.day * SECONDS_PER_DAY
+        day_end = day_start + SECONDS_PER_DAY
+        bin_width = SECONDS_PER_DAY / BINS_PER_DAY
+        targets = self.targets
         mass_30 = targets.spacing_30s_mass
         mass_60 = mass_30 + targets.spacing_60s_mass
         log_lo = math.log(2.0)
         log_span = math.log(8 * 3600.0) - log_lo
-        geo_denom = math.log(1.0 - (1.0 / 3.0))
-        n_bins = len(cum)
-        by_asn = self.population.by_asn
-        ceil, log, exp = math.ceil, math.log, math.exp
 
-        # Episode rows (+ lead pseudo-rows), in emission order.
-        t0s: List[float] = []
-        periods: List[float] = []
-        lengths: List[int] = []
-        # One entry per emitting pair block; rows map to blocks.
-        block_rows: List[int] = []
-        block_peer: List[int] = []
-        block_asn: List[int] = []
-        block_net: List[int] = []
-        block_plen: List[int] = []
-        push_t0 = t0s.append
-        push_period = periods.append
-        push_length = lengths.append
-
-        for pair, count in allocation:
-            if subsample and rand() > pair_fraction:
-                continue
-            state = self._state(pair)
-            rows_before = len(t0s)
-            lead = state.reachable
-            remaining = count
-            while remaining > 0:
-                # Inlined _geometric(rng, 1/3): episode burst length.
-                episode = ceil(log(1.0 - rand()) / geo_denom)
-                if episode < 1:
-                    episode = 1
-                if episode > remaining:
-                    episode = remaining
-                remaining -= episode
-                # Inlined _sample_bin over the cached running sums.
-                bin_index = bisect_left(cum, rand() * total)
-                if bin_index == n_bins:
-                    bin_index = n_bins - 1
-                t0 = day_start + (bin_index + rand()) * bin_width
-                # Inlined _episode_period: the Figure 8 mixture.
-                u = rand()
-                if u < mass_30:
-                    period = 29.5 + 1.0 * rand()
-                elif u < mass_60:
-                    period = 58.0 + 4.0 * rand()
-                else:
-                    period = exp(log_lo + log_span * rand())
-                if lead:
-                    # The pair entered the day reachable: its first
-                    # event is preceded by a PLAIN withdrawal at the
-                    # clamped micro-gap offset (the first event always
-                    # lands before midnight, so it always emits).
-                    lead = False
-                    micro_gap = 0.5 + 3.5 * rand()
-                    half = period / 2.0
-                    if micro_gap > half:
-                        micro_gap = half
-                    t_lead = t0 - micro_gap
-                    push_t0(t_lead if t_lead > day_start else t0)
-                    push_period(0.0)
-                    push_length(1)
-                else:
-                    # The micro-gap draw happens every episode in the
-                    # scalar loop; its value only matters on the lead.
-                    rand()
-                push_t0(t0)
-                push_period(period)
-                push_length(episode)
-            rows = len(t0s) - rows_before
-            if rows:
-                state.reachable = False
-                prefix, asn = pair
-                block_rows.append(rows)
-                block_peer.append(by_asn[asn].peer_id)
-                block_asn.append(asn)
-                block_net.append(prefix.network)
-                block_plen.append(prefix.length)
-
-        n_rows = len(t0s)
-        if not n_rows:
-            return
-        t0_arr = np.asarray(t0s, dtype=np.float64)
-        period_arr = np.asarray(periods, dtype=np.float64)
-        length_arr = np.asarray(lengths, dtype=np.int64)
-        times_parts: List[np.ndarray] = []
-        count_parts: List[np.ndarray] = []
-        for start, end, width in _slab_spans(length_arr, 0, n_rows):
-            slab = np.empty((end - start, width), dtype=np.float64)
-            slab[:, 0] = t0_arr[start:end]
-            if width > 1:
-                slab[:, 1:] = period_arr[start:end, None]
-            acc = np.add.accumulate(slab, axis=1)
-            mask = (np.arange(width) < length_arr[start:end, None]) & (
-                acc < day_end
+        per_run = np.asarray(counts, dtype=np.intp)
+        ends = np.cumsum(per_run)
+        firsts = ends - per_run
+        # Window offset of every episode's first draw.
+        offset = np.repeat(
+            np.asarray(starts, dtype=np.intp) - _EPISODE_DRAWS * firsts,
+            per_run,
+        ) + _EPISODE_DRAWS * np.arange(ends[-1])
+        length = stream.lengths[offset]
+        clip = np.asarray(clips, dtype=np.int16)
+        clipped = np.flatnonzero(clip)
+        length[ends[clipped] - 1] = clip[clipped]
+        bins = np.minimum(
+            np.searchsorted(cum, window[offset + 1] * total), len(cum) - 1
+        )
+        t0 = day_start + (bins + window[offset + 2]) * bin_width
+        # The Figure 8 mixture: 30 s timer, 60 s line, broad background.
+        selector = window[offset + 3]
+        spread = window[offset + 4]
+        period = np.where(
+            selector < mass_30, 29.5 + 1.0 * spread, 58.0 + 4.0 * spread
+        )
+        background = np.flatnonzero(selector >= mass_60)
+        period[background] = [
+            math.exp(x)
+            for x in (log_lo + log_span * spread[background]).tolist()
+        ]
+        block = np.repeat(np.asarray(blocks, dtype=np.intp), per_run)
+        if leads:
+            # Lead withdrawals: one-event rows ahead of their episode,
+            # at the micro-gap offset clamped to the day's start.
+            runs, episodes = np.asarray(leads, dtype=np.intp).T
+            led = firsts[runs] + episodes
+            gap = np.minimum(
+                0.5 + 3.5 * window[offset[led] + 5], period[led] / 2.0
             )
-            times_parts.append(acc[mask])
-            count_parts.append(np.count_nonzero(mask, axis=1))
-        times = (
-            times_parts[0]
-            if len(times_parts) == 1
-            else np.concatenate(times_parts)
-        )
-        per_row = (
-            count_parts[0]
-            if len(count_parts) == 1
-            else np.concatenate(count_parts)
-        )
-        # Row -> owning block -> per-event metadata, by two repeats.
-        row_block = np.repeat(
-            np.arange(len(block_rows)),
-            np.asarray(block_rows, dtype=np.int64),
-        )
-        owner = np.repeat(row_block, per_row)
-        sink.withdraw_block(
-            times,
-            np.asarray(block_peer, dtype=np.uint32)[owner],
-            np.asarray(block_asn, dtype=np.uint32)[owner],
-            np.asarray(block_net, dtype=np.uint32)[owner],
-            np.asarray(block_plen, dtype=np.uint8)[owner],
-        )
+            early = t0[led] - gap
+            lead_time = np.where(early > day_start, early, t0[led])
+            length = np.insert(length, led, 1)
+            period = np.insert(period, led, 0.0)
+            block = np.insert(block, led, block[led])
+            t0 = np.insert(t0, led, lead_time)
+        times = _episode_times(t0, period, length)
+        # Days are hard boundaries: an episode's tail past midnight is
+        # dropped (times only grow along a row).
+        kept = times < day_end
+        sink.withdraw_block(times[kept], np.repeat(block, length)[kept])
 
     # ------------------------------------------------------------------
     # aggregate tier conveniences

@@ -114,6 +114,14 @@ class TestCampaignConfig:
         with pytest.raises(KeyError):
             CampaignConfig(categories=("AADIFF", "NOT_A_CATEGORY"))
 
+    def test_empty_category_selection_is_rejected(self):
+        """An empty tuple used to fall through to "all categories" in
+        the generator; it now means nothing there, and a campaign of
+        nothing is refused here."""
+        with pytest.raises(ValueError, match="at least one category"):
+            CampaignConfig(categories=())
+        assert CampaignConfig(categories=None).category_set() is None
+
     def test_day_ranges_partition_the_campaign(self):
         for days in (1, 3, 7, 14, 30):
             for shards in sorted({1, min(2, days), min(3, days), min(5, days)}):

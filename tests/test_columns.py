@@ -37,6 +37,7 @@ from repro.core.columns import (
     RecordColumns,
     classify_columns,
     decode_categories,
+    stable_argsort,
 )
 from repro.core.instability import (
     CategoryCounts,
@@ -200,6 +201,41 @@ class TestConversions:
         assert decode_categories(
             np.array([c.value for c in UpdateCategory])
         ) == list(UpdateCategory)
+
+
+class TestStableArgsort:
+    """``stable_argsort`` is ``np.argsort(kind="stable")`` on any
+    input: through the early exits, the tie repair, and the fall-back
+    for tie-heavy or NaN-carrying input."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(12)
+        distinct = rng.permutation(50_000).astype(np.float64)
+        sparse_ties = rng.random(50_000)
+        sparse_ties[rng.integers(0, 50_000, 400)] = sparse_ties[7]
+        sparse_ties[rng.integers(0, 50_000, 300)] = sparse_ties[11]
+        with_nans = rng.random(1_000)
+        with_nans[rng.integers(0, 1_000, 40)] = np.nan
+        return {
+            "empty": np.empty(0),
+            "one row": np.array([3.5]),
+            "a pair, tied": np.array([2.0, 2.0]),
+            "all equal": np.full(5_000, 7.25),
+            "few distinct values": rng.integers(0, 5, 50_000).astype(float),
+            "50k rows, none tied": distinct,
+            "50k rows, two runs of ties": sparse_ties,
+            "many short runs": np.round(rng.random(50_000) * 5e5),
+            "signed zeros": np.array([0.0, -0.0, 1.0, -0.0, 0.0, -1.0]),
+            "NaNs": with_nans,
+            "integers": rng.integers(0, 1_000_000, 20_000),
+        }
+
+    @pytest.mark.parametrize("name", sorted(cases()))
+    def test_equals_the_stable_sort(self, name):
+        values = self.cases()[name]
+        order = stable_argsort(values)
+        assert order.tolist() == np.argsort(values, kind="stable").tolist()
 
 
 class TestGeneratorColumns:

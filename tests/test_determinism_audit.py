@@ -47,7 +47,18 @@ def test_wall_clock_only_in_pragma_justified_display_code():
     )
 
 
-def test_numpy_rng_is_seeded():
-    # The one numpy RNG in the tree must stay an explicit default_rng(seed).
+def test_numpy_rng_is_seeded(tmp_path):
+    # DET001 sees numpy.random: every generator in the tree is built
+    # with a seed and nothing calls numpy's global stream
+    # (test_no_module_level_random_calls).  That the rule would notice
+    # is shown on the tree's own code: take the seed away from ssa.py's
+    # generator and the same scan flags it.
     ssa = (SRC / "analysis" / "ssa.py").read_text()
-    assert "default_rng(seed)" in ssa
+    assert ssa.count("default_rng(seed)") == 1
+    (tmp_path / "ssa.py").write_text(
+        ssa.replace("default_rng(seed)", "default_rng()")
+    )
+    engine = LintEngine(tmp_path, rules=rules_by_id("DET001"))
+    findings = engine.lint_paths([tmp_path]).findings
+    assert [f.rule for f in findings] == ["DET001"]
+    assert "without a seed" in findings[0].message

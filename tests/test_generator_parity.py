@@ -1,12 +1,14 @@
 """Vectorized-generation digest parity.
 
 The vectorized WWDup tier (``TraceGenerator._emit_wwdup_columns``)
-and the cached-bisect bin sampler must consume every ``random.Random``
-draw in exactly the order the original scalar loop did, so the two
-materializations of any day stay bit-identical forever:
+and the cached-bisect bin sampler must give every draw of the day's
+MT19937 stream the role the original scalar loop gave it, position
+for position, so the two materializations of any day stay
+bit-identical forever:
 
-- vectorized ``day_columns`` (NumPy slab emission), the production
-  path (``day_records`` is its ``to_records()``),
+- vectorized ``day_columns`` (WWDup read in blocks from a NumPy clone
+  of the day's ``random.Random`` and expanded as arrays), the
+  production path (``day_records`` is its ``to_records()``),
 - the preserved pre-vectorization tier
   (:mod:`repro.verify.refgen`, the single scalar draw-order oracle).
 
@@ -14,7 +16,9 @@ These tests pin that contract across the fuzz-seed corpus, pair
 fractions, incident overlays, diurnal schedules, and the shared
 ``AttributeTable`` campaign mode, freeze the end-to-end campaign
 digest so a silent draw-order change fails loudly, and prove the
-generator's ``hash()`` uses are PYTHONHASHSEED-free.
+generator's ``hash()`` uses are PYTHONHASHSEED-free.  The stream
+clone itself, its block boundaries and the degenerate days are in
+``tests/test_generator_stream.py``.
 """
 
 import hashlib

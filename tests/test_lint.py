@@ -89,6 +89,70 @@ class TestDET001GlobalRandom:
         )
         assert findings == []
 
+    def test_flags_numpy_global_stream_calls(self, tmp_path):
+        findings = lint_snippets(
+            tmp_path,
+            {
+                "mod.py": """
+                import numpy as np
+                from numpy import random as npr
+                from numpy.random import shuffle
+
+                np.random.seed(3)
+                noise = np.random.rand(4)
+                pick = npr.randint(0, 10)
+                shuffle([1, 2, 3])
+                """
+            },
+            rule="DET001",
+        )
+        assert {f.line for f in findings} == {6, 7, 8, 9}
+        assert "numpy.random.seed" in findings[0].message
+
+    def test_flags_unseeded_numpy_constructors(self, tmp_path):
+        findings = lint_snippets(
+            tmp_path,
+            {
+                "mod.py": """
+                import numpy as np
+                from numpy.random import MT19937, default_rng
+
+                a = default_rng()
+                b = np.random.RandomState()
+                c = MT19937()
+                d = np.random.default_rng(None)
+                e = np.random.RandomState(seed=None)
+                f = np.random.SeedSequence()
+                """
+            },
+            rule="DET001",
+        )
+        assert {f.line for f in findings} == {5, 6, 7, 8, 9, 10}
+        assert all("without a seed" in f.message for f in findings)
+
+    def test_seeded_numpy_generators_and_their_methods_are_compliant(
+        self, tmp_path
+    ):
+        findings = lint_snippets(
+            tmp_path,
+            {
+                "mod.py": """
+                import numpy as np
+                from numpy.random import MT19937, Generator
+
+                def stream(seed, words, pos):
+                    source = np.random.RandomState(0)
+                    source.set_state(("MT19937", words, pos))
+                    bits = MT19937(seed=seed)
+                    rng = Generator(bits)
+                    child = np.random.default_rng(np.random.SeedSequence(seed))
+                    return source.random_sample(8), rng.random(), child.random()
+                """
+            },
+            rule="DET001",
+        )
+        assert findings == []
+
     def test_pragma_suppresses_with_justification(self, tmp_path):
         findings = lint_snippets(
             tmp_path,

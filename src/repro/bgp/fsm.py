@@ -10,13 +10,20 @@ States: Idle → Connect → OpenSent → OpenConfirm → Established, with
 any error collapsing back to Idle.  (Active is folded into Connect; the
 TCP-level distinction between them does not affect any behaviour the
 reproduction measures.)
+
+The transition function is total and small (5 states x 9 events), so it
+is written out once as a dense table, ``_NEXT``, and
+:meth:`BgpStateMachine.handle` is two index operations.  The table is
+indexed by member ordinal rather than keyed by member because hashing
+an ``Enum`` member is a Python-level ``__hash__`` call, and a simulated
+day feeds the machine one KEEPALIVE_RECEIVED per two events.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, auto
-from typing import List, Optional
+from typing import List
 
 __all__ = ["SessionState", "FsmEvent", "BgpStateMachine", "Transition"]
 
@@ -45,7 +52,7 @@ class FsmEvent(Enum):
     NOTIFICATION_RECEIVED = auto()  # event 24/25
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transition:
     """A record of one state change (for tests and storm diagnostics)."""
 
@@ -59,6 +66,36 @@ class FsmError(RuntimeError):
     """Raised when an event is illegal in the current state."""
 
 
+_IDLE, _CONNECT, _OPEN_SENT, _OPEN_CONFIRM, _ESTABLISHED = SessionState
+
+#: The whole transition function, one row per state in
+#: :class:`SessionState` order and one column per event in
+#: :class:`FsmEvent` order: the next state (the row's own state where
+#: the event is ignored), or ``None`` for a protocol violation.
+#: ``auto()`` numbers members from 1 in definition order, so a member's
+#: ``_value_ - 1`` is its row or column.
+#:
+#: Columns: MANUAL_START, MANUAL_STOP, TCP_ESTABLISHED, TCP_FAILED,
+#: OPEN_RECEIVED, KEEPALIVE_RECEIVED, UPDATE_RECEIVED,
+#: HOLD_TIMER_EXPIRED, NOTIFICATION_RECEIVED.
+_NEXT = (
+    # IDLE
+    (_CONNECT, _IDLE, _IDLE, _IDLE, None, None, None, _IDLE, _IDLE),
+    # CONNECT
+    (_CONNECT, _IDLE, _OPEN_SENT, _IDLE, _CONNECT, _CONNECT, None,
+     _IDLE, _IDLE),
+    # OPEN_SENT
+    (_OPEN_SENT, _IDLE, _OPEN_SENT, _IDLE, _OPEN_CONFIRM, _OPEN_SENT, None,
+     _IDLE, _IDLE),
+    # OPEN_CONFIRM
+    (_OPEN_CONFIRM, _IDLE, _OPEN_CONFIRM, _IDLE, _OPEN_CONFIRM, _ESTABLISHED,
+     None, _IDLE, _IDLE),
+    # ESTABLISHED
+    (_ESTABLISHED, _IDLE, _ESTABLISHED, _IDLE, _ESTABLISHED, _ESTABLISHED,
+     _ESTABLISHED, _IDLE, _IDLE),
+)
+
+
 class BgpStateMachine:
     """One side of a BGP peering session.
 
@@ -68,41 +105,7 @@ class BgpStateMachine:
     which feeds HOLD_TIMER_EXPIRED / TCP_* events in.
     """
 
-    #: (state, event) -> next state.  Events not listed for a state are
-    #: either ignored (returns current state) or fatal per _FATAL below.
-    _TABLE = {
-        (SessionState.IDLE, FsmEvent.MANUAL_START): SessionState.CONNECT,
-        (SessionState.CONNECT, FsmEvent.TCP_ESTABLISHED): SessionState.OPEN_SENT,
-        (SessionState.CONNECT, FsmEvent.TCP_FAILED): SessionState.IDLE,
-        (SessionState.OPEN_SENT, FsmEvent.OPEN_RECEIVED): SessionState.OPEN_CONFIRM,
-        (SessionState.OPEN_SENT, FsmEvent.TCP_FAILED): SessionState.IDLE,
-        (SessionState.OPEN_CONFIRM, FsmEvent.KEEPALIVE_RECEIVED): SessionState.ESTABLISHED,
-        (SessionState.OPEN_CONFIRM, FsmEvent.TCP_FAILED): SessionState.IDLE,
-        (SessionState.ESTABLISHED, FsmEvent.KEEPALIVE_RECEIVED): SessionState.ESTABLISHED,
-        (SessionState.ESTABLISHED, FsmEvent.UPDATE_RECEIVED): SessionState.ESTABLISHED,
-        (SessionState.ESTABLISHED, FsmEvent.TCP_FAILED): SessionState.IDLE,
-    }
-
-    #: Events that drop any non-idle session back to IDLE.
-    _FATAL = frozenset(
-        {
-            FsmEvent.MANUAL_STOP,
-            FsmEvent.HOLD_TIMER_EXPIRED,
-            FsmEvent.NOTIFICATION_RECEIVED,
-        }
-    )
-
-    #: (state, event) pairs that are protocol violations.
-    _ILLEGAL = frozenset(
-        {
-            (SessionState.IDLE, FsmEvent.UPDATE_RECEIVED),
-            (SessionState.IDLE, FsmEvent.KEEPALIVE_RECEIVED),
-            (SessionState.IDLE, FsmEvent.OPEN_RECEIVED),
-            (SessionState.CONNECT, FsmEvent.UPDATE_RECEIVED),
-            (SessionState.OPEN_SENT, FsmEvent.UPDATE_RECEIVED),
-            (SessionState.OPEN_CONFIRM, FsmEvent.UPDATE_RECEIVED),
-        }
-    )
+    __slots__ = ("state", "history", "established_count", "drop_count")
 
     def __init__(self) -> None:
         self.state = SessionState.IDLE
@@ -117,20 +120,14 @@ class BgpStateMachine:
         before the session is Established).
         """
         before = self.state
-        if (before, event) in self._ILLEGAL:
+        after = _NEXT[before._value_ - 1][event._value_ - 1]
+        if after is None:
             raise FsmError(f"{event.name} illegal in {before.name}")
-        if event in self._FATAL:
-            after = SessionState.IDLE
-        else:
-            after = self._TABLE.get((before, event), before)
         if after is not before:
             self.history.append(Transition(now, event, before, after))
-            if after is SessionState.ESTABLISHED:
+            if after is _ESTABLISHED:
                 self.established_count += 1
-            if (
-                before is SessionState.ESTABLISHED
-                and after is not SessionState.ESTABLISHED
-            ):
+            elif before is _ESTABLISHED:
                 self.drop_count += 1
         self.state = after
         return after

@@ -12,11 +12,19 @@ storms happen because a busy router *fails to send keepalives on time*
 (its CPU is busy with updates), so the peer's hold timer expires even
 though the link is healthy.  The router model therefore sends
 keepalives through the same CPU-work queue as updates.
+
+Keepalives are also most of what a healthy session ever does — one
+:meth:`PeeringSession.poll` that emits one and one
+:meth:`PeeringSession.on_keepalive` that receives one per interval —
+so those two report without allocating: the payload-free actions are
+module constants, an uneventful call returns a fresh empty list, and
+the FSM state is read by identity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from enum import Enum, auto
 from typing import List, Optional
 
 from .fsm import BgpStateMachine, FsmEvent, SessionState
@@ -32,9 +40,6 @@ from .messages import (
 __all__ = ["PeeringSession", "SessionAction", "ActionKind"]
 
 
-from enum import Enum, auto
-
-
 class ActionKind(Enum):
     """What the session asks its owner to do."""
 
@@ -46,13 +51,22 @@ class ActionKind(Enum):
     RESTART = auto()           #: caller should re-initiate the connection
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SessionAction:
     """An instruction emitted by the session to its owning router."""
 
     kind: ActionKind
-    time: float
     message: object = None
+
+
+_ESTABLISHED = SessionState.ESTABLISHED
+
+#: The actions that carry nothing but their kind (a KEEPALIVE has no
+#: fields either), built once.
+_SESSION_UP = SessionAction(ActionKind.SESSION_UP)
+_SESSION_DOWN = SessionAction(ActionKind.SESSION_DOWN)
+_RESTART = SessionAction(ActionKind.RESTART)
+_SEND_KEEPALIVE = SessionAction(ActionKind.SEND_KEEPALIVE, KeepAliveMessage())
 
 
 class PeeringSession:
@@ -67,6 +81,21 @@ class PeeringSession:
     local_id:
         32-bit identifier used in our OPEN.
     """
+
+    __slots__ = (
+        "local_asn",
+        "peer_asn",
+        "hold_time",
+        "local_id",
+        "fsm",
+        "keepalive_interval",
+        "_hold_deadline",
+        "_next_keepalive",
+        "sent_updates",
+        "received_updates",
+        "sent_keepalives",
+        "received_keepalives",
+    )
 
     def __init__(
         self,
@@ -99,7 +128,6 @@ class PeeringSession:
         return [
             SessionAction(
                 ActionKind.SEND_OPEN,
-                now,
                 OpenMessage(
                     asn=self.local_asn,
                     hold_time=self.hold_time,
@@ -110,19 +138,34 @@ class PeeringSession:
 
     def stop(self, now: float) -> List[SessionAction]:
         """Administratively stop the session (Cease)."""
-        was_established = self.fsm.is_established
-        self.fsm.handle(FsmEvent.MANUAL_STOP, now)
+        return self._tear_down(
+            FsmEvent.MANUAL_STOP, now, NotificationCode.CEASE
+        )
+
+    def _tear_down(
+        self,
+        event: FsmEvent,
+        now: float,
+        notify: Optional[NotificationCode] = None,
+    ) -> List[SessionAction]:
+        """Feed the FSM a session-ending ``event`` and disarm both
+        timers; the actions are a NOTIFICATION to the peer (when
+        ``notify`` names its code), then SESSION_DOWN if the session
+        had been up."""
+        fsm = self.fsm
+        was_established = fsm.state is _ESTABLISHED
+        fsm.handle(event, now)
         self._hold_deadline = None
         self._next_keepalive = None
-        actions = [
-            SessionAction(
-                ActionKind.SEND_NOTIFICATION,
-                now,
-                NotificationMessage(NotificationCode.CEASE),
+        actions: List[SessionAction] = []
+        if notify is not None:
+            actions.append(
+                SessionAction(
+                    ActionKind.SEND_NOTIFICATION, NotificationMessage(notify)
+                )
             )
-        ]
         if was_established:
-            actions.append(SessionAction(ActionKind.SESSION_DOWN, now))
+            actions.append(_SESSION_DOWN)
         return actions
 
     # -- inbound messages ---------------------------------------------------
@@ -134,24 +177,19 @@ class PeeringSession:
         self.hold_time = min(self.hold_time, msg.hold_time)
         self.keepalive_interval = self.hold_time / 3.0
         self._hold_deadline = now + self.hold_time
-        return [
-            SessionAction(ActionKind.SEND_KEEPALIVE, now, KeepAliveMessage())
-        ]
+        return [_SEND_KEEPALIVE]
 
     def on_keepalive(self, now: float) -> List[SessionAction]:
         """Handle a received KEEPALIVE: refresh hold timer, maybe go up."""
-        before = self.fsm.state
-        self.fsm.handle(FsmEvent.KEEPALIVE_RECEIVED, now)
+        fsm = self.fsm
+        before = fsm.state
+        after = fsm.handle(FsmEvent.KEEPALIVE_RECEIVED, now)
         self.received_keepalives += 1
         self._hold_deadline = now + self.hold_time
-        actions: List[SessionAction] = []
-        if (
-            before is SessionState.OPEN_CONFIRM
-            and self.fsm.is_established
-        ):
+        if after is _ESTABLISHED and before is SessionState.OPEN_CONFIRM:
             self._next_keepalive = now + self.keepalive_interval
-            actions.append(SessionAction(ActionKind.SESSION_UP, now))
-        return actions
+            return [_SESSION_UP]
+        return []
 
     def on_update(self, now: float, msg: UpdateMessage) -> List[SessionAction]:
         """Handle a received UPDATE: refreshes the hold timer too."""
@@ -166,26 +204,14 @@ class PeeringSession:
         No RESTART is requested — reconnection waits for the owner to
         observe the link recover.
         """
-        was_established = self.fsm.is_established
-        self.fsm.handle(FsmEvent.TCP_FAILED, now)
-        self._hold_deadline = None
-        self._next_keepalive = None
-        if was_established:
-            return [SessionAction(ActionKind.SESSION_DOWN, now)]
-        return []
+        return self._tear_down(FsmEvent.TCP_FAILED, now)
 
     def on_notification(
         self, now: float, msg: NotificationMessage
     ) -> List[SessionAction]:
         """Handle a received NOTIFICATION: the session is dead."""
-        was_established = self.fsm.is_established
-        self.fsm.handle(FsmEvent.NOTIFICATION_RECEIVED, now)
-        self._hold_deadline = None
-        self._next_keepalive = None
-        actions: List[SessionAction] = []
-        if was_established:
-            actions.append(SessionAction(ActionKind.SESSION_DOWN, now))
-        actions.append(SessionAction(ActionKind.RESTART, now))
+        actions = self._tear_down(FsmEvent.NOTIFICATION_RECEIVED, now)
+        actions.append(_RESTART)
         return actions
 
     # -- timer polling -----------------------------------------------------------
@@ -199,44 +225,28 @@ class PeeringSession:
           *requested* here; if the owning router's CPU is saturated it
           may transmit late — which is precisely how storms ignite.
         """
-        actions: List[SessionAction] = []
-        if (
-            self._hold_deadline is not None
-            and now >= self._hold_deadline
-            and self.fsm.state is not SessionState.IDLE
-        ):
-            was_established = self.fsm.is_established
-            self.fsm.handle(FsmEvent.HOLD_TIMER_EXPIRED, now)
-            self._hold_deadline = None
-            self._next_keepalive = None
-            actions.append(
-                SessionAction(
-                    ActionKind.SEND_NOTIFICATION,
-                    now,
-                    NotificationMessage(NotificationCode.HOLD_TIMER_EXPIRED),
-                )
+        state = self.fsm.state
+        hold = self._hold_deadline
+        if hold is not None and now >= hold and state is not SessionState.IDLE:
+            actions = self._tear_down(
+                FsmEvent.HOLD_TIMER_EXPIRED,
+                now,
+                NotificationCode.HOLD_TIMER_EXPIRED,
             )
-            if was_established:
-                actions.append(SessionAction(ActionKind.SESSION_DOWN, now))
-            actions.append(SessionAction(ActionKind.RESTART, now))
+            actions.append(_RESTART)
             return actions
-        if (
-            self.fsm.is_established
-            and self._next_keepalive is not None
-            and now >= self._next_keepalive
-        ):
+        due = self._next_keepalive
+        if state is _ESTABLISHED and due is not None and now >= due:
             self._next_keepalive = now + self.keepalive_interval
             self.sent_keepalives += 1
-            actions.append(
-                SessionAction(ActionKind.SEND_KEEPALIVE, now, KeepAliveMessage())
-            )
-        return actions
+            return [_SEND_KEEPALIVE]
+        return []
 
     # -- introspection ---------------------------------------------------------
 
     @property
     def is_established(self) -> bool:
-        return self.fsm.is_established
+        return self.fsm.state is _ESTABLISHED
 
     @property
     def hold_deadline(self) -> Optional[float]:
@@ -248,9 +258,10 @@ class PeeringSession:
 
     def next_deadline(self) -> Optional[float]:
         """The soonest time :meth:`poll` could have something to do."""
-        deadlines = [
-            d
-            for d in (self._hold_deadline, self._next_keepalive)
-            if d is not None
-        ]
-        return min(deadlines) if deadlines else None
+        hold = self._hold_deadline
+        due = self._next_keepalive
+        if due is None:
+            return hold
+        if hold is None or due < hold:
+            return due
+        return hold

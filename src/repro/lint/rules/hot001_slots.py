@@ -7,9 +7,12 @@ bytes and a pointer chase on every attribute access; PR 1's profile
 showed slotting these types was worth double-digit percent on the
 materialization path.  The discipline also covers ``repro.sim`` (event
 handles, timers, links, routers — the discrete-event hot path drains
-millions of events per run) and the RIB data model
+millions of events per run), the RIB data model
 (``repro.bgp.rib`` / ``repro.bgp.attributes``, where a table holds one
-``Route``/``PathAttributes`` per (peer, prefix)).  The out-of-core
+``Route``/``PathAttributes`` per (peer, prefix)) and the session layer
+(``repro.bgp.session`` / ``repro.bgp.fsm``: a simulated day is 94 %
+keepalive traffic, so a ``PeeringSession`` and its ``BgpStateMachine``
+are entered once per two events).  The out-of-core
 campaign tier joins the list: ``repro.core.spill`` (covered via the
 ``repro/core/`` prefix) plus ``repro.campaign.fold`` and
 ``repro.campaign.handoff`` sit on the per-day spill/fold path and hold
@@ -39,6 +42,8 @@ TARGET_SUFFIXES = (
     "collector/record.py",
     "bgp/rib.py",
     "bgp/attributes.py",
+    "bgp/session.py",
+    "bgp/fsm.py",
     "campaign/fold.py",
     "campaign/handoff.py",
 )
@@ -114,9 +119,9 @@ class SlotsRule(Rule):
     id = "HOT001"
     title = "hot-path class without __slots__"
     rationale = (
-        "Per-record, classifier-state, simulator, and RIB classes in "
-        "repro.collector.record / repro.core / repro.sim / "
-        "repro.bgp.{rib,attributes} are allocated or traversed "
+        "Per-record, classifier-state, simulator, RIB and session "
+        "classes in repro.collector.record / repro.core / repro.sim / "
+        "repro.bgp.{rib,attributes,session,fsm} are allocated or traversed "
         "millions of times; an instance __dict__ there costs memory "
         "and attribute-chase time on the hottest paths."
     )

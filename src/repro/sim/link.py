@@ -4,7 +4,10 @@ A :class:`Link` carries messages between two endpoints with a fixed
 propagation delay and an up/down state; when it goes down, in-flight
 messages are lost and both endpoints are notified (their interface
 cards "are sensitive to millisecond loss of line carrier and will flag
-the link as down").
+the link as down").  What is in flight is a FIFO of the scheduled
+deliveries: a delivery removes its own handle, so the queue holds
+exactly the undelivered messages — never a fired or cancelled handle —
+and going down loses precisely what is left in it.
 
 :class:`CsuLink` adds the paper's CSU pathology (§4.2): a leased line
 whose two Channel Service Units derive their clocks from different
@@ -17,7 +20,8 @@ WADup oscillations the classifier sees.
 from __future__ import annotations
 
 import random
-from typing import Callable, List, Optional
+from collections import deque
+from typing import Callable, Deque, List, Optional
 
 from .engine import Engine, EventHandle
 
@@ -86,7 +90,7 @@ class Link:
         self.wire = wire
         self.is_up = True
         self._endpoints: List[_Endpoint] = []
-        self._in_flight: List[EventHandle] = []
+        self._in_flight: Deque[EventHandle] = deque()
         if wire:
             from ..bgp.wire import decode_message_cached, encode_message_cached
 
@@ -111,6 +115,8 @@ class Link:
         called for traffic addressed to this endpoint."""
         if len(self._endpoints) >= 2:
             raise ValueError("point-to-point link already has two endpoints")
+        if any(endpoint.id == endpoint_id for endpoint in self._endpoints):
+            raise ValueError(f"endpoint {endpoint_id} already attached to link")
         self._endpoints.append(
             _Endpoint(endpoint_id, deliver, on_up, on_down)
         )
@@ -123,26 +129,30 @@ class Link:
         if not self.is_up:
             self.messages_lost += 1
             return False
+        receiver = self._other(sender_id)
         if self.wire:
             message = self._encode(message)
             self.bytes_carried += len(message)
-        receiver = self._other(sender_id)
-        handle = self.engine.schedule(
-            self.delay, self._deliver, receiver, sender_id, message
+        self._in_flight.append(
+            self.engine.schedule(
+                self.delay, self._deliver, receiver, sender_id, message
+            )
         )
-        self._in_flight.append(handle)
-        if len(self._in_flight) > 256:
-            # Compact delivered/cancelled entries so long simulations
-            # don't accumulate dead handles.
-            self._in_flight = [
-                h for h in self._in_flight
-                if not h.cancelled and not h.fired
-            ]
         return True
 
     def _deliver(
         self, receiver: _Endpoint, sender_id: int, message: object
     ) -> None:
+        # The engine marks a handle fired before calling it and every
+        # delivery removes its own, so exactly one queued handle is
+        # fired: this message's.  A fixed delay delivers in send order,
+        # which makes it the head; the search only runs if ``delay``
+        # was shortened while messages were in flight.
+        in_flight = self._in_flight
+        if in_flight[0].fired:
+            in_flight.popleft()
+        else:
+            in_flight.remove(next(h for h in in_flight if h.fired))
         # Link may have dropped while the message was in flight.
         if not self.is_up:
             self.messages_lost += 1
@@ -152,34 +162,31 @@ class Link:
             message, _ = self._decode(message)
         receiver.deliver(sender_id, message)
 
-    def _other(self, endpoint_id: int) -> _Endpoint:
-        for endpoint in self._endpoints:
-            if endpoint.id != endpoint_id:
-                return endpoint
-        raise ValueError(f"endpoint {endpoint_id} not attached to link")
+    def _other(self, sender_id: int) -> _Endpoint:
+        """The endpoint ``sender_id`` sends to: the other one of
+        exactly two, ``sender_id`` being one of them."""
+        endpoints = self._endpoints
+        if len(endpoints) == 2:
+            first, second = endpoints
+            if sender_id == first.id:
+                return second
+            if sender_id == second.id:
+                return first
+        raise ValueError(f"endpoint {sender_id} not attached to link")
 
     # -- state changes -----------------------------------------------------
 
     def go_down(self) -> None:
-        """Drop the link: lose in-flight traffic, notify endpoints.
-
-        Only handles that have neither fired (message already
-        delivered) nor been cancelled count as lost — ``_in_flight``
-        keeps delivered handles around until the >256 compaction, and
-        counting those double-booked ``messages_lost``.
-        """
+        """Drop the link: lose in-flight traffic, notify endpoints."""
         if not self.is_up:
             return
         self.is_up = False
         self.down_count += 1
-        lost = 0
-        for handle in self._in_flight:
-            if handle.fired or handle.cancelled:
-                continue
+        in_flight = self._in_flight
+        self.messages_lost += len(in_flight)
+        for handle in in_flight:
             handle.cancel()
-            lost += 1
-        self.messages_lost += lost
-        self._in_flight.clear()
+        in_flight.clear()
         for endpoint in self._endpoints:
             if endpoint.on_down is not None:
                 endpoint.on_down()

@@ -38,6 +38,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..bgp.attributes import AsPath, PathAttributes, interned
 from ..bgp.damping import RouteFlapDamper
+from ..bgp.fsm import SessionState
 from ..bgp.messages import (
     KeepAliveMessage,
     NotificationMessage,
@@ -48,7 +49,7 @@ from ..bgp.policy import RouteMap
 from ..bgp.rib import AdjRibOut, ChangeKind, LocRib, RibChange
 from ..bgp.session import ActionKind, PeeringSession, SessionAction
 from ..net.prefix import Prefix
-from .engine import Engine
+from .engine import Engine, EventHandle
 from .link import Link
 from .timers import DEFAULT_MRAI, MraiBatcher
 
@@ -236,7 +237,9 @@ class Router:
         self.peer_asns: Dict[int, int] = {}
         self._origins: Dict[Prefix, PathAttributes] = {}
         self._suppressed: Dict[Tuple[Prefix, int], PathAttributes] = {}
-        self._wakeups: Dict[int, float] = {}
+        #: peer id -> the wakeup armed last (``time`` is its instant);
+        #: one that has fired is re-armed in place.
+        self._wakeups: Dict[int, EventHandle] = {}
         #: configured CIDR aggregates: supernet -> reachable members
         self._aggregates: Dict[Prefix, Set[Prefix]] = {}
 
@@ -463,48 +466,64 @@ class Router:
         self.engine.schedule(delay, self.start_session, peer_id)
 
     def _schedule_session_wakeup(self, peer_id: int) -> None:
-        session = self.sessions[peer_id]
-        deadline = session.next_deadline()
-        if deadline is None or deadline <= self.engine.now:
+        deadline = self.sessions[peer_id].next_deadline()
+        if deadline is None:
+            return
+        engine = self.engine
+        now = engine.now
+        if deadline <= now:
             return
         armed = self._wakeups.get(peer_id)
-        if armed is not None and self.engine.now < armed <= deadline:
-            return  # an earlier-or-equal wakeup is already pending
-        self._wakeups[peer_id] = deadline
-        self.engine.schedule_at(deadline, self._session_wakeup, peer_id)
+        if armed is None:
+            self._wakeups[peer_id] = engine.schedule_at(
+                deadline, self._session_wakeup, peer_id
+            )
+        elif not now < armed.time <= deadline:
+            # No earlier-or-equal wakeup is still pending.  From inside
+            # the armed wakeup itself (the keepalive rhythm) this
+            # re-arms its own handle; otherwise ``reschedule`` leaves
+            # the pending one alone and queues a fresh one.
+            self._wakeups[peer_id] = engine.reschedule(armed, deadline)
 
     def _session_wakeup(self, peer_id: int) -> None:
-        if self._wakeups.get(peer_id) == self.engine.now:
-            del self._wakeups[peer_id]
         if self.crashed:
             return
-        session = self.sessions[peer_id]
-        actions = session.poll(self.engine.now)
-        self._run_actions(peer_id, actions)
+        actions = self.sessions[peer_id].poll(self.engine.now)
+        if actions:
+            self._run_actions(peer_id, actions)
         self._schedule_session_wakeup(peer_id)
 
     def _run_actions(self, peer_id: int, actions: List[SessionAction]) -> None:
         for action in actions:
-            if action.kind is ActionKind.SEND_OPEN:
-                self._transmit(peer_id, action.message, cost=0.0)
-            elif action.kind is ActionKind.SEND_KEEPALIVE:
+            kind = action.kind
+            if kind is ActionKind.SEND_KEEPALIVE:
                 self.keepalives_sent += 1
+                cpu = self.cpu
                 if self.keepalive_priority:
                     # Keepalives bypass the CPU queue entirely, so they
                     # persist under update storms (the vendors' fix).
                     self._transmit(peer_id, action.message)
+                elif cpu is None or cpu.per_keepalive <= 0.0:
+                    # What ``_cpu_submit`` does with free work.
+                    if not self.crashed:
+                        self._transmit(peer_id, action.message)
                 else:
-                    cost = self.cpu.per_keepalive if self.cpu else 0.0
                     self._cpu_submit(
-                        cost, self._transmit, peer_id, action.message, 0.0
+                        cpu.per_keepalive,
+                        self._transmit,
+                        peer_id,
+                        action.message,
+                        0.0,
                     )
-            elif action.kind is ActionKind.SEND_NOTIFICATION:
+            elif kind is ActionKind.SEND_OPEN:
                 self._transmit(peer_id, action.message, cost=0.0)
-            elif action.kind is ActionKind.SESSION_UP:
+            elif kind is ActionKind.SEND_NOTIFICATION:
+                self._transmit(peer_id, action.message, cost=0.0)
+            elif kind is ActionKind.SESSION_UP:
                 self._on_session_up(peer_id)
-            elif action.kind is ActionKind.SESSION_DOWN:
+            elif kind is ActionKind.SESSION_DOWN:
                 self._on_session_down(peer_id)
-            elif action.kind is ActionKind.RESTART:
+            elif kind is ActionKind.RESTART:
                 if self.links[peer_id].is_up:
                     delay = self.restart_delay * self.rng.uniform(0.5, 1.5)
                     self.engine.schedule(delay, self.start_session, peer_id)
@@ -552,7 +571,16 @@ class Router:
     def _on_link_message(self, sender_id: int, message: object) -> None:
         if self.crashed:
             return
-        if isinstance(message, UpdateMessage):
+        if isinstance(message, KeepAliveMessage):
+            cpu = self.cpu
+            if cpu is None or cpu.per_keepalive <= 0.0:
+                # What ``_cpu_submit`` does with free work.
+                self._process_keepalive(sender_id)
+            else:
+                self._cpu_submit(
+                    cpu.per_keepalive, self._process_keepalive, sender_id
+                )
+        elif isinstance(message, UpdateMessage):
             cost = (
                 self.cpu.per_update * max(1, message.prefix_update_count)
                 if self.cpu
@@ -565,9 +593,6 @@ class Router:
                 message,
                 units=max(1, message.prefix_update_count),
             )
-        elif isinstance(message, KeepAliveMessage):
-            cost = self.cpu.per_keepalive if self.cpu else 0.0
-            self._cpu_submit(cost, self._process_keepalive, sender_id)
         elif isinstance(message, OpenMessage):
             self._process_open(sender_id, message)
         elif isinstance(message, NotificationMessage):
@@ -577,7 +602,7 @@ class Router:
         session = self.sessions.get(sender_id)
         if session is None:
             return
-        if session.fsm.state.name == "IDLE":
+        if session.fsm.state is SessionState.IDLE:
             # Passive open: the peer initiated; come up ourselves,
             # including transmitting our own OPEN back.
             self._run_actions(sender_id, session.start(self.engine.now))
@@ -586,9 +611,11 @@ class Router:
 
     def _process_keepalive(self, sender_id: int) -> None:
         session = self.sessions.get(sender_id)
-        if session is None or session.fsm.state.name == "IDLE":
+        if session is None or session.fsm.state is SessionState.IDLE:
             return
-        self._run_actions(sender_id, session.on_keepalive(self.engine.now))
+        actions = session.on_keepalive(self.engine.now)
+        if actions:
+            self._run_actions(sender_id, actions)
         # Establishment arms the keepalive timer, which is sooner than
         # the hold deadline the current wakeup targets.
         self._schedule_session_wakeup(sender_id)
@@ -597,7 +624,7 @@ class Router:
         self, sender_id: int, message: NotificationMessage
     ) -> None:
         session = self.sessions.get(sender_id)
-        if session is None or session.fsm.state.name == "IDLE":
+        if session is None or session.fsm.state is SessionState.IDLE:
             return
         self._run_actions(
             sender_id, session.on_notification(self.engine.now, message)

@@ -36,7 +36,9 @@ class IntervalTimer:
 
     ``jitter`` is the fractional shortening range: 0.0 gives exact
     periods (the pathological unjittered discipline); 0.25 gives the
-    recommended ``uniform(0.75, 1.0) * interval``.
+    recommended ``uniform(0.75, 1.0) * interval``, drawn from ``rng``
+    (``Random(0)`` when a jittered timer is given none; an unjittered
+    timer never draws and constructs no generator).
 
     Re-arming goes through :meth:`Engine.reschedule`, which reuses the
     just-fired :class:`EventHandle` — a long-lived timer allocates one
@@ -72,7 +74,11 @@ class IntervalTimer:
         self.interval = interval
         self.callback = callback
         self.jitter = jitter
-        self.rng = rng or random.Random(0)
+        # Only a jittered timer ever draws, so only a jittered timer
+        # pays for seeding a default generator.
+        if rng is None and jitter > 0.0:
+            rng = random.Random(0)
+        self.rng = rng
         self.phase = phase
         self.fire_count = 0
         self._handle: Optional[EventHandle] = None
@@ -145,7 +151,12 @@ class IntervalTimer:
                     if next_time <= now:
                         next_time += interval
             else:
-                next_time = now + self._next_period()
+                # :meth:`_next_period` inlined: ``Random.uniform(a, b)``
+                # is ``a + (b - a) * random()``, operand for operand.
+                low = interval * (1.0 - self.jitter)
+                next_time = now + (
+                    low + (interval - low) * self.rng.random()
+                )
             if handle is None:
                 self._handle = engine.schedule_at(next_time, self._fire)
             else:

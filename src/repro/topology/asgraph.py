@@ -24,9 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from enum import Enum, auto
-from typing import Dict, List, Optional, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..net.addressing import (
     AddressPlan,
@@ -34,6 +32,9 @@ from ..net.addressing import (
     provider_allocator,
 )
 from ..net.prefix import Prefix
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["Tier", "AsNode", "AsGraph", "build_internet_graph"]
 
@@ -134,6 +135,11 @@ def build_internet_graph(
     controls how many customers hold unaggregatable swamp space.
     Deterministic for a given ``seed``.
     """
+    # The package's one use of networkx: imported here so that the
+    # simulator, campaign and CLI entry points, which reach this module
+    # through ``repro.topology``, neither pay for it nor require it.
+    import networkx as nx
+
     rng = random.Random(seed)
     swamp = SwampAllocator(random.Random(seed + 1))
     graph = nx.Graph()

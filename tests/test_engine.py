@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.bgp.messages import KeepAliveMessage
 from repro.sim.engine import Engine, SimulationError
 from repro.sim.link import CsuLink, Link
 from repro.sim.timers import IntervalTimer, MraiBatcher
@@ -234,6 +235,77 @@ class TestIntervalTimer:
         assert all(22.5 - 1e-9 <= g <= 30.0 + 1e-9 for g in gaps)
         assert len(set(round(g, 6) for g in gaps)) > 1
 
+    def test_jittered_instants_are_the_uniform_draws_bit_for_bit(self):
+        """The inlined re-arm is ``Random.uniform`` operand for
+        operand: 1 000 periods land on the instants a plain loop over
+        ``rng.uniform`` computes, on both the first arm and the
+        re-arms, including a stop/start in the middle."""
+        engine = Engine()
+        times = []
+        timer = IntervalTimer(
+            engine,
+            30.0,
+            lambda: times.append(engine.now),
+            jitter=0.25,
+            rng=random.Random(5),
+        )
+        timer.start()
+        engine.run(max_events=400)
+        timer.stop()
+        timer.start()
+        engine.run(max_events=600)
+        oracle = random.Random(5)
+        expected, now = [], 0.0
+        for _ in range(1000):
+            if len(expected) == 400:
+                oracle.uniform(22.5, 30.0)  # the draw the stop discarded
+            now += oracle.uniform(30.0 * (1.0 - 0.25), 30.0)
+            expected.append(now)
+        assert times == expected
+        assert timer.fire_count == 1000
+
+    def test_only_a_jittered_timer_constructs_a_generator(self, monkeypatch):
+        seeds = []
+        real = random.Random
+
+        class Spy(real):
+            def __init__(self, *args):
+                seeds.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(random, "Random", Spy)
+        engine = Engine()
+        plain = IntervalTimer(engine, 30.0, lambda: None)
+        batcher = MraiBatcher(engine, lambda batch: None)
+        assert seeds == []
+        assert plain.rng is None and batcher.timer.rng is None
+        plain.start()
+        batcher.start()
+        engine.run_until(300.0)
+        assert plain.fire_count == 10 and seeds == []
+        jittered = IntervalTimer(engine, 30.0, lambda: None, jitter=0.25)
+        assert seeds == [(0,)]
+        own = real(9)
+        assert IntervalTimer(
+            engine, 30.0, lambda: None, jitter=0.25, rng=own
+        ).rng is own
+        assert seeds == [(0,)]
+        assert isinstance(jittered.rng, real)
+
+    def test_jittered_timer_given_no_generator_draws_random_zero(self):
+        engine = Engine()
+        times = []
+        IntervalTimer(
+            engine, 30.0, lambda: times.append(engine.now), jitter=0.25
+        ).start()
+        engine.run(max_events=50)
+        oracle = random.Random(0)
+        expected, now = [], 0.0
+        for _ in range(50):
+            now += oracle.uniform(22.5, 30.0)
+            expected.append(now)
+        assert times == expected
+
     def test_stop_prevents_firing(self):
         engine = Engine()
         times = []
@@ -355,9 +427,8 @@ class TestLink:
         assert link.down_count == 1
 
     def test_down_does_not_recount_delivered(self):
-        # Regression: _in_flight keeps delivered (fired) handles around
-        # until the >256 compaction; go_down() must not book them as
-        # lost a second time.
+        # Regression: a delivered message must not be booked as lost
+        # by a later go_down().
         engine = Engine()
         log = []
         link = Link(engine, delay=0.5)
@@ -393,6 +464,137 @@ class TestLink:
         link.attach(2, lambda s, m: None)
         with pytest.raises(ValueError):
             link.attach(3, lambda s, m: None)
+
+    def test_stranger_cannot_send(self):
+        # Regression: the receiver used to be "the first endpoint whose
+        # id differs", so a stranger's message reached endpoint 1.
+        engine = Engine()
+        log = []
+        link = Link(engine)
+        link.attach(1, lambda s, m: log.append(("to1", s, m)))
+        link.attach(2, lambda s, m: log.append(("to2", s, m)))
+        with pytest.raises(ValueError, match="endpoint 99 not attached"):
+            link.send(99, "x")
+        engine.run()
+        assert log == []
+        assert engine.events_processed == 0
+        assert len(link._in_flight) == 0
+        assert (link.messages_delivered, link.messages_lost) == (0, 0)
+
+    def test_half_attached_link_cannot_send(self):
+        engine = Engine()
+        link = Link(engine)
+        with pytest.raises(ValueError, match="endpoint 1 not attached"):
+            link.send(1, "x")
+        link.attach(1, lambda s, m: None)
+        with pytest.raises(ValueError, match="endpoint 1 not attached"):
+            link.send(1, "x")
+        with pytest.raises(ValueError, match="endpoint 2 not attached"):
+            link.send(2, "x")
+        assert engine.pending == 0
+
+    def test_duplicate_endpoint_rejected(self):
+        # Regression: a second attach of the same id was accepted and
+        # made every later send from it raise.
+        engine = Engine()
+        log = []
+        link = Link(engine)
+        link.attach(1, lambda s, m: log.append(("to1", m)))
+        with pytest.raises(ValueError, match="endpoint 1 already attached"):
+            link.attach(1, lambda s, m: log.append(("dup", m)))
+        link.attach(2, lambda s, m: log.append(("to2", m)))
+        link.send(1, "a")
+        link.send(2, "b")
+        engine.run()
+        assert log == [("to2", "a"), ("to1", "b")]
+
+    @pytest.mark.parametrize("wire", [False, True])
+    @pytest.mark.parametrize("delay", [0.0, 0.01, 1.0])
+    def test_in_flight_holds_exactly_the_undelivered(self, delay, wire):
+        """Any mix of sends, deliveries and flaps, against a model that
+        keeps each undelivered message's due time."""
+        rng = random.Random(int(delay * 100) * 2 + wire)
+        engine = Engine()
+        received = []
+        link = Link(engine, delay=delay, wire=wire)
+        link.attach(1, lambda s, m: received.append(m))
+        link.attach(2, lambda s, m: received.append(m))
+        due, delivered, lost = [], 0, 0
+        for _ in range(2000):
+            op = rng.random()
+            if op < 0.55:
+                sent = link.send(rng.choice((1, 2)), KeepAliveMessage())
+                assert sent is link.is_up
+                if sent:
+                    due.append(engine.now + delay)
+                else:
+                    lost += 1
+            elif op < 0.85:
+                engine.run_until(engine.now + rng.choice((0.0, 0.004, 0.3, 2.0)))
+                delivered += sum(t <= engine.now for t in due)
+                due = [t for t in due if t > engine.now]
+            elif op < 0.93:
+                if link.is_up:
+                    lost += len(due)
+                    due = []
+                link.go_down()
+            else:
+                link.go_up()
+            assert len(link._in_flight) == len(due)
+            assert not any(h.fired or h.cancelled for h in link._in_flight)
+            assert (link.messages_delivered, link.messages_lost) == (
+                delivered, lost,
+            )
+        assert len(received) == delivered > 100
+        assert lost > 100
+
+    def test_down_from_inside_a_delivery(self):
+        engine = Engine()
+        log = []
+        link = Link(engine, delay=0.5)
+
+        def trip(sender, message):
+            log.append(message)
+            if message == "trip":
+                link.go_down()
+                assert len(link._in_flight) == 0
+
+        link.attach(1, lambda s, m: log.append(m))
+        link.attach(2, trip)
+        for message in ("ok", "trip", "doomed-a", "doomed-b"):
+            link.send(1, message)
+        link.send(2, "doomed-c")
+        assert len(link._in_flight) == 5
+        engine.run()
+        assert log == ["ok", "trip"]
+        assert (link.messages_delivered, link.messages_lost) == (2, 3)
+        link.go_up()
+        link.send(1, "after")
+        assert len(link._in_flight) == 1
+        engine.run()
+        assert log == ["ok", "trip", "after"]
+        assert len(link._in_flight) == 0
+
+    def test_shortened_delay_delivers_out_of_send_order(self):
+        """``delay`` is a plain attribute: if it shrinks with messages
+        in flight, a later send overtakes them and must still remove
+        its own handle, not the head."""
+        engine = Engine()
+        log = []
+        link = Link(engine, delay=1.0)
+        link.attach(1, lambda s, m: log.append(m))
+        link.attach(2, lambda s, m: log.append(m))
+        link.send(1, "slow")
+        link.delay = 0.1
+        link.send(1, "fast")
+        engine.run_until(0.5)
+        assert log == ["fast"]
+        (pending,) = link._in_flight
+        assert pending.time == 1.0 and not pending.fired
+        link.go_down()
+        assert (link.messages_delivered, link.messages_lost) == (1, 1)
+        engine.run()
+        assert log == ["fast"]
 
 
 class TestCsuLink:

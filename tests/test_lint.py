@@ -454,6 +454,25 @@ class TestHOT001Slots:
         )
         assert findings == []
 
+    def test_session_layer_is_in_scope(self, tmp_path):
+        unslotted = """
+        class Entered:
+            pass
+        """
+        findings = lint_snippets(
+            tmp_path,
+            {
+                "repro/bgp/session.py": unslotted,
+                "repro/bgp/fsm.py": unslotted,
+                "repro/bgp/policy.py": unslotted,
+            },
+            rule="HOT001",
+        )
+        assert sorted(f.path for f in findings) == [
+            "repro/bgp/fsm.py",
+            "repro/bgp/session.py",
+        ]
+
     def test_pragma_suppresses(self, tmp_path):
         findings = lint_snippets(
             tmp_path,

@@ -11,6 +11,7 @@ from repro.core.taxonomy import UpdateCategory
 from repro.net.prefix import Prefix
 from repro.sim.engine import Engine
 from repro.sim.link import Link
+from repro.sim.refengine import ReferenceEngine
 from repro.sim.router import CpuModel, RouteCache, Router, connect
 from repro.sim.routeserver import RouteServer
 
@@ -578,3 +579,108 @@ class TestRouterAggregation:
         provider.originate(outside)
         engine.run_until(engine.now + 60.0)
         assert observer.loc_rib.best(outside) is not None
+
+
+#: What ten minutes of heartbeat look like, recorded at the commit
+#: before the heartbeat path was straightened (PR 19) and identical on
+#: both engines there.  Per CPU configuration: the routers' keyword
+#: arguments, then ``(events_processed, next_event_time,
+#: keepalives_sent per router, (sent_keepalives, received_keepalives,
+#: hold_deadline, next_keepalive_due) per session,
+#: (messages_delivered, messages_lost) per link)``.
+_SESSIONS_FREE_KEEPALIVE = (
+    (57, 58, 623.211821220562, 603.191821220562),
+    (19, 20, 660.04, 600.02),
+    (56, 58, 623.201821220562, 603.201821220562),
+    (59, 60, 620.04, 600.02),
+    (19, 20, 660.03, 600.03),
+    (59, 60, 620.03, 600.03),
+)
+_KEEPALIVES = (79, 118, 80)
+_LINKS = ((124, 1), (46, 0), (126, 0))
+HEARTBEAT_PINS = {
+    "no_cpu": (
+        dict(cpu=None),
+        (640, 600.02, _KEEPALIVES, _SESSIONS_FREE_KEEPALIVE, _LINKS),
+    ),
+    "cpu": (
+        dict(cpu=CpuModel()),
+        (
+            1055,
+            600.021,
+            _KEEPALIVES,
+            (
+                (57, 58, 623.213821220562, 603.192821220562),
+                (19, 20, 660.0414999999999, 600.0215000000001),
+                (56, 58, 623.203821220562, 603.202821220562),
+                (59, 60, 620.041, 600.021),
+                (19, 20, 660.032, 600.031),
+                (59, 60, 620.0314999999999, 600.0305000000001),
+            ),
+            _LINKS,
+        ),
+    ),
+    "free_keepalive": (
+        dict(cpu=CpuModel(per_keepalive=0.0)),
+        (662, 600.02, _KEEPALIVES, _SESSIONS_FREE_KEEPALIVE, _LINKS),
+    ),
+    "priority": (
+        dict(cpu=CpuModel(), keepalive_priority=True),
+        (
+            858,
+            600.0205,
+            _KEEPALIVES,
+            (
+                (57, 58, 623.212821220562, 603.192321220562),
+                (19, 20, 660.0405, 600.021),
+                (56, 58, 623.202821220562, 603.202321220562),
+                (59, 60, 620.0405, 600.0205),
+                (19, 20, 660.031, 600.03),
+                (59, 60, 620.0305, 600.03),
+            ),
+            _LINKS,
+        ),
+    ),
+}
+
+
+class TestHeartbeatPins:
+    """Two routers (hold 90 s and 30 s, so their session negotiates
+    down) and a route server, one link flap with a keepalive in
+    flight, 600 simulated seconds: the event count and every
+    keepalive counter and timer of the parent commit."""
+
+    @pytest.mark.parametrize("engine_cls", [Engine, ReferenceEngine])
+    @pytest.mark.parametrize("variant", sorted(HEARTBEAT_PINS))
+    def test_ten_minutes_of_heartbeat(self, variant, engine_cls):
+        kwargs, pin = HEARTBEAT_PINS[variant]
+        engine = engine_cls()
+        a = Router(engine, asn=100, router_id=1, **kwargs)
+        b = Router(engine, asn=200, router_id=2, hold_time=30.0, **kwargs)
+        server = RouteServer(engine, asn=65000, router_id=3, sink=MemoryLog())
+        links = [connect(a, b), connect(a, server), connect(b, server)]
+        a.originate(P("10.0.0.0/8"))
+        b.originate(P("20.0.0.0/8"))
+        engine.schedule_at(200.025, links[0].go_down)
+        engine.schedule_at(220.0, links[0].go_up)
+        engine.run_until(600.0)
+        routers = (a, b, server)
+        assert engine.now == 600.0
+        assert (
+            engine.events_processed,
+            engine.next_event_time(),
+            tuple(r.keepalives_sent for r in routers),
+            tuple(
+                (
+                    s.sent_keepalives,
+                    s.received_keepalives,
+                    s.hold_deadline,
+                    s.next_keepalive_due,
+                )
+                for r in routers
+                for _, s in sorted(r.sessions.items())
+            ),
+            tuple((k.messages_delivered, k.messages_lost) for k in links),
+        ) == pin
+        # In flight means in flight: nothing is, between beats.
+        assert [len(k._in_flight) for k in links] == [0, 0, 0]

@@ -1,5 +1,12 @@
 """Tests for topology generation, exchange points, and multi-homing."""
 
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.net.aggregation import aggregation_ratio
@@ -90,6 +97,77 @@ class TestAsGraph:
         ]
         assert specifics
         assert aggregation_ratio(specifics) > 0.9
+
+
+#: The packages the CLI, the simulator, the campaign runner and every
+#: ``perf`` workload enter through; each reaches ``topology/asgraph.py``.
+ENTRY_POINTS = (
+    "repro.sim", "repro.campaign", "repro.collector.log", "repro.__main__",
+)
+
+
+def _in_child(code):
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+class TestNetworkxIsImportedWhereItIsUsed:
+    """``build_internet_graph`` is the package's one networkx call
+    site; nothing else may need it or pay for it."""
+
+    def test_entry_points_import_without_networkx(self):
+        done = _in_child(
+            "import sys\n"
+            "sys.modules['networkx'] = None\n"
+            f"import {', '.join(ENTRY_POINTS)}\n"
+            "from repro.topology import build_internet_graph\n"
+            "try:\n"
+            "    build_internet_graph()\n"
+            "except ImportError:\n"
+            "    print('graph needs networkx')\n"
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split("\n")[0] == "graph needs networkx"
+
+    def test_entry_points_leave_networkx_unimported(self):
+        done = _in_child(
+            "import sys\n"
+            f"import {', '.join(ENTRY_POINTS)}\n"
+            "print('networkx' in sys.modules)\n"
+            "from repro.topology import build_internet_graph\n"
+            "build_internet_graph(n_customers=4)\n"
+            "print('networkx' in sys.modules)\n"
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False", "True"]
+
+    def test_graph_is_the_one_built_before(self):
+        """Nodes in insertion order with their records, and the edge
+        set, of the default graph — digest recorded at the commit that
+        still imported networkx at module level."""
+        g = build_internet_graph(seed=5)
+        nodes = [
+            (
+                asn,
+                g.node(asn).tier.name,
+                g.node(asn).multi_homed,
+                g.node(asn).legacy,
+                [str(p) for p in g.node(asn).announced_prefixes],
+            )
+            for asn in g.graph.nodes
+        ]
+        edges = sorted(tuple(sorted(e)) for e in g.graph.edges)
+        assert (len(nodes), len(edges)) == (152, 231)
+        blob = json.dumps([nodes, edges], sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == (
+            "b5eade412220e3f9a0a9b83b84c021690713d4a0e3662608290bebc15b87b8d0"
+        )
 
 
 class TestExchangePoint:

@@ -6,7 +6,6 @@ and multi-homing counting."""
 from .timeseries import (
     aggregate_bins,
     bin_records,
-    daily_totals,
     linear_fit,
     log_detrend,
     threshold_above_mean,
@@ -17,7 +16,6 @@ from .spectral import (
     correlogram_psd,
     dominant_periods,
     has_period,
-    periodogram,
 )
 from .mem import burg, mem_psd
 from .ssa import SsaComponent, significant_frequencies, ssa_components
@@ -47,7 +45,6 @@ from .distribution import (
 from .affected import (
     AffectedSeriesStats,
     DayAffected,
-    affected_from_updates,
     affected_series_stats,
 )
 from .convergence import (
@@ -64,7 +61,6 @@ from .storms import (
 from .multihoming import (
     MultihomingSummary,
     count_multihomed,
-    multihomed_by_origin,
     series_summary,
 )
 from .detection import (
@@ -74,7 +70,6 @@ from .detection import (
     DetectionResult,
     detect_records_columnar,
     detection_digest,
-    flag_names,
     path_flags,
     stability_scores,
 )
@@ -82,7 +77,6 @@ from .detection import (
 __all__ = [
     "aggregate_bins",
     "bin_records",
-    "daily_totals",
     "linear_fit",
     "log_detrend",
     "threshold_above_mean",
@@ -91,7 +85,6 @@ __all__ = [
     "correlogram_psd",
     "dominant_periods",
     "has_period",
-    "periodogram",
     "burg",
     "mem_psd",
     "SsaComponent",
@@ -118,7 +111,6 @@ __all__ = [
     "monthly_cdfs",
     "AffectedSeriesStats",
     "DayAffected",
-    "affected_from_updates",
     "affected_series_stats",
     "ConvergenceProbe",
     "ConvergenceReport",
@@ -129,7 +121,6 @@ __all__ = [
     "session_loss_bursts",
     "MultihomingSummary",
     "count_multihomed",
-    "multihomed_by_origin",
     "series_summary",
     "FLAGS",
     "AsRelationships",
@@ -137,7 +128,6 @@ __all__ = [
     "DetectionResult",
     "detect_records_columnar",
     "detection_digest",
-    "flag_names",
     "path_flags",
     "stability_scores",
 ]

@@ -9,8 +9,8 @@ each category of routing update.  The paper's readings:
 - hence most (~80%) of routes are stable on a typical day;
 - only days with ≥80% collection coverage are shown.
 
-The computation needs only *which pairs had events*: one sort/diff
-pass over the batch per category.
+The experiment reads *which pairs had events* off the generator's day
+plan; this module holds the per-day value and the campaign summary.
 """
 
 from __future__ import annotations
@@ -20,10 +20,9 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from ..core.instability import counts_by_prefix_as_columns
 from ..core.taxonomy import UpdateCategory
 
-__all__ = ["DayAffected", "affected_from_updates", "affected_series_stats"]
+__all__ = ["DayAffected", "affected_series_stats"]
 
 
 @dataclass(frozen=True)
@@ -34,35 +33,6 @@ class DayAffected:
     fractions: Dict[UpdateCategory, float]
     any_fraction: float
     coverage: float = 1.0
-
-    def stable_fraction(self) -> float:
-        """Routes untouched by any update that day."""
-        return 1.0 - self.any_fraction
-
-
-def affected_from_updates(
-    columns,
-    codes: np.ndarray,
-    total_pairs: int,
-    day: int = 0,
-    coverage: float = 1.0,
-    categories: Sequence[UpdateCategory] = tuple(UpdateCategory),
-) -> DayAffected:
-    """Compute one day's affected fractions from a classified batch
-    (``codes`` row-aligned with ``columns``)."""
-
-    def fraction(category) -> float:
-        if not total_pairs:
-            return 0.0
-        touched = counts_by_prefix_as_columns(columns, codes, category)
-        return len(touched) / total_pairs
-
-    return DayAffected(
-        day=day,
-        fractions={category: fraction(category) for category in categories},
-        any_fraction=fraction(None),
-        coverage=coverage,
-    )
 
 
 @dataclass

@@ -74,7 +74,6 @@ __all__ = [
     "DetectionResult",
     "detect_records_columnar",
     "detection_digest",
-    "flag_names",
     "path_flags",
     "stability_scores",
 ]
@@ -97,11 +96,6 @@ FLAGS: Tuple[Tuple[int, str], ...] = (
     (VALLEY_VIOLATION, "valley_violation"),
     (FORGED_EDGE, "forged_edge"),
 )
-
-
-def flag_names(flags: int) -> Tuple[str, ...]:
-    """The names of the set bits, in canonical order."""
-    return tuple(name for bit, name in FLAGS if flags & bit)
 
 
 class AsRelationships:

@@ -12,12 +12,10 @@ Two entry points:
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import List, Optional
 
 from ..bgp.rib import LocRib
-from ..net.prefix import Prefix
 from ..topology.multihoming import MultihomingSeries
 
 __all__ = ["count_multihomed", "MultihomingSummary", "series_summary"]
@@ -37,17 +35,6 @@ def count_multihomed(rib: LocRib) -> int:
         if len(paths) >= 2:
             count += 1
     return count
-
-
-def multihomed_by_origin(
-    announcements: Iterable[Tuple[Prefix, int]],
-) -> int:
-    """Count prefixes announced by 2+ distinct origin ASes (an
-    alternative, origin-based multihoming measure)."""
-    origins: Dict[Prefix, set] = defaultdict(set)
-    for prefix, asn in announcements:
-        origins[prefix].add(asn)
-    return sum(1 for ases in origins.values() if len(ases) >= 2)
 
 
 @dataclass

@@ -3,8 +3,7 @@
 Figure 5a's correlogram: "a traditional fast Fourier transform (FFT)
 of the autocorrelation function of the data" — the Blackman–Tukey /
 correlogram power spectral density.  We implement that estimator plus
-a plain periodogram and the peak-finding used to confirm the 24-hour
-and 7-day lines.
+the peak-finding used to confirm the 24-hour and 7-day lines.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import numpy as np
 __all__ = [
     "autocorrelation",
     "correlogram_psd",
-    "periodogram",
     "dominant_periods",
     "SpectralPeak",
 ]
@@ -67,19 +65,6 @@ def correlogram_psd(
             tapered[1:], np.cos(2.0 * np.pi * f * lags)
         )
     return freqs, np.maximum(power, 0.0)
-
-
-def periodogram(series: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
-    """Plain periodogram: |FFT|²/n at the positive Fourier frequencies."""
-    x = np.asarray(series, dtype=float)
-    n = x.size
-    if n == 0:
-        return np.zeros(0), np.zeros(0)
-    x = x - x.mean()
-    spectrum = np.fft.rfft(x)
-    power = (spectrum.real**2 + spectrum.imag**2) / n
-    freqs = np.fft.rfftfreq(n)
-    return freqs, power
 
 
 @dataclass(frozen=True)

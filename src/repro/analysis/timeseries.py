@@ -210,10 +210,3 @@ def threshold_above_mean(
     if array.size == 0:
         return 0.0
     return float(array.mean() + offset_std * array.std())
-
-
-def daily_totals(
-    counts: Sequence[int], bins_per_day: int = 144
-) -> np.ndarray:
-    """Collapse per-bin counts into per-day totals."""
-    return aggregate_bins(counts, bins_per_day)

@@ -30,7 +30,6 @@ from .policy import (
     MatchCondition,
     PERMIT_ALL,
     PolicyTerm,
-    PrefixLengthFilter,
     RouteMap,
 )
 from .damping import DampingParameters, DampingState, RouteFlapDamper
@@ -70,7 +69,6 @@ __all__ = [
     "MatchCondition",
     "PERMIT_ALL",
     "PolicyTerm",
-    "PrefixLengthFilter",
     "RouteMap",
     "DampingParameters",
     "DampingState",

@@ -209,8 +209,8 @@ class AsPathRegex:
     """A compiled AS-path regular expression.
 
     Use :func:`compile_regex` (or ``AsPathRegex(pattern)``) and call
-    :meth:`search` for the router-style unanchored match or
-    :meth:`match_full` for a fully anchored one.
+    :meth:`search` for the router-style match (unanchored unless the
+    pattern carries ``^`` / ``$``).
     """
 
     def __init__(self, pattern: str) -> None:
@@ -291,16 +291,6 @@ class AsPathRegex:
             if self._run(sequence, start):
                 return True
         return False
-
-    def match_full(self, path: Iterable[int]) -> bool:
-        """Anchored at both ends regardless of ^/$."""
-        sequence = tuple(path)
-        saved = self.anchored_end
-        self.anchored_end = True
-        try:
-            return self._run(sequence, 0)
-        finally:
-            self.anchored_end = saved
 
     def __repr__(self) -> str:
         return f"AsPathRegex({self.pattern!r})"

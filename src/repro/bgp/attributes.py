@@ -98,11 +98,6 @@ class AsPath(tuple):
         """Path length counting repeated (prepended) ASes."""
         return len(self)
 
-    @property
-    def unique_ases(self) -> FrozenSet[int]:
-        """The distinct ASes on the path."""
-        return frozenset(self)
-
     def __repr__(self) -> str:
         return f"AsPath({' '.join(str(a) for a in self)})"
 
@@ -173,10 +168,6 @@ class PathAttributes:
         """
         return self.forwarding_key == other.forwarding_key
 
-    def with_next_hop(self, next_hop: int) -> "PathAttributes":
-        """Copy with a replaced NEXT_HOP (set at each eBGP export)."""
-        return replace(self, next_hop=next_hop)
-
     def exported_by(self, asn: int, next_hop: int, prepend: int = 1) -> "PathAttributes":
         """The attributes a border router of ``asn`` sends an external peer.
 
@@ -195,21 +186,6 @@ class PathAttributes:
         return replace(
             self, communities=self.communities | frozenset(communities)
         )
-
-    def describe(self) -> str:
-        """One-line human-readable rendering (used by example scripts)."""
-        parts = [f"aspath=[{self.as_path}]", f"nexthop={self.next_hop:#010x}"]
-        if self.med is not None:
-            parts.append(f"med={self.med}")
-        if self.local_pref is not None:
-            parts.append(f"localpref={self.local_pref}")
-        if self.communities:
-            parts.append(
-                "communities={" + ",".join(
-                    f"{c:#x}" for c in sorted(self.communities)
-                ) + "}"
-            )
-        return " ".join(parts)
 
 
 #: Cap on the interning pool; cleared wholesale when hit so pathological

@@ -196,11 +196,3 @@ class RouteFlapDamper:
             math.log(current / self.params.reuse_threshold)
             / self.params.decay_rate
         )
-
-    def suppressed_count(self, now: float) -> int:
-        """How many routes are currently suppressed."""
-        return sum(
-            1
-            for (prefix, peer) in self._states
-            if self.is_suppressed(prefix, peer, now)
-        )

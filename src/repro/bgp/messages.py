@@ -96,10 +96,6 @@ class UpdateMessage:
         """Total per-prefix events this UPDATE contributes (paper's unit)."""
         return len(self.withdrawn) + len(self.announced)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.withdrawn and not self.announced
-
 
 @dataclass(frozen=True)
 class KeepAliveMessage:

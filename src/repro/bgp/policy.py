@@ -12,16 +12,12 @@ matching term decides.  Terms match on prefix lists (with optional
 length ranges), ASPATH membership, origin AS, and communities, and
 either deny the route or permit it with attribute rewrites (the classic
 set local-pref / set MED / add community / prepend actions).
-
-Also here: :class:`PrefixLengthFilter`, the "draconian" stability
-enforcement the paper mentions — ISPs dropping all announcements longer
-than a cutoff prefix length.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from ..net.prefix import Prefix
 from .attributes import PathAttributes
@@ -31,7 +27,6 @@ __all__ = [
     "Action",
     "PolicyTerm",
     "RouteMap",
-    "PrefixLengthFilter",
     "PERMIT_ALL",
     "DENY_ALL",
 ]
@@ -159,10 +154,6 @@ class RouteMap:
                 return term.action.apply(attrs)
         return None
 
-    def append(self, term: PolicyTerm) -> "RouteMap":
-        self.terms.append(term)
-        return self
-
     def __len__(self) -> int:
         return len(self.terms)
 
@@ -173,30 +164,3 @@ PERMIT_ALL = RouteMap([PolicyTerm()], name="permit-all")
 #: A map that denies everything.
 DENY_ALL = RouteMap([], name="deny-all")
 
-
-class PrefixLengthFilter:
-    """Drop announcements longer than ``max_length``.
-
-    The paper (§3): "A number of ISPs have implemented a more draconian
-    version of enforcing stability by filtering all route announcements
-    longer than a given prefix length."
-    """
-
-    def __init__(self, max_length: int = 24) -> None:
-        if not 0 <= max_length <= 32:
-            raise ValueError(f"bad max_length {max_length}")
-        self.max_length = max_length
-        self.dropped = 0
-        self.passed = 0
-
-    def allows(self, prefix: Prefix) -> bool:
-        """True if the prefix passes; updates drop/pass counters."""
-        if prefix.length > self.max_length:
-            self.dropped += 1
-            return False
-        self.passed += 1
-        return True
-
-    def filter(self, prefixes: Sequence[Prefix]) -> List[Prefix]:
-        """The subset of ``prefixes`` that pass."""
-        return [p for p in prefixes if self.allows(p)]

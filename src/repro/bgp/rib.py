@@ -48,15 +48,6 @@ class Route:
     attributes: PathAttributes
     peer: int
 
-    @property
-    def forwarding_tuple(self) -> Tuple[Prefix, int, tuple]:
-        """The paper's (Prefix, NextHop, ASPATH) identity tuple."""
-        return (
-            self.prefix,
-            self.attributes.next_hop,
-            tuple(self.attributes.as_path),
-        )
-
 
 class ChangeKind(Enum):
     """What a RIB update did to the best route for a prefix."""
@@ -221,9 +212,6 @@ class AdjRibOut:
 
     def drop_peer(self, peer: int) -> None:
         self._by_peer.pop(peer, None)
-
-    def prefixes_to(self, peer: int) -> List[Prefix]:
-        return list(self._by_peer.get(peer, {}))
 
     def __len__(self) -> int:
         return sum(len(t) for t in self._by_peer.values())

@@ -248,14 +248,6 @@ class PeeringSession:
     def is_established(self) -> bool:
         return self.fsm.state is _ESTABLISHED
 
-    @property
-    def hold_deadline(self) -> Optional[float]:
-        return self._hold_deadline
-
-    @property
-    def next_keepalive_due(self) -> Optional[float]:
-        return self._next_keepalive
-
     def next_deadline(self) -> Optional[float]:
         """The soonest time :meth:`poll` could have something to do."""
         hold = self._hold_deadline

@@ -12,7 +12,7 @@ from .config import CampaignConfig, ShardSpec
 from .fold import ShardAccumulator
 from .handoff import HandoffError, ShardHandoff
 from .manifest import CampaignLayout, ConfigMismatch
-from .results import CampaignResult, PartialResult, merge_partials
+from .results import CampaignResult, PartialResult
 from .runner import CampaignHooks, KillRun, run_campaign, run_shard
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "PartialResult",
     "ShardAccumulator",
     "ShardHandoff",
-    "merge_partials",
     "run_campaign",
     "run_shard",
 ]

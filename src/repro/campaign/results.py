@@ -45,7 +45,6 @@ __all__ = [
     "COMMUTATIVE_MERGES",
     "PartialResult",
     "CampaignResult",
-    "merge_partials",
 ]
 
 #: Key for the all-categories inter-arrival histogram.
@@ -226,14 +225,6 @@ COMMUTATIVE_MERGES = (
     BinnedSeries,
     PartialResult,
 )
-
-
-def merge_partials(partials: List[PartialResult]) -> PartialResult:
-    """Fold partials left to right (callers pass shard-index order)."""
-    total = PartialResult.empty()
-    for partial in partials:
-        total = total + partial
-    return total
 
 
 @dataclass

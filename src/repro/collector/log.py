@@ -73,9 +73,6 @@ class FileLog:
         with open(self.path, "rb") as stream:
             yield from read_records(stream)
 
-    def read_all(self) -> List[UpdateRecord]:
-        return list(self)
-
     def iter_column_batches(self, batch_size: int = 65536, attrs=None):
         """Decode the archive into columnar
         :class:`~repro.core.columns.RecordColumns` batches of up to
@@ -84,12 +81,6 @@ class FileLog:
 
         with open(self.path, "rb") as stream:
             yield from read_column_batches(stream, batch_size, attrs)
-
-    def read_columns(self, attrs=None):
-        """The whole archive as one columnar batch."""
-        from ..core.columns import RecordColumns
-
-        return RecordColumns.concat(list(self.iter_column_batches(attrs=attrs)))
 
 
 class _FileLogWriter:
@@ -155,9 +146,6 @@ class CountingLog:
 
     def unique_prefixes(self, asn: int) -> int:
         return len(self._prefixes.get(asn, ()))
-
-    def peer_asns(self) -> List[int]:
-        return sorted(set(self.announces) | set(self.withdraws))
 
     def row(self, asn: int) -> Dict[str, int]:
         """A Table-1 row for one peer AS."""

@@ -35,13 +35,12 @@ from ..bgp.attributes import PathAttributes
 from ..bgp.messages import UpdateMessage
 from ..bgp.wire import WireError, decode_message, encode_message
 from ..net.prefix import Prefix
-from .record import UpdateKind, UpdateRecord
+from .record import UpdateKind, UpdateRecord, update_rows
 
 __all__ = [
     "MrtError",
     "write_records",
     "read_records",
-    "write_columns",
     "write_column_bodies",
     "read_column_batches",
     "MAGIC",
@@ -170,21 +169,6 @@ class PayloadMemo:
             self._rows[payload] = row
             self.key_bytes += len(payload)
         return row
-
-
-def update_rows(
-    message: UpdateMessage,
-) -> Tuple[Tuple[Prefix, UpdateKind, Optional[PathAttributes]], ...]:
-    """One ``(prefix, kind, attributes)`` row per prefix of an UPDATE,
-    withdrawals first: :func:`~repro.collector.record.flatten_update`'s
-    counting convention without the per-frame header fields."""
-    attributes = message.attributes
-    return tuple(
-        (prefix, UpdateKind.WITHDRAW, None) for prefix in message.withdrawn
-    ) + tuple(
-        (prefix, UpdateKind.ANNOUNCE, attributes)
-        for prefix in message.announced
-    )
 
 
 def _archive_row(
@@ -350,14 +334,6 @@ def write_column_bodies(stream: BinaryIO, columns) -> int:
     frames[1::2] = bodies
     stream.write(b"".join(frames))
     return len(data)
-
-
-def write_columns(stream: BinaryIO, columns) -> int:
-    """Columnar :func:`write_records`: serialize a whole batch.  The
-    on-disk format is identical — readers cannot tell which tier wrote
-    the archive."""
-    stream.write(MAGIC)
-    return write_column_bodies(stream, columns)
 
 
 def read_column_batches(

@@ -10,9 +10,9 @@ classic tooling (``bgpdump``-era readers):
   the RFC's common header (timestamp, type, subtype, length) followed
   by peer/local AS numbers, interface index, address family, peer and
   local IPv4 addresses, and the raw RFC 4271 BGP message.
-- **TABLE_DUMP / AFI_IPv4** (type 12, subtype 1) for routing-table
-  snapshots: view number, sequence, prefix, status, originated time,
-  peer address and AS, and the route's path attributes.
+- **BGP4MP / BGP4MP_STATE_CHANGE** (type 16, subtype 0) for peering
+  session transitions: the same peer header followed by the old and
+  new FSM state codes.
 
 Only the IPv4 forms the reproduction needs are implemented; anything
 else raises :class:`~repro.bgp.wire.WireError` on read rather than
@@ -22,24 +22,17 @@ silently mis-parsing.
 from __future__ import annotations
 
 import struct
-from typing import BinaryIO, Iterable, Iterator, List, Tuple
+from typing import BinaryIO, Iterable, Iterator
 
-from ..bgp.attributes import PathAttributes
 from ..bgp.messages import UpdateMessage
 from ..bgp.wire import WireError, encode_message
-from ..bgp.wire import _encode_attributes, _decode_attributes  # noqa: internal reuse
-from ..net.prefix import Prefix
-from .mrt import PayloadMemo, update_rows
-from .record import UpdateKind, UpdateRecord
-from .snapshot import TableSnapshot
+from .mrt import PayloadMemo
+from .record import UpdateKind, UpdateRecord, update_rows
 
 __all__ = [
-    "MRT_TYPE_TABLE_DUMP",
     "MRT_TYPE_BGP4MP",
     "write_bgp4mp",
     "read_bgp4mp",
-    "write_table_dump",
-    "read_table_dump",
     "SessionEvent",
     "write_state_changes",
     "read_state_changes",
@@ -47,18 +40,12 @@ __all__ = [
 
 _COMMON_HEADER = struct.Struct(">IHHI")  # timestamp, type, subtype, length
 
-MRT_TYPE_TABLE_DUMP = 12
 MRT_TYPE_BGP4MP = 16
-_SUBTYPE_AFI_IPV4 = 1
 _SUBTYPE_BGP4MP_MESSAGE = 1
 _AFI_IPV4 = 1
 
 # BGP4MP_MESSAGE body prefix: peer AS, local AS, ifindex, AF.
 _BGP4MP_HEADER = struct.Struct(">HHHH")
-# TABLE_DUMP entry after the common header: view, seq.
-_TD_VIEW_SEQ = struct.Struct(">HH")
-# TABLE_DUMP per-entry tail: status, originated, peer ip, peer as, attr len.
-_TD_TAIL = struct.Struct(">BIIHH")
 
 
 def _write_common_header(
@@ -194,10 +181,6 @@ class SessionEvent:
     def is_session_loss(self) -> bool:
         return self.old_state == "ESTABLISHED" and self.new_state != "ESTABLISHED"
 
-    @property
-    def is_session_up(self) -> bool:
-        return self.new_state == "ESTABLISHED"
-
 
 def write_state_changes(
     stream: BinaryIO,
@@ -258,78 +241,3 @@ def read_state_changes(stream: BinaryIO) -> Iterator[SessionEvent]:
             old_state=old_state,
             new_state=new_state,
         )
-
-
-# ---------------------------------------------------------------------------
-# TABLE_DUMP snapshots
-# ---------------------------------------------------------------------------
-
-def write_table_dump(
-    stream: BinaryIO,
-    snap: TableSnapshot,
-    view: int = 0,
-) -> int:
-    """Write a snapshot as RFC 6396 TABLE_DUMP AFI_IPv4 entries.
-
-    Returns the number of (prefix, peer) entries written.
-    """
-    sequence = 0
-    for prefix in sorted(snap.routes):
-        for peer_id, attrs in sorted(
-            snap.routes[prefix], key=lambda pair: pair[0]
-        ):
-            attr_bytes = _encode_attributes(attrs)
-            body = (
-                _TD_VIEW_SEQ.pack(view, sequence & 0xFFFF)
-                + struct.pack(">IB", prefix.network, prefix.length)
-                + _TD_TAIL.pack(
-                    1,                     # status (RFC: set to 1)
-                    int(snap.time),        # originated time
-                    peer_id,
-                    0,                     # peer AS unknown per-entry; use 0
-                    len(attr_bytes),
-                )
-                + attr_bytes
-            )
-            _write_common_header(
-                stream, snap.time, MRT_TYPE_TABLE_DUMP,
-                _SUBTYPE_AFI_IPV4, body,
-            )
-            sequence += 1
-    return sequence
-
-
-def read_table_dump(stream: BinaryIO) -> TableSnapshot:
-    """Read TABLE_DUMP entries back into a :class:`TableSnapshot`."""
-    routes = {}
-    time = 0.0
-    while True:
-        parsed = _read_common_header(stream)
-        if parsed is None:
-            break
-        timestamp, mrt_type, subtype, body = parsed
-        if mrt_type != MRT_TYPE_TABLE_DUMP or subtype != _SUBTYPE_AFI_IPV4:
-            raise WireError(
-                f"unsupported MRT record type {mrt_type}/{subtype}"
-            )
-        time = float(timestamp)
-        offset = _TD_VIEW_SEQ.size
-        if len(body) < offset + 5 + _TD_TAIL.size:
-            raise WireError("truncated TABLE_DUMP entry")
-        network, length = struct.unpack_from(">IB", body, offset)
-        offset += 5
-        status, _originated, peer_ip, _peer_as, attr_len = (
-            _TD_TAIL.unpack_from(body, offset)
-        )
-        offset += _TD_TAIL.size
-        attr_bytes = body[offset:offset + attr_len]
-        if len(attr_bytes) != attr_len:
-            raise WireError("truncated TABLE_DUMP attributes")
-        mask = (0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF if length else 0
-        prefix = Prefix(network & mask, length)
-        attrs = _decode_attributes(attr_bytes)
-        routes.setdefault(prefix, set()).add((peer_ip, attrs))
-    return TableSnapshot(
-        time=time,
-        routes={p: frozenset(s) for p, s in routes.items()},
-    )

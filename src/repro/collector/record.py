@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..bgp.attributes import PathAttributes
 from ..bgp.messages import UpdateMessage
@@ -77,23 +77,24 @@ class UpdateRecord:
     def is_withdraw(self) -> bool:
         return self.kind is UpdateKind.WITHDRAW
 
-    @property
-    def prefix_as(self) -> PrefixAs:
-        """The (prefix, peer AS) pair the fine-grained analyses key on."""
-        return (self.prefix, self.peer_asn)
 
-    @property
-    def forwarding_tuple(self):
-        """The paper's (Prefix, NextHop, ASPATH) identity, or None for
-        withdrawals."""
-        if self.attributes is None:
-            return None
-        # as_path is already an immutable tuple subclass; no copy needed.
-        return (
-            self.prefix,
-            self.attributes.next_hop,
-            self.attributes.as_path,
-        )
+def update_rows(
+    message: UpdateMessage,
+) -> Tuple[Tuple[Prefix, UpdateKind, Optional[PathAttributes]], ...]:
+    """One ``(prefix, kind, attributes)`` row per prefix of an UPDATE,
+    withdrawals first, then announcements.
+
+    This is the counting convention behind every number in the paper: an
+    UPDATE with three announced NLRI and two withdrawals contributes five
+    "updates".
+    """
+    attributes = message.attributes
+    return tuple(
+        (prefix, UpdateKind.WITHDRAW, None) for prefix in message.withdrawn
+    ) + tuple(
+        (prefix, UpdateKind.ANNOUNCE, attributes)
+        for prefix in message.announced
+    )
 
 
 def flatten_update(
@@ -102,46 +103,9 @@ def flatten_update(
     peer_asn: int,
     message: UpdateMessage,
 ) -> List[UpdateRecord]:
-    """Explode one BGP UPDATE into per-prefix records.
-
-    This is the counting convention behind every number in the paper: an
-    UPDATE with three announced NLRI and two withdrawals contributes five
-    "updates".
-    """
-    records: List[UpdateRecord] = [
-        UpdateRecord(time, peer_id, peer_asn, prefix, UpdateKind.WITHDRAW)
-        for prefix in message.withdrawn
+    """Explode one BGP UPDATE into per-prefix records, one per
+    :func:`update_rows` row."""
+    return [
+        UpdateRecord(time, peer_id, peer_asn, prefix, kind, attributes)
+        for prefix, kind, attributes in update_rows(message)
     ]
-    records.extend(
-        UpdateRecord(
-            time,
-            peer_id,
-            peer_asn,
-            prefix,
-            UpdateKind.ANNOUNCE,
-            message.attributes,
-        )
-        for prefix in message.announced
-    )
-    return records
-
-
-def count_by_kind(records: Iterable[UpdateRecord]) -> Tuple[int, int]:
-    """(announcements, withdrawals) — the Table 1 column pair."""
-    announces = withdraws = 0
-    for record in records:
-        if record.is_announce:
-            announces += 1
-        else:
-            withdraws += 1
-    return announces, withdraws
-
-
-def unique_prefixes(records: Iterable[UpdateRecord]) -> int:
-    """Distinct prefixes touched — Table 1's "Unique" column."""
-    return len({record.prefix for record in records})
-
-
-def iter_sorted(records: Iterable[UpdateRecord]) -> Iterator[UpdateRecord]:
-    """Yield records in time order (analyses assume monotone time)."""
-    yield from sorted(records, key=lambda r: r.time)

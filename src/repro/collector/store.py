@@ -13,14 +13,9 @@ __all__ = [
     "SECONDS_PER_DAY",
     "SECONDS_PER_HOUR",
     "SECONDS_PER_WEEK",
-    "day_of",
 ]
 
 SECONDS_PER_HOUR = 3600.0
 SECONDS_PER_DAY = 24 * SECONDS_PER_HOUR
 SECONDS_PER_WEEK = 7 * SECONDS_PER_DAY
 
-
-def day_of(time: float) -> int:
-    """The simulated day index containing ``time``."""
-    return int(time // SECONDS_PER_DAY)

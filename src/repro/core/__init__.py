@@ -17,10 +17,8 @@ from .columns import (
 )
 from .instability import (
     CategoryCounts,
-    Incident,
     counts_by_peer_columns,
     counts_by_prefix_as_columns,
-    detect_incidents,
     persistence,
 )
 from .report import ExperimentResult, Series, Table, format_number
@@ -37,10 +35,8 @@ __all__ = [
     "classify_columns",
     "decode_categories",
     "CategoryCounts",
-    "Incident",
     "counts_by_peer_columns",
     "counts_by_prefix_as_columns",
-    "detect_incidents",
     "persistence",
     "ExperimentResult",
     "Series",

@@ -229,48 +229,8 @@ class RecordColumns:
         return self.data["time"]
 
     @property
-    def peer_id(self) -> np.ndarray:
-        return self.data["peer_id"]
-
-    @property
     def peer_asn(self) -> np.ndarray:
         return self.data["peer_asn"]
-
-    @property
-    def net(self) -> np.ndarray:
-        return self.data["net"]
-
-    @property
-    def plen(self) -> np.ndarray:
-        return self.data["plen"]
-
-    @property
-    def kind(self) -> np.ndarray:
-        return self.data["kind"]
-
-    @property
-    def attr_id(self) -> np.ndarray:
-        return self.data["attr_id"]
-
-    def prefix(self, index: int) -> Prefix:
-        row = self.data[index]
-        return Prefix(int(row["net"]), int(row["plen"]))
-
-    def record(self, index: int) -> UpdateRecord:
-        """Materialize one row as an :class:`UpdateRecord`."""
-        row = self.data[index]
-        kind = UpdateKind(int(row["kind"]))
-        attributes = (
-            None if kind is UpdateKind.WITHDRAW else self.attrs[int(row["attr_id"])]
-        )
-        return UpdateRecord(
-            float(row["time"]),
-            int(row["peer_id"]),
-            int(row["peer_asn"]),
-            Prefix(int(row["net"]), int(row["plen"])),
-            kind,
-            attributes,
-        )
 
     def __iter__(self) -> Iterator[UpdateRecord]:
         return iter(self.to_records())
@@ -312,11 +272,6 @@ class RecordColumns:
     def select(self, mask_or_indices: np.ndarray) -> "RecordColumns":
         """A sub-batch sharing this batch's attribute table."""
         return RecordColumns(self.data[mask_or_indices], self.attrs)
-
-    def sorted_by_time(self) -> "RecordColumns":
-        """A stably time-sorted copy (ties keep batch order)."""
-        order = np.argsort(self.data["time"], kind="stable")
-        return RecordColumns(self.data[order], self.attrs)
 
 
 def _group_sort(
@@ -700,14 +655,6 @@ class ColumnClassifier:
         return codes, policy
 
     # -- introspection ------------------------------------------------------
-
-    def is_reachable(self, peer_id: int, prefix: Prefix) -> bool:
-        state = self._states.get((peer_id, prefix.network, prefix.length))
-        return state.reachable if state else False
-
-    def tracked_routes(self) -> int:
-        """Number of (peer, prefix) pairs with state."""
-        return len(self._states)
 
     def state_digest(self) -> str:
         """Digest of all per-route state (see

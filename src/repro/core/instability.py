@@ -5,13 +5,10 @@ all over a :class:`~repro.core.columns.RecordColumns` batch and its
 row-aligned category codes:
 
 - :class:`CategoryCounts` — per-category tallies with the paper's
-  instability / pathological / uncategorized roll-ups;
+  instability / pathological roll-ups;
 - :func:`counts_by_peer_columns`, :func:`counts_by_prefix_as_columns`,
   :func:`counts_by_prefix_columns` — the groupings behind Figures 6
   and 7;
-- :func:`detect_incidents` — the paper's "pathological routing
-  incident": a period where aggregate instability exceeds the normal
-  level by an order of magnitude or more;
 - :func:`persistence` — how long a route's information keeps
   fluctuating before stabilizing (the paper: "the persistence of most
   pathological BGP behaviors is under five minutes").
@@ -19,7 +16,6 @@ row-aligned category codes:
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
@@ -42,9 +38,7 @@ __all__ = [
     "counts_by_prefix_columns",
     "peer_tallies",
     "peer_table",
-    "detect_incidents",
     "persistence",
-    "Incident",
 ]
 
 
@@ -103,13 +97,6 @@ class CategoryCounts:
         """AADup + WWDup."""
         return sum(
             self.counts.get(c, 0) for c in PATHOLOGICAL_CATEGORIES
-        )
-
-    @property
-    def uncategorized(self) -> int:
-        return (
-            self.counts.get(UpdateCategory.NEW_ANNOUNCE, 0)
-            + self.counts.get(UpdateCategory.PLAIN_WITHDRAW, 0)
         )
 
     @property
@@ -255,73 +242,6 @@ def counts_by_prefix_columns(
             first["net"].tolist(), first["plen"].tolist(), counts.tolist()
         )
     }
-
-
-@dataclass(frozen=True, slots=True)
-class Incident:
-    """A pathological routing incident: a bin whose update level
-    exceeds the baseline by ``magnitude`` orders of magnitude."""
-
-    start: float
-    end: float
-    updates: int
-    baseline: float
-    magnitude: float
-
-
-def detect_incidents(
-    bin_counts: Sequence[int],
-    bin_width: float,
-    threshold_orders: float = 1.0,
-) -> List[Incident]:
-    """Find pathological routing incidents in binned update counts.
-
-    The paper defines an incident as "a time when the aggregate level
-    of routing instability seen at an exchange point exceeds the normal
-    level of instability by one or more orders of magnitude."  The
-    *normal level* here is the median of the non-zero bins; a bin
-    qualifies when ``count >= baseline * 10**threshold_orders``.
-    Adjacent qualifying bins merge into one incident.
-    """
-    nonzero = sorted(c for c in bin_counts if c > 0)
-    if not nonzero:
-        return []
-    baseline = float(nonzero[len(nonzero) // 2])
-    cutoff = baseline * (10.0 ** threshold_orders)
-    incidents: List[Incident] = []
-    run_start: Optional[int] = None
-    run_total = 0
-    for index, count in enumerate(bin_counts):
-        if count >= cutoff:
-            if run_start is None:
-                run_start = index
-                run_total = 0
-            run_total += count
-        elif run_start is not None:
-            incidents.append(
-                _make_incident(run_start, index, run_total, baseline, bin_width)
-            )
-            run_start = None
-    if run_start is not None:
-        incidents.append(
-            _make_incident(
-                run_start, len(bin_counts), run_total, baseline, bin_width
-            )
-        )
-    return incidents
-
-
-def _make_incident(
-    start_bin: int, end_bin: int, total: int, baseline: float, width: float
-) -> Incident:
-    peak_ratio = total / max(baseline * (end_bin - start_bin), 1e-12)
-    return Incident(
-        start=start_bin * width,
-        end=end_bin * width,
-        updates=total,
-        baseline=baseline,
-        magnitude=math.log10(max(peak_ratio, 1e-12)),
-    )
 
 
 def persistence(

@@ -58,25 +58,6 @@ class UpdateCategory(Enum):
     PLAIN_WITHDRAW = auto()
 
     @property
-    def is_instability(self) -> bool:
-        """Forwarding instability or policy fluctuation (paper's
-        definition of *instability*)."""
-        return self in INSTABILITY_CATEGORIES
-
-    @property
-    def is_pathological(self) -> bool:
-        """Redundant information reflecting no topology/policy change."""
-        return self in PATHOLOGICAL_CATEGORIES
-
-    @property
-    def is_uncategorized(self) -> bool:
-        """Sequence starts the paper's taxonomy does not name."""
-        return self in (
-            UpdateCategory.NEW_ANNOUNCE,
-            UpdateCategory.PLAIN_WITHDRAW,
-        )
-
-    @property
     def label(self) -> str:
         """The paper's display label (e.g. ``"AA Duplicate"``)."""
         return _LABELS[self]

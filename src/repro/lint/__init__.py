@@ -18,7 +18,7 @@ from .engine import (
     Rule,
     iter_python_files,
 )
-from .rules import all_rules, rules_by_id
+from .rules import all_rules
 
 __all__ = [
     "Finding",
@@ -30,5 +30,4 @@ __all__ = [
     "all_rules",
     "iter_python_files",
     "main",
-    "rules_by_id",
 ]

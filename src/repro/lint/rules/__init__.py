@@ -23,7 +23,7 @@ from .lint000_pragma import PragmaRule
 from .mrg001_merge_registry import MergeRegistryRule
 from .pro001_protocol import ProtocolConformanceRule
 
-__all__ = ["all_rules", "rules_by_id"]
+__all__ = ["all_rules"]
 
 _RULE_CLASSES = (
     PragmaRule,
@@ -44,12 +44,3 @@ def all_rules() -> List[Rule]:
     return sorted(
         (cls() for cls in _RULE_CLASSES), key=lambda rule: rule.id
     )
-
-
-def rules_by_id(*ids: str) -> List[Rule]:
-    """The subset of rules with the given ids (unknown ids raise)."""
-    rules = {rule.id: rule for rule in all_rules()}
-    missing = sorted(set(ids) - set(rules))
-    if missing:
-        raise KeyError(f"unknown rule id(s): {', '.join(missing)}")
-    return [rules[rule_id] for rule_id in ids]

@@ -9,8 +9,8 @@ Per-file rules see one AST; the semantic layer sees the project:
 - :mod:`~repro.lint.semantic.callgraph` — the conservative call graph
   (direct calls, inferred method dispatch, Protocol fan-out, escaping
   function references);
-- :mod:`~repro.lint.semantic.taint` — impure facts propagated to a
-  fixed point, and the DET1xx findings with full call chains.
+- :mod:`~repro.lint.semantic.taint` — impure facts reachable from a
+  digest, as DET1xx findings with full call chains.
 """
 
 from .callgraph import CallGraph, build_callgraph
@@ -25,7 +25,6 @@ from .taint import (
     TAINT_RULES,
     direct_impure_sites,
     entry_points,
-    propagate,
     taint_findings,
 )
 
@@ -39,7 +38,6 @@ __all__ = [
     "direct_impure_sites",
     "entry_points",
     "module_name_for",
-    "propagate",
     "summarize_module",
     "taint_findings",
 ]

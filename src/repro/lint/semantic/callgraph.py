@@ -56,13 +56,6 @@ class CallGraph:
     def edges(self) -> List[Tuple[str, str, int, str]]:
         return sorted(self._edges)
 
-    def successors(self, fqn: str) -> List[Tuple[str, int, str]]:
-        return sorted(
-            (dst, line, kind)
-            for src, dst, line, kind in self._edges
-            if src == fqn
-        )
-
     # -- reachability -------------------------------------------------------
 
     def reachable_from(

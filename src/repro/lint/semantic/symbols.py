@@ -783,15 +783,6 @@ class ProjectIndex:
 
     # -- protocols ----------------------------------------------------------
 
-    def protocols(self) -> List[Tuple[str, dict]]:
-        found = []
-        for summary in self.summaries:
-            for name in sorted(summary.classes):
-                klass = summary.classes[name]
-                if klass["protocol"]:
-                    found.append((f"{summary.module}.{name}", klass))
-        return found
-
     def implementers(self, proto_fqn: str) -> List[str]:
         """Classes structurally implementing every method of the
         protocol (used for conservative call dispatch)."""

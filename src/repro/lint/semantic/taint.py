@@ -1,5 +1,5 @@
-"""Interprocedural determinism taint: impure facts, propagated to a
-fixed point over the call graph.
+"""Interprocedural determinism taint: impure facts, found by
+reachability over the call graph.
 
 The per-file determinism rules (DET001–DET004) flag an impure
 *call site*; this pass answers the question they cannot: **can a
@@ -11,16 +11,11 @@ iteration, or salted ``hash`` transitively reachable from one is a
 latent nondeterminism that no per-file rule and no lucky fuzz seed is
 guaranteed to catch.
 
-Two passes over the graph:
-
-- :func:`propagate` — a backward worklist: a function is tainted by
-  the impure facts of everything it can call, iterated to a fixed
-  point (recursive and mutually recursive chains converge because the
-  lattice — sets of rule ids — is finite and monotone);
-- :func:`taint_findings` — forward BFS from the digest entry points;
-  every reachable function's *direct* impure site becomes a finding
-  anchored at that source line, carrying the full entry→source call
-  chain in the message.
+:func:`taint_findings` is a forward BFS from the digest entry points
+(recursive and mutually recursive chains converge because a node is
+visited once); every reachable function's *direct* impure site becomes
+a finding anchored at that source line, carrying the full entry→source
+call chain in the message.
 
 Anchoring at the source site (not the digest) is what makes the
 existing pragma machinery compose: a ``# lint: allow[DET102] -- ...``
@@ -32,7 +27,7 @@ such a pragma's "display-only" justification needs re-review.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional
+from typing import Dict, Iterable, List, NamedTuple, Optional
 
 from ..engine import ModuleContext
 from .callgraph import CallGraph
@@ -42,7 +37,6 @@ __all__ = [
     "TAINT_RULES",
     "direct_impure_sites",
     "entry_points",
-    "propagate",
     "taint_findings",
 ]
 
@@ -167,38 +161,6 @@ def entry_points(graph: CallGraph) -> List[str]:
         for fqn, info in graph.nodes.items()
         if info["name"] in ENTRY_NAMES
     )
-
-
-def propagate(graph: CallGraph) -> Dict[str, FrozenSet[str]]:
-    """Transitive taint per function: the backward fixed point.
-
-    Each function's taint set is its own direct impure rules unioned
-    with the taint sets of everything it calls; iterate until nothing
-    changes.  Converges on arbitrary (including cyclic) graphs: the
-    per-node sets only grow and are bounded by the finite rule set.
-    """
-    taints: Dict[str, set] = {
-        fqn: {site["rule"] for site in info["impure"]}
-        for fqn, info in graph.nodes.items()
-    }
-    callers: Dict[str, List[str]] = {}
-    successors: Dict[str, List[str]] = {}
-    for src, dst, _line, _kind in graph.edges:
-        callers.setdefault(dst, []).append(src)
-        successors.setdefault(src, []).append(dst)
-    worklist = sorted(fqn for fqn, rules in taints.items() if rules)
-    pending = set(worklist)
-    while worklist:
-        current = worklist.pop()
-        pending.discard(current)
-        facts = taints[current]
-        for caller in callers.get(current, ()):
-            before = len(taints[caller])
-            taints[caller] |= facts
-            if len(taints[caller]) != before and caller not in pending:
-                worklist.append(caller)
-                pending.add(caller)
-    return {fqn: frozenset(rules) for fqn, rules in taints.items()}
 
 
 def taint_findings(

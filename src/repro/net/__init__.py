@@ -1,14 +1,6 @@
-"""IP addressing substrate: prefixes, radix tries, aggregation, allocation."""
+"""IP addressing substrate: prefixes and address allocation."""
 
-from .prefix import MAX_PREFIX_LENGTH, Prefix, PrefixError, common_supernet, parse_many
-from .radix import RadixTree
-from .aggregation import (
-    aggregate,
-    aggregation_ratio,
-    covering_set,
-    deaggregate,
-    punch_hole,
-)
+from .prefix import MAX_PREFIX_LENGTH, Prefix, PrefixError
 from .addressing import (
     AddressExhausted,
     AddressPlan,
@@ -21,14 +13,6 @@ __all__ = [
     "MAX_PREFIX_LENGTH",
     "Prefix",
     "PrefixError",
-    "common_supernet",
-    "parse_many",
-    "RadixTree",
-    "aggregate",
-    "aggregation_ratio",
-    "covering_set",
-    "deaggregate",
-    "punch_hole",
     "AddressExhausted",
     "AddressPlan",
     "ProviderBlockAllocator",

@@ -65,11 +65,6 @@ class ProviderBlockAllocator:
         self._cursor = aligned + size
         return Prefix(aligned, length)
 
-    @property
-    def remaining_addresses(self) -> int:
-        """Addresses not yet handed out."""
-        return self.block.broadcast - self._cursor + 1
-
     def allocate_many(self, length: int, count: int) -> List[Prefix]:
         """Allocate ``count`` consecutive ``/length`` prefixes."""
         return [self.allocate(length) for _ in range(count)]
@@ -134,10 +129,6 @@ class AddressPlan:
     def announced(self) -> List[Prefix]:
         """Everything this AS originates into BGP."""
         return sorted(set(self.aggregates) | set(self.specifics))
-
-    @property
-    def prefix_count(self) -> int:
-        return len(set(self.aggregates) | set(self.specifics))
 
 
 #: Provider blocks assigned to simulated backbones, spaced across the

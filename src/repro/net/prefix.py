@@ -16,7 +16,7 @@ faster and simpler to reason about.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Tuple
 
 __all__ = [
     "Prefix",
@@ -67,7 +67,7 @@ class Prefix(tuple):
     ``network`` is the 32-bit network address with host bits zeroed.  Being
     a tuple makes instances hashable, totally ordered (network-major,
     shorter-prefix-first within a network), and cheap to copy — properties
-    the radix trie, RIBs, and classifiers all rely on.
+    RIBs and classifiers rely on.
 
     Examples
     --------
@@ -111,13 +111,6 @@ class Prefix(tuple):
             addr_text, length = text, MAX_PREFIX_LENGTH
         return cls(_octets_to_int(addr_text), length)
 
-    @classmethod
-    def from_host(cls, text: str, length: int) -> "Prefix":
-        """Build a prefix from a host address, zeroing the host bits."""
-        if not 0 <= length <= MAX_PREFIX_LENGTH:
-            raise PrefixError(f"prefix length {length} out of range")
-        return cls(_octets_to_int(text) & _MASKS[length], length)
-
     # -- accessors ---------------------------------------------------------
 
     @property
@@ -129,16 +122,6 @@ class Prefix(tuple):
     def length(self) -> int:
         """The mask length (0..32)."""
         return self[1]
-
-    @property
-    def netmask(self) -> int:
-        """The 32-bit network mask."""
-        return _MASKS[self[1]]
-
-    @property
-    def num_addresses(self) -> int:
-        """Number of addresses covered by this prefix."""
-        return 1 << (MAX_PREFIX_LENGTH - self[1])
 
     @property
     def broadcast(self) -> int:
@@ -170,10 +153,6 @@ class Prefix(tuple):
             return self.covers_address(other)
         return NotImplemented  # type: ignore[return-value]
 
-    def overlaps(self, other: "Prefix") -> bool:
-        """True if the two prefixes share any address."""
-        return self.covers(other) or other.covers(self)
-
     # -- arithmetic ----------------------------------------------------------
 
     def supernet(self, new_length: Optional[int] = None) -> "Prefix":
@@ -201,43 +180,3 @@ class Prefix(tuple):
         step = 1 << (MAX_PREFIX_LENGTH - new_length)
         for network in range(self[0], self.broadcast + 1, step):
             yield Prefix(network, new_length)
-
-    def sibling(self) -> "Prefix":
-        """The other half of this prefix's parent (its aggregation partner)."""
-        if self[1] == 0:
-            raise PrefixError("0.0.0.0/0 has no sibling")
-        bit = 1 << (MAX_PREFIX_LENGTH - self[1])
-        return Prefix(self[0] ^ bit, self[1])
-
-    def is_aggregatable_with(self, other: "Prefix") -> bool:
-        """True if ``self`` and ``other`` merge exactly into one supernet."""
-        return self[1] == other[1] and self[1] > 0 and self.sibling() == other
-
-    def bit(self, index: int) -> int:
-        """The ``index``-th address bit (0 = most significant)."""
-        if not 0 <= index < MAX_PREFIX_LENGTH:
-            raise PrefixError(f"bit index {index} out of range")
-        return (self[0] >> (MAX_PREFIX_LENGTH - 1 - index)) & 1
-
-
-def common_supernet(prefixes: Sequence[Prefix]) -> Prefix:
-    """The longest prefix covering every prefix in ``prefixes``.
-
-    Raises :class:`PrefixError` on an empty sequence.
-    """
-    if not prefixes:
-        raise PrefixError("common_supernet of no prefixes")
-    lo = min(p.network for p in prefixes)
-    hi = max(p.broadcast for p in prefixes)
-    length = min(p.length for p in prefixes)
-    while length > 0 and (
-        (lo & _MASKS[length]) != (hi & _MASKS[length])
-    ):
-        length -= 1
-    # Also never exceed the shortest member's own length.
-    return Prefix(lo & _MASKS[length], length)
-
-
-def parse_many(texts: Sequence[str]) -> List[Prefix]:
-    """Parse a sequence of prefix strings; convenience for tests/examples."""
-    return [Prefix.parse(text) for text in texts]

@@ -17,9 +17,7 @@ from .routeserver import RouteServer
 from .igp import IgpBgpRedistribution, IgpTable, RouteSource
 from .faults import (
     CustomerFlapGenerator,
-    MaintenanceWindow,
     MisconfiguredProvider,
-    PoissonLinkFlapper,
 )
 from .flapstorm import FlapStormScenario, StormResult
 from .sync import PeriodicRouter, SynchronizationStudy, phase_coherence
@@ -71,9 +69,7 @@ __all__ = [
     "IgpTable",
     "RouteSource",
     "CustomerFlapGenerator",
-    "MaintenanceWindow",
     "MisconfiguredProvider",
-    "PoissonLinkFlapper",
     "FlapStormScenario",
     "StormResult",
     "PeriodicRouter",

@@ -5,14 +5,10 @@ problems with leased lines, router failures, high levels of congestion
 and software configuration errors" (§3).  This module provides the
 schedulable fault generators the scenarios compose:
 
-- :class:`PoissonLinkFlapper` — memoryless link failures/repairs on a
-  set of links (leased-line problems).
 - :class:`CustomerFlapGenerator` — customer-circuit flaps: originated
   prefixes withdrawn and re-announced at Poisson times, optionally
   modulated by a diurnal intensity function (this is the knob that ties
   instability to network usage).
-- :class:`MaintenanceWindow` — deterministic daily session resets (the
-  10am line in Figure 3).
 - :class:`MisconfiguredProvider` — the ISP-Y behaviour: periodically
   transmits withdrawals for prefixes it never announced.
 """
@@ -20,67 +16,17 @@ schedulable fault generators the scenarios compose:
 from __future__ import annotations
 
 import random
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from ..bgp.messages import UpdateMessage
 from ..net.prefix import Prefix
 from .engine import Engine
-from .link import Link
 from .router import Router
 
 __all__ = [
-    "PoissonLinkFlapper",
     "CustomerFlapGenerator",
-    "MaintenanceWindow",
     "MisconfiguredProvider",
 ]
-
-
-class PoissonLinkFlapper:
-    """Fail and repair links at exponentially-distributed intervals."""
-
-    __slots__ = ("engine", "links", "mttf", "mttr", "rng", "flap_count", "_running")
-
-    def __init__(
-        self,
-        engine: Engine,
-        links: Sequence[Link],
-        mean_time_to_failure: float = 3600.0,
-        mean_repair_time: float = 60.0,
-        rng: Optional[random.Random] = None,
-    ) -> None:
-        self.engine = engine
-        self.links = list(links)
-        self.mttf = mean_time_to_failure
-        self.mttr = mean_repair_time
-        self.rng = rng or random.Random(0)
-        self.flap_count = 0
-        self._running = False
-
-    def start(self) -> None:
-        self._running = True
-        for link in self.links:
-            self._schedule_failure(link)
-
-    def stop(self) -> None:
-        self._running = False
-
-    def _schedule_failure(self, link: Link) -> None:
-        delay = self.rng.expovariate(1.0 / self.mttf)
-        self.engine.schedule(delay, self._fail, link)
-
-    def _fail(self, link: Link) -> None:
-        if not self._running:
-            return
-        link.go_down()
-        self.flap_count += 1
-        repair = self.rng.expovariate(1.0 / self.mttr)
-        self.engine.schedule(repair, self._repair, link)
-
-    def _repair(self, link: Link) -> None:
-        link.go_up()
-        if self._running:
-            self._schedule_failure(link)
 
 
 class CustomerFlapGenerator:
@@ -151,66 +97,6 @@ class CustomerFlapGenerator:
         outage = self.outage_duration * self.rng.uniform(0.5, 2.0)
         self.router.flap_origin(prefix, down_for=outage)
         self.flap_count += 1
-
-
-class MaintenanceWindow:
-    """Engineering maintenance: daily deterministic session bounces.
-
-    At ``time_of_day`` (seconds past midnight) each day, the target
-    router's sessions are administratively reset — producing the
-    horizontal line of dense updates "at approximately 10:00am" in
-    Figure 3.
-    """
-
-    __slots__ = (
-        "engine",
-        "router",
-        "time_of_day",
-        "sessions_to_bounce",
-        "rng",
-        "bounce_count",
-    )
-
-    def __init__(
-        self,
-        engine: Engine,
-        router: Router,
-        time_of_day: float = 10 * 3600.0,
-        sessions_to_bounce: int = 1,
-        rng: Optional[random.Random] = None,
-    ) -> None:
-        self.engine = engine
-        self.router = router
-        self.time_of_day = time_of_day
-        self.sessions_to_bounce = sessions_to_bounce
-        self.rng = rng or random.Random(2)
-        self.bounce_count = 0
-
-    def start(self) -> None:
-        self._schedule_next()
-
-    def _schedule_next(self) -> None:
-        from ..collector.store import SECONDS_PER_DAY
-
-        now = self.engine.now
-        today_slot = (now // SECONDS_PER_DAY) * SECONDS_PER_DAY + self.time_of_day
-        next_slot = (
-            today_slot if today_slot > now else today_slot + SECONDS_PER_DAY
-        )
-        self.engine.schedule_at(next_slot, self._bounce)
-
-    def _bounce(self) -> None:
-        established = [
-            peer_id
-            for peer_id, session in self.router.sessions.items()
-            if session.is_established
-        ]
-        self.rng.shuffle(established)
-        for peer_id in established[: self.sessions_to_bounce]:
-            session = self.router.sessions[peer_id]
-            self.router._run_actions(peer_id, session.stop(self.engine.now))
-            self.bounce_count += 1
-        self._schedule_next()
 
 
 class MisconfiguredProvider:

@@ -41,12 +41,6 @@ class StormResult:
     crashes: int = 0
     drop_times: List[float] = field(default_factory=list)
 
-    @property
-    def stormed(self) -> bool:
-        """True if the failure spread beyond the seed router's own
-        sessions (the storm ignited)."""
-        return self.session_drops > 0
-
 
 class FlapStormScenario:
     """A configurable flap-storm testbed (see module docstring).
@@ -119,14 +113,6 @@ class FlapStormScenario:
     def settle(self, duration: float = 120.0) -> None:
         """Let sessions establish and tables converge."""
         self.engine.run_until(self.engine.now + duration)
-
-    def established_sessions(self) -> int:
-        return sum(
-            1
-            for router in self.routers
-            for session in router.sessions.values()
-            if session.is_established
-        )
 
     def inject_burst(
         self,

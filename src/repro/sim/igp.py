@@ -79,10 +79,6 @@ class IgpTable:
         )
         self._recompute(prefix, bgp_available=self.is_bgp_derived(prefix))
 
-    def remove_native(self, prefix: Prefix) -> None:
-        self._native.pop(prefix, None)
-        self._recompute(prefix, bgp_available=self.is_bgp_derived(prefix))
-
     def entry(self, prefix: Prefix) -> Optional[_IgpEntry]:
         return self._entries.get(prefix)
 

@@ -237,11 +237,6 @@ class CsuLink(Link):
         if start_oscillating:
             self.start_oscillating()
 
-    @property
-    def period(self) -> float:
-        """The dominant oscillation period."""
-        return self.up_duration + self.down_duration
-
     def _noisy(self, duration: float) -> float:
         if self.noise == 0.0:
             return duration
@@ -253,11 +248,6 @@ class CsuLink(Link):
             return
         self._oscillating = True
         self.engine.schedule(self._noisy(self.up_duration), self._drop)
-
-    def stop_oscillating(self) -> None:
-        """Fix the CSU configuration: the line stays up from the next
-        recovery onward."""
-        self._oscillating = False
 
     def _drop(self) -> None:
         if not self._oscillating:

@@ -80,6 +80,9 @@ class RouteCache:
     """A route-caching line card (§3 of the paper).
 
     Forwarding lookups hit the cache; route changes invalidate entries.
+    The lookup itself (hit, miss, FIFO eviction at ``capacity``) is
+    :class:`~repro.sim.trafficgen.ForwardingWorkload`'s, which charges
+    each miss to the router's CPU.
     Under instability the cache churns, lookups miss, and misses cost
     router CPU — the mechanism behind instability-induced packet loss
     on cache-based architectures.  Modern "full table in forwarding
@@ -92,29 +95,9 @@ class RouteCache:
     misses: int = 0
     invalidations: int = 0
 
-    def lookup(self, prefix: Prefix, resolve: Callable[[Prefix], Optional[int]]) -> Optional[int]:
-        """Forward a packet for ``prefix``; ``resolve`` consults the RIB
-        on a miss (the slow path through the CPU)."""
-        if prefix in self.entries:
-            self.hits += 1
-            return self.entries[prefix]
-        self.misses += 1
-        next_hop = resolve(prefix)
-        if next_hop is not None:
-            if len(self.entries) >= self.capacity:
-                # FIFO eviction: drop the oldest entry.
-                self.entries.pop(next(iter(self.entries)))
-            self.entries[prefix] = next_hop
-        return next_hop
-
     def invalidate(self, prefix: Prefix) -> None:
         if self.entries.pop(prefix, None) is not None:
             self.invalidations += 1
-
-    @property
-    def miss_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.misses / total if total else 0.0
 
 
 class Router:
@@ -513,12 +496,11 @@ class Router:
                         self._transmit,
                         peer_id,
                         action.message,
-                        0.0,
                     )
             elif kind is ActionKind.SEND_OPEN:
-                self._transmit(peer_id, action.message, cost=0.0)
+                self._transmit(peer_id, action.message)
             elif kind is ActionKind.SEND_NOTIFICATION:
-                self._transmit(peer_id, action.message, cost=0.0)
+                self._transmit(peer_id, action.message)
             elif kind is ActionKind.SESSION_UP:
                 self._on_session_up(peer_id)
             elif kind is ActionKind.SESSION_DOWN:
@@ -812,30 +794,12 @@ class Router:
         session = self.sessions.get(peer_id)
         if session is not None:
             session.sent_updates += message.prefix_update_count
-        self._cpu_submit(cost, self._transmit, peer_id, message, 0.0)
+        self._cpu_submit(cost, self._transmit, peer_id, message)
 
-    def _transmit(self, peer_id: int, message: object, cost: float = 0.0) -> None:
+    def _transmit(self, peer_id: int, message: object) -> None:
         link = self.links.get(peer_id)
         if link is not None:
             link.send(self.router_id, message)
-
-    # ------------------------------------------------------------------
-    # forwarding-plane helper (route cache exercise)
-    # ------------------------------------------------------------------
-
-    def forward_packet(self, prefix: Prefix) -> Optional[int]:
-        """Forward one packet toward ``prefix``; returns the next hop.
-
-        Uses the cache if fitted (counting hits/misses); consults the
-        Loc-RIB on the slow path.
-        """
-        def resolve(p: Prefix) -> Optional[int]:
-            best = self.loc_rib.best(p)
-            return best.attributes.next_hop if best else None
-
-        if self.cache is not None:
-            return self.cache.lookup(prefix, resolve)
-        return resolve(prefix)
 
 
 def connect(

@@ -96,10 +96,6 @@ class RouteServer(Router):
         self._record_session_event(peer_id, "ESTABLISHED", "IDLE")
         super()._on_session_down(peer_id)
 
-    def set_client_policy(self, peer_id: int, policy: RouteMap) -> None:
-        """Install/replace the per-client export policy."""
-        self.client_policies[peer_id] = policy
-
     def _export(self, peer_id: int, prefix: Prefix):
         """Apply the client's own policy on top of the standard export."""
         exported = super()._export(peer_id, prefix)

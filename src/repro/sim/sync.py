@@ -230,24 +230,6 @@ class SynchronizationStudy:
         lasts = [r.fire_times[-1] for r in self.routers if r.fire_times]
         return phase_coherence(lasts, self.period)
 
-    def coherence_series(self, step: float = 300.0) -> List[float]:
-        """Coherence sampled over the run (one value per ``step``)."""
-        if not any(r.fire_times for r in self.routers):
-            return []
-        end = max(r.fire_times[-1] for r in self.routers if r.fire_times)
-        series = []
-        t = step
-        while t <= end:
-            phases = []
-            for router in self.routers:
-                before = [ft for ft in router.fire_times if ft <= t]
-                if before:
-                    phases.append(before[-1])
-            if len(phases) >= 2:
-                series.append(phase_coherence(phases, self.period))
-            t += step
-        return series
-
 
 def phase_coherence(times: Sequence[float], period: float) -> float:
     """Kuramoto order parameter of firing times modulo ``period``.

@@ -162,10 +162,6 @@ class IntervalTimer:
             else:
                 self._handle = engine.reschedule(handle, next_time)
 
-    @property
-    def is_running(self) -> bool:
-        return self._running
-
 
 class MraiBatcher:
     """Per-peer MinRouteAdvertisementInterval output batching.

@@ -47,23 +47,10 @@ class TrafficStats:
     dropped_overload: int = 0   #: CPU backlog exceeded the drop limit
 
     @property
-    def delivered(self) -> int:
-        return self.delivered_fast + self.delivered_slow
-
-    @property
     def loss_rate(self) -> float:
         return (
             (self.dropped_no_route + self.dropped_overload) / self.sent
             if self.sent
-            else 0.0
-        )
-
-    @property
-    def miss_rate(self) -> float:
-        lookups = self.delivered_fast + self.delivered_slow + self.dropped_overload
-        return (
-            (self.delivered_slow + self.dropped_overload) / lookups
-            if lookups
             else 0.0
         )
 
@@ -150,6 +137,7 @@ class ForwardingWorkload:
             return
         if cache is not None:
             if len(cache.entries) >= cache.capacity:
+                # FIFO eviction: drop the oldest entry.
                 cache.entries.pop(next(iter(cache.entries)))
             cache.entries[destination] = best.attributes.next_hop
         if self.router.cpu is not None:

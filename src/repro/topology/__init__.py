@@ -4,7 +4,7 @@ growth, and assembled core-Internet scenarios."""
 from .asgraph import AsGraph, AsNode, Tier, build_internet_graph
 from .exchange import EXCHANGE_POINTS, ExchangeInfo, ExchangePoint, exchange_by_name
 from .multihoming import MultihomingGrowthModel, MultihomingSeries
-from .internet import CoreInternetScenario, ProviderSpec
+from .internet import CoreInternetScenario
 from .multiexchange import BackboneProvider, MultiExchangeScenario
 
 __all__ = [
@@ -19,7 +19,6 @@ __all__ = [
     "MultihomingGrowthModel",
     "MultihomingSeries",
     "CoreInternetScenario",
-    "ProviderSpec",
     "BackboneProvider",
     "MultiExchangeScenario",
 ]

@@ -125,23 +125,5 @@ class ExchangePoint:
             return n + n * (n - 1) // 2
         return n
 
-    def established_sessions(self) -> int:
-        """Sessions currently Established (one count per endpoint pair)."""
-        count = sum(
-            1
-            for session in self.route_server.sessions.values()
-            if session.is_established
-        )
-        seen = set()
-        for provider in self.providers:
-            for peer_id, session in provider.sessions.items():
-                if peer_id == self.route_server.router_id:
-                    continue
-                pair = frozenset((provider.router_id, peer_id))
-                if pair not in seen and session.is_established:
-                    seen.add(pair)
-                    count += 1
-        return count
-
     def links(self) -> Sequence[Link]:
         return tuple(self._links)

@@ -2,9 +2,9 @@
 
 This module turns an :class:`~repro.topology.asgraph.AsGraph` into live
 simulation objects: one border router per provider AS, customer
-originations, an exchange point with a logging route server, and the
-fault machinery that makes the system move.  It is the Tier-A
-(event-driven) scenario backing Table 1 and the §4 pathology studies.
+originations, and an exchange point with a logging route server.  It
+is the Tier-A (event-driven) scenario behind Figure 10's live
+multi-homing measurement.
 
 Scale note: the real Mae-East carried ~42 000 prefixes from ~55 peers;
 a pure-Python event simulation runs the same *mechanisms* at reduced
@@ -17,18 +17,16 @@ from, what the stateless→stateful fix changes.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..collector.log import MemoryLog
 from ..net.prefix import Prefix
 from ..sim.engine import Engine
-from ..sim.faults import CustomerFlapGenerator, MisconfiguredProvider
 from ..sim.router import Router
 from .asgraph import AsGraph, AsNode, Tier, build_internet_graph
 from .exchange import ExchangePoint
 
-__all__ = ["ProviderSpec", "CoreInternetScenario"]
+__all__ = ["CoreInternetScenario"]
 
 
 def _own_routes_policy(own: List[Prefix]):
@@ -40,22 +38,6 @@ def _own_routes_policy(own: List[Prefix]):
         [PolicyTerm(MatchCondition(prefixes=tuple(own)))],
         name="own-routes-only",
     )
-
-
-@dataclass
-class ProviderSpec:
-    """Per-provider knobs for a scenario build.
-
-    ``stateless`` marks the provider's routers as running the
-    pathological stateless-BGP implementation; ``flap_rate`` drives its
-    customers' circuit instability (flaps/second across the AS);
-    ``misconfigured`` attaches the ISP-Y withdrawal spewer.
-    """
-
-    stateless: bool = False
-    flap_rate: float = 0.0
-    misconfigured: bool = False
-    mrai_jitter: float = 0.0
 
 
 class CoreInternetScenario:
@@ -72,7 +54,6 @@ class CoreInternetScenario:
     def __init__(
         self,
         graph: Optional[AsGraph] = None,
-        provider_specs: Optional[Dict[int, ProviderSpec]] = None,
         exchange_name: str = "Mae-East",
         mrai_interval: float = 30.0,
         seed: int = 0,
@@ -80,15 +61,10 @@ class CoreInternetScenario:
         self.engine = Engine()
         self.sink = MemoryLog()
         self.graph = graph or build_internet_graph(seed=seed)
-        self.seed = seed
-        self.rng = random.Random(seed)
         self.exchange = ExchangePoint(
             self.engine, name=exchange_name, sink=self.sink
         )
         self.routers: Dict[int, Router] = {}
-        self.flappers: List[CustomerFlapGenerator] = []
-        self.misconfigured: List[MisconfiguredProvider] = []
-        specs = provider_specs or {}
 
         # Pre-compute what each provider will originate so its export
         # policy (own customer routes only — the standard no-transit
@@ -103,14 +79,11 @@ class CoreInternetScenario:
 
         providers = self.graph.backbones + self.graph.regionals
         for index, node in enumerate(providers):
-            spec = specs.get(node.asn, ProviderSpec())
             router = Router(
                 self.engine,
                 asn=node.asn,
                 router_id=(172 << 24) | (index + 1),
-                stateless_bgp=spec.stateless,
                 mrai_interval=mrai_interval,
-                mrai_jitter=spec.mrai_jitter,
                 export_policy=_own_routes_policy(origination[node.asn]),
                 rng=random.Random(seed * 7919 + node.asn),
                 name=f"AS{node.asn}",
@@ -125,43 +98,7 @@ class CoreInternetScenario:
             for prefix in origination[node.asn]:
                 router.originate(prefix)
 
-        # Fault machinery per spec.
-        for node in providers:
-            spec = specs.get(node.asn, ProviderSpec())
-            router = self.routers[node.asn]
-            if spec.flap_rate > 0.0:
-                flapper = CustomerFlapGenerator(
-                    self.engine,
-                    router,
-                    base_rate=spec.flap_rate,
-                    rng=random.Random(seed * 104729 + node.asn),
-                )
-                self.flappers.append(flapper)
-            if spec.misconfigured:
-                foreign = self._foreign_prefixes(node.asn)
-                self.misconfigured.append(
-                    MisconfiguredProvider(
-                        self.engine,
-                        router,
-                        foreign,
-                        rng=random.Random(seed * 1299709 + node.asn),
-                    )
-                )
-
-    def _foreign_prefixes(self, asn: int, count: int = 20) -> List[Prefix]:
-        """Prefixes this AS does not originate (ISP-Y's victims)."""
-        own = set(self.routers[asn].originated)
-        pool = [p for p in self.graph.all_prefixes() if p not in own]
-        self.rng.shuffle(pool)
-        return pool[:count]
-
     # -- running ---------------------------------------------------------------
-
-    def start_faults(self) -> None:
-        for flapper in self.flappers:
-            flapper.start()
-        for bad in self.misconfigured:
-            bad.start()
 
     def settle(self, duration: float = 300.0) -> None:
         """Let sessions establish and tables converge, then discard the
@@ -169,13 +106,6 @@ class CoreInternetScenario:
         self.engine.run_until(self.engine.now + duration)
         self.sink.clear()
 
-    def run(self, duration: float) -> None:
-        self.engine.run_until(self.engine.now + duration)
-
     @property
     def route_server(self):
         return self.exchange.route_server
-
-    def table_size(self) -> int:
-        """Prefixes in the route server's view."""
-        return len(self.route_server.loc_rib)

@@ -2,7 +2,7 @@
 usage model, incident schedules, and the statistical trace generator."""
 
 from .calibration import FIGURE2_CATEGORY_MIX, PAPER, PaperConstants
-from .diurnal import DiurnalModel, day_of_week, hour_of_day, is_weekend
+from .diurnal import DiurnalModel, day_of_week, hour_of_day
 from .incidents import (
     BINS_PER_DAY,
     Incident,
@@ -24,7 +24,6 @@ __all__ = [
     "DiurnalModel",
     "day_of_week",
     "hour_of_day",
-    "is_weekend",
     "BINS_PER_DAY",
     "Incident",
     "IncidentSchedule",

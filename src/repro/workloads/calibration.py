@@ -106,12 +106,6 @@ class PaperConstants:
     #: model of Internet router"
     crash_rate_per_second: float = 300.0
 
-    def expected_daily_updates_per_prefix(self) -> float:
-        """Mid-range daily updates divided by table size (≈ 107-143;
-        the paper rounds to 125)."""
-        low, high = self.daily_updates
-        return ((low + high) / 2) / self.total_prefixes
-
 
 #: The singleton constants instance used across experiments.
 PAPER = PaperConstants()

@@ -31,7 +31,7 @@ from typing import List, Sequence
 
 from ..collector.store import SECONDS_PER_DAY, SECONDS_PER_HOUR, SECONDS_PER_WEEK
 
-__all__ = ["DiurnalModel", "hour_of_day", "day_of_week", "is_weekend"]
+__all__ = ["DiurnalModel", "hour_of_day", "day_of_week"]
 
 
 def hour_of_day(time: float) -> float:
@@ -46,10 +46,6 @@ def hour_of_day(time: float) -> float:
 def day_of_week(time: float) -> int:
     """0=Monday ... 6=Sunday.  The epoch falls on a Monday."""
     return int(time // SECONDS_PER_DAY) % 7
-
-
-def is_weekend(time: float) -> bool:
-    return day_of_week(time) >= 5
 
 
 #: Hourly base profile, midnight→23:00: quiet overnight, climb through
@@ -121,13 +117,3 @@ class DiurnalModel:
             self.intensity(start + (i + 0.5) * width)
             for i in range(bins_per_day)
         ]
-
-    def weekly_mean(self, start_day: int = 0) -> float:
-        """Mean hourly intensity over one week from ``start_day``."""
-        total = 0.0
-        count = 0
-        for hour_index in range(7 * 24):
-            t = start_day * SECONDS_PER_DAY + hour_index * SECONDS_PER_HOUR
-            total += self.intensity(t)
-            count += 1
-        return total / count

@@ -1191,10 +1191,6 @@ class TraceGenerator:
                 series[category].extend(plan.bin_counts(category))
         return series
 
-    def reset_state(self) -> None:
-        """Forget per-pair state (fresh campaign)."""
-        self._states.clear()
-
     def state_payload(self) -> dict:
         """Checkpoint the cross-day per-pair state as plain data.
 

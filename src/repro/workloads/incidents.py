@@ -85,17 +85,8 @@ class IncidentSchedule:
     def lost_bins(self, day: int) -> Set[int]:
         return set(self._lost.get(day, ()))
 
-    def is_lost(self, day: int, bin_index: int) -> bool:
-        return bin_index in self._lost.get(day, ())
-
     def coverage(self, day: int) -> float:
         return 1.0 - len(self._lost.get(day, ())) / BINS_PER_DAY
-
-    def incident_days(self) -> List[int]:
-        days: Set[int] = set()
-        for incident in self.incidents:
-            days.update(range(incident.first_day, incident.last_day + 1))
-        return sorted(days)
 
 
 def default_campaign_schedule(

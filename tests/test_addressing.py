@@ -11,12 +11,15 @@ from repro.net.addressing import (
     SwampAllocator,
     provider_allocator,
 )
-from repro.net.aggregation import aggregation_ratio
 from repro.net.prefix import Prefix
 
 
 def P(text):
     return Prefix.parse(text)
+
+
+def disjoint(a, b):
+    return not (a.covers(b) or b.covers(a))
 
 
 class TestProviderBlockAllocator:
@@ -26,7 +29,7 @@ class TestProviderBlockAllocator:
         b = alloc.allocate(16)
         assert a == P("10.0.0.0/16")
         assert b == P("10.1.0.0/16")
-        assert not a.overlaps(b)
+        assert disjoint(a, b)
 
     def test_alignment_after_smaller_alloc(self):
         alloc = ProviderBlockAllocator(P("10.0.0.0/8"))
@@ -53,12 +56,6 @@ class TestProviderBlockAllocator:
         for _ in range(50):
             assert alloc.allocate(20) in block
 
-    def test_remaining_shrinks(self):
-        alloc = ProviderBlockAllocator(P("10.0.0.0/8"))
-        before = alloc.remaining_addresses
-        alloc.allocate(16)
-        assert alloc.remaining_addresses == before - (1 << 16)
-
     def test_allocate_many(self):
         alloc = ProviderBlockAllocator(P("10.0.0.0/8"))
         got = alloc.allocate_many(18, 5)
@@ -83,8 +80,9 @@ class TestSwampAllocator:
 
     def test_swamp_aggregates_poorly(self):
         got = SwampAllocator(random.Random(5)).allocate_many(200)
-        # Scattered /24s should barely aggregate at all.
-        assert aggregation_ratio(got) > 0.9
+        # Scattered /24s should barely aggregate at all: almost none has
+        # its /23 sibling among them.
+        assert len({p.network >> 9 for p in got}) > 0.9 * len(got)
 
 
 class TestAddressPlan:
@@ -94,12 +92,10 @@ class TestAddressPlan:
             specifics=[P("192.0.2.0/24"), P("10.0.0.0/8")],
         )
         assert plan.announced == [P("10.0.0.0/8"), P("192.0.2.0/24")]
-        assert plan.prefix_count == 2
 
     def test_empty_plan(self):
         plan = AddressPlan()
         assert plan.announced == []
-        assert plan.prefix_count == 0
 
 
 class TestProviderAllocatorFactory:
@@ -107,7 +103,7 @@ class TestProviderAllocatorFactory:
         blocks = [provider_allocator(i).block for i in range(30)]
         for i, a in enumerate(blocks):
             for b in blocks[i + 1:]:
-                assert not a.overlaps(b), (a, b)
+                assert disjoint(a, b), (a, b)
 
     def test_deterministic(self):
         assert provider_allocator(3).block == provider_allocator(3).block

@@ -5,10 +5,7 @@ multihoming (Fig 10)."""
 import numpy as np
 import pytest
 
-from repro.analysis.affected import (
-    affected_from_updates,
-    affected_series_stats,
-)
+from repro.analysis.affected import DayAffected, affected_series_stats
 from repro.analysis.contribution import (
     consistent_dominators,
     contribution_points,
@@ -34,7 +31,6 @@ from repro.analysis.interarrival import (
 )
 from repro.analysis.multihoming import (
     count_multihomed,
-    multihomed_by_origin,
     series_summary,
 )
 from repro.bgp.attributes import AsPath, PathAttributes
@@ -265,71 +261,23 @@ class TestDistribution:
 
 
 class TestAffected:
-    def test_fractions(self):
-        updates = classified(
-            [W(0, prefix="10.0.0.0/24"), W(1, prefix="10.0.1.0/24"),
-             A(2, prefix="10.0.2.0/24")]
-        )
-        day = affected_from_updates(*updates, total_pairs=10)
-        assert day.any_fraction == pytest.approx(0.3)
-        assert day.stable_fraction() == pytest.approx(0.7)
-        assert day.fractions[UpdateCategory.WWDUP] == pytest.approx(0.2)
-
     def test_series_stats_and_coverage_filter(self):
-        days = []
-        for d in range(10):
-            updates = classified(
-                [W(d * 86400.0 + i, prefix=f"10.0.{i}.0/24")
-                 for i in range(d + 1)]
+        days = [
+            DayAffected(
+                day=d,
+                fractions={UpdateCategory.WWDUP: (d + 1) / 20},
+                any_fraction=(d + 1) / 20,
+                coverage=0.5 if d == 9 else 1.0,  # last day badly covered
             )
-            coverage = 0.5 if d == 9 else 1.0  # last day badly covered
-            days.append(
-                affected_from_updates(
-                    *updates, total_pairs=20, day=d, coverage=coverage
-                )
-            )
+            for d in range(10)
+        ]
         stats = affected_series_stats(days)
         assert stats.n_days == 9  # day 9 filtered out
         assert stats.any_range[0] == pytest.approx(1 / 20)
         assert stats.any_range[1] == pytest.approx(9 / 20)
 
-    def test_degenerate_batches(self):
-        """The sort/diff kernel on the shapes that have broken
-        columnar code before: empty, one record, all withdrawals."""
-        empty = affected_from_updates(*classified([]), total_pairs=4)
-        assert empty.any_fraction == 0.0
-        assert set(empty.fractions.values()) == {0.0}
-
-        single = affected_from_updates(*classified([A(0)]), total_pairs=4)
-        assert single.any_fraction == pytest.approx(0.25)
-        assert single.fractions[UpdateCategory.NEW_ANNOUNCE] == (
-            pytest.approx(0.25)
-        )
-        assert single.fractions[UpdateCategory.WWDUP] == 0.0
-
-        # Two pairs, repeated withdrawals: pairs count once each.
-        withdrawn = affected_from_updates(
-            *classified(
-                [W(0), W(1), W(2), W(3, prefix="11.0.0.0/8"),
-                 W(4, prefix="11.0.0.0/8", asn=702, peer=2)]
-            ),
-            total_pairs=4,
-        )
-        assert withdrawn.any_fraction == pytest.approx(0.75)
-        assert withdrawn.fractions[UpdateCategory.WWDUP] == (
-            pytest.approx(0.75)
-        )
-        assert withdrawn.fractions[UpdateCategory.PLAIN_WITHDRAW] == 0.0
-
-    def test_zero_total_pairs_yields_zero_fractions(self):
-        day = affected_from_updates(*classified([W(0)]), total_pairs=0)
-        assert day.any_fraction == 0.0
-        assert day.fractions[UpdateCategory.WWDUP] == 0.0
-
     def test_all_days_filtered_raises(self):
-        day = affected_from_updates(
-            *classified([]), total_pairs=5, coverage=0.1
-        )
+        day = DayAffected(day=0, fractions={}, any_fraction=0.0, coverage=0.1)
         with pytest.raises(ValueError):
             affected_series_stats([day])
 
@@ -345,13 +293,6 @@ class TestMultihomingAnalysis:
         rib.apply_announce(1, P("11.0.0.0/8"),
                            PathAttributes(as_path=AsPath((7,)), next_hop=1))
         assert count_multihomed(rib) == 1
-
-    def test_multihomed_by_origin(self):
-        pairs = [
-            (P("10.0.0.0/8"), 7), (P("10.0.0.0/8"), 8),
-            (P("11.0.0.0/8"), 7), (P("11.0.0.0/8"), 7),
-        ]
-        assert multihomed_by_origin(pairs) == 1
 
     def test_series_summary_shape(self):
         model = MultihomingGrowthModel(seed=4)

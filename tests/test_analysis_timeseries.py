@@ -12,7 +12,6 @@ from repro.analysis.spectral import (
     correlogram_psd,
     dominant_periods,
     has_period,
-    periodogram,
 )
 from repro.analysis.ssa import significant_frequencies, ssa_components
 from repro.analysis.timeseries import (
@@ -118,14 +117,7 @@ class TestFftSpectra:
         assert has_period(peaks, 24.0)
         assert has_period(peaks, 168.0, tolerance=0.3)
 
-    def test_periodogram_pure_tone(self):
-        t = np.arange(256)
-        freqs, power = periodogram(np.sin(2 * np.pi * t / 16.0))
-        assert freqs[np.argmax(power)] == pytest.approx(1 / 16.0, abs=1e-3)
-
     def test_empty_series(self):
-        freqs, power = periodogram([])
-        assert freqs.size == 0
         f2, p2 = correlogram_psd([])
         assert f2.size == 0
 

@@ -102,11 +102,6 @@ class TestSetsAndAlternation:
         assert regex.search((701, 1239, 701, 1239))
         assert not regex.search((701, 1239, 701))
 
-    def test_match_full_ignores_anchor_state(self):
-        regex = compile_regex("701")
-        assert regex.match_full((701,))
-        assert not regex.match_full((701, 1239))
-
 
 class TestErrors:
     @pytest.mark.parametrize(

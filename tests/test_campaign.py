@@ -24,7 +24,6 @@ from repro.campaign import (
     CampaignLayout,
     ConfigMismatch,
     PartialResult,
-    merge_partials,
     run_campaign,
     run_shard,
 )
@@ -58,6 +57,11 @@ def fast_config(**overrides) -> CampaignConfig:
     return CampaignConfig(**params)
 
 
+def fold(partials):
+    """Partials merged left to right (shard-index order)."""
+    return sum(partials, PartialResult.empty())
+
+
 def shard_partials(config: CampaignConfig):
     """Each planned shard's PartialResult, computed inline."""
     return [run_shard(config, spec)[0] for spec in config.shard_plan()]
@@ -78,8 +82,8 @@ def whole_batch_partial(config, spec, whole) -> PartialResult:
     for time, asn, net, plen in zip(
         whole.time.tolist(),
         whole.peer_asn.tolist(),
-        whole.net.tolist(),
-        whole.plen.tolist(),
+        whole.data["net"].tolist(),
+        whole.data["plen"].tolist(),
     ):
         pairs.setdefault(int(time // 86400), set()).add((asn, net, plen))
     return PartialResult(
@@ -240,7 +244,7 @@ class TestMergeProtocol:
         """Real shard partials merged in randomized tree shapes all
         produce the same digest."""
         parts = shard_partials(fast_config(days=4, shards=4))
-        reference = merge_partials(parts).digest()
+        reference = fold(parts).digest()
         rng = random.Random(7)
         for _ in range(5):
             work = list(parts)
@@ -250,7 +254,7 @@ class TestMergeProtocol:
             assert work[0].digest() == reference
 
     def test_payload_round_trip(self):
-        partial = merge_partials(shard_partials(fast_config()))
+        partial = fold(shard_partials(fast_config()))
         again = PartialResult.from_payload(
             json.loads(json.dumps(partial.to_payload()))
         )
@@ -269,7 +273,7 @@ class TestShardedDeterminism:
         is part of the workload identity: a shard boundary is a defined
         generator/classifier restart, recorded in the fingerprint.)"""
         parts = shard_partials(fast_config(days=5, shards=5))
-        reference = merge_partials(parts).digest()
+        reference = fold(parts).digest()
         rng = random.Random(13)
         for _ in range(5):
             shuffled = list(parts)
@@ -277,9 +281,9 @@ class TestShardedDeterminism:
             groups = []
             while shuffled:
                 take = rng.randrange(1, len(shuffled) + 1)
-                groups.append(merge_partials(shuffled[:take]))
+                groups.append(fold(shuffled[:take]))
                 shuffled = shuffled[take:]
-            assert merge_partials(groups).digest() == reference
+            assert fold(groups).digest() == reference
 
     def test_pool_matches_single_process(self):
         """>= 3 shards on a 3-worker pool, bit-identical to inline."""

@@ -146,32 +146,24 @@ class TestStateIsolation:
         clf.reset()
         assert labels([A(1)], clf) == [(UpdateCategory.NEW_ANNOUNCE, False)]
 
-    def test_reachability_introspection(self):
-        clf = ColumnClassifier()
-        labels([A(0, peer=5)], clf)
-        assert clf.is_reachable(5, PFX)
-        labels([W(1, peer=5)], clf)
-        assert not clf.is_reachable(5, PFX)
-        assert clf.tracked_routes() == 1
-
 
 class TestTaxonomySets:
     def test_instability_and_pathology_disjoint(self):
         assert not (INSTABILITY_CATEGORIES & PATHOLOGICAL_CATEGORIES)
 
     def test_instability_membership(self):
-        assert UpdateCategory.WADUP.is_instability
-        assert UpdateCategory.AADIFF.is_instability
-        assert not UpdateCategory.AADUP.is_instability
+        assert UpdateCategory.WADUP in INSTABILITY_CATEGORIES
+        assert UpdateCategory.AADIFF in INSTABILITY_CATEGORIES
+        assert UpdateCategory.AADUP not in INSTABILITY_CATEGORIES
 
     def test_pathology_membership(self):
-        assert UpdateCategory.WWDUP.is_pathological
-        assert UpdateCategory.AADUP.is_pathological
-        assert not UpdateCategory.WADIFF.is_pathological
+        assert UpdateCategory.WWDUP in PATHOLOGICAL_CATEGORIES
+        assert UpdateCategory.AADUP in PATHOLOGICAL_CATEGORIES
+        assert UpdateCategory.WADIFF not in PATHOLOGICAL_CATEGORIES
 
     def test_uncategorized(self):
-        assert UpdateCategory.NEW_ANNOUNCE.is_uncategorized
-        assert UpdateCategory.PLAIN_WITHDRAW.is_uncategorized
+        assert UpdateCategory.NEW_ANNOUNCE.label == "Uncategorized"
+        assert UpdateCategory.PLAIN_WITHDRAW.label == "Uncategorized"
 
     def test_figure2_excludes_wwdup(self):
         assert UpdateCategory.WWDUP not in FIGURE2_CATEGORIES
@@ -239,8 +231,8 @@ def test_every_update_gets_exactly_one_category(seq):
         assert isinstance(category, UpdateCategory)
         # Exactly one of the three super-classes.
         flags = [
-            category.is_instability,
-            category.is_pathological,
-            category.is_uncategorized,
+            category in INSTABILITY_CATEGORIES,
+            category in PATHOLOGICAL_CATEGORIES,
+            category.label == "Uncategorized",
         ]
         assert sum(flags) == 1

@@ -147,12 +147,13 @@ class TestReportRendering:
         result.record("metric_in_range", 5, expect=(1, 10))
         result.record("metric_off", 99, expect=(1, 10))
         result.notes.append("a note")
-        text = _render_markdown("figure1", result, elapsed=1.5)
+        text = _render_markdown("figure1", result)
         assert "## figure1" in text
         assert "| metric_in_range | 5 | 1 .. 10 | ok |" in text
         assert "**MISMATCH**" in text
         assert "*a note*" in text
-        assert "bench_experiments.py::test_experiment[figure1]" in text
+        assert "(regenerate with `python -m repro run figure1`)" in text
+        assert "runtime" not in text
 
     def test_report_command_writes_markdown(self, tmp_path, monkeypatch):
         """cmd_report over a stubbed registry produces a valid file."""

@@ -22,11 +22,8 @@ from repro.collector.mrt import (
 from repro.collector.record import (
     UpdateKind,
     UpdateRecord,
-    count_by_kind,
     flatten_update,
-    unique_prefixes,
 )
-from repro.collector.store import SECONDS_PER_DAY, day_of
 from repro.core.columns import RecordColumns
 from repro.net.prefix import Prefix
 
@@ -62,15 +59,6 @@ class TestUpdateRecord:
                 PathAttributes(),
             )
 
-    def test_prefix_as_pairing(self):
-        rec = announce(asn=1239, prefix="192.0.2.0/24")
-        assert rec.prefix_as == (P("192.0.2.0/24"), 1239)
-
-    def test_forwarding_tuple(self):
-        rec = announce(path=(701, 1239), next_hop=5)
-        assert rec.forwarding_tuple == (P("10.0.0.0/8"), 5, (701, 1239))
-        assert withdraw().forwarding_tuple is None
-
     def test_flatten_update_counts(self):
         msg = UpdateMessage(
             withdrawn=(P("10.0.0.0/8"), P("11.0.0.0/8")),
@@ -79,13 +67,10 @@ class TestUpdateRecord:
         )
         records = flatten_update(5.0, 9, 701, msg)
         assert len(records) == 3
-        assert count_by_kind(records) == (1, 2)
+        assert [r.kind for r in records] == [
+            UpdateKind.WITHDRAW, UpdateKind.WITHDRAW, UpdateKind.ANNOUNCE
+        ]
         assert all(r.time == 5.0 and r.peer_asn == 701 for r in records)
-
-    def test_unique_prefixes(self):
-        records = [withdraw(prefix="10.0.0.0/8"), withdraw(prefix="10.0.0.0/8"),
-                   withdraw(prefix="11.0.0.0/8")]
-        assert unique_prefixes(records) == 2
 
 
 class TestMrtCodec:
@@ -368,7 +353,7 @@ class TestLogs:
         with FileLog(path).writer() as writer:
             writer.extend(records)
             assert writer.count == 2
-        assert FileLog(path).read_all() == records
+        assert list(FileLog(path)) == records
 
     def test_counting_log_rows(self):
         log = CountingLog()
@@ -382,12 +367,5 @@ class TestLogs:
         )
         assert log.row(701) == {"announce": 1, "withdraw": 2, "unique": 2}
         assert log.row(1239) == {"announce": 0, "withdraw": 1, "unique": 1}
-        assert log.peer_asns() == [701, 1239]
+        assert sorted(set(log.announces) | set(log.withdraws)) == [701, 1239]
         assert log.total == 4
-
-
-class TestDayStore:
-    def test_day_of(self):
-        assert day_of(0.0) == 0
-        assert day_of(SECONDS_PER_DAY - 0.001) == 0
-        assert day_of(SECONDS_PER_DAY) == 1

@@ -72,14 +72,11 @@ class TestTrafficStats:
             sent=100, delivered_fast=80, delivered_slow=10,
             dropped_no_route=5, dropped_overload=5,
         )
-        assert stats.delivered == 90
         assert stats.loss_rate == pytest.approx(0.1)
-        assert stats.miss_rate == pytest.approx(15 / 95)
 
     def test_zero_division_safety(self):
         stats = TrafficStats()
         assert stats.loss_rate == 0.0
-        assert stats.miss_rate == 0.0
 
 
 class TestForwardingWorkload:

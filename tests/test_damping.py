@@ -115,13 +115,6 @@ class TestSuppression:
         assert not damper.is_suppressed(other, PEER, 3.0)
         assert not damper.is_suppressed(PFX, 2, 3.0)
 
-    def test_suppressed_count(self):
-        damper = RouteFlapDamper()
-        for i in range(3):
-            damper.on_withdrawal(PFX, PEER, float(i))
-            damper.on_withdrawal(P("11.0.0.0/8"), PEER, float(i))
-        assert damper.suppressed_count(3.0) == 2
-
     def test_attribute_change_penalty_smaller(self):
         damper = RouteFlapDamper()
         damper.on_attribute_change(PFX, PEER, 0.0)

@@ -24,7 +24,6 @@ from repro.analysis.detection import (
     ColumnDetector,
     detect_records_columnar,
     detection_digest,
-    flag_names,
     path_flags,
     stability_scores,
 )
@@ -81,10 +80,8 @@ def topology():
 class TestFlags:
     def test_canonical_order_and_names(self):
         assert [bit for bit, _ in FLAGS] == [1, 2, 4, 8, 16, 32]
-        assert flag_names(0) == ()
-        assert flag_names(MOAS_CONFLICT | FORGED_EDGE) == (
-            "moas_conflict", "forged_edge",
-        )
+        assert dict(FLAGS)[MOAS_CONFLICT] == "moas_conflict"
+        assert dict(FLAGS)[FORGED_EDGE] == "forged_edge"
 
     def test_relationships_hops(self):
         rel = topology()

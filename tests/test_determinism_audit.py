@@ -13,14 +13,15 @@ fixture tests.
 
 from pathlib import Path
 
-from repro.lint import LintEngine, rules_by_id
+from repro.lint import LintEngine, all_rules
 
 ROOT = Path(__file__).parent.parent
 SRC = ROOT / "src" / "repro"
 
 
 def _findings(*rule_ids):
-    engine = LintEngine(ROOT, rules=rules_by_id(*rule_ids))
+    rules = [rule for rule in all_rules() if rule.id in rule_ids]
+    engine = LintEngine(ROOT, rules=rules)
     report = engine.lint_paths([SRC])
     assert report.files > 30, "audit is not seeing the source tree"
     return [f for f in report.findings if f.rule in rule_ids]
@@ -58,7 +59,8 @@ def test_numpy_rng_is_seeded(tmp_path):
     (tmp_path / "ssa.py").write_text(
         ssa.replace("default_rng(seed)", "default_rng()")
     )
-    engine = LintEngine(tmp_path, rules=rules_by_id("DET001"))
+    det001 = [rule for rule in all_rules() if rule.id == "DET001"]
+    engine = LintEngine(tmp_path, rules=det001)
     findings = engine.lint_paths([tmp_path]).findings
     assert [f.rule for f in findings] == ["DET001"]
     assert "without a seed" in findings[0].message

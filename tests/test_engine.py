@@ -627,17 +627,6 @@ class TestCsuLink:
         gaps = [b - a for a, b in zip(downs, downs[1:])]
         assert all(abs(g - 60.0) / 60.0 < 0.06 for g in gaps)
 
-    def test_stop_oscillating_leaves_link_up(self):
-        engine = Engine()
-        link = CsuLink(engine, up_duration=10.0, down_duration=2.0, noise=0.0)
-        link.attach(1, lambda s, m: None)
-        link.attach(2, lambda s, m: None)
-        engine.run_until(11.0)
-        assert not link.is_up
-        link.stop_oscillating()
-        engine.run_until(100.0)
-        assert link.is_up
-
     def test_rejects_bad_durations(self):
         with pytest.raises(ValueError):
             CsuLink(Engine(), up_duration=0.0)

@@ -303,8 +303,8 @@ class TestPeeringSession:
             establish(up)
             assert kinds(end(up)) == expected_up[name], name
             assert up.fsm.state is SessionState.IDLE
-            assert up.hold_deadline is None
-            assert up.next_keepalive_due is None
+            assert up._hold_deadline is None
+            assert up._next_keepalive is None
             assert up.next_deadline() is None
             opening = PeeringSession(local_asn=701, peer_asn=1239)
             opening.start(0.0)

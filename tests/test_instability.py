@@ -7,7 +7,6 @@ from repro.core.instability import (
     CategoryCounts,
     counts_by_peer_columns,
     counts_by_prefix_as_columns,
-    detect_incidents,
     persistence,
 )
 from repro.core.report import ExperimentResult, Series, Table, format_number
@@ -25,7 +24,8 @@ class TestCategoryCounts:
         assert counts[UpdateCategory.AADUP] == 1
         assert counts.instability == 1       # the AADIFF
         assert counts.pathological == 2      # AADUP + WWDUP
-        assert counts.uncategorized == 2     # NEW + PLAIN_WITHDRAW
+        assert counts[UpdateCategory.NEW_ANNOUNCE] == 1
+        assert counts[UpdateCategory.PLAIN_WITHDRAW] == 1
 
     def test_pathological_fraction(self):
         counts = classified_counts([W(0), W(1), W(2), W(3)])
@@ -79,33 +79,6 @@ class TestGroupings:
             columns, codes, UpdateCategory.WWDUP
         )
         assert wwdups == {(PFX, 701): 1}
-
-
-class TestIncidents:
-    def test_no_incident_in_flat_series(self):
-        assert detect_incidents([10, 12, 9, 11, 10], 600.0) == []
-
-    def test_spike_detected(self):
-        counts = [10, 11, 9, 500, 600, 10, 9]
-        (incident,) = detect_incidents(counts, 600.0)
-        assert incident.start == 3 * 600.0
-        assert incident.end == 5 * 600.0
-        assert incident.updates == 1100
-        assert incident.magnitude >= 1.0
-
-    def test_incident_at_end_closed(self):
-        counts = [10, 10, 900]
-        (incident,) = detect_incidents(counts, 60.0)
-        assert incident.end == 3 * 60.0
-
-    def test_threshold_orders_configurable(self):
-        counts = [10, 10, 50]
-        assert detect_incidents(counts, 600.0, threshold_orders=1.0) == []
-        assert len(detect_incidents(counts, 600.0, threshold_orders=0.5)) == 1
-
-    def test_empty_and_all_zero(self):
-        assert detect_incidents([], 600.0) == []
-        assert detect_incidents([0, 0, 0], 600.0) == []
 
 
 class TestPersistence:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import LintEngine, rules_by_id
+from repro.lint import LintEngine, all_rules
 
 ROOT = Path(__file__).parent.parent
 
@@ -29,7 +29,7 @@ def lint_snippets(tmp_path, files, rule=None):
         path = tmp_path / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(text))
-    rules = None if rule is None else rules_by_id(rule)
+    rules = None if rule is None else [r for r in all_rules() if r.id == rule]
     findings = LintEngine(tmp_path, rules=rules).lint_paths(
         [tmp_path]
     ).findings

@@ -17,14 +17,14 @@ import shutil
 import textwrap
 from pathlib import Path
 
-from repro.lint import LintEngine, rules_by_id
+from repro.lint import LintEngine, all_rules
 from repro.lint.engine import ModuleContext, iter_python_files
 from repro.lint.semantic import (
     ProjectIndex,
     build_callgraph,
     summarize_module,
 )
-from repro.lint.semantic.taint import entry_points, propagate
+from repro.lint.semantic.taint import entry_points, taint_findings
 
 ROOT = Path(__file__).parent.parent
 
@@ -40,7 +40,7 @@ def lint_tree(tmp_path, files, rule=None):
     """Write fixture files, lint the tree, return findings (for one
     rule id when given, else all)."""
     write_tree(tmp_path, files)
-    rules = None if rule is None else rules_by_id(rule)
+    rules = None if rule is None else [r for r in all_rules() if r.id == rule]
     report = LintEngine(tmp_path, rules=rules).lint_paths([tmp_path])
     findings = report.findings
     if rule is not None:
@@ -287,11 +287,13 @@ class TestTaint:
                 """,
             },
         )
-        taints = propagate(graph)
-        assert "DET102" in taints.get("pkg.rec.even", frozenset())
-        assert "DET102" in taints.get("pkg.rec.odd", frozenset())
-        assert "DET102" in taints.get("pkg.rec.state_digest", frozenset())
         assert entry_points(graph) == ["pkg.rec.state_digest"]
+        (finding,) = taint_findings(graph)
+        assert (finding["rule"], finding["line"]) == ("DET102", 11)
+        assert (
+            "pkg.rec.state_digest -> pkg.rec.even -> pkg.rec.odd"
+            in finding["message"]
+        )
 
     def test_pure_chain_stays_clean(self, tmp_path):
         findings = lint_tree(
@@ -566,7 +568,7 @@ class TestRunCampaignRegression:
     def test_reintroduced_clock_read_reports_full_chain(self, tmp_path):
         tree = self._doctored_tree(tmp_path)
         report = LintEngine(
-            tree, rules=rules_by_id("DET102")
+            tree, rules=[r for r in all_rules() if r.id == "DET102"]
         ).lint_paths([tree / "src"])
         findings = [f for f in report.findings if f.rule == "DET102"]
         assert len(findings) == 1
@@ -583,6 +585,6 @@ class TestRunCampaignRegression:
             dst.parent.mkdir(parents=True, exist_ok=True)
             shutil.copy(ROOT / rel, dst)
         report = LintEngine(
-            tmp_path, rules=rules_by_id("DET102")
+            tmp_path, rules=[r for r in all_rules() if r.id == "DET102"]
         ).lint_paths([tmp_path / "src"])
         assert report.findings == []

@@ -6,18 +6,13 @@ import struct
 import pytest
 
 from repro.bgp.attributes import AsPath, PathAttributes
-from repro.bgp.rib import LocRib
 from repro.bgp.wire import WireError
 from repro.collector.mrt_rfc import (
     MRT_TYPE_BGP4MP,
-    MRT_TYPE_TABLE_DUMP,
     read_bgp4mp,
-    read_table_dump,
     write_bgp4mp,
-    write_table_dump,
 )
 from repro.collector.record import UpdateKind, UpdateRecord
-from repro.collector.snapshot import snapshot
 from repro.net.prefix import Prefix
 
 P = Prefix.parse
@@ -84,63 +79,3 @@ class TestBgp4mp:
         assert mrt_type == MRT_TYPE_BGP4MP
         assert subtype == 1
         assert length == len(data) - 12
-
-
-class TestTableDump:
-    def _snapshot(self):
-        rib = LocRib()
-        rib.apply_announce(
-            0x0A000001, P("10.0.0.0/8"),
-            PathAttributes(as_path=AsPath((701,)), next_hop=1),
-        )
-        rib.apply_announce(
-            0x0A000002, P("10.0.0.0/8"),
-            PathAttributes(as_path=AsPath((1239,)), next_hop=2),
-        )
-        rib.apply_announce(
-            0x0A000001, P("192.0.2.0/24"),
-            PathAttributes(as_path=AsPath((701, 7018)), next_hop=1),
-        )
-        return snapshot(rib, time=5000.0)
-
-    def test_roundtrip(self):
-        snap = self._snapshot()
-        buffer = io.BytesIO()
-        entries = write_table_dump(buffer, snap)
-        assert entries == 3
-        buffer.seek(0)
-        loaded = read_table_dump(buffer)
-        assert loaded.prefixes == snap.prefixes
-        assert loaded.multihomed_prefixes() == {P("10.0.0.0/8")}
-        # Attributes survive through the standard encoding.
-        for prefix in snap.routes:
-            loaded_paths = {
-                tuple(attrs.as_path) for _, attrs in loaded.routes[prefix]
-            }
-            original_paths = {
-                tuple(attrs.as_path) for _, attrs in snap.routes[prefix]
-            }
-            assert loaded_paths == original_paths
-
-    def test_record_type_on_wire(self):
-        buffer = io.BytesIO()
-        write_table_dump(buffer, self._snapshot())
-        _, mrt_type, subtype, _ = struct.unpack_from(
-            ">IHHI", buffer.getvalue()
-        )
-        assert mrt_type == MRT_TYPE_TABLE_DUMP
-        assert subtype == 1  # AFI_IPv4
-
-    def test_empty_snapshot(self):
-        rib = LocRib()
-        buffer = io.BytesIO()
-        assert write_table_dump(buffer, snapshot(rib)) == 0
-        buffer.seek(0)
-        assert len(read_table_dump(buffer)) == 0
-
-    def test_truncated(self):
-        buffer = io.BytesIO()
-        write_table_dump(buffer, self._snapshot())
-        data = buffer.getvalue()
-        with pytest.raises(WireError):
-            read_table_dump(io.BytesIO(data[: len(data) - 4]))

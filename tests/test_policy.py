@@ -1,7 +1,5 @@
 """Unit tests for routing policy machinery."""
 
-import pytest
-
 from repro.bgp.attributes import AsPath, PathAttributes
 from repro.bgp.policy import (
     Action,
@@ -9,7 +7,6 @@ from repro.bgp.policy import (
     MatchCondition,
     PERMIT_ALL,
     PolicyTerm,
-    PrefixLengthFilter,
     RouteMap,
 )
 from repro.net.prefix import Prefix
@@ -119,20 +116,3 @@ class TestRouteMap:
     def test_permit_all_and_deny_all(self):
         assert PERMIT_ALL.evaluate(P("10.0.0.0/8"), attrs()) is not None
         assert DENY_ALL.evaluate(P("10.0.0.0/8"), attrs()) is None
-
-
-class TestPrefixLengthFilter:
-    def test_drops_long_prefixes(self):
-        f = PrefixLengthFilter(max_length=24)
-        assert f.allows(P("10.0.0.0/24"))
-        assert not f.allows(P("10.0.0.0/25"))
-        assert f.dropped == 1 and f.passed == 1
-
-    def test_filter_list(self):
-        f = PrefixLengthFilter(max_length=19)
-        kept = f.filter([P("10.0.0.0/16"), P("10.0.0.0/20"), P("10.1.0.0/19")])
-        assert kept == [P("10.0.0.0/16"), P("10.1.0.0/19")]
-
-    def test_rejects_bad_length(self):
-        with pytest.raises(ValueError):
-            PrefixLengthFilter(max_length=40)

@@ -4,7 +4,7 @@ hold regardless of inputs."""
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.bgp.attributes import AsPath, PathAttributes
@@ -57,14 +57,47 @@ def test_best_route_is_a_candidate(candidates):
     assert best in candidates
 
 
+def _neighbor_as(route):
+    return route.attributes.as_path.neighbor_as
+
+
 @settings(max_examples=50)
 @given(st.lists(routes, min_size=2, max_size=8))
 def test_removing_non_best_does_not_change_winner(candidates):
+    """True of a removed route outside the winner's neighbour AS, and
+    of any losing route when no candidate carries a MED."""
     best = best_route(candidates)
-    others = [r for r in candidates if r != best]
-    if others:
-        reduced = [r for r in candidates if r != others[0]]
-        assert best_route(reduced) == best
+    no_med = all(r.attributes.med is None for r in candidates)
+    for removed in candidates:
+        if removed != best and (
+            no_med or _neighbor_as(removed) != _neighbor_as(best)
+        ):
+            reduced = [r for r in candidates if r != removed]
+            assert best_route(reduced) == best
+
+
+@example(near=2, far=1, med=1)
+@given(
+    near=st.integers(2, 100),
+    far=st.integers(1, 100),
+    med=st.integers(1, 200),
+)
+def test_med_makes_the_winner_depend_on_a_losing_route(near, far, med):
+    # MED compares only within a neighbour AS, so the decision process
+    # is not independent of irrelevant alternatives (RFC 3345's root).
+    assume(far < near)
+
+    def route(neighbor, peer, med=None):
+        attributes = PathAttributes(
+            as_path=AsPath((neighbor,)), next_hop=peer, med=med
+        )
+        return Route(P("10.0.0.0/8"), attributes, peer)
+
+    loser = route(near, peer=1, med=med)
+    other = route(far, peer=2)
+    winner = route(near, peer=2)
+    assert best_route([loser, other, winner]) == winner
+    assert best_route([other, winner]) == other
 
 
 # ---------------------------------------------------------------------------
@@ -143,17 +176,17 @@ def tiny_generator():
 class TestGeneratorInvariants:
     def test_records_reproducible(self, tiny_generator):
         a = tiny_generator.day_records(5, pair_fraction=1.0)
-        tiny_generator.reset_state()
+        tiny_generator._states.clear()
         b = tiny_generator.day_records(5, pair_fraction=1.0)
-        tiny_generator.reset_state()
+        tiny_generator._states.clear()
         assert a == b
 
     def test_per_pair_times_monotone(self, tiny_generator):
         records = tiny_generator.day_records(6, pair_fraction=1.0)
-        tiny_generator.reset_state()
+        tiny_generator._states.clear()
         by_pair = {}
         for i, record in enumerate(records):
-            by_pair.setdefault(record.prefix_as, []).append(
+            by_pair.setdefault((record.prefix, record.peer_asn), []).append(
                 (record.time, i)
             )
         for times in by_pair.values():
@@ -164,7 +197,7 @@ class TestGeneratorInvariants:
         """A freshly-seeded single day classifies into exactly the
         planned categories plus bootstrap/uncategorized events."""
         records = tiny_generator.day_records(7, pair_fraction=1.0)
-        tiny_generator.reset_state()
+        tiny_generator._states.clear()
         counts = classified_counts(records)
         assert counts.total == len(records)
 
@@ -173,7 +206,7 @@ class TestGeneratorInvariants:
         records = tiny_generator.day_records(
             8, pair_fraction=1.0, plan=plan
         )
-        tiny_generator.reset_state()
+        tiny_generator._states.clear()
         planned = sum(
             plan.category_total(c) for c in plan.participation
         )

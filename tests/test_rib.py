@@ -183,19 +183,11 @@ class TestAdjRibOut:
         out = AdjRibOut()
         out.record_announce(1, P("10.0.0.0/8"), PathAttributes())
         out.drop_peer(1)
-        assert out.prefixes_to(1) == []
+        assert out.advertised(1, P("10.0.0.0/8")) is None
+        assert len(out) == 0
 
     def test_len_counts_all_peers(self):
         out = AdjRibOut()
         out.record_announce(1, P("10.0.0.0/8"), PathAttributes())
         out.record_announce(2, P("10.0.0.0/8"), PathAttributes())
         assert len(out) == 2
-
-
-class TestRouteForwardingTuple:
-    def test_matches_paper_definition(self):
-        r = route("192.42.113.0/24", (701, 1239), peer=5, next_hop=0x0A000001)
-        prefix, next_hop, as_path = r.forwarding_tuple
-        assert prefix == P("192.42.113.0/24")
-        assert next_hop == 0x0A000001
-        assert as_path == (701, 1239)

@@ -14,6 +14,7 @@ from repro.sim.link import Link
 from repro.sim.refengine import ReferenceEngine
 from repro.sim.router import CpuModel, RouteCache, Router, connect
 from repro.sim.routeserver import RouteServer
+from repro.sim.trafficgen import ForwardingWorkload
 
 from .helpers import classified_counts
 
@@ -373,53 +374,64 @@ class TestCpuAndCrash:
 
 
 class TestRouteCache:
-    def test_hits_and_misses(self):
-        cache = RouteCache(capacity=2)
-        resolved = []
+    """The cache's hit / miss / FIFO-evict policy, driven where it
+    runs: one ``ForwardingWorkload`` packet at a time."""
 
-        def resolve(p):
-            resolved.append(p)
-            return 42
+    P1, P2, P3 = P("10.0.0.0/8"), P("11.0.0.0/8"), P("12.0.0.0/8")
 
-        p1, p2, p3 = P("10.0.0.0/8"), P("11.0.0.0/8"), P("12.0.0.0/8")
-        assert cache.lookup(p1, resolve) == 42
-        assert cache.lookup(p1, resolve) == 42
-        assert cache.hits == 1 and cache.misses == 1
-        cache.lookup(p2, resolve)
-        cache.lookup(p3, resolve)  # evicts p1 (FIFO)
-        cache.lookup(p1, resolve)
-        assert cache.misses == 4
-
-    def test_invalidation_counts(self):
-        cache = RouteCache()
-        cache.lookup(P("10.0.0.0/8"), lambda p: 1)
-        cache.invalidate(P("10.0.0.0/8"))
-        cache.invalidate(P("10.0.0.0/8"))  # second is a no-op
-        assert cache.invalidations == 1
-
-    def test_router_invalidates_cache_on_change(self):
+    def _forwarder(self, cache):
         engine = Engine()
-        cache = RouteCache()
         a = Router(engine, asn=100, router_id=1, mrai_interval=5.0)
         b = Router(engine, asn=200, router_id=2, mrai_interval=5.0,
                    cache=cache)
         connect(a, b)
         engine.run_until(30.0)
-        a.originate(P("10.0.0.0/8"))
+        for prefix in (self.P1, self.P2, self.P3):
+            a.originate(prefix)
         engine.run_until(60.0)
-        assert b.forward_packet(P("10.0.0.0/8")) == 1
+        workload = ForwardingWorkload(engine, b, [self.P1])
+
+        def send(prefix):
+            # One packet now; the follow-up it schedules finds the
+            # workload stopped and does nothing.
+            workload.destinations = [prefix]
+            workload._running = True
+            workload._packet()
+            workload._running = False
+
+        return engine, a, workload.stats, send
+
+    def test_hits_and_misses(self):
+        cache = RouteCache(capacity=2)
+        _, _, stats, send = self._forwarder(cache)
+        send(self.P1)
+        send(self.P1)
+        assert cache.hits == 1 and cache.misses == 1
+        assert cache.entries == {self.P1: 1}
+        send(self.P2)
+        send(self.P3)  # evicts P1 (FIFO)
+        assert list(cache.entries) == [self.P2, self.P3]
+        send(self.P1)
+        assert cache.misses == 4
+        assert (stats.delivered_fast, stats.delivered_slow) == (1, 4)
+
+    def test_invalidation_counts(self):
+        cache = RouteCache(entries={self.P1: 1})
+        cache.invalidate(self.P1)
+        cache.invalidate(self.P1)  # second is a no-op
+        assert cache.invalidations == 1
+
+    def test_router_invalidates_cache_on_change(self):
+        cache = RouteCache()
+        engine, a, stats, send = self._forwarder(cache)
+        send(self.P1)
         assert cache.hits + cache.misses == 1
-        a.withdraw_origin(P("10.0.0.0/8"))
+        assert cache.entries[self.P1] == 1
+        a.withdraw_origin(self.P1)
         engine.run_until(120.0)
         assert cache.invalidations >= 1
-        assert b.forward_packet(P("10.0.0.0/8")) is None
-
-    def test_miss_rate(self):
-        cache = RouteCache()
-        assert cache.miss_rate == 0.0
-        cache.lookup(P("10.0.0.0/8"), lambda p: 1)
-        cache.lookup(P("10.0.0.0/8"), lambda p: 1)
-        assert cache.miss_rate == 0.5
+        send(self.P1)
+        assert stats.dropped_no_route == 1
 
 
 class TestRouteServer:
@@ -485,16 +497,13 @@ class TestRouteServerClientPolicies:
             mrai_interval=2.0,
         )
         # The picky client refuses anything transiting AS 100.
-        server.set_client_policy(
-            picky.router_id,
-            RouteMap(
-                [
-                    PolicyTerm(
-                        MatchCondition(as_path_regex="_100_"), permit=False
-                    ),
-                    PolicyTerm(),
-                ]
-            ),
+        server.client_policies[picky.router_id] = RouteMap(
+            [
+                PolicyTerm(
+                    MatchCondition(as_path_regex="_100_"), permit=False
+                ),
+                PolicyTerm(),
+            ]
         )
         connect(origin, server)
         connect(picky, server)
@@ -586,7 +595,7 @@ class TestRouterAggregation:
 #: both engines there.  Per CPU configuration: the routers' keyword
 #: arguments, then ``(events_processed, next_event_time,
 #: keepalives_sent per router, (sent_keepalives, received_keepalives,
-#: hold_deadline, next_keepalive_due) per session,
+#: _hold_deadline, _next_keepalive) per session,
 #: (messages_delivered, messages_lost) per link)``.
 _SESSIONS_FREE_KEEPALIVE = (
     (57, 58, 623.211821220562, 603.191821220562),
@@ -674,8 +683,8 @@ class TestHeartbeatPins:
                 (
                     s.sent_keepalives,
                     s.received_keepalives,
-                    s.hold_deadline,
-                    s.next_keepalive_due,
+                    s._hold_deadline,
+                    s._next_keepalive,
                 )
                 for r in routers
                 for _, s in sorted(r.sessions.items())

@@ -15,12 +15,9 @@ from repro.collector.store import SECONDS_PER_DAY
 from repro.sim.engine import Engine, SimulationError
 from repro.sim.faults import (
     CustomerFlapGenerator,
-    MaintenanceWindow,
     MisconfiguredProvider,
-    PoissonLinkFlapper,
 )
 from repro.sim.flapstorm import FlapStormScenario
-from repro.sim.link import Link
 
 
 def small_storm(**overrides):
@@ -39,52 +36,6 @@ class TestFaultsAtTimeZero:
         assert fired == ["delay-0", "at-now"]
         with pytest.raises(SimulationError):
             engine.schedule(-1.0, fired.append, "never")
-
-    def test_link_flapper_started_at_t0_flaps_and_repairs(self):
-        engine = Engine()
-        link = Link(engine, delay=0.01)
-        flapper = PoissonLinkFlapper(
-            engine,
-            [link],
-            mean_time_to_failure=1.0,
-            mean_repair_time=0.5,
-            rng=random.Random(0),
-        )
-        flapper.start()  # engine.now == 0.0
-        engine.run_until(60.0)
-        assert flapper.flap_count > 10
-        flapper.stop()
-        engine.run()
-        # After stop, any pending repair still fires but nothing new is
-        # scheduled: the link must end repaired.
-        assert link.is_up
-
-    def test_maintenance_window_at_midnight_fires_next_midnight(self):
-        # time_of_day=0 with the clock already at 0 must schedule the
-        # *next* midnight, not an event in the past (or an infinite
-        # same-instant loop).  Scheduling never touches the router.
-        engine = Engine()
-        window = MaintenanceWindow(engine, router=None, time_of_day=0.0)
-        window.start()
-        assert engine.next_event_time() == SECONDS_PER_DAY
-
-    def test_maintenance_window_later_today_fires_today(self):
-        engine = Engine(start_time=3600.0)
-        window = MaintenanceWindow(
-            engine, router=None, time_of_day=10 * 3600.0
-        )
-        window.start()
-        assert engine.next_event_time() == 10 * 3600.0
-
-    def test_maintenance_window_exactly_at_slot_waits_a_day(self):
-        # The clock sitting exactly on the slot is "not after it":
-        # today_slot > now is false, so the bounce goes to tomorrow.
-        engine = Engine(start_time=10 * 3600.0)
-        window = MaintenanceWindow(
-            engine, router=None, time_of_day=10 * 3600.0
-        )
-        window.start()
-        assert engine.next_event_time() == SECONDS_PER_DAY + 10 * 3600.0
 
     def test_misconfigured_provider_with_no_prefixes_is_harmless(self):
         storm = small_storm()
@@ -164,16 +115,3 @@ class TestDayBoundary:
         after = sum(r.updates_sent for r in storm.routers)
         assert after > before
         assert storm.engine.now == SECONDS_PER_DAY + 120.0
-
-    def test_maintenance_window_fires_across_day_boundary(self):
-        storm = small_storm(prefixes_per_router=2)
-        storm.settle()  # now == 120
-        window = MaintenanceWindow(
-            storm.engine, storm.routers[0],
-            time_of_day=200.0, sessions_to_bounce=1,
-        )
-        window.start()
-        storm.engine.run_until(SECONDS_PER_DAY + 300.0)
-        # One bounce at t=200 today and one at t=86600 tomorrow; the
-        # bounced session must have re-established in between.
-        assert window.bounce_count == 2

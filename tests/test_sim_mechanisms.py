@@ -11,13 +11,10 @@ from repro.net.prefix import Prefix
 from repro.sim.engine import Engine
 from repro.sim.faults import (
     CustomerFlapGenerator,
-    MaintenanceWindow,
     MisconfiguredProvider,
-    PoissonLinkFlapper,
 )
 from repro.sim.flapstorm import FlapStormScenario
 from repro.sim.igp import IgpBgpRedistribution, IgpTable, RouteSource
-from repro.sim.link import Link
 from repro.sim.router import CpuModel, Router, connect
 from repro.sim.routeserver import RouteServer
 from repro.sim.sync import SynchronizationStudy, phase_coherence
@@ -95,36 +92,6 @@ class TestIgpBgpOscillation:
 
 
 class TestFaultInjectors:
-    def test_poisson_link_flapper(self):
-        engine = Engine()
-        link = Link(engine)
-        link.attach(1, lambda s, m: None)
-        link.attach(2, lambda s, m: None)
-        flapper = PoissonLinkFlapper(
-            engine, [link], mean_time_to_failure=100.0,
-            mean_repair_time=5.0, rng=random.Random(1),
-        )
-        flapper.start()
-        engine.run_until(3600.0)
-        assert flapper.flap_count > 10
-        assert link.down_count == flapper.flap_count
-
-    def test_flapper_stop(self):
-        engine = Engine()
-        link = Link(engine)
-        link.attach(1, lambda s, m: None)
-        link.attach(2, lambda s, m: None)
-        flapper = PoissonLinkFlapper(
-            engine, [link], mean_time_to_failure=10.0,
-            mean_repair_time=1.0, rng=random.Random(1),
-        )
-        flapper.start()
-        engine.run_until(100.0)
-        flapper.stop()
-        count = flapper.flap_count
-        engine.run_until(1000.0)
-        assert flapper.flap_count == count
-
     def test_customer_flap_generator_rate(self):
         engine = Engine()
         router = Router(engine, asn=100, router_id=1, mrai_interval=5.0)
@@ -149,21 +116,6 @@ class TestFaultInjectors:
         quiet.start()
         engine.run_until(3600.0)
         assert quiet.flap_count == 0
-
-    def test_maintenance_window_bounces_daily(self):
-        engine = Engine()
-        a = Router(engine, asn=100, router_id=1, mrai_interval=5.0)
-        b = Router(engine, asn=200, router_id=2, mrai_interval=5.0)
-        connect(a, b)
-        window = MaintenanceWindow(
-            engine, a, time_of_day=10 * 3600.0, sessions_to_bounce=1
-        )
-        window.start()
-        engine.run_until(2.5 * 86400.0)
-        # 10am slots on days 0, 1, and 2 all precede t = 2.5 days.
-        assert window.bounce_count == 3
-        # Session recovered after each bounce.
-        assert a.sessions[2].is_established
 
     def test_misconfigured_provider_emits_wwdups(self):
         engine = Engine()
@@ -216,13 +168,6 @@ class TestSelfSynchronization:
             study.advance(24 * 3600.0)
             assert study.final_coherence() < 0.8, seed
 
-    def test_coherence_increases_over_time_unjittered(self):
-        study = SynchronizationStudy(jitter=0.0, seed=3)
-        study.advance(24 * 3600.0)
-        series = study.coherence_series(step=1800.0)
-        assert series[-1] > series[0]
-        assert series[-1] > 0.9
-
     def test_external_bursts_occur(self):
         study = SynchronizationStudy(jitter=0.0, seed=1)
         study.advance(3600.0)
@@ -239,7 +184,12 @@ class TestFlapStorm:
     def test_settled_mesh_is_fully_peered(self):
         scenario = FlapStormScenario(n_routers=4, prefixes_per_router=10)
         scenario.settle()
-        assert scenario.established_sessions() == 4 * 3  # full mesh, both ends
+        established = [
+            session.is_established
+            for router in scenario.routers
+            for session in router.sessions.values()
+        ]
+        assert established == [True] * (4 * 3)  # full mesh, both ends
 
     STORM_CPU = dict(per_update=0.1, per_sent_update=0.05,
                      per_dump_route=0.05)
@@ -256,7 +206,6 @@ class TestFlapStorm:
         # The seed burst cascades into session losses well beyond the
         # victim's own peerings.
         assert result.session_drops >= 10
-        assert result.stormed
         assert result.total_updates_sent > 1000
         assert result.drop_times == sorted(result.drop_times)
 

@@ -29,7 +29,6 @@ class TestSessionEvent:
     def test_loss_detection(self):
         assert loss(0.0).is_session_loss
         assert not up(0.0).is_session_loss
-        assert up(0.0).is_session_up
 
     def test_state_change_roundtrip(self):
         events = [loss(100.0, peer=5, asn=701), up(160.0, peer=5, asn=701)]
@@ -39,7 +38,7 @@ class TestSessionEvent:
         back = list(read_state_changes(buffer))
         assert len(back) == 2
         assert back[0].is_session_loss
-        assert back[1].is_session_up
+        assert back[1].new_state == "ESTABLISHED"
         assert back[0].peer_id == 5
         assert back[0].peer_asn == 701
 
@@ -145,7 +144,7 @@ class TestRouteServerSessionLog:
         engine.run_until(90.0)
         link.go_up()
         engine.run_until(200.0)
-        ups = [e for e in server.session_events if e.is_session_up]
+        ups = [e for e in server.session_events if e.new_state == "ESTABLISHED"]
         downs = [e for e in server.session_events if e.is_session_loss]
         assert len(ups) >= 2   # initial + recovery
         assert len(downs) >= 1

@@ -95,8 +95,7 @@ class TestUpdate:
         assert roundtrip(msg) == msg
 
     def test_empty_update(self):
-        decoded = roundtrip(UpdateMessage())
-        assert decoded.is_empty
+        assert roundtrip(UpdateMessage()) == UpdateMessage()
 
     def test_default_route_nlri(self):
         msg = UpdateMessage(

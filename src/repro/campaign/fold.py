@@ -5,14 +5,25 @@ the mergeable aggregates and drops it, so a worker holds at most one
 day of records (usually a read-only memmap of its spill chunk) however
 long the horizon.
 
-A day is ordered **once**.  Each row's ``(prefix, peer ASN)`` pair is
-packed into one ``uint64`` — ``net << 8 | plen`` in the high 40 bits,
-a dense per-shard peer-ASN index in the low 24 — and one
-:func:`~repro.core.columns.group_order` sort on ``(key, time)`` serves
-every per-pair aggregate.  What outlives a day is arrays, not per-pair
-Python objects: a sorted pair-key registry holding, per pair, its row
-count and one last-event time per histogram (NaN = none yet), merged
-with the day's groups by ``np.searchsorted``.
+A day is grouped **once**.  :meth:`ShardAccumulator.fold_day` owns the
+grouping: it takes :func:`~repro.core.columns.route_groups` of the
+batch — the classifier's stable packed-``uint64`` sort by ``(peer_id,
+prefix)`` — hands it to ``classify`` and keeps it.  On a batch in time
+order, where every group has one peer ASN and no two groups share a
+(prefix, ASN), those groups *are* the day's (prefix, peer ASN) pairs
+and each is already in time order, so everything per pair — the dense
+peer index, the packed pair key (``net << 8 | plen`` in the high 40
+bits, a dense per-shard peer-ASN index in the low 24), the registry
+slot — is computed over the groups (hundreds), and the rows see three
+gathers and two ``np.repeat``.  A batch that fails a check (rows out of
+time order, a peer id under two ASNs, two sessions of one ASN
+announcing one prefix) is grouped a second time, by
+:func:`~repro.core.columns.group_order` on ``(prefix, ASN, time)``,
+and goes through the same per-group code to the same aggregates.  What
+outlives a day is arrays, not per-pair Python objects: a sorted
+pair-key registry holding, per pair, its row count and one last-event
+time per histogram (NaN = none yet), merged with the day's groups by
+``np.searchsorted``.
 
 The fold is *bit-identical* to the whole-shard computation, by
 construction rather than by luck:
@@ -23,12 +34,13 @@ construction rather than by luck:
 - binned series: bin indices are computed against the *shard* start
   with the same float expression ``floor((t - start) / width)`` the
   whole-shard path used, accumulated into one dense window;
-- inter-arrival histograms: a row subset of the sorted day is still
-  sorted, so TOTAL and each category take the ``(pair, time)``-ordered
-  masked diff :func:`~repro.analysis.interarrival.interarrival_times`
-  takes; the gap straddling a day boundary is the pair's first event
-  today minus its registered last one, so the merged gap multiset is
-  the whole-shard one (days are time-disjoint and arrive in order —
+- inter-arrival histograms: a row subset of the grouped day is still
+  grouped, so TOTAL and each category take the pair-by-pair,
+  time-ordered masked diff
+  :func:`~repro.analysis.interarrival.interarrival_times` takes; the
+  gap straddling a day boundary is the pair's first event today minus
+  its registered last one, so the merged gap multiset is the
+  whole-shard one (days are time-disjoint and arrive in order —
   :meth:`ShardAccumulator.fold_day` rejects anything else);
 - per-peer tallies are one ``np.bincount`` over ``asn_index * 16 +
   code``, per-prefix counts sum registry runs of equal prefix bits,
@@ -41,7 +53,7 @@ against a whole-batch reference.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -54,6 +66,7 @@ from ..core.columns import (
     first_of_run,
     group_order,
     prefix_key,
+    route_groups,
 )
 from ..core.instability import CategoryCounts, peer_table, peer_tallies
 from ..core.taxonomy import FINE_GRAINED_CATEGORIES
@@ -127,13 +140,21 @@ class ShardAccumulator:
         ):
             raise ValueError(f"day {day} batch holds times outside the day")
         self._last_day = day
-        codes, policy = self._classifier.classify(columns)
+        groups = route_groups(data)
+        codes, policy = self._classifier.classify(columns, groups)
         if len(data) == 0:
             return
         self.records += len(data)
         self._counts += CategoryCounts.from_codes(codes, policy)
+        # One contiguous copy (a record is 26 bytes) for the bins, the
+        # order check and the gather — taken once classify's arrays
+        # are gone, so it adds nothing to the day's peak.
+        times = np.ascontiguousarray(times)
         self._fold_bins(times)
-        times, slots, codes = self._group_day(day, data, codes, policy)
+        times, slots, codes = self._group_day(
+            day, data, times, codes, policy, *groups[:2]
+        )
+        del groups  # the permutation dies before the gap passes allocate
         self._fold_interarrival(0, times, slots)
         for row, category in enumerate(FINE_GRAINED_CATEGORIES, start=1):
             rows = np.flatnonzero(codes == category.value)
@@ -152,10 +173,10 @@ class ShardAccumulator:
             indices[valid], minlength=len(self._bin_counts)
         )
 
-    def _peer_index(self, asn: np.ndarray) -> np.ndarray:
-        """Row-aligned dense index of each row's peer ASN, registering
+    def _peer_index(self, asns: np.ndarray) -> np.ndarray:
+        """Dense index of each of ``asns`` (one per group), registering
         ASNs not seen before."""
-        day_asns, inverse = np.unique(asn, return_inverse=True)
+        day_asns, inverse = np.unique(asns, return_inverse=True)
         fresh = np.setdiff1d(day_asns, self._asns, assume_unique=True)
         if fresh.size:
             self._asns = np.concatenate((self._asns, fresh))
@@ -166,32 +187,73 @@ class ShardAccumulator:
         index = sorter[np.searchsorted(self._asns, day_asns, sorter=sorter)]
         return index[inverse]
 
-    def _group_day(
-        self, day: int, data: np.ndarray, codes: np.ndarray, policy: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The day's one sort.  Counts the day into the per-peer table
-        and the pair registry and returns ``(time, registry slot,
-        code)`` per row in ``(pair, time)`` order; the peer index, the
-        key, the permutation and the group mask die here, before the
-        gap passes allocate."""
-        peer = self._peer_index(data["peer_asn"])
-        self._peer_counts += peer_tallies(
-            peer, len(self._asns), codes, policy
-        )
-        key = prefix_key(data["net"], data["plen"])
+    def _rank_pairs(
+        self, data: np.ndarray, first: np.ndarray
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """Per group (``first`` holds one row of each): its dense peer
+        index and its registry slot, the fresh pairs inserted — or
+        ``None``, no pair registered, when two groups are one pair."""
+        head = data[first]
+        peer = self._peer_index(head["peer_asn"])
+        key = prefix_key(head["net"], head["plen"])
         key <<= np.uint64(_ASN_BITS)
         key |= peer.view(np.uint64)
-        order, new_pair = group_order((key,), data["time"])
-        starts = np.flatnonzero(new_pair)
+        rank = np.argsort(key)
+        ranked = key[rank]
+        if not first_of_run(ranked).all():
+            return None
+        slots = np.empty(len(rank), dtype=np.intp)
+        slots[rank] = self._pair_slots(ranked)
+        return peer, slots
+
+    def _group_day(
+        self,
+        day: int,
+        data: np.ndarray,
+        time: np.ndarray,
+        codes: np.ndarray,
+        policy: np.ndarray,
+        order: np.ndarray,
+        starts: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Counts the day into the per-peer table and the pair registry
+        and returns ``(time, registry slot, code)`` per row, pair by
+        pair and each pair in time order.
+
+        ``order`` / ``starts`` are the classifier's ``(peer_id,
+        prefix)`` groups.  They are the day's pairs as they stand when
+        the batch is in time order (the stable sort kept it inside
+        each group), a group holds one peer ASN, and no two groups
+        share a (prefix, ASN); everything per pair is then computed
+        over the groups, not the rows.  A batch that fails a check —
+        rows out of time order, a peer id announcing under two ASNs,
+        two sessions of one ASN on one prefix — is grouped again by
+        ``(prefix, ASN, time)`` and folds to the same aggregates."""
+        pairs = None
+        if (time[1:] >= time[:-1]).all():
+            changes = first_of_run(np.take(data["peer_asn"], order))
+            changes[starts] = False
+            if not changes.any():  # the ASN changes only between groups
+                pairs = self._rank_pairs(data, order[starts])
+        if pairs is None:
+            order, new_pair = group_order(
+                (prefix_key(data["net"], data["plen"]), data["peer_asn"]),
+                time,
+            )
+            starts = np.flatnonzero(new_pair)
+            pairs = self._rank_pairs(data, order[starts])
+        peer, slots = pairs
         sizes = np.diff(np.append(starts, len(order)))
-        slots = self._pair_slots(key[order[starts]])
         self._pair_rows[slots] += sizes
         self._pairs_per_day[day] = len(starts)
-        return (
-            np.take(data["time"], order),
-            np.repeat(slots, sizes),
-            np.take(codes, order),
+        codes = np.take(codes, order)
+        self._peer_counts += peer_tallies(
+            np.repeat(peer, sizes),
+            len(self._asns),
+            codes,
+            np.take(policy, order),
         )
+        return np.take(time, order), np.repeat(slots, sizes), codes
 
     def _pair_slots(self, keys: np.ndarray) -> np.ndarray:
         """Registry positions of ``keys`` (sorted, distinct), inserting

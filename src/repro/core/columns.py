@@ -59,6 +59,7 @@ __all__ = [
     "first_of_run",
     "group_order",
     "prefix_key",
+    "route_groups",
     "route_state_digest",
     "stable_argsort",
 ]
@@ -123,10 +124,9 @@ class AttributeTable:
 
     def intern(self, attrs: PathAttributes) -> int:
         """The id of ``attrs``, adding it to the table if new."""
-        attr_id = self._ids.get(attrs)
-        if attr_id is None:
-            attr_id = len(self._attrs)
-            self._ids[attrs] = attr_id
+        # setdefault: a miss hashes the bundle once, not twice.
+        attr_id = self._ids.setdefault(attrs, len(self._attrs))
+        if attr_id == len(self._attrs):
             self._attrs.append(attrs)
             key = attrs.forwarding_key
             fwd_id = self._fwd.setdefault(key, len(self._fwd))
@@ -274,57 +274,64 @@ class RecordColumns:
         return RecordColumns(self.data[mask_or_indices], self.attrs)
 
 
-def _group_sort(
+def route_groups(
     data: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Stable sort permutation grouping rows per (peer_id, prefix).
+    """Stable sort permutation grouping rows per (peer_id, prefix):
+    the module's one packed-sort kernel.
 
-    Returns ``(order, new_group, key_sorted, plen_sorted)`` where
-    ``new_group[i]`` marks the first sorted row of each group and
-    ``key_sorted`` packs ``(peer_id << 32) | net``.  Stability
-    matters: within a group, rows stay in batch (i.e. stream) order,
-    which is what makes the vectorized classification label each
-    record as a record-at-a-time replay would.  Sorting on the packed key plus ``plen``
-    costs two sort passes instead of three and lets the boundary test
-    compare two arrays instead of three.
+    Returns ``(order, starts, keys, plens)``: the permutation, the
+    sorted position of each group's first row, and per group its
+    packed ``(peer_id << 32) | net`` and its prefix length — what
+    :meth:`ColumnClassifier.classify` labels a batch from, and what a
+    caller that needs the same grouping (the campaign fold) computes
+    once and hands to it.  Stability matters: within a group, rows
+    stay in batch (i.e. stream) order, which is what makes the
+    vectorized classification label each record as a record-at-a-time
+    replay would.  Sorting on the packed key plus ``plen`` costs two
+    sort passes instead of three and lets the boundary test compare
+    two arrays instead of three.
     """
     plen = data["plen"]
     n = len(data)
     if n and (plen == plen[0]).all():
         # Uniform prefix length (the common case for generated and
-        # real-table workloads).  When peer ids and row indices leave
-        # room next to the 32 net bits, pack (peer, net, index) into
-        # one u64 and value-sort it: np.sort radix-sorts integers
-        # without the permutation indirection that makes argsort an
-        # order of magnitude slower, and the appended index both
-        # preserves stability and carries the permutation out.
+        # real-table workloads).  When the peer ids' spread and the
+        # row indices leave room next to the 32 net bits, pack
+        # (peer - lowest peer, net, index) into one u64 and value-sort
+        # it: np.sort radix-sorts integers without the permutation
+        # indirection that makes argsort an order of magnitude slower,
+        # and the appended index both preserves stability and carries
+        # the permutation out.  (Collector data uses the peer's IP as
+        # its id, 32 bits wide; the peers of one exchange share a LAN,
+        # so what separates them is a few low bits.)
         idx_bits = max(1, int(n - 1).bit_length())
         shift = np.uint64(idx_bits)
         mask = np.uint64((1 << idx_bits) - 1)
         arange = np.arange(n, dtype=np.uint64)
-        peer_bits = int(data["peer_id"].max()).bit_length()
-        if peer_bits + 32 + idx_bits <= 64:
-            # Small peer ids: one value sort covers both keys.
+        peer = data["peer_id"]
+        base = peer.min()
+        if int(peer.max() - base).bit_length() + 32 + idx_bits <= 64:
+            # Peer ids close together: one value sort covers both keys.
             packed = (
-                (data["peer_id"].astype(np.uint64) << (shift + np.uint64(32)))
+                ((peer - base).astype(np.uint64) << (shift + np.uint64(32)))
                 | (data["net"].astype(np.uint64) << shift)
                 | arange
             )
             packed.sort()
             order = (packed & mask).astype(np.int64)
             key_sorted = packed >> shift
+            first_key = np.uint64(base) << np.uint64(32)
         else:
-            # Full-width peer ids (real collector data uses the peer's
-            # IP): LSD radix over two value sorts — stable-sort by net
-            # first, then by peer.  Still far cheaper than one argsort.
+            # Peer ids spread over the full width: LSD radix over two
+            # value sorts — stable-sort by net first, then by peer.
+            # Still far cheaper than one argsort.
             packed = (data["net"].astype(np.uint64) << shift) | arange
             packed.sort()
             pos1 = packed & mask
             net_by_net = packed >> shift
             packed = (
-                np.take(
-                    data["peer_id"], pos1.astype(np.int64)
-                ).astype(np.uint64)
+                np.take(peer, pos1.astype(np.int64)).astype(np.uint64)
                 << shift
             ) | arange
             packed.sort()
@@ -333,22 +340,18 @@ def _group_sort(
             key_sorted = ((packed >> shift) << np.uint64(32)) | np.take(
                 net_by_net, pos2
             )
-        plen_sorted = plen  # uniform: any permutation is itself
-        new_group = np.empty(n, dtype=bool)
-        new_group[0] = True
-        new_group[1:] = key_sorted[1:] != key_sorted[:-1]
-        return order, new_group, key_sorted, plen_sorted
+            first_key = np.uint64(0)
+        starts = np.flatnonzero(first_of_run(key_sorted))
+        plens = np.full(len(starts), plen[0], dtype=plen.dtype)
+        return order, starts, key_sorted[starts] + first_key, plens
     key = (data["peer_id"].astype(np.uint64) << np.uint64(32)) | data["net"]
     order = np.lexsort((plen, key))
     key_sorted = key[order]
     plen_sorted = plen[order]
-    new_group = np.empty(n, dtype=bool)
-    if n:
-        new_group[0] = True
-        new_group[1:] = (key_sorted[1:] != key_sorted[:-1]) | (
-            plen_sorted[1:] != plen_sorted[:-1]
-        )
-    return order, new_group, key_sorted, plen_sorted
+    starts = np.flatnonzero(
+        first_of_run(key_sorted) | first_of_run(plen_sorted)
+    )
+    return order, starts, key_sorted[starts], plen_sorted[starts]
 
 
 def stable_argsort(values: np.ndarray) -> np.ndarray:
@@ -408,9 +411,9 @@ def group_order(
     the *sorted* rows marking the first row of each distinct key
     tuple.  This is the shared grouping step of every per-pair and
     per-prefix aggregate (inter-arrival gaps, persistence, the
-    Figure 6/7 tables, the campaign fold); the classifier's
-    ``(peer_id, prefix)`` sort is a different key with its own
-    fast paths (:func:`_group_sort`).
+    Figure 6/7 tables, the campaign fold's general path); the
+    classifier's ``(peer_id, prefix)`` sort is a different key with
+    its own fast paths (:func:`route_groups`).
     """
     columns = tuple(reversed(keys))
     order = np.lexsort(columns if time is None else (time,) + columns)
@@ -528,12 +531,16 @@ class ColumnClassifier:
         self._states: Dict[Tuple[int, int, int], _CarryState] = {}
 
     def classify(
-        self, columns: RecordColumns
+        self,
+        columns: RecordColumns,
+        groups: Optional[Tuple[np.ndarray, ...]] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Category codes and policy flags for ``columns``, row-aligned.
 
         The rows are interpreted in batch order (the stream order); the
-        returned arrays are in the same order.
+        returned arrays are in the same order.  ``groups`` is
+        ``route_groups(columns.data)`` from a caller that already
+        holds it; it is computed here otherwise.
         """
         data = columns.data
         n = len(data)
@@ -542,14 +549,16 @@ class ColumnClassifier:
         if n == 0:
             return codes, policy
 
-        order, new_group, key_sorted, plen_sorted = _group_sort(data)
+        if groups is None:
+            groups = route_groups(data)
+        order, group_start, g_key, g_plen = groups
         # np.take is markedly faster than fancy indexing for these
         # full-length gathers (contiguous output, no index checks).
         is_ann = np.take(data["kind"], order) == _ANNOUNCE
         attr_id = np.take(data["attr_id"], order)
 
         pos_dtype = np.int32 if n < 2**31 else np.int64
-        group_start = np.flatnonzero(new_group).astype(pos_dtype)
+        group_start = group_start.astype(pos_dtype)
         n_groups = len(group_start)
         group_counts = np.diff(np.append(group_start, n))
 
@@ -559,8 +568,8 @@ class ColumnClassifier:
         carry_attrs: List[Optional[PathAttributes]] = [None] * n_groups
         keys: List[Tuple[int, int, int]] = []
         states = self._states
-        g_key = key_sorted[group_start].tolist()
-        g_plen = plen_sorted[group_start].tolist()
+        g_key = g_key.tolist()
+        g_plen = g_plen.tolist()
         for gi in range(n_groups):
             key = (g_key[gi] >> 32, g_key[gi] & 0xFFFFFFFF, g_plen[gi])
             keys.append(key)

@@ -36,7 +36,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import BinaryIO, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -120,26 +120,26 @@ def attribute_payload(attrs: PathAttributes) -> dict:
     }
 
 
+#: ``Origin(code)`` is an enum call per entry; a chunk has a thousand.
+_ORIGIN_OF_CODE = {int(origin): origin for origin in Origin}
+
+
 def attribute_from_payload(payload: dict) -> PathAttributes:
+    med = payload["med"]
+    local_pref = payload["local_pref"]
+    aggregator = payload["aggregator"]
     return PathAttributes(
-        as_path=AsPath(int(a) for a in payload["as_path"]),
+        as_path=AsPath(map(int, payload["as_path"])),
         next_hop=int(payload["next_hop"]),
-        origin=Origin(int(payload["origin"])),
-        med=None if payload["med"] is None else int(payload["med"]),
-        local_pref=(
-            None
-            if payload["local_pref"] is None
-            else int(payload["local_pref"])
-        ),
-        communities=frozenset(int(c) for c in payload["communities"]),
+        origin=_ORIGIN_OF_CODE[int(payload["origin"])],
+        med=None if med is None else int(med),
+        local_pref=None if local_pref is None else int(local_pref),
+        communities=frozenset(map(int, payload["communities"])),
         atomic_aggregate=bool(payload["atomic_aggregate"]),
         aggregator=(
             None
-            if payload["aggregator"] is None
-            else (
-                int(payload["aggregator"][0]),
-                int(payload["aggregator"][1]),
-            )
+            if aggregator is None
+            else (int(aggregator[0]), int(aggregator[1]))
         ),
     )
 
@@ -168,10 +168,13 @@ def _canonical(payload) -> bytes:
     ).encode("utf-8")
 
 
-def _chunk_digest(data_bytes: bytes, meta: dict) -> str:
-    digest = hashlib.sha256(data_bytes)
-    digest.update(_canonical(meta))
-    return digest.hexdigest()
+def _footer_tail(sha256: str) -> bytes:
+    """How a footer ends.  ``"sha256"`` sorts after every other footer
+    key, so the footer is the canonical metadata the digest covers
+    with its closing brace replaced by this — writer and reader both
+    hash the metadata bytes that are on disk, neither encodes them a
+    second time."""
+    return b',"sha256":"%s"}' % sha256.encode("utf-8")
 
 
 def write_chunk(
@@ -195,8 +198,11 @@ def write_chunk(
         "attrs": attributes_payload(columns.attrs),
         "extra": extra if extra is not None else {},
     }
-    sha256 = _chunk_digest(data_bytes, meta)
-    footer = _canonical(dict(meta, sha256=sha256))
+    meta_bytes = _canonical(meta)
+    digest = hashlib.sha256(data_bytes)
+    digest.update(meta_bytes)
+    sha256 = digest.hexdigest()
+    footer = meta_bytes[:-1] + _footer_tail(sha256)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
     with open(tmp, "wb") as fh:
@@ -212,30 +218,24 @@ def write_chunk(
 # -- read -------------------------------------------------------------------
 
 
-def _read_footer(path: Path) -> dict:
-    """Parse and structurally validate the footer; raises ChunkCorrupt."""
-    try:
-        size = os.stat(path).st_size
-    except OSError as exc:
-        raise ChunkCorrupt(f"{path}: {exc}") from exc
+def _read_footer(fh: BinaryIO, path: Path) -> Tuple[dict, bytes]:
+    """Parse and structurally validate the footer of the open chunk;
+    returns it with its bytes as written.  Raises ChunkCorrupt."""
+    size = os.fstat(fh.fileno()).st_size
     if size < len(CHUNK_MAGIC) + _TRAILER_SIZE:
         raise ChunkCorrupt(f"{path}: too short to be a spill chunk")
-    try:
-        with open(path, "rb") as fh:
-            if fh.read(len(CHUNK_MAGIC)) != CHUNK_MAGIC:
-                raise ChunkCorrupt(f"{path}: bad magic")
-            fh.seek(size - _TRAILER_SIZE)
-            trailer = fh.read(_TRAILER_SIZE)
-            footer_len = int.from_bytes(trailer[:8], "little")
-            if trailer[8:] != CHUNK_END_MAGIC:
-                raise ChunkCorrupt(f"{path}: bad end magic (truncated?)")
-            footer_off = size - _TRAILER_SIZE - footer_len
-            if footer_off < len(CHUNK_MAGIC):
-                raise ChunkCorrupt(f"{path}: footer length out of bounds")
-            fh.seek(footer_off)
-            footer_bytes = fh.read(footer_len)
-    except OSError as exc:
-        raise ChunkCorrupt(f"{path}: {exc}") from exc
+    if fh.read(len(CHUNK_MAGIC)) != CHUNK_MAGIC:
+        raise ChunkCorrupt(f"{path}: bad magic")
+    fh.seek(size - _TRAILER_SIZE)
+    trailer = fh.read(_TRAILER_SIZE)
+    footer_len = int.from_bytes(trailer[:8], "little")
+    if trailer[8:] != CHUNK_END_MAGIC:
+        raise ChunkCorrupt(f"{path}: bad end magic (truncated?)")
+    footer_off = size - _TRAILER_SIZE - footer_len
+    if footer_off < len(CHUNK_MAGIC):
+        raise ChunkCorrupt(f"{path}: footer length out of bounds")
+    fh.seek(footer_off)
+    footer_bytes = fh.read(footer_len)
     try:
         footer = json.loads(footer_bytes)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -259,35 +259,72 @@ def _read_footer(path: Path) -> dict:
         raise ChunkCorrupt(f"{path}: missing attribute table")
     if not isinstance(footer.get("extra"), dict):
         raise ChunkCorrupt(f"{path}: missing extra metadata")
-    if not isinstance(footer.get("sha256"), str):
+    sha256 = footer.get("sha256")
+    if not isinstance(sha256, str) or not sha256.isascii():
         raise ChunkCorrupt(f"{path}: missing digest")
-    return footer
+    return footer, footer_bytes
 
 
-def _verify_digest(path: Path, footer: dict) -> None:
-    """Recompute the chunk digest by streaming the data segment."""
+def _verify_digest(
+    fh: BinaryIO, path: Path, footer: dict, footer_bytes: bytes
+) -> None:
+    """Recompute the chunk digest by streaming the data segment, then
+    the metadata as it was written (see :func:`_footer_tail`).  A
+    footer that parses but does not end the way :func:`write_chunk`
+    ends one is corrupt."""
+    tail = _footer_tail(footer["sha256"])
+    if not footer_bytes.endswith(tail):
+        raise ChunkCorrupt(f"{path}: footer is not in canonical form")
     digest = hashlib.sha256()
     remaining = footer["rows"] * RECORD_DTYPE.itemsize
-    with open(path, "rb") as fh:
-        fh.seek(len(CHUNK_MAGIC))
-        while remaining:
-            block = fh.read(min(remaining, _HASH_BLOCK))
-            if not block:
-                raise ChunkCorrupt(f"{path}: data segment truncated")
-            digest.update(block)
-            remaining -= len(block)
-    meta = {k: v for k, v in footer.items() if k != "sha256"}
-    digest.update(_canonical(meta))
+    fh.seek(len(CHUNK_MAGIC))
+    while remaining:
+        block = fh.read(min(remaining, _HASH_BLOCK))
+        if not block:
+            raise ChunkCorrupt(f"{path}: data segment truncated")
+        digest.update(block)
+        remaining -= len(block)
+    digest.update(memoryview(footer_bytes)[: -len(tail)])
+    digest.update(b"}")
     if digest.hexdigest() != footer["sha256"]:
         raise ChunkCorrupt(f"{path}: digest mismatch")
+
+
+def _open_chunk(
+    path: Path, verify: bool, mapped: bool
+) -> Tuple[dict, Optional[np.ndarray]]:
+    """One open per chunk: the validated footer and, when ``mapped``
+    and the chunk has rows, its data segment memory-mapped read-only
+    through the same handle the digest pass read.  Whatever the file
+    system refuses on the way — the chunk vanished, shrank, became a
+    directory, returned EIO — is :class:`ChunkCorrupt` like any other
+    chunk that cannot be trusted."""
+    try:
+        with open(path, "rb") as fh:
+            footer, footer_bytes = _read_footer(fh, path)
+            if verify:
+                _verify_digest(fh, path, footer, footer_bytes)
+            data = None
+            if mapped and footer["rows"]:
+                try:
+                    data = np.memmap(
+                        fh,
+                        dtype=RECORD_DTYPE,
+                        mode="r",
+                        offset=len(CHUNK_MAGIC),
+                        shape=(footer["rows"],),
+                    )
+                except ValueError as exc:  # the file ends before the map
+                    raise ChunkCorrupt(f"{path}: {exc}") from exc
+    except OSError as exc:
+        raise ChunkCorrupt(f"{path}: {exc}") from exc
+    return footer, data
 
 
 def verify_chunk(path: Union[str, Path]) -> ChunkInfo:
     """Full integrity check without materializing the data; raises
     :class:`ChunkCorrupt` on any problem."""
-    path = Path(path)
-    footer = _read_footer(path)
-    _verify_digest(path, footer)
+    footer, _ = _open_chunk(Path(path), verify=True, mapped=False)
     return ChunkInfo(rows=footer["rows"], sha256=footer["sha256"])
 
 
@@ -300,28 +337,18 @@ def read_chunk(
     recomputes the digest first — resume paths must never trust a
     chunk that a crash or fault could have damaged."""
     path = Path(path)
-    footer = _read_footer(path)
-    if verify:
-        _verify_digest(path, footer)
-    rows = footer["rows"]
+    footer, data = _open_chunk(path, verify, mapped=True)
     table = attributes_from_payload(footer["attrs"])
-    if rows:
-        data = np.memmap(
-            path,
-            dtype=RECORD_DTYPE,
-            mode="r",
-            offset=len(CHUNK_MAGIC),
-            shape=(rows,),
-        )
+    if data is None:
+        data = np.empty(0, dtype=RECORD_DTYPE)
+    else:
         announced = data["attr_id"][data["attr_id"] != NO_ATTR]
         if len(announced) and int(announced.max()) >= len(table):
             raise ChunkCorrupt(
                 f"{path}: attr_id exceeds attribute table"
             )
-    else:
-        data = np.empty(0, dtype=RECORD_DTYPE)
     return SpillChunk(
         RecordColumns(data, table),
         footer["extra"],
-        ChunkInfo(rows=rows, sha256=footer["sha256"]),
+        ChunkInfo(rows=footer["rows"], sha256=footer["sha256"]),
     )

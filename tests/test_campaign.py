@@ -534,6 +534,197 @@ class TestOutOfCore:
         assert streamed.interarrival["TOTAL"][-1] > 0  # (8h, 24h] gaps
         assert streamed.interarrival["WADUP"].sum() > 0
 
+    @staticmethod
+    def folded(config, spec, batches, monkeypatch):
+        """``batches`` (one per day from ``spec.day_lo``) through one
+        accumulator: the partial, the classifier's state digest, and
+        on how many days the fold could not use the classifier's
+        groups and grouped the day again."""
+        from repro.campaign import fold as fold_module
+
+        regrouped = []
+
+        def spy(*args, **kwargs):
+            regrouped.append(1)
+            return real(*args, **kwargs)
+
+        real = fold_module.group_order
+        accumulator = ShardAccumulator(config, spec)
+        with monkeypatch.context() as patch:
+            patch.setattr(fold_module, "group_order", spy)
+            for day, columns in enumerate(batches, start=spec.day_lo):
+                accumulator.fold_day(day, columns)
+        state = accumulator._classifier.state_digest()
+        return accumulator.result(), state, len(regrouped)
+
+    def test_shared_and_general_grouping_fold_alike(self, monkeypatch):
+        """Generated days are in time order with one session per
+        (prefix, ASN), so they fold over the classifier's groups.  The
+        same days with their rows stably moved into peer_id order keep
+        every route's stream — the labels cannot change — but not the
+        time order, so each is grouped again; both fold to the
+        whole-batch digest and leave the classifier in one state."""
+        from repro.workloads.generator import campaign_generator
+
+        config = fast_config(days=3, shards=1)
+        spec = config.shard_plan()[0]
+        generator = campaign_generator(
+            n_peers=config.n_peers,
+            total_prefixes=config.total_prefixes,
+            population_seed=spec.population_seed,
+            generator_seed=spec.generator_seed,
+        )
+        days = [
+            generator.day_columns(
+                day, pair_fraction=1.0, attrs=AttributeTable()
+            )
+            for day in spec.days
+        ]
+        by_peer = [
+            day.select(np.argsort(day.data["peer_id"], kind="stable"))
+            for day in days
+        ]
+        assert all((np.diff(day.time) >= 0).all() for day in days)
+        assert not any((np.diff(day.time) >= 0).all() for day in by_peer)
+
+        shared, shared_state, regrouped = self.folded(
+            config, spec, days, monkeypatch
+        )
+        assert regrouped == 0
+        general, general_state, regrouped = self.folded(
+            config, spec, by_peer, monkeypatch
+        )
+        assert regrouped == len(days)
+        assert shared.digest() == general.digest()
+        assert shared_state == general_state
+        reference = whole_batch_partial(
+            config, spec, RecordColumns.concat(days)
+        )
+        assert shared.digest() == reference.digest()
+
+    #: (peer_id, peer_asn, net, plen) routes for the hand-built days.
+    ROUTE_A = (1, 701, 10 << 24, 8)
+    ROUTE_B = (2, 1239, 10 << 24, 8)
+    ROUTE_C = (3, 3561, (172 << 24) | (16 << 16), 12)
+
+    @pytest.mark.parametrize(
+        "extra_routes, shuffled, regroups",
+        [
+            ((), False, False),
+            # a second session of AS 701 announcing 10/8: two
+            # classifier groups, one (prefix, ASN) pair
+            (((4, 701, 10 << 24, 8),), False, True),
+            # one peer id seen under two ASNs on one prefix: one
+            # classifier group, two pairs
+            (((1, 702, 10 << 24, 8),), False, True),
+            ((), True, True),  # rows out of time order inside the day
+            # one net at two lengths: the classifier leaves its packed
+            # sort, its groups are still the pairs
+            (((5, 7018, 10 << 24, 16),), False, False),
+            # peer ids too far apart for the packed key's bit budget
+            (((0xC0000001, 7018, 10 << 24, 8),), False, False),
+        ],
+        ids=["plain", "two-sessions-one-asn", "one-session-two-asns",
+             "unordered", "mixed-lengths", "wide-peer-ids"],
+    )
+    def test_days_that_leave_the_shared_grouping(
+        self, monkeypatch, extra_routes, shuffled, regroups
+    ):
+        """Each shape, in a stream that also holds an empty, a
+        single-record and an all-withdraw day, folds to the whole-batch
+        reference — over the classifier's groups when they are the
+        day's pairs, over a second grouping when not."""
+        rng = random.Random(len(extra_routes) + 2 * shuffled)
+        table = AttributeTable()
+        variants = [
+            table.intern(PathAttributes(as_path=(701, 7), next_hop=1)),
+            table.intern(PathAttributes(as_path=(701, 9, 7), next_hop=2)),
+            table.intern(PathAttributes(as_path=(701, 7), next_hop=1, med=5)),
+        ]
+        routes = (self.ROUTE_A, self.ROUTE_B, self.ROUTE_C) + extra_routes
+        kinds = ["busy", "empty", "single", "withdraws", "busy", "busy"]
+        config = CampaignConfig(days=len(kinds), shards=1, seed=3, **FAST)
+        spec = config.shard_plan()[0]
+
+        def rows_of(day, kind):
+            def at():
+                return day * 86400.0 + rng.uniform(0.0, 86399.0)
+
+            if kind == "empty":
+                return []
+            if kind == "single":
+                return [(at(), *self.ROUTE_B, ANNOUNCE, variants[1])]
+            if kind == "withdraws":
+                rows = [
+                    (at(), *route, WITHDRAW, int(NO_ATTR))
+                    for route in routes
+                    for _ in range(3)
+                ]
+            else:
+                rows = [
+                    (at(), *route, *rng.choice(
+                        [(ANNOUNCE, v) for v in variants]
+                        + [(WITHDRAW, int(NO_ATTR))]
+                    ))
+                    for route in routes
+                    for _ in range(rng.randint(4, 15))
+                ]
+                rows.append((rows[0][0], *rows[0][1:]))  # a time tie
+            rows.sort(key=lambda row: row[0])
+            if shuffled:
+                rng.shuffle(rows)
+            return rows
+
+        batches = [
+            RecordColumns(
+                np.array(rows_of(day, kind), dtype=RECORD_DTYPE), table
+            )
+            for day, kind in enumerate(kinds)
+        ]
+        streamed, _, regrouped = self.folded(
+            config, spec, batches, monkeypatch
+        )
+        # Days of two rows or more regroup when the shape says so; the
+        # empty day groups nothing and one row is always in order.
+        assert regrouped == (4 if regroups else 0)
+        reference = whole_batch_partial(
+            config, spec, RecordColumns.concat(batches)
+        )
+        assert streamed.by_peer == reference.by_peer
+        assert streamed.by_prefix == reference.by_prefix
+        assert streamed.pairs_per_day == reference.pairs_per_day
+        assert 1 not in streamed.pairs_per_day  # the empty day
+        assert streamed.pairs_per_day[2] == 1  # the single record
+        assert streamed.digest() == reference.digest()
+
+    def test_batch_rewritten_after_classify_is_grouped_as_it_stands(
+        self, monkeypatch
+    ):
+        """Classifying a batch elsewhere first, then rewriting its rows
+        in place, leaves nothing behind for ``fold_day`` to reuse."""
+        config = CampaignConfig(days=1, shards=1, seed=3, **FAST)
+        spec = config.shard_plan()[0]
+        rng = random.Random(4)
+        rows = sorted(
+            (rng.uniform(0.0, 86399.0), *route, WITHDRAW, int(NO_ATTR))
+            for route in (self.ROUTE_A, self.ROUTE_B, self.ROUTE_C)
+            for _ in range(20)
+        )
+        columns = RecordColumns(np.array(rows, dtype=RECORD_DTYPE))
+        ColumnClassifier().classify(columns)
+        data = columns.data
+        data["peer_id"][::2] = 9
+        data["peer_asn"][::2] = 9
+        data["net"][::3] = 11 << 24
+        streamed, _, regrouped = self.folded(
+            config, spec, [columns], monkeypatch
+        )
+        assert regrouped == 0
+        # 10/8, 172.16/12 and the rewritten 11/8, 11/12; the new peer.
+        assert len(streamed.by_prefix) == 4 and 9 in streamed.by_peer
+        reference = whole_batch_partial(config, spec, columns)
+        assert streamed.digest() == reference.digest()
+
     def test_fold_day_rejects_out_of_order_and_misdated_days(self):
         """A repeated or earlier day would put negative gaps into the
         first Figure 8 bin; so would a batch dated to the wrong day."""
@@ -684,6 +875,49 @@ class TestOutOfCore:
         assert seen == [(0, "loaded"), (1, "generated"), (2, "loaded")]
         assert resumed.shards_run == 1
         assert chunk.read_bytes() == good
+        fresh = run_campaign(fast_config(days=3, shards=1))
+        assert resumed.partial.digest() == fresh.partial.digest()
+
+    def test_chunk_shrinking_mid_read_regenerated_on_resume(
+        self, tmp_path, monkeypatch
+    ):
+        """A chunk truncated in place between its footer read and its
+        digest pass (a bare OSError or a short read inside the reader)
+        is one more corrupt chunk: the shard goes on, the day is
+        generated again, to the same bytes."""
+        import shutil
+
+        from repro.campaign import CampaignHooks
+        from repro.core import spill
+
+        config = fast_config(days=3, shards=1, out=str(tmp_path / "camp"))
+        run_campaign(config)
+        layout = CampaignLayout(config.out)
+        spec = config.shard_plan()[0]
+        victim = layout.chunk_path(spec, 1)
+        good = victim.read_bytes()
+        # The state a kill leaves: day chunks on disk, nothing sealed.
+        for name in ("manifest", "results"):
+            shutil.rmtree(tmp_path / "camp" / name)
+        real = spill._read_footer
+
+        def then_shrink(fh, path):
+            result = real(fh, path)
+            if path == victim and victim.stat().st_size == len(good):
+                os.truncate(victim, len(good) // 2)
+            return result
+
+        monkeypatch.setattr(spill, "_read_footer", then_shrink)
+        seen = []
+        resumed = run_campaign(
+            config,
+            resume=True,
+            hooks=CampaignHooks(
+                on_chunk=lambda s, day, how: seen.append((day, how))
+            ),
+        )
+        assert seen == [(0, "loaded"), (1, "generated"), (2, "loaded")]
+        assert victim.read_bytes() == good
         fresh = run_campaign(fast_config(days=3, shards=1))
         assert resumed.partial.digest() == fresh.partial.digest()
 

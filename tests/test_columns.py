@@ -33,11 +33,13 @@ from repro.collector.mrt import (
 from repro.collector.record import UpdateKind, UpdateRecord
 from repro.core.columns import (
     NO_ATTR,
+    RECORD_DTYPE,
     AttributeTable,
     ColumnClassifier,
     RecordColumns,
     classify_columns,
     decode_categories,
+    route_groups,
     stable_argsort,
 )
 from repro.core.instability import (
@@ -221,6 +223,102 @@ class TestStableArgsort:
         values = self.cases()[name]
         order = stable_argsort(values)
         assert order.tolist() == np.argsort(values, kind="stable").tolist()
+
+
+class TestRouteGroups:
+    """``route_groups`` — the one grouping a day gets — is the stable
+    ``(peer_id, net, plen)`` sort on every branch of the kernel, and a
+    caller that hands it to ``classify`` changes no label."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(24)
+        near = 0xC0000001  # an exchange LAN: ids 32 bits wide, 5 apart
+
+        def batch(rows, peers, plens=(24,)):
+            data = np.zeros(rows, dtype=RECORD_DTYPE)
+            data["time"] = np.arange(rows)
+            data["peer_id"] = rng.choice(peers, rows)
+            data["peer_asn"] = data["peer_id"] % 97 + 1
+            data["net"] = rng.integers(1, 41, rows) << 24
+            data["plen"] = rng.choice(plens, rows)
+            data["kind"] = rng.integers(1, 3, rows)
+            data["attr_id"] = np.where(
+                data["kind"] == 1, rng.integers(0, len(ATTR_POOL), rows),
+                NO_ATTR,
+            )
+            return data
+
+        return {
+            "empty": batch(0, [1]),
+            "one row": batch(1, [near]),
+            "small ids, one pass": batch(3_000, [1, 2, 3, 9]),
+            "wide ids close together, one pass": batch(
+                3_000, near + np.arange(30)
+            ),
+            "ids spread over 32 bits, two passes": batch(
+                3_000, [1, 2, near, 0xFFFFFFFF]
+            ),
+            "mixed prefix lengths, lexsort": batch(
+                3_000, [1, near], plens=(8, 16, 24)
+            ),
+        }
+
+    @pytest.mark.parametrize("name", sorted(cases()))
+    def test_every_branch_is_the_stable_route_sort(self, name):
+        data = self.cases()[name]
+        order, starts, keys, plens = route_groups(data)
+        expected = np.lexsort((data["plen"], data["net"], data["peer_id"]))
+        assert order.tolist() == expected.tolist()
+        routes = [
+            (int(r["peer_id"]), int(r["net"]), int(r["plen"]))
+            for r in data[expected]
+        ]
+        first = [
+            i for i, route in enumerate(routes)
+            if i == 0 or route != routes[i - 1]
+        ]
+        assert starts.tolist() == first
+        assert [
+            (key >> 32, key & 0xFFFFFFFF, plen)
+            for key, plen in zip(keys.tolist(), plens.tolist())
+        ] == [routes[i] for i in first]
+
+    @pytest.mark.parametrize("name", sorted(cases()))
+    def test_handed_in_groups_change_no_label(self, name):
+        table = AttributeTable()
+        for attrs in ATTR_POOL:
+            table.intern(attrs)
+        columns = RecordColumns(self.cases()[name], table)
+        alone, handed = ColumnClassifier(), ColumnClassifier()
+        for _ in range(2):  # the second pass classifies against carries
+            codes, policy = alone.classify(columns)
+            codes_h, policy_h = handed.classify(
+                columns, route_groups(columns.data)
+            )
+            assert (codes == codes_h).all() and (policy == policy_h).all()
+        assert alone.state_digest() == handed.state_digest()
+        expected = reference_classify(columns.to_records() * 2)
+        assert [
+            (UpdateCategory(code).name, bool(flag))
+            for code, flag in zip(codes.tolist(), policy.tolist())
+        ] == expected[len(columns):]
+
+    def test_mutated_batch_is_grouped_again(self):
+        """Nothing about a batch's grouping outlives the call that
+        computed it: rows rewritten in place after a classify are
+        classified as they now stand."""
+        rng = random.Random(9)
+        columns = RecordColumns.from_records(random_stream(rng, 400))
+        ColumnClassifier().classify(columns)
+        columns.data["peer_id"][::3] += 1
+        columns.data["net"][::5] = columns.data["net"][0]
+        columns.data[:] = columns.data[::-1].copy()
+        codes, policy = ColumnClassifier().classify(columns)
+        assert [
+            (UpdateCategory(code).name, bool(flag))
+            for code, flag in zip(codes.tolist(), policy.tolist())
+        ] == reference_classify(columns.to_records())
 
 
 class TestGeneratorColumns:

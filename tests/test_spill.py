@@ -6,6 +6,10 @@ dtype/attribute round-trips, deterministic bytes, zero-copy reads,
 and loud failure (ChunkCorrupt) for every flavor of damage.
 """
 
+import hashlib
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -16,7 +20,10 @@ from repro.core.columns import (
     AttributeTable,
     RecordColumns,
 )
+from repro.core import spill
 from repro.core.spill import (
+    CHUNK_END_MAGIC,
+    CHUNK_MAGIC,
     ChunkCorrupt,
     attribute_from_payload,
     attribute_payload,
@@ -111,27 +118,55 @@ class TestRoundTrip:
         assert attribute_from_payload(attribute_payload(attrs)) == attrs
 
 
+def split_chunk(raw: bytes):
+    """(data segment, footer bytes) of a well-formed chunk file."""
+    footer_len = int.from_bytes(raw[-16:-8], "little")
+    footer_off = len(raw) - 16 - footer_len
+    return raw[len(CHUNK_MAGIC):footer_off], raw[footer_off:-16]
+
+
+def join_chunk(data: bytes, footer: bytes) -> bytes:
+    return (
+        CHUNK_MAGIC + data + footer
+        + len(footer).to_bytes(8, "little") + CHUNK_END_MAGIC
+    )
+
+
 class TestCorruption:
     def test_truncation_detected(self, tmp_path):
+        """Every proper prefix of a chunk is corrupt, not just a few."""
         path = tmp_path / "c.rcol"
         write_chunk(path, sample_columns())
         good = path.read_bytes()
-        for keep in (0, 4, 100, len(good) - 1):
+        for keep in range(len(good)):
             path.write_bytes(good[:keep])
             with pytest.raises(ChunkCorrupt):
                 read_chunk(path)
+        path.write_bytes(good)
+        assert verify_chunk(path).rows == 64
 
     def test_every_bit_flip_region_detected(self, tmp_path):
+        """Every bit of the magic, the footer and the trailer, and of
+        the first and the last record: no single flip is read back."""
         path = tmp_path / "c.rcol"
         write_chunk(path, sample_columns())
         good = path.read_bytes()
-        # Magic, data segment, footer, trailer: one flip in each.
-        for offset in (0, 32, len(good) - 40, len(good) - 4):
-            bad = bytearray(good)
-            bad[offset] ^= 0x40
-            path.write_bytes(bytes(bad))
-            with pytest.raises(ChunkCorrupt):
-                read_chunk(path)
+        data, footer = split_chunk(good)
+        record = RECORD_DTYPE.itemsize
+        data_end = len(CHUNK_MAGIC) + len(data)
+        assert len(good) == data_end + len(footer) + 16
+        offsets = [
+            *range(len(CHUNK_MAGIC)),
+            *range(len(CHUNK_MAGIC), len(CHUNK_MAGIC) + record),
+            *range(data_end - record, len(good)),
+        ]
+        for offset in offsets:
+            for bit in range(8):
+                bad = bytearray(good)
+                bad[offset] ^= 1 << bit
+                path.write_bytes(bytes(bad))
+                with pytest.raises(ChunkCorrupt):
+                    read_chunk(path)
         path.write_bytes(good)
         assert verify_chunk(path).rows == 64
 
@@ -167,3 +202,188 @@ class TestCorruption:
         assert len(chunk.columns) == 64
         with pytest.raises(ChunkCorrupt):
             read_chunk(path, verify=True)
+
+
+def plain_columns() -> RecordColumns:
+    """A batch built without a random generator, so its chunk's bytes
+    are a constant of the format."""
+    table = AttributeTable()
+    first = table.intern(
+        PathAttributes(as_path=AsPath((701, 1239)), next_hop=7, med=20)
+    )
+    second = table.intern(
+        PathAttributes(
+            as_path=AsPath((701, 3561, 42)),
+            next_hop=9,
+            origin=Origin.INCOMPLETE,
+            local_pref=120,
+            communities=frozenset({0xFFFFFF01, 5}),
+            atomic_aggregate=True,
+            aggregator=(701, 42),
+        )
+    )
+    data = np.zeros(6, dtype=RECORD_DTYPE)
+    data["time"] = np.arange(6) * 30.5
+    data["peer_id"] = (1, 2, 1, 2, 1, 2)
+    data["peer_asn"] = (701, 1239, 701, 1239, 701, 1239)
+    data["net"] = 10 << 24
+    data["plen"] = 8
+    data["kind"] = (1, 1, 2, 1, 1, 2)
+    data["attr_id"] = (first, second, NO_ATTR, first, second, NO_ATTR)
+    return RecordColumns(data, table)
+
+
+class TestFooterIsHashedAsWritten:
+    """The digest covers the footer's bytes on disk, so the only footer
+    a reader accepts is the one :func:`write_chunk` emits."""
+
+    #: sha256 of the file / the chunk digest ``write_chunk`` produced
+    #: for ``plain_columns()`` before the footer was hashed as written.
+    FILE_SHA256 = (
+        "1ccceae25f46551f772a28b169188e8640cebea51c04372bb398eff3fbbd865c"
+    )
+    CHUNK_SHA256 = (
+        "aa137af71262d2156766fbb0f61ca4d002578413e0f8b15d50c3808351f3259c"
+    )
+
+    def test_written_bytes_have_not_moved(self, tmp_path):
+        path = tmp_path / "c.rcol"
+        info = write_chunk(path, plain_columns(), extra={"day": 1})
+        raw = path.read_bytes()
+        assert info.sha256 == self.CHUNK_SHA256
+        assert hashlib.sha256(raw).hexdigest() == self.FILE_SHA256
+        # ... and are accepted as they stand.
+        assert verify_chunk(path).sha256 == info.sha256
+        assert read_chunk(path).info.sha256 == info.sha256
+        # The footer is canonical JSON ending in the digest.
+        data, footer = split_chunk(raw)
+        parsed = json.loads(footer)
+        assert list(parsed)[-1] == "sha256"
+        assert footer == json.dumps(
+            parsed, sort_keys=True, separators=(",", ":")
+        ).encode()
+        meta = dict(parsed)
+        del meta["sha256"]
+        old_way = hashlib.sha256(
+            data
+            + json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
+        )
+        assert old_way.hexdigest() == info.sha256
+
+    @pytest.mark.parametrize(
+        "respell",
+        [
+            lambda footer: json.dumps(footer, sort_keys=True),
+            lambda footer: json.dumps(footer, sort_keys=True, indent=1),
+            lambda footer: json.dumps(
+                dict(reversed(list(footer.items()))), separators=(",", ":")
+            ),
+            lambda footer: json.dumps(
+                {
+                    key: footer[key]
+                    for key in ("dtype", "attrs", "rows", "extra",
+                                "schema", "sha256")
+                },
+                separators=(",", ":"),
+            ),
+        ],
+        ids=["spaces", "indented", "digest-first", "digest-last-reordered"],
+    )
+    def test_respelled_footer_rejected(self, tmp_path, respell):
+        """Same JSON value, same digest field (it was taken over the
+        re-canonicalised value, which did not change), other bytes:
+        accepted by a reader that re-encodes what it parsed, rejected
+        by one that hashes what is on disk."""
+        path = tmp_path / "c.rcol"
+        write_chunk(path, plain_columns(), extra={"day": 1})
+        data, footer = split_chunk(path.read_bytes())
+        respelled = respell(json.loads(footer)).encode()
+        assert respelled != footer
+        assert json.loads(respelled) == json.loads(footer)
+        path.write_bytes(join_chunk(data, respelled))
+        with pytest.raises(ChunkCorrupt):
+            verify_chunk(path)
+        with pytest.raises(ChunkCorrupt):
+            read_chunk(path)
+        assert len(read_chunk(path, verify=False).columns) == 6
+
+    def test_digest_not_ascii_is_corrupt(self, tmp_path):
+        path = tmp_path / "c.rcol"
+        write_chunk(path, plain_columns())
+        data, footer = split_chunk(path.read_bytes())
+        lone = footer[:-3] + b'\\ud800"}'  # valid JSON, a lone surrogate
+        assert json.loads(lone)["sha256"].endswith("\ud800")
+        path.write_bytes(join_chunk(data, lone))
+        with pytest.raises(ChunkCorrupt):
+            read_chunk(path)
+
+
+class TestFileSystemFaults:
+    """Whatever the file system does between a chunk's open and its
+    mapping is ChunkCorrupt (so the day is regenerated), never a bare
+    OSError (which aborts the shard)."""
+
+    def test_not_a_regular_readable_file(self, tmp_path):
+        folder = tmp_path / "dir.rcol"
+        folder.mkdir()
+        for path in (folder, tmp_path / "absent.rcol"):
+            with pytest.raises(ChunkCorrupt):
+                read_chunk(path)
+            with pytest.raises(ChunkCorrupt):
+                verify_chunk(path)
+
+    @pytest.mark.parametrize("stage", ["_read_footer", "_verify_digest"])
+    @pytest.mark.parametrize("lost", [1, 26, 1000, 64 * 26])
+    def test_chunk_shrinks_mid_read(self, tmp_path, monkeypatch, stage, lost):
+        """Truncated in place, ``lost`` bytes into the data segment,
+        after the footer was read — or after the digest passed and
+        before the data is mapped."""
+        path = tmp_path / "c.rcol"
+        write_chunk(path, sample_columns())
+        data, _ = split_chunk(path.read_bytes())
+        real = getattr(spill, stage)
+
+        def then_shrink(*args):
+            result = real(*args)
+            os.truncate(path, len(CHUNK_MAGIC) + len(data) - lost)
+            return result
+
+        monkeypatch.setattr(spill, stage, then_shrink)
+        with pytest.raises(ChunkCorrupt):
+            read_chunk(path)
+
+    def test_chunk_swapped_for_a_directory_mid_read(
+        self, tmp_path, monkeypatch
+    ):
+        """One handle per chunk: a path that changes hands after the
+        open is not looked at again, so the read finishes on the bytes
+        it verified."""
+        path = tmp_path / "c.rcol"
+        columns = sample_columns()
+        info = write_chunk(path, columns)
+        real = spill._read_footer
+
+        def then_swap(*args):
+            result = real(*args)
+            path.unlink()
+            path.mkdir()
+            return result
+
+        monkeypatch.setattr(spill, "_read_footer", then_swap)
+        chunk = read_chunk(path)
+        assert chunk.info.sha256 == info.sha256
+        assert (chunk.columns.data == columns.data).all()
+        with pytest.raises(ChunkCorrupt):  # the next open sees it
+            read_chunk(path)
+
+    def test_read_error_is_corrupt(self, tmp_path, monkeypatch):
+        """EIO from read(2) while hashing."""
+        path = tmp_path / "c.rcol"
+        write_chunk(path, sample_columns())
+
+        def failing_digest(fh, *rest):
+            raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr(spill, "_verify_digest", failing_digest)
+        with pytest.raises(ChunkCorrupt, match="Input/output error"):
+            read_chunk(path)

@@ -159,15 +159,6 @@ class PathAttributes:
         """The (NextHop, ASPATH) part of the paper's forwarding tuple."""
         return (self.next_hop, self.as_path)
 
-    def same_forwarding(self, other: "PathAttributes") -> bool:
-        """True if ``other`` would forward traffic identically.
-
-        This is the equality the classifier uses to tell AADup (identical
-        forwarding tuple → pathological duplicate) from AADiff (changed
-        tuple → forwarding instability).
-        """
-        return self.forwarding_key == other.forwarding_key
-
     def exported_by(self, asn: int, next_hop: int, prepend: int = 1) -> "PathAttributes":
         """The attributes a border router of ``asn`` sends an external peer.
 

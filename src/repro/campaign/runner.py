@@ -45,7 +45,7 @@ from ..core.spill import (
     read_chunk,
     write_chunk,
 )
-from ..workloads.generator import campaign_generator
+from ..workloads.generator import TraceGenerator, campaign_generator
 from .config import CampaignConfig, ShardSpec
 from .fold import ShardAccumulator
 from .handoff import ShardHandoff, collect_partial, publish_partial
@@ -143,13 +143,13 @@ def run_shard(
     function of ``(config, spec, day)`` — classification and every
     aggregate are invariant to attribute-id numbering, so per-day
     tables change no result while making chunk digests reproducible.
+    The generator is built for the first day that must be generated,
+    from the last loaded chunk's checkpoint; a shard whose days all
+    load never synthesizes a population.
     """
-    generator = campaign_generator(
-        n_peers=config.n_peers,
-        total_prefixes=config.total_prefixes,
-        population_seed=spec.population_seed,
-        generator_seed=spec.generator_seed,
-    )
+    generator: Optional[TraceGenerator] = None
+    # The last loaded day's end state, until a generated day takes it.
+    checkpoint: Optional[dict] = None
     categories = config.category_set()
     fingerprint = config.fingerprint()
     accumulator = ShardAccumulator(config, spec)
@@ -161,6 +161,7 @@ def run_shard(
         if layout is not None:
             path = layout.chunk_path(spec, day)
             if path.exists():
+                # Drop yesterday's chunk before today's is read.
                 chunk: Optional[SpillChunk] = None
                 try:
                     chunk = read_chunk(path)
@@ -171,14 +172,23 @@ def run_shard(
                     and chunk.extra.get("campaign") == fingerprint
                     and chunk.extra.get("shard") == spec.index
                     and chunk.extra.get("day") == day
+                    and TraceGenerator.can_restore(
+                        chunk.extra.get("generator_state")
+                    )
                 ):
                     columns = chunk.columns
-                    generator.restore_state(
-                        chunk.extra["generator_state"]
-                    )
+                    checkpoint = chunk.extra["generator_state"]
                     info = chunk.info
                     how = "loaded"
         if columns is None:
+            if generator is None:
+                generator = campaign_generator(
+                    config.n_peers, config.total_prefixes,
+                    spec.population_seed, spec.generator_seed,
+                )
+            if checkpoint is not None:
+                generator.restore_state(checkpoint)
+                checkpoint = None
             columns = generator.day_columns(
                 day,
                 pair_fraction=config.pair_fraction,

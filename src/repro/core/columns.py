@@ -42,7 +42,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..bgp.attributes import PathAttributes
+from ..bgp.attributes import AsPath, Origin, PathAttributes
 from ..collector.record import UpdateKind, UpdateRecord
 from ..net.prefix import Prefix
 from .taxonomy import UpdateCategory
@@ -54,6 +54,7 @@ __all__ = [
     "AttributeTable",
     "RecordColumns",
     "ColumnClassifier",
+    "attribute_tuple",
     "classify_columns",
     "decode_categories",
     "first_of_run",
@@ -103,31 +104,62 @@ def decode_categories(codes: np.ndarray) -> List[UpdateCategory]:
     return [CATEGORY_OF_CODE[int(code)] for code in codes]
 
 
+def attribute_tuple(attrs: PathAttributes) -> tuple:
+    """One bundle as the plain tuple ``(next_hop, as_path, origin, med,
+    local_pref, communities, atomic_aggregate, aggregator)``, equal
+    exactly when the bundles are: what the classifier carries,
+    :func:`route_state_digest` renders and a chunk footer decodes to."""
+    return (attrs.next_hop, tuple(attrs.as_path), int(attrs.origin),
+            attrs.med, attrs.local_pref, tuple(sorted(attrs.communities)),
+            attrs.atomic_aggregate, attrs.aggregator)
+
+
 class AttributeTable:
     """Interning table: ``attr_id`` → :class:`PathAttributes`.
 
     Equal attribute bundles intern to the same id, so full-equality
     tests reduce to integer comparison.  The table additionally interns
     each bundle's *forwarding key* ``(next_hop, as_path)`` — the tuple
-    whose change constitutes forwarding instability — so
-    ``same_forwarding`` reduces to comparing :attr:`fwd_ids` entries.
+    whose change constitutes forwarding instability — so a forwarding
+    comparison reduces to comparing :attr:`fwd_ids` entries.  A bundle
+    is held as an object (interned) or an :func:`attribute_tuple`
+    (:meth:`from_tuples`); each is built from the other when asked for.
     """
 
-    __slots__ = ("_attrs", "_ids", "_fwd", "_fwd_ids", "_fwd_array")
+    __slots__ = ("_attrs", "_tuples", "_ids", "_fwd", "_fwd_ids", "_fwd_array")
 
     def __init__(self) -> None:
-        self._attrs: List[PathAttributes] = []
-        self._ids: Dict[PathAttributes, int] = {}
+        self._attrs: List[Optional[PathAttributes]] = []
+        self._tuples: List[Optional[tuple]] = []
+        # None until a table made from tuples is first interned into.
+        self._ids: Optional[Dict[PathAttributes, int]] = {}
         self._fwd: Dict[Tuple[int, tuple], int] = {}
         self._fwd_ids: List[int] = []
         self._fwd_array: Optional[np.ndarray] = None
 
+    @classmethod
+    def from_tuples(cls, tuples: List[tuple]) -> "AttributeTable":
+        """The table whose bundle ``i`` has :func:`attribute_tuple`
+        ``tuples[i]``; ``ValueError`` if one repeats (ids would merge)."""
+        if len(set(tuples)) != len(tuples):
+            raise ValueError("repeated attribute bundle; ids would remap")
+        table = cls()
+        table._attrs = [None] * len(tuples)
+        table._tuples = tuples
+        table._ids = None
+        fwd = table._fwd
+        table._fwd_ids = [fwd.setdefault(t[:2], len(fwd)) for t in tuples]
+        return table
+
     def intern(self, attrs: PathAttributes) -> int:
         """The id of ``attrs``, adding it to the table if new."""
+        if self._ids is None:
+            self._ids = {self[i]: i for i in range(len(self._attrs))}
         # setdefault: a miss hashes the bundle once, not twice.
         attr_id = self._ids.setdefault(attrs, len(self._attrs))
         if attr_id == len(self._attrs):
             self._attrs.append(attrs)
+            self._tuples.append(None)
             key = attrs.forwarding_key
             fwd_id = self._fwd.setdefault(key, len(self._fwd))
             self._fwd_ids.append(fwd_id)
@@ -135,7 +167,20 @@ class AttributeTable:
         return attr_id
 
     def __getitem__(self, attr_id: int) -> PathAttributes:
-        return self._attrs[attr_id]
+        attrs = self._attrs[attr_id]
+        if attrs is None:
+            hop, path, origin, med, pref, comms, *rest = self._tuples[attr_id]
+            attrs = self._attrs[attr_id] = PathAttributes(
+                AsPath(path), hop, Origin(origin), med, pref, frozenset(comms),
+                *rest,
+            )
+        return attrs
+
+    def tuple_of(self, attr_id: int) -> tuple:
+        """The :func:`attribute_tuple` of bundle ``attr_id``."""
+        if self._tuples[attr_id] is None:
+            self._tuples[attr_id] = attribute_tuple(self._attrs[attr_id])
+        return self._tuples[attr_id]
 
     def __len__(self) -> int:
         return len(self._attrs)
@@ -464,14 +509,12 @@ _AADUP_CODE = np.uint8(UpdateCategory.AADUP.value)
 
 
 def route_state_digest(
-    entries: Iterable[
-        Tuple[Tuple[int, int, int], bool, bool, Optional[PathAttributes]]
-    ],
+    entries: Iterable[tuple],
 ) -> str:
     """SHA-256 over normalized per-route classifier state.
 
     ``entries`` are ``((peer_id, network, length), reachable,
-    ever_announced, last_attributes)`` tuples; order does not matter
+    ever_announced, attribute_tuple or None)``; order does not matter
     (entries are sorted by key here).  Equal states — however they are
     keyed internally — produce equal digests, so the verify layer can
     prove that a stream classified at different batchings carries the
@@ -482,21 +525,7 @@ def route_state_digest(
     for key, reachable, ever_announced, attrs in sorted(
         entries, key=lambda entry: entry[0]
     ):
-        if attrs is None:
-            rendered = "-"
-        else:
-            rendered = repr(
-                (
-                    attrs.next_hop,
-                    tuple(attrs.as_path),
-                    int(attrs.origin),
-                    attrs.med,
-                    attrs.local_pref,
-                    tuple(sorted(attrs.communities)),
-                    attrs.atomic_aggregate,
-                    attrs.aggregator,
-                )
-            )
+        rendered = "-" if attrs is None else repr(attrs)
         line = (
             f"{key[0]}|{key[1]}|{key[2]}"
             f"|{int(reachable)}|{int(ever_announced)}|{rendered}\n"
@@ -513,7 +542,7 @@ class _CarryState:
     def __init__(self) -> None:
         self.reachable = False
         self.ever_announced = False
-        self.last_attributes: Optional[PathAttributes] = None
+        self.last_attributes: Optional[tuple] = None
 
 
 class ColumnClassifier:
@@ -565,7 +594,7 @@ class ColumnClassifier:
         # Carry-in state per group, from prior batches.
         carry_reach = np.zeros(n_groups, dtype=bool)
         carry_ever = np.zeros(n_groups, dtype=bool)
-        carry_attrs: List[Optional[PathAttributes]] = [None] * n_groups
+        carry_attrs: List[Optional[tuple]] = [None] * n_groups
         keys: List[Tuple[int, int, int]] = []
         states = self._states
         g_key = g_key.tolist()
@@ -602,7 +631,7 @@ class ColumnClassifier:
         # Forwarding-tuple and full-attribute comparisons against the
         # previous announcement.  In-batch predecessors compare interned
         # ids; the (at most one per group) first announcement after a
-        # carry compares against the carried attribute object.
+        # carry compares against the carried tuple (forwarding key first).
         fwd_ids = columns.attrs.fwd_ids
         same_fwd = np.zeros(n, dtype=bool)
         equal_prev = np.zeros(n, dtype=bool)
@@ -614,15 +643,15 @@ class ColumnClassifier:
             equal_prev[in_batch] = cur == prev
         from_carry = np.flatnonzero(is_ann & ever_before & ~in_group_prev_ann)
         if len(from_carry):
-            table = columns.attrs
+            tuple_of = columns.attrs.tuple_of
             rows = from_carry.tolist()
             groups = (
                 np.searchsorted(group_start, from_carry, side="right") - 1
             ).tolist()
             for i, gi in zip(rows, groups):
                 previous = carry_attrs[gi]
-                current = table[attr_id[i]]
-                same_fwd[i] = current.same_forwarding(previous)
+                current = tuple_of(attr_id[i])
+                same_fwd[i] = current[:2] == previous[:2]
                 equal_prev[i] = current == previous
 
         # The taxonomy transition table: one lookup through the
@@ -645,7 +674,7 @@ class ColumnClassifier:
         end_is_ann = is_ann[group_end].tolist()
         end_last_ann = last_ann[group_end].tolist()
         end_ever = (carry_ever | (last_ann[group_end] >= group_start)).tolist()
-        table = columns.attrs
+        tuple_of = columns.attrs.tuple_of
         for gi in range(n_groups):
             key = keys[gi]
             state = states.get(key)
@@ -654,7 +683,7 @@ class ColumnClassifier:
             state.reachable = bool(end_is_ann[gi])
             state.ever_announced = bool(end_ever[gi])
             if end_last_ann[gi] >= group_start[gi]:
-                state.last_attributes = table[attr_id[end_last_ann[gi]]]
+                state.last_attributes = tuple_of(attr_id[end_last_ann[gi]])
             # else: no announcement in this batch — the carried
             # attributes (possibly None) stay in place.
 

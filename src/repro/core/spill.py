@@ -25,22 +25,24 @@ metadata, so truncation, bit flips, or a stale footer all surface as
 
 The attribute table serializes through an explicit
 :class:`~repro.bgp.attributes.PathAttributes` codec
-(:func:`attributes_payload` / :func:`attributes_from_payload`) — no
-pickle anywhere, so chunks are inspectable and stable across Python
-versions.
+(:func:`attributes_payload` / :func:`attributes_from_payload`, which
+decodes to the plain tuples the classifier compares) — no pickle
+anywhere, so chunks are inspectable and stable across Python versions.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
+from itertools import chain
 from pathlib import Path
-from typing import BinaryIO, List, Optional, Tuple, Union
+from typing import BinaryIO, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from ..bgp.attributes import AsPath, Origin, PathAttributes
+from ..bgp.attributes import Origin, PathAttributes
 from .columns import NO_ATTR, RECORD_DTYPE, AttributeTable, RecordColumns
 
 __all__ = [
@@ -50,7 +52,6 @@ __all__ = [
     "ChunkInfo",
     "SpillChunk",
     "attribute_payload",
-    "attribute_from_payload",
     "attributes_payload",
     "attributes_from_payload",
     "write_chunk",
@@ -87,18 +88,13 @@ class ChunkInfo:
         self.sha256 = sha256
 
 
-class SpillChunk:
+class SpillChunk(NamedTuple):
     """A verified chunk read back from disk: the (memory-mapped)
     columns, the caller metadata stored with them, and the descriptor."""
 
-    __slots__ = ("columns", "extra", "info")
-
-    def __init__(
-        self, columns: RecordColumns, extra: dict, info: ChunkInfo
-    ) -> None:
-        self.columns = columns
-        self.extra = extra
-        self.info = info
+    columns: RecordColumns
+    extra: dict
+    info: ChunkInfo
 
 
 # -- PathAttributes codec ---------------------------------------------------
@@ -120,28 +116,8 @@ def attribute_payload(attrs: PathAttributes) -> dict:
     }
 
 
-#: ``Origin(code)`` is an enum call per entry; a chunk has a thousand.
-_ORIGIN_OF_CODE = {int(origin): origin for origin in Origin}
-
-
-def attribute_from_payload(payload: dict) -> PathAttributes:
-    med = payload["med"]
-    local_pref = payload["local_pref"]
-    aggregator = payload["aggregator"]
-    return PathAttributes(
-        as_path=AsPath(map(int, payload["as_path"])),
-        next_hop=int(payload["next_hop"]),
-        origin=_ORIGIN_OF_CODE[int(payload["origin"])],
-        med=None if med is None else int(med),
-        local_pref=None if local_pref is None else int(local_pref),
-        communities=frozenset(map(int, payload["communities"])),
-        atomic_aggregate=bool(payload["atomic_aggregate"]),
-        aggregator=(
-            None
-            if aggregator is None
-            else (int(aggregator[0]), int(aggregator[1]))
-        ),
-    )
+#: Each valid ORIGIN code to itself; an unknown one is a KeyError.
+_ORIGIN_CODES = {int(origin): int(origin) for origin in Origin}
 
 
 def attributes_payload(table: AttributeTable) -> List[dict]:
@@ -150,13 +126,31 @@ def attributes_payload(table: AttributeTable) -> List[dict]:
 
 
 def attributes_from_payload(entries: List[dict]) -> AttributeTable:
-    table = AttributeTable()
-    for i, entry in enumerate(entries):
-        if table.intern(attribute_from_payload(entry)) != i:
-            raise ChunkCorrupt(
-                "attribute table has duplicate entries; ids would remap"
+    """The inverse of :func:`attributes_payload`, in the tuple form of
+    :func:`~repro.core.columns.attribute_tuple`; a malformed entry, an
+    out-of-range value or a repeated bundle is :class:`ChunkCorrupt`."""
+    try:
+        tuples = [
+            (
+                int(e["next_hop"]),
+                tuple(map(int, e["as_path"])),
+                _ORIGIN_CODES[int(e["origin"])],
+                None if (med := e["med"]) is None else int(med),
+                None if (pref := e["local_pref"]) is None else int(pref),
+                tuple(sorted(set(map(int, c))))
+                if (c := e["communities"]) else (),
+                bool(e["atomic_aggregate"]),
+                None if (agg := e["aggregator"]) is None
+                else (int(agg[0]), int(agg[1])),
             )
-    return table
+            for e in entries
+        ]
+        asns = set(chain.from_iterable(t[1] for t in tuples))
+        if asns and not (0 < min(asns) and max(asns) < 65536):
+            raise ValueError("AS number out of range")
+        return AttributeTable.from_tuples(tuples)
+    except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
+        raise ChunkCorrupt(f"malformed attribute table: {exc!r}") from exc
 
 
 # -- write ------------------------------------------------------------------
@@ -205,13 +199,19 @@ def write_chunk(
     footer = meta_bytes[:-1] + _footer_tail(sha256)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(CHUNK_MAGIC)
-        fh.write(data_bytes)
-        fh.write(footer)
-        fh.write(len(footer).to_bytes(8, "little"))
-        fh.write(CHUNK_END_MAGIC)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHUNK_MAGIC)
+            fh.write(data_bytes)
+            fh.write(footer)
+            fh.write(len(footer).to_bytes(8, "little"))
+            fh.write(CHUNK_END_MAGIC)
+        os.replace(tmp, path)
+    except OSError as exc:  # a full disk, or a directory on the path
+        raise OSError(exc.errno, exc.strerror or str(exc), str(path)) from exc
+    finally:  # the temp file never outlives the call
+        with contextlib.suppress(OSError):
+            tmp.unlink()
     return ChunkInfo(rows=len(data), sha256=sha256)
 
 
@@ -275,6 +275,9 @@ def _verify_digest(
     tail = _footer_tail(footer["sha256"])
     if not footer_bytes.endswith(tail):
         raise ChunkCorrupt(f"{path}: footer is not in canonical form")
+    # read(), not a mapping: without this multi-MiB buffer to raise
+    # glibc's mmap threshold, each of the fold's ~1 MB temporaries is
+    # a fresh mmap, which costs a re-fold more than the copy saves.
     digest = hashlib.sha256()
     remaining = footer["rows"] * RECORD_DTYPE.itemsize
     fh.seek(len(CHUNK_MAGIC))
@@ -291,7 +294,7 @@ def _verify_digest(
 
 
 def _open_chunk(
-    path: Path, verify: bool, mapped: bool
+    path: Path, mapped: bool
 ) -> Tuple[dict, Optional[np.ndarray]]:
     """One open per chunk: the validated footer and, when ``mapped``
     and the chunk has rows, its data segment memory-mapped read-only
@@ -302,21 +305,17 @@ def _open_chunk(
     try:
         with open(path, "rb") as fh:
             footer, footer_bytes = _read_footer(fh, path)
-            if verify:
-                _verify_digest(fh, path, footer, footer_bytes)
+            _verify_digest(fh, path, footer, footer_bytes)
             data = None
             if mapped and footer["rows"]:
-                try:
-                    data = np.memmap(
-                        fh,
-                        dtype=RECORD_DTYPE,
-                        mode="r",
-                        offset=len(CHUNK_MAGIC),
-                        shape=(footer["rows"],),
-                    )
-                except ValueError as exc:  # the file ends before the map
-                    raise ChunkCorrupt(f"{path}: {exc}") from exc
-    except OSError as exc:
+                data = np.memmap(
+                    fh,
+                    dtype=RECORD_DTYPE,
+                    mode="r",
+                    offset=len(CHUNK_MAGIC),
+                    shape=(footer["rows"],),
+                )
+    except (OSError, ValueError) as exc:  # ValueError: mapped past the end
         raise ChunkCorrupt(f"{path}: {exc}") from exc
     return footer, data
 
@@ -324,20 +323,18 @@ def _open_chunk(
 def verify_chunk(path: Union[str, Path]) -> ChunkInfo:
     """Full integrity check without materializing the data; raises
     :class:`ChunkCorrupt` on any problem."""
-    footer, _ = _open_chunk(Path(path), verify=True, mapped=False)
+    footer, _ = _open_chunk(Path(path), mapped=False)
     return ChunkInfo(rows=footer["rows"], sha256=footer["sha256"])
 
 
-def read_chunk(
-    path: Union[str, Path], verify: bool = True
-) -> SpillChunk:
-    """Open a chunk for streaming: the data segment is memory-mapped
-    (read-only, zero-copy into :class:`RecordColumns`), the attribute
-    table rebuilt from the footer.  ``verify=True`` (the default)
-    recomputes the digest first — resume paths must never trust a
-    chunk that a crash or fault could have damaged."""
+def read_chunk(path: Union[str, Path]) -> SpillChunk:
+    """Open a chunk for streaming: the digest verified first — resume
+    paths must never trust a chunk that a crash or fault could have
+    damaged — then the data segment memory-mapped (read-only,
+    zero-copy into :class:`RecordColumns`) and the attribute table
+    decoded from the footer."""
     path = Path(path)
-    footer, data = _open_chunk(path, verify, mapped=True)
+    footer, data = _open_chunk(path, mapped=True)
     table = attributes_from_payload(footer["attrs"])
     if data is None:
         data = np.empty(0, dtype=RECORD_DTYPE)

@@ -40,7 +40,7 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from ..core.columns import route_state_digest
+from ..core.columns import attribute_tuple, route_state_digest
 from ..net.prefix import Prefix
 from .router import Router
 
@@ -61,6 +61,7 @@ __all__ = [
     "min_lookahead",
     "pair_latency",
     "partition_digest",
+    "rib_state_digest",
 ]
 
 #: Prefix space for provider customer routes (disjoint from the other
@@ -407,14 +408,15 @@ class ExchangePartition:
         return times[0] if times else float("inf")
 
 
-def _router_rib_state(router: Router):
-    """Adj-RIB-In entries in route_state_digest form."""
+def rib_state_digest(router: Router) -> str:
+    """:func:`route_state_digest` of one router's Adj-RIB-In."""
     adj_in = router.loc_rib.adj_in
-    return [
-        ((peer, prefix.network, prefix.length), True, True, attrs)
+    return route_state_digest(
+        ((peer, prefix.network, prefix.length), True, True,
+         attribute_tuple(attrs))
         for peer in adj_in.peers()
         for prefix, attrs in adj_in.routes_from(peer).items()
-    ]
+    )
 
 
 def partition_digest(partition: ExchangePartition) -> str:
@@ -433,7 +435,7 @@ def partition_digest(partition: ExchangePartition) -> str:
                     router.updates_sent,
                     router.updates_received,
                     router.crash_count,
-                    route_state_digest(_router_rib_state(router)),
+                    rib_state_digest(router),
                 )
             ).encode()
         )

@@ -47,7 +47,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..collector.record import UpdateRecord
-from ..core.columns import route_state_digest
 from ..net.prefix import Prefix
 from .adversary import ATTACK_KINDS, AdversaryConfig
 from .engine import Engine, SimulationError
@@ -60,6 +59,7 @@ from .partition import (
     InlineChannel,
     combined_digest,
     partition_digest,
+    rib_state_digest,
 )
 from .refengine import ReferenceEngine
 from .router import Router, connect
@@ -121,16 +121,6 @@ class _HoldTimerActor:
 
 def _digest(*parts) -> str:
     return hashlib.sha256(repr(parts).encode()).hexdigest()
-
-
-def _router_state(router: Router):
-    """Adj-RIB-In entries of one router in route_state_digest form."""
-    adj_in = router.loc_rib.adj_in
-    return [
-        ((peer, prefix.network, prefix.length), True, True, attrs)
-        for peer in adj_in.peers()
-        for prefix, attrs in adj_in.routes_from(peer).items()
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +210,7 @@ def scenario_flap_storm(
         flaps=flaps, over_seconds=10.0, observe_for=observe
     )
     rib_digests = tuple(
-        route_state_digest(_router_state(router))
-        for router in scenario.routers
+        rib_state_digest(router) for router in scenario.routers
     )
     digest = _digest(
         engine.events_processed,
@@ -264,7 +253,7 @@ def scenario_table_dump(
     digest = _digest(
         engine.events_processed,
         round(engine.now, 9),
-        tuple(route_state_digest(_router_state(peer)) for peer in peers),
+        tuple(rib_state_digest(peer) for peer in peers),
         tuple(link.bytes_carried for link in links),
         tuple(link.messages_delivered for link in links),
         tuple(link.messages_lost for link in links),

@@ -1228,6 +1228,28 @@ class TraceGenerator:
             "flags": flags, "med": meds,
         }
 
+    @staticmethod
+    def can_restore(payload: object) -> bool:
+        """Whether :meth:`restore_state` loads ``payload``: five int
+        lists, one pair per index of the first four with a valid prefix,
+        one MED per pair flagged with one.  Checked without a generator,
+        so a resume can refuse a chunk while it can still regenerate."""
+        if type(payload) is not dict:
+            return False
+        nets, plens, asns, flags, meds = columns = [
+            payload.get(key) for key in ("net", "plen", "asn", "flags", "med")
+        ]
+        return (
+            all(type(c) is list and {*map(type, c)} <= {int} for c in columns)
+            and len(nets) == len(plens) == len(asns) == len(flags)
+            and sum(f >> 3 & 1 for f in flags) == len(meds)
+            and all(
+                0 <= plen <= 32 and 0 <= net < 1 << 32
+                and not net & ((1 << 32 - plen) - 1)
+                for net, plen in zip(nets, plens)
+            )
+        )
+
     def restore_state(self, payload: dict) -> None:
         """Replace per-pair state with a :meth:`state_payload`
         checkpoint (the inverse; prior state is discarded)."""

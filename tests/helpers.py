@@ -1,4 +1,8 @@
-"""Shared test helpers: records in, production-tier verdicts out."""
+"""Shared test helpers: records in, production-tier verdicts out; a
+spill chunk re-sealed around a damaged footer."""
+
+import hashlib
+import json
 
 from repro.core.columns import (
     CATEGORY_OF_CODE,
@@ -6,7 +10,30 @@ from repro.core.columns import (
     RecordColumns,
 )
 from repro.core.instability import CategoryCounts
+from repro.core.spill import CHUNK_END_MAGIC, CHUNK_MAGIC
 from repro.verify.reference import reference_classify
+
+
+def reseal_chunk(path, mutate):
+    """Pass a chunk's footer metadata (its digest removed) through
+    ``mutate`` and write it back sealed with a fresh digest, as
+    ``write_chunk`` seals one: whatever ``mutate`` broke, the chunk
+    still passes every byte-level check."""
+    raw = path.read_bytes()
+    footer_off = len(raw) - 16 - int.from_bytes(raw[-16:-8], "little")
+    data = raw[len(CHUNK_MAGIC):footer_off]
+    meta = json.loads(raw[footer_off:-16])
+    del meta["sha256"]
+    mutate(meta)
+    meta_bytes = json.dumps(
+        meta, sort_keys=True, separators=(",", ":")
+    ).encode()
+    sha256 = hashlib.sha256(data + meta_bytes).hexdigest()
+    footer = meta_bytes[:-1] + b',"sha256":"%s"}' % sha256.encode()
+    path.write_bytes(
+        CHUNK_MAGIC + data + footer
+        + len(footer).to_bytes(8, "little") + CHUNK_END_MAGIC
+    )
 
 
 def labels(records, classifier=None):

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.bgp.attributes import AsPath, Origin, PathAttributes
+from repro.core.columns import AttributeTable, attribute_tuple
 
 
 asns = st.integers(min_value=1, max_value=65535)
@@ -86,14 +87,14 @@ class TestPathAttributes:
             med=50,
             communities=frozenset({0xFFFF0001}),
         )
-        assert base.same_forwarding(policy_changed)
+        assert base.forwarding_key == policy_changed.forwarding_key
 
     def test_forwarding_key_detects_path_change(self):
         a = PathAttributes(as_path=AsPath((701,)), next_hop=1)
         b = PathAttributes(as_path=AsPath((1239,)), next_hop=1)
         c = PathAttributes(as_path=AsPath((701,)), next_hop=2)
-        assert not a.same_forwarding(b)
-        assert not a.same_forwarding(c)
+        assert a.forwarding_key != b.forwarding_key
+        assert a.forwarding_key != c.forwarding_key
 
     def test_exported_by_transform(self):
         attrs = PathAttributes(
@@ -125,7 +126,29 @@ class TestPathAttributes:
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
 
-    @given(as_paths, st.integers(min_value=0, max_value=2**32 - 1))
-    def test_same_forwarding_reflexive(self, path, next_hop):
-        attrs = PathAttributes(as_path=path, next_hop=next_hop)
-        assert attrs.same_forwarding(attrs)
+    @given(
+        as_paths,
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from(list(Origin)),
+        st.none() | st.integers(min_value=0, max_value=2**32 - 1),
+        st.frozensets(st.integers(min_value=0, max_value=2**32 - 1)),
+    )
+    def test_attribute_tuple_leads_with_the_forwarding_key(
+        self, path, next_hop, origin, med, communities
+    ):
+        """The classifier compares a carried bundle's forwarding key as
+        the first two fields of its tuple, and whole bundles as whole
+        tuples: both must agree with the objects, and a table holding
+        only the tuple must build the object back."""
+        attrs = PathAttributes(
+            as_path=path, next_hop=next_hop, origin=origin, med=med,
+            communities=communities,
+        )
+        key = attribute_tuple(attrs)
+        assert key[:2] == attrs.forwarding_key
+        assert AttributeTable.from_tuples([key])[0] == attrs
+        changed = PathAttributes(
+            as_path=path, next_hop=next_hop, origin=origin,
+            med=None if med else 1, communities=communities,
+        )
+        assert attribute_tuple(changed) != key

@@ -11,6 +11,8 @@ over randomized shard splits and fold orders.
 import json
 import os
 import random
+import re
+import shutil
 import subprocess
 import sys
 
@@ -21,6 +23,7 @@ from repro.analysis.interarrival import FIGURE8_BINS, histogram_counts
 from repro.analysis.timeseries import BinnedSeries
 from repro.campaign import (
     CampaignConfig,
+    CampaignHooks,
     CampaignLayout,
     ConfigMismatch,
     PartialResult,
@@ -37,13 +40,18 @@ from repro.core.columns import (
     AttributeTable,
     ColumnClassifier,
     RecordColumns,
+    attribute_tuple,
 )
 from repro.core.instability import (
     CategoryCounts,
     counts_by_peer_columns,
     counts_by_prefix_columns,
 )
+from repro.core.spill import read_chunk
 from repro.core.taxonomy import FINE_GRAINED_CATEGORIES, UpdateCategory
+from repro.workloads.generator import TraceGenerator, campaign_generator
+
+from .helpers import reseal_chunk
 
 ANNOUNCE, WITHDRAW = int(UpdateKind.ANNOUNCE), int(UpdateKind.WITHDRAW)
 
@@ -959,6 +967,231 @@ class TestOutOfCore:
         assert long <= 1.25 * short, (
             f"peak RSS grew {long / short:.2f}x from 4 to 12 days"
         )
+
+
+def generated_days(config, spec):
+    """The shard's days as ``run_shard`` generates them: one generator
+    for the shard, a fresh attribute table a day."""
+    generator = campaign_generator(
+        n_peers=config.n_peers,
+        total_prefixes=config.total_prefixes,
+        population_seed=spec.population_seed,
+        generator_seed=spec.generator_seed,
+    )
+    return [
+        generator.day_columns(
+            day,
+            pair_fraction=config.pair_fraction,
+            categories=config.category_set(),
+            attrs=AttributeTable(),
+        )
+        for day in spec.days
+    ]
+
+
+def chunk_days(layout, spec):
+    return [
+        read_chunk(layout.chunk_path(spec, day)).columns for day in spec.days
+    ]
+
+
+def kill_state(config):
+    """The state a kill leaves: day chunks on disk, nothing sealed."""
+    for name in ("manifest", "results"):
+        shutil.rmtree(os.path.join(config.out, name))
+
+
+def missing_med(meta):
+    meta["attrs"][0].pop("med")
+
+
+def short_checkpoint(meta):
+    meta["extra"]["generator_state"]["flags"].append(8)
+
+
+#: How a resume can find a day's chunk, besides intact.
+DAMAGE = {
+    "deleted": lambda path: path.unlink(),
+    "truncated": lambda path: os.truncate(path, path.stat().st_size // 2),
+    "attribute-entry": lambda path: reseal_chunk(path, missing_med),
+    "checkpoint": lambda path: reseal_chunk(path, short_checkpoint),
+}
+
+
+@pytest.fixture(scope="module")
+def spilled_four_days(tmp_path_factory):
+    """A spilled 4-day, 1-shard campaign, its chunks' bytes and the
+    digest of the same campaign run in memory."""
+    out = tmp_path_factory.mktemp("spilled") / "camp"
+    config = fast_config(days=4, shards=1, out=str(out))
+    run_campaign(config)
+    kill_state(config)
+    layout = CampaignLayout(config.out)
+    spec = config.shard_plan()[0]
+    chunks = {
+        day: layout.chunk_path(spec, day).read_bytes() for day in spec.days
+    }
+    memory = run_campaign(fast_config(days=4, shards=1)).partial.digest()
+    return out, chunks, memory
+
+
+class TestRefoldFromChunks:
+    """A resume folds decoded chunks: each footer decodes to the tuples
+    the classifier compares, and a generator exists only for a day
+    that must be generated."""
+
+    def test_decoded_tables_match_generated_ones(self, tmp_path):
+        config = fast_config(days=4, shards=2, out=str(tmp_path / "camp"))
+        run_campaign(config)
+        layout = CampaignLayout(config.out)
+        for spec in config.shard_plan():
+            generated = generated_days(config, spec)
+            for gen, dec in zip(generated, chunk_days(layout, spec)):
+                n = len(gen.attrs)
+                assert (dec.data == gen.data).all()
+                assert len(dec.attrs) == n
+                assert [dec.attrs.tuple_of(i) for i in range(n)] == [
+                    attribute_tuple(gen.attrs[i]) for i in range(n)
+                ]
+                assert dec.attrs.fwd_ids.tolist() == gen.attrs.fwd_ids.tolist()
+                assert [dec.attrs[i] for i in range(n)] == [
+                    gen.attrs[i] for i in range(n)
+                ]
+                assert [dec.attrs.intern(gen.attrs[i]) for i in range(n)] == (
+                    list(range(n))
+                )
+                assert len(dec.attrs) == n
+            # Decoded days concatenate as generated ones do: the first
+            # day's decoded table takes in the others' bundles.
+            whole_gen = RecordColumns.concat(generated)
+            whole_dec = RecordColumns.concat(chunk_days(layout, spec))
+            assert (whole_dec.data == whole_gen.data).all()
+            assert whole_dec.to_records() == whole_gen.to_records()
+
+    def test_classifier_state_alike_from_memory_and_from_chunks(
+        self, tmp_path
+    ):
+        config = fast_config(days=4, shards=1, out=str(tmp_path / "camp"))
+        run_campaign(config)
+        spec = config.shard_plan()[0]
+        generated = generated_days(config, spec)
+        decoded = chunk_days(CampaignLayout(config.out), spec)
+        in_memory, from_chunks = ColumnClassifier(), ColumnClassifier()
+        policy_changes = 0
+        for gen, dec in zip(generated, decoded):
+            codes, policy = in_memory.classify(gen)
+            decoded_codes, decoded_policy = from_chunks.classify(dec)
+            assert (codes == decoded_codes).all()
+            assert (policy == decoded_policy).all()
+            assert in_memory.state_digest() == from_chunks.state_digest()
+            policy_changes += int(policy.sum())
+        assert policy_changes  # the carried tuples were compared in full
+        one_batch = ColumnClassifier()
+        one_batch.classify(RecordColumns.concat(chunk_days(
+            CampaignLayout(config.out), spec
+        )))
+        assert one_batch.state_digest() == from_chunks.state_digest()
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    @pytest.mark.parametrize(
+        "days", [(0,), (1,), (2,), (3,), (0, 1), (1, 2), (2, 3)],
+        ids=lambda days: "-".join(map(str, days)),
+    )
+    def test_resume_regenerates_exactly_the_damaged_days(
+        self, tmp_path, spilled_four_days, days, damage
+    ):
+        source, chunks, memory = spilled_four_days
+        out = tmp_path / "camp"
+        shutil.copytree(source, out)
+        config = fast_config(days=4, shards=1, out=str(out))
+        layout = CampaignLayout(config.out)
+        spec = config.shard_plan()[0]
+        for day in days:
+            DAMAGE[damage](layout.chunk_path(spec, day))
+        seen = []
+        resumed = run_campaign(
+            config,
+            resume=True,
+            hooks=CampaignHooks(
+                on_chunk=lambda s, day, how: seen.append(how)
+            ),
+        )
+        assert seen == [
+            "generated" if day in days else "loaded" for day in spec.days
+        ]
+        assert resumed.partial.digest() == memory
+        for day in spec.days:
+            assert layout.chunk_path(spec, day).read_bytes() == chunks[day]
+
+    def test_shard_whose_days_all_load_builds_no_generator(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.campaign import runner
+
+        built = []
+        real = runner.campaign_generator
+        monkeypatch.setattr(
+            runner,
+            "campaign_generator",
+            lambda *args: built.append(args) or real(*args),
+        )
+        config = fast_config(days=4, shards=2, out=str(tmp_path / "camp"))
+        run_campaign(config)
+        assert len(built) == 2
+        built.clear()
+        kill_state(config)
+        resumed = run_campaign(config, resume=True)
+        assert (resumed.shards_run, resumed.shards_loaded) == (2, 0)
+        assert built == []
+        # One lost day: one generator, built for that day's shard.
+        spec = config.shard_plan()[1]
+        CampaignLayout(config.out).chunk_path(spec, 3).unlink()
+        kill_state(config)
+        run_campaign(config, resume=True)
+        assert built == [(
+            config.n_peers, config.total_prefixes,
+            spec.population_seed, spec.generator_seed,
+        )]
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            None,
+            [],
+            {},
+            {"net": [], "plen": [], "asn": [], "flags": []},
+            {"net": [0], "plen": [8], "asn": [1], "flags": [8], "med": []},
+            {"net": [0], "plen": [8], "asn": [1], "flags": [0, 0], "med": []},
+            {"net": [1], "plen": [8], "asn": [1], "flags": [0], "med": []},
+            {"net": [0], "plen": [33], "asn": [1], "flags": [0], "med": []},
+            {"net": [0], "plen": [8], "asn": ["1"], "flags": [0], "med": []},
+            {"net": [0], "plen": [8], "asn": [1], "flags": [True], "med": []},
+            {"net": 0, "plen": [8], "asn": [1], "flags": [0], "med": []},
+        ],
+    )
+    def test_malformed_checkpoint_cannot_be_restored(self, payload):
+        assert not TraceGenerator.can_restore(payload)
+
+    def test_every_written_checkpoint_can_be_restored(self, tmp_path):
+        config = fast_config(days=3, shards=1, out=str(tmp_path / "camp"))
+        run_campaign(config)
+        spec = config.shard_plan()[0]
+        layout = CampaignLayout(config.out)
+        for day in spec.days:
+            state = read_chunk(layout.chunk_path(spec, day)).extra[
+                "generator_state"
+            ]
+            assert state["med"]
+            assert TraceGenerator.can_restore(state)
+
+    def test_directory_on_a_chunk_path_aborts_naming_it(self, tmp_path):
+        config = fast_config(days=2, shards=1, out=str(tmp_path / "camp"))
+        spec = config.shard_plan()[0]
+        squatter = CampaignLayout(config.out).chunk_path(spec, 1)
+        squatter.mkdir(parents=True)
+        with pytest.raises(OSError, match=re.escape(str(squatter))):
+            run_campaign(config)
+        assert list(squatter.parent.glob("*.tmp")) == []
 
 
 class TestCampaignResult:

@@ -16,9 +16,9 @@ import random
 
 import pytest
 
-from repro.core.columns import route_state_digest
 from repro.sim.engine import Engine
 from repro.sim.flapstorm import FlapStormScenario
+from repro.sim.partition import rib_state_digest
 from repro.sim.refengine import ReferenceEngine
 from repro.verify.golden import FUZZ_SEEDS, TRACE_SEED
 
@@ -131,16 +131,7 @@ def _storm_digest(engine_cls):
     )
     result = scenario.storm(flaps=15, over_seconds=5.0, observe_for=60.0)
     rib_digests = tuple(
-        route_state_digest(
-            [
-                ((peer, prefix.network, prefix.length), True, True, attrs)
-                for peer in router.loc_rib.adj_in.peers()
-                for prefix, attrs in (
-                    router.loc_rib.adj_in.routes_from(peer).items()
-                )
-            ]
-        )
-        for router in scenario.routers
+        rib_state_digest(router) for router in scenario.routers
     )
     return (
         engine.events_processed,

@@ -162,7 +162,7 @@ class TestLocRib:
             1, P("10.0.0.0/8"), PathAttributes(as_path=AsPath((7,)), next_hop=1, med=99)
         )
         assert change.kind is ChangeKind.ANNOUNCE
-        assert change.best.attributes.same_forwarding(base)
+        assert change.best.attributes.forwarding_key == base.forwarding_key
 
 
 class TestAdjRibOut:

@@ -6,6 +6,7 @@ dtype/attribute round-trips, deterministic bytes, zero-copy reads,
 and loud failure (ChunkCorrupt) for every flavor of damage.
 """
 
+import errno
 import hashlib
 import json
 import os
@@ -19,18 +20,21 @@ from repro.core.columns import (
     RECORD_DTYPE,
     AttributeTable,
     RecordColumns,
+    attribute_tuple,
 )
 from repro.core import spill
 from repro.core.spill import (
     CHUNK_END_MAGIC,
     CHUNK_MAGIC,
     ChunkCorrupt,
-    attribute_from_payload,
     attribute_payload,
+    attributes_from_payload,
     read_chunk,
     verify_chunk,
     write_chunk,
 )
+
+from .helpers import reseal_chunk
 
 
 def sample_columns(rows: int = 64, seed: int = 3) -> RecordColumns:
@@ -115,7 +119,9 @@ class TestRoundTrip:
             atomic_aggregate=True,
             aggregator=(701, 42),
         )
-        assert attribute_from_payload(attribute_payload(attrs)) == attrs
+        table = attributes_from_payload([attribute_payload(attrs)])
+        assert table.tuple_of(0) == attribute_tuple(attrs)
+        assert table[0] == attrs
 
 
 def split_chunk(raw: bytes):
@@ -190,18 +196,145 @@ class TestCorruption:
         with pytest.raises(ChunkCorrupt):
             read_chunk(path)
 
-    def test_unverified_read_skips_digest(self, tmp_path):
-        """verify=False trades safety for speed (used nowhere in the
-        campaign, but the escape hatch must actually skip the hash)."""
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda e: e.pop("med"),
+            lambda e: e.pop("as_path"),
+            lambda e: e.update(origin=3),
+            lambda e: e.update(as_path=[701, 0]),
+            lambda e: e.update(as_path=[701, 65536]),
+            lambda e: e.update(as_path="701"),
+            lambda e: e.update(as_path=[701, None]),
+            lambda e: e.update(next_hop="seven"),
+            lambda e: e.update(med=[20]),
+            lambda e: e.update(aggregator=[701]),
+            lambda e: e.update(communities=7),
+            lambda e: e.update(origin=1e400),
+            lambda e: e.clear(),
+        ],
+        ids=[
+            "no-med", "no-as-path", "origin-3", "asn-0", "asn-65536",
+            "as-path-string", "asn-null", "next-hop-string", "med-list",
+            "aggregator-short", "communities-int", "origin-inf", "empty",
+        ],
+    )
+    def test_malformed_attribute_entry_is_corrupt(self, tmp_path, damage):
+        """A digest-valid chunk whose footer holds one entry that is not
+        an attribute bundle: ChunkCorrupt, never the decoder's own
+        KeyError or TypeError (which would abort a resumed shard)."""
         path = tmp_path / "c.rcol"
-        write_chunk(path, sample_columns())
-        good = bytearray(path.read_bytes())
-        good[16] ^= 1  # flip inside the data segment
-        path.write_bytes(bytes(good))
-        chunk = read_chunk(path, verify=False)  # loads without raising
-        assert len(chunk.columns) == 64
-        with pytest.raises(ChunkCorrupt):
-            read_chunk(path, verify=True)
+        write_chunk(path, plain_columns())
+        reseal_chunk(path, lambda meta: damage(meta["attrs"][1]))
+        with pytest.raises(ChunkCorrupt, match="malformed attribute table"):
+            read_chunk(path)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda attrs: attrs.append(attrs[0]),
+            lambda attrs: attrs.__setitem__(0, None),
+            lambda attrs: attrs.__setitem__(0, [attrs[0]]),
+        ],
+        ids=["repeated-bundle", "null-entry", "list-entry"],
+    )
+    def test_malformed_attribute_table_is_corrupt(self, tmp_path, damage):
+        path = tmp_path / "c.rcol"
+        write_chunk(path, plain_columns())
+        reseal_chunk(path, lambda meta: damage(meta["attrs"]))
+        with pytest.raises(ChunkCorrupt, match="malformed attribute table"):
+            read_chunk(path)
+
+    def test_resealed_chunk_is_otherwise_accepted(self, tmp_path):
+        """The damage tests above fail on the damage, not the seal."""
+        path = tmp_path / "c.rcol"
+        info = write_chunk(path, plain_columns(), extra={"day": 1})
+        reseal_chunk(path, lambda meta: None)
+        assert read_chunk(path).info.sha256 == info.sha256
+
+
+class TestDecodedTable:
+    """The footer decodes to canonical tuples; objects come later."""
+
+    def test_tuples_fwd_ids_and_lazy_objects(self, tmp_path):
+        columns = plain_columns()
+        path = tmp_path / "c.rcol"
+        write_chunk(path, columns)
+        table = read_chunk(path).columns.attrs
+        assert table._attrs == [None, None]  # nothing built yet
+        for i in range(len(columns.attrs)):
+            assert table.tuple_of(i) == attribute_tuple(columns.attrs[i])
+        assert table.fwd_ids.tolist() == columns.attrs.fwd_ids.tolist()
+        assert table._attrs == [None, None]
+        assert table[1] == columns.attrs[1]
+        assert table[1] is table[1]
+        assert table._attrs[0] is None
+
+    def test_interning_into_a_decoded_table(self, tmp_path):
+        columns = plain_columns()
+        path = tmp_path / "c.rcol"
+        write_chunk(path, columns)
+        table = read_chunk(path).columns.attrs
+        assert table.intern(columns.attrs[1]) == 1
+        assert table.intern(columns.attrs[0]) == 0
+        new = PathAttributes(as_path=AsPath((3561,)), next_hop=7)
+        assert table.intern(new) == 2
+        assert table.tuple_of(2) == attribute_tuple(new)
+        # Same next hop and path as bundle 0: the same forwarding id.
+        assert table.fwd_ids.tolist() == [0, 1, 2]
+        assert table.intern(
+            PathAttributes(as_path=AsPath((701, 1239)), next_hop=7)
+        ) == 3
+        assert table.fwd_ids.tolist() == [0, 1, 2, 0]
+
+    def test_repeated_tuple_is_refused(self):
+        bundle = attribute_tuple(PathAttributes(next_hop=1))
+        with pytest.raises(ValueError):
+            AttributeTable.from_tuples([bundle, bundle])
+
+
+class TestWriteFailures:
+    """A chunk that cannot be written leaves no temp file behind and
+    says which chunk it was."""
+
+    def test_directory_squatting_on_the_chunk_path(self, tmp_path):
+        path = tmp_path / "day-0001.rcol"
+        path.mkdir()
+        with pytest.raises(OSError, match="day-0001.rcol"):
+            write_chunk(path, sample_columns())
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+    def test_disk_full_during_the_write(self, tmp_path, monkeypatch):
+        real_open = open
+
+        class FullDisk:
+            """A file whose second write finds the disk full."""
+
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, chunk):
+                self.writes += 1
+                if self.writes == 2:
+                    self.fh.write(chunk[:100])
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return self.fh.write(chunk)
+
+        monkeypatch.setattr(
+            spill, "open", lambda p, mode: FullDisk(real_open(p, mode)),
+            raising=False,
+        )
+        path = tmp_path / "day-0001.rcol"
+        with pytest.raises(OSError, match="day-0001.rcol") as caught:
+            write_chunk(path, sample_columns())
+        assert caught.value.errno == errno.ENOSPC
+        assert list(tmp_path.iterdir()) == []
 
 
 def plain_columns() -> RecordColumns:
@@ -305,7 +438,6 @@ class TestFooterIsHashedAsWritten:
             verify_chunk(path)
         with pytest.raises(ChunkCorrupt):
             read_chunk(path)
-        assert len(read_chunk(path, verify=False).columns) == 6
 
     def test_digest_not_ascii_is_corrupt(self, tmp_path):
         path = tmp_path / "c.rcol"

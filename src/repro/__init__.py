@@ -3,7 +3,7 @@
 
 The package provides, from the bottom up:
 
-- :mod:`repro.net` — IP prefixes, radix tries, CIDR aggregation;
+- :mod:`repro.net` — IP prefixes and address allocation;
 - :mod:`repro.bgp` — the BGP-4 protocol substrate (messages, wire
   codec, FSM, RIBs, policy, route-flap damping);
 - :mod:`repro.sim` — a discrete-event simulator with the paper's §4.2
@@ -23,8 +23,9 @@ The package provides, from the bottom up:
 
 Quick start::
 
-    from repro.core import CategoryCounts, classify_columns
-    from repro.workloads import TraceGenerator
+    from repro.core.columns import classify_columns
+    from repro.core.instability import CategoryCounts
+    from repro.workloads.generator import TraceGenerator
 
     generator = TraceGenerator(seed=1)
     columns = generator.day_columns(0, pair_fraction=0.01)

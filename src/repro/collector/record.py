@@ -13,11 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from ..bgp.attributes import PathAttributes
-from ..bgp.messages import UpdateMessage
 from ..net.prefix import Prefix
+
+if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cost
+    from ..bgp.messages import UpdateMessage
 
 __all__ = ["UpdateKind", "UpdateRecord", "flatten_update", "PrefixAs"]
 

@@ -1,16 +1,3 @@
 """Experiment runners: one per paper table/figure, plus the headline
-pathology study and the countermeasure ablations."""
-
-from .registry import (
-    SPECS,
-    ExperimentSpec,
-    experiment_ids,
-    run_experiment,
-)
-
-__all__ = [
-    "SPECS",
-    "ExperimentSpec",
-    "experiment_ids",
-    "run_experiment",
-]
+pathology study and the countermeasure ablations; the table of them
+all is :mod:`repro.experiments.registry`."""

@@ -27,10 +27,9 @@ from ..net.prefix import Prefix
 from ..sim.engine import Engine
 from ..sim.flapstorm import FlapStormScenario
 from ..sim.router import CpuModel, Router, connect
-from ..sim.routeserver import RouteServer
+from ..sim.routeserver import ExchangePoint, RouteServer
 from ..sim.sync import SynchronizationStudy
 from ..collector.log import MemoryLog
-from ..topology.exchange import ExchangePoint
 
 __all__ = [
     "run_damping_study",

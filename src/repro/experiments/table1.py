@@ -35,7 +35,7 @@ from ..net.prefix import Prefix
 from ..sim.engine import Engine
 from ..sim.faults import CustomerFlapGenerator, MisconfiguredProvider
 from ..sim.router import Router
-from ..topology.exchange import ExchangePoint
+from ..sim.routeserver import ExchangePoint
 
 __all__ = ["run", "simulate_exchange", "PROVIDER_SPECS"]
 

@@ -40,15 +40,15 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+from ..collector.log import MemoryLog
 from ..core.columns import attribute_tuple, route_state_digest
 from ..net.prefix import Prefix
+from ..topology.exchange import EXCHANGE_POINTS
 from .router import Router
+from .routeserver import ExchangePoint
 
-if TYPE_CHECKING:  # pragma: no cover - typing only; the runtime
-    # imports live in ExchangePartition.build (repro.topology itself
-    # imports repro.sim, and repro.sim.adversary imports this module,
-    # so module-level imports would be circular).
-    from ..topology.exchange import ExchangePoint
+if TYPE_CHECKING:  # pragma: no cover - typing only; repro.sim.adversary
+    # imports this module, so a module-level import would be circular.
     from .adversary import AdversaryConfig
 
 __all__ = [
@@ -289,7 +289,7 @@ class ExchangePartition:
         self.engine = engine
         self.channel = None
         self.sink = None
-        self.exchange: Optional["ExchangePoint"] = None
+        self.exchange: Optional[ExchangePoint] = None
         #: provider index -> this provider's router *at this exchange*.
         self.routers: Dict[int, Router] = {}
         #: provider index -> non-home attended exchanges (home == here).
@@ -303,9 +303,6 @@ class ExchangePartition:
         """Construct routers, sessions, originations, and the home
         flap timetable.  Identical insertions in identical order
         regardless of what else shares the engine."""
-        from ..collector.log import MemoryLog
-        from ..topology.exchange import EXCHANGE_POINTS, ExchangePoint
-
         config = self.config
         self.channel = channel
         self.sink = sink if sink is not None else MemoryLog()

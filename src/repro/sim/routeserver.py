@@ -18,16 +18,20 @@ point" and log every BGP message.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+import random
+import zlib
+from typing import Dict, List, Optional, Set
 
 from ..bgp.messages import UpdateMessage
 from ..bgp.policy import RouteMap
+from ..collector.mrt_rfc import SessionEvent
 from ..collector.record import flatten_update
 from ..net.prefix import Prefix
 from .engine import Engine
+from .link import Link
 from .router import Router
 
-__all__ = ["RouteServer"]
+__all__ = ["RouteServer", "ExchangePoint"]
 
 
 class RouteServer(Router):
@@ -76,8 +80,6 @@ class RouteServer(Router):
     def _record_session_event(
         self, peer_id: int, old_state: str, new_state: str
     ) -> None:
-        from ..collector.mrt_rfc import SessionEvent
-
         self.session_events.append(
             SessionEvent(
                 time=self.engine.now,
@@ -127,3 +129,85 @@ class RouteServer(Router):
     def _send_table_dump(self, peer_id: int) -> None:
         if self.readvertise:
             super()._send_table_dump(peer_id)
+
+
+class ExchangePoint:
+    """A simulated public exchange: provider routers, a shared fabric,
+    and a Routing Arbiter route server logging to ``sink``.
+
+    The fabric is modelled as point-to-point links (the real FDDI/ATM
+    fabrics carried bilateral BGP sessions; the link abstraction per
+    peering matches that).  ``full_mesh=True`` adds the O(N²) bilateral
+    provider peerings; with False only the provider↔route-server
+    sessions exist (the O(N) route-server configuration of §3).  The
+    static facts of the five measured exchanges are
+    :data:`repro.topology.exchange.EXCHANGE_POINTS`.
+    """
+
+    __slots__ = (
+        "engine",
+        "name",
+        "sink",
+        "full_mesh",
+        "link_delay",
+        "rng",
+        "route_server",
+        "providers",
+    )
+
+    def __init__(
+        self,
+        engine: Engine,
+        name: str = "Mae-East",
+        sink=None,
+        server_asn: int = 65000,
+        full_mesh: bool = True,
+        link_delay: float = 0.005,
+        rng: Optional[random.Random] = None,
+    ) -> None:
+        self.engine = engine
+        self.name = name
+        self.sink = sink
+        self.full_mesh = full_mesh
+        self.link_delay = link_delay
+        # crc32, not hash(): str hashes are PYTHONHASHSEED-salted, so
+        # the default seed would differ on every run (DET004).
+        self.rng = rng or random.Random(zlib.crc32(name.encode()) & 0xFFFF)
+        self.route_server = RouteServer(
+            engine,
+            asn=server_asn,
+            router_id=(10 << 24) | 0xFFFF,
+            sink=sink,
+            name=f"{name}-rs",
+        )
+        self.providers: List[Router] = []
+
+    def attach_provider(self, router: Router, start: bool = True) -> None:
+        """Connect a provider border router to the exchange.
+
+        Peers it with the route server and (in full-mesh mode) with all
+        previously attached providers.
+        """
+        server_link = Link(self.engine, delay=self.link_delay)
+        router.add_peer(
+            self.route_server.router_id, self.route_server.asn, server_link
+        )
+        self.route_server.add_peer(router.router_id, router.asn, server_link)
+        if start:
+            router.start_session(self.route_server.router_id)
+        if self.full_mesh:
+            for other in self.providers:
+                link = Link(self.engine, delay=self.link_delay)
+                router.add_peer(other.router_id, other.asn, link)
+                other.add_peer(router.router_id, router.asn, link)
+                if start:
+                    router.start_session(other.router_id)
+        self.providers.append(router)
+
+    @property
+    def session_count(self) -> int:
+        """Configured peering sessions (the O(N²) vs O(N) contrast)."""
+        n = len(self.providers)
+        if self.full_mesh:
+            return n + n * (n - 1) // 2
+        return n

@@ -23,8 +23,8 @@ from ..collector.log import MemoryLog
 from ..net.prefix import Prefix
 from ..sim.engine import Engine
 from ..sim.router import Router
+from ..sim.routeserver import ExchangePoint
 from .asgraph import AsGraph, AsNode, Tier, build_internet_graph
-from .exchange import ExchangePoint
 
 __all__ = ["CoreInternetScenario"]
 

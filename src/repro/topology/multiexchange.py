@@ -29,7 +29,7 @@ from ..core.instability import CategoryCounts
 from ..net.prefix import Prefix
 from ..sim.engine import Engine
 from ..sim.router import Router
-from .exchange import EXCHANGE_POINTS, ExchangePoint
+from ..sim.routeserver import ExchangePoint
 
 __all__ = ["BackboneProvider", "MultiExchangeScenario"]
 

@@ -159,14 +159,15 @@ class TestReportRendering:
         """cmd_report over a stubbed registry produces a valid file."""
         import repro.__main__ as cli
         from repro.core.report import ExperimentResult
+        from repro.experiments import registry
 
         def fake_run(name, config=None):
             result = ExperimentResult(name, "stub")
             result.record("x", 1, expect=(0, 2))
             return result
 
-        monkeypatch.setattr(cli, "experiment_ids", lambda: ["figure1"])
-        monkeypatch.setattr(cli, "run_experiment", fake_run)
+        monkeypatch.setattr(registry, "experiment_ids", lambda: ["figure1"])
+        monkeypatch.setattr(registry, "run_experiment", fake_run)
         output = tmp_path / "EXP.md"
         assert cli.cmd_report(str(output)) == 0
         text = output.read_text()

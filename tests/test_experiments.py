@@ -8,12 +8,6 @@ that the machinery (runners, result rendering, registry) behaves.
 import pytest
 
 from repro.core.report import ExperimentResult
-from repro.experiments import (
-    SPECS,
-    ExperimentSpec,
-    experiment_ids,
-    run_experiment,
-)
 from repro.experiments import figure1, figure4, figure10, table1
 from repro.experiments.ablations import (
     run_damping_study,
@@ -23,6 +17,12 @@ from repro.experiments.figure3 import run as run_figure3
 from repro.experiments.pathology import (
     run_crash_experiment,
     run_stateless_comparison,
+)
+from repro.experiments.registry import (
+    SPECS,
+    ExperimentSpec,
+    experiment_ids,
+    run_experiment,
 )
 
 

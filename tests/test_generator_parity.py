@@ -34,13 +34,9 @@ from repro.campaign.runner import run_campaign
 from repro.core.columns import AttributeTable
 from repro.verify.golden import FUZZ_SEEDS
 from repro.verify.refgen import ReferenceTraceGenerator, reference_twin
-from repro.workloads import (
-    DiurnalModel,
-    Incident,
-    IncidentSchedule,
-    TraceGenerator,
-)
-from repro.workloads.generator import campaign_generator
+from repro.workloads.diurnal import DiurnalModel
+from repro.workloads.generator import TraceGenerator, campaign_generator
+from repro.workloads.incidents import Incident, IncidentSchedule
 
 # Small population: ~13k records/day keeps every parity sweep fast
 # while still exercising the WWDup flood path (~95% of records).

@@ -27,14 +27,14 @@ from repro.core.columns import AttributeTable
 from repro.core.taxonomy import UpdateCategory
 from repro.verify.golden import FUZZ_SEEDS
 from repro.verify.refgen import reference_twin
-from repro.workloads import IncidentSchedule, TraceGenerator
 from repro.workloads import generator as generator_module
 from repro.workloads.generator import (
+    TraceGenerator,
     _burst_lengths,
     _ColumnSink,
     _DrawStream,
 )
-from repro.workloads.incidents import BINS_PER_DAY
+from repro.workloads.incidents import BINS_PER_DAY, IncidentSchedule
 
 from .test_generator_parity import columns_digest, small_generator
 

@@ -1,0 +1,122 @@
+"""The import graph: an entry point loads only the modules its call runs.
+
+Each check runs in a fresh interpreter, so ``sys.modules`` holds exactly
+what the entry point's imports pulled in.  The campaign runner must
+not load the simulator, the BGP protocol machinery, the MRT codecs or
+the spectral analyses, and the archive reader neither the simulator
+nor the generator; a package ``__init__`` imports nothing, so
+importing one module of a package loads that module and its own
+imports only.  And every import happens at start-up: a call that
+imported a ``repro`` module for the first time would be paying compile
+time inside the work it is timed on.
+"""
+
+import json
+
+import pytest
+
+from repro.collector.log import FileLog
+from repro.core.columns import AttributeTable
+from repro.workloads.generator import campaign_generator
+
+from .test_topology import _in_child
+
+
+def _imported_by(code, setup=""):
+    """The ``repro`` modules that running ``code`` imports for the
+    first time, in a fresh interpreter that ran ``setup`` first."""
+    done = _in_child(
+        "import json, sys\n" + setup
+        + "before = set(sys.modules)\n" + code
+        + "print(json.dumps(sorted(m for m in set(sys.modules) - before "
+        "if m.startswith('repro'))))\n"
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def _allowed_for_campaign(module):
+    if module.startswith("repro.sim"):
+        return False
+    if module.startswith("repro.bgp."):
+        return module == "repro.bgp.attributes"
+    if module.startswith("repro.collector.mrt"):
+        return False
+    if module.startswith("repro.analysis."):
+        return module in ("repro.analysis.interarrival",
+                          "repro.analysis.timeseries")
+    return True
+
+
+class TestStatisticalTierLoadsNoSimulator:
+    def test_campaign_loads_only_the_campaign_path(self):
+        loaded = _imported_by("import repro.campaign\n")
+        assert "repro.campaign.runner" in loaded
+        assert [m for m in loaded if not _allowed_for_campaign(m)] == []
+
+    def test_archive_reader_loads_no_simulator_or_generator(self):
+        loaded = _imported_by("import repro.collector.log\n")
+        assert "repro.collector.mrt" in loaded
+        assert [
+            m for m in loaded
+            if m.startswith(("repro.sim", "repro.workloads"))
+        ] == []
+
+
+#: (start-up, timed call) of each entry point; ``{archive}`` is the path
+#: of a small archive the test writes first.
+CALLS = {
+    "run_campaign": (
+        "from repro.campaign import CampaignConfig, run_campaign\n"
+        "config = CampaignConfig(days=2, shards=2, n_peers=8, "
+        "total_prefixes=240, seed=5)\n",
+        "result = run_campaign(config, workers=1)\n"
+        "result.daily_totals(); result.affected_fractions()\n"
+        "result.timer_mass; result.partial.interarrival_proportions()\n",
+    ),
+    "simulate": (
+        "from repro.sim import simulate\n",
+        "simulate('sync_population', engine='calendar', smoke=True, "
+        "seed=3)\n",
+    ),
+    "exchange_day": (
+        "from dataclasses import replace\n"
+        "from repro.analysis.detection import detect_records_columnar\n"
+        "from repro.sim import (Engine, day_config, "
+        "run_exchange_day_records, scenario_relationships)\n"
+        "config = replace(day_config(smoke=True, seed=3), duration=300.0)\n",
+        "_, _, records = run_exchange_day_records(Engine, config)\n"
+        "detect_records_columnar(records, scenario_relationships(config))\n",
+    ),
+    "archive": (
+        "from repro.analysis.timeseries import bin_records\n"
+        "from repro.collector.log import FileLog\n"
+        "from repro.core.columns import AttributeTable, ColumnClassifier\n"
+        "from repro.core.instability import CategoryCounts\n"
+        "log = FileLog({archive!r})\n",
+        "classifier = ColumnClassifier()\n"
+        "for batch in log.iter_column_batches(512, AttributeTable()):\n"
+        "    CategoryCounts.from_codes(*classifier.classify(batch))\n"
+        "    bin_records(batch, 600.0, end=86400.0)\n",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def archive(tmp_path_factory):
+    path = tmp_path_factory.mktemp("archive") / "day.rril"
+    generator = campaign_generator(
+        n_peers=8, total_prefixes=240, population_seed=1
+    )
+    columns = generator.day_columns(0, pair_fraction=0.1,
+                                    attrs=AttributeTable())
+    assert len(columns)
+    with FileLog(path).writer() as log:
+        log.extend_columns(columns)
+    return path
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_call_imports_nothing_new(name, archive):
+    setup, call = CALLS[name]
+    assert _imported_by(call, setup.format(archive=str(archive))) == []

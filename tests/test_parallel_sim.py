@@ -16,20 +16,20 @@ import warnings
 import pytest
 
 from repro.__main__ import main as repro_main
-from repro.sim import (
+from repro.sim.engine import Engine, SimulationError
+from repro.sim.flapstorm import FlapStormScenario
+from repro.sim.parallel import ParallelDriver
+from repro.sim.partition import ExchangeDayConfig
+from repro.sim.refengine import ReferenceEngine
+from repro.sim.scenarios import (
     DAY_SCENARIOS,
     SCENARIOS,
-    Engine,
-    EventScheduler,
-    ExchangeDayConfig,
-    FlapStormScenario,
-    ParallelDriver,
-    ReferenceEngine,
-    SimulationError,
-    SynchronizationStudy,
+    day_config,
+    run_exchange_day,
     simulate,
 )
-from repro.sim.scenarios import day_config, run_exchange_day
+from repro.sim.scheduler import EventScheduler
+from repro.sim.sync import SynchronizationStudy
 from repro.verify.golden import FUZZ_SEEDS, TRACE_SEED
 
 

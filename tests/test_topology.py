@@ -10,15 +10,12 @@ from pathlib import Path
 import pytest
 
 from repro.topology.asgraph import Tier, build_internet_graph
-from repro.topology.exchange import (
-    EXCHANGE_POINTS,
-    ExchangePoint,
-    exchange_by_name,
-)
+from repro.topology.exchange import EXCHANGE_POINTS, exchange_by_name
 from repro.topology.internet import CoreInternetScenario
 from repro.topology.multihoming import MultihomingGrowthModel
 from repro.sim.engine import Engine
 from repro.sim.router import Router
+from repro.sim.routeserver import ExchangePoint
 
 
 class TestExchangeInfo:
@@ -99,8 +96,8 @@ class TestAsGraph:
         assert len({p.network >> 9 for p in specifics}) > 0.9 * len(specifics)
 
 
-#: The packages the CLI, the simulator, the campaign runner and every
-#: ``perf`` workload enter through; each reaches ``topology/asgraph.py``.
+#: The modules the CLI, the simulator, the campaign runner and every
+#: ``perf`` workload enter through.
 ENTRY_POINTS = (
     "repro.sim", "repro.campaign", "repro.collector.log", "repro.__main__",
 )
@@ -126,7 +123,7 @@ class TestNetworkxIsImportedWhereItIsUsed:
             "import sys\n"
             "sys.modules['networkx'] = None\n"
             f"import {', '.join(ENTRY_POINTS)}\n"
-            "from repro.topology import build_internet_graph\n"
+            "from repro.topology.asgraph import build_internet_graph\n"
             "try:\n"
             "    build_internet_graph()\n"
             "except ImportError:\n"
@@ -140,7 +137,7 @@ class TestNetworkxIsImportedWhereItIsUsed:
             "import sys\n"
             f"import {', '.join(ENTRY_POINTS)}\n"
             "print('networkx' in sys.modules)\n"
-            "from repro.topology import build_internet_graph\n"
+            "from repro.topology.asgraph import build_internet_graph\n"
             "build_internet_graph(n_customers=4)\n"
             "print('networkx' in sys.modules)\n"
         )

@@ -19,7 +19,7 @@ from repro.analysis.interarrival import (
     interarrival_times,
     timer_bin_mass,
 )
-from repro.collector.log import MemoryLog
+from repro.collector.record import MemoryLog
 from repro.core.columns import RecordColumns
 from repro.net.prefix import Prefix
 from repro.sim.engine import Engine

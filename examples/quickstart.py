@@ -13,7 +13,7 @@ This walks the library's central loop in miniature:
 Run:  python examples/quickstart.py
 """
 
-from repro.collector.log import MemoryLog
+from repro.collector.record import MemoryLog
 from repro.core.columns import (
     RecordColumns,
     classify_columns,

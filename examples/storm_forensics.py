@@ -13,11 +13,8 @@ Run:  python examples/storm_forensics.py
 import io
 
 from repro.analysis.storms import detect_storms, flap_rate_series
-from repro.collector.mrt_rfc import (
-    SessionEvent,
-    read_state_changes,
-    write_state_changes,
-)
+from repro.collector.mrt_rfc import read_state_changes, write_state_changes
+from repro.collector.record import SessionEvent
 from repro.sim.flapstorm import FlapStormScenario
 from repro.sim.router import CpuModel
 

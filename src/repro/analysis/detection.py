@@ -22,10 +22,11 @@ taxonomy that flags, per update record:
     attack).
 ``VALLEY_VIOLATION``
     The AS path violates the Gao-Rexford valley-free export rule given
-    a declared :class:`AsRelationships` topology — the route-leak
-    signature.  The observer (route server / collector) session is a
-    peering session, so a path whose last hop learned the route from a
-    provider or peer and exported it to us is a leak.
+    a declared :class:`~repro.topology.relationships.AsRelationships`
+    topology — the route-leak signature.  The observer (route server /
+    collector) session is a peering session, so a path whose last hop
+    learned the route from a provider or peer and exported it to us is
+    a leak.
 ``FORGED_EDGE``
     The AS path contains an adjacency absent from the declared
     topology — AS-path forgery.  Forged paths are not valley-checked
@@ -60,6 +61,7 @@ import numpy as np
 from ..collector.record import UpdateKind, UpdateRecord
 from ..core.columns import NO_ATTR, AttributeTable, ColumnClassifier, RecordColumns
 from ..core.taxonomy import INSTABILITY_CATEGORIES, UpdateCategory
+from ..topology.relationships import AsRelationships
 
 __all__ = [
     "FLAGS",
@@ -69,7 +71,6 @@ __all__ = [
     "SUBPREFIX_DEAGG",
     "VALLEY_VIOLATION",
     "FORGED_EDGE",
-    "AsRelationships",
     "ColumnDetector",
     "DetectionResult",
     "detect_records_columnar",
@@ -96,42 +97,6 @@ FLAGS: Tuple[Tuple[int, str], ...] = (
     (VALLEY_VIOLATION, "valley_violation"),
     (FORGED_EDGE, "forged_edge"),
 )
-
-
-class AsRelationships:
-    """Declared inter-AS business relationships (Gao-Rexford model).
-
-    ``hop(u, v)`` is the direction a route travels when AS ``u``
-    exports it to AS ``v``: ``"up"`` (customer to provider), ``"down"``
-    (provider to customer), ``"peer"``, or ``None`` for an adjacency
-    that does not exist.  :meth:`edges` exports the map as a plain
-    dict — the form the dependency-free verify oracle consumes, so the
-    two sides provably evaluate the same topology.
-    """
-
-    __slots__ = ("_hops",)
-
-    def __init__(self) -> None:
-        self._hops: Dict[Tuple[int, int], str] = {}
-
-    def add_provider(self, provider: int, customer: int) -> None:
-        """Declare ``provider`` sells transit to ``customer``."""
-        self._hops[(customer, provider)] = "up"
-        self._hops[(provider, customer)] = "down"
-
-    def add_peer(self, a: int, b: int) -> None:
-        self._hops[(a, b)] = "peer"
-        self._hops[(b, a)] = "peer"
-
-    def hop(self, u: int, v: int) -> Optional[str]:
-        return self._hops.get((u, v))
-
-    def edges(self) -> Dict[Tuple[int, int], str]:
-        """A plain ``{(u, v): "up"|"down"|"peer"}`` copy."""
-        return dict(self._hops)
-
-    def __len__(self) -> int:
-        return len(self._hops)
 
 
 def path_flags(path: Sequence[int], topology: Optional[AsRelationships]) -> int:

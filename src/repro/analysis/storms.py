@@ -7,7 +7,7 @@ of the Internet.  Several route flap storms in the past year have
 caused extended outages for several million network customers."
 
 Given the session-transition log a collector keeps (see
-:class:`~repro.collector.mrt_rfc.SessionEvent` and
+:class:`~repro.collector.record.SessionEvent` and
 :attr:`~repro.sim.routeserver.RouteServer.session_events`), this module
 detects and characterizes storms:
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, List, Sequence, Set
 
-from ..collector.mrt_rfc import SessionEvent
+from ..collector.record import SessionEvent
 
 __all__ = ["StormEpisode", "session_loss_bursts", "detect_storms",
            "flap_rate_series"]

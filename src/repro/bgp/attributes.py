@@ -23,6 +23,7 @@ __all__ = [
     "Origin",
     "PathAttributes",
     "WELL_KNOWN_COMMUNITIES",
+    "attribute_tuple",
     "interned",
 ]
 
@@ -177,6 +178,17 @@ class PathAttributes:
         return replace(
             self, communities=self.communities | frozenset(communities)
         )
+
+
+def attribute_tuple(attrs: PathAttributes) -> tuple:
+    """One bundle as the plain tuple ``(next_hop, as_path, origin, med,
+    local_pref, communities, atomic_aggregate, aggregator)``, equal
+    exactly when the bundles are: what the classifier carries,
+    :func:`~repro.core.routestate.route_state_digest` renders and a
+    chunk footer decodes to."""
+    return (attrs.next_hop, tuple(attrs.as_path), int(attrs.origin),
+            attrs.med, attrs.local_pref, tuple(sorted(attrs.communities)),
+            attrs.atomic_aggregate, attrs.aggregator)
 
 
 #: Cap on the interning pool; cleared wholesale when hit so pathological

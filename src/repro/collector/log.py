@@ -1,11 +1,11 @@
 """Update-log sinks and sources.
 
 A *sink* is anywhere the simulator's route servers write observed
-updates; a *source* replays them into analyses.  Three sinks are
-provided:
+updates; a *source* replays them into analyses.  The in-process
+list, :class:`~repro.collector.record.MemoryLog`, sits beside the
+record type so the simulator loads no codec; this module holds the
+other two sinks:
 
-- :class:`MemoryLog` — in-process list, the default for tests and
-  short simulations.
 - :class:`FileLog` — streaming MRT-flavoured archive on disk, for
   long-horizon generated traces.
 - :class:`CountingLog` — keeps only aggregate counters (per peer, per
@@ -19,37 +19,12 @@ from __future__ import annotations
 
 from collections import Counter
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Union
+from typing import Dict, Iterable, Iterator, Union
 
-from .mrt import read_records, write_records
+from .mrt import read_records
 from .record import UpdateKind, UpdateRecord
 
-__all__ = ["MemoryLog", "FileLog", "CountingLog"]
-
-
-class MemoryLog:
-    """An in-memory update log (list-backed)."""
-
-    def __init__(self) -> None:
-        self.records: List[UpdateRecord] = []
-
-    def append(self, record: UpdateRecord) -> None:
-        self.records.append(record)
-
-    def extend(self, records: Iterable[UpdateRecord]) -> None:
-        self.records.extend(records)
-
-    def __iter__(self) -> Iterator[UpdateRecord]:
-        return iter(self.records)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def sorted_by_time(self) -> List[UpdateRecord]:
-        return sorted(self.records, key=lambda r: r.time)
-
-    def clear(self) -> None:
-        self.records.clear()
+__all__ = ["FileLog", "CountingLog"]
 
 
 class FileLog:

@@ -27,13 +27,12 @@ from typing import BinaryIO, Iterable, Iterator
 from ..bgp.messages import UpdateMessage
 from ..bgp.wire import WireError, encode_message
 from .mrt import PayloadMemo
-from .record import UpdateKind, UpdateRecord, update_rows
+from .record import SessionEvent, UpdateKind, UpdateRecord, update_rows
 
 __all__ = [
     "MRT_TYPE_BGP4MP",
     "write_bgp4mp",
     "read_bgp4mp",
-    "SessionEvent",
     "write_state_changes",
     "read_state_changes",
 ]
@@ -158,28 +157,6 @@ _FSM_CODES = {
     "ESTABLISHED": 6,
 }
 _FSM_NAMES = {code: name for name, code in _FSM_CODES.items()}
-
-from dataclasses import dataclass  # noqa: E402  (module-local import style)
-
-
-@dataclass(frozen=True)
-class SessionEvent:
-    """One peering-session FSM transition observed at a collector.
-
-    The Routing Arbiter logged these alongside updates; they are the
-    raw material of route-flap-storm forensics (a storm is a burst of
-    Established→Idle transitions across many peers).
-    """
-
-    time: float
-    peer_id: int
-    peer_asn: int
-    old_state: str
-    new_state: str
-
-    @property
-    def is_session_loss(self) -> bool:
-        return self.old_state == "ESTABLISHED" and self.new_state != "ESTABLISHED"
 
 
 def write_state_changes(

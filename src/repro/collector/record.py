@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Tuple
 
 from ..bgp.attributes import PathAttributes
 from ..net.prefix import Prefix
@@ -21,7 +21,14 @@ from ..net.prefix import Prefix
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cost
     from ..bgp.messages import UpdateMessage
 
-__all__ = ["UpdateKind", "UpdateRecord", "flatten_update", "PrefixAs"]
+__all__ = [
+    "MemoryLog",
+    "PrefixAs",
+    "SessionEvent",
+    "UpdateKind",
+    "UpdateRecord",
+    "flatten_update",
+]
 
 
 class UpdateKind(IntEnum):
@@ -111,3 +118,54 @@ def flatten_update(
         UpdateRecord(time, peer_id, peer_asn, prefix, kind, attributes)
         for prefix, kind, attributes in update_rows(message)
     ]
+
+
+class MemoryLog:
+    """An in-memory update log (list-backed): the sink the simulator's
+    route servers write by default.  The on-disk archive sinks are in
+    :mod:`repro.collector.log`."""
+
+    __slots__ = ("records",)
+
+    def __init__(self) -> None:
+        self.records: List[UpdateRecord] = []
+
+    def append(self, record: UpdateRecord) -> None:
+        self.records.append(record)
+
+    def extend(self, records: Iterable[UpdateRecord]) -> None:
+        self.records.extend(records)
+
+    def __iter__(self) -> Iterator[UpdateRecord]:
+        return iter(self.records)
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def sorted_by_time(self) -> List[UpdateRecord]:
+        return sorted(self.records, key=lambda r: r.time)
+
+    def clear(self) -> None:
+        self.records.clear()
+
+
+@dataclass(frozen=True, slots=True)
+class SessionEvent:
+    """One peering-session FSM transition observed at a collector.
+
+    The Routing Arbiter logged these alongside updates; they are the
+    raw material of route-flap-storm forensics (a storm is a burst of
+    Established→Idle transitions across many peers).
+    :mod:`repro.collector.mrt_rfc` archives them as RFC 6396
+    BGP4MP_STATE_CHANGE records.
+    """
+
+    time: float
+    peer_id: int
+    peer_asn: int
+    old_state: str
+    new_state: str
+
+    @property
+    def is_session_loss(self) -> bool:
+        return self.old_state == "ESTABLISHED" and self.new_state != "ESTABLISHED"

@@ -37,14 +37,14 @@ held to.  Conversions to and from
 
 from __future__ import annotations
 
-import hashlib
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..bgp.attributes import AsPath, Origin, PathAttributes
+from ..bgp.attributes import AsPath, Origin, PathAttributes, attribute_tuple
 from ..collector.record import UpdateKind, UpdateRecord
 from ..net.prefix import Prefix
+from .routestate import route_state_digest
 from .taxonomy import UpdateCategory
 
 __all__ = [
@@ -54,14 +54,12 @@ __all__ = [
     "AttributeTable",
     "RecordColumns",
     "ColumnClassifier",
-    "attribute_tuple",
     "classify_columns",
     "decode_categories",
     "first_of_run",
     "group_order",
     "prefix_key",
     "route_groups",
-    "route_state_digest",
     "stable_argsort",
 ]
 
@@ -102,16 +100,6 @@ CATEGORY_OF_CODE: Tuple[Optional[UpdateCategory], ...] = (None,) + tuple(
 def decode_categories(codes: np.ndarray) -> List[UpdateCategory]:
     """Numeric category codes → :class:`UpdateCategory` objects."""
     return [CATEGORY_OF_CODE[int(code)] for code in codes]
-
-
-def attribute_tuple(attrs: PathAttributes) -> tuple:
-    """One bundle as the plain tuple ``(next_hop, as_path, origin, med,
-    local_pref, communities, atomic_aggregate, aggregator)``, equal
-    exactly when the bundles are: what the classifier carries,
-    :func:`route_state_digest` renders and a chunk footer decodes to."""
-    return (attrs.next_hop, tuple(attrs.as_path), int(attrs.origin),
-            attrs.med, attrs.local_pref, tuple(sorted(attrs.communities)),
-            attrs.atomic_aggregate, attrs.aggregator)
 
 
 class AttributeTable:
@@ -508,32 +496,6 @@ _CODE_LUT = _build_code_lut()
 _AADUP_CODE = np.uint8(UpdateCategory.AADUP.value)
 
 
-def route_state_digest(
-    entries: Iterable[tuple],
-) -> str:
-    """SHA-256 over normalized per-route classifier state.
-
-    ``entries`` are ``((peer_id, network, length), reachable,
-    ever_announced, attribute_tuple or None)``; order does not matter
-    (entries are sorted by key here).  Equal states — however they are
-    keyed internally — produce equal digests, so the verify layer can
-    prove that a stream classified at different batchings carries the
-    same state forward, and the simulator's partition digests can pin
-    router state the same way.
-    """
-    digest = hashlib.sha256()
-    for key, reachable, ever_announced, attrs in sorted(
-        entries, key=lambda entry: entry[0]
-    ):
-        rendered = "-" if attrs is None else repr(attrs)
-        line = (
-            f"{key[0]}|{key[1]}|{key[2]}"
-            f"|{int(reachable)}|{int(ever_announced)}|{rendered}\n"
-        )
-        digest.update(line.encode("ascii"))
-    return digest.hexdigest()
-
-
 class _CarryState:
     """Cross-batch classifier memory for one (peer, prefix) pair."""
 
@@ -696,8 +658,9 @@ class ColumnClassifier:
 
     def state_digest(self) -> str:
         """Digest of all per-route state (see
-        :func:`route_state_digest`) — equal classifier states give
-        equal digests regardless of how the stream was batched."""
+        :func:`~repro.core.routestate.route_state_digest`) — equal
+        classifier states give equal digests regardless of how the
+        stream was batched."""
         return route_state_digest(
             (
                 key,

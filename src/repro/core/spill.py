@@ -127,7 +127,7 @@ def attributes_payload(table: AttributeTable) -> List[dict]:
 
 def attributes_from_payload(entries: List[dict]) -> AttributeTable:
     """The inverse of :func:`attributes_payload`, in the tuple form of
-    :func:`~repro.core.columns.attribute_tuple`; a malformed entry, an
+    :func:`~repro.bgp.attributes.attribute_tuple`; a malformed entry, an
     out-of-range value or a repeated bundle is :class:`ChunkCorrupt`."""
     try:
         tuples = [

@@ -29,7 +29,7 @@ from ..sim.flapstorm import FlapStormScenario
 from ..sim.router import CpuModel, Router, connect
 from ..sim.routeserver import ExchangePoint, RouteServer
 from ..sim.sync import SynchronizationStudy
-from ..collector.log import MemoryLog
+from ..collector.record import MemoryLog
 
 __all__ = [
     "run_damping_study",

@@ -28,7 +28,7 @@ from ..analysis.interarrival import (
     interarrival_times,
     timer_bin_mass,
 )
-from ..collector.log import MemoryLog
+from ..collector.record import MemoryLog
 from ..core.columns import RecordColumns
 from ..core.report import ExperimentResult, Series, Table
 from ..core.taxonomy import FINE_GRAINED_CATEGORIES, UpdateCategory

@@ -21,7 +21,7 @@ from ..core.columns import classify_columns
 from ..core.instability import CategoryCounts, persistence
 from ..core.report import ExperimentResult, Table
 from ..core.taxonomy import PATHOLOGICAL_CATEGORIES, UpdateCategory
-from ..collector.log import MemoryLog
+from ..collector.record import MemoryLog
 from ..net.prefix import Prefix
 from ..sim.engine import Engine
 from ..sim.faults import MisconfiguredProvider

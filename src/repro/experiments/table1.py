@@ -29,7 +29,8 @@ import random
 from typing import Dict
 
 from ..bgp.policy import MatchCondition, PolicyTerm, RouteMap
-from ..collector.log import CountingLog, MemoryLog
+from ..collector.log import CountingLog
+from ..collector.record import MemoryLog
 from ..core.report import ExperimentResult, Table
 from ..net.prefix import Prefix
 from ..sim.engine import Engine

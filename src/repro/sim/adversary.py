@@ -43,9 +43,9 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from ..analysis.detection import AsRelationships
 from ..bgp.attributes import AsPath, PathAttributes
 from ..net.prefix import Prefix
+from ..topology.relationships import AsRelationships
 from .engine import SimulationError
 from .partition import ExchangeDayConfig, _derive
 

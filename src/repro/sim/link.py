@@ -147,16 +147,14 @@ class Link:
         # delivery removes its own, so exactly one queued handle is
         # fired: this message's.  A fixed delay delivers in send order,
         # which makes it the head; the search only runs if ``delay``
-        # was shortened while messages were in flight.
+        # was shortened while messages were in flight.  A delivery only
+        # fires on an up link: :meth:`go_down` cancels every handle
+        # still in flight.
         in_flight = self._in_flight
         if in_flight[0].fired:
             in_flight.popleft()
         else:
             in_flight.remove(next(h for h in in_flight if h.fired))
-        # Link may have dropped while the message was in flight.
-        if not self.is_up:
-            self.messages_lost += 1
-            return
         self.messages_delivered += 1
         if self.wire:
             message, _ = self._decode(message)

@@ -40,8 +40,9 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from ..collector.log import MemoryLog
-from ..core.columns import attribute_tuple, route_state_digest
+from ..bgp.attributes import attribute_tuple
+from ..collector.record import MemoryLog
+from ..core.routestate import route_state_digest
 from ..net.prefix import Prefix
 from ..topology.exchange import EXCHANGE_POINTS
 from .router import Router

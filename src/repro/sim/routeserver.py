@@ -24,8 +24,7 @@ from typing import Dict, List, Optional, Set
 
 from ..bgp.messages import UpdateMessage
 from ..bgp.policy import RouteMap
-from ..collector.mrt_rfc import SessionEvent
-from ..collector.record import flatten_update
+from ..collector.record import SessionEvent, flatten_update
 from ..net.prefix import Prefix
 from .engine import Engine
 from .link import Link
@@ -74,7 +73,7 @@ class RouteServer(Router):
         self.client_policies = dict(client_policies or {})
         self.records_logged = 0
         #: Session FSM transitions observed (for storm forensics);
-        #: list of :class:`~repro.collector.mrt_rfc.SessionEvent`.
+        #: list of :class:`~repro.collector.record.SessionEvent`.
         self.session_events = []
 
     def _record_session_event(

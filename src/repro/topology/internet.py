@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional
 
-from ..collector.log import MemoryLog
+from ..collector.record import MemoryLog
 from ..net.prefix import Prefix
 from ..sim.engine import Engine
 from ..sim.router import Router

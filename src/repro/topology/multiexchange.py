@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..collector.log import MemoryLog
+from ..collector.record import MemoryLog
 from ..core.columns import RecordColumns, classify_columns
 from ..core.instability import CategoryCounts
 from ..net.prefix import Prefix

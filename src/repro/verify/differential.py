@@ -27,17 +27,14 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..analysis.detection import (
-    AsRelationships,
-    detect_records_columnar,
-    detection_digest,
-)
+from ..analysis.detection import detect_records_columnar, detection_digest
 from ..core.columns import (
     AttributeTable,
     CATEGORY_OF_CODE,
     ColumnClassifier,
     RecordColumns,
 )
+from ..topology.relationships import AsRelationships
 from .reference import (
     DETECTION_FLAGS,
     reference_classify,

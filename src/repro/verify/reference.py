@@ -243,7 +243,7 @@ def _reference_path_flags(path: tuple, edges) -> int:
 
     ``edges`` maps ``(u, v) -> "up" | "down" | "peer"`` — the direction
     a route travels when ``u`` exports it to ``v`` (the plain-dict form
-    of :meth:`repro.analysis.detection.AsRelationships.edges`).  The
+    of :meth:`repro.topology.relationships.AsRelationships.edges`).  The
     final export to the observing collector is a peering session, so a
     route is a leak (valley) whenever an up or peer hop follows any
     non-up hop — including that implicit last one.

@@ -30,6 +30,7 @@ from typing import Callable, Dict, List, Tuple
 from ..bgp.attributes import AsPath, PathAttributes
 from ..collector.record import UpdateKind, UpdateRecord
 from ..net.prefix import Prefix
+from ..topology.relationships import AsRelationships
 
 __all__ = [
     "FuzzStream",
@@ -358,7 +359,7 @@ _DET_FORGED = 8999  # declared nowhere
 def detection_topology():
     """The declared AS relationships behind every generated stream.
 
-    Returns :class:`repro.analysis.detection.AsRelationships`; pass
+    Returns :class:`repro.topology.relationships.AsRelationships`; pass
     ``.edges()`` to the dependency-free oracle.  Fuzz-vocabulary paths
     (``(asn, 3000+asn)``, ``(asn, 5000+asn, 3000+asn)``, the shared
     ``(asn, 9001)``) are all declared as customer chains, so plain fuzz
@@ -366,8 +367,6 @@ def detection_topology():
     one transit with a provider and a lateral peer, making valleys and
     forgeries constructible on demand.
     """
-    from ..analysis.detection import AsRelationships
-
     topology = AsRelationships()
     for _, asn in _peers(8):
         topology.add_provider(asn, 3000 + asn)

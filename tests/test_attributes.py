@@ -4,8 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.bgp.attributes import AsPath, Origin, PathAttributes
-from repro.core.columns import AttributeTable, attribute_tuple
+from repro.bgp.attributes import (
+    AsPath,
+    Origin,
+    PathAttributes,
+    attribute_tuple,
+)
+from repro.core.columns import AttributeTable
 
 
 asns = st.integers(min_value=1, max_value=65535)

@@ -31,7 +31,7 @@ from repro.campaign import (
     run_shard,
 )
 from repro.analysis.interarrival import interarrival_times
-from repro.bgp.attributes import PathAttributes
+from repro.bgp.attributes import PathAttributes, attribute_tuple
 from repro.campaign import ShardAccumulator
 from repro.collector.record import UpdateKind
 from repro.core.columns import (
@@ -40,7 +40,6 @@ from repro.core.columns import (
     AttributeTable,
     ColumnClassifier,
     RecordColumns,
-    attribute_tuple,
 )
 from repro.core.instability import (
     CategoryCounts,

@@ -11,7 +11,7 @@ from repro.bgp.attributes import AsPath, PathAttributes
 from repro.bgp.messages import KeepAliveMessage, UpdateMessage
 from repro.bgp.wire import encode_message
 from repro.collector import mrt
-from repro.collector.log import CountingLog, FileLog, MemoryLog
+from repro.collector.log import CountingLog, FileLog
 from repro.collector.mrt import (
     MAGIC,
     MrtError,
@@ -20,6 +20,7 @@ from repro.collector.mrt import (
     write_records,
 )
 from repro.collector.record import (
+    MemoryLog,
     UpdateKind,
     UpdateRecord,
     flatten_update,

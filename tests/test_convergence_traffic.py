@@ -9,8 +9,7 @@ from repro.analysis.convergence import (
     ConvergenceReport,
     settle_time,
 )
-from repro.collector.log import MemoryLog
-from repro.collector.record import UpdateKind, UpdateRecord
+from repro.collector.record import MemoryLog, UpdateKind, UpdateRecord
 from repro.net.prefix import Prefix
 from repro.sim.engine import Engine
 from repro.sim.router import CpuModel, RouteCache, Router, connect

@@ -20,7 +20,6 @@ from repro.analysis.detection import (
     SUBPREFIX_DEAGG,
     SUBPREFIX_FOREIGN,
     VALLEY_VIOLATION,
-    AsRelationships,
     ColumnDetector,
     detect_records_columnar,
     detection_digest,
@@ -30,6 +29,7 @@ from repro.analysis.detection import (
 from repro.bgp.attributes import AsPath, PathAttributes
 from repro.collector.record import UpdateKind, UpdateRecord
 from repro.net.prefix import Prefix
+from repro.topology.relationships import AsRelationships
 from repro.verify.reference import reference_detect
 
 PEER_A = (0xC0000001, 64)

@@ -4,9 +4,10 @@ Each check runs in a fresh interpreter, so ``sys.modules`` holds exactly
 what the entry point's imports pulled in.  The campaign runner must
 not load the simulator, the BGP protocol machinery, the MRT codecs or
 the spectral analyses, and the archive reader neither the simulator
-nor the generator; a package ``__init__`` imports nothing, so
-importing one module of a package loads that module and its own
-imports only.  And every import happens at start-up: a call that
+nor the generator.  The simulator, the other way round, loads no NumPy
+and none of the statistical tier.  A package ``__init__`` imports
+nothing, so importing one module of a package loads that module and
+its own imports only.  And every import happens at start-up: a call that
 imported a ``repro`` module for the first time would be paying compile
 time inside the work it is timed on.
 """
@@ -61,6 +62,36 @@ class TestStatisticalTierLoadsNoSimulator:
             m for m in loaded
             if m.startswith(("repro.sim", "repro.workloads"))
         ] == []
+
+
+def _statistical(module):
+    """NumPy, or a module of the statistical tier (each imports it)."""
+    return module in (
+        "numpy", "repro.core.columns", "repro.collector.log",
+    ) or module.startswith((
+        "numpy.", "repro.collector.mrt", "repro.analysis.",
+        "repro.campaign", "repro.workloads.",
+    ))
+
+
+class TestMechanismTierLoadsNoNumpy:
+    """The simulator is pure Python: neither importing it nor running
+    a scenario through the CLI may load NumPy or a module that does."""
+
+    @pytest.mark.parametrize("code", [
+        "import repro.sim\n",
+        "from repro.__main__ import main\n"
+        "main(['sim', '--scenario', 'sync_population', '--smoke'])\n",
+    ], ids=["import", "cli_sim"])
+    def test_loads_no_statistical_module(self, code):
+        done = _in_child(
+            "import json, sys\n" + code
+            + "print(json.dumps(sorted(sys.modules)))\n"
+        )
+        assert done.returncode == 0, done.stderr
+        loaded = json.loads(done.stdout.splitlines()[-1])
+        assert "repro.sim.scenarios" in loaded
+        assert [m for m in loaded if _statistical(m)] == []
 
 
 #: (start-up, timed call) of each entry point; ``{archive}`` is the path

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from repro.bgp.attributes import AsPath, PathAttributes
-from repro.collector.log import MemoryLog
+from repro.collector.record import MemoryLog
 from repro.core.taxonomy import UpdateCategory
 from repro.net.prefix import Prefix
 from repro.sim.engine import Engine

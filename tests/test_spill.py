@@ -14,13 +14,17 @@ import os
 import numpy as np
 import pytest
 
-from repro.bgp.attributes import AsPath, Origin, PathAttributes
+from repro.bgp.attributes import (
+    AsPath,
+    Origin,
+    PathAttributes,
+    attribute_tuple,
+)
 from repro.core.columns import (
     NO_ATTR,
     RECORD_DTYPE,
     AttributeTable,
     RecordColumns,
-    attribute_tuple,
 )
 from repro.core import spill
 from repro.core.spill import (

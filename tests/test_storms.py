@@ -10,11 +10,8 @@ from repro.analysis.storms import (
     session_loss_bursts,
 )
 from repro.bgp.wire import WireError
-from repro.collector.mrt_rfc import (
-    SessionEvent,
-    read_state_changes,
-    write_state_changes,
-)
+from repro.collector.mrt_rfc import read_state_changes, write_state_changes
+from repro.collector.record import SessionEvent
 
 
 def loss(time, peer=1, asn=701):
@@ -129,7 +126,7 @@ class TestRouteServerSessionLog:
         assert storms, "the cascade should cluster into a storm"
 
     def test_route_server_records_transitions(self):
-        from repro.collector.log import MemoryLog
+        from repro.collector.record import MemoryLog
         from repro.sim.engine import Engine
         from repro.sim.router import Router, connect
         from repro.sim.routeserver import RouteServer

@@ -20,8 +20,8 @@ per-shard accumulator state.  The parallel simulator
 (``repro.sim.partition`` / ``repro.sim.parallel`` — cross-exchange
 messages, partitions, shard ports) is covered via the ``repro/sim/``
 prefix, and so is the trace generator (``repro/workloads/`` — pair
-state, day plans, and the emission sink the vectorized
-materialization tier drives once per pair per day).  The rule keeps
+state, day plans, and the emission sink the materialization
+drives once per window of draws).  The rule keeps
 the discipline from
 silently eroding: every class in those modules
 declares ``__slots__`` directly or via ``@dataclass(slots=True)``.

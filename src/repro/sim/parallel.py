@@ -143,8 +143,12 @@ class _Shard:
         return digests, self.engine.events_processed
 
 
-def _worker_main(conn, config, indices, engine_cls) -> None:
-    """Worker process loop: build the shard, serve advance/finish."""
+def _worker_main(conn, parent_ends, config, indices, engine_cls) -> None:
+    """Worker process loop: build the shard, serve advance/finish.
+    A forked worker first closes the parent-side pipe ends it inherited
+    (``parent_ends``), so the parent's ``close`` reaches it as EOF."""
+    for end in parent_ends:
+        end.close()
     try:
         shard = _Shard(config, indices, engine_cls)
         conn.send(("ready", None))
@@ -203,11 +207,12 @@ class _RemotePort:
 
     __slots__ = ("process", "conn")
 
-    def __init__(self, context, config, indices, engine_cls) -> None:
+    def __init__(self, context, config, indices, engine_cls, earlier):
         parent_conn, child_conn = context.Pipe(duplex=True)
+        parent_ends = (parent_conn, *(port.conn for port in earlier))
         self.process = context.Process(
             target=_worker_main,
-            args=(child_conn, config, indices, engine_cls),
+            args=(child_conn, parent_ends, config, indices, engine_cls),
             daemon=True,
         )
         self.process.start()
@@ -244,7 +249,7 @@ class _RemotePort:
     def close(self) -> None:
         self.conn.close()
         self.process.join(timeout=5.0)
-        if self.process.is_alive():  # pragma: no cover - defensive
+        if self.process.is_alive():
             self.process.terminate()
             self.process.join(timeout=5.0)
 
@@ -309,10 +314,11 @@ class ParallelDriver:
             ]
         else:
             context = _mp_context()
-            self._ports = [
-                _RemotePort(context, config, tuple(indices), engine_cls)
-                for indices in assignment
-            ]
+            self._ports = []
+            for indices in assignment:
+                self._ports.append(_RemotePort(
+                    context, config, tuple(indices), engine_cls, self._ports
+                ))
         #: Per-shard exact next-send lower bounds (unknown until the
         #: first barrier; the first window falls back to now + L).
         self._bounds: List[float] = [0.0] * len(self._ports)

@@ -19,10 +19,10 @@ per-record semantics.  This package makes that claim checkable:
 - :mod:`repro.verify.golden` — the golden corpus: committed traces
   under ``tests/golden/`` with frozen expected outputs, plus the
   regeneration script.
-- :mod:`repro.verify.refgen` — the pre-vectorization trace-generation
-  tier (scalar per-record emission, linear-scan bin sampler), kept
-  verbatim as the differential and timing baseline for the vectorized
-  :meth:`~repro.workloads.generator.TraceGenerator.day_columns` path.
+- :mod:`repro.verify.refgen` — the scalar trace-generation tier (the
+  per-pair loop, one record at a time, linear-scan bin sampler), the
+  only second implementation of the array-built
+  :meth:`~repro.workloads.generator.TraceGenerator.day_columns`.
 - :mod:`repro.verify.chaos` — seeded fault injection around
   :func:`~repro.campaign.runner.run_campaign`: kill runs mid-shard,
   corrupt archives/results/manifests, reorder completion, and assert

@@ -1,58 +1,80 @@
-"""The pre-vectorization generation tier, kept as a reference oracle.
+"""The scalar trace-generation tier, kept as a reference oracle.
 
-When the generator's materialization loop went vectorized
-(``TraceGenerator._emit_wwdup_columns``), the contract was that every
-draw is the scalar per-record loop's: the same MT19937 stream,
-position for position — the vectorized tier continues the day's
-``random.Random`` state in a NumPy clone and reads it in blocks — so
-digests never move.  This module preserves the original tier verbatim
-so that contract stays checkable forever — the same role
-:class:`repro.sim.refengine.ReferenceEngine` plays for the
-calendar-queue simulator:
-
-- :class:`ReferenceTraceGenerator` overrides ``_sample_bin`` with the
-  pre-optimization O(bins) weight-list rebuild and linear scan
-  (copied verbatim from the pre-vectorization tree), and forces
-  ``vectorize=False`` so WWDup runs the scalar per-pair emission loop,
-  drawing from the ``random.Random`` itself and appending one record
-  at a time.
-- :func:`reference_twin` clones an existing generator's configuration
-  into a reference instance with fresh state, so differential runs
-  start from identical ground.
-
-Do NOT optimize this module; its only job is to stay the fixed point
-the vectorized tier is diffed against — the parity tests in
-``tests/test_generator_parity.py`` rest on it.
+:meth:`TraceGenerator.day_columns` emits every category as array work
+over the day's MT19937 stream, read in blocks from a NumPy clone of
+the day's ``random.Random``; every draw must keep the role this
+module's per-pair loop gives it, position for position (DESIGN.md §15
+states the contract).  The loop lives only here — the role
+:class:`repro.sim.refengine.ReferenceEngine` plays for the simulator.
+:class:`ReferenceTraceGenerator` keeps the production planning,
+attribute bundles and pair state, and materializes one
+``random.Random`` draw, one linear-scan bin sample and one record
+tuple at a time; it never builds a draw stream.  Do NOT optimize this
+module; ``tests/test_generator_parity.py`` rests on it.
 """
 
 from __future__ import annotations
 
+import math
 import random
-from typing import Optional, Sequence
+from operator import itemgetter
+from typing import List, Optional, Sequence
 
+import numpy as np
+
+from ..collector.record import UpdateKind
+from ..collector.store import SECONDS_PER_DAY
+from ..core.columns import NO_ATTR, RECORD_DTYPE, AttributeTable, RecordColumns
 from ..core.taxonomy import UpdateCategory
-from ..workloads.generator import DayPlan, TraceGenerator
+from ..workloads.generator import (
+    PLANNED_CATEGORIES,
+    DayPlan,
+    Pair,
+    TraceGenerator,
+)
+from ..workloads.incidents import BINS_PER_DAY
 
 __all__ = ["ReferenceTraceGenerator", "reference_twin"]
 
+AADIFF, WADIFF, AADUP, WADUP, WWDUP = PLANNED_CATEGORIES
+
 
 class ReferenceTraceGenerator(TraceGenerator):
-    """The pre-vectorization :class:`TraceGenerator` materialization.
-
-    Planning (``plan_day``) is untouched — it was always scalar and
-    cheap.  Only the two materialization-time differences are rolled
-    back: the cached-bisect bin sampler and the block-drawn,
-    whole-array WWDup emission.
-    """
+    """:class:`TraceGenerator` materialized by the scalar loop."""
 
     __slots__ = ()
 
-    def _sample_bin(
-        self, rng: random.Random, plan: DayPlan
-    ) -> Optional[int]:
-        """The original per-episode sampler: rebuild the lost-bin
-        masked weight list and linearly scan the running sum.  One
-        ``rng.random()`` draw, exactly like the bisect version."""
+    def day_columns(
+        self,
+        day: int,
+        pair_fraction: float = 0.05,
+        plan: Optional[DayPlan] = None,
+        categories: Optional[Sequence[UpdateCategory]] = None,
+        attrs: Optional[AttributeTable] = None,
+    ) -> RecordColumns:
+        if not 0.0 < pair_fraction <= 1.0:
+            raise ValueError("pair_fraction must be in (0, 1]")
+        plan = plan or self.plan_day(day)
+        rng = self._day_rng(day, salt=1)
+        table = attrs if attrs is not None else AttributeTable()
+        rows: List[tuple] = []
+        for category in PLANNED_CATEGORIES:
+            if categories is not None and category not in categories:
+                continue
+            for pair, count in plan.participation[category]:
+                if pair_fraction < 1.0 and rng.random() > pair_fraction:
+                    continue
+                self._emit_pair_day(
+                    rng, plan, category, pair, count, rows, table
+                )
+        # Stable: equal timestamps keep emission order.
+        rows.sort(key=itemgetter(0))
+        return RecordColumns(np.array(rows, dtype=RECORD_DTYPE), table)
+
+    def _sample_bin(self, rng: random.Random, plan: DayPlan) -> Optional[int]:
+        """A bin index drawn ∝ bin weight (lost bins excluded): rebuild
+        the masked weight list and linearly scan its running sum.  One
+        ``rng.random()`` draw."""
         weights = [
             0.0 if i in plan.lost_bins else w
             for i, w in enumerate(plan.bin_weights)
@@ -68,19 +90,105 @@ class ReferenceTraceGenerator(TraceGenerator):
                 return i
         return len(weights) - 1
 
-    def _materialize_day(
+    def _episode_period(self, rng: random.Random) -> float:
+        """An episode's one period (Figure 8's mixture): the 30 s
+        timer, the ~60 s CSU cycle, or a log-uniform background."""
+        u = rng.random()
+        t = self.targets
+        if u < t.spacing_30s_mass:
+            return rng.uniform(29.5, 30.5)
+        if u < t.spacing_30s_mass + t.spacing_60s_mass:
+            return rng.uniform(58.0, 62.0)
+        return math.exp(rng.uniform(math.log(2.0), math.log(8 * 3600.0)))
+
+    def _emit_pair_day(
         self,
-        day: int,
-        pair_fraction: float,
-        plan: Optional[DayPlan],
-        categories: Optional[Sequence[UpdateCategory]],
-        sink,
-        vectorize: bool = True,
+        rng: random.Random,
+        plan: DayPlan,
+        category: UpdateCategory,
+        pair: Pair,
+        count: int,
+        rows: List[tuple],
+        table: AttributeTable,
     ) -> None:
-        del vectorize  # the reference tier is scalar by definition
-        super()._materialize_day(
-            day, pair_fraction, plan, categories, sink, vectorize=False
-        )
+        """Append to ``rows`` the record sequence giving ``pair``
+        exactly ``count`` events of ``category`` today (plus the
+        uncategorized W/bootstrap records the sequences require)."""
+        prefix, asn = pair
+        identity = (self.population.by_asn[asn].peer_id, asn,
+                    prefix.network, prefix.length)
+        state = self._state(pair)
+        day_start = plan.day * SECONDS_PER_DAY
+
+        def announce(
+            t: float, variant: int, med: Optional[int] = None
+        ) -> None:
+            attr_id = table.intern(self._attrs(pair, variant, med=med))
+            rows.append((t, *identity, int(UpdateKind.ANNOUNCE), attr_id))
+            state.reachable = True
+            state.ever_announced = True
+            state.variant = variant
+            state.med = med
+
+        def withdraw(t: float) -> None:
+            rows.append((t, *identity, int(UpdateKind.WITHDRAW), int(NO_ATTR)))
+            state.reachable = False
+
+        # Split the count into episodes of a few events each.  Each
+        # episode has ONE characteristic period: consecutive events of
+        # the category repeat every ``period`` seconds, and the W half
+        # of a WA pair precedes its A by a short outage ``micro_gap``
+        # (a flap's down-time is seconds; the *repeat rate* is what the
+        # timers quantize).
+        day_end = day_start + SECONDS_PER_DAY
+        remaining = count
+        while remaining > 0:
+            episode = min(remaining, self._geometric(rng, 1.0 / 3.0))
+            remaining -= episode
+            bin_index = self._sample_bin(rng, plan)
+            if bin_index is None:
+                return  # whole day lost
+            t = day_start + (bin_index + rng.random()) * (
+                SECONDS_PER_DAY / BINS_PER_DAY
+            )
+            period = self._episode_period(rng)
+            micro_gap = min(rng.uniform(0.5, 4.0), period / 2.0)
+            for _ in range(episode):
+                if t >= day_end:
+                    # The episode ran past midnight; the tail is
+                    # dropped (the paper's days are hard boundaries).
+                    break
+                if category is WADIFF:
+                    # First contact bootstraps reachability so the
+                    # withdrawal below is PLAIN, not the category.
+                    bootstrap = not state.ever_announced
+                else:
+                    bootstrap = category in (AADIFF, AADUP) and (
+                        not state.reachable
+                    )
+                if bootstrap:
+                    announce(t, state.variant)  # uncategorized / WA*
+                    t += period
+                    if t >= day_end:
+                        break
+                if state.reachable and category in (WADIFF, WADUP, WWDUP):
+                    # PLAIN, one micro-gap ahead.
+                    withdraw(t - micro_gap if t - micro_gap > day_start
+                             else t)
+                if category is WWDUP:
+                    withdraw(t)  # repeat withdrawals while unreachable
+                elif category is AADUP:
+                    med = state.med
+                    if rng.random() < self.targets.policy_fluctuation_fraction:
+                        # Policy fluctuation: same forwarding tuple,
+                        # different MED.
+                        med = 20 if med != 20 else 40
+                    announce(t, state.variant, med=med)
+                elif category in (AADIFF, WADIFF):
+                    announce(t, 1 - state.variant)
+                else:  # WADUP
+                    announce(t, state.variant)
+                t += period
 
 
 def reference_twin(generator: TraceGenerator) -> ReferenceTraceGenerator:

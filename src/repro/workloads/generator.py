@@ -29,16 +29,10 @@ whose per-update mechanisms mirror the Tier-A simulation:
    sequences whose in-episode spacing follows the 30/60-second timer
    mixture (Figure 8) and whose classifier labels match the planned
    category (the generator tracks the same per-route state the
-   classifier does).  The scalar per-pair loop
-   (:meth:`TraceGenerator._emit_pair_day`) defines the stream.  WWDup
-   — the flood, ~95% of a day — does not run it: the day's MT19937
-   stream is continued in a NumPy clone and read in bounded blocks
-   (:class:`_DrawStream`), a pair's episodes are six-draw strides of
-   it, and bursts, bins, periods and timestamps are array expressions
-   over each block (:meth:`TraceGenerator._emit_wwdup_columns`).
-   Every draw keeps the role the scalar loop gives it, so the output
-   is byte-identical to :mod:`repro.verify.refgen`, which still runs
-   the loop.
+   classifier does).  Every category is array work over the day's
+   MT19937 stream, read in blocks (:class:`_DrawStream`); each draw
+   keeps the role :mod:`repro.verify.refgen`'s per-pair loop gives it,
+   so the output is byte-identical to that oracle's.
 """
 
 from __future__ import annotations
@@ -53,7 +47,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..bgp.attributes import AsPath, PathAttributes
-from ..collector.record import UpdateKind, UpdateRecord
+from ..collector.record import UpdateKind
 from ..collector.store import SECONDS_PER_DAY
 from ..core.columns import (
     NO_ATTR,
@@ -88,10 +82,6 @@ PLANNED_CATEGORIES = (
     UpdateCategory.WADUP,
     UpdateCategory.WWDUP,
 )
-# The flood is emitted after every scalar category: its tier takes over
-# the day's draw stream for good, and its array events follow every
-# scalar event in emission order.
-assert PLANNED_CATEGORIES[-1] is UpdateCategory.WWDUP
 
 
 @dataclass(slots=True)
@@ -183,15 +173,14 @@ class GeneratorTargets:
         }
     )
     #: Geometric mean of per-pair event counts, per category.  WWDup
-    #: pairs flap in long bursts (ISP-I withdrew 2.4M for 14k prefixes).
+    #: pairs flap in long bursts: ISP-I's 2.4M withdrawals over 14,112
+    #: prefixes is ~176 per pair in one day.
     mean_events_per_pair: Dict[UpdateCategory, float] = field(
         default_factory=lambda: {
             UpdateCategory.WADIFF: 2.5,
             UpdateCategory.AADIFF: 3.5,
             UpdateCategory.WADUP: 4.0,
             UpdateCategory.AADUP: 5.0,
-            # WWDup pairs flap in long bursts: ISP-I's 2.4M withdrawals
-            # over 14,112 prefixes is ~176 per pair in one day.
             UpdateCategory.WWDUP: 220.0,
         }
     )
@@ -248,21 +237,22 @@ class DayPlan:
         zeroed) and their total.
 
         The running sums are built with the same left-to-right float
-        additions :meth:`TraceGenerator._sample_bin`'s scan performed,
-        so a ``bisect`` over them lands on the *identical* bin for any
-        draw — the cache turns per-episode sampling from an O(bins)
-        list rebuild into an O(log bins) lookup without moving a
-        single RNG draw.
+        additions as the linear scan of :mod:`repro.verify.refgen`'s
+        bin sampler, so a ``bisect`` over them lands on the *identical*
+        bin for any draw — per-episode sampling is an O(log bins)
+        lookup, not an O(bins) rebuild, without moving a single draw.
         """
         cached = self._cum
         if cached is None:
-            weights = [
-                0.0 if i in self.lost_bins else w
-                for i, w in enumerate(self.bin_weights)
-            ]
+            weights = self._collected_weights()
             cached = (list(accumulate(weights)), sum(weights))
             self._cum = cached
         return cached
+
+    def _collected_weights(self) -> List[float]:
+        """The bin weights with lost bins zeroed (data never collected)."""
+        return [0.0 if i in self.lost_bins else w
+                for i, w in enumerate(self.bin_weights)]
 
     def category_total(self, category: UpdateCategory) -> int:
         """Planned events of ``category`` (before outage losses)."""
@@ -272,10 +262,8 @@ class DayPlan:
         return {pair for pair, _ in self.participation.get(category, ())}
 
     def affected_pairs_any(self) -> Set[Pair]:
-        result: Set[Pair] = set()
-        for pairs in self.participation.values():
-            result.update(pair for pair, _ in pairs)
-        return result
+        return {pair for pairs in self.participation.values()
+                for pair, _ in pairs}
 
     def bin_counts(self, category: UpdateCategory) -> List[int]:
         """The category's events spread over the day's bins.
@@ -284,10 +272,7 @@ class DayPlan:
         weights, with lost bins zeroed (data never collected).
         """
         total = self.category_total(category)
-        weights = [
-            0.0 if i in self.lost_bins else w
-            for i, w in enumerate(self.bin_weights)
-        ]
+        weights = self._collected_weights()
         weight_sum = sum(weights)
         if weight_sum <= 0 or total == 0:
             return [0] * len(weights)
@@ -315,102 +300,75 @@ class _PairState:
 
 
 class _ColumnSink:
-    """Materialization sink appending primitive columns — no
-    per-record dataclasses are ever constructed.
+    """Materialization sink appending primitive columns.
 
-    A record's identity (``peer_id, asn, net, plen``) is stored once
-    per *block* — one :meth:`block` per pair and category — and every
-    event is ``(time, block, kind, attr_id)``: the scalar categories
-    append to Python lists, the WWDup tier hands over whole
-    ``(times, blocks)`` arrays via :meth:`withdraw_block`.  WWDup is
-    the *last* planned category, so every scalar event precedes every
-    array event in emission order and ``finish``'s stable time order
-    resolves equal timestamps exactly as the all-scalar stream did.
+    Events arrive as arrays in emission order, each naming its pair by
+    an index into the pairs its batch brought, so ``finish``'s stable
+    time order resolves equal timestamps as the per-pair loop's
+    record-at-a-time stream does, and a pair's identity is gathered
+    once per record after the sort.
     """
 
-    __slots__ = ("table", "peer_ids", "asns", "nets", "plens",
-                 "times", "blocks", "kinds", "attr_ids", "floods")
+    __slots__ = ("table", "pairs", "batches")
 
     def __init__(self, table) -> None:
         self.table = table
-        self.peer_ids: List[int] = []
-        self.asns: List[int] = []
-        self.nets: List[int] = []
-        self.plens: List[int] = []
-        self.times: List[float] = []
-        self.blocks: List[int] = []
-        self.kinds: List[int] = []
-        self.attr_ids: List[int] = []
-        self.floods: List[Tuple[np.ndarray, np.ndarray]] = []
+        self.pairs: List[Pair] = []
+        self.batches: List[Tuple[np.ndarray, ...]] = [
+            (np.empty(0), np.empty(0, np.intp), np.empty(0, np.uint32))
+        ]
 
-    def block(self, peer_id: int, asn: int, prefix: Prefix) -> int:
-        """Register one record identity; events refer to it by the
-        returned index."""
-        self.peer_ids.append(peer_id)
-        self.asns.append(asn)
-        self.nets.append(prefix.network)
-        self.plens.append(prefix.length)
-        return len(self.peer_ids) - 1
+    def append(self, pairs, times, index, attr_ids) -> None:
+        """Append a batch of events; ``index`` points into ``pairs``,
+        and an event without attributes is a withdrawal."""
+        self.batches.append((times, index + len(self.pairs), attr_ids))
+        self.pairs.extend(pairs)
 
-    def announce(self, time, block, attrs) -> None:
-        self._push(time, block, int(UpdateKind.ANNOUNCE),
-                   self.table.intern(attrs))
-
-    def withdraw(self, time, block) -> None:
-        self._push(time, block, int(UpdateKind.WITHDRAW), int(NO_ATTR))
-
-    def _push(self, time, block, kind, attr_id) -> None:
-        self.times.append(time)
-        self.blocks.append(block)
-        self.kinds.append(kind)
-        self.attr_ids.append(attr_id)
-
-    def withdraw_block(self, times: np.ndarray, blocks: np.ndarray) -> None:
-        """Append a batch of withdrawals already in emission order."""
-        self.floods.append((times, blocks))
-
-    def finish(self) -> RecordColumns:
+    def finish(self, population: PeerPopulation) -> RecordColumns:
         """The day's batch: events in stable time order, each identity
-        column one gather through the event's block."""
-        scalar = len(self.times)
-        time = np.concatenate(
-            [np.asarray(self.times, dtype=np.float64)]
-            + [times for times, _ in self.floods]
-        )
-        block = np.concatenate(
-            [np.asarray(self.blocks, dtype=np.intp)]
-            + [blocks for _, blocks in self.floods]
-        )
-        kind = np.full(len(time), int(UpdateKind.WITHDRAW), dtype=np.uint8)
-        kind[:scalar] = self.kinds
-        attr_id = np.full(len(time), NO_ATTR, dtype=np.uint32)
-        attr_id[:scalar] = self.attr_ids
+        column one gather through the event's pair."""
+        time, pair, attr_id = map(np.concatenate, zip(*self.batches))
         # Stable: equal timestamps keep emission order.
         order = stable_argsort(time)
-        block = block[order]
+        pair = pair[order]
+        by_asn = population.by_asn
         data = np.empty(len(time), dtype=RECORD_DTYPE)
         data["time"] = time[order]
-        data["peer_id"] = np.asarray(self.peer_ids, dtype=np.uint32)[block]
-        data["peer_asn"] = np.asarray(self.asns, dtype=np.uint32)[block]
-        data["net"] = np.asarray(self.nets, dtype=np.uint32)[block]
-        data["plen"] = np.asarray(self.plens, dtype=np.uint8)[block]
-        data["kind"] = kind[order]
+        for name, values in (
+            ("peer_id", [by_asn[asn].peer_id for _, asn in self.pairs]),
+            ("peer_asn", [asn for _, asn in self.pairs]),
+            ("net", [prefix.network for prefix, _ in self.pairs]),
+            ("plen", [prefix.length for prefix, _ in self.pairs]),
+        ):
+            data[name] = np.asarray(values, dtype=data.dtype[name])[pair]
         data["attr_id"] = attr_id[order]
+        data["kind"] = np.where(
+            attr_id == NO_ATTR,
+            np.uint8(UpdateKind.WITHDRAW), np.uint8(UpdateKind.ANNOUNCE),
+        )[order]
         return RecordColumns(data, self.table)
 
 
-#: Draws one WWDup episode takes from the day's stream, in
-#: :meth:`TraceGenerator._emit_pair_day`'s order: burst length, bin,
-#: in-bin offset, period selector, period, micro-gap.
+#: Draws one episode takes from the day's stream, in the per-pair
+#: loop's order: burst length, bin, in-bin offset, period selector,
+#: period, micro-gap.  AADup then takes one policy draw per event it
+#: emits, so only the other categories keep a fixed stride.
 _EPISODE_DRAWS = 6
 
 #: Doubles drawn from the stream per refill.  This, not the day's
-#: size, bounds what the WWDup tier holds at once: one window of draws
+#: size, bounds what the emission holds at once: one window of draws
 #: and the episodes planned from it.
 _STREAM_BLOCK = 1 << 17
 
 #: ``log(1 - p)`` of the episode burst length's geometric law, p = 1/3.
 _BURST_LOG = math.log(1.0 - 1.0 / 3.0)
+
+#: The background period is log-uniform from 2 s to 8 h.
+_LOG_2S = math.log(2.0)
+_LOG_SPAN = math.log(8 * 3600.0) - _LOG_2S
+
+#: Announced MED values by code; AADup's policy hits walk None→20→40→20.
+_MEDS = (None, 20, 40)
 
 
 def _burst_lengths(draws: np.ndarray) -> np.ndarray:
@@ -431,8 +389,8 @@ def _burst_lengths(draws: np.ndarray) -> np.ndarray:
 
 
 class _DrawStream:
-    """The day rng's MT19937 stream from the WWDup hand-over onwards,
-    drawn a block at a time.
+    """The day rng's MT19937 stream from its first draw, drawn a block
+    at a time.
 
     ``random.Random.random()`` and NumPy's legacy MT19937 double are
     the same function of the same state (``(a >> 5, b >> 6) →
@@ -476,8 +434,7 @@ class _DrawStream:
         Consecutive episodes of a pair sit six draws apart, so they
         share a lane and a pair's event budget is one search in its
         running sum.  A lane is transformed on first use: subsampling
-        draws shift the lane, and a day at ``pair_fraction = 1`` only
-        ever asks for lane 0.
+        and AADup's policy draws shift the lane.
         """
         sums = self._sums[lane]
         if sums is None:
@@ -723,28 +680,6 @@ class TraceGenerator:
     # materialization
     # ------------------------------------------------------------------
 
-    def day_records(
-        self,
-        day: int,
-        pair_fraction: float = 0.05,
-        plan: Optional[DayPlan] = None,
-        categories: Optional[Sequence[UpdateCategory]] = None,
-    ) -> List[UpdateRecord]:
-        """Materialize one day's records for a subsample of its pairs.
-
-        ``pair_fraction`` subsamples *pairs*, not events: surviving
-        pairs keep their full per-day episode structure, so per-pair
-        count distributions (Figure 7) and inter-arrival spectra
-        (Figure 8) scale without bias in expectation — but heavy-tail
-        pairs are rare, so for tail-sensitive analyses prefer a smaller
-        population at ``pair_fraction=1.0`` over heavy subsampling.
-        ``categories`` restricts materialization (e.g. the fine-grained
-        figures never need the WWDup flood).
-        """
-        return self.day_columns(
-            day, pair_fraction, plan, categories
-        ).to_records()
-
     def day_columns(
         self,
         day: int,
@@ -753,61 +688,32 @@ class TraceGenerator:
         categories: Optional[Sequence[UpdateCategory]] = None,
         attrs: Optional[AttributeTable] = None,
     ) -> RecordColumns:
-        """One day's records (see :meth:`day_records` for the
-        subsampling contract) materialized directly into a
-        :class:`~repro.core.columns.RecordColumns` batch — no
-        per-record dataclasses are built.  Pass a shared ``attrs``
-        table to keep attribute ids consistent across a campaign's
-        days.  ``categories=()`` is an empty day."""
+        """Materialize one day's records for a subsample of its pairs,
+        directly into a :class:`~repro.core.columns.RecordColumns`
+        batch — no per-record dataclasses are built.
+
+        ``pair_fraction`` subsamples *pairs*, not events: surviving
+        pairs keep their full per-day episode structure, so per-pair
+        count distributions (Figure 7) and inter-arrival spectra
+        (Figure 8) scale without bias in expectation — but heavy-tail
+        pairs are rare, so for tail-sensitive analyses prefer a smaller
+        population at ``pair_fraction=1.0`` over heavy subsampling.
+        ``categories`` restricts materialization (e.g. the fine-grained
+        figures never need the WWDup flood); ``categories=()`` is an
+        empty day.  Pass a shared ``attrs`` table to keep attribute ids
+        consistent across a campaign's days.
+        """
         if not 0.0 < pair_fraction <= 1.0:
             raise ValueError("pair_fraction must be in (0, 1]")
-        sink = _ColumnSink(attrs if attrs is not None else AttributeTable())
-        self._materialize_day(day, pair_fraction, plan, categories, sink)
-        return sink.finish()
-
-    def _materialize_day(
-        self,
-        day: int,
-        pair_fraction: float,
-        plan: Optional[DayPlan],
-        categories: Optional[Sequence[UpdateCategory]],
-        sink: "_ColumnSink",
-        vectorize: bool = True,
-    ) -> None:
-        """Drive ``sink`` through one day's emission stream.
-
-        Every category but the last runs the scalar per-pair loop on
-        the day's ``rng``.  WWDup — the flood category, ~95% of a full
-        day's records — comes last and is handed the *stream*: a
-        :class:`_DrawStream` continuing ``rng``'s MT19937 sequence
-        position for position, so the split is invisible in the output
-        and nothing can draw from ``rng`` behind it.
-        ``vectorize=False`` keeps WWDup on the scalar loop too (the
-        :mod:`repro.verify.refgen` oracle the parity tests diff
-        against).
-        """
         plan = plan or self.plan_day(day)
-        rng = self._day_rng(day, salt=1)
-        wanted = (
-            PLANNED_CATEGORIES if categories is None else tuple(categories)
-        )
-        scalar = [c for c in PLANNED_CATEGORIES if c in wanted]
-        flood = vectorize and UpdateCategory.WWDUP in scalar
-        if flood:
-            scalar.pop()  # WWDup, last: emitted below, from the stream
-        for category in scalar:
-            for pair, count in plan.participation[category]:
-                if pair_fraction < 1.0 and rng.random() > pair_fraction:
-                    continue
-                self._emit_pair_day(rng, plan, category, pair, count, sink)
-        if flood:
-            self._emit_wwdup_columns(
-                _DrawStream(rng), plan,
-                plan.participation[UpdateCategory.WWDUP],
-                pair_fraction, sink,
-            )
+        sink = _ColumnSink(attrs if attrs is not None else AttributeTable())
+        stream = _DrawStream(self._day_rng(day, salt=1))
+        wanted = PLANNED_CATEGORIES if categories is None else categories
+        for category in [c for c in PLANNED_CATEGORIES if c in wanted]:
+            self._emit_category(stream, plan, category, pair_fraction, sink)
+        return sink.finish(self.population)
 
-    # -- per-pair emission -----------------------------------------------------
+    # -- emission -------------------------------------------------------------
 
     def _attrs(
         self, pair: Pair, variant: int, med: Optional[int] = None
@@ -851,179 +757,42 @@ class TraceGenerator:
             state = self._states[pair] = _PairState()
         return state
 
-    def _sample_bin(self, rng: random.Random, plan: DayPlan) -> Optional[int]:
-        """A bin index drawn ∝ bin weight (lost bins excluded).
-
-        ``bisect_left`` over the plan's cached running sums returns the
-        first index whose cumulative weight reaches the draw — the same
-        bin the original linear scan (``acc += w; x <= acc``) stopped
-        at, for the same single ``rng.random()`` draw.
-        """
-        cum, total = plan.materialization_weights()
-        if total <= 0:
-            return None
-        x = rng.random() * total
-        index = bisect_left(cum, x)
-        return index if index < len(cum) else len(cum) - 1
-
-    def _episode_period(self, rng: random.Random) -> float:
-        """An episode's characteristic period: the Figure 8 mixture.
-
-        An oscillating route repeats with ONE period — the 30-second
-        update timer, the ~60-second CSU cycle, or some exogenous
-        rhythm — so the period is drawn once per episode and all the
-        episode's events follow it.  Drawing i.i.d. per gap would
-        convolve the mixture with itself and smear the 30 s/1 m lines
-        the paper measured.
-        """
-        u = rng.random()
-        t = self.targets
-        if u < t.spacing_30s_mass:
-            return rng.uniform(29.5, 30.5)
-        if u < t.spacing_30s_mass + t.spacing_60s_mass:
-            return rng.uniform(58.0, 62.0)
-        # Broad background: log-uniform from 2 s to 8 h.
-        return math.exp(rng.uniform(math.log(2.0), math.log(8 * 3600.0)))
-
-    def _emit_pair_day(
-        self,
-        rng: random.Random,
-        plan: DayPlan,
-        category: UpdateCategory,
-        pair: Pair,
-        count: int,
-        sink,
-    ) -> None:
-        """Emit into ``sink`` the record sequence giving ``pair``
-        exactly ``count`` events of ``category`` today (plus the
-        uncategorized W/bootstrap records the sequences require)."""
-        prefix, asn = pair
-        peer = self.population.by_asn[asn]
-        state = self._state(pair)
-        day_start = plan.day * SECONDS_PER_DAY
-        block = sink.block(peer.peer_id, asn, prefix)
-
-        def announce(
-            t: float, variant: int, med: Optional[int] = None
-        ) -> None:
-            sink.announce(t, block, self._attrs(pair, variant, med=med))
-            state.reachable = True
-            state.ever_announced = True
-            state.variant = variant
-            state.med = med
-
-        def withdraw(t: float) -> None:
-            sink.withdraw(t, block)
-            state.reachable = False
-
-        # Split the count into episodes of a few events each.  Each
-        # episode has ONE characteristic period: consecutive events of
-        # the category repeat every ``period`` seconds, and the W half
-        # of a WA pair precedes its A by a short outage ``micro_gap``
-        # (a flap's down-time is seconds; the *repeat rate* is what the
-        # timers quantize).
-        day_end = day_start + SECONDS_PER_DAY
-        remaining = count
-        while remaining > 0:
-            episode = min(remaining, self._geometric(rng, 1.0 / 3.0))
-            remaining -= episode
-            bin_index = self._sample_bin(rng, plan)
-            if bin_index is None:
-                return  # whole day lost
-            t = day_start + (bin_index + rng.random()) * (
-                SECONDS_PER_DAY / BINS_PER_DAY
-            )
-            period = self._episode_period(rng)
-            micro_gap = min(rng.uniform(0.5, 4.0), period / 2.0)
-            for _ in range(episode):
-                if t >= day_end:
-                    # The episode ran past midnight; the tail is
-                    # dropped (the paper's days are hard boundaries).
-                    break
-                if category is UpdateCategory.AADUP:
-                    if not state.reachable:
-                        announce(t, state.variant)  # bootstrap (uncat/WA*)
-                        t += period
-                        if t >= day_end:
-                            break
-                    if (
-                        rng.random()
-                        < self.targets.policy_fluctuation_fraction
-                    ):
-                        # Policy fluctuation: same forwarding tuple,
-                        # different MED.
-                        new_med = 20 if state.med != 20 else 40
-                        announce(t, state.variant, med=new_med)
-                    else:
-                        announce(t, state.variant, med=state.med)
-                elif category is UpdateCategory.AADIFF:
-                    if not state.reachable:
-                        announce(t, state.variant)
-                        t += period
-                        if t >= day_end:
-                            break
-                    announce(t, 1 - state.variant)
-                elif category is UpdateCategory.WADUP:
-                    if state.reachable:
-                        withdraw(t - micro_gap if t - micro_gap > day_start
-                                 else t)
-                    announce(t, state.variant)
-                elif category is UpdateCategory.WADIFF:
-                    if not state.ever_announced:
-                        # First contact bootstraps reachability so the
-                        # withdrawal below is PLAIN, not the category.
-                        announce(t, state.variant)
-                        t += period
-                        if t >= day_end:
-                            break
-                    if state.reachable:
-                        withdraw(t - micro_gap if t - micro_gap > day_start
-                                 else t)
-                    announce(t, 1 - state.variant)
-                else:  # WWDUP: repeat withdrawals while unreachable
-                    if state.reachable:
-                        withdraw(t - micro_gap if t - micro_gap > day_start
-                                 else t)  # PLAIN first
-                    withdraw(t)
-                t += period
-
-    def _emit_wwdup_columns(
+    def _emit_category(
         self,
         stream: _DrawStream,
         plan: DayPlan,
-        allocation: List[Tuple[Pair, int]],
+        category: UpdateCategory,
         pair_fraction: float,
         sink: "_ColumnSink",
     ) -> None:
-        """WWDup as whole-array work over the day's draw stream.
+        """One category's allocation as array work over the day's draw
+        stream.
 
-        :meth:`_emit_pair_day` spends six draws per episode (see
-        :data:`_EPISODE_DRAWS`) plus one per considered pair when
-        subsampling, so every draw's role follows from where its pair
-        starts.  The walk below touches each *pair* once: it finds in
-        the lane's running burst lengths where the pair's ``count`` is
-        used up, clips the last burst, and records the pair's episodes
-        in the current stream window as one *run*.  When the window
-        runs out — and after the last pair — :meth:`_expand_runs` turns
-        its runs into timestamps in one pass.
+        The walk touches each pair once (each AADup episode): a lane's
+        running burst lengths say where the pair's ``count`` is used up,
+        and its episodes in the current window become one *run*.  Where
+        the route's state makes the pair's first event differ from the
+        rest, the walk finds the *lead*, the first episode to start
+        before midnight.  :meth:`_expand_runs` turns runs into records.
         """
         cum, total = plan.materialization_weights()
-        subsample = pair_fraction < 1.0
         day_start = plan.day * SECONDS_PER_DAY
         day_end = day_start + SECONDS_PER_DAY
-        bin_width = SECONDS_PER_DAY / BINS_PER_DAY
-        last_bin = len(cum) - 1
-        by_asn = self.population.by_asn
+        announces = category is not UpdateCategory.WWDUP
+        # AA* bootstrap a route found down; WADiff one never announced.
+        bootstraps = category in (UpdateCategory.AADIFF, UpdateCategory.AADUP)
+        mass_30 = self.targets.spacing_30s_mass
+        mass_60 = mass_30 + self.targets.spacing_60s_mass
         # The runs planned from the current window, in emission order:
         # window offset of the first draw, episodes, clipped length of
-        # the last burst (0 = unclipped), sink block; and the
-        # (run, episode) places of the lead withdrawals.
+        # the last burst (0 = unclipped), pair; and the (run, episode,
+        # bootstrap) places of the leads.
         runs: Tuple[list, ...] = ([], [], [], [], [])
-        starts, counts, clips, blocks, leads = runs
+        starts, counts, clips, pairs, leads = runs
 
         def refill() -> None:
             if starts:
-                self._expand_runs(stream, plan, runs, sink)
+                self._expand_runs(stream, plan, category, runs, sink)
                 for column in runs:
                     column.clear()
             stream.more()
@@ -1034,20 +803,27 @@ class TraceGenerator:
             stream.at += 1
             return stream.window[stream.at - 1]
 
-        for pair, count in allocation:
-            if subsample and draw() > pair_fraction:
+        def begins(at: int) -> float:
+            """When the episode drawn at window offset ``at`` starts."""
+            bin_index = bisect_left(cum, stream.window[at + 1] * total)
+            return day_start + (
+                min(bin_index, len(cum) - 1) + stream.window[at + 2]
+            ) * (SECONDS_PER_DAY / BINS_PER_DAY)
+
+        for pair, count in plan.participation[category]:
+            if pair_fraction < 1.0 and draw() > pair_fraction:
                 continue
             state = self._state(pair)
             if count <= 0:
                 continue
             if total <= 0:
-                # Whole day lost: the scalar loop draws one burst
-                # length, finds no bin to put it in and gives up on
-                # the pair.
+                # Whole day lost: the pair's first burst length is
+                # drawn, finds no bin to go to, and the pair gives up.
                 draw()
                 continue
-            prefix, asn = pair
-            block = sink.block(by_asn[asn].peer_id, asn, prefix)
+            # The first event differs only where the route's state is
+            # not what the category leaves behind.
+            lead = state.reachable is not announces
             remaining = count
             while remaining > 0:
                 at = stream.at
@@ -1055,75 +831,100 @@ class TraceGenerator:
                 if not whole:
                     refill()
                     continue
-                sums = stream.lane(at % _EPISODE_DRAWS)
-                first = at // _EPISODE_DRAWS
-                before = int(sums[first - 1]) if first else 0
-                last = int(sums.searchsorted(before + remaining))
-                if last < first + whole:
-                    # The budget runs out in this window: the last
-                    # burst is cut to what is left of it.
-                    episodes = last - first + 1
-                    clip = remaining + before - (
-                        int(sums[last - 1]) if last else 0
-                    )
-                    remaining = 0
+                if category is UpdateCategory.AADUP:
+                    # One episode: its stride is six draws plus one per
+                    # event (not bootstrap) it gets in before midnight.
+                    episodes = 1
+                    clip = min(remaining, max(1, math.ceil(
+                        math.log(1.0 - stream.window[at]) / _BURST_LOG
+                    )))
+                    remaining -= clip
+                    t = begins(at)
+                    selector, spread = stream.window[at + 3:at + 5].tolist()
+                    if selector < mass_30:
+                        period = 29.5 + 1.0 * spread
+                    elif selector < mass_60:
+                        period = 58.0 + 4.0 * spread
+                    else:
+                        period = math.exp(_LOG_2S + _LOG_SPAN * spread)
+                    cells = 0
+                    while cells < clip + lead and t < day_end:
+                        cells += 1
+                        t += period
+                    if not cells:
+                        stream.at += _EPISODE_DRAWS
+                        continue
+                    stride = _EPISODE_DRAWS + cells - lead
+                    while stream.at + stride > len(stream.window):
+                        refill()
                 else:
-                    episodes = whole
-                    clip = 0
-                    remaining -= int(sums[first + whole - 1]) - before
-                if state.reachable:
-                    # The pair entered the day reachable: a PLAIN
-                    # withdrawal leads its first episode that starts
-                    # before midnight (the first, unless an in-bin
-                    # offset rounded up to the day's last instant).
-                    window = stream.window
-                    for episode in range(episodes):
-                        bin_index = min(
-                            bisect_left(cum, window[at + 1] * total),
-                            last_bin,
+                    sums = stream.lane(at % _EPISODE_DRAWS)
+                    first = at // _EPISODE_DRAWS
+                    before = int(sums[first - 1]) if first else 0
+                    last = int(sums.searchsorted(before + remaining))
+                    if last < first + whole:
+                        # The budget runs out in this window: the last
+                        # burst is cut to what is left of it.
+                        episodes = last - first + 1
+                        clip = remaining + before - (
+                            int(sums[last - 1]) if last else 0
                         )
-                        t0 = day_start + (
-                            bin_index + window[at + 2]
-                        ) * bin_width
-                        if t0 < day_end:
-                            leads.append((len(starts), episode))
-                            state.reachable = False
+                        remaining = 0
+                    else:
+                        episodes = whole
+                        clip = 0
+                        remaining -= int(sums[first + whole - 1]) - before
+                    stride = episodes * _EPISODE_DRAWS
+                if lead:
+                    # The first, unless an in-bin offset rounded an
+                    # episode's start up to midnight itself.
+                    for episode in range(episodes):
+                        at = stream.at + episode * _EPISODE_DRAWS
+                        if begins(at) < day_end:
+                            boot = bootstraps or (
+                                category is UpdateCategory.WADIFF
+                                and not state.ever_announced
+                            )
+                            leads.append((len(starts), episode, boot))
+                            state.reachable = announces
+                            state.ever_announced |= announces
+                            lead = False
                             break
-                        at += _EPISODE_DRAWS
                 starts.append(stream.at)
                 counts.append(episodes)
                 clips.append(clip)
-                blocks.append(block)
-                stream.at += episodes * _EPISODE_DRAWS
+                pairs.append(pair)
+                stream.at += stride
         if starts:
-            self._expand_runs(stream, plan, runs, sink)
+            self._expand_runs(stream, plan, category, runs, sink)
 
     def _expand_runs(
         self,
         stream: _DrawStream,
         plan: DayPlan,
+        category: UpdateCategory,
         runs: Tuple[list, ...],
         sink: "_ColumnSink",
     ) -> None:
         """Turn the episode ``runs`` planned from ``stream.window``
-        (see :meth:`_emit_wwdup_columns`) into withdrawal events, as
-        array expressions in the scalar loop's operand order.
+        into records, as array expressions in the per-pair loop's
+        operand order.
 
-        Only ``exp`` stays libm: the background period reaches a
-        timestamp, and ``np.exp`` differs from ``math.exp`` in the
-        last bit often enough to show.
+        An episode is a row of *cells*, one per event plus a leading
+        bootstrap cell where its lead bootstraps; the cells at or past
+        midnight are dropped.  A WA* event after the pair's first, and
+        a WWDup lead, follow a withdrawal one micro-gap earlier.  Only
+        ``exp`` stays libm: the background period reaches a timestamp,
+        and ``np.exp`` differs from ``math.exp`` in the last bit.
         """
-        starts, counts, clips, blocks, leads = runs
+        starts, counts, clips, pairs, leads = runs
         window = stream.window
         cum, total = plan.materialization_weights()
         day_start = plan.day * SECONDS_PER_DAY
         day_end = day_start + SECONDS_PER_DAY
         bin_width = SECONDS_PER_DAY / BINS_PER_DAY
-        targets = self.targets
-        mass_30 = targets.spacing_30s_mass
-        mass_60 = mass_30 + targets.spacing_60s_mass
-        log_lo = math.log(2.0)
-        log_span = math.log(8 * 3600.0) - log_lo
+        mass_30 = self.targets.spacing_30s_mass
+        mass_60 = mass_30 + self.targets.spacing_60s_mass
 
         per_run = np.asarray(counts, dtype=np.intp)
         ends = np.cumsum(per_run)
@@ -1150,28 +951,119 @@ class TraceGenerator:
         background = np.flatnonzero(selector >= mass_60)
         period[background] = [
             math.exp(x)
-            for x in (log_lo + log_span * spread[background]).tolist()
+            for x in (_LOG_2S + _LOG_SPAN * spread[background]).tolist()
         ]
-        block = np.repeat(np.asarray(blocks, dtype=np.intp), per_run)
-        if leads:
-            # Lead withdrawals: one-event rows ahead of their episode,
-            # at the micro-gap offset clamped to the day's start.
-            runs, episodes = np.asarray(leads, dtype=np.intp).T
-            led = firsts[runs] + episodes
-            gap = np.minimum(
-                0.5 + 3.5 * window[offset[led] + 5], period[led] / 2.0
-            )
-            early = t0[led] - gap
-            lead_time = np.where(early > day_start, early, t0[led])
-            length = np.insert(length, led, 1)
-            period = np.insert(period, led, 0.0)
-            block = np.insert(block, led, block[led])
-            t0 = np.insert(t0, led, lead_time)
+        run, episode, booted = np.asarray(leads, np.intp).reshape(-1, 3).T
+        led = firsts[run] + episode
+        boot = np.zeros(len(offset), dtype=bool)
+        boot[led[booted == 1]] = True
+        length += boot
         times = _episode_times(t0, period, length)
+        row = np.cumsum(length) - length  # every episode's first cell
         # Days are hard boundaries: an episode's tail past midnight is
         # dropped (times only grow along a row).
-        kept = times < day_end
-        sink.withdraw_block(times[kept], np.repeat(block, length)[kept])
+        keep = np.flatnonzero(times < day_end)
+        time = times[keep]
+        episode_run = np.repeat(np.arange(len(starts)), per_run)
+        # A lead episode starts before midnight, so its first cell is kept.
+        lead_cells = np.searchsorted(keep, row[led])
+        if category is UpdateCategory.WWDUP:
+            cell_run = np.repeat(episode_run, length)[keep]
+            withdrawn, episode = lead_cells, led
+        else:
+            cell_episode = np.repeat(np.arange(len(length)), length)[keep]
+            cell_run = episode_run[cell_episode]
+            attr_id = self._announced(
+                window, category, pairs, cell_run, cell_episode, offset,
+                boot, keep - row[cell_episode], sink.table,
+            )
+            # Every WA* event but a pair's first or bootstrap follows
+            # a withdrawal; AA* events none.
+            ahead = np.full(len(time), category in (
+                UpdateCategory.WADIFF, UpdateCategory.WADUP
+            ))
+            ahead[lead_cells] = False
+            withdrawn = np.flatnonzero(ahead)
+            episode = cell_episode[withdrawn]
+            attr_id = np.insert(attr_id, withdrawn, NO_ATTR)
+        gap = np.minimum(
+            0.5 + 3.5 * window[offset[episode] + 5], period[episode] / 2.0
+        )
+        early = time[withdrawn] - gap
+        lead_time = np.where(early > day_start, early, time[withdrawn])
+        time = np.insert(time, withdrawn, lead_time)
+        cell_run = np.insert(cell_run, withdrawn, cell_run[withdrawn])
+        if category is UpdateCategory.WWDUP:
+            attr_id = np.broadcast_to(NO_ATTR, time.shape)
+        sink.append(pairs, time, cell_run, attr_id)
+
+    def _announced(
+        self,
+        window: np.ndarray,
+        category: UpdateCategory,
+        pairs: List[Pair],
+        cell_run: np.ndarray,
+        cell_episode: np.ndarray,
+        offset: np.ndarray,
+        boot: np.ndarray,
+        step: np.ndarray,
+        table: AttributeTable,
+    ) -> np.ndarray:
+        """The attribute id of every kept announce cell, interned in
+        emission order.  ``step`` is a cell's place in its row.  The
+        pair's state carries variant and MED from run to run.
+        """
+        n_runs = len(pairs)
+        booted_row = boot[cell_episode]
+        booting = booted_row & (step == 0)
+        counted = ~booting
+
+        def running(flags: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+            # Each cell's running count of flags in its run; run totals.
+            totals = np.bincount(cell_run[flags], minlength=n_runs)
+            before = (np.cumsum(totals) - totals)[cell_run]
+            return np.cumsum(flags) - before, totals
+
+        rank, events = running(counted)
+        policy = category is UpdateCategory.AADUP
+        if policy:
+            # An event's policy draw follows its episode's six draws.
+            draw = offset[cell_episode] + _EPISODE_DRAWS + step - booted_row
+            climbed, hits = running(counted & (
+                window[draw] < self.targets.policy_fluctuation_fraction
+            ))
+        toggles = category in (UpdateCategory.AADIFF, UpdateCategory.WADIFF)
+        variant, med = np.zeros((2, n_runs), dtype=np.intp)
+        emitted = np.bincount(cell_run, minlength=n_runs)
+        for run in np.flatnonzero(emitted).tolist():
+            state = self._states[pairs[run]]
+            variant[run] = state.variant
+            if toggles:
+                state.variant ^= int(events[run]) & 1
+            value = None
+            if policy:
+                # A bootstrap announces without MED.
+                value = None if emitted[run] > events[run] else state.med
+                med[run] = _MEDS.index(value)
+                if hits[run]:
+                    value = 20 if (hits[run] + (value == 20)) & 1 else 40
+            state.med = value
+        variant = variant[cell_run]
+        if toggles:
+            variant ^= rank & 1 & counted
+        med = med[cell_run]
+        if policy:
+            stepped = 2 - ((climbed + (med == 1)) & 1)
+            med = np.where(climbed == 0, med, stepped)
+        key = (cell_run * 2 + variant) * 3 + med
+        keys, first, inverse = np.unique(key, True, True)
+        ids = np.empty(len(keys), dtype=np.uint32)
+        for i in np.argsort(first).tolist():
+            run, code = divmod(int(keys[i]), 6)
+            ids[i] = table.intern(
+                self._attrs(pairs[run], code // 3, _MEDS[code % 3])
+            )
+        return ids[inverse]
 
     # ------------------------------------------------------------------
     # aggregate tier conveniences
@@ -1202,30 +1094,21 @@ class TraceGenerator:
         restored.  Columnar and key-sorted, so the payload is canonical
         (independent of dict insertion order) and compact.
         """
-        items = sorted(
-            self._states.items(),
-            key=lambda kv: (kv[0][0].network, kv[0][0].length, kv[0][1]),
-        )
-        nets: List[int] = []
-        plens: List[int] = []
-        asns: List[int] = []
-        flags: List[int] = []
-        meds: List[int] = []
-        for (prefix, asn), state in items:
-            nets.append(prefix.network)
-            plens.append(prefix.length)
-            asns.append(asn)
-            flags.append(
+        # Pairs sort as ((network, length), asn): Prefix is that tuple.
+        pairs = sorted(self._states)
+        states = [self._states[pair] for pair in pairs]
+        return {
+            "net": [prefix.network for prefix, _ in pairs],
+            "plen": [prefix.length for prefix, _ in pairs],
+            "asn": [asn for _, asn in pairs],
+            "flags": [
                 int(state.reachable)
                 | int(state.ever_announced) << 1
                 | int(state.variant) << 2
                 | int(state.med is not None) << 3
-            )
-            if state.med is not None:
-                meds.append(state.med)
-        return {
-            "net": nets, "plen": plens, "asn": asns,
-            "flags": flags, "med": meds,
+                for state in states
+            ],
+            "med": [state.med for state in states if state.med is not None],
         }
 
     @staticmethod

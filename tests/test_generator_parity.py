@@ -1,16 +1,15 @@
-"""Vectorized-generation digest parity.
+"""Generation digest parity.
 
-The vectorized WWDup tier (``TraceGenerator._emit_wwdup_columns``)
-and the cached-bisect bin sampler must give every draw of the day's
-MT19937 stream the role the original scalar loop gave it, position
-for position, so the two materializations of any day stay
+The production tier (``TraceGenerator.day_columns``: every category
+read in blocks from a NumPy clone of the day's ``random.Random`` and
+expanded as arrays, bins by a cached bisect) must give every draw of
+the day's MT19937 stream the role the scalar per-pair loop gives it,
+position for position, so the two materializations of any day stay
 bit-identical forever:
 
-- vectorized ``day_columns`` (WWDup read in blocks from a NumPy clone
-  of the day's ``random.Random`` and expanded as arrays), the
-  production path (``day_records`` is its ``to_records()``),
-- the preserved pre-vectorization tier
-  (:mod:`repro.verify.refgen`, the single scalar draw-order oracle).
+- production ``day_columns``,
+- the scalar oracle (:mod:`repro.verify.refgen`, which owns the
+  per-pair loop and shares no emission code with production).
 
 These tests pin that contract across the fuzz-seed corpus, pair
 fractions, incident overlays, diurnal schedules, and the shared
@@ -34,6 +33,7 @@ from repro.campaign.runner import run_campaign
 from repro.core.columns import AttributeTable
 from repro.verify.golden import FUZZ_SEEDS
 from repro.verify.refgen import ReferenceTraceGenerator, reference_twin
+from repro.workloads import generator as generator_module
 from repro.workloads.diurnal import DiurnalModel
 from repro.workloads.generator import TraceGenerator, campaign_generator
 from repro.workloads.incidents import Incident, IncidentSchedule
@@ -84,7 +84,7 @@ class TestDayParity:
     @pytest.mark.parametrize("pair_fraction", (0.05, 0.3, 1.0))
     def test_pair_fractions(self, pair_fraction):
         """Subsampling draws one rng.random() per pair before episode
-        synthesis; the vectorized tier must keep that interleaving."""
+        synthesis; the production tier must keep that interleaving."""
         assert_parity(
             lambda: small_generator(7), day=3, pair_fraction=pair_fraction
         )
@@ -128,7 +128,7 @@ class TestDayParity:
 
     def test_shared_attribute_table_campaign_mode(self):
         """Campaign shards intern attributes into one shared table;
-        vectorized and reference runs must produce identical ids
+        production and reference runs must produce identical ids
         across consecutive days."""
         vec = small_generator(3)
         ref = reference_twin(small_generator(3))
@@ -139,22 +139,28 @@ class TestDayParity:
             assert a.attrs is vec_table and b.attrs is ref_table
             assert columns_digest(a) == columns_digest(b)
 
-    def test_reference_is_forced_scalar(self):
-        """The oracle must never silently inherit the vectorized path
-        (that would make the differential vacuous)."""
+    def test_reference_never_draws_a_block(self, monkeypatch):
+        """The oracle must never run the production path (that would
+        make the differential vacuous): with the block stream made to
+        raise, production fails and the oracle still generates."""
+
+        class NoStream:
+            def __init__(self, rng):
+                raise AssertionError("the block stream was built")
+
+        monkeypatch.setattr(generator_module, "_DrawStream", NoStream)
+        with pytest.raises(AssertionError, match="block stream"):
+            small_generator(1).day_columns(1, pair_fraction=0.3)
         generator = reference_twin(small_generator(1))
         assert isinstance(generator, ReferenceTraceGenerator)
-        assert type(generator)._materialize_day is not (
-            TraceGenerator._materialize_day
-        )
-        assert type(generator)._sample_bin is not TraceGenerator._sample_bin
+        assert len(generator.day_columns(1, pair_fraction=0.3))
 
 
 class TestPinnedCampaignDigest:
     def test_campaign_digest_is_frozen(self):
         """The end-to-end campaign manifest digest over the standard
-        small config.  This value predates the vectorized tier: moving
-        it means the optimization changed the record stream."""
+        small config.  This value predates the array tier: moving it
+        means a rewrite changed the record stream."""
         config = CampaignConfig(days=3, seed=5, shards=2, **FAST)
         result = run_campaign(config)
         assert result.partial.records == 43294

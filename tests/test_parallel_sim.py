@@ -11,6 +11,7 @@ façade (both engines agree on every named scenario), and the ``sim``
 CLI.
 """
 
+import time
 import warnings
 
 import pytest
@@ -131,6 +132,22 @@ def test_worker_failure_surfaces_as_parallel_error():
             driver.run()
     finally:
         driver.close()
+
+
+def test_close_returns_promptly_after_a_worker_dies():
+    """Every worker closes the parent-side pipe ends it inherited, so
+    the parent's ``close`` reaches the survivors as EOF at once: no
+    join timeout, no terminate."""
+    driver = ParallelDriver(_small_day(1), workers=3)
+    driver._ports[1].process.terminate()
+    driver._ports[1].process.join()
+    # lint: allow[DET002] -- the assertion is a wall-time bound
+    started = time.perf_counter()
+    driver.close()
+    # lint: allow[DET002] -- the assertion is a wall-time bound
+    assert time.perf_counter() - started < 1.0
+    # Exit code 0: the survivors returned on EOF, not on SIGTERM.
+    assert all(port.process.exitcode == 0 for port in driver._ports[::2])
 
 
 # -- EventScheduler protocol ------------------------------------------------

@@ -175,14 +175,14 @@ def tiny_generator():
 
 class TestGeneratorInvariants:
     def test_records_reproducible(self, tiny_generator):
-        a = tiny_generator.day_records(5, pair_fraction=1.0)
+        a = tiny_generator.day_columns(5, pair_fraction=1.0)
         tiny_generator._states.clear()
-        b = tiny_generator.day_records(5, pair_fraction=1.0)
+        b = tiny_generator.day_columns(5, pair_fraction=1.0)
         tiny_generator._states.clear()
-        assert a == b
+        assert a.to_records() == b.to_records()
 
     def test_per_pair_times_monotone(self, tiny_generator):
-        records = tiny_generator.day_records(6, pair_fraction=1.0)
+        records = tiny_generator.day_columns(6, 1.0).to_records()
         tiny_generator._states.clear()
         by_pair = {}
         for i, record in enumerate(records):
@@ -196,14 +196,14 @@ class TestGeneratorInvariants:
     def test_classification_has_no_surprise_categories(self, tiny_generator):
         """A freshly-seeded single day classifies into exactly the
         planned categories plus bootstrap/uncategorized events."""
-        records = tiny_generator.day_records(7, pair_fraction=1.0)
+        records = tiny_generator.day_columns(7, 1.0).to_records()
         tiny_generator._states.clear()
         counts = classified_counts(records)
         assert counts.total == len(records)
 
     def test_plan_totals_bound_materialized_counts(self, tiny_generator):
         plan = tiny_generator.plan_day(8)
-        records = tiny_generator.day_records(
+        records = tiny_generator.day_columns(
             8, pair_fraction=1.0, plan=plan
         )
         tiny_generator._states.clear()

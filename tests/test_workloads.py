@@ -230,8 +230,8 @@ class TestDayPlan:
 
 class TestMaterialization:
     def test_records_time_ordered_and_in_day(self, generator):
-        records = generator.day_records(30, pair_fraction=0.2)
-        times = [r.time for r in records]
+        columns = generator.day_columns(30, pair_fraction=0.2)
+        times = columns.time.tolist()
         assert times == sorted(times)
         # Episode tails may spill a few hours past midnight (real
         # cross-midnight flap episodes do too).
@@ -265,9 +265,9 @@ class TestMaterialization:
             assert got <= 1.3 * planned + 10, category
 
     def test_pair_fraction_scales_volume(self, generator):
-        full = len(generator.day_records(40, pair_fraction=1.0))
+        full = len(generator.day_columns(40, pair_fraction=1.0))
         generator._states.clear()
-        tenth = len(generator.day_records(40, pair_fraction=0.1))
+        tenth = len(generator.day_columns(40, pair_fraction=0.1))
         generator._states.clear()
         assert 0.03 * full < tenth < 0.25 * full
 

@@ -8,7 +8,11 @@ driver), all implementing the :class:`~repro.sim.scheduler.EventScheduler`
 protocol and all digest-compatible on equal configurations.
 
 The package re-exports only the names ``perf/`` reads from it (and
-instruments there); everything else is imported from its module."""
+instruments there); everything else is imported from its module.
+Importing it loads the engines, the timers, the scenario registry and
+the attack configurations, and no router, partition, parallel driver
+or BGP session: each scenario family imports that machinery when it
+runs (see :mod:`repro.sim.scenarios`)."""
 
 from .adversary import scenario_relationships
 from .engine import Engine

@@ -46,11 +46,11 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 from ..bgp.attributes import AsPath, PathAttributes
 from ..net.prefix import Prefix
 from ..topology.relationships import AsRelationships
+from .digests import _derive
 from .engine import SimulationError
-from .partition import ExchangeDayConfig, _derive
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .partition import ExchangePartition
+    from .partition import ExchangeDayConfig, ExchangePartition
 
 __all__ = [
     "ATTACK_KINDS",

@@ -39,15 +39,14 @@ import multiprocessing
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from .digests import combined_digest, partition_digest
 from .engine import Engine, SimulationError
 from .partition import (
     CrossMessage,
     ExchangeDayConfig,
     ExchangePartition,
     OutboxChannel,
-    combined_digest,
     min_lookahead,
-    partition_digest,
 )
 
 __all__ = [
@@ -225,7 +224,9 @@ class _RemotePort:
     def _recv(self):
         try:
             return self.conn.recv()
-        except EOFError as exc:
+        except (EOFError, OSError) as exc:
+            # EOF if the worker exited, ConnectionResetError (an
+            # OSError) if it was killed with data still unread.
             raise ParallelSimError("worker died mid-protocol") from exc
 
     def _send(self, command) -> None:

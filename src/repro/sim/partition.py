@@ -27,30 +27,27 @@ This module builds the scenario so that every partition is
   oracle mode) or collected into an outbox of :class:`CrossMessage`
   for the parallel driver to route and inject deterministically.
 
-Digests (:func:`partition_digest`) cover domain state only — RIBs,
-route-server logs, update counters — never engine internals, so a
-single-engine run and a partitioned run of the same config must agree
-bit-for-bit (property-tested in ``tests/test_engine_equivalence.py``).
+Digests (:func:`repro.sim.digests.partition_digest`) cover domain
+state only — RIBs, route-server logs, update counters — never engine
+internals, so a single-engine run and a partitioned run of the same
+config must agree bit-for-bit (property-tested in
+``tests/test_engine_equivalence.py``).  They and the per-entity RNG
+derivation live in the router-free :mod:`repro.sim.digests`, which
+the scenario registry imports without loading this module.
 """
 
 from __future__ import annotations
 
-import hashlib
-import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..bgp.attributes import attribute_tuple
 from ..collector.record import MemoryLog
-from ..core.routestate import route_state_digest
 from ..net.prefix import Prefix
 from ..topology.exchange import EXCHANGE_POINTS
+from .adversary import AdversaryConfig, install_adversary
+from .digests import _derive
 from .router import Router
 from .routeserver import ExchangePoint
-
-if TYPE_CHECKING:  # pragma: no cover - typing only; repro.sim.adversary
-    # imports this module, so a module-level import would be circular.
-    from .adversary import AdversaryConfig
 
 __all__ = [
     "CrossMessage",
@@ -58,11 +55,8 @@ __all__ = [
     "ExchangePartition",
     "InlineChannel",
     "OutboxChannel",
-    "combined_digest",
     "min_lookahead",
     "pair_latency",
-    "partition_digest",
-    "rib_state_digest",
 ]
 
 #: Prefix space for provider customer routes (disjoint from the other
@@ -82,11 +76,6 @@ _SALT_ROUTER = 3
 #: MRAI default alone is 30 s).  This floor is the parallel driver's
 #: minimum lookahead, so it is deliberately conservative-large.
 _LATENCY_FLOOR = 15.0
-
-
-def _derive(seed: int, salt: int, index: int) -> random.Random:
-    """A deterministic per-entity RNG, independent of build order."""
-    return random.Random(seed * 2_654_435_761 + salt * 97_003 + index)
 
 
 def pair_latency(a: int, b: int) -> float:
@@ -135,7 +124,7 @@ class ExchangeDayConfig:
     #: Optional seeded attacker (:class:`~repro.sim.adversary
     #: .AdversaryConfig`); its pulse timetable is a pure function of
     #: this config, installed per partition at build time.
-    adversary: Optional["AdversaryConfig"] = None
+    adversary: Optional[AdversaryConfig] = None
 
     @property
     def end_time(self) -> float:
@@ -355,8 +344,6 @@ class ExchangePartition:
             adversary is not None
             and adversary.attacker in self.routers
         ):
-            from .adversary import install_adversary
-
             install_adversary(self, adversary)
         sends.sort()
         self.flap_times = sends
@@ -405,57 +392,3 @@ class ExchangePartition:
             times.pop(0)
         return times[0] if times else float("inf")
 
-
-def rib_state_digest(router: Router) -> str:
-    """:func:`route_state_digest` of one router's Adj-RIB-In."""
-    adj_in = router.loc_rib.adj_in
-    return route_state_digest(
-        ((peer, prefix.network, prefix.length), True, True,
-         attribute_tuple(attrs))
-        for peer in adj_in.peers()
-        for prefix, attrs in adj_in.routes_from(peer).items()
-    )
-
-
-def partition_digest(partition: ExchangePartition) -> str:
-    """Domain-state digest of one exchange: per-router counters + RIB
-    digests (ascending provider order), the route server's log and
-    counters.  Engine internals (clocks, event counts) are excluded so
-    single-engine and partitioned runs of the same config compare
-    equal."""
-    hasher = hashlib.sha256()
-    for provider in sorted(partition.routers):
-        router = partition.routers[provider]
-        hasher.update(
-            repr(
-                (
-                    provider,
-                    router.updates_sent,
-                    router.updates_received,
-                    router.crash_count,
-                    rib_state_digest(router),
-                )
-            ).encode()
-        )
-    server = partition.exchange.route_server
-    hasher.update(
-        repr(
-            (
-                server.updates_received,
-                server.updates_sent,
-                len(partition.sink.records),
-            )
-        ).encode()
-    )
-    for record in partition.sink.records:
-        hasher.update(repr(record).encode())
-    return hasher.hexdigest()
-
-
-def combined_digest(digests: Dict[int, str]) -> str:
-    """One run digest over per-exchange digests in exchange order —
-    the common coin of the single-engine oracle
-    (:func:`repro.sim.scenarios.run_exchange_day`) and the parallel
-    driver (:attr:`repro.sim.parallel.ParallelResult.digest`)."""
-    parts = tuple((index, digests[index]) for index in sorted(digests))
-    return hashlib.sha256(repr(parts).encode()).hexdigest()

@@ -37,6 +37,16 @@ are equal — the property the differential benchmark and the
 equivalence tests are built on.  Runners accept an optional ``seed``;
 ``None`` keeps each scenario's published default draws (the pinned
 golden digests).
+
+Module-level imports cover only the registry, the façade and
+``sync_population``: the engines, the timers, the attack kinds and the
+router-free digests.  Every other family imports its own machinery at
+the top of its runner (``flap_storm`` the flap-storm mesh,
+``table_dump`` routers and links, the day family the partition module,
+``engine="parallel"`` the driver), so ``import repro.sim`` compiles no
+router, BGP session or ``multiprocessing``.  ``partition_digest`` and
+``combined_digest`` stay module attributes that the day runners look
+up at call time, which is where ``perf/`` wraps them.
 """
 
 from __future__ import annotations
@@ -44,26 +54,17 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-from ..collector.record import UpdateRecord
-from ..net.prefix import Prefix
 from .adversary import ATTACK_KINDS, AdversaryConfig
+from .digests import combined_digest, partition_digest, rib_state_digest
 from .engine import Engine, SimulationError
-from .flapstorm import FlapStormScenario
-from .link import Link
-from .parallel import ParallelDriver
-from .partition import (
-    ExchangeDayConfig,
-    ExchangePartition,
-    InlineChannel,
-    combined_digest,
-    partition_digest,
-    rib_state_digest,
-)
 from .refengine import ReferenceEngine
-from .router import Router, connect
 from .timers import IntervalTimer
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..collector.record import UpdateRecord
+    from .partition import ExchangeDayConfig
 
 __all__ = [
     "DAY_SCENARIOS",
@@ -198,6 +199,8 @@ def scenario_sync_population(
 def scenario_flap_storm(
     engine_cls, smoke: bool, seed: Optional[int] = None
 ):
+    from .flapstorm import FlapStormScenario
+
     n_routers, per_router, flaps, observe = _STORM_SIZE[smoke]
     engine = engine_cls()
     scenario = FlapStormScenario(
@@ -227,6 +230,10 @@ def scenario_flap_storm(
 def scenario_table_dump(
     engine_cls, smoke: bool, seed: Optional[int] = None
 ):
+    from ..net.prefix import Prefix
+    from .link import Link
+    from .router import Router, connect
+
     # Fully deterministic — no draws, so ``seed`` has nothing to vary.
     n_prefixes, n_peers, bounces = _DUMP_SIZE[smoke]
     engine = engine_cls()
@@ -268,6 +275,8 @@ def day_config(
 ) -> ExchangeDayConfig:
     """The multi-exchange-day presets: the full 5-exchange 90-provider
     day, or a minutes-long 3-exchange smoke configuration."""
+    from .partition import ExchangeDayConfig
+
     base_seed = 7 if seed is None else seed
     if smoke:
         return ExchangeDayConfig(
@@ -345,6 +354,8 @@ def day_scenario_config(
 
 def _run_day(engine_cls, config: ExchangeDayConfig):
     """Build and run all partitions on one shared engine."""
+    from .partition import ExchangePartition, InlineChannel
+
     engine = engine_cls()
     partitions = [
         ExchangePartition(config, index, engine)
@@ -476,6 +487,8 @@ def simulate(
                 "engine='parallel' requires a partitionable day-family "
                 f"scenario ({known}); {scenario!r} is single-engine only"
             )
+        from .parallel import ParallelDriver
+
         config = day_scenario_config(scenario, smoke, seed)
         with ParallelDriver(config, workers=workers) as driver:
             driver.run()

@@ -16,9 +16,9 @@ import random
 
 import pytest
 
+from repro.sim.digests import rib_state_digest
 from repro.sim.engine import Engine
 from repro.sim.flapstorm import FlapStormScenario
-from repro.sim.partition import rib_state_digest
 from repro.sim.refengine import ReferenceEngine
 from repro.verify.golden import FUZZ_SEEDS, TRACE_SEED
 

@@ -5,7 +5,9 @@ what the entry point's imports pulled in.  The campaign runner must
 not load the simulator, the BGP protocol machinery, the MRT codecs or
 the spectral analyses, and the archive reader neither the simulator
 nor the generator.  The simulator, the other way round, loads no NumPy
-and none of the statistical tier.  A package ``__init__`` imports
+and none of the statistical tier, and its scenario registry loads only
+what ``sync_population`` runs: every other scenario family imports
+its own machinery when it runs.  A package ``__init__`` imports
 nothing, so importing one module of a package loads that module and
 its own imports only.  And every import happens at start-up: a call that
 imported a ``repro`` module for the first time would be paying compile
@@ -13,14 +15,28 @@ time inside the work it is timed on.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.collector.log import FileLog
 from repro.core.columns import AttributeTable
+from repro.sim.scenarios import simulate
+from repro.verify.golden import CASES_FILE
 from repro.workloads.generator import campaign_generator
 
 from .test_topology import _in_child
+
+
+def _loaded_after(code):
+    """Every module loaded after running ``code`` in a fresh
+    interpreter."""
+    done = _in_child(
+        "import json, sys\n" + code
+        + "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 def _imported_by(code, setup=""):
@@ -84,14 +100,78 @@ class TestMechanismTierLoadsNoNumpy:
         "main(['sim', '--scenario', 'sync_population', '--smoke'])\n",
     ], ids=["import", "cli_sim"])
     def test_loads_no_statistical_module(self, code):
-        done = _in_child(
-            "import json, sys\n" + code
-            + "print(json.dumps(sorted(sys.modules)))\n"
-        )
-        assert done.returncode == 0, done.stderr
-        loaded = json.loads(done.stdout.splitlines()[-1])
+        loaded = _loaded_after(code)
         assert "repro.sim.scenarios" in loaded
         assert [m for m in loaded if _statistical(m)] == []
+
+
+#: The ``repro`` modules that ``import repro.sim`` and a
+#: ``sync_population`` run may load: the registry, the façade and the
+#: engines and timers that family runs.  No router, link, partition,
+#: route server, parallel driver, flap storm or BGP session machinery.
+SIM_STARTUP = frozenset({
+    "repro", "repro.bgp", "repro.bgp.attributes", "repro.core",
+    "repro.core.routestate", "repro.net", "repro.net.prefix",
+    "repro.sim", "repro.sim.adversary", "repro.sim.digests",
+    "repro.sim.engine", "repro.sim.refengine", "repro.sim.scenarios",
+    "repro.sim.timers", "repro.topology", "repro.topology.relationships",
+})
+
+
+class TestScenarioRegistryLoadsOnlySyncPopulation:
+    """Each scenario family imports its own machinery at the top of
+    its runner; the registry imports only what ``sync_population``
+    runs."""
+
+    @pytest.mark.parametrize("code", [
+        "import repro.sim\n",
+        "from repro.sim import simulate\n"
+        "simulate('sync_population', smoke=True)\n",
+    ], ids=["import", "sync_population"])
+    def test_loads_only_the_allowlist(self, code):
+        loaded = _loaded_after(code)
+        assert "repro.sim.scenarios" in loaded
+        assert [
+            m for m in loaded
+            if m.startswith("repro") and m not in SIM_STARTUP
+        ] == []
+        assert "multiprocessing" not in loaded
+
+
+#: family -> the ``simulate`` call that runs it (all at smoke size).
+FAMILIES = {
+    "flap_storm": ("flap_storm", {}),
+    "table_dump": ("table_dump", {}),
+    "multi_exchange_day": ("multi_exchange_day", {}),
+    "hijack_moas": ("hijack_moas", {}),
+    "parallel": ("hijack_moas", {"engine": "parallel", "workers": 2}),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_each_family_imports_what_it_runs(family):
+    """A fresh interpreter that imported only the façade runs the
+    family to the digest of the golden corpus (the attack scenarios)
+    or of this process, which has every module loaded already."""
+    scenario, options = FAMILIES[family]
+    done = _in_child(
+        "import json\n"
+        "from repro.sim import simulate\n"
+        f"result = simulate({scenario!r}, smoke=True, **{options!r})\n"
+        "print(json.dumps([result.events, result.digest]))\n"
+    )
+    assert done.returncode == 0, done.stderr
+    golden = Path(__file__).parent / "golden" / CASES_FILE
+    frozen = {
+        case["scenario"]: [case["events"], case["digest"]]
+        for case in json.loads(golden.read_text())["scenarios"]
+    }
+    if scenario in frozen:
+        expected = frozen[scenario]
+    else:
+        result = simulate(scenario, smoke=True)
+        expected = [result.events, result.digest]
+    assert json.loads(done.stdout.splitlines()[-1]) == expected
 
 
 #: (start-up, timed call) of each entry point; ``{archive}`` is the path

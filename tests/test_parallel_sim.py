@@ -11,6 +11,8 @@ façade (both engines agree on every named scenario), and the ``sim``
 CLI.
 """
 
+import os
+import signal
 import time
 import warnings
 
@@ -134,6 +136,15 @@ def test_worker_failure_surfaces_as_parallel_error():
         driver.close()
 
 
+def _close_seconds(driver) -> float:
+    """Wall time ``driver.close()`` takes."""
+    # lint: allow[DET002] -- the callers assert a wall-time bound
+    started = time.perf_counter()
+    driver.close()
+    # lint: allow[DET002] -- the callers assert a wall-time bound
+    return time.perf_counter() - started
+
+
 def test_close_returns_promptly_after_a_worker_dies():
     """Every worker closes the parent-side pipe ends it inherited, so
     the parent's ``close`` reaches the survivors as EOF at once: no
@@ -141,13 +152,31 @@ def test_close_returns_promptly_after_a_worker_dies():
     driver = ParallelDriver(_small_day(1), workers=3)
     driver._ports[1].process.terminate()
     driver._ports[1].process.join()
-    # lint: allow[DET002] -- the assertion is a wall-time bound
-    started = time.perf_counter()
-    driver.close()
-    # lint: allow[DET002] -- the assertion is a wall-time bound
-    assert time.perf_counter() - started < 1.0
+    assert _close_seconds(driver) < 1.0
     # Exit code 0: the survivors returned on EOF, not on SIGTERM.
     assert all(port.process.exitcode == 0 for port in driver._ports[::2])
+
+
+def test_killed_worker_surfaces_as_parallel_error():
+    """A worker SIGKILLed between windows dies with the parent's next
+    command unread, so the parent's read fails with a connection reset
+    rather than EOF.  That too is the typed error, ``close`` returns at
+    once, and both workers are reaped."""
+    from repro.sim.parallel import ParallelSimError
+
+    config = day_config(smoke=True, seed=3)
+    driver = ParallelDriver(config, workers=2)
+    try:
+        driver.run_until(config.settle + 100.0)
+        os.kill(driver._ports[1].process.pid, signal.SIGKILL)
+        with pytest.raises(ParallelSimError):
+            driver.run_until(config.end_time)
+    finally:
+        elapsed = _close_seconds(driver)
+    assert elapsed < 1.0
+    assert [port.process.exitcode for port in driver._ports] == [
+        0, -signal.SIGKILL
+    ]
 
 
 # -- EventScheduler protocol ------------------------------------------------

@@ -4,7 +4,7 @@
 Ignites a flap storm in the event simulator (slow-CPU routers, short
 hold timers, a burst of customer flaps), collects the session-state
 transitions the way a Routing Arbiter collector would, archives them
-as RFC 6396 BGP4MP_STATE_CHANGE records, and runs the storm detector
+as RFC 6396 BGP4MP_ET STATE_CHANGE records, and runs the storm detector
 over the re-read archive — the full forensic loop.
 
 Run:  python examples/storm_forensics.py
@@ -13,7 +13,7 @@ Run:  python examples/storm_forensics.py
 import io
 
 from repro.analysis.storms import detect_storms, flap_rate_series
-from repro.collector.mrt_rfc import read_state_changes, write_state_changes
+from repro.collector.mrt import read_state_changes, write_state_changes
 from repro.collector.record import SessionEvent
 from repro.sim.flapstorm import FlapStormScenario
 from repro.sim.router import CpuModel
@@ -51,7 +51,7 @@ def main() -> None:
                         )
                     )
 
-    # Archive and re-read (RFC 6396 BGP4MP_STATE_CHANGE).
+    # Archive and re-read (RFC 6396 BGP4MP_ET STATE_CHANGE).
     buffer = io.BytesIO()
     count = write_state_changes(buffer, events)
     buffer.seek(0)

@@ -12,7 +12,7 @@ The package provides, from the bottom up:
 - :mod:`repro.topology` — Internet-shaped AS graphs and the five
   measured exchange points;
 - :mod:`repro.collector` — the Routing Arbiter-style measurement
-  apparatus (update records, MRT-flavoured archives);
+  apparatus (update records, RFC 6396 MRT archives);
 - :mod:`repro.workloads` — the calibrated statistical generator for
   month-scale campaigns;
 - :mod:`repro.analysis` — the paper's analyses (classification,

@@ -1,1 +1,1 @@
-"""Measurement apparatus: update records, MRT-flavoured archives, logs."""
+"""Measurement apparatus: update records, RFC 6396 MRT archives, logs."""

@@ -6,7 +6,7 @@ list, :class:`~repro.collector.record.MemoryLog`, sits beside the
 record type so the simulator loads no codec; this module holds the
 other two sinks:
 
-- :class:`FileLog` — streaming MRT-flavoured archive on disk, for
+- :class:`FileLog` — streaming RFC 6396 MRT archive on disk, for
   long-horizon generated traces.
 - :class:`CountingLog` — keeps only aggregate counters (per peer, per
   kind), for simulations where record retention would dominate memory.
@@ -21,14 +21,21 @@ from collections import Counter
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, Union
 
-from .mrt import read_records
+from .mrt import (
+    read_column_batches,
+    read_records,
+    write_columns,
+    write_records,
+)
 from .record import UpdateKind, UpdateRecord
 
 __all__ = ["FileLog", "CountingLog"]
 
 
 class FileLog:
-    """A disk-backed MRT-flavoured update log.
+    """A disk-backed MRT update log (the format of
+    :mod:`repro.collector.mrt`, which ``python -m repro classify``
+    reads).
 
     Use as a context manager for writing::
 
@@ -52,8 +59,6 @@ class FileLog:
         """Decode the archive into columnar
         :class:`~repro.core.columns.RecordColumns` batches of up to
         ``batch_size`` rows (no per-record objects)."""
-        from .mrt import read_column_batches
-
         with open(self.path, "rb") as stream:
             yield from read_column_batches(stream, batch_size, attrs)
 
@@ -67,28 +72,19 @@ class _FileLogWriter:
         self.count = 0
 
     def __enter__(self) -> "_FileLogWriter":
-        from .mrt import MAGIC
-
         self._stream = open(self._path, "wb")
-        self._stream.write(MAGIC)
         return self
 
     def append(self, record: UpdateRecord) -> None:
-        from .mrt import write_record_body
-
-        write_record_body(self._stream, record)
-        self.count += 1
+        self.extend((record,))
 
     def extend(self, records: Iterable[UpdateRecord]) -> None:
-        for record in records:
-            self.append(record)
+        self.count += write_records(self._stream, records)
 
     def extend_columns(self, columns) -> None:
         """Serialize a whole :class:`RecordColumns` batch (the on-disk
         bytes match record-at-a-time appends of the same stream)."""
-        from .mrt import write_column_bodies
-
-        self.count += write_column_bodies(self._stream, columns)
+        self.count += write_columns(self._stream, columns)
 
     def __exit__(self, *exc_info) -> None:
         self._stream.close()

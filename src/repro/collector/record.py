@@ -156,8 +156,8 @@ class SessionEvent:
     The Routing Arbiter logged these alongside updates; they are the
     raw material of route-flap-storm forensics (a storm is a burst of
     Established→Idle transitions across many peers).
-    :mod:`repro.collector.mrt_rfc` archives them as RFC 6396
-    BGP4MP_STATE_CHANGE records.
+    :mod:`repro.collector.mrt` archives them as RFC 6396
+    BGP4MP_ET STATE_CHANGE records.
     """
 
     time: float

@@ -24,10 +24,9 @@ from repro.bgp.attributes import AsPath, PathAttributes
 from repro.collector import mrt
 from repro.collector.log import FileLog
 from repro.collector.mrt import (
-    MAGIC,
     read_column_batches,
     read_records,
-    write_column_bodies,
+    write_columns,
     write_records,
 )
 from repro.collector.record import UpdateKind, UpdateRecord
@@ -330,13 +329,6 @@ class TestGeneratorColumns:
         assert a.attrs is table and b.attrs is table
 
 
-def write_columns(stream, columns):
-    """A whole archive from one batch, as ``FileLog``'s writer lays it
-    out: the magic, then the batch's frames."""
-    stream.write(MAGIC)
-    return write_column_bodies(stream, columns)
-
-
 class TestColumnarArchive:
     def test_write_columns_bytes_identical(self):
         rng = random.Random(5)
@@ -371,7 +363,7 @@ class TestColumnarArchive:
         write_records(buf, fuzz_stream(seed).records)
         data = buf.getvalue()
         expected = RecordColumns.from_records(read_records(io.BytesIO(data)))
-        for block in (1, 15, 16, 17, 4096):
+        for block in (1, 31, 32, 33, 4096):
             monkeypatch.setattr(mrt, "_BLOCK_BYTES", block)
             for batch_size in (1, 7, 8192):
                 batches = list(

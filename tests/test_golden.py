@@ -8,6 +8,7 @@ diff and any semantic change shows up as a reviewable corpus diff.
 
 import io
 import json
+import struct
 from pathlib import Path
 
 import pytest
@@ -96,7 +97,8 @@ def test_build_golden_covers_all_sections():
     # detection adds the 4 detection-tier generators to those 9
     assert len(payload["detection"]) == 13
     assert len(payload["scenarios"]) == 5  # one per attack kind
-    assert trace.startswith(mrt.MAGIC)
+    # an RFC 6396 BGP4MP_ET (type 17) MESSAGE (subtype 1) frame
+    assert struct.unpack_from(">4xHH", trace) == (17, 1)
 
 
 def test_check_flags_a_doctored_detection_case(tmp_path):

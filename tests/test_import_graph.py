@@ -104,6 +104,20 @@ class TestMechanismTierLoadsNoNumpy:
         assert "repro.sim.scenarios" in loaded
         assert [m for m in loaded if _statistical(m)] == []
 
+    def test_cli_simulate_loads_no_numpy(self, tmp_path):
+        """``python -m repro simulate`` runs the simulator and writes
+        its log through the MRT record writer, which needs no NumPy."""
+        archive = str(tmp_path / "x.mrt")
+        loaded = _loaded_after(
+            "from repro.__main__ import main\n"
+            f"main(['simulate', '-o', {archive!r}, '--hours', '0.1'])\n"
+        )
+        assert "repro.collector.mrt" in loaded
+        assert [
+            m for m in loaded
+            if m.split(".")[0] == "numpy" or m == "repro.core.columns"
+        ] == []
+
 
 #: The ``repro`` modules that ``import repro.sim`` and a
 #: ``sync_population`` run may load: the registry, the façade and the

@@ -140,8 +140,7 @@ def test_mrt_columnar_write_matches_streaming_write(seed):
     streaming = io.BytesIO()
     mrt.write_records(streaming, records)
     columnar = io.BytesIO()
-    columnar.write(mrt.MAGIC)
-    mrt.write_column_bodies(columnar, RecordColumns.from_records(records))
+    mrt.write_columns(columnar, RecordColumns.from_records(records))
     assert columnar.getvalue() == streaming.getvalue()
 
 

@@ -9,8 +9,11 @@ from repro.analysis.storms import (
     flap_rate_series,
     session_loss_bursts,
 )
-from repro.bgp.wire import WireError
-from repro.collector.mrt_rfc import read_state_changes, write_state_changes
+from repro.collector.mrt import (
+    MrtError,
+    read_state_changes,
+    write_state_changes,
+)
 from repro.collector.record import SessionEvent
 
 
@@ -28,7 +31,7 @@ class TestSessionEvent:
         assert not up(0.0).is_session_loss
 
     def test_state_change_roundtrip(self):
-        events = [loss(100.0, peer=5, asn=701), up(160.0, peer=5, asn=701)]
+        events = [loss(100.25, peer=5, asn=701), up(160.0, peer=5, asn=701)]
         buffer = io.BytesIO()
         assert write_state_changes(buffer, events) == 2
         buffer.seek(0)
@@ -38,13 +41,14 @@ class TestSessionEvent:
         assert back[1].new_state == "ESTABLISHED"
         assert back[0].peer_id == 5
         assert back[0].peer_asn == 701
+        assert back == events  # BGP4MP_ET keeps the microseconds
 
     def test_bad_state_code_rejected(self):
         buffer = io.BytesIO()
         write_state_changes(buffer, [loss(1.0)])
         data = bytearray(buffer.getvalue())
         data[-1] = 99  # new-state code
-        with pytest.raises(WireError):
+        with pytest.raises(MrtError):
             list(read_state_changes(io.BytesIO(bytes(data))))
 
     def test_empty_stream(self):

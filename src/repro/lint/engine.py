@@ -9,10 +9,16 @@ rule modules share:
   (``# lint: allow[RULE-ID] -- justification``), parsed from the
   token stream so string literals can never fake a pragma;
 - :class:`ModuleContext` — per-file AST plus the semantic helpers the
-  rules need but ``ast`` does not provide: parent links, import-alias
-  resolution (``from random import randint as ri`` still resolves to
-  ``random.randint``), and a conservative scope-aware type inference
-  (string literals, annotations, set/dict constructors);
+  rules need but ``ast`` does not provide: parent links and the file's
+  one scoped binding table.  Every import (relative ones resolved
+  against the file's module name), parameter, assignment and
+  annotation is bound once, in the scope the interpreter binds it in,
+  as a type descriptor (the language is documented in
+  :mod:`repro.lint.semantic.symbols`).  :meth:`~ModuleContext.resolve`
+  (``from random import randint as ri`` still resolves to
+  ``random.randint``), :meth:`~ModuleContext.infer`,
+  :meth:`~ModuleContext.expr_type` and the whole-program summaries all
+  read that table;
 - :class:`LintEngine` — runs every rule over every file, applies
   pragma suppression, and reports stale pragmas.
 
@@ -23,10 +29,12 @@ Rules live one family per module under :mod:`repro.lint.rules`; see
 from __future__ import annotations
 
 import ast
+import builtins
 import functools
 import io
 import re
 import tokenize
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -43,7 +51,9 @@ __all__ = [
     "ProgramContext",
     "ProgramRule",
     "Rule",
+    "UNKNOWN",
     "iter_python_files",
+    "module_name_for",
 ]
 
 
@@ -110,71 +120,150 @@ class PragmaIssue:
     snippet: str
 
 
-class _Scope:
-    """One lexical scope: import aliases plus inferred local types."""
+#: Every builtin name; an unshadowed one resolves to ``builtins.<name>``.
+_BUILTIN_NAMES = frozenset(dir(builtins))
 
-    __slots__ = ("node", "parent", "imports", "types", "assigned")
+#: Annotation wrappers that do not change the type they wrap.
+_TRANSPARENT = frozenset({"Optional", "Final", "Annotated", "ClassVar"})
 
-    def __init__(self, node: ast.AST, parent: Optional["_Scope"]) -> None:
-        self.node = node
-        self.parent = parent
-        #: local name -> canonical dotted origin ("random.randint")
-        self.imports: Dict[str, str] = {}
-        #: local name -> "str" | "bytes" | "set" | "dict" | None(conflict)
-        self.types: Dict[str, Optional[str]] = {}
-        #: every name bound here by any non-import statement
-        self.assigned: set = set()
+#: Unknown: rules must treat it as innocent.
+UNKNOWN: dict = {"k": "?"}
 
-
-_BUILTIN_NAMES = frozenset(
-    {
-        "hash",
-        "sorted",
-        "set",
-        "frozenset",
-        "dict",
-        "list",
-        "tuple",
-        "len",
-        "sum",
-        "min",
-        "max",
-        "any",
-        "all",
-        "str",
-        "repr",
-        "format",
-        "bytes",
-        "iter",
-        "reversed",
-        "enumerate",
-        "zip",
-        "map",
-        "filter",
-        "print",
-    }
-)
+#: :meth:`ModuleContext.infer`'s vocabulary, by builtin type name or
+#: by the dotted name of a ``typing``/``collections.abc`` container.
+_VOCAB = {
+    "str": "str",
+    "bytes": "bytes",
+    "set": "set",
+    "frozenset": "set",
+    "typing.Set": "set",
+    "typing.MutableSet": "set",
+    "typing.FrozenSet": "set",
+    "collections.abc.Set": "set",
+    "collections.abc.MutableSet": "set",
+    "dict": "dict",
+    "typing.Dict": "dict",
+    "typing.Mapping": "dict",
+    "typing.MutableMapping": "dict",
+    "collections.abc.Mapping": "dict",
+    "collections.abc.MutableMapping": "dict",
+}
 
 _STR_METHODS = frozenset(
     {"format", "join", "lower", "upper", "strip", "decode", "replace"}
 )
 
-_ANNOTATION_TYPES = {
-    "str": "str",
-    "bytes": "bytes",
-    "set": "set",
-    "Set": "set",
-    "MutableSet": "set",
-    "frozenset": "set",
-    "FrozenSet": "set",
-    "dict": "dict",
-    "Dict": "dict",
-    "Mapping": "dict",
-    "MutableMapping": "dict",
-}
+#: A name bound by an import outranks a ``def``/``class``, which
+#: outranks any other binding of it in the same scope.
+_KIND_RANK = {"var": 0, "def": 1, "import": 2}
 
-#: annotation wrappers to look through: Optional[str] means str here.
-_TRANSPARENT_WRAPPERS = frozenset({"Optional", "Final", "Annotated"})
+#: Nodes that open a scope.
+_SCOPE_NODES = (
+    ast.FunctionDef,
+    ast.AsyncFunctionDef,
+    ast.ClassDef,
+    ast.Lambda,
+)
+
+
+def _builtin(name: str) -> dict:
+    return {"k": "builtin", "n": name}
+
+
+def _body(node: ast.AST) -> list:
+    """The statements a scope owns (a lambda's one expression)."""
+    body = node.body
+    return body if isinstance(body, list) else [body]
+
+
+def _vocab(desc: dict) -> Optional[str]:
+    """A descriptor in :meth:`ModuleContext.infer`'s words."""
+    kind = desc["k"]
+    if kind in ("builtin", "ref"):
+        return _VOCAB.get(desc["n"])
+    if kind == "sub":
+        return _vocab(desc["base"])
+    if kind == "call_of":  # set(...), str(...), repr(...)
+        name = desc["f"].get("n", "")
+        if name in ("builtins.repr", "builtins.format"):
+            return "str"
+        if name.startswith("builtins."):
+            return _VOCAB.get(name.removeprefix("builtins."))
+    if kind == "tuple" and any(
+        _vocab(item) in ("str", "bytes", "tuple[str]")
+        for item in desc["items"]
+    ):
+        return "tuple[str]"
+    if kind == "any":
+        words = {_vocab(member) for member in desc["of"]}
+        return words.pop() if len(words) == 1 else None
+    return None
+
+
+def _join(old: dict, new: dict) -> dict:
+    """Two bindings of one name: ``any`` of them.  :meth:`infer
+    <ModuleContext.infer>` knows its type only where every member
+    agrees; the call graph where every member it can resolve agrees
+    (a loop variable reusing a name hides no call)."""
+    if old == new:
+        return old
+    members = old["of"] if old["k"] == "any" else [old]
+    if new in members:
+        return old
+    return {"k": "any", "of": members + [new]}
+
+
+def module_name_for(rel: str) -> str:
+    """Dotted module name for a lint-relative posix path.
+
+    ``src/repro/sim/engine.py`` -> ``repro.sim.engine`` (a leading
+    ``src/`` layout directory is stripped); ``repro/campaign/__init__.py``
+    -> ``repro.campaign``.
+    """
+    parts = list(rel.split("/"))
+    if parts and parts[0] == "src":
+        parts = parts[1:]
+    if not parts:
+        return ""
+    leaf = parts[-1]
+    if leaf.endswith(".py"):
+        leaf = leaf[:-3]
+    if leaf == "__init__":
+        parts = parts[:-1]
+    else:
+        parts[-1] = leaf
+    return ".".join(part for part in parts if part)
+
+
+class _Scope:
+    """One lexical scope's binding table: local name -> ``(kind,
+    descriptor)``, kind ``import`` (a ``ref`` to the absolute dotted
+    origin), ``def`` (a ``def``/``class`` statement) or ``var``."""
+
+    __slots__ = ("node", "parent", "bindings")
+
+    def __init__(self, node: ast.AST, parent: Optional["_Scope"]) -> None:
+        self.node = node
+        self.parent = parent
+        self.bindings: Dict[str, Tuple[str, dict]] = {}
+
+    def bind(self, name: str, kind: str, desc: dict) -> None:
+        """Record one binding.  A higher-ranked kind wins (``try: import
+        x`` / ``except ImportError: x = None`` keeps the import, ``f =
+        wraps(f)`` keeps the def), a later import replaces an earlier
+        one, and rebinds of one kind join."""
+        old = self.bindings.get(name)
+        if old is None or _KIND_RANK[kind] > _KIND_RANK[old[0]]:
+            self.bindings[name] = (kind, desc)
+        elif kind == "import":
+            self.bindings[name] = (kind, desc)
+        elif kind == old[0]:
+            self.bindings[name] = (kind, _join(old[1], desc))
+
+    def mark(self, name: str) -> None:
+        """A binding that changes no type (``x += 1``, ``except E as
+        x``): unknown if the name has no other."""
+        self.bindings.setdefault(name, ("var", UNKNOWN))
 
 
 class ModuleContext:
@@ -189,6 +278,8 @@ class ModuleContext:
             self.tree = ast.parse(source)
         except SyntaxError as error:
             raise LintError(f"{rel}: cannot parse: {error}") from error
+        #: the file's dotted module name (see :func:`module_name_for`)
+        self.module = module_name_for(rel)
         self._parents: Dict[int, ast.AST] = {}
         self._scope_of: Dict[int, _Scope] = {}
         self._module_scope = _Scope(self.tree, None)
@@ -214,130 +305,147 @@ class ModuleContext:
             yield current
             current = self.parent(current)
 
-    # -- scopes, imports, and cheap type inference --------------------------
+    # -- the binding table --------------------------------------------------
 
     def _build_scopes(self) -> None:
-        self._scope_of[id(self.tree)] = self._module_scope
-        self._collect(self.tree, self._module_scope)
+        """Bind every name in one pass, outermost scope first: a class
+        body is collected where it stands (it runs there), a function
+        or lambda body once the scope around it is complete (it runs
+        later, so it sees a helper defined below it)."""
+        pending: deque[Tuple[ast.AST, _Scope]] = deque(
+            [(self.tree, self._module_scope)]
+        )
+        while pending:
+            owner, scope = pending.popleft()
+            if owner is not self.tree:
+                self._bind_params(owner, scope)
+            for node in _body(owner):
+                self._visit(node, scope, pending)
 
-    def _collect(self, node: ast.AST, scope: _Scope) -> None:
+    def _visit(
+        self,
+        node: ast.AST,
+        scope: _Scope,
+        pending: deque[Tuple[ast.AST, _Scope]],
+    ) -> None:
+        if not isinstance(node, _SCOPE_NODES):
+            self._record(node, scope)
+            for child in ast.iter_child_nodes(node):
+                self._visit(child, scope, pending)
+            return
+        inner = _Scope(node, scope)
+        body = _body(node)
+        for statement in body:
+            self._scope_of[id(statement)] = inner
+        if not isinstance(node, ast.Lambda):
+            ref = UNKNOWN
+            if scope is self._module_scope:
+                ref = {"k": "ref", "n": self._qualify(node.name)}
+            scope.bind(node.name, "def", ref)
+        # Decorators, bases, defaults and annotations run outside.
+        inside = {id(statement) for statement in body}
         for child in ast.iter_child_nodes(node):
-            if isinstance(
-                child,
-                (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef),
-            ):
-                scope.assigned.add(child.name)
-                inner = _Scope(child, scope)
-                self._scope_of[id(child)] = inner
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    self._bind_params(child, inner)
-                self._collect(child, inner)
-                continue
-            if isinstance(child, ast.Lambda):
-                inner = _Scope(child, scope)
-                self._scope_of[id(child)] = inner
-                self._bind_params(child, inner)
-                self._collect(child, inner)
-                continue
-            self._record_bindings(child, scope)
-            self._collect(child, scope)
+            if id(child) not in inside:
+                self._visit(child, scope, pending)
+        if isinstance(node, ast.ClassDef):
+            for statement in body:
+                self._visit(statement, inner, pending)
+        else:
+            pending.append((node, inner))
 
-    def _bind_params(self, node: ast.AST, scope: _Scope) -> None:
-        arguments = node.args
-        params = list(arguments.posonlyargs) + list(arguments.args)
-        params += list(arguments.kwonlyargs)
-        for extra in (arguments.vararg, arguments.kwarg):
-            if extra is not None:
-                params.append(extra)
+    def _qualify(self, name: str) -> str:
+        return f"{self.module}.{name}" if self.module else name
+
+    def _bind_params(self, func: ast.AST, scope: _Scope) -> None:
+        args = func.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        outer = scope.parent
         for param in params:
-            scope.assigned.add(param.arg)
-            inferred = self._annotation_type(param.annotation)
-            self._bind_type(scope, param.arg, inferred)
+            desc = self._lower(param.annotation, outer)
+            scope.bind(param.arg, "var", desc)
+        owner = outer.node
+        if (
+            isinstance(owner, ast.ClassDef)
+            and outer.parent is self._module_scope
+            and params[:1]
+            and params[0].arg in ("self", "cls")
+        ):
+            scope.bindings[params[0].arg] = (
+                "var",
+                {"k": "ref", "n": self._qualify(owner.name)},
+            )
 
-    def _record_bindings(self, node: ast.AST, scope: _Scope) -> None:
+    def _record(self, node: ast.AST, scope: _Scope) -> None:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 local = alias.asname or alias.name.split(".", 1)[0]
                 origin = alias.name if alias.asname else local
-                scope.imports[local] = origin
+                scope.bind(local, "import", {"k": "ref", "n": origin})
         elif isinstance(node, ast.ImportFrom):
-            if node.module is None or node.level:
-                # Relative imports resolve inside this package; the
-                # rules only care about stdlib/third-party origins.
-                for alias in node.names:
-                    scope.assigned.add(alias.asname or alias.name)
-                return
+            base = self._import_base(node)
             for alias in node.names:
+                if alias.name == "*":
+                    continue
                 local = alias.asname or alias.name
-                scope.imports[local] = f"{node.module}.{alias.name}"
+                if base is None:
+                    scope.mark(local)
+                else:
+                    origin = f"{base}.{alias.name}" if base else alias.name
+                    scope.bind(local, "import", {"k": "ref", "n": origin})
         elif isinstance(node, ast.Assign):
+            desc = self._type(node.value, scope)
             for target in node.targets:
-                self._bind_target(scope, target, node.value)
+                self._bind_target(scope, target, desc)
         elif isinstance(node, ast.AnnAssign):
             if isinstance(node.target, ast.Name):
-                scope.assigned.add(node.target.id)
-                inferred = self._annotation_type(node.annotation)
-                if inferred is None and node.value is not None:
-                    inferred = self.infer(node.value)
-                self._bind_type(scope, node.target.id, inferred)
+                desc = self._lower(node.annotation, scope)
+                if desc == UNKNOWN and node.value is not None:
+                    desc = self._type(node.value, scope)
+                scope.bind(node.target.id, "var", desc)
         elif isinstance(node, ast.AugAssign):
             if isinstance(node.target, ast.Name):
-                scope.assigned.add(node.target.id)
-        elif isinstance(node, (ast.For, ast.AsyncFor)):
-            self._bind_target(scope, node.target, None)
+                scope.mark(node.target.id)
+        elif isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)):
+            self._bind_target(scope, node.target, UNKNOWN)
         elif isinstance(node, ast.withitem):
             if node.optional_vars is not None:
-                self._bind_target(scope, node.optional_vars, None)
+                self._bind_target(scope, node.optional_vars, UNKNOWN)
         elif isinstance(node, ast.ExceptHandler):
             if node.name:
-                scope.assigned.add(node.name)
-        elif isinstance(node, ast.comprehension):
-            self._bind_target(scope, node.target, None)
+                scope.mark(node.name)
 
-    def _bind_target(
-        self, scope: _Scope, target: ast.AST, value: Optional[ast.AST]
-    ) -> None:
-        if isinstance(target, ast.Name):
-            scope.assigned.add(target.id)
-            inferred = self.infer(value) if value is not None else None
-            self._bind_type(scope, target.id, inferred)
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for element in target.elts:
-                self._bind_target(scope, element, None)
-        elif isinstance(target, ast.Starred):
-            self._bind_target(scope, target.value, None)
-
-    def _bind_type(
-        self, scope: _Scope, name: str, inferred: Optional[str]
-    ) -> None:
-        if name in scope.types and scope.types[name] != inferred:
-            scope.types[name] = None  # conflicting rebinds: unknown
-        else:
-            scope.types[name] = inferred
-
-    def _annotation_type(self, node: Optional[ast.AST]) -> Optional[str]:
-        if node is None:
+    def _import_base(self, node: ast.ImportFrom) -> Optional[str]:
+        """The absolute package a ``from`` import reads, or None when a
+        relative one climbs above the lint root."""
+        if not node.level:
+            return node.module or ""
+        # Level 1 is "this package": the module itself for a package
+        # __init__, the containing package for a plain module.  Each
+        # further level ascends one package.
+        package = self.module.split(".") if self.module else []
+        if not self.rel.endswith("__init__.py") and package:
+            package = package[:-1]
+        ascend = node.level - 1
+        if ascend > len(package):
             return None
-        if isinstance(node, ast.Name):
-            return _ANNOTATION_TYPES.get(node.id)
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            try:
-                return self._annotation_type(
-                    ast.parse(node.value, mode="eval").body
-                )
-            except SyntaxError:
-                return None
-        if isinstance(node, ast.Subscript):
-            if (
-                isinstance(node.value, ast.Name)
-                and node.value.id in _TRANSPARENT_WRAPPERS
-            ):
-                inner = node.slice
-                if isinstance(inner, ast.Tuple) and inner.elts:
-                    inner = inner.elts[0]
-                return self._annotation_type(inner)
-            return self._annotation_type(node.value)
-        return None
+        if ascend:
+            package = package[: len(package) - ascend]
+        if node.module:
+            package = package + node.module.split(".")
+        return ".".join(package)
+
+    def _bind_target(self, scope: _Scope, target: ast.AST, desc: dict) -> None:
+        if isinstance(target, ast.Name):
+            scope.bind(target.id, "var", desc)
+        elif isinstance(target, (ast.Tuple, ast.List)):
+            for index, element in enumerate(target.elts):
+                item = UNKNOWN
+                if isinstance(element, ast.Name) and desc["k"] == "call_of":
+                    item = {"k": "item_of", "f": desc["f"], "i": index}
+                self._bind_target(scope, element, item)
+        elif isinstance(target, ast.Starred):
+            self._bind_target(scope, target.value, UNKNOWN)
 
     def _scope_for(self, node: ast.AST) -> _Scope:
         current: Optional[ast.AST] = node
@@ -348,31 +456,174 @@ class ModuleContext:
             current = self.parent(current)
         return self._module_scope
 
-    def _lookup(self, node: ast.AST, name: str):
-        """``("import", origin)`` / ``("var", type)`` / ``None``.
-
-        Walks the enclosing scopes like the interpreter would; class
-        bodies are skipped unless the name is used directly in one.
-        """
-        scope: Optional[_Scope] = self._scope_for(node)
+    def _owner(self, scope: Optional[_Scope], name: str) -> Optional[_Scope]:
+        """The scope whose binding of ``name`` ``scope`` sees, walking
+        out like the interpreter: a class body is visible only to the
+        statements directly in it."""
         first = True
         while scope is not None:
-            skip = isinstance(scope.node, ast.ClassDef) and not first
-            if not skip:
-                if name in scope.imports:
-                    return ("import", scope.imports[name])
-                if name in scope.assigned or name in scope.types:
-                    return ("var", scope.types.get(name))
+            if name in scope.bindings and (
+                first or not isinstance(scope.node, ast.ClassDef)
+            ):
+                return scope
             first = False
             scope = scope.parent
         return None
+
+    def _lookup(self, scope: _Scope, name: str):
+        """``(kind, descriptor)`` of ``name`` seen from ``scope``."""
+        owner = self._owner(scope, name)
+        return None if owner is None else owner.bindings[name]
+
+    # -- the typer ----------------------------------------------------------
+
+    def _name_type(self, name: str, scope: _Scope) -> dict:
+        found = self._lookup(scope, name)
+        if found is not None:
+            return found[1]
+        if name in _BUILTIN_NAMES:
+            return {"k": "ref", "n": f"builtins.{name}"}
+        return UNKNOWN
+
+    def _type(self, node: Optional[ast.AST], scope: _Scope) -> dict:
+        if node is None:
+            return UNKNOWN
+        if isinstance(node, ast.Constant):
+            value = node.value
+            return _builtin("None" if value is None else type(value).__name__)
+        if isinstance(node, ast.JoinedStr):
+            return _builtin("str")
+        if isinstance(node, ast.Tuple):
+            items = [self._type(e, scope) for e in node.elts]
+            return {"k": "tuple", "items": items}
+        if isinstance(node, (ast.List, ast.Set)):
+            base = "list" if isinstance(node, ast.List) else "set"
+            items = [self._type(e, scope) for e in node.elts]
+            return {"k": "sub", "base": _builtin(base), "args": items}
+        if isinstance(node, ast.SetComp):
+            return _builtin("set")
+        if isinstance(node, (ast.Dict, ast.DictComp)):
+            return _builtin("dict")
+        if isinstance(node, ast.Name):
+            return self._name_type(node.id, scope)
+        if isinstance(node, ast.Attribute):
+            base = self._type(node.value, scope)
+            if base["k"] == "ref":
+                return {"k": "ref", "n": f"{base['n']}.{node.attr}"}
+            if base["k"] == "?":
+                return UNKNOWN
+            return {"k": "attr_of", "base": base, "attr": node.attr}
+        if isinstance(node, ast.Call):
+            return self._call_type(node, scope)
+        if isinstance(node, ast.Subscript):
+            base = self._type(node.value, scope)
+            if base["k"] == "?":
+                return UNKNOWN
+            return {"k": "elem_of", "base": base}
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+            left = self._type(node.left, scope)
+            if _vocab(left) in ("str", "bytes"):
+                return left
+        return UNKNOWN
+
+    def _call_type(self, node: ast.Call, scope: _Scope) -> dict:
+        callee = self._callee(node, scope)
+        func = node.func
+        if isinstance(func, ast.Attribute):
+            if func.attr == "encode":
+                return _builtin("bytes")
+            if func.attr in _STR_METHODS:
+                receiver = _vocab(self._type(func.value, scope))
+                if receiver == ("bytes" if func.attr == "decode" else "str"):
+                    return _builtin("str")
+        if callee is None:
+            return UNKNOWN
+        return {"k": "call_of", "f": callee}
+
+    def _callee(self, node: ast.Call, scope: _Scope) -> Optional[dict]:
+        func = node.func
+        if isinstance(func, ast.Name):
+            desc = self._name_type(func.id, scope)
+            if desc["k"] != "ref":
+                return None  # calling a local value: unknown
+            return {"t": "ref", "n": desc["n"]}
+        if isinstance(func, ast.Attribute):
+            recv = self._type(func.value, scope)
+            if recv["k"] == "ref":
+                return {"t": "ref", "n": f"{recv['n']}.{func.attr}"}
+            if recv["k"] == "?":
+                return None
+            return {"t": "method", "recv": recv, "attr": func.attr}
+        return None
+
+    def _lower(self, node: Optional[ast.AST], scope: _Scope) -> dict:
+        """An annotation as a descriptor."""
+        if isinstance(node, ast.Constant):
+            if isinstance(node.value, str):
+                try:
+                    inner = ast.parse(node.value, mode="eval").body
+                except SyntaxError:
+                    return UNKNOWN
+                return self._lower(inner, scope)
+            return _builtin("None") if node.value is None else UNKNOWN
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            desc = self._type(node, scope)
+            if desc["k"] != "ref":
+                return UNKNOWN
+            if desc["n"].startswith("builtins."):  # an instance of it
+                return _builtin(desc["n"].removeprefix("builtins."))
+            return desc
+        if isinstance(node, ast.Subscript):
+            base = node.value
+            name = getattr(base, "id", getattr(base, "attr", ""))
+            inner = node.slice
+            args = inner.elts if isinstance(inner, ast.Tuple) else [inner]
+            if name in _TRANSPARENT and args:
+                return self._lower(args[0], scope)
+            return {
+                "k": "sub",
+                "base": self._lower(base, scope),
+                "args": [self._lower(arg, scope) for arg in args],
+            }
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+            # PEP 604 unions: keep the first non-None arm (Optional-style).
+            left = self._lower(node.left, scope)
+            if left.get("n") != "None":
+                return left
+            return self._lower(node.right, scope)
+        if isinstance(node, ast.Tuple):
+            items = [self._lower(e, scope) for e in node.elts]
+            return {"k": "tuple", "items": items}
+        return UNKNOWN
+
+    # -- what the rules ask -------------------------------------------------
+
+    def binding(self, node: ast.Name) -> Optional[Tuple[str, dict]]:
+        """``(kind, descriptor)`` of a name where it stands, or None
+        when nothing in the file binds it."""
+        return self._lookup(self._scope_for(node), node.id)
+
+    def binding_scope(self, node: ast.Name) -> Optional[ast.AST]:
+        """The module, class, function or lambda whose binding of a
+        name is the one read where it stands (None when unbound)."""
+        owner = self._owner(self._scope_for(node), node.id)
+        return None if owner is None else owner.node
+
+    def aliases(self) -> Dict[str, str]:
+        """The module scope's imports: local name -> dotted origin."""
+        return {
+            name: desc["n"]
+            for name, (kind, desc) in self._module_scope.bindings.items()
+            if kind == "import"
+        }
 
     def resolve(self, node: ast.AST) -> Optional[str]:
         """Canonical dotted origin of a name/attribute expression.
 
         ``ri`` after ``from random import randint as ri`` resolves to
         ``"random.randint"``; an unshadowed builtin name resolves to
-        ``"builtins.<name>"``; anything locally rebound is ``None``.
+        ``"builtins.<name>"``; anything else bound in the file is
+        ``None``.
         """
         parts: List[str] = []
         while isinstance(node, ast.Attribute):
@@ -380,78 +631,45 @@ class ModuleContext:
             node = node.value
         if not isinstance(node, ast.Name):
             return None
-        binding = self._lookup(node, node.id)
-        if binding is None:
-            if node.id in _BUILTIN_NAMES:
-                base = f"builtins.{node.id}"
-            else:
+        found = self.binding(node)
+        if found is None:
+            if node.id not in _BUILTIN_NAMES:
                 return None
-        elif binding[0] == "import":
-            base = binding[1]
+            base = f"builtins.{node.id}"
+        elif found[0] == "import":
+            base = found[1]["n"]
         else:
             return None
         return ".".join([base] + list(reversed(parts)))
 
+    def expr_type(self, node: ast.AST) -> dict:
+        """The descriptor of an expression where it stands."""
+        return self._type(node, self._scope_for(node))
+
+    def callee(self, node: ast.Call) -> Optional[dict]:
+        """A call's target: ``{"t": "ref", "n": dotted}`` for a name or
+        module-attribute callee, ``{"t": "method", "recv", "attr"}`` on
+        a typed receiver, None when unknown."""
+        return self._callee(node, self._scope_for(node))
+
+    def annotation(self, node: Optional[ast.AST]) -> dict:
+        """An annotation (or decorator, base, registry entry) lowered
+        to a descriptor in the scope it is evaluated in."""
+        if node is None:
+            return UNKNOWN
+        return self._lower(node, self._scope_for(node))
+
     def infer(self, node: Optional[ast.AST]) -> Optional[str]:
         """Cheap static type: ``"str"``/``"bytes"``/``"set"``/``"dict"``,
-        or ``"tuple[str]"`` for a tuple literal with a provably textual
-        element (tuple hashes mix the element hashes, so one salted
-        element salts the whole tuple).
+        or ``"tuple[str]"`` for a tuple with a provably textual element
+        (tuple hashes mix the element hashes, so one salted element
+        salts the whole tuple).
 
         ``None`` means unknown — rules must treat unknown as innocent.
         """
         if node is None:
             return None
-        if isinstance(node, ast.Constant):
-            if isinstance(node.value, str):
-                return "str"
-            if isinstance(node.value, bytes):
-                return "bytes"
-            return None
-        if isinstance(node, ast.JoinedStr):
-            return "str"
-        if isinstance(node, (ast.Set, ast.SetComp)):
-            return "set"
-        if isinstance(node, (ast.Dict, ast.DictComp)):
-            return "dict"
-        if isinstance(node, ast.Tuple):
-            if any(
-                self.infer(element) in ("str", "bytes", "tuple[str]")
-                for element in node.elts
-            ):
-                return "tuple[str]"
-            return None
-        if isinstance(node, ast.Name):
-            binding = self._lookup(node, node.id)
-            if binding is not None and binding[0] == "var":
-                return binding[1]
-            return None
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
-            left = self.infer(node.left)
-            if left in ("str", "bytes"):
-                return left
-            return None
-        if isinstance(node, ast.Call):
-            origin = self.resolve(node.func)
-            if origin in ("builtins.set", "builtins.frozenset"):
-                return "set"
-            if origin == "builtins.dict":
-                return "dict"
-            if origin in ("builtins.str", "builtins.repr", "builtins.format"):
-                return "str"
-            if origin == "builtins.bytes":
-                return "bytes"
-            if isinstance(node.func, ast.Attribute):
-                if node.func.attr == "encode":
-                    return "bytes"
-                if node.func.attr in _STR_METHODS:
-                    receiver = self.infer(node.func.value)
-                    if node.func.attr == "decode":
-                        return "str" if receiver == "bytes" else None
-                    if receiver == "str":
-                        return "str"
-            return None
-        return None
+        return _vocab(self.expr_type(node))
 
     # -- pragmas ------------------------------------------------------------
 

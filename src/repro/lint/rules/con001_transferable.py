@@ -175,7 +175,7 @@ class TransferableRule(ProgramRule):
                 allowed,
                 checked,
             )
-        yield from self._check_sends(program, rel, ctx, units, allowed)
+        yield from self._check_sends(program, rel, ctx, allowed)
 
     def _check_target(
         self,
@@ -243,7 +243,7 @@ class TransferableRule(ProgramRule):
                     "accident, spawn discards it)",
                 )
         yield from self._check_global_reads(
-            program, rel, func_node, name, mutable_globals
+            program, rel, ctx, func_node, name, mutable_globals
         )
         yield from self._check_annotations(
             program, rel, func_node, name, allowed
@@ -253,21 +253,19 @@ class TransferableRule(ProgramRule):
         self,
         program: ProgramContext,
         rel: str,
+        ctx: ModuleContext,
         func_node: ast.AST,
         name: str,
         mutable_globals: frozenset,
     ) -> Iterable[Finding]:
-        if not mutable_globals:
-            return
-        local = _local_names(func_node)
         reported = set()
         for node in ast.walk(func_node):
             if (
                 isinstance(node, ast.Name)
                 and isinstance(node.ctx, ast.Load)
                 and node.id in mutable_globals
-                and node.id not in local
                 and node.id not in reported
+                and ctx.binding_scope(node) is ctx.tree
             ):
                 reported.add(node.id)
                 yield program.finding(
@@ -290,9 +288,7 @@ class TransferableRule(ProgramRule):
     ) -> Iterable[Finding]:
         """Worker-function signatures are the declared wire format:
         any project class they name must be registered."""
-        from ..semantic.symbols import unit_typer
-
-        typer = unit_typer(program.context(rel), func_node)
+        ctx = program.context(rel)
         annotations = [
             (param.annotation, f"parameter {param.arg!r}")
             for param in (
@@ -305,7 +301,7 @@ class TransferableRule(ProgramRule):
         if func_node.returns is not None:
             annotations.append((func_node.returns, "return value"))
         for annotation, what in annotations:
-            desc = _annotation_desc(typer, annotation)
+            desc = ctx.annotation(annotation)
             for fqn in _unregistered(program, desc, allowed):
                 yield program.finding(
                     self.id,
@@ -321,30 +317,23 @@ class TransferableRule(ProgramRule):
         program: ProgramContext,
         rel: str,
         ctx: ModuleContext,
-        units: Dict[str, ast.AST],
         allowed: frozenset,
     ) -> Iterable[Finding]:
         """Every ``<pipe>.send(x)`` in a seam module ships ``x`` to
         another process: type it and hold it to the registry."""
-        from ..semantic.symbols import unit_typer
-
-        typers: Dict[int, object] = {}
         for node in ast.walk(ctx.tree):
             if not (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
                 and node.func.attr == "send"
                 and len(node.args) == 1
+                and any(
+                    isinstance(a, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    for a in ctx.ancestors(node)
+                )
             ):
                 continue
-            owner, cls_name = _enclosing_function(ctx, node)
-            if owner is None:
-                continue
-            typer = typers.get(id(owner))
-            if typer is None:
-                typer = unit_typer(ctx, owner, cls_name)
-                typers[id(owner)] = typer
-            desc = typer.expr_type(node.args[0])
+            desc = ctx.expr_type(node.args[0])
             for fqn in _unregistered(program, desc, allowed):
                 yield program.finding(
                     self.id,
@@ -392,28 +381,6 @@ def _is_module_level(ctx: ModuleContext, func_node: ast.AST) -> bool:
     return ctx.parent(func_node) is ctx.tree
 
 
-def _local_names(func_node: ast.AST) -> frozenset:
-    names = set()
-    args = func_node.args
-    for param in (
-        list(args.posonlyargs)
-        + list(args.args)
-        + list(args.kwonlyargs)
-        + [a for a in (args.vararg, args.kwarg) if a is not None]
-    ):
-        names.add(param.arg)
-    for node in ast.walk(func_node):
-        if isinstance(node, ast.Name) and isinstance(
-            node.ctx, (ast.Store, ast.Del)
-        ):
-            names.add(node.id)
-        elif isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        ):
-            names.add(node.name)
-    return frozenset(names)
-
-
 def _mutable_globals(ctx: ModuleContext) -> frozenset:
     """Module-level names bound to mutable containers."""
     found = set()
@@ -441,30 +408,6 @@ def _mutable_globals(ctx: ModuleContext) -> frozenset:
             if isinstance(target, ast.Name):
                 found.add(target.id)
     return frozenset(found)
-
-
-def _enclosing_function(
-    ctx: ModuleContext, node: ast.AST
-) -> Tuple[Optional[ast.AST], Optional[str]]:
-    """The nearest enclosing (named) function def and, when it is a
-    method, its class name."""
-    owner: Optional[ast.AST] = None
-    for ancestor in ctx.ancestors(node):
-        if owner is None and isinstance(
-            ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)
-        ):
-            owner = ancestor
-        elif owner is not None and isinstance(ancestor, ast.ClassDef):
-            return owner, ancestor.name
-        elif owner is not None:
-            return owner, None
-    return owner, None
-
-
-def _annotation_desc(typer, annotation: ast.AST) -> dict:
-    from ..semantic.symbols import _annotation_descriptor
-
-    return _annotation_descriptor(annotation, typer.s.resolve_name)
 
 
 def _unregistered(

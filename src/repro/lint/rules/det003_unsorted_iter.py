@@ -91,8 +91,6 @@ class UnsortedIterationRule(Rule):
             origin = ctx.resolve(source.func)
             if origin in _FS_ORIGINS:
                 return f"'{origin}' output"
-            if origin in ("builtins.set", "builtins.frozenset"):
-                return "a set"
             if isinstance(source.func, ast.Attribute):
                 method = source.func.attr
                 if method in _FS_METHODS:

@@ -2,9 +2,10 @@
 
 Per-file rules see one AST; the semantic layer sees the project:
 
-- :mod:`~repro.lint.semantic.symbols` — per-module summaries (import
-  aliases with relative-import resolution, functions, classes,
-  registries, type descriptors) and the cross-module
+- :mod:`~repro.lint.semantic.symbols` — per-module summaries
+  (module-level import aliases, functions, classes, registries, type
+  descriptors), read from each file's one binding table
+  (:class:`~repro.lint.engine.ModuleContext`), and the cross-module
   :class:`~repro.lint.semantic.symbols.ProjectIndex`;
 - :mod:`~repro.lint.semantic.callgraph` — the conservative call graph
   (direct calls, inferred method dispatch, Protocol fan-out, escaping

@@ -2,11 +2,12 @@
 
 Nodes are function units (module-level functions and methods, named
 by ``module.qualname``); edges come from three resolution strategies,
-each deliberately over-approximate — a taint pass built on this graph
-can only miss hazards through an *unresolvable* callee, never through
-a resolvable one:
+each over-approximate where the file's binding table can type the
+callee.  A taint pass built on this graph misses a hazard only behind
+a callee the table cannot resolve: an unknown value, or a name bound
+to values of different classes (conflicting rebinds are unknown):
 
-- **direct calls** through the import-alias map, following re-export
+- **direct calls** through the scoped binding table, following re-export
   chains (``from ..campaign import run_campaign`` inside a package
   ``__init__`` still lands on ``repro.campaign.runner.run_campaign``);
 - **method calls** on receivers whose class is recoverable from the

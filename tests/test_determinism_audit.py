@@ -19,16 +19,19 @@ ROOT = Path(__file__).parent.parent
 SRC = ROOT / "src" / "repro"
 
 
-def _findings(*rule_ids):
-    rules = [rule for rule in all_rules() if rule.id in rule_ids]
-    engine = LintEngine(ROOT, rules=rules)
-    report = engine.lint_paths([SRC])
+def _findings(report, rule_id):
+    """``rule_id``'s findings under ``src/repro`` in the session's one
+    lint report of the repo."""
     assert report.files > 30, "audit is not seeing the source tree"
-    return [f for f in report.findings if f.rule in rule_ids]
+    return [
+        f
+        for f in report.findings
+        if f.rule == rule_id and f.path.startswith("src/repro/")
+    ]
 
 
-def test_no_module_level_random_calls():
-    findings = _findings("DET001")
+def test_no_module_level_random_calls(repo_lint_report):
+    findings = _findings(repo_lint_report, "DET001")
     assert not findings, (
         "module-level random.* calls found (use a seeded "
         "random.Random instance):\n"
@@ -36,11 +39,11 @@ def test_no_module_level_random_calls():
     )
 
 
-def test_wall_clock_only_in_pragma_justified_display_code():
+def test_wall_clock_only_in_pragma_justified_display_code(repo_lint_report):
     # The old WALL_CLOCK_ALLOWLIST table became inline pragmas with
     # justifications (`# lint: allow[DET002] -- ...`), checked for
     # staleness by LINT000 instead of a bespoke test here.
-    findings = _findings("DET002")
+    findings = _findings(repo_lint_report, "DET002")
     assert not findings, (
         "wall-clock reads without a justified display-only pragma "
         "(results must be functions of seeds, not real time):\n"

@@ -774,9 +774,8 @@ class TestCli:
 class TestRepoIsClean:
     """The tier-1 gate: the repo at HEAD lints clean."""
 
-    def test_src_and_tests_have_no_findings(self):
-        engine = LintEngine(ROOT)
-        report = engine.lint_paths([ROOT / "src", ROOT / "tests"])
+    def test_src_and_tests_have_no_findings(self, repo_lint_report):
+        report = repo_lint_report
         assert report.files > 100, "gate is not seeing the repo"
         assert report.findings == [], "\n".join(
             f.render() for f in report.findings

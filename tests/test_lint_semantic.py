@@ -17,6 +17,8 @@ import shutil
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from repro.lint import LintEngine, all_rules
 from repro.lint.engine import ModuleContext, iter_python_files
 from repro.lint.semantic import (
@@ -180,6 +182,110 @@ class TestCallGraph:
         parents = graph.reachable_from(["pkg.loop.ping"])
         assert "pkg.loop.pong" in parents
 
+    def test_function_local_imports_stay_in_their_function(self, tmp_path):
+        # Two functions import different callables under one alias; a
+        # third uses the bare alias it never bound.  Each import is
+        # visible only inside the function that made it.
+        _, graph = build_graph(
+            tmp_path,
+            {
+                "pkg/__init__.py": "",
+                "pkg/a.py": """
+                def helper():
+                    return 1
+                """,
+                "pkg/b.py": """
+                def other():
+                    return 2
+                """,
+                "pkg/c.py": """
+                def first():
+                    from pkg.a import helper as h
+                    return h()
+
+                def second():
+                    from pkg.b import other as h
+                    return h()
+
+                def third():
+                    return h()
+                """,
+            },
+        )
+        got = edges_of(graph)
+        assert ("pkg.c.first", "pkg.a.helper") in got
+        assert ("pkg.c.first", "pkg.b.other") not in got
+        assert ("pkg.c.second", "pkg.b.other") in got
+        assert not [edge for edge in got if edge[0] == "pkg.c.third"]
+
+    def test_module_level_binding_types_calls_in_functions(self, tmp_path):
+        _, graph = build_graph(
+            tmp_path,
+            {
+                "pkg/__init__.py": "",
+                "pkg/clock.py": """
+                class Clock:
+                    def read(self):
+                        return 0
+
+                def parse(text):
+                    return text
+                """,
+                "pkg/use.py": """
+                from pkg.clock import Clock, parse
+
+                CLOCK = Clock()
+                P = parse
+
+                def state_digest():
+                    return CLOCK.read(), P("x")
+                """,
+            },
+        )
+        got = edges_of(graph)
+        assert ("pkg.use.state_digest", "pkg.clock.Clock.read") in got
+        assert ("pkg.use.state_digest", "pkg.clock.parse") in got
+
+    def test_rebinds_type_a_call_only_where_they_agree(self, tmp_path):
+        _, graph = build_graph(
+            tmp_path,
+            {
+                "pkg/__init__.py": "",
+                "pkg/m.py": """
+                from typing import Optional
+
+                class A:
+                    def go(self):
+                        return 1
+
+                class B:
+                    def go(self):
+                        return 2
+
+                def agree(items, a: Optional[A] = None):
+                    a.go()
+                    a = A()
+                    for a in items:
+                        pass
+                    a = None
+
+                def conflict():
+                    x = A()
+                    x.go()
+                    x = B()
+                """,
+            },
+        )
+        got = edges_of(graph)
+        # An annotation, a constructor, a loop variable and a None
+        # reset all leave ``a`` an A; A and B leave ``x`` unknown.
+        assert ("pkg.m.agree", "pkg.m.A.go") in got
+        assert not [
+            edge
+            for edge in got
+            if edge[0] == "pkg.m.conflict" and edge[1].endswith(".go")
+        ]
+
 
 TAINT_FIXTURE = {
     "pkg/__init__.py": "",
@@ -205,6 +311,19 @@ TAINT_FIXTURE = {
         return str(value)
     """,
 }
+
+
+LOCAL_ALIAS_DIGEST = """
+def state_digest():
+    from pkg.clock import stamp as s
+    return s()
+"""
+
+LOCAL_ALIAS_UNRELATED = """
+def unrelated():
+    from pkg.pure import stamp as s
+    return s()
+"""
 
 
 class TestTaint:
@@ -310,6 +429,35 @@ class TestTaint:
             },
         )
         assert [f for f in findings if f.rule.startswith("DET1")] == []
+
+    @pytest.mark.parametrize("digest_first", [True, False])
+    def test_det102_sees_a_function_local_alias(self, tmp_path, digest_first):
+        # A later function importing the same alias from a pure module
+        # must not hide the clock read under state_digest, whichever of
+        # the two functions comes first.
+        parts = [LOCAL_ALIAS_DIGEST, LOCAL_ALIAS_UNRELATED]
+        if not digest_first:
+            parts.reverse()
+        findings = lint_tree(
+            tmp_path,
+            {
+                "pkg/__init__.py": "",
+                "pkg/clock.py": """
+                import time
+
+                def stamp():
+                    return time.time()
+                """,
+                "pkg/pure.py": """
+                def stamp():
+                    return 0
+                """,
+                "pkg/d.py": "\n".join(parts),
+            },
+            rule="DET102",
+        )
+        assert [(f.path, f.line) for f in findings] == [("pkg/clock.py", 5)]
+        assert "pkg.d.state_digest -> pkg.clock.stamp" in findings[0].message
 
 
 class TestCON001:

@@ -33,8 +33,6 @@ EXEMPT = {
         "the EventScheduler protocol both engines implement (PRO001)",
     r"repro\.sim\.engine:Engine\.next_event_time":
         "EventScheduler contract; equivalence tests fingerprint through it",
-    r"repro\.lint\..*\.visit_\w+":
-        "ast.NodeVisitor dispatches visit_* methods by name",
 }
 
 

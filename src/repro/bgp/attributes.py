@@ -8,8 +8,9 @@ attribute model both the simulator's routers and the classifier share.
 
 :class:`AsPath` is an immutable sequence of AS numbers with the loop
 check BGP performs on every received update; :class:`PathAttributes`
-bundles a route's full attribute set and exposes the paper's
-``forwarding_key`` / full-tuple distinction.
+bundles a route's full attribute set, and :func:`attribute_tuple`
+renders it as the plain tuple whose first two fields are the paper's
+forwarding key — the forwarding / full-tuple distinction.
 """
 
 from __future__ import annotations
@@ -132,9 +133,9 @@ class PathAttributes:
 
     The paper's key analytical move is splitting this bundle in two:
 
-    - :attr:`forwarding_key` — ``(next_hop, as_path)``; together with the
-      prefix this is the tuple whose change constitutes *forwarding
-      instability*.
+    - the forwarding key ``(next_hop, as_path)`` — the first two fields
+      of :func:`attribute_tuple`; together with the prefix this is the
+      tuple whose change constitutes *forwarding instability*.
     - everything else — changes only here are *policy fluctuation*.
     """
 
@@ -154,11 +155,6 @@ class PathAttributes:
             object.__setattr__(
                 self, "communities", frozenset(self.communities)
             )
-
-    @property
-    def forwarding_key(self) -> Tuple[int, AsPath]:
-        """The (NextHop, ASPATH) part of the paper's forwarding tuple."""
-        return (self.next_hop, self.as_path)
 
     def exported_by(self, asn: int, next_hop: int, prepend: int = 1) -> "PathAttributes":
         """The attributes a border router of ``asn`` sends an external peer.

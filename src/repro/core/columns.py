@@ -103,25 +103,25 @@ def decode_categories(codes: np.ndarray) -> List[UpdateCategory]:
 
 
 class AttributeTable:
-    """Interning table: ``attr_id`` → :class:`PathAttributes`.
+    """Interning table: ``attr_id`` → attribute bundle.
 
-    Equal attribute bundles intern to the same id, so full-equality
-    tests reduce to integer comparison.  The table additionally interns
-    each bundle's *forwarding key* ``(next_hop, as_path)`` — the tuple
-    whose change constitutes forwarding instability — so a forwarding
-    comparison reduces to comparing :attr:`fwd_ids` entries.  A bundle
-    is held as an object (interned) or an :func:`attribute_tuple`
-    (:meth:`from_tuples`); each is built from the other when asked for.
+    A bundle's one key is its :func:`attribute_tuple`: equal bundles
+    intern to the same id, so full-equality tests reduce to integer
+    comparison.  The table additionally interns each bundle's
+    *forwarding key* ``(next_hop, as_path)`` — the tuple whose change
+    constitutes forwarding instability — so a forwarding comparison
+    reduces to comparing :attr:`fwd_ids` entries.  Every bundle's tuple
+    is held; its :class:`PathAttributes` object is held once interned
+    as one (:meth:`intern`) or built on first ``table[i]``.
     """
 
     __slots__ = ("_attrs", "_tuples", "_ids", "_fwd", "_fwd_ids", "_fwd_array")
 
     def __init__(self) -> None:
         self._attrs: List[Optional[PathAttributes]] = []
-        self._tuples: List[Optional[tuple]] = []
-        # None until a table made from tuples is first interned into.
-        self._ids: Optional[Dict[PathAttributes, int]] = {}
-        self._fwd: Dict[Tuple[int, tuple], int] = {}
+        self._tuples: List[tuple] = []
+        self._ids: Dict[tuple, int] = {}
+        self._fwd: Dict[tuple, int] = {}
         self._fwd_ids: List[int] = []
         self._fwd_array: Optional[np.ndarray] = None
 
@@ -129,29 +129,34 @@ class AttributeTable:
     def from_tuples(cls, tuples: List[tuple]) -> "AttributeTable":
         """The table whose bundle ``i`` has :func:`attribute_tuple`
         ``tuples[i]``; ``ValueError`` if one repeats (ids would merge)."""
-        if len(set(tuples)) != len(tuples):
-            raise ValueError("repeated attribute bundle; ids would remap")
         table = cls()
+        table._ids = dict(zip(tuples, range(len(tuples))))
+        if len(table._ids) != len(tuples):
+            raise ValueError("repeated attribute bundle; ids would remap")
+        table._tuples = list(tuples)
         table._attrs = [None] * len(tuples)
-        table._tuples = tuples
-        table._ids = None
         fwd = table._fwd
         table._fwd_ids = [fwd.setdefault(t[:2], len(fwd)) for t in tuples]
         return table
 
+    def intern_tuple(self, bundle: tuple) -> int:
+        """The id of the bundle whose :func:`attribute_tuple` is
+        ``bundle``, adding it to the table if new."""
+        # setdefault: a miss hashes the bundle once, not twice.
+        attr_id = self._ids.setdefault(bundle, len(self._tuples))
+        if attr_id == len(self._tuples):
+            self._tuples.append(bundle)
+            self._attrs.append(None)
+            fwd = self._fwd
+            self._fwd_ids.append(fwd.setdefault(bundle[:2], len(fwd)))
+            self._fwd_array = None
+        return attr_id
+
     def intern(self, attrs: PathAttributes) -> int:
         """The id of ``attrs``, adding it to the table if new."""
-        if self._ids is None:
-            self._ids = {self[i]: i for i in range(len(self._attrs))}
-        # setdefault: a miss hashes the bundle once, not twice.
-        attr_id = self._ids.setdefault(attrs, len(self._attrs))
-        if attr_id == len(self._attrs):
-            self._attrs.append(attrs)
-            self._tuples.append(None)
-            key = attrs.forwarding_key
-            fwd_id = self._fwd.setdefault(key, len(self._fwd))
-            self._fwd_ids.append(fwd_id)
-            self._fwd_array = None
+        attr_id = self.intern_tuple(attribute_tuple(attrs))
+        if self._attrs[attr_id] is None:
+            self._attrs[attr_id] = attrs
         return attr_id
 
     def __getitem__(self, attr_id: int) -> PathAttributes:
@@ -166,8 +171,6 @@ class AttributeTable:
 
     def tuple_of(self, attr_id: int) -> tuple:
         """The :func:`attribute_tuple` of bundle ``attr_id``."""
-        if self._tuples[attr_id] is None:
-            self._tuples[attr_id] = attribute_tuple(self._attrs[attr_id])
         return self._tuples[attr_id]
 
     def __len__(self) -> int:

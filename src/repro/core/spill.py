@@ -23,11 +23,12 @@ pages at a time.  The digest covers the data bytes *and* the footer
 metadata, so truncation, bit flips, or a stale footer all surface as
 :class:`ChunkCorrupt` instead of silently corrupt aggregates.
 
-The attribute table serializes through an explicit
-:class:`~repro.bgp.attributes.PathAttributes` codec
-(:func:`attributes_payload` / :func:`attributes_from_payload`, which
-decodes to the plain tuples the classifier compares) — no pickle
-anywhere, so chunks are inspectable and stable across Python versions.
+The attribute table serializes through an explicit codec of the plain
+:func:`~repro.bgp.attributes.attribute_tuple` bundles the table is
+keyed by and the classifier compares (:func:`attributes_payload` /
+:func:`attributes_from_payload`; no bundle object is built either
+way) — no pickle anywhere, so chunks are inspectable and stable
+across Python versions.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import BinaryIO, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from ..bgp.attributes import Origin, PathAttributes
+from ..bgp.attributes import Origin
 from .columns import NO_ATTR, RECORD_DTYPE, AttributeTable, RecordColumns
 
 __all__ = [
@@ -97,22 +98,23 @@ class SpillChunk(NamedTuple):
     info: ChunkInfo
 
 
-# -- PathAttributes codec ---------------------------------------------------
+# -- attribute bundle codec -------------------------------------------------
 
 
-def attribute_payload(attrs: PathAttributes) -> dict:
-    """One attribute bundle as canonical plain data (sorted, total)."""
+def attribute_payload(bundle: tuple) -> dict:
+    """One bundle, given as its
+    :func:`~repro.bgp.attributes.attribute_tuple`, as canonical plain
+    data (sorted, total)."""
+    hop, path, origin, med, pref, comms, atomic, aggregator = bundle
     return {
-        "as_path": list(attrs.as_path),
-        "next_hop": attrs.next_hop,
-        "origin": int(attrs.origin),
-        "med": attrs.med,
-        "local_pref": attrs.local_pref,
-        "communities": sorted(attrs.communities),
-        "atomic_aggregate": attrs.atomic_aggregate,
-        "aggregator": (
-            None if attrs.aggregator is None else list(attrs.aggregator)
-        ),
+        "as_path": list(path),
+        "next_hop": hop,
+        "origin": origin,
+        "med": med,
+        "local_pref": pref,
+        "communities": list(comms),
+        "atomic_aggregate": atomic,
+        "aggregator": None if aggregator is None else list(aggregator),
     }
 
 
@@ -122,7 +124,7 @@ _ORIGIN_CODES = {int(origin): int(origin) for origin in Origin}
 
 def attributes_payload(table: AttributeTable) -> List[dict]:
     """The whole intern table, id order preserved."""
-    return [attribute_payload(table[i]) for i in range(len(table))]
+    return [attribute_payload(table.tuple_of(i)) for i in range(len(table))]
 
 
 def attributes_from_payload(entries: List[dict]) -> AttributeTable:

@@ -6,11 +6,15 @@ the day's ``random.Random``; every draw must keep the role this
 module's per-pair loop gives it, position for position (DESIGN.md §15
 states the contract).  The loop lives only here — the role
 :class:`repro.sim.refengine.ReferenceEngine` plays for the simulator.
-:class:`ReferenceTraceGenerator` keeps the production planning,
-attribute bundles and pair state, and materializes one
-``random.Random`` draw, one linear-scan bin sample and one record
-tuple at a time; it never builds a draw stream.  Do NOT optimize this
-module; ``tests/test_generator_parity.py`` rests on it.
+:class:`ReferenceTraceGenerator` keeps the production planning and
+materializes one ``random.Random`` draw, one linear-scan bin sample and
+one record tuple at a time; it never builds a draw stream.  Its pair
+state is one object per pair and its announcements
+:class:`~repro.bgp.attributes.PathAttributes` bundles interned through
+``table.intern`` — none of the production's per-pair arrays or
+attribute tuples — and it writes and reads the same checkpoint payload
+on its own.  Do NOT optimize this module;
+``tests/test_generator_parity.py`` rests on it.
 """
 
 from __future__ import annotations
@@ -18,14 +22,16 @@ from __future__ import annotations
 import math
 import random
 from operator import itemgetter
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..bgp.attributes import AsPath, PathAttributes
 from ..collector.record import UpdateKind
 from ..collector.store import SECONDS_PER_DAY
 from ..core.columns import NO_ATTR, RECORD_DTYPE, AttributeTable, RecordColumns
 from ..core.taxonomy import UpdateCategory
+from ..net.prefix import Prefix
 from ..workloads.generator import (
     PLANNED_CATEGORIES,
     DayPlan,
@@ -39,10 +45,29 @@ __all__ = ["ReferenceTraceGenerator", "reference_twin"]
 AADIFF, WADIFF, AADUP, WADUP, WWDUP = PLANNED_CATEGORIES
 
 
+class _PairState:
+    """The oracle's mirror of the classifier's per-route state."""
+
+    __slots__ = ("reachable", "variant", "ever_announced", "med")
+
+    def __init__(self) -> None:
+        self.reachable = False
+        self.variant = 0
+        self.ever_announced = False
+        self.med: Optional[int] = None
+
+
 class ReferenceTraceGenerator(TraceGenerator):
     """:class:`TraceGenerator` materialized by the scalar loop."""
 
-    __slots__ = ()
+    __slots__ = ("_states", "_attr_cache")
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._states: Dict[Pair, _PairState] = {}
+        self._attr_cache: Dict[
+            Tuple[Pair, int, Optional[int]], PathAttributes
+        ] = {}
 
     def day_columns(
         self,
@@ -70,6 +95,63 @@ class ReferenceTraceGenerator(TraceGenerator):
         # Stable: equal timestamps keep emission order.
         rows.sort(key=itemgetter(0))
         return RecordColumns(np.array(rows, dtype=RECORD_DTYPE), table)
+
+    def _state_of(self, pair: Pair) -> _PairState:
+        state = self._states.get(pair)
+        if state is None:
+            state = self._states[pair] = _PairState()
+        return state
+
+    def _attrs(
+        self, pair: Pair, variant: int, med: Optional[int] = None
+    ) -> PathAttributes:
+        """The pair's bundle: variant 0 its primary path, variant 1 a
+        longer alternate; ``med`` a non-forwarding attribute."""
+        key = (pair, variant, med)
+        attrs = self._attr_cache.get(key)
+        if attrs is None:
+            prefix, asn = pair
+            origin = 1000 + (hash(pair) % 4000)
+            if variant == 0:
+                path = AsPath((asn, origin))
+            else:
+                path = AsPath((asn, 5000 + (hash(pair) % 1000), origin))
+            peer = self.population.by_asn[asn]
+            attrs = self._attr_cache[key] = PathAttributes(
+                as_path=path, next_hop=peer.peer_id, med=med
+            )
+        return attrs
+
+    def state_payload(self) -> dict:
+        """The pair states in the production checkpoint's format."""
+        pairs = sorted(self._states)
+        states = [self._states[pair] for pair in pairs]
+        return {
+            "net": [prefix.network for prefix, _ in pairs],
+            "plen": [prefix.length for prefix, _ in pairs],
+            "asn": [asn for _, asn in pairs],
+            "flags": [
+                int(state.reachable)
+                | int(state.ever_announced) << 1
+                | int(state.variant) << 2
+                | int(state.med is not None) << 3
+                for state in states
+            ],
+            "med": [state.med for state in states if state.med is not None],
+        }
+
+    def restore_state(self, payload: dict) -> None:
+        """Replace the pair states with a checkpoint's."""
+        self._states = {}
+        meds = iter(payload["med"])
+        for net, plen, asn, flags in zip(
+            payload["net"], payload["plen"], payload["asn"], payload["flags"]
+        ):
+            state = self._state_of((Prefix(net, plen), asn))
+            state.reachable = bool(flags & 1)
+            state.ever_announced = bool(flags & 2)
+            state.variant = (flags >> 2) & 1
+            state.med = next(meds) if flags & 8 else None
 
     def _sample_bin(self, rng: random.Random, plan: DayPlan) -> Optional[int]:
         """A bin index drawn ∝ bin weight (lost bins excluded): rebuild
@@ -117,7 +199,7 @@ class ReferenceTraceGenerator(TraceGenerator):
         prefix, asn = pair
         identity = (self.population.by_asn[asn].peer_id, asn,
                     prefix.network, prefix.length)
-        state = self._state(pair)
+        state = self._state_of(pair)
         day_start = plan.day * SECONDS_PER_DAY
 
         def announce(

@@ -29,10 +29,12 @@ whose per-update mechanisms mirror the Tier-A simulation:
    sequences whose in-episode spacing follows the 30/60-second timer
    mixture (Figure 8) and whose classifier labels match the planned
    category (the generator tracks the same per-route state the
-   classifier does).  Every category is array work over the day's
-   MT19937 stream, read in blocks (:class:`_DrawStream`); each draw
-   keeps the role :mod:`repro.verify.refgen`'s per-pair loop gives it,
-   so the output is byte-identical to that oracle's.
+   classifier does, one array row per pair).  Every category is array
+   work over the day's MT19937 stream, read in blocks
+   (:class:`_DrawStream`): per pair only the budget search is
+   sequential.  Each draw keeps the role :mod:`repro.verify.refgen`'s
+   per-pair loop gives it, so the output is byte-identical to that
+   oracle's; no attribute or pair-state object is built.
 """
 
 from __future__ import annotations
@@ -42,11 +44,11 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..bgp.attributes import AsPath, PathAttributes
+from ..bgp.attributes import AsPath, Origin
 from ..collector.record import UpdateKind
 from ..collector.store import SECONDS_PER_DAY
 from ..core.columns import (
@@ -54,6 +56,8 @@ from ..core.columns import (
     RECORD_DTYPE,
     AttributeTable,
     RecordColumns,
+    first_of_run,
+    group_order,
     stable_argsort,
 )
 from ..core.taxonomy import UpdateCategory
@@ -228,13 +232,14 @@ class DayPlan:
     bin_weights: List[float]
     lost_bins: Set[int]
     #: Lazy cache for :meth:`materialization_weights`.
-    _cum: Optional[Tuple[List[float], float]] = field(
+    _cum: Optional[Tuple[List[float], float, np.ndarray]] = field(
         default=None, repr=False, compare=False
     )
 
-    def materialization_weights(self) -> Tuple[List[float], float]:
+    def materialization_weights(self) -> Tuple[List[float], float, np.ndarray]:
         """The cumulative materialization bin weights (lost bins
-        zeroed) and their total.
+        zeroed), their total, and the bin a ``bisect`` finds for each
+        of the 4097 points ``k/4096 · total`` (a bin draw's cell edges).
 
         The running sums are built with the same left-to-right float
         additions as the linear scan of :mod:`repro.verify.refgen`'s
@@ -245,8 +250,9 @@ class DayPlan:
         cached = self._cum
         if cached is None:
             weights = self._collected_weights()
-            cached = (list(accumulate(weights)), sum(weights))
-            self._cum = cached
+            cum, total = list(accumulate(weights)), sum(weights)
+            edge = np.searchsorted(cum, np.arange(4097) / 4096 * total)
+            cached = self._cum = (cum, total, edge)
         return cached
 
     def _collected_weights(self) -> List[float]:
@@ -287,66 +293,11 @@ class DayPlan:
         return counts
 
 
-class _PairState:
-    """Generator-side mirror of the classifier's per-route state."""
-
-    __slots__ = ("reachable", "variant", "ever_announced", "med")
-
-    def __init__(self) -> None:
-        self.reachable = False
-        self.variant = 0
-        self.ever_announced = False
-        self.med: Optional[int] = None
-
-
-class _ColumnSink:
-    """Materialization sink appending primitive columns.
-
-    Events arrive as arrays in emission order, each naming its pair by
-    an index into the pairs its batch brought, so ``finish``'s stable
-    time order resolves equal timestamps as the per-pair loop's
-    record-at-a-time stream does, and a pair's identity is gathered
-    once per record after the sort.
-    """
-
-    __slots__ = ("table", "pairs", "batches")
-
-    def __init__(self, table) -> None:
-        self.table = table
-        self.pairs: List[Pair] = []
-        self.batches: List[Tuple[np.ndarray, ...]] = [
-            (np.empty(0), np.empty(0, np.intp), np.empty(0, np.uint32))
-        ]
-
-    def append(self, pairs, times, index, attr_ids) -> None:
-        """Append a batch of events; ``index`` points into ``pairs``,
-        and an event without attributes is a withdrawal."""
-        self.batches.append((times, index + len(self.pairs), attr_ids))
-        self.pairs.extend(pairs)
-
-    def finish(self, population: PeerPopulation) -> RecordColumns:
-        """The day's batch: events in stable time order, each identity
-        column one gather through the event's pair."""
-        time, pair, attr_id = map(np.concatenate, zip(*self.batches))
-        # Stable: equal timestamps keep emission order.
-        order = stable_argsort(time)
-        pair = pair[order]
-        by_asn = population.by_asn
-        data = np.empty(len(time), dtype=RECORD_DTYPE)
-        data["time"] = time[order]
-        for name, values in (
-            ("peer_id", [by_asn[asn].peer_id for _, asn in self.pairs]),
-            ("peer_asn", [asn for _, asn in self.pairs]),
-            ("net", [prefix.network for prefix, _ in self.pairs]),
-            ("plen", [prefix.length for prefix, _ in self.pairs]),
-        ):
-            data[name] = np.asarray(values, dtype=data.dtype[name])[pair]
-        data["attr_id"] = attr_id[order]
-        data["kind"] = np.where(
-            attr_id == NO_ATTR,
-            np.uint8(UpdateKind.WITHDRAW), np.uint8(UpdateKind.ANNOUNCE),
-        )[order]
-        return RecordColumns(data, self.table)
+#: The generator-side mirror of the classifier's per-route state, one
+#: row per pair position.  ``seen`` marks a pair some day has walked
+#: (what a checkpoint holds); ``med`` indexes :data:`_MEDS`.
+_STATE_DTYPE = np.dtype([("seen", "?"), ("reachable", "?"), ("ever", "?"),
+                         ("variant", "u1"), ("med", "u1")])
 
 
 #: Draws one episode takes from the day's stream, in the per-pair
@@ -433,8 +384,9 @@ class _DrawStream:
 
         Consecutive episodes of a pair sit six draws apart, so they
         share a lane and a pair's event budget is one search in its
-        running sum.  A lane is transformed on first use: subsampling
-        and AADup's policy draws shift the lane.
+        running sum (at ``pair_fraction = 1`` a non-AADup category's
+        pairs share one too).  A lane is transformed on first use:
+        subsampling and AADup's policy draws shift the lane.
         """
         sums = self._sums[lane]
         if sums is None:
@@ -475,18 +427,26 @@ def _episode_times(
     return times
 
 
+def _earlier(keys: np.ndarray, values: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Per element, the sum of ``values`` (non-negative) over the earlier
+    elements with the same key; and a mask of each key's last element."""
+    order, first = group_order((keys,))
+    ranked = values[order]
+    before = np.cumsum(ranked) - ranked
+    before -= np.maximum.accumulate(np.where(first, before, 0))
+    earlier = np.empty_like(before)
+    earlier[order] = before
+    last = np.zeros(len(keys), dtype=bool)
+    last[order[np.append(first[1:], True)]] = True
+    return earlier, last
+
+
 class TraceGenerator:
     """See module docstring."""
 
     __slots__ = (
-        "population",
-        "diurnal",
-        "schedule",
-        "targets",
-        "constants",
-        "seed",
-        "_states",
-        "_attr_cache",
+        "population", "diurnal", "schedule", "targets", "constants", "seed",
+        "_pairs", "_index", "_state", "_records", "_bundles",
     )
 
     def __init__(
@@ -504,10 +464,15 @@ class TraceGenerator:
         self.targets = targets or GeneratorTargets()
         self.constants = constants
         self.seed = seed
-        self._states: Dict[Pair, _PairState] = {}
-        self._attr_cache: Dict[
-            Tuple[Pair, int, Optional[int]], PathAttributes
-        ] = {}
+        # Per-pair arrays, indexed by a pair's *position*: population
+        # order, then any pair met later (a plan's or a checkpoint's).
+        # ``_records`` holds each pair's record with its identity set.
+        self._pairs: List[Pair] = []
+        self._index: Dict[Pair, int] = {}
+        self._state = np.zeros(0, dtype=_STATE_DTYPE)
+        self._records = np.zeros(0, dtype=RECORD_DTYPE)
+        self._bundles: Dict[int, tuple] = {}  # see _bundle
+        self._positions(self.population.all_pairs)
 
     # ------------------------------------------------------------------
     # planning
@@ -706,56 +671,76 @@ class TraceGenerator:
         if not 0.0 < pair_fraction <= 1.0:
             raise ValueError("pair_fraction must be in (0, 1]")
         plan = plan or self.plan_day(day)
-        sink = _ColumnSink(attrs if attrs is not None else AttributeTable())
+        table = attrs if attrs is not None else AttributeTable()
+        # Per expanded window: each event's time, pair, attr_id.
+        events = [(np.empty(0), np.empty(0, np.intp), np.empty(0, np.uint32))]
         stream = _DrawStream(self._day_rng(day, salt=1))
         wanted = PLANNED_CATEGORIES if categories is None else categories
         for category in [c for c in PLANNED_CATEGORIES if c in wanted]:
-            self._emit_category(stream, plan, category, pair_fraction, sink)
-        return sink.finish(self.population)
+            self._emit_category(
+                stream, plan, category, pair_fraction, table, events
+            )
+        time, position, attr_id = map(np.concatenate, zip(*events))
+        # Stable: equal timestamps keep emission order, as the per-pair
+        # loop's record-at-a-time stream does.  The pair identity comes
+        # with one gather of its records' rows after the sort.
+        order = stable_argsort(time)
+        data = np.take(self._records, position[order])
+        data["time"] = time[order]
+        data["attr_id"] = attr_id = attr_id[order]
+        data["kind"] = np.where(
+            attr_id == NO_ATTR,
+            np.uint8(UpdateKind.WITHDRAW), np.uint8(UpdateKind.ANNOUNCE),
+        )
+        return RecordColumns(data, table)
 
     # -- emission -------------------------------------------------------------
 
-    def _attrs(
-        self, pair: Pair, variant: int, med: Optional[int] = None
-    ) -> PathAttributes:
-        """Deterministic attribute variants for a pair.
+    def _positions(self, pairs: Iterable[Pair]) -> List[int]:
+        """Each pair's position, a pair not met before taking the next."""
+        index = self._index
+        positions = [index.setdefault(pair, len(index)) for pair in pairs]
+        if len(index) > len(self._pairs):
+            added = list(index)[len(self._pairs):]
+            self._pairs += added
+            prefixes, asns = zip(*added)
+            nets, plens = zip(*prefixes)  # a Prefix is (network, length)
+            by_asn = self.population.by_asn
+            ids = {asn: by_asn[asn].peer_id for asn in dict.fromkeys(asns)}
+            rows = np.zeros(len(added), dtype=RECORD_DTYPE)
+            rows["peer_id"] = [*map(ids.__getitem__, asns)]
+            rows["peer_asn"], rows["net"], rows["plen"] = asns, nets, plens
+            self._records = np.concatenate((self._records, rows))
+            self._state = np.concatenate(
+                (self._state, np.zeros(len(added), dtype=_STATE_DTYPE))
+            )
+        return positions
 
-        Variant 0 is the primary path; variant 1 a longer alternate
-        (different ASPATH → different forwarding tuple).  ``med`` sets
-        a non-forwarding attribute: two announcements differing only in
-        it share the forwarding tuple (AADup) but constitute *policy
-        fluctuation*.
+    def _bundle(self, key: int) -> tuple:
+        """The :func:`~repro.bgp.attributes.attribute_tuple` announced
+        under ``key = (position·2 + variant)·3 + MED code``, cached.
 
-        Cached per (pair, variant, med): a pair re-announces the same
-        bundle thousands of times a day, and rebuilding the frozen
-        dataclass dominated the materialization profile.
-        """
-        key = (pair, variant, med)
-        attrs = self._attr_cache.get(key)
-        if attrs is not None:
-            return attrs
-        prefix, asn = pair
-        # DET004 audit: `pair` is (Prefix, int) and Prefix is an int
-        # tuple (network, length) — hash() of ints and int tuples is
-        # value-based, not PYTHONHASHSEED-salted, so these origins are
-        # replay-stable.  tests/test_generator_parity.py proves it
-        # across hash seeds.
-        origin = 1000 + (hash(pair) % 4000)
-        if variant == 0:
-            path = AsPath((asn, origin))
-        else:
-            transit = 5000 + (hash(pair) % 1000)
-            path = AsPath((asn, transit, origin))
-        peer = self.population.by_asn[asn]
-        attrs = PathAttributes(as_path=path, next_hop=peer.peer_id, med=med)
-        self._attr_cache[key] = attrs
-        return attrs
-
-    def _state(self, pair: Pair) -> _PairState:
-        state = self._states.get(pair)
-        if state is None:
-            state = self._states[pair] = _PairState()
-        return state
+        Variant 0 is the primary path, variant 1 a longer alternate (a
+        different forwarding tuple).  Announcements differing only in
+        the MED share the forwarding tuple (AADup) but constitute
+        *policy fluctuation*."""
+        bundle = self._bundles.get(key)
+        if bundle is None:
+            position, code = divmod(key, 6)
+            pair = self._pairs[position]
+            _, asn = pair
+            # DET004 audit: `pair` is (Prefix, int), Prefix an int tuple:
+            # hash() is value-based, not PYTHONHASHSEED-salted, as
+            # tests/test_generator_parity.py proves across hash seeds.
+            hops = (asn, 1000 + hash(pair) % 4000)
+            if code >= 3:
+                hops = (asn, 5000 + hash(pair) % 1000, hops[1])
+            bundle = self._bundles[key] = (
+                self.population.by_asn[asn].peer_id,
+                tuple(AsPath(hops)),  # AsPath checks each AS number
+                int(Origin.IGP), _MEDS[code % 3], None, (), False, None,
+            )
+        return bundle
 
     def _emit_category(
         self,
@@ -763,38 +748,48 @@ class TraceGenerator:
         plan: DayPlan,
         category: UpdateCategory,
         pair_fraction: float,
-        sink: "_ColumnSink",
+        table: AttributeTable,
+        events: list,
     ) -> None:
         """One category's allocation as array work over the day's draw
         stream.
 
-        The walk touches each pair once (each AADup episode): a lane's
-        running burst lengths say where the pair's ``count`` is used up,
-        and its episodes in the current window become one *run*.  Where
-        the route's state makes the pair's first event differ from the
-        rest, the walk finds the *lead*, the first episode to start
-        before midnight.  :meth:`_expand_runs` turns runs into records.
+        The walk does per pair only what is sequential: a lane's running
+        burst lengths say where the pair's ``count`` is used up, and its
+        episodes in the current window become one *run*.  AADup walks an
+        episode at a time: its policy draws depend on whether the
+        episode is the pair's *lead* (see :meth:`_expand_runs`, which
+        turns a window's runs into records).
         """
-        cum, total = plan.materialization_weights()
+        allocation = plan.participation[category]
+        positions = self._positions(pair for pair, _ in allocation)
+        cum, total, _ = plan.materialization_weights()
         day_start = plan.day * SECONDS_PER_DAY
         day_end = day_start + SECONDS_PER_DAY
-        announces = category is not UpdateCategory.WWDUP
-        # AA* bootstrap a route found down; WADiff one never announced.
-        bootstraps = category in (UpdateCategory.AADIFF, UpdateCategory.AADUP)
+        aadup = category is UpdateCategory.AADUP
+        # The pairs due a lead: up for WWDup, down for the others.
+        due = self._state["reachable"] == (category is UpdateCategory.WWDUP)
+        leading = due.tolist() if aadup else []
+        bin_width = SECONDS_PER_DAY / BINS_PER_DAY
         mass_30 = self.targets.spacing_30s_mass
         mass_60 = mass_30 + self.targets.spacing_60s_mass
         # The runs planned from the current window, in emission order:
         # window offset of the first draw, episodes, clipped length of
-        # the last burst (0 = unclipped), pair; and the (run, episode,
-        # bootstrap) places of the leads.
-        runs: Tuple[list, ...] = ([], [], [], [], [])
-        starts, counts, clips, pairs, leads = runs
+        # the last burst (0 = unclipped), pair position.
+        runs: Tuple[list, ...] = ([], [], [], [])
+        starts, counts, clips, where = runs
+        walked: List[int] = []
+
+        def expand() -> None:
+            events.append(
+                self._expand_runs(stream, plan, category, runs, due, table)
+            )
+            for column in runs:
+                column.clear()
 
         def refill() -> None:
             if starts:
-                self._expand_runs(stream, plan, category, runs, sink)
-                for column in runs:
-                    column.clear()
+                expand()
             stream.more()
 
         def draw() -> float:
@@ -803,17 +798,10 @@ class TraceGenerator:
             stream.at += 1
             return stream.window[stream.at - 1]
 
-        def begins(at: int) -> float:
-            """When the episode drawn at window offset ``at`` starts."""
-            bin_index = bisect_left(cum, stream.window[at + 1] * total)
-            return day_start + (
-                min(bin_index, len(cum) - 1) + stream.window[at + 2]
-            ) * (SECONDS_PER_DAY / BINS_PER_DAY)
-
-        for pair, count in plan.participation[category]:
+        for position, (_, count) in zip(positions, allocation):
             if pair_fraction < 1.0 and draw() > pair_fraction:
                 continue
-            state = self._state(pair)
+            walked.append(position)
             if count <= 0:
                 continue
             if total <= 0:
@@ -821,9 +809,6 @@ class TraceGenerator:
                 # drawn, finds no bin to go to, and the pair gives up.
                 draw()
                 continue
-            # The first event differs only where the route's state is
-            # not what the category leaves behind.
-            lead = state.reachable is not announces
             remaining = count
             while remaining > 0:
                 at = stream.at
@@ -831,16 +816,21 @@ class TraceGenerator:
                 if not whole:
                     refill()
                     continue
-                if category is UpdateCategory.AADUP:
+                if aadup:
                     # One episode: its stride is six draws plus one per
                     # event (not bootstrap) it gets in before midnight.
+                    lead = leading[position]
+                    burst, place, offset, selector, spread = (
+                        stream.window[at:at + 5].tolist()
+                    )
                     episodes = 1
                     clip = min(remaining, max(1, math.ceil(
-                        math.log(1.0 - stream.window[at]) / _BURST_LOG
+                        math.log(1.0 - burst) / _BURST_LOG
                     )))
                     remaining -= clip
-                    t = begins(at)
-                    selector, spread = stream.window[at + 3:at + 5].tolist()
+                    t = day_start + (min(
+                        bisect_left(cum, place * total), len(cum) - 1
+                    ) + offset) * bin_width
                     if selector < mass_30:
                         period = 29.5 + 1.0 * spread
                     elif selector < mass_60:
@@ -854,49 +844,36 @@ class TraceGenerator:
                     if not cells:
                         stream.at += _EPISODE_DRAWS
                         continue
+                    leading[position] = False
                     stride = _EPISODE_DRAWS + cells - lead
                     while stream.at + stride > len(stream.window):
                         refill()
                 else:
                     sums = stream.lane(at % _EPISODE_DRAWS)
                     first = at // _EPISODE_DRAWS
-                    before = int(sums[first - 1]) if first else 0
+                    before = sums.item(first - 1) if first else 0
                     last = int(sums.searchsorted(before + remaining))
                     if last < first + whole:
                         # The budget runs out in this window: the last
                         # burst is cut to what is left of it.
                         episodes = last - first + 1
                         clip = remaining + before - (
-                            int(sums[last - 1]) if last else 0
+                            sums.item(last - 1) if last else 0
                         )
                         remaining = 0
                     else:
                         episodes = whole
                         clip = 0
-                        remaining -= int(sums[first + whole - 1]) - before
+                        remaining -= sums.item(first + whole - 1) - before
                     stride = episodes * _EPISODE_DRAWS
-                if lead:
-                    # The first, unless an in-bin offset rounded an
-                    # episode's start up to midnight itself.
-                    for episode in range(episodes):
-                        at = stream.at + episode * _EPISODE_DRAWS
-                        if begins(at) < day_end:
-                            boot = bootstraps or (
-                                category is UpdateCategory.WADIFF
-                                and not state.ever_announced
-                            )
-                            leads.append((len(starts), episode, boot))
-                            state.reachable = announces
-                            state.ever_announced |= announces
-                            lead = False
-                            break
                 starts.append(stream.at)
                 counts.append(episodes)
                 clips.append(clip)
-                pairs.append(pair)
+                where.append(position)
                 stream.at += stride
+        self._state["seen"][walked] = True
         if starts:
-            self._expand_runs(stream, plan, category, runs, sink)
+            expand()
 
     def _expand_runs(
         self,
@@ -904,10 +881,11 @@ class TraceGenerator:
         plan: DayPlan,
         category: UpdateCategory,
         runs: Tuple[list, ...],
-        sink: "_ColumnSink",
-    ) -> None:
-        """Turn the episode ``runs`` planned from ``stream.window``
-        into records, as array expressions in the per-pair loop's
+        due: np.ndarray,
+        table: AttributeTable,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The events of the episode ``runs`` planned from
+        ``stream.window``, as array expressions in the per-pair loop's
         operand order.
 
         An episode is a row of *cells*, one per event plus a leading
@@ -917,15 +895,16 @@ class TraceGenerator:
         ``exp`` stays libm: the background period reaches a timestamp,
         and ``np.exp`` differs from ``math.exp`` in the last bit.
         """
-        starts, counts, clips, pairs, leads = runs
+        starts, counts, clips, where = runs
         window = stream.window
-        cum, total = plan.materialization_weights()
+        cum, total, edge = plan.materialization_weights()
         day_start = plan.day * SECONDS_PER_DAY
         day_end = day_start + SECONDS_PER_DAY
         bin_width = SECONDS_PER_DAY / BINS_PER_DAY
         mass_30 = self.targets.spacing_30s_mass
         mass_60 = mass_30 + self.targets.spacing_60s_mass
 
+        run_position = np.asarray(where, dtype=np.intp)
         per_run = np.asarray(counts, dtype=np.intp)
         ends = np.cumsum(per_run)
         firsts = ends - per_run
@@ -938,9 +917,14 @@ class TraceGenerator:
         clip = np.asarray(clips, dtype=np.int16)
         clipped = np.flatnonzero(clip)
         length[ends[clipped] - 1] = clip[clipped]
-        bins = np.minimum(
-            np.searchsorted(cum, window[offset + 1] * total), len(cum) - 1
-        )
+        # A bin draw's 1/4096 of [0, 1) names its bin unless a running
+        # weight falls inside it (draw · total is monotone in the draw).
+        place = window[offset + 1]
+        cell = (place * 4096).astype(np.intp)
+        bins = edge[cell]
+        near = np.flatnonzero(edge[cell + 1] != bins)
+        bins[near] = np.searchsorted(cum, place[near] * total)
+        bins = np.minimum(bins, len(cum) - 1)
         t0 = day_start + (bins + window[offset + 2]) * bin_width
         # The Figure 8 mixture: 30 s timer, 60 s line, broad background.
         selector = window[offset + 3]
@@ -949,14 +933,34 @@ class TraceGenerator:
             selector < mass_30, 29.5 + 1.0 * spread, 58.0 + 4.0 * spread
         )
         background = np.flatnonzero(selector >= mass_60)
-        period[background] = [
-            math.exp(x)
-            for x in (_LOG_2S + _LOG_SPAN * spread[background]).tolist()
-        ]
-        run, episode, booted = np.asarray(leads, np.intp).reshape(-1, 3).T
-        led = firsts[run] + episode
+        period[background] = list(map(
+            math.exp, (_LOG_2S + _LOG_SPAN * spread[background]).tolist()
+        ))
+        episode_run = np.repeat(np.arange(len(starts)), per_run)
+        # A due pair's lead is its first episode to start before
+        # midnight: its first, unless an in-bin offset rounded an
+        # episode's start up to midnight itself.  AA* bootstrap a route
+        # found down, WADiff one never announced, without MED.
+        begun = np.flatnonzero(t0 < day_end)
+        first = begun[first_of_run(episode_run[begun])]  # per run
+        pending = due[run_position[episode_run[first]]]
+        first = first[pending]
+        _, lead = np.unique(run_position[episode_run[first]], True)
+        led = np.sort(first[lead])
+        position = run_position[episode_run[led]]
+        due[position] = False
+        state = self._state
+        booted = np.full(len(led), category in (
+            UpdateCategory.AADIFF, UpdateCategory.AADUP
+        ))
+        if category is UpdateCategory.WADIFF:
+            booted = ~state["ever"][position]
+        announces = category is not UpdateCategory.WWDUP
+        state["reachable"][position] = announces
+        state["ever"][position] |= announces
+        state["med"][position[booted]] = 0
         boot = np.zeros(len(offset), dtype=bool)
-        boot[led[booted == 1]] = True
+        boot[led[booted]] = True
         length += boot
         times = _episode_times(t0, period, length)
         row = np.cumsum(length) - length  # every episode's first cell
@@ -964,7 +968,6 @@ class TraceGenerator:
         # dropped (times only grow along a row).
         keep = np.flatnonzero(times < day_end)
         time = times[keep]
-        episode_run = np.repeat(np.arange(len(starts)), per_run)
         # A lead episode starts before midnight, so its first cell is kept.
         lead_cells = np.searchsorted(keep, row[led])
         if category is UpdateCategory.WWDUP:
@@ -974,8 +977,8 @@ class TraceGenerator:
             cell_episode = np.repeat(np.arange(len(length)), length)[keep]
             cell_run = episode_run[cell_episode]
             attr_id = self._announced(
-                window, category, pairs, cell_run, cell_episode, offset,
-                boot, keep - row[cell_episode], sink.table,
+                window, category, run_position, cell_run, cell_episode,
+                offset, boot, keep - row[cell_episode], table,
             )
             # Every WA* event but a pair's first or bootstrap follows
             # a withdrawal; AA* events none.
@@ -995,28 +998,21 @@ class TraceGenerator:
         cell_run = np.insert(cell_run, withdrawn, cell_run[withdrawn])
         if category is UpdateCategory.WWDUP:
             attr_id = np.broadcast_to(NO_ATTR, time.shape)
-        sink.append(pairs, time, cell_run, attr_id)
+        return time, run_position[cell_run], attr_id
 
     def _announced(
-        self,
-        window: np.ndarray,
-        category: UpdateCategory,
-        pairs: List[Pair],
-        cell_run: np.ndarray,
-        cell_episode: np.ndarray,
-        offset: np.ndarray,
-        boot: np.ndarray,
-        step: np.ndarray,
-        table: AttributeTable,
+        self, window: np.ndarray, category: UpdateCategory,
+        run_position: np.ndarray, cell_run: np.ndarray,
+        cell_episode: np.ndarray, offset: np.ndarray, boot: np.ndarray,
+        step: np.ndarray, table: AttributeTable,
     ) -> np.ndarray:
         """The attribute id of every kept announce cell, interned in
-        emission order.  ``step`` is a cell's place in its row.  The
-        pair's state carries variant and MED from run to run.
-        """
-        n_runs = len(pairs)
+        emission order.  ``step`` is a cell's place in its row.  Variant
+        and MED carry from run to run of a pair: through its earlier
+        runs in the window, and its row of the state array."""
+        n_runs = len(run_position)
         booted_row = boot[cell_episode]
-        booting = booted_row & (step == 0)
-        counted = ~booting
+        counted = ~(booted_row & (step == 0))
 
         def running(flags: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
             # Each cell's running count of flags in its run; run totals.
@@ -1025,44 +1021,42 @@ class TraceGenerator:
             return np.cumsum(flags) - before, totals
 
         rank, events = running(counted)
-        policy = category is UpdateCategory.AADUP
-        if policy:
-            # An event's policy draw follows its episode's six draws.
+        state = self._state
+        variant = state["variant"][run_position].astype(np.intp)
+        if category in (UpdateCategory.AADIFF, UpdateCategory.WADIFF):
+            # Every event flips the variant.
+            earlier, last = _earlier(run_position, events)
+            variant ^= earlier & 1
+            state["variant"][run_position[last]] = (variant ^ events & 1)[last]
+            variant = variant[cell_run] ^ (rank & 1 & counted)
+        else:
+            variant = variant[cell_run]
+        if category is UpdateCategory.AADUP:
+            # An event's policy draw follows its episode's six draws; a
+            # hit steps the MED 20 ↔ 40 (from None, to 20).
             draw = offset[cell_episode] + _EPISODE_DRAWS + step - booted_row
             climbed, hits = running(counted & (
                 window[draw] < self.targets.policy_fluctuation_fraction
             ))
-        toggles = category in (UpdateCategory.AADIFF, UpdateCategory.WADIFF)
-        variant, med = np.zeros((2, n_runs), dtype=np.intp)
-        emitted = np.bincount(cell_run, minlength=n_runs)
-        for run in np.flatnonzero(emitted).tolist():
-            state = self._states[pairs[run]]
-            variant[run] = state.variant
-            if toggles:
-                state.variant ^= int(events[run]) & 1
-            value = None
-            if policy:
-                # A bootstrap announces without MED.
-                value = None if emitted[run] > events[run] else state.med
-                med[run] = _MEDS.index(value)
-                if hits[run]:
-                    value = 20 if (hits[run] + (value == 20)) & 1 else 40
-            state.med = value
-        variant = variant[cell_run]
-        if toggles:
-            variant ^= rank & 1 & counted
-        med = med[cell_run]
-        if policy:
-            stepped = 2 - ((climbed + (med == 1)) & 1)
-            med = np.where(climbed == 0, med, stepped)
-        key = (cell_run * 2 + variant) * 3 + med
-        keys, first, inverse = np.unique(key, True, True)
-        ids = np.empty(len(keys), dtype=np.uint32)
-        for i in np.argsort(first).tolist():
-            run, code = divmod(int(keys[i]), 6)
-            ids[i] = table.intern(
-                self._attrs(pairs[run], code // 3, _MEDS[code % 3])
+            climbs, last = _earlier(run_position, hits)
+            start = state["med"][run_position]
+
+            def stepped(steps: np.ndarray, code: np.ndarray) -> np.ndarray:
+                return np.where(steps, 2 - (steps + (code == 1)) % 2, code)
+
+            state["med"][run_position[last]] = stepped(
+                climbs[last] + hits[last], start[last]
             )
+            med = stepped(climbed, stepped(climbs, start)[cell_run])
+        else:  # announced without MED
+            state["med"][run_position[cell_run]] = 0
+            med = 0
+        key = (run_position[cell_run] * 2 + variant) * 3 + med
+        keys, first, inverse = np.unique(key, True, True)
+        order = np.argsort(first)
+        ids = np.empty(len(keys), dtype=np.uint32)
+        bundle, intern = self._bundle, table.intern_tuple
+        ids[order] = [intern(bundle(k)) for k in keys[order].tolist()]
         return ids[inverse]
 
     # ------------------------------------------------------------------
@@ -1092,31 +1086,32 @@ class TraceGenerator:
         generator carries reachability/variant/MED memory across days,
         so skipping a day's RNG is only sound with its end state
         restored.  Columnar and key-sorted, so the payload is canonical
-        (independent of dict insertion order) and compact.
+        and compact: one entry per pair a day has walked.
         """
+        seen = np.flatnonzero(self._state["seen"])
+        pair = self._records[seen]
+        asn, net, plen = pair["peer_asn"], pair["net"], pair["plen"]
         # Pairs sort as ((network, length), asn): Prefix is that tuple.
-        pairs = sorted(self._states)
-        states = [self._states[pair] for pair in pairs]
+        order = np.lexsort((asn, plen, net))
+        state = self._state[seen[order]]
         return {
-            "net": [prefix.network for prefix, _ in pairs],
-            "plen": [prefix.length for prefix, _ in pairs],
-            "asn": [asn for _, asn in pairs],
-            "flags": [
-                int(state.reachable)
-                | int(state.ever_announced) << 1
-                | int(state.variant) << 2
-                | int(state.med is not None) << 3
-                for state in states
-            ],
-            "med": [state.med for state in states if state.med is not None],
+            "net": net[order].tolist(),
+            "plen": plen[order].tolist(),
+            "asn": asn[order].tolist(),
+            "flags": (
+                state["reachable"] | state["ever"] << 1
+                | state["variant"] << 2 | (state["med"] > 0) << 3
+            ).tolist(),
+            "med": [_MEDS[code] for code in state["med"].tolist() if code],
         }
 
     @staticmethod
     def can_restore(payload: object) -> bool:
         """Whether :meth:`restore_state` loads ``payload``: five int
         lists, one pair per index of the first four with a valid prefix,
-        one MED per pair flagged with one.  Checked without a generator,
-        so a resume can refuse a chunk while it can still regenerate."""
+        one MED (20 or 40, all a day announces) per pair flagged with
+        one.  Checked without a generator, so a resume can refuse a
+        chunk while it can still regenerate."""
         if type(payload) is not dict:
             return False
         nets, plens, asns, flags, meds = columns = [
@@ -1126,6 +1121,7 @@ class TraceGenerator:
             all(type(c) is list and {*map(type, c)} <= {int} for c in columns)
             and len(nets) == len(plens) == len(asns) == len(flags)
             and sum(f >> 3 & 1 for f in flags) == len(meds)
+            and set(meds) <= set(_MEDS)
             and all(
                 0 <= plen <= 32 and 0 <= net < 1 << 32
                 and not net & ((1 << 32 - plen) - 1)
@@ -1136,18 +1132,18 @@ class TraceGenerator:
     def restore_state(self, payload: dict) -> None:
         """Replace per-pair state with a :meth:`state_payload`
         checkpoint (the inverse; prior state is discarded)."""
-        states: Dict[Pair, _PairState] = {}
+        positions = self._positions(
+            (Prefix(net, plen), asn) for net, plen, asn in zip(
+                payload["net"], payload["plen"], payload["asn"]
+            )
+        )
         meds = iter(payload["med"])
-        for net, plen, asn, flags in zip(
-            payload["net"], payload["plen"], payload["asn"], payload["flags"]
-        ):
-            state = _PairState()
-            state.reachable = bool(flags & 1)
-            state.ever_announced = bool(flags & 2)
-            state.variant = (flags >> 2) & 1
-            state.med = next(meds) if flags & 8 else None
-            states[(Prefix(int(net), int(plen)), int(asn))] = state
-        self._states = states
+        state = self._state = np.zeros(len(self._state), dtype=_STATE_DTYPE)
+        state[positions] = [
+            (True, f & 1, f & 2, f >> 2 & 1,
+             _MEDS.index(next(meds)) if f & 8 else 0)
+            for f in payload["flags"]
+        ]
 
 
 def campaign_generator(

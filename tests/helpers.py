@@ -13,6 +13,10 @@ from repro.core.instability import CategoryCounts
 from repro.core.spill import CHUNK_END_MAGIC, CHUNK_MAGIC
 from repro.verify.reference import reference_classify
 
+#: A generator checkpoint holding no pair: ``restore_state`` of it
+#: forgets every route, as a fresh generator starts.
+NO_PAIR_STATE = {"net": [], "plen": [], "asn": [], "flags": [], "med": []}
+
 
 def reseal_chunk(path, mutate):
     """Pass a chunk's footer metadata (its digest removed) through

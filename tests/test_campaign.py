@@ -48,6 +48,7 @@ from repro.core.instability import (
 )
 from repro.core.spill import read_chunk
 from repro.core.taxonomy import FINE_GRAINED_CATEGORIES, UpdateCategory
+from repro.verify.refgen import reference_twin
 from repro.workloads.generator import TraceGenerator, campaign_generator
 
 from .helpers import reseal_chunk
@@ -1166,10 +1167,33 @@ class TestRefoldFromChunks:
             {"net": [0], "plen": [8], "asn": ["1"], "flags": [0], "med": []},
             {"net": [0], "plen": [8], "asn": [1], "flags": [True], "med": []},
             {"net": 0, "plen": [8], "asn": [1], "flags": [0], "med": []},
+            # A day announces MED 20 or 40, nothing else.
+            {"net": [0], "plen": [8], "asn": [1], "flags": [8], "med": [7]},
         ],
     )
     def test_malformed_checkpoint_cannot_be_restored(self, payload):
         assert not TraceGenerator.can_restore(payload)
+
+    def test_checkpoint_round_trips_a_pair_no_peer_holds(self):
+        """A checkpoint restores whatever pairs it names, as the
+        oracle's per-pair objects do — here one prefix outside the
+        population — and gives them back unchanged."""
+        generator = campaign_generator(
+            n_peers=4, total_prefixes=40, population_seed=2
+        )
+        (prefix, asn), *_ = generator.population.all_pairs
+        payload = {
+            "net": [prefix.network, 0x0A000000], "plen": [24, 8],
+            "asn": [asn, asn], "flags": [3, 15], "med": [40],
+        }
+        assert TraceGenerator.can_restore(payload)
+        ends = []
+        for side in (generator, reference_twin(generator)):
+            side.restore_state(payload)
+            assert side.state_payload() == payload
+            side.day_columns(1, pair_fraction=1.0)
+            ends.append(side.state_payload())
+        assert ends[0] == ends[1]
 
     def test_every_written_checkpoint_can_be_restored(self, tmp_path):
         config = fast_config(days=3, shards=1, out=str(tmp_path / "camp"))

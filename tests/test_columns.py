@@ -20,7 +20,7 @@ import pytest
 from repro.analysis.distribution import daily_cdf
 from repro.analysis.interarrival import histogram_counts, interarrival_times
 from repro.analysis.timeseries import bin_records
-from repro.bgp.attributes import AsPath, PathAttributes
+from repro.bgp.attributes import AsPath, PathAttributes, attribute_tuple
 from repro.collector import mrt
 from repro.collector.log import FileLog
 from repro.collector.mrt import (
@@ -46,6 +46,7 @@ from repro.core.instability import (
     counts_by_peer_columns,
     counts_by_prefix_as_columns,
 )
+from repro.core.spill import read_chunk, write_chunk
 from repro.core.taxonomy import UpdateCategory
 from repro.net.prefix import Prefix
 from repro.verify.golden import FUZZ_SEEDS
@@ -55,8 +56,9 @@ from repro.verify.reference import (
     reference_counts_by_peer,
     reference_interarrival_histogram,
 )
+from repro.verify.refgen import reference_twin
 from repro.verify.streams import fuzz_stream
-from repro.workloads.generator import TraceGenerator
+from repro.workloads.generator import TraceGenerator, campaign_generator
 
 #: A small attribute vocabulary exercising every comparison outcome:
 #: two distinct forwarding tuples, plus MED-only variants of each
@@ -320,6 +322,47 @@ class TestRouteGroups:
         ] == reference_classify(columns.to_records())
 
 
+class TestOneKeyForm:
+    """A bundle's one key is its ``attribute_tuple``: interning the
+    object and interning the tuple give one id, whichever filled the
+    table.  (Two key dicts would give a bundle two ids.)"""
+
+    @staticmethod
+    def table(filled, tmp_path):
+        if filled == "footer":
+            path = tmp_path / "vocabulary.rcol"
+            write_chunk(path, RecordColumns.empty(
+                TestOneKeyForm.table("objects", tmp_path)
+            ))
+            return read_chunk(path).columns.attrs
+        table = AttributeTable()
+        for attrs in ATTR_POOL:
+            if filled == "objects":
+                table.intern(attrs)
+            else:
+                table.intern_tuple(attribute_tuple(attrs))
+        return table
+
+    @pytest.mark.parametrize("filled", ["objects", "tuples", "footer"])
+    def test_object_and_tuple_share_one_id(self, filled, tmp_path):
+        table = self.table(filled, tmp_path)
+        for i, attrs in enumerate(ATTR_POOL):
+            assert table.intern(attrs) == i
+            assert table.intern_tuple(attribute_tuple(attrs)) == i
+        n = len(ATTR_POOL)
+        # New bundles, each interned through one form and then the other.
+        new = PathAttributes(as_path=_PATH_A, next_hop=1, med=30)
+        assert table.intern(new) == n
+        assert table.intern_tuple(attribute_tuple(new)) == n
+        other = PathAttributes(as_path=AsPath((174,)), next_hop=3)
+        assert table.intern_tuple(attribute_tuple(other)) == n + 1
+        assert table.intern(other) == n + 1
+        assert len(table) == n + 2
+        assert table[n] == new and table[n + 1] == other
+        # ``new`` only changes the MED of bundle 0: one forwarding id.
+        assert table.fwd_ids.tolist() == [0, 0, 0, 1, 1, 1, 0, 2]
+
+
 class TestGeneratorColumns:
     def test_day_columns_shares_attribute_table(self):
         generator = TraceGenerator(seed=9)
@@ -327,6 +370,31 @@ class TestGeneratorColumns:
         a = generator.day_columns(20, pair_fraction=0.03, attrs=table)
         b = generator.day_columns(21, pair_fraction=0.03, attrs=table)
         assert a.attrs is table and b.attrs is table
+
+    def test_generated_day_builds_no_bundle_objects(self, tmp_path):
+        """The generator interns plain tuples; its table holds exactly
+        the bundles the scalar oracle interns as objects, and a chunk
+        written from it is byte-identical to one written from the
+        oracle's object table (spilled bytes are compared exactly)."""
+        generator = campaign_generator(
+            n_peers=8, total_prefixes=240, population_seed=3
+        )
+        reference = reference_twin(generator)
+        for day in (0, 1, 2):
+            got = generator.day_columns(day, 1.0)
+            want = reference.day_columns(day, 1.0)
+            table = got.attrs
+            assert len(table) and table._attrs == [None] * len(table)
+            assert [table.tuple_of(i) for i in range(len(table))] == [
+                attribute_tuple(want.attrs[i]) for i in range(len(table))
+            ]
+            assert len(want.attrs) == len(table)
+            got_path = tmp_path / f"generated-{day}.rcol"
+            want_path = tmp_path / f"reference-{day}.rcol"
+            write_chunk(got_path, got, extra={"day": day})
+            write_chunk(want_path, want, extra={"day": day})
+            assert got_path.read_bytes() == want_path.read_bytes()
+            assert table._attrs == [None] * len(table)
 
 
 class TestColumnarArchive:

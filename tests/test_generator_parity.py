@@ -172,11 +172,11 @@ class TestPinnedCampaignDigest:
 
 class TestHashSeedFreedom:
     def test_prefix_hash_is_value_based_across_hash_seeds(self):
-        """``_attrs`` derives origin ASNs from ``hash(pair)`` where
-        pair is (Prefix, int) and Prefix is an int tuple — int tuple
-        hashes are value-based, not PYTHONHASHSEED-salted.  Prove it
-        by hashing the same pairs under two different hash seeds in
-        subprocesses."""
+        """``_bundle`` (and the oracle's ``_attrs``) derive origin ASNs
+        from ``hash(pair)`` where pair is (Prefix, int) and Prefix is an
+        int tuple — int tuple hashes are value-based, not
+        PYTHONHASHSEED-salted.  Prove it by hashing the same pairs
+        under two different hash seeds in subprocesses."""
         src = Path(__file__).resolve().parent.parent / "src"
         script = (
             "from repro.net.prefix import Prefix\n"

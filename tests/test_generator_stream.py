@@ -19,6 +19,7 @@ scalar oracle.  What it cannot show is the machinery underneath:
 """
 
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -335,15 +336,27 @@ class TestScriptedEpisodes:
             TraceGenerator, "_day_rng",
             lambda self, day, salt=0: ScriptedRandom(draws),
         )
+        prefix, asn = pair
+        entry = {
+            "net": [prefix.network], "plen": [prefix.length], "asn": [asn],
+            "flags": [3 * reachable | (med is not None) << 3],
+            "med": [] if med is None else [med],
+        }
         sides = []
         for side in (generator, reference):
-            state = side._state(pair)
-            state.reachable = state.ever_announced = reachable
-            state.med = med
+            side.restore_state(entry)
             sides.append(side.day_columns(self.DAY, 1.0, plan=plan))
         got, want = sides
         assert columns_digest(got) == columns_digest(want)
-        assert generator.state_payload() == reference.state_payload()
+        payload = generator.state_payload()
+        assert payload == reference.state_payload()
+        assert (payload["net"], payload["asn"]) == ([prefix.network], [asn])
+        (flags,) = payload["flags"]
+        state = SimpleNamespace(
+            reachable=bool(flags & 1), ever_announced=bool(flags & 2),
+            variant=flags >> 2 & 1,
+            med=payload["med"][0] if flags & 8 else None,
+        )
         records = got.to_records()
         announced = [r.attributes for r in records]
         return (
@@ -351,7 +364,7 @@ class TestScriptedEpisodes:
             [r.kind for r in records],
             [a and a.med for a in announced],
             [a and len(a.as_path) - 2 for a in announced],
-            generator._states[pair],
+            state,
         )
 
     # -- WWDup: the lead withdrawal -----------------------------------------

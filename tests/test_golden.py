@@ -8,6 +8,7 @@ diff and any semantic change shows up as a reviewable corpus diff.
 
 import io
 import json
+import shutil
 import struct
 from pathlib import Path
 
@@ -17,13 +18,29 @@ from repro.collector import mrt
 from repro.verify.golden import (
     CASES_FILE,
     TRACE_FILE,
-    build_golden,
     check_golden,
     main,
     write_golden,
 )
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+@pytest.fixture(scope="session")
+def built_corpus(tmp_path_factory):
+    """One corpus regenerated from the working tree, shared by the
+    tests that read it; a test that doctors it doctors a copy."""
+    directory = tmp_path_factory.mktemp("golden-built")
+    write_golden(directory)
+    return directory
+
+
+@pytest.fixture
+def corpus_copy(built_corpus, tmp_path):
+    """This test's own copy of the regenerated corpus."""
+    for name in (CASES_FILE, TRACE_FILE):
+        shutil.copyfile(built_corpus / name, tmp_path / name)
+    return tmp_path
 
 
 def test_committed_corpus_verifies():
@@ -40,12 +57,10 @@ def test_regeneration_is_byte_stable(tmp_path):
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
-def test_regenerating_committed_corpus_is_a_noop(tmp_path):
-    regenerated = tmp_path / "golden"
-    write_golden(regenerated)
+def test_regenerating_committed_corpus_is_a_noop(built_corpus):
     for name in (CASES_FILE, TRACE_FILE):
         assert (
-            (regenerated / name).read_bytes()
+            (built_corpus / name).read_bytes()
             == (GOLDEN_DIR / name).read_bytes()
         ), f"{name}: committed corpus is stale (run --write and commit)"
 
@@ -57,21 +72,19 @@ def test_committed_trace_decodes_to_frozen_classification():
     assert len(decoded) == cases["trace"]["records"]
 
 
-def test_check_flags_a_doctored_corpus(tmp_path):
-    write_golden(tmp_path)
-    cases_path = tmp_path / CASES_FILE
+def test_check_flags_a_doctored_corpus(corpus_copy):
+    cases_path = corpus_copy / CASES_FILE
     cases = json.loads(cases_path.read_text())
     cases["campaign"]["digest"] = "0" * 64
     cases_path.write_text(json.dumps(cases, indent=2, sort_keys=True))
-    problems = check_golden(tmp_path)
+    problems = check_golden(corpus_copy)
     assert any("campaign" in problem for problem in problems)
 
 
-def test_check_flags_a_corrupted_trace(tmp_path):
-    write_golden(tmp_path)
-    trace_path = tmp_path / TRACE_FILE
+def test_check_flags_a_corrupted_trace(corpus_copy):
+    trace_path = corpus_copy / TRACE_FILE
     trace_path.write_bytes(trace_path.read_bytes()[:-4])
-    problems = check_golden(tmp_path)
+    problems = check_golden(corpus_copy)
     assert any(TRACE_FILE in problem for problem in problems)
 
 
@@ -87,8 +100,9 @@ def test_cli_check_and_write(tmp_path, capsys):
     assert "golden corpus OK" in out
 
 
-def test_build_golden_covers_all_sections():
-    payload, trace = build_golden()
+def test_build_golden_covers_all_sections(built_corpus):
+    payload = json.loads((built_corpus / CASES_FILE).read_text())
+    trace = (built_corpus / TRACE_FILE).read_bytes()
     assert set(payload) == {
         "schema", "streams", "detection", "scenarios", "trace",
         "campaign", "figures",
@@ -101,23 +115,21 @@ def test_build_golden_covers_all_sections():
     assert struct.unpack_from(">4xHH", trace) == (17, 1)
 
 
-def test_check_flags_a_doctored_detection_case(tmp_path):
-    write_golden(tmp_path)
-    cases_path = tmp_path / CASES_FILE
+def test_check_flags_a_doctored_detection_case(corpus_copy):
+    cases_path = corpus_copy / CASES_FILE
     cases = json.loads(cases_path.read_text())
     cases["detection"][0]["digest"] = "f" * 64
     cases_path.write_text(json.dumps(cases, indent=2, sort_keys=True))
-    problems = check_golden(tmp_path)
+    problems = check_golden(corpus_copy)
     assert any("detection" in problem for problem in problems)
 
 
-def test_check_flags_a_doctored_scenario_case(tmp_path):
-    write_golden(tmp_path)
-    cases_path = tmp_path / CASES_FILE
+def test_check_flags_a_doctored_scenario_case(corpus_copy):
+    cases_path = corpus_copy / CASES_FILE
     cases = json.loads(cases_path.read_text())
     cases["scenarios"][0]["detection_counts"]["moas_conflict"] = 10**6
     cases_path.write_text(json.dumps(cases, indent=2, sort_keys=True))
-    problems = check_golden(tmp_path)
+    problems = check_golden(corpus_copy)
     assert any("scenario" in problem for problem in problems)
 
 

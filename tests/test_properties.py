@@ -14,7 +14,7 @@ from repro.net.prefix import Prefix
 from repro.sim.engine import Engine
 from repro.workloads.generator import PeerPopulation, TraceGenerator
 
-from .helpers import classified_counts
+from .helpers import NO_PAIR_STATE, classified_counts
 
 P = Prefix.parse
 
@@ -176,14 +176,14 @@ def tiny_generator():
 class TestGeneratorInvariants:
     def test_records_reproducible(self, tiny_generator):
         a = tiny_generator.day_columns(5, pair_fraction=1.0)
-        tiny_generator._states.clear()
+        tiny_generator.restore_state(NO_PAIR_STATE)
         b = tiny_generator.day_columns(5, pair_fraction=1.0)
-        tiny_generator._states.clear()
+        tiny_generator.restore_state(NO_PAIR_STATE)
         assert a.to_records() == b.to_records()
 
     def test_per_pair_times_monotone(self, tiny_generator):
         records = tiny_generator.day_columns(6, 1.0).to_records()
-        tiny_generator._states.clear()
+        tiny_generator.restore_state(NO_PAIR_STATE)
         by_pair = {}
         for i, record in enumerate(records):
             by_pair.setdefault((record.prefix, record.peer_asn), []).append(
@@ -197,7 +197,7 @@ class TestGeneratorInvariants:
         """A freshly-seeded single day classifies into exactly the
         planned categories plus bootstrap/uncategorized events."""
         records = tiny_generator.day_columns(7, 1.0).to_records()
-        tiny_generator._states.clear()
+        tiny_generator.restore_state(NO_PAIR_STATE)
         counts = classified_counts(records)
         assert counts.total == len(records)
 
@@ -206,7 +206,7 @@ class TestGeneratorInvariants:
         records = tiny_generator.day_columns(
             8, pair_fraction=1.0, plan=plan
         )
-        tiny_generator._states.clear()
+        tiny_generator.restore_state(NO_PAIR_STATE)
         planned = sum(
             plan.category_total(c) for c in plan.participation
         )

@@ -123,7 +123,8 @@ class TestRoundTrip:
             atomic_aggregate=True,
             aggregator=(701, 42),
         )
-        table = attributes_from_payload([attribute_payload(attrs)])
+        bundle = attribute_tuple(attrs)
+        table = attributes_from_payload([attribute_payload(bundle)])
         assert table.tuple_of(0) == attribute_tuple(attrs)
         assert table[0] == attrs
 

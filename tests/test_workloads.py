@@ -27,6 +27,8 @@ from repro.workloads.incidents import (
     default_campaign_schedule,
 )
 
+from .helpers import NO_PAIR_STATE
+
 
 class TestCalibration:
     def test_updates_per_network_consistent(self):
@@ -266,9 +268,9 @@ class TestMaterialization:
 
     def test_pair_fraction_scales_volume(self, generator):
         full = len(generator.day_columns(40, pair_fraction=1.0))
-        generator._states.clear()
+        generator.restore_state(NO_PAIR_STATE)
         tenth = len(generator.day_columns(40, pair_fraction=0.1))
-        generator._states.clear()
+        generator.restore_state(NO_PAIR_STATE)
         assert 0.03 * full < tenth < 0.25 * full
 
     def test_timer_spacing_mass(self, small_population):

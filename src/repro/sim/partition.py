@@ -38,6 +38,7 @@ the scenario registry imports without loading this module.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -121,6 +122,9 @@ class ExchangeDayConfig:
     #: Bilateral provider mesh per exchange (O(N^2)); False keeps the
     #: O(N) route-server-only configuration of §3.
     full_mesh: bool = False
+    #: Share of providers running stateless BGP (the paper's problem
+    #: vendor), spread evenly over the provider indices.
+    stateless_fraction: float = 0.0
     #: Optional seeded attacker (:class:`~repro.sim.adversary
     #: .AdversaryConfig`); its pulse timetable is a pure function of
     #: this config, installed per partition at build time.
@@ -141,6 +145,14 @@ class ExchangeDayConfig:
             if e != home and rng.random() < self.attend_probability
         )
         return tuple(sorted((home,) + extra))
+
+    def stateless(self, provider: int) -> bool:
+        """Whether provider ``provider`` runs stateless BGP: a pure
+        function of the config (no draw), so exactly
+        ``int(providers * stateless_fraction)`` providers are, the same
+        ones in every partition."""
+        f = self.stateless_fraction
+        return int((provider + 1) * f) > int(provider * f)
 
     def provider_prefixes(self, provider: int) -> Tuple[Prefix, ...]:
         base = provider * self.prefixes_per_provider
@@ -316,6 +328,7 @@ class ExchangePartition:
                 hold_time=config.hold_time,
                 mrai_interval=config.mrai_interval,
                 mrai_jitter=0.25,
+                stateless_bgp=config.stateless(provider),
                 rng=_derive(
                     self.config.seed,
                     _SALT_ROUTER,
@@ -386,9 +399,6 @@ class ExchangePartition:
         cross message strictly after ``after`` (exact: sends only
         happen at pre-derived home flap times)."""
         times = self.flap_times
-        # Binary search would be O(log n); the driver calls this once
-        # per window with monotone `after`, so trim from the front.
-        while times and times[0] <= after:
-            times.pop(0)
-        return times[0] if times else float("inf")
+        index = bisect_right(times, after)
+        return times[index] if index < len(times) else float("inf")
 

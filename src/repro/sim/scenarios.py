@@ -14,14 +14,17 @@ implementation:
   through forced session bounces (the memoized codec's target).
 - ``multi_exchange_day`` — the partitionable multi-exchange day
   (:mod:`repro.sim.partition`).
+- ``cross_exchange_day`` — the §5 cross-exchange study: the same day
+  with a full provider mesh at three exchanges and half the providers
+  stateless, whose per-exchange logs ``crossexchange`` compares.
 - ``hijack_moas`` / ``hijack_subprefix`` / ``route_leak`` /
   ``path_forgery`` / ``deagg_storm`` — the adversarial pack
   (:mod:`repro.sim.adversary`): the same day with a seeded attacker
   riding on it.
 
-The day-family scenarios (``multi_exchange_day`` and the adversarial
-pack) are partition-safe and therefore also legal on the ``parallel``
-engine.
+The day-family scenarios (``multi_exchange_day``,
+``cross_exchange_day`` and the adversarial pack) are partition-safe
+and therefore also legal on the ``parallel`` engine.
 
 :func:`simulate` is the single entry point (scenario names accept
 ``-`` for ``_``, so ``hijack-moas`` works from the command line):
@@ -71,6 +74,7 @@ __all__ = [
     "SCENARIOS",
     "SimResult",
     "adversary_day_config",
+    "cross_exchange_config",
     "day_config",
     "day_scenario_config",
     "run_exchange_day",
@@ -292,6 +296,31 @@ def day_config(
     return ExchangeDayConfig(seed=base_seed)
 
 
+def cross_exchange_config(
+    smoke: bool = False, seed: Optional[int] = None
+) -> ExchangeDayConfig:
+    """The §5 cross-exchange day: three exchanges, each home to three
+    of nine providers, every provider meshed with the others it meets
+    and every second one stateless.  Smoke keeps the population and
+    shortens the day."""
+    from .partition import ExchangeDayConfig
+
+    return ExchangeDayConfig(
+        exchanges=3,
+        providers=9,
+        prefixes_per_provider=2 if smoke else 20,
+        settle=60.0 if smoke else 200.0,
+        duration=300.0 if smoke else 7200.0,
+        seed=3 if seed is None else seed,
+        attend_probability=0.8,
+        flap_rate=1.0 / 400.0,
+        down_time=40.0,
+        mrai_interval=15.0,
+        full_mesh=True,
+        stateless_fraction=0.5,
+    )
+
+
 def adversary_day_config(
     kind: str, smoke: bool = False, seed: Optional[int] = None
 ) -> ExchangeDayConfig:
@@ -333,6 +362,7 @@ def _attack_config_factory(kind: str) -> Callable:
 #: Everything here is partition-safe and legal on engine='parallel'.
 DAY_SCENARIOS: Dict[str, Callable] = {
     "multi_exchange_day": day_config,
+    "cross_exchange_day": cross_exchange_config,
 }
 for _kind in ATTACK_KINDS:
     DAY_SCENARIOS[_kind] = _attack_config_factory(_kind)
@@ -433,6 +463,7 @@ SCENARIOS: Tuple[Tuple[str, Callable], ...] = (
     ("flap_storm", scenario_flap_storm),
     ("table_dump", scenario_table_dump),
     ("multi_exchange_day", scenario_multi_exchange_day),
+    ("cross_exchange_day", _day_runner("cross_exchange_day")),
 ) + tuple((kind, _day_runner(kind)) for kind in ATTACK_KINDS)
 
 _SCENARIO_MAP: Dict[str, Callable] = dict(SCENARIOS)

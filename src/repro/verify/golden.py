@@ -14,8 +14,9 @@ The corpus pins five layers of behavior to committed history:
   generators, with frozen per-flag counts, detection digests, and
   detector state digests (under the shared
   :func:`~repro.verify.streams.detection_topology`);
-- **attack scenarios** — each adversarial day scenario's smoke digest
-  on the single calendar engine, re-run on the parallel driver at 1
+- **day scenarios** — each day-family scenario's smoke digest (the
+  plain and cross-exchange days and the adversarial pack) on the
+  single calendar engine, re-run on the parallel driver at 1
   and 2 workers (all three digests must be identical — asserted at
   build time, so ``--check`` enforces worker-count invariance), plus
   its frozen detection counts and digest.
@@ -43,10 +44,11 @@ from ..analysis.timeseries import bin_records
 from ..campaign import CampaignConfig, run_campaign
 from ..collector import mrt
 from ..core.columns import RecordColumns, classify_columns
-from ..sim.adversary import ATTACK_KINDS, scenario_relationships
+from ..sim.adversary import scenario_relationships
 from ..sim.engine import Engine
 from ..sim.scenarios import (
-    adversary_day_config,
+    DAY_SCENARIOS,
+    day_scenario_config,
     run_exchange_day_records,
     simulate,
 )
@@ -109,27 +111,27 @@ def _detection_case(stream: FuzzStream, topology) -> Dict:
     }
 
 
-def _scenario_case(kind: str) -> Dict:
-    """One adversarial day scenario at the smoke preset: the calendar
+def _scenario_case(name: str) -> Dict:
+    """One day-family scenario at the smoke preset: the calendar
     engine's digest, the parallel driver's at 1 and 2 workers (all
     three must agree — worker-count invariance is a build-time
     assertion, so a regression cannot even regenerate the corpus), and
     the detection tier's verdict on the merged record stream."""
-    config = adversary_day_config(kind, smoke=True)
+    config = day_scenario_config(name, smoke=True)
     events, digest, records = run_exchange_day_records(Engine, config)
     for workers in (1, 2):
         parallel = simulate(
-            kind, engine="parallel", workers=workers, smoke=True
+            name, engine="parallel", workers=workers, smoke=True
         )
         assert parallel.digest == digest, (
-            f"{kind}: parallel workers={workers} digest "
+            f"{name}: parallel workers={workers} digest "
             f"{parallel.digest} != single-engine {digest}"
         )
     detection = detect_records_columnar(
         records, scenario_relationships(config)
     )
     return {
-        "scenario": kind,
+        "scenario": name,
         "events": events,
         "records": len(records),
         "digest": digest,
@@ -192,7 +194,7 @@ def build_golden() -> Tuple[Dict, bytes]:
             _detection_case(stream, topology)
             for stream in _detection_streams()
         ],
-        "scenarios": [_scenario_case(kind) for kind in ATTACK_KINDS],
+        "scenarios": [_scenario_case(name) for name in DAY_SCENARIOS],
         "trace": {
             "file": TRACE_FILE,
             "sha256": hashlib.sha256(trace).hexdigest(),

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.collector import mrt
+from repro.sim.scenarios import DAY_SCENARIOS
 from repro.verify.golden import (
     CASES_FILE,
     TRACE_FILE,
@@ -110,7 +111,9 @@ def test_build_golden_covers_all_sections(built_corpus):
     assert len(payload["streams"]) == 9  # 5 fuzz seeds + 4 adversarial
     # detection adds the 4 detection-tier generators to those 9
     assert len(payload["detection"]) == 13
-    assert len(payload["scenarios"]) == 5  # one per attack kind
+    # one per day-family scenario: the plain and cross-exchange days
+    # and the five attack kinds
+    assert len(payload["scenarios"]) == len(DAY_SCENARIOS)
     # an RFC 6396 BGP4MP_ET (type 17) MESSAGE (subtype 1) frame
     assert struct.unpack_from(">4xHH", trace) == (17, 1)
 
@@ -138,7 +141,8 @@ def test_scenario_cases_cover_every_attack_kind():
 
     cases = json.loads((GOLDEN_DIR / CASES_FILE).read_text())
     frozen = {case["scenario"] for case in cases["scenarios"]}
-    assert frozen == set(ATTACK_KINDS)
+    assert frozen == set(DAY_SCENARIOS)
+    assert set(ATTACK_KINDS) <= frozen
     # every attack's signature flag is non-zero in its frozen counts
     signatures = {
         "hijack_moas": "moas_conflict",
@@ -148,5 +152,7 @@ def test_scenario_cases_cover_every_attack_kind():
         "deagg_storm": "subprefix_deagg",
     }
     for case in cases["scenarios"]:
+        if case["scenario"] not in ATTACK_KINDS:
+            continue
         flag = signatures[case["scenario"]]
         assert case["detection_counts"][flag] > 0, case["scenario"]

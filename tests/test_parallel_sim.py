@@ -22,7 +22,7 @@ from repro.__main__ import main as repro_main
 from repro.sim.engine import Engine, SimulationError
 from repro.sim.flapstorm import FlapStormScenario
 from repro.sim.parallel import ParallelDriver
-from repro.sim.partition import ExchangeDayConfig
+from repro.sim.partition import ExchangeDayConfig, ExchangePartition
 from repro.sim.refengine import ReferenceEngine
 from repro.sim.scenarios import (
     DAY_SCENARIOS,
@@ -68,6 +68,21 @@ def test_partitioned_matches_reference_oracle(seed):
     assert result.events == events
     assert result.workers == 1
     assert result.windows > 1
+
+
+def test_next_send_bound_is_the_first_send_after():
+    """The bound is the first flap time strictly after ``after``, for
+    any call order, and leaves the timetable as it was; the smoke day
+    it drives runs in 27 windows."""
+    partition = ExchangePartition(day_config(smoke=True), 0, Engine())
+    partition.flap_times = times = [10.0, 20.0, 20.0, 35.5]
+    for after, bound in (
+        (0.0, 10.0), (20.0, 35.5), (10.0, 20.0), (19.9, 20.0),
+        (35.5, float("inf")), (-1.0, 10.0),
+    ):
+        assert partition.next_send_bound(after) == bound
+    assert times == [10.0, 20.0, 20.0, 35.5]
+    assert _parallel(day_config(smoke=True), workers=1).windows == 27
 
 
 def test_worker_count_does_not_change_results():

@@ -143,11 +143,9 @@ class PartialResult:
                 for asn, counts in sorted(self.by_peer.items())
             },
             "by_prefix": {
+                # A Prefix sorts as its (network, length) tuple.
                 str(prefix): count
-                for prefix, count in sorted(
-                    self.by_prefix.items(),
-                    key=lambda item: (item[0].network, item[0].length),
-                )
+                for prefix, count in sorted(self.by_prefix.items())
             },
             "pairs_per_day": {
                 str(day): count

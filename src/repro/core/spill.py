@@ -13,7 +13,7 @@ File layout (single file, written atomically via ``os.replace``)::
     offset 0      8-byte magic "RCOLSPL1"
     offset 8      rows * RECORD_DTYPE.itemsize raw record bytes
     then          JSON footer: schema, dtype descr, row count,
-                  attribute table, caller metadata, sha256
+                  attribute table (as columns), caller metadata, sha256
     last 16 bytes footer length (little-endian u64) + end magic
 
 Readers seek the trailer, parse the footer, and map the data segment
@@ -28,7 +28,17 @@ The attribute table serializes through an explicit codec of the plain
 keyed by and the classifier compares (:func:`attributes_payload` /
 :func:`attributes_from_payload`; no bundle object is built either
 way) — no pickle anywhere, so chunks are inspectable and stable
-across Python versions.
+across Python versions.  Under schema 2 the footer's ``"attrs"`` is
+the table as columns: one list each for ``next_hop``, ``origin``,
+``med``, ``local_pref``, ``atomic_aggregate`` and ``aggregator``
+with one entry a bundle, and the AS paths and the communities as
+one flat pool each (``as_path``, ``communities``) with a per-bundle
+length list (``as_path_len``, ``communities_len``).  The decoder
+checks each column once, as a whole — types by the set of types,
+ranges by min/max, length lists against their pool, community order
+by one diff over the pool — and any damage is :class:`ChunkCorrupt`.
+There is one layout: a chunk of another schema is corrupt, and its
+day regenerates.
 """
 
 from __future__ import annotations
@@ -37,9 +47,9 @@ import contextlib
 import hashlib
 import json
 import os
-from itertools import chain
+from itertools import accumulate, chain
 from pathlib import Path
-from typing import BinaryIO, List, NamedTuple, Optional, Tuple, Union
+from typing import BinaryIO, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -52,7 +62,6 @@ __all__ = [
     "ChunkCorrupt",
     "ChunkInfo",
     "SpillChunk",
-    "attribute_payload",
     "attributes_payload",
     "attributes_from_payload",
     "write_chunk",
@@ -62,7 +71,7 @@ __all__ = [
 
 CHUNK_MAGIC = b"RCOLSPL1"
 CHUNK_END_MAGIC = b"1LPSLOCR"
-CHUNK_SCHEMA = 1
+CHUNK_SCHEMA = 2
 #: Trailer: little-endian u64 footer length + 8-byte end magic.
 _TRAILER_SIZE = 16
 #: Streaming-hash block size for digest verification.
@@ -98,60 +107,117 @@ class SpillChunk(NamedTuple):
     info: ChunkInfo
 
 
-# -- attribute bundle codec -------------------------------------------------
+# -- attribute table codec --------------------------------------------------
+
+#: The footer's attribute columns with one entry a bundle: every field
+#: of :func:`~repro.bgp.attributes.attribute_tuple` but the AS path and
+#: the communities, and those two pools' length lists.
+_BUNDLE_COLUMNS = (
+    "next_hop", "origin", "med", "local_pref", "atomic_aggregate",
+    "aggregator", "as_path_len", "communities_len",
+)
+_COLUMNS = frozenset(_BUNDLE_COLUMNS + ("as_path", "communities"))
+_U32 = 0xFFFFFFFF
+_NONE = type(None)
 
 
-def attribute_payload(bundle: tuple) -> dict:
-    """One bundle, given as its
-    :func:`~repro.bgp.attributes.attribute_tuple`, as canonical plain
-    data (sorted, total)."""
-    hop, path, origin, med, pref, comms, atomic, aggregator = bundle
+def attributes_payload(table: AttributeTable) -> dict:
+    """The whole intern table as columns, id order preserved: entry
+    ``i`` of each bundle column, and bundle ``i``'s run of each pool,
+    is bundle ``i``'s field."""
+    hops, paths, origins, meds, prefs, comms, atomics, aggregators = (
+        list(zip(*map(table.tuple_of, range(len(table))))) or [()] * 8
+    )
     return {
-        "as_path": list(path),
-        "next_hop": hop,
-        "origin": origin,
-        "med": med,
-        "local_pref": pref,
-        "communities": list(comms),
-        "atomic_aggregate": atomic,
-        "aggregator": None if aggregator is None else list(aggregator),
+        "next_hop": list(hops),
+        "as_path": list(chain.from_iterable(paths)),
+        "as_path_len": list(map(len, paths)),
+        "origin": list(origins),
+        "med": list(meds),
+        "local_pref": list(prefs),
+        "communities": list(chain.from_iterable(comms)),
+        "communities_len": list(map(len, comms)),
+        "atomic_aggregate": list(atomics),
+        "aggregator": [None if a is None else list(a) for a in aggregators],
     }
 
 
-#: Each valid ORIGIN code to itself; an unknown one is a KeyError.
-_ORIGIN_CODES = {int(origin): int(origin) for origin in Origin}
+def _ints(
+    values, low: int, high: int, name: str, nullable: bool = False
+) -> None:
+    """Check ``values`` once, as a column: every entry an int (or a
+    null, if ``nullable``; never a bool) in ``[low, high]``."""
+    types = set(map(type, values))
+    if nullable and _NONE in types:
+        types.discard(_NONE)
+        values = set(values)
+        values.discard(None)
+    if not types <= {int}:
+        raise ValueError(f"{name}: not an integer column")
+    if values and not (low <= min(values) and max(values) <= high):
+        raise ValueError(f"{name}: out of range")
 
 
-def attributes_payload(table: AttributeTable) -> List[dict]:
-    """The whole intern table, id order preserved."""
-    return [attribute_payload(table.tuple_of(i)) for i in range(len(table))]
+def _split(pool: list, lengths: list, name: str) -> list:
+    """``pool`` cut into one tuple a bundle by ``lengths``, which must
+    cover it exactly; nothing is sized by a claimed length."""
+    _ints(lengths, 0, len(pool), f"{name}_len")
+    if sum(lengths) != len(pool):
+        raise ValueError(f"{name}_len does not cover its pool")
+    if not pool:
+        return [()] * len(lengths)
+    ends = list(accumulate(lengths))
+    pool = tuple(pool)  # a tuple's slice is the bundle's tuple
+    return [pool[start:end] for start, end in zip([0, *ends], ends)]
 
 
-def attributes_from_payload(entries: List[dict]) -> AttributeTable:
+def attributes_from_payload(attrs: dict) -> AttributeTable:
     """The inverse of :func:`attributes_payload`, in the tuple form of
-    :func:`~repro.bgp.attributes.attribute_tuple`; a malformed entry, an
-    out-of-range value or a repeated bundle is :class:`ChunkCorrupt`."""
+    :func:`~repro.bgp.attributes.attribute_tuple`.  Each column is
+    checked once, as a whole; a missing, extra, ragged or ill-typed
+    column, an out-of-range value, communities not strictly increasing
+    within a bundle or a repeated bundle is :class:`ChunkCorrupt`."""
     try:
-        tuples = [
-            (
-                int(e["next_hop"]),
-                tuple(map(int, e["as_path"])),
-                _ORIGIN_CODES[int(e["origin"])],
-                None if (med := e["med"]) is None else int(med),
-                None if (pref := e["local_pref"]) is None else int(pref),
-                tuple(sorted(set(map(int, c))))
-                if (c := e["communities"]) else (),
-                bool(e["atomic_aggregate"]),
-                None if (agg := e["aggregator"]) is None
-                else (int(agg[0]), int(agg[1])),
-            )
-            for e in entries
-        ]
-        asns = set(chain.from_iterable(t[1] for t in tuples))
-        if asns and not (0 < min(asns) and max(asns) < 65536):
-            raise ValueError("AS number out of range")
-        return AttributeTable.from_tuples(tuples)
-    except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
+        if set(attrs) != _COLUMNS:
+            raise ValueError("wrong column set")
+        if not all(type(attrs[name]) is list for name in _COLUMNS):
+            raise ValueError("a column is not a list")
+        n = len(attrs["next_hop"])
+        if any(len(attrs[name]) != n for name in _BUNDLE_COLUMNS):
+            raise ValueError("ragged columns")
+        _ints(attrs["next_hop"], 0, _U32, "next_hop")
+        _ints(attrs["origin"], int(min(Origin)), int(max(Origin)), "origin")
+        _ints(attrs["med"], 0, _U32, "med", nullable=True)
+        _ints(attrs["local_pref"], 0, _U32, "local_pref", nullable=True)
+        if not set(map(type, attrs["atomic_aggregate"])) <= {bool}:
+            raise ValueError("atomic_aggregate: not a bool column")
+        path_pool = attrs["as_path"]
+        _ints(path_pool, 1, 65535, "as_path")
+        paths = _split(path_pool, attrs["as_path_len"], "as_path")
+        comm_pool = attrs["communities"]
+        _ints(comm_pool, 0, _U32, "communities")
+        comms = _split(comm_pool, attrs["communities_len"], "communities")
+        if len(comm_pool) > 1:
+            # One diff over the pool; the steps between bundles don't count.
+            steps = np.diff(np.asarray(comm_pool, dtype=np.int64))
+            ends = np.cumsum(attrs["communities_len"])
+            steps[ends[(ends > 0) & (ends < len(comm_pool))] - 1] = 1
+            if (steps <= 0).any():
+                raise ValueError("communities: not strictly increasing")
+        aggregators = attrs["aggregator"]
+        if set(map(type, aggregators)) - {_NONE}:
+            given = [a for a in aggregators if a is not None]
+            if set(map(type, given)) != {list} or set(map(len, given)) != {2}:
+                raise ValueError("aggregator: not a column of pairs")
+            asns, addresses = zip(*given)
+            _ints(asns, 1, 65535, "aggregator ASN")
+            _ints(addresses, 0, _U32, "aggregator address")
+            aggregators = [a if a is None else tuple(a) for a in aggregators]
+        return AttributeTable.from_tuples(list(zip(
+            attrs["next_hop"], paths, attrs["origin"], attrs["med"],
+            attrs["local_pref"], comms, attrs["atomic_aggregate"], aggregators,
+        )))
+    except (LookupError, TypeError, ValueError) as exc:
         raise ChunkCorrupt(f"malformed attribute table: {exc!r}") from exc
 
 
@@ -186,7 +252,6 @@ def write_chunk(
     """
     path = Path(path)
     data = np.ascontiguousarray(columns.data, dtype=RECORD_DTYPE)
-    data_bytes = data.tobytes()
     meta = {
         "schema": CHUNK_SCHEMA,
         "dtype": [list(f) for f in RECORD_DTYPE.descr],
@@ -195,7 +260,7 @@ def write_chunk(
         "extra": extra if extra is not None else {},
     }
     meta_bytes = _canonical(meta)
-    digest = hashlib.sha256(data_bytes)
+    digest = hashlib.sha256(data)
     digest.update(meta_bytes)
     sha256 = digest.hexdigest()
     footer = meta_bytes[:-1] + _footer_tail(sha256)
@@ -204,7 +269,7 @@ def write_chunk(
     try:
         with open(tmp, "wb") as fh:
             fh.write(CHUNK_MAGIC)
-            fh.write(data_bytes)
+            fh.write(data)
             fh.write(footer)
             fh.write(len(footer).to_bytes(8, "little"))
             fh.write(CHUNK_END_MAGIC)
@@ -251,13 +316,13 @@ def _read_footer(fh: BinaryIO, path: Path) -> Tuple[dict, bytes]:
     if footer.get("dtype") != [list(f) for f in RECORD_DTYPE.descr]:
         raise ChunkCorrupt(f"{path}: dtype does not match RECORD_DTYPE")
     rows = footer.get("rows")
-    if not isinstance(rows, int) or rows < 0:
+    if type(rows) is not int or rows < 0:  # a bool is an int
         raise ChunkCorrupt(f"{path}: bad row count {rows!r}")
     if footer_off - len(CHUNK_MAGIC) != rows * RECORD_DTYPE.itemsize:
         raise ChunkCorrupt(
             f"{path}: data segment is not exactly {rows} records"
         )
-    if not isinstance(footer.get("attrs"), list):
+    if not isinstance(footer.get("attrs"), dict):
         raise ChunkCorrupt(f"{path}: missing attribute table")
     if not isinstance(footer.get("extra"), dict):
         raise ChunkCorrupt(f"{path}: missing extra metadata")
@@ -296,20 +361,24 @@ def _verify_digest(
 
 
 def _open_chunk(
-    path: Path, mapped: bool
-) -> Tuple[dict, Optional[np.ndarray]]:
-    """One open per chunk: the validated footer and, when ``mapped``
-    and the chunk has rows, its data segment memory-mapped read-only
-    through the same handle the digest pass read.  Whatever the file
-    system refuses on the way — the chunk vanished, shrank, became a
-    directory, returned EIO — is :class:`ChunkCorrupt` like any other
-    chunk that cannot be trusted."""
+    path: Path, read: bool
+) -> Tuple[dict, Optional[AttributeTable], Optional[np.ndarray]]:
+    """One open per chunk: the validated footer and, when ``read``, its
+    decoded attribute table and (if the chunk has rows) its data
+    segment memory-mapped read-only through the same handle the digest
+    pass read.  The table is decoded before that pass, while the parsed
+    footer is still in the CPU cache the pass streams megabytes
+    through; nothing is returned before the digest holds.  Whatever
+    the file system refuses on the way — the chunk vanished, shrank,
+    became a directory, returned EIO — is :class:`ChunkCorrupt` like
+    any other chunk that cannot be trusted."""
     try:
         with open(path, "rb") as fh:
             footer, footer_bytes = _read_footer(fh, path)
+            table = attributes_from_payload(footer["attrs"]) if read else None
             _verify_digest(fh, path, footer, footer_bytes)
             data = None
-            if mapped and footer["rows"]:
+            if read and footer["rows"]:
                 data = np.memmap(
                     fh,
                     dtype=RECORD_DTYPE,
@@ -319,25 +388,24 @@ def _open_chunk(
                 )
     except (OSError, ValueError) as exc:  # ValueError: mapped past the end
         raise ChunkCorrupt(f"{path}: {exc}") from exc
-    return footer, data
+    return footer, table, data
 
 
 def verify_chunk(path: Union[str, Path]) -> ChunkInfo:
     """Full integrity check without materializing the data; raises
     :class:`ChunkCorrupt` on any problem."""
-    footer, _ = _open_chunk(Path(path), mapped=False)
+    footer, _, _ = _open_chunk(Path(path), read=False)
     return ChunkInfo(rows=footer["rows"], sha256=footer["sha256"])
 
 
 def read_chunk(path: Union[str, Path]) -> SpillChunk:
-    """Open a chunk for streaming: the digest verified first — resume
-    paths must never trust a chunk that a crash or fault could have
-    damaged — then the data segment memory-mapped (read-only,
-    zero-copy into :class:`RecordColumns`) and the attribute table
-    decoded from the footer."""
+    """Open a chunk for streaming: the digest verified — resume paths
+    must never trust a chunk that a crash or fault could have damaged
+    — the data segment memory-mapped (read-only, zero-copy into
+    :class:`RecordColumns`) and the attribute table decoded from the
+    footer."""
     path = Path(path)
-    footer, data = _open_chunk(path, mapped=True)
-    table = attributes_from_payload(footer["attrs"])
+    footer, table, data = _open_chunk(path, read=True)
     if data is None:
         data = np.empty(0, dtype=RECORD_DTYPE)
     else:

@@ -42,21 +42,20 @@ def _octets_to_int(text: str) -> int:
     parts = text.split(".")
     if len(parts) != 4:
         raise PrefixError(f"expected dotted quad, got {text!r}")
-    value = 0
-    for part in parts:
-        if not part.isdigit():
-            raise PrefixError(f"non-numeric octet in {text!r}")
-        octet = int(part)
-        if octet > 255:
-            raise PrefixError(f"octet out of range in {text!r}")
-        value = (value << 8) | octet
-    return value
+    a, b, c, d = parts
+    if not (a.isdigit() and b.isdigit() and c.isdigit() and d.isdigit()):
+        raise PrefixError(f"non-numeric octet in {text!r}")
+    a, b, c, d = int(a), int(b), int(c), int(d)
+    if a > 255 or b > 255 or c > 255 or d > 255:
+        raise PrefixError(f"octet out of range in {text!r}")
+    return a << 24 | b << 16 | c << 8 | d
 
 
 def _int_to_octets(value: int) -> str:
     """Render a 32-bit integer as a dotted quad."""
-    return ".".join(
-        str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0)
+    return (
+        f"{value >> 24}.{value >> 16 & 255}.{value >> 8 & 255}."
+        f"{value & 255}"
     )
 
 
@@ -102,13 +101,13 @@ class Prefix(tuple):
         matching common router CLI behaviour.
         """
         text = text.strip()
-        if "/" in text:
-            addr_text, _, len_text = text.partition("/")
-            if not len_text.isdigit():
-                raise PrefixError(f"bad prefix length in {text!r}")
+        addr_text, slash, len_text = text.partition("/")
+        if not slash:
+            length = MAX_PREFIX_LENGTH
+        elif len_text.isdigit():
             length = int(len_text)
         else:
-            addr_text, length = text, MAX_PREFIX_LENGTH
+            raise PrefixError(f"bad prefix length in {text!r}")
         return cls(_octets_to_int(addr_text), length)
 
     # -- accessors ---------------------------------------------------------

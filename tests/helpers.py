@@ -1,5 +1,5 @@
 """Shared test helpers: records in, production-tier verdicts out; a
-spill chunk re-sealed around a damaged footer."""
+spill chunk re-sealed around a damaged or schema-1 footer."""
 
 import hashlib
 import json
@@ -10,7 +10,11 @@ from repro.core.columns import (
     RecordColumns,
 )
 from repro.core.instability import CategoryCounts
-from repro.core.spill import CHUNK_END_MAGIC, CHUNK_MAGIC
+from repro.core.spill import (
+    CHUNK_END_MAGIC,
+    CHUNK_MAGIC,
+    attributes_from_payload,
+)
 from repro.verify.reference import reference_classify
 
 #: A generator checkpoint holding no pair: ``restore_state`` of it
@@ -38,6 +42,28 @@ def reseal_chunk(path, mutate):
         CHUNK_MAGIC + data + footer
         + len(footer).to_bytes(8, "little") + CHUNK_END_MAGIC
     )
+
+
+def schema_one(meta):
+    """Rewrite a chunk's footer metadata the way schema 1 wrote it:
+    one attribute entry a bundle, each field under its own key."""
+    table = attributes_from_payload(meta["attrs"])
+    meta["schema"] = 1
+    meta["attrs"] = [
+        {
+            "as_path": list(path),
+            "next_hop": hop,
+            "origin": origin,
+            "med": med,
+            "local_pref": pref,
+            "communities": list(comms),
+            "atomic_aggregate": atomic,
+            "aggregator": None if aggregator is None else list(aggregator),
+        }
+        for hop, path, origin, med, pref, comms, atomic, aggregator in map(
+            table.tuple_of, range(len(table))
+        )
+    ]
 
 
 def labels(records, classifier=None):

@@ -51,7 +51,7 @@ from repro.core.taxonomy import FINE_GRAINED_CATEGORIES, UpdateCategory
 from repro.verify.refgen import reference_twin
 from repro.workloads.generator import TraceGenerator, campaign_generator
 
-from .helpers import reseal_chunk
+from .helpers import reseal_chunk, schema_one
 
 ANNOUNCE, WITHDRAW = int(UpdateKind.ANNOUNCE), int(UpdateKind.WITHDRAW)
 
@@ -1002,7 +1002,8 @@ def kill_state(config):
 
 
 def missing_med(meta):
-    meta["attrs"][0].pop("med")
+    """Bundle 0's MED lost: the column is one entry short."""
+    meta["attrs"]["med"].pop(0)
 
 
 def short_checkpoint(meta):
@@ -1015,6 +1016,7 @@ DAMAGE = {
     "truncated": lambda path: os.truncate(path, path.stat().st_size // 2),
     "attribute-entry": lambda path: reseal_chunk(path, missing_med),
     "checkpoint": lambda path: reseal_chunk(path, short_checkpoint),
+    "schema-1": lambda path: reseal_chunk(path, schema_one),
 }
 
 

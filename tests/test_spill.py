@@ -31,14 +31,14 @@ from repro.core.spill import (
     CHUNK_END_MAGIC,
     CHUNK_MAGIC,
     ChunkCorrupt,
-    attribute_payload,
     attributes_from_payload,
+    attributes_payload,
     read_chunk,
     verify_chunk,
     write_chunk,
 )
 
-from .helpers import reseal_chunk
+from .helpers import reseal_chunk, schema_one
 
 
 def sample_columns(rows: int = 64, seed: int = 3) -> RecordColumns:
@@ -123,10 +123,36 @@ class TestRoundTrip:
             atomic_aggregate=True,
             aggregator=(701, 42),
         )
-        bundle = attribute_tuple(attrs)
-        table = attributes_from_payload([attribute_payload(bundle)])
-        assert table.tuple_of(0) == attribute_tuple(attrs)
-        assert table[0] == attrs
+        plain = PathAttributes(next_hop=7)  # every optional field empty
+        table = AttributeTable()
+        table.intern(plain)
+        table.intern(attrs)
+        decoded = attributes_from_payload(attributes_payload(table))
+        assert [decoded.tuple_of(i) for i in range(2)] == [
+            attribute_tuple(plain), attribute_tuple(attrs)
+        ]
+        assert decoded[0] == plain
+        assert decoded[1] == attrs
+        assert decoded.fwd_ids.tolist() == table.fwd_ids.tolist()
+
+    def test_empty_table_is_empty_columns(self):
+        payload = attributes_payload(AttributeTable())
+        assert payload == {name: [] for name in payload}
+        assert len(payload) == 10
+        assert len(attributes_from_payload(payload)) == 0
+
+    def test_all_withdraw_day(self, tmp_path):
+        """Rows but no announcement: an empty attribute table."""
+        data = plain_columns().data.copy()
+        data["kind"] = 2
+        data["attr_id"] = NO_ATTR
+        path = tmp_path / "withdrawals.rcol"
+        info = write_chunk(path, RecordColumns(data), extra={"day": 3})
+        chunk = read_chunk(path)
+        assert chunk.info.sha256 == info.sha256
+        assert (chunk.columns.data == data).all()
+        assert len(chunk.columns.attrs) == 0
+        assert verify_chunk(path).rows == len(data)
 
 
 def split_chunk(raw: bytes):
@@ -141,6 +167,27 @@ def join_chunk(data: bytes, footer: bytes) -> bytes:
         CHUNK_MAGIC + data + footer
         + len(footer).to_bytes(8, "little") + CHUNK_END_MAGIC
     )
+
+
+def set_entry(attrs, column, index, value):
+    attrs[column][index] = value
+
+
+def append_bundle(attrs, i):
+    """Append a copy of bundle ``i`` to the attribute columns."""
+    for name in ("as_path", "communities"):
+        lengths = attrs[f"{name}_len"]
+        start = sum(lengths[:i])
+        attrs[name].extend(attrs[name][start:start + lengths[i]])
+    for name, column in attrs.items():
+        if name not in ("as_path", "communities"):
+            column.append(column[i])
+
+
+def drop_path(attrs):
+    """Bundle 1's AS path lost: its run of the pool and its length."""
+    del attrs["as_path"][2:]
+    attrs["as_path_len"].pop(1)
 
 
 class TestCorruption:
@@ -204,42 +251,64 @@ class TestCorruption:
     @pytest.mark.parametrize(
         "damage",
         [
-            lambda e: e.pop("med"),
-            lambda e: e.pop("as_path"),
-            lambda e: e.update(origin=3),
-            lambda e: e.update(as_path=[701, 0]),
-            lambda e: e.update(as_path=[701, 65536]),
-            lambda e: e.update(as_path="701"),
-            lambda e: e.update(as_path=[701, None]),
-            lambda e: e.update(next_hop="seven"),
-            lambda e: e.update(med=[20]),
-            lambda e: e.update(aggregator=[701]),
-            lambda e: e.update(communities=7),
-            lambda e: e.update(origin=1e400),
-            lambda e: e.clear(),
+            # Bundle 1's field lost: its column is one entry short.
+            lambda a: a["med"].pop(1),
+            drop_path,
+            lambda a: set_entry(a, "origin", 1, 3),
+            lambda a: set_entry(a, "as_path", 3, 0),
+            lambda a: set_entry(a, "as_path", 3, 65536),
+            lambda a: set_entry(a, "as_path", 3, "3561"),
+            lambda a: set_entry(a, "as_path", 3, None),
+            lambda a: set_entry(a, "next_hop", 1, "seven"),
+            lambda a: set_entry(a, "med", 1, [20]),
+            lambda a: set_entry(a, "aggregator", 1, [701]),
+            lambda a: a.update(communities=7),
+            lambda a: set_entry(a, "origin", 1, 1e400),
+            lambda a: a.clear(),
+            # Each of these passed the row-wise decoder of schema 1.
+            lambda a: set_entry(a, "next_hop", 0, "7"),
+            lambda a: set_entry(a, "next_hop", 0, 7.9),
+            lambda a: set_entry(a, "next_hop", 0, 2**32),
+            lambda a: set_entry(a, "next_hop", 0, -1),
+            lambda a: set_entry(a, "med", 0, 2**32),
+            lambda a: set_entry(a, "aggregator", 1, [701, 2**32]),
+            lambda a: set_entry(a, "aggregator", 1, [0, 42]),
+            lambda a: set_entry(a, "aggregator", 1, [70000, 42]),
+            lambda a: set_entry(a, "as_path", 0, True),
+            lambda a: set_entry(a, "origin", 0, True),
+            lambda a: set_entry(a, "med", 0, True),
+            lambda a: set_entry(a, "atomic_aggregate", 0, "no"),
+            lambda a: a.update(communities=[0xFFFFFF01, 5]),
+            lambda a: a.update(communities=[5, 5]),
         ],
         ids=[
             "no-med", "no-as-path", "origin-3", "asn-0", "asn-65536",
             "as-path-string", "asn-null", "next-hop-string", "med-list",
             "aggregator-short", "communities-int", "origin-inf", "empty",
+            "next-hop-digit-string", "next-hop-float", "next-hop-2**32",
+            "next-hop-negative", "med-2**32", "aggregator-address-2**32",
+            "aggregator-asn-0", "aggregator-asn-70000", "asn-true",
+            "origin-true", "med-true", "atomic-aggregate-string",
+            "communities-unsorted", "communities-repeated",
         ],
     )
     def test_malformed_attribute_entry_is_corrupt(self, tmp_path, damage):
-        """A digest-valid chunk whose footer holds one entry that is not
-        an attribute bundle: ChunkCorrupt, never the decoder's own
-        KeyError or TypeError (which would abort a resumed shard)."""
+        """A digest-valid chunk whose attribute columns hold one entry
+        that is not a bundle's field: ChunkCorrupt, never the decoder's
+        own KeyError or TypeError (which would abort a resumed shard),
+        and never a bundle other than the one on disk."""
         path = tmp_path / "c.rcol"
         write_chunk(path, plain_columns())
-        reseal_chunk(path, lambda meta: damage(meta["attrs"][1]))
+        reseal_chunk(path, lambda meta: damage(meta["attrs"]))
         with pytest.raises(ChunkCorrupt, match="malformed attribute table"):
             read_chunk(path)
 
     @pytest.mark.parametrize(
         "damage",
         [
-            lambda attrs: attrs.append(attrs[0]),
-            lambda attrs: attrs.__setitem__(0, None),
-            lambda attrs: attrs.__setitem__(0, [attrs[0]]),
+            lambda attrs: append_bundle(attrs, 0),
+            lambda attrs: set_entry(attrs, "next_hop", 0, None),
+            lambda attrs: set_entry(attrs, "origin", 0, [0]),
         ],
         ids=["repeated-bundle", "null-entry", "list-entry"],
     )
@@ -249,6 +318,30 @@ class TestCorruption:
         reseal_chunk(path, lambda meta: damage(meta["attrs"]))
         with pytest.raises(ChunkCorrupt, match="malformed attribute table"):
             read_chunk(path)
+
+    def test_row_count_true_is_corrupt(self, tmp_path):
+        """A bool is an int, and ``True * 26`` bytes is one record: a
+        one-row chunk resealed with ``"rows": true`` fails on the count,
+        not inside ``np.memmap``."""
+        plain = plain_columns()
+        path = tmp_path / "c.rcol"
+        write_chunk(path, RecordColumns(plain.data[:1], plain.attrs))
+        reseal_chunk(path, lambda meta: meta.update(rows=True))
+        with pytest.raises(ChunkCorrupt, match="bad row count"):
+            read_chunk(path)
+        with pytest.raises(ChunkCorrupt, match="bad row count"):
+            verify_chunk(path)
+
+    def test_schema_one_chunk_is_corrupt(self, tmp_path):
+        """The row-wise footer of schema 1 has no reader: the day
+        regenerates."""
+        path = tmp_path / "c.rcol"
+        write_chunk(path, plain_columns(), extra={"day": 1})
+        reseal_chunk(path, schema_one)
+        with pytest.raises(ChunkCorrupt, match="schema 1 != 2"):
+            read_chunk(path)
+        with pytest.raises(ChunkCorrupt, match="schema 1 != 2"):
+            verify_chunk(path)
 
     def test_resealed_chunk_is_otherwise_accepted(self, tmp_path):
         """The damage tests above fail on the damage, not the seal."""
@@ -371,17 +464,88 @@ def plain_columns() -> RecordColumns:
     return RecordColumns(data, table)
 
 
+def column_mutations():
+    """Structural damage to each attribute column, by test id."""
+    cases = {"extra-column": lambda a: a.update(mp_reach=[])}
+    for name in ATTRIBUTE_COLUMNS:
+        cases.update({
+            f"{name}-missing": lambda a, n=name: a.pop(n),
+            f"{name}-dict": lambda a, n=name: a.update(
+                {n: {str(i): v for i, v in enumerate(a[n])}}
+            ),
+            f"{name}-string": lambda a, n=name: a.update(
+                {n: json.dumps(a[n])}
+            ),
+            f"{name}-null": lambda a, n=name: a.update({n: None}),
+            f"{name}-one-short": lambda a, n=name: a[n].pop(),
+            f"{name}-one-long": lambda a, n=name: a[n].append(a[n][-1]),
+        })
+    for name in ("as_path_len", "communities_len"):
+        cases.update({
+            f"{name}-sums-past-pool": lambda a, n=name: bump(a[n], -1, 1),
+            f"{name}-sums-short": lambda a, n=name: bump(a[n], -1, -1),
+            # Two bundles, the lengths still summing to the pool.
+            f"{name}-negative": lambda a, n=name: a.update(
+                {n: [-1, sum(a[n]) + 1]}
+            ),
+            f"{name}-2**63": lambda a, n=name: set_entry(a, n, -1, 2**63),
+            f"{name}-2**63-summing-right": lambda a, n=name: (
+                bump(a[n], 0, 2**63), bump(a[n], -1, -(2**63))
+            ),
+        })
+    return cases
+
+
+def bump(column, index, by):
+    column[index] += by
+
+
+ATTRIBUTE_COLUMNS = (
+    "aggregator", "as_path", "as_path_len", "atomic_aggregate",
+    "communities", "communities_len", "local_pref", "med", "next_hop",
+    "origin",
+)
+COLUMN_MUTATIONS = column_mutations()
+
+
+class TestColumnMutations:
+    """Every structural damage to a resealed schema-2 footer's columns
+    is ChunkCorrupt, never another exception; a claimed length is
+    checked against its pool, never allocated."""
+
+    def test_columns_are_the_footer_layout(self, tmp_path):
+        path = tmp_path / "c.rcol"
+        write_chunk(path, plain_columns())
+        attrs = json.loads(split_chunk(path.read_bytes())[1])["attrs"]
+        assert tuple(attrs) == ATTRIBUTE_COLUMNS
+        assert attrs["as_path"] == [701, 1239, 701, 3561, 42]
+        assert attrs["as_path_len"] == [2, 3]
+        assert attrs["communities"] == [5, 0xFFFFFF01]
+        assert attrs["communities_len"] == [0, 2]
+        assert attrs["aggregator"] == [None, [701, 42]]
+
+    @pytest.mark.parametrize("damage", sorted(COLUMN_MUTATIONS))
+    def test_damaged_column_is_corrupt(self, tmp_path, damage):
+        path = tmp_path / "c.rcol"
+        write_chunk(path, plain_columns())
+        mutate = COLUMN_MUTATIONS[damage]
+        reseal_chunk(path, lambda meta: mutate(meta["attrs"]))
+        with pytest.raises(ChunkCorrupt, match="malformed attribute table"):
+            read_chunk(path)
+
+
 class TestFooterIsHashedAsWritten:
     """The digest covers the footer's bytes on disk, so the only footer
     a reader accepts is the one :func:`write_chunk` emits."""
 
-    #: sha256 of the file / the chunk digest ``write_chunk`` produced
-    #: for ``plain_columns()`` before the footer was hashed as written.
+    #: sha256 of the file / the chunk digest ``write_chunk`` produces
+    #: for ``plain_columns()`` under chunk schema 2 (a constant of the
+    #: format: hashing the footer as written did not move it).
     FILE_SHA256 = (
-        "1ccceae25f46551f772a28b169188e8640cebea51c04372bb398eff3fbbd865c"
+        "58bfab9e7a54e37cfdd685dcbe96465ea2094461d682bc8fded1219abb1bd0a6"
     )
     CHUNK_SHA256 = (
-        "aa137af71262d2156766fbb0f61ca4d002578413e0f8b15d50c3808351f3259c"
+        "e2e128bfde41ccd43b9dc276a8a839f8a5e3141bd307f363c39ddc47a64a9cd6"
     )
 
     def test_written_bytes_have_not_moved(self, tmp_path):

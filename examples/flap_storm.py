@@ -12,12 +12,14 @@ the storm never ignites.
 Run:  python examples/flap_storm.py
 """
 
+from repro.sim.engine import Engine
 from repro.sim.flapstorm import FlapStormScenario
 from repro.sim.router import CpuModel
 
 
 def run_one(keepalive_priority: bool):
     scenario = FlapStormScenario(
+        Engine(),
         n_routers=5,
         prefixes_per_router=40,
         cpu=CpuModel(per_update=0.1, per_sent_update=0.05,

@@ -15,6 +15,7 @@ import io
 from repro.analysis.storms import detect_storms, flap_rate_series
 from repro.collector.mrt import read_state_changes, write_state_changes
 from repro.collector.record import SessionEvent
+from repro.sim.engine import Engine
 from repro.sim.flapstorm import FlapStormScenario
 from repro.sim.router import CpuModel
 
@@ -22,6 +23,7 @@ from repro.sim.router import CpuModel
 def main() -> None:
     print("Igniting a storm (5 slow routers, 600 flaps over 20s)...")
     scenario = FlapStormScenario(
+        Engine(),
         n_routers=5,
         prefixes_per_router=40,
         cpu=CpuModel(per_update=0.1, per_sent_update=0.05,

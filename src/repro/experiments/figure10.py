@@ -10,41 +10,20 @@ Two-part reproduction:
 
 1. The growth-model series with all four features, summarized and
    checked.
-2. A mechanism demo: the multi-homed count measured directly from a
-   simulated route server's RIB on a generated AS topology, verifying
-   the counting machinery against ground truth.
+2. A mechanism demo: the multi-homed count measured directly from the
+   route server's RIB of the ``core_exchange`` scenario, built on a
+   generated AS topology, against the topology's ground truth.
 """
 
 from __future__ import annotations
 
 from ..analysis.multihoming import count_multihomed, series_summary
 from ..core.report import ExperimentResult, Series, Table
-from ..topology.asgraph import build_internet_graph
-from ..topology.internet import CoreInternetScenario
+from ..sim.engine import Engine
+from ..sim.studies import core_exchange
 from ..topology.multihoming import MultihomingGrowthModel
 
-__all__ = ["run", "run_rib_measurement"]
-
-
-def run_rib_measurement(seed: int = 11):
-    """Measure multi-homing from a live simulated route-server RIB.
-
-    Returns ``(measured_count, ground_truth_count)`` where ground truth
-    is the number of multi-homed customer prefixes in the topology.
-    """
-    graph = build_internet_graph(
-        n_backbones=3, n_regionals=4, n_customers=30,
-        multi_homed_fraction=0.3, seed=seed,
-    )
-    scenario = CoreInternetScenario(graph=graph, mrai_interval=5.0, seed=seed)
-    scenario.settle(150.0)
-    measured = count_multihomed(scenario.route_server.loc_rib)
-    truth = sum(
-        len(c.plan.announced)
-        for c in graph.customers
-        if c.multi_homed
-    )
-    return measured, truth
+__all__ = ["run"]
 
 
 def run(seed: int = 3) -> ExperimentResult:
@@ -93,7 +72,9 @@ def run(seed: int = 3) -> ExperimentResult:
     )
     result.record("has_data_gap", int(summary.has_gap), expect=(1, 1))
 
-    measured, truth = run_rib_measurement(seed=seed + 8)
+    world = core_exchange(Engine, seed=seed + 8)
+    measured = count_multihomed(world.routers["route server"].loc_rib)
+    truth = world.readings["multi_homed_truth"]
     result.record("rib_measured_multihomed", measured, expect=truth)
     result.notes.append(
         "RIB measurement cross-check: the multi-homed count taken from "

@@ -11,16 +11,13 @@ Two-part reproduction:
 1. **Statistical tier**: a simulated August's records → per-day
    histograms → the paper's box statistics, checking the 30s+60s mass
    per category.
-2. **Mechanism tier** (the *why*): an event-driven simulation where
+2. **Mechanism tier** (the *why*): the ``timer_lines`` scenario, where
    the periodicities arise mechanistically — a CSU-oscillating link
-   (60 s line) and a misconfigured IGP/BGP redistribution plus a
-   stateless 30 s-timer router (30 s line) — measured by the same
-   analysis code.
+   (60 s line) and a misconfigured IGP/BGP redistribution (30 s line)
+   — measured by the same analysis code.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from ..analysis.interarrival import (
     daily_boxes,
@@ -28,50 +25,14 @@ from ..analysis.interarrival import (
     interarrival_times,
     timer_bin_mass,
 )
-from ..collector.record import MemoryLog
 from ..core.columns import RecordColumns
 from ..core.report import ExperimentResult, Series, Table
-from ..core.taxonomy import FINE_GRAINED_CATEGORIES, UpdateCategory
-from ..net.prefix import Prefix
+from ..core.taxonomy import FINE_GRAINED_CATEGORIES
 from ..sim.engine import Engine
-from ..sim.igp import IgpBgpRedistribution, IgpTable
-from ..sim.link import CsuLink
-from ..sim.router import Router, connect
-from ..sim.routeserver import RouteServer
+from ..sim.studies import timer_lines
 from .figure6 import AUGUST, classified_month_columns, fine_grained_generator
 
-__all__ = ["run", "run_mechanisms"]
-
-
-def run_mechanisms(duration: float = 4 * 3600.0) -> np.ndarray:
-    """The mechanism tier: returns the gaps from an event-driven
-    simulation containing a CSU link and an IGP/BGP loop."""
-    engine = Engine()
-    sink = MemoryLog()
-    server = RouteServer(engine, asn=65000, router_id=99, sink=sink)
-    # Mechanism 1: customer behind a CSU-oscillating link (60s cycle).
-    provider_a = Router(engine, asn=100, router_id=1, mrai_interval=5.0)
-    customer = Router(engine, asn=300, router_id=3, mrai_interval=5.0)
-    csu = CsuLink(
-        engine, up_duration=55.0, down_duration=5.0, noise=0.01,
-    )
-    customer.add_peer(provider_a.router_id, provider_a.asn, csu)
-    provider_a.add_peer(customer.router_id, customer.asn, csu)
-    customer.start_session(provider_a.router_id)
-    customer.originate(Prefix.parse("203.0.113.0/24"))
-    connect(provider_a, server)
-    # Mechanism 2: misconfigured mutual IGP/BGP redistribution on a
-    # 30-second IGP timer.
-    provider_b = Router(engine, asn=200, router_id=2, mrai_interval=5.0)
-    igp = IgpTable()
-    igp.add_native(Prefix.parse("198.51.100.0/24"))
-    loop = IgpBgpRedistribution(engine, provider_b, igp, igp_period=30.0)
-    loop.start()
-    connect(provider_b, server)
-    engine.run_until(duration)
-    return interarrival_times(
-        RecordColumns.from_records(sink.sorted_by_time())
-    )
+__all__ = ["run"]
 
 
 def run(seed: int = 4) -> ExperimentResult:
@@ -112,7 +73,9 @@ def run(seed: int = 4) -> ExperimentResult:
 
     # Mechanism tier: the same peaks arise from actual CSU/IGP/timer
     # machinery in the event simulation.
-    gaps = run_mechanisms()
+    gaps = interarrival_times(
+        RecordColumns.from_records(timer_lines(Engine).sink.sorted_by_time())
+    )
     proportions = histogram_proportions(gaps)
     mech_series = Series("mechanism-tier bin proportions (1s..24h)")
     for i, p in enumerate(proportions):

@@ -11,6 +11,9 @@ against the reproduction:
   withdrawals by three orders of magnitude (2M → 1905);
 - pathology persistence under five minutes;
 - the 300-updates/second router crash experiment (§6).
+
+The fix and the crash run the ``stateless_fix`` and ``update_crash``
+scenarios.
 """
 
 from __future__ import annotations
@@ -21,80 +24,12 @@ from ..core.columns import classify_columns
 from ..core.instability import CategoryCounts, persistence
 from ..core.report import ExperimentResult, Table
 from ..core.taxonomy import PATHOLOGICAL_CATEGORIES, UpdateCategory
-from ..collector.record import MemoryLog
-from ..net.prefix import Prefix
 from ..sim.engine import Engine
-from ..sim.faults import MisconfiguredProvider
-from ..sim.router import CpuModel, Router, connect
-from ..sim.routeserver import RouteServer
+from ..sim.studies import stateless_fix, update_crash
 from ..workloads.calibration import PAPER
 from ..workloads.generator import TraceGenerator
 
-__all__ = ["run", "run_stateless_comparison", "run_crash_experiment"]
-
-
-def run_stateless_comparison(seed: int = 13, duration: float = 3600.0):
-    """One provider, two exchanges: stateless router at 'AADS',
-    patched stateful router at 'Mae-East', identical fault inputs.
-    Returns (stateless_withdrawals, stateful_withdrawals) logged."""
-    results = []
-    for stateless in (True, False):
-        engine = Engine()
-        sink = MemoryLog()
-        origin = Router(engine, asn=100, router_id=1, mrai_interval=5.0)
-        provider = Router(
-            engine, asn=200, router_id=2, mrai_interval=30.0,
-            stateless_bgp=stateless,
-        )
-        server = RouteServer(engine, asn=65000, router_id=99, sink=sink)
-        connect(origin, provider)
-        connect(provider, server)
-        # The provider never exports these customer routes (no-transit
-        # policy toward the exchange), so every leaked withdrawal is
-        # pure WWDup.
-        from ..bgp.policy import DENY_ALL
-
-        provider.export_policy = DENY_ALL
-        engine.run_until(60.0)
-        for i in range(40):
-            origin.originate(Prefix((10 << 24) + i * 256, 24))
-        engine.run_until(120.0)
-        sink.clear()
-        import random
-
-        rng = random.Random(seed)
-        t = engine.now
-        for _ in range(60):
-            t += rng.uniform(20.0, 60.0)
-            prefix = Prefix((10 << 24) + rng.randrange(40) * 256, 24)
-            engine.schedule_at(t, origin.flap_origin, prefix, 5.0)
-        engine.run_until(engine.now + duration)
-        withdrawals = sum(1 for r in sink if r.is_withdraw)
-        results.append(withdrawals)
-    return tuple(results)
-
-
-def run_crash_experiment(rate_per_second: float = 300.0, duration: float = 60.0):
-    """Blast a CPU-limited router with pathological withdrawals at a
-    given rate; returns True if it crashed (the paper's informal
-    experiment: 300/s kills a high-end router of the era)."""
-    engine = Engine()
-    source = Router(engine, asn=100, router_id=1, mrai_interval=1.0)
-    victim = Router(
-        engine, asn=200, router_id=2, mrai_interval=1.0,
-        cpu=CpuModel(per_update=0.004),
-        crash_queue_limit=1200,
-    )
-    connect(source, victim)
-    engine.run_until(30.0)
-    foreign = [Prefix((20 << 24) + i * 256, 24) for i in range(600)]
-    spewer = MisconfiguredProvider(
-        engine, source, foreign,
-        period=len(foreign) / rate_per_second,
-    )
-    spewer.start()
-    engine.run_until(engine.now + duration)
-    return victim.crash_count > 0
+__all__ = ["run"]
 
 
 def run(seed: int = 3) -> ExperimentResult:
@@ -152,7 +87,11 @@ def run(seed: int = 3) -> ExperimentResult:
     )
 
     # Stateless vs stateful vendor fix.
-    stateless_w, stateful_w = run_stateless_comparison(seed=seed)
+    arms = stateless_fix(Engine, seed=seed)
+    stateless_w, stateful_w = (
+        sum(1 for record in arms[stateless].sink if record.is_withdraw)
+        for stateless in (True, False)
+    )
     result.record(
         "stateless_to_stateful_ratio",
         stateless_w / max(1, stateful_w),
@@ -192,8 +131,9 @@ def run(seed: int = 3) -> ExperimentResult:
         )
 
     # The crash experiment.
-    crashed_at_300 = run_crash_experiment(300.0)
-    survived_at_30 = not run_crash_experiment(30.0)
+    crash = update_crash(Engine)
+    crashed_at_300 = crash[300.0].routers["victim"].crash_count > 0
+    survived_at_30 = crash[30.0].routers["victim"].crash_count == 0
     result.record("crashes_at_300_per_sec", int(crashed_at_300), expect=(1, 1))
     result.record("survives_30_per_sec", int(survived_at_30), expect=(1, 1))
 

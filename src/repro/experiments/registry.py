@@ -295,7 +295,7 @@ _SPEC_LIST = [
         "Route-flap damping ablation",
         "Damping suppresses flap updates but delays "
         "legitimate re-announcements (section 3).",
-        _seeded(ablations.run_damping_study, 5),
+        _unseeded(ablations.run_damping_study),
     ),
     ExperimentSpec(
         "ablation-aggregation",
@@ -309,7 +309,7 @@ _SPEC_LIST = [
         "Route-server vs full-mesh ablation",
         "Route servers reduce O(N^2) bilateral "
         "sessions to O(N) (section 3).",
-        _seeded(ablations.run_route_server_study, 7),
+        _unseeded(ablations.run_route_server_study),
     ),
     ExperimentSpec(
         "ablation-sync",

@@ -15,131 +15,23 @@ including the route server, which never received an announcement for
 that prefix.  Withdrawals therefore scale with *everyone's* flaps
 while announcements scale only with the provider's own.
 
-The experiment builds exactly that: a full-mesh simulated AADS where
-ten providers with heterogeneous behaviour (stateless vs stateful,
-different customer flap rates, one badly misconfigured ISP-I analogue)
-peer with each other and a logging route server.  Absolute volumes are
-scaled (hours instead of a day, tens of prefixes instead of 42 k); the
-structure is the reproduction target.
+The experiment measures exactly that on the ``stateless_exchange``
+scenario: a full-mesh simulated AADS where ten providers with
+heterogeneous behaviour (stateless vs stateful, different customer
+flap rates, one badly misconfigured ISP-I analogue) peer with each
+other and a logging route server.  Absolute volumes are scaled (hours
+instead of a day, tens of prefixes instead of 42 k); the structure is
+the reproduction target.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Dict
-
-from ..bgp.policy import MatchCondition, PolicyTerm, RouteMap
 from ..collector.log import CountingLog
-from ..collector.record import MemoryLog
 from ..core.report import ExperimentResult, Table
-from ..net.prefix import Prefix
 from ..sim.engine import Engine
-from ..sim.faults import CustomerFlapGenerator, MisconfiguredProvider
-from ..sim.router import Router
-from ..sim.routeserver import ExchangePoint
+from ..sim.studies import BASE_ASN, PROVIDER_SPECS, stateless_exchange
 
-__all__ = ["run", "simulate_exchange", "PROVIDER_SPECS"]
-
-#: Provider behaviour mirroring Table 1's spread.  ``flaps`` is the
-#: per-provider customer flap rate (per second); ``bad`` marks the
-#: ISP-I analogue.
-PROVIDER_SPECS = {
-    "Provider A": dict(stateless=True, flaps=1 / 400.0),
-    "Provider B": dict(stateless=True, flaps=1 / 600.0),
-    "Provider C": dict(stateless=False, flaps=1 / 2000.0),
-    "Provider D": dict(stateless=False, flaps=1 / 1000.0),
-    "Provider E": dict(stateless=False, flaps=1 / 120.0),
-    "Provider F": dict(stateless=True, flaps=1 / 900.0),
-    "Provider G": dict(stateless=True, flaps=1 / 800.0),
-    "Provider H": dict(stateless=True, flaps=1 / 60.0),
-    "Provider I": dict(stateless=True, flaps=1 / 500.0, bad=True),
-    "Provider J": dict(stateless=False, flaps=1 / 100.0),
-}
-
-#: Provider ``index`` (in ``PROVIDER_SPECS`` order) peers as AS
-#: ``_BASE_ASN + index``; the report finds its rows by the same rule.
-_BASE_ASN = 100
-
-
-def _own_routes_only(own: list) -> RouteMap:
-    """The no-transit exchange export policy: advertise own customer
-    routes, deny everything else."""
-    return RouteMap(
-        [
-            PolicyTerm(MatchCondition(prefixes=tuple(own))),
-        ],
-        name="own-routes-only",
-    )
-
-
-def simulate_exchange(
-    duration: float, prefixes_per_provider: int, seed: int
-) -> MemoryLog:
-    """The Table 1 scenario (see module docstring): the updates the
-    AADS route server logged over ``duration`` steady-state seconds."""
-    engine = Engine()
-    sink = MemoryLog()
-    exchange = ExchangePoint(engine, name="AADS", sink=sink, full_mesh=True)
-    rng = random.Random(seed)
-    routers: Dict[str, Router] = {}
-    generators = []
-    base = 24 << 24
-    prefix_index = 0
-    all_prefixes = []
-    own_prefixes: Dict[str, list] = {}
-    for index, (name, spec) in enumerate(PROVIDER_SPECS.items()):
-        own = []
-        for _ in range(prefixes_per_provider):
-            own.append(Prefix(base + prefix_index * 256, 24))
-            prefix_index += 1
-        own_prefixes[name] = own
-        all_prefixes.extend(own)
-        router = Router(
-            engine,
-            asn=_BASE_ASN + index,
-            router_id=(10 << 24) + index + 1,
-            stateless_bgp=spec.get("stateless", False),
-            mrai_interval=30.0,
-            mrai_jitter=0.0,
-            export_policy=_own_routes_only(own),
-            rng=random.Random(seed + index),
-            name=name,
-        )
-        for prefix in own:
-            router.originate(prefix)
-        exchange.attach_provider(router)
-        routers[name] = router
-    engine.run_until(150.0)  # establish + table exchange
-    sink.clear()             # measure steady state only
-
-    for index, (name, spec) in enumerate(PROVIDER_SPECS.items()):
-        router = routers[name]
-        if spec.get("flaps"):
-            flapper = CustomerFlapGenerator(
-                engine,
-                router,
-                base_rate=spec["flaps"],
-                outage_duration=4.0,
-                rng=random.Random(seed * 31 + index),
-            )
-            flapper.start()
-            generators.append(flapper)
-        if spec.get("bad"):
-            foreign = [
-                p for p in all_prefixes if p not in set(router.originated)
-            ]
-            rng.shuffle(foreign)
-            bad = MisconfiguredProvider(
-                engine,
-                router,
-                foreign[: min(len(foreign), 300)],
-                period=5.0,
-                rng=random.Random(seed * 97 + index),
-            )
-            bad.start()
-            generators.append(bad)
-    engine.run_until(engine.now + duration)
-    return sink
+__all__ = ["run", "PROVIDER_SPECS"]
 
 
 def run(
@@ -148,15 +40,19 @@ def run(
     seed: int = 7,
 ) -> ExperimentResult:
     """Run the Table 1 experiment; see module docstring."""
+    world = stateless_exchange(
+        Engine, seed=seed, duration=duration,
+        prefixes_per_provider=prefixes_per_provider,
+    )
     counting = CountingLog()
-    counting.extend(simulate_exchange(duration, prefixes_per_provider, seed))
+    counting.extend(world.sink)
     table = Table(
         "Table 1 — per-ISP update totals (simulated AADS day, scaled)",
         ["Provider", "Announce", "Withdraw", "Unique"],
     )
     rows = {}
     for index, name in enumerate(PROVIDER_SPECS):
-        row = counting.row(_BASE_ASN + index)
+        row = counting.row(BASE_ASN + index)
         rows[name] = row
         table.add_row(name, row["announce"], row["withdraw"], row["unique"])
 

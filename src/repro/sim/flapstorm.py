@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..net.prefix import Prefix
-from .engine import Engine
 from .router import CpuModel, Router, connect
+from .scheduler import EventScheduler
 
 __all__ = ["FlapStormScenario", "StormResult"]
 
@@ -47,6 +47,8 @@ class FlapStormScenario:
 
     Parameters
     ----------
+    engine:
+        The scheduler to build on, either engine's.
     n_routers:
         Mesh size (full mesh, like exchange-point bilateral peering).
     prefixes_per_router:
@@ -60,15 +62,13 @@ class FlapStormScenario:
         When True keepalives bypass the CPU queue.
     hold_time:
         Session hold time; shorter means less tolerance for delay.
-    engine:
-        Optional scheduler to run on (the differential benchmark passes
-        the reference heap engine); a fresh :class:`Engine` by default.
     """
 
-    __slots__ = ("engine", "cpu", "keepalive_priority", "rng", "routers")
+    __slots__ = ("engine", "routers")
 
     def __init__(
         self,
+        engine: EventScheduler,
         n_routers: int = 6,
         prefixes_per_router: int = 60,
         cpu: Optional[CpuModel] = None,
@@ -76,12 +76,9 @@ class FlapStormScenario:
         hold_time: float = 30.0,
         mrai_interval: float = 5.0,
         seed: int = 0,
-        engine: Optional[Engine] = None,
     ) -> None:
-        self.engine = engine if engine is not None else Engine()
-        self.cpu = cpu or CpuModel(per_update=0.02, per_sent_update=0.01)
-        self.keepalive_priority = keepalive_priority
-        self.rng = random.Random(seed)
+        self.engine = engine
+        cpu = cpu or CpuModel(per_update=0.02, per_sent_update=0.01)
         self.routers: List[Router] = []
         base = 10 * (1 << 24)
         for i in range(n_routers):
@@ -89,7 +86,7 @@ class FlapStormScenario:
                 self.engine,
                 asn=100 + i,
                 router_id=(192 << 24) + i + 1,
-                cpu=self.cpu,
+                cpu=cpu,
                 hold_time=hold_time,
                 mrai_interval=mrai_interval,
                 mrai_jitter=0.25,

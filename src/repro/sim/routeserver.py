@@ -18,8 +18,6 @@ point" and log every BGP message.
 
 from __future__ import annotations
 
-import random
-import zlib
 from typing import Dict, List, Optional, Set
 
 from ..bgp.messages import UpdateMessage
@@ -149,7 +147,6 @@ class ExchangePoint:
         "sink",
         "full_mesh",
         "link_delay",
-        "rng",
         "route_server",
         "providers",
     )
@@ -162,16 +159,12 @@ class ExchangePoint:
         server_asn: int = 65000,
         full_mesh: bool = True,
         link_delay: float = 0.005,
-        rng: Optional[random.Random] = None,
     ) -> None:
         self.engine = engine
         self.name = name
         self.sink = sink
         self.full_mesh = full_mesh
         self.link_delay = link_delay
-        # crc32, not hash(): str hashes are PYTHONHASHSEED-salted, so
-        # the default seed would differ on every run (DET004).
-        self.rng = rng or random.Random(zlib.crc32(name.encode()) & 0xFFFF)
         self.route_server = RouteServer(
             engine,
             asn=server_asn,

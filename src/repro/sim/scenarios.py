@@ -21,6 +21,12 @@ implementation:
   ``path_forgery`` / ``deagg_storm`` — the adversarial pack
   (:mod:`repro.sim.adversary`): the same day with a seeded attacker
   riding on it.
+- ``stateless_exchange`` (Table 1), ``timer_lines`` (Figure 8's
+  mechanism tier), ``stateless_fix`` (§4.2), ``update_crash`` (§6),
+  ``core_exchange`` (Figure 10) and the ``ablation_*`` countermeasure
+  studies, both arms of each — the study family: one builder of
+  :mod:`repro.sim.studies` each, which its experiment measures on the
+  calendar engine and this registry digests on any.
 
 The day-family scenarios (``multi_exchange_day``,
 ``cross_exchange_day`` and the adversarial pack) are partition-safe
@@ -46,8 +52,9 @@ Module-level imports cover only the registry, the façade and
 router-free digests.  Every other family imports its own machinery at
 the top of its runner (``flap_storm`` the flap-storm mesh,
 ``table_dump`` routers and links, the day family the partition module,
-``engine="parallel"`` the driver), so ``import repro.sim`` compiles no
-router, BGP session or ``multiprocessing``.  ``partition_digest`` and
+the study family its builders, ``engine="parallel"`` the driver), so
+``import repro.sim`` compiles no router, BGP session or
+``multiprocessing``.  ``partition_digest`` and
 ``combined_digest`` stay module attributes that the day runners look
 up at call time, which is where ``perf/`` wraps them.
 """
@@ -72,6 +79,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "DAY_SCENARIOS",
     "SCENARIOS",
+    "SEEDLESS",
     "SimResult",
     "adversary_day_config",
     "cross_exchange_config",
@@ -80,7 +88,6 @@ __all__ = [
     "run_exchange_day",
     "run_exchange_day_records",
     "scenario_flap_storm",
-    "scenario_multi_exchange_day",
     "scenario_sync_population",
     "scenario_table_dump",
     "simulate",
@@ -412,6 +419,13 @@ def day_records(partitions) -> List[UpdateRecord]:
     return merged
 
 
+def _day_digest(partitions) -> str:
+    return combined_digest(
+        {partition.index: partition_digest(partition)
+         for partition in partitions}
+    )
+
+
 def run_exchange_day(engine_cls, config: ExchangeDayConfig):
     """Single-engine oracle run of the multi-exchange day: all
     partitions share one engine, cross-exchange directives delivered
@@ -419,11 +433,7 @@ def run_exchange_day(engine_cls, config: ExchangeDayConfig):
     with a :class:`~repro.sim.parallel.ParallelResult` of the same
     config."""
     engine, partitions = _run_day(engine_cls, config)
-    digests = {
-        partition.index: partition_digest(partition)
-        for partition in partitions
-    }
-    return engine.events_processed, combined_digest(digests)
+    return engine.events_processed, _day_digest(partitions)
 
 
 def run_exchange_day_records(engine_cls, config: ExchangeDayConfig):
@@ -431,21 +441,11 @@ def run_exchange_day_records(engine_cls, config: ExchangeDayConfig):
     merged route-server record stream (the detection tier's input):
     ``(events, digest, records)``."""
     engine, partitions = _run_day(engine_cls, config)
-    digests = {
-        partition.index: partition_digest(partition)
-        for partition in partitions
-    }
     return (
         engine.events_processed,
-        combined_digest(digests),
+        _day_digest(partitions),
         day_records(partitions),
     )
-
-
-def scenario_multi_exchange_day(
-    engine_cls, smoke: bool, seed: Optional[int] = None
-):
-    return run_exchange_day(engine_cls, day_config(smoke, seed))
 
 
 def _day_runner(name: str) -> Callable:
@@ -457,16 +457,56 @@ def _day_runner(name: str) -> Callable:
     return runner
 
 
+def _study_outcome(built) -> Tuple[int, str]:
+    """``(events, digest)`` of a study's world, or of its arms in
+    order: each arm's clock, its routers' counters and RIBs, its
+    route-server log and its readings."""
+    arms = built if isinstance(built, dict) else {None: built}
+    parts = [
+        (arm, world.engine.events_processed, round(world.engine.now, 9),
+         tuple((name, router.updates_sent, router.updates_received,
+                router.crash_count, rib_state_digest(router))
+               for name, router in world.routers.items()),
+         tuple(world.sink.records), sorted(world.readings.items()))
+        for arm, world in arms.items()
+    ]
+    return sum(part[1] for part in parts), _digest(*parts)
+
+
+def _study(name: str) -> Callable:
+    """The runner of a study family: the builder of that name in
+    :mod:`repro.sim.studies`."""
+
+    def runner(engine_cls, smoke: bool, seed: Optional[int] = None):
+        from . import studies
+
+        build = getattr(studies, name)
+        return _study_outcome(build(engine_cls, smoke, seed))
+
+    return runner
+
+
 #: name -> runner, in presentation order.
 SCENARIOS: Tuple[Tuple[str, Callable], ...] = (
     ("sync_population", scenario_sync_population),
     ("flap_storm", scenario_flap_storm),
     ("table_dump", scenario_table_dump),
-    ("multi_exchange_day", scenario_multi_exchange_day),
-    ("cross_exchange_day", _day_runner("cross_exchange_day")),
-) + tuple((kind, _day_runner(kind)) for kind in ATTACK_KINDS)
+    *((name, _day_runner(name)) for name in DAY_SCENARIOS),
+    *((name, _study(name)) for name in (
+        "stateless_exchange", "timer_lines", "stateless_fix", "update_crash",
+        "core_exchange", "ablation_damping", "ablation_aggregation",
+        "ablation_routeserver", "ablation_cache", "ablation_convergence",
+        "ablation_filter", "ablation_storm",
+    )),
+)
 
 _SCENARIO_MAP: Dict[str, Callable] = dict(SCENARIOS)
+
+#: The families whose ``seed`` varies nothing: each makes no draws
+#: (its runner or builder says so), so every seed gives one digest.
+SEEDLESS = frozenset({
+    "table_dump", "update_crash", "ablation_damping", "ablation_routeserver",
+})
 
 #: engine name -> engine class, for the single-engine modes.
 ENGINES = {

@@ -1,2 +1,2 @@
-"""Internet-shaped topologies: AS graphs, exchange points, multi-homing
-growth, and assembled core-Internet scenarios."""
+"""Internet-shaped topologies: AS graphs, exchange points and
+multi-homing growth."""

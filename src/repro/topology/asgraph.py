@@ -14,9 +14,10 @@ shape at configurable scale:
   multi-homed) and originate a handful of prefixes — provider-block
   space when modern, swamp /24s when pre-CIDR.
 
-The output is a :class:`networkx.Graph` whose nodes carry
-:class:`AsNode` records (tier, address plan, multi-homing flag), plus
-helpers the simulator and the statistical generator both use.
+:func:`internet_topology` returns the ASes as :class:`AsNode` records
+(tier, address plan, multi-homing flag) and their adjacencies as plain
+lists; the simulator builds Figure 10's exchange from them
+(:func:`repro.sim.studies.core_exchange`).
 """
 
 from __future__ import annotations
@@ -24,19 +25,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from enum import Enum, auto
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 from ..net.addressing import (
     AddressPlan,
     SwampAllocator,
     provider_allocator,
 )
-from ..net.prefix import Prefix
 
-if TYPE_CHECKING:
-    import networkx as nx
-
-__all__ = ["Tier", "AsNode", "AsGraph", "build_internet_graph"]
+__all__ = ["Tier", "AsNode", "internet_topology"]
 
 
 class Tier(Enum):
@@ -58,68 +55,8 @@ class AsNode:
     #: swamp-space holder (pre-CIDR allocations; unaggregatable)
     legacy: bool = False
 
-    @property
-    def announced_prefixes(self) -> List[Prefix]:
-        return self.plan.announced
 
-
-class AsGraph:
-    """A generated AS topology: the graph plus typed node access."""
-
-    def __init__(self, graph: nx.Graph) -> None:
-        self.graph = graph
-
-    def node(self, asn: int) -> AsNode:
-        return self.graph.nodes[asn]["record"]
-
-    def nodes_in_tier(self, tier: Tier) -> List[AsNode]:
-        return [
-            self.node(asn)
-            for asn in self.graph.nodes
-            if self.node(asn).tier is tier
-        ]
-
-    @property
-    def backbones(self) -> List[AsNode]:
-        return self.nodes_in_tier(Tier.BACKBONE)
-
-    @property
-    def regionals(self) -> List[AsNode]:
-        return self.nodes_in_tier(Tier.REGIONAL)
-
-    @property
-    def customers(self) -> List[AsNode]:
-        return self.nodes_in_tier(Tier.CUSTOMER)
-
-    def providers_of(self, asn: int) -> List[int]:
-        """The upstream ASes of ``asn`` (neighbors in a higher tier)."""
-        mine = self.node(asn).tier
-        order = {Tier.BACKBONE: 0, Tier.REGIONAL: 1, Tier.CUSTOMER: 2}
-        return [
-            neighbor
-            for neighbor in self.graph.neighbors(asn)
-            if order[self.node(neighbor).tier] < order[mine]
-        ]
-
-    def all_prefixes(self) -> List[Prefix]:
-        """Every globally visible prefix in the topology."""
-        result: List[Prefix] = []
-        for asn in self.graph.nodes:
-            result.extend(self.node(asn).announced_prefixes)
-        return result
-
-    def multi_homed_fraction(self) -> float:
-        """Fraction of customer ASes with two or more providers."""
-        customers = self.customers
-        if not customers:
-            return 0.0
-        return sum(1 for c in customers if c.multi_homed) / len(customers)
-
-    def __len__(self) -> int:
-        return self.graph.number_of_nodes()
-
-
-def build_internet_graph(
+def internet_topology(
     n_backbones: int = 8,
     n_regionals: int = 24,
     n_customers: int = 120,
@@ -127,73 +64,63 @@ def build_internet_graph(
     legacy_fraction: float = 0.3,
     prefixes_per_customer: Tuple[int, int] = (1, 4),
     seed: int = 0,
-) -> AsGraph:
-    """Generate a hierarchical Internet-shaped AS graph.
+) -> Tuple[List[AsNode], List[Tuple[int, int]]]:
+    """Generate a hierarchical Internet-shaped AS topology: the AS
+    records in ASN order (from 1) and the adjacencies in the order
+    they were drawn, a customer's ``(customer, provider)`` pairs
+    primary first.
 
     ``multi_homed_fraction`` defaults to the paper's measured ">25
     percent of prefixes are currently multi-homed"; ``legacy_fraction``
     controls how many customers hold unaggregatable swamp space.
     Deterministic for a given ``seed``.
     """
-    # The package's one use of networkx: imported here so that the
-    # simulator, campaign and CLI entry points, which reach this module
-    # through ``repro.topology``, neither pay for it nor require it.
-    import networkx as nx
-
     rng = random.Random(seed)
     swamp = SwampAllocator(random.Random(seed + 1))
-    graph = nx.Graph()
-    next_asn = 1
+    nodes: List[AsNode] = []
+    edges: List[Tuple[int, int]] = []
 
     backbones: List[AsNode] = []
+    allocators = {}
     for i in range(n_backbones):
         allocator = provider_allocator(i)
-        node = AsNode(asn=next_asn, tier=Tier.BACKBONE)
+        node = AsNode(asn=len(nodes) + 1, tier=Tier.BACKBONE)
         node.plan.aggregates.append(allocator.block)
-        graph.add_node(next_asn, record=node, allocator=allocator)
+        allocators[node.asn] = allocator
+        nodes.append(node)
         backbones.append(node)
-        next_asn += 1
     # Backbones interconnect in a full mesh (the exchange-point core).
     for i, a in enumerate(backbones):
         for b in backbones[i + 1:]:
-            graph.add_edge(a.asn, b.asn)
+            edges.append((a.asn, b.asn))
 
     regionals: List[AsNode] = []
     for _ in range(n_regionals):
-        node = AsNode(asn=next_asn, tier=Tier.REGIONAL)
+        node = AsNode(asn=len(nodes) + 1, tier=Tier.REGIONAL)
         upstreams = rng.sample(backbones, k=min(2, len(backbones)))
         # A regional gets a /16-ish block from its primary upstream.
-        allocator = graph.nodes[upstreams[0].asn]["allocator"]
-        block = allocator.allocate(16)
-        node.plan.aggregates.append(block)
-        graph.add_node(next_asn, record=node, block=block)
-        for upstream in upstreams:
-            graph.add_edge(next_asn, upstream.asn)
+        allocator = allocators[upstreams[0].asn]
+        node.plan.aggregates.append(allocator.allocate(16))
+        nodes.append(node)
+        edges.extend((node.asn, upstream.asn) for upstream in upstreams)
         regionals.append(node)
-        next_asn += 1
 
     providers = backbones + regionals
     for _ in range(n_customers):
-        node = AsNode(asn=next_asn, tier=Tier.CUSTOMER)
+        node = AsNode(asn=len(nodes) + 1, tier=Tier.CUSTOMER)
         node.legacy = rng.random() < legacy_fraction
         node.multi_homed = rng.random() < multi_homed_fraction
         n_prefixes = rng.randint(*prefixes_per_customer)
         primary = rng.choice(providers)
-        graph.add_node(next_asn, record=node)
-        graph.add_edge(next_asn, primary.asn)
+        nodes.append(node)
+        edges.append((node.asn, primary.asn))
         if node.multi_homed:
             others = [p for p in providers if p.asn != primary.asn]
-            secondary = rng.choice(others)
-            graph.add_edge(next_asn, secondary.asn)
+            edges.append((node.asn, rng.choice(others).asn))
         if node.legacy or node.multi_homed:
             # Swamp space, or punched-out provider space: globally
-            # visible specifics that cannot be aggregated away.
+            # visible specifics that cannot be aggregated away.  A
+            # single-homed modern customer's space sits inside its
+            # provider's block, whose aggregate covers it.
             node.plan.specifics.extend(swamp.allocate_many(n_prefixes))
-        else:
-            # Single-homed modern customer: space inside the provider
-            # block; the provider's aggregate covers it, so it adds no
-            # globally visible prefix of its own.
-            pass
-        next_asn += 1
-
-    return AsGraph(graph)
+    return nodes, edges

@@ -14,12 +14,13 @@ The corpus pins five layers of behavior to committed history:
   generators, with frozen per-flag counts, detection digests, and
   detector state digests (under the shared
   :func:`~repro.verify.streams.detection_topology`);
-- **day scenarios** — each day-family scenario's smoke digest (the
-  plain and cross-exchange days and the adversarial pack) on the
-  single calendar engine, re-run on the parallel driver at 1
-  and 2 workers (all three digests must be identical — asserted at
-  build time, so ``--check`` enforces worker-count invariance), plus
-  its frozen detection counts and digest.
+- **scenarios** — every registered scenario's smoke events and
+  digest, on the calendar and reference engines (equal digests are
+  asserted at build time).  A day-family scenario (the plain and
+  cross-exchange days and the adversarial pack) is re-run on the
+  parallel driver at 1 and 2 workers too (all must agree, so
+  ``--check`` enforces worker-count invariance) and adds its frozen
+  detection counts and digest.
 
 ``python -m repro.verify.golden --write`` regenerates the corpus
 (byte-stable: regeneration from an unchanged tree is a no-op diff);
@@ -48,6 +49,7 @@ from ..sim.adversary import scenario_relationships
 from ..sim.engine import Engine
 from ..sim.scenarios import (
     DAY_SCENARIOS,
+    SCENARIOS,
     day_scenario_config,
     run_exchange_day_records,
     simulate,
@@ -112,32 +114,39 @@ def _detection_case(stream: FuzzStream, topology) -> Dict:
 
 
 def _scenario_case(name: str) -> Dict:
-    """One day-family scenario at the smoke preset: the calendar
-    engine's digest, the parallel driver's at 1 and 2 workers (all
-    three must agree — worker-count invariance is a build-time
-    assertion, so a regression cannot even regenerate the corpus), and
-    the detection tier's verdict on the merged record stream."""
-    config = day_scenario_config(name, smoke=True)
-    events, digest, records = run_exchange_day_records(Engine, config)
-    for workers in (1, 2):
-        parallel = simulate(
-            name, engine="parallel", workers=workers, smoke=True
+    """One registered scenario at the smoke preset: its events and
+    digest, equal on the calendar and reference engines and, for a
+    day-family scenario, on the parallel driver at 1 and 2 workers
+    (build-time assertions, so a regression cannot even regenerate the
+    corpus), plus a day's detection verdict on its merged records."""
+    others = [simulate(name, engine="reference", smoke=True)]
+    if name in DAY_SCENARIOS:
+        config = day_scenario_config(name, smoke=True)
+        events, digest, records = run_exchange_day_records(Engine, config)
+        others += [
+            simulate(name, engine="parallel", workers=workers, smoke=True)
+            for workers in (1, 2)
+        ]
+    else:
+        calendar = simulate(name, smoke=True)
+        events, digest = calendar.events, calendar.digest
+    for other in others:
+        assert (other.events, other.digest) == (events, digest), (
+            f"{name}: {other.engine} workers={other.workers} gives "
+            f"{other.events} events, digest {other.digest}; the calendar "
+            f"engine {events}, {digest}"
         )
-        assert parallel.digest == digest, (
-            f"{name}: parallel workers={workers} digest "
-            f"{parallel.digest} != single-engine {digest}"
+    case = {"scenario": name, "events": events, "digest": digest}
+    if name in DAY_SCENARIOS:
+        detection = detect_records_columnar(
+            records, scenario_relationships(config)
         )
-    detection = detect_records_columnar(
-        records, scenario_relationships(config)
-    )
-    return {
-        "scenario": name,
-        "events": events,
-        "records": len(records),
-        "digest": digest,
-        "detection_counts": detection.counts,
-        "detection_digest": detection.digest(records),
-    }
+        case.update(
+            records=len(records),
+            detection_counts=detection.counts,
+            detection_digest=detection.digest(records),
+        )
+    return case
 
 
 def _stream_case(stream: FuzzStream) -> Dict:
@@ -194,7 +203,7 @@ def build_golden() -> Tuple[Dict, bytes]:
             _detection_case(stream, topology)
             for stream in _detection_streams()
         ],
-        "scenarios": [_scenario_case(name) for name in DAY_SCENARIOS],
+        "scenarios": [_scenario_case(name) for name, _ in SCENARIOS],
         "trace": {
             "file": TRACE_FILE,
             "sha256": hashlib.sha256(trace).hexdigest(),

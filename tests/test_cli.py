@@ -45,15 +45,16 @@ class TestSimulateClassify:
         """``simulate`` archives exactly what the Table 1 scenario's
         route server logged, and ``classify`` reads all of it back."""
         from repro.collector.mrt import read_records
-        from repro.experiments.table1 import simulate_exchange
+        from repro.sim.engine import Engine
+        from repro.sim.studies import stateless_exchange
 
         archive = tmp_path / "exchange.mrt"
         assert main(
             ["simulate", "-o", str(archive), "--hours", "0.1", "--seed", "3"]
         ) == 0
-        logged = simulate_exchange(
-            duration=360.0, prefixes_per_provider=40, seed=3
-        ).sorted_by_time()
+        logged = stateless_exchange(
+            Engine, seed=3, duration=360.0
+        ).sink.sorted_by_time()
         assert logged
         with open(archive, "rb") as stream:
             replayed = list(read_records(stream))

@@ -14,16 +14,14 @@ from repro.experiments.ablations import (
     run_route_server_study,
 )
 from repro.experiments.figure3 import run as run_figure3
-from repro.experiments.pathology import (
-    run_crash_experiment,
-    run_stateless_comparison,
-)
 from repro.experiments.registry import (
     SPECS,
     ExperimentSpec,
     experiment_ids,
     run_experiment,
 )
+from repro.sim.engine import Engine
+from repro.sim.studies import stateless_fix, update_crash
 
 
 class TestRegistry:
@@ -116,11 +114,16 @@ class TestReducedParameterRuns:
         assert result.check("night_high_fraction")
 
     def test_crash_experiment_thresholds(self):
-        assert run_crash_experiment(300.0)
-        assert not run_crash_experiment(20.0)
+        arms = update_crash(Engine, smoke=True)
+        assert arms[300.0].routers["victim"].crash_count > 0
+        assert arms[30.0].routers["victim"].crash_count == 0
 
     def test_stateless_comparison_direction(self):
-        stateless, stateful = run_stateless_comparison(duration=1200.0)
+        arms = stateless_fix(Engine, smoke=True)
+        stateless, stateful = (
+            sum(1 for record in arms[stateless].sink if record.is_withdraw)
+            for stateless in (True, False)
+        )
         assert stateless > 5 * max(1, stateful)
 
     def test_damping_ablation(self):
@@ -130,5 +133,5 @@ class TestReducedParameterRuns:
         assert all(result.all_checks().values()), result.all_checks()
 
     def test_route_server_ablation(self):
-        result = run_route_server_study(n_providers=6)
+        result = run_route_server_study()
         assert all(result.all_checks().values()), result.all_checks()

@@ -15,7 +15,8 @@ from pathlib import Path
 import pytest
 
 from repro.collector import mrt
-from repro.sim.scenarios import DAY_SCENARIOS
+from repro.sim.scenarios import DAY_SCENARIOS, SCENARIOS
+from repro.verify import golden
 from repro.verify.golden import (
     CASES_FILE,
     TRACE_FILE,
@@ -28,11 +29,27 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 @pytest.fixture(scope="session")
-def built_corpus(tmp_path_factory):
-    """One corpus regenerated from the working tree, shared by the
-    tests that read it; a test that doctors it doctors a copy."""
+def built():
+    """One build of the corpus from the working tree: every scenario on
+    both engines makes a build cost seconds, so the tests share it."""
+    return golden.build_golden()
+
+
+@pytest.fixture
+def reuse_build(built, monkeypatch):
+    """``check_golden`` compares against the shared build instead of
+    rebuilding the same tree."""
+    monkeypatch.setattr(golden, "build_golden", lambda: built)
+
+
+@pytest.fixture(scope="session")
+def built_corpus(built, tmp_path_factory):
+    """That build written out, shared by the tests that read it; a
+    test that doctors it doctors a copy."""
     directory = tmp_path_factory.mktemp("golden-built")
-    write_golden(directory)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(golden, "build_golden", lambda: built)
+        write_golden(directory)
     return directory
 
 
@@ -44,7 +61,7 @@ def corpus_copy(built_corpus, tmp_path):
     return tmp_path
 
 
-def test_committed_corpus_verifies():
+def test_committed_corpus_verifies(reuse_build):
     problems = check_golden(GOLDEN_DIR)
     assert problems == []
 
@@ -73,7 +90,7 @@ def test_committed_trace_decodes_to_frozen_classification():
     assert len(decoded) == cases["trace"]["records"]
 
 
-def test_check_flags_a_doctored_corpus(corpus_copy):
+def test_check_flags_a_doctored_corpus(corpus_copy, reuse_build):
     cases_path = corpus_copy / CASES_FILE
     cases = json.loads(cases_path.read_text())
     cases["campaign"]["digest"] = "0" * 64
@@ -82,7 +99,7 @@ def test_check_flags_a_doctored_corpus(corpus_copy):
     assert any("campaign" in problem for problem in problems)
 
 
-def test_check_flags_a_corrupted_trace(corpus_copy):
+def test_check_flags_a_corrupted_trace(corpus_copy, reuse_build):
     trace_path = corpus_copy / TRACE_FILE
     trace_path.write_bytes(trace_path.read_bytes()[:-4])
     problems = check_golden(corpus_copy)
@@ -111,14 +128,16 @@ def test_build_golden_covers_all_sections(built_corpus):
     assert len(payload["streams"]) == 9  # 5 fuzz seeds + 4 adversarial
     # detection adds the 4 detection-tier generators to those 9
     assert len(payload["detection"]) == 13
-    # one per day-family scenario: the plain and cross-exchange days
-    # and the five attack kinds
-    assert len(payload["scenarios"]) == len(DAY_SCENARIOS)
+    # one per registered scenario, each day-family one with detection
+    assert len(payload["scenarios"]) == len(SCENARIOS)
+    assert sum(
+        "detection_counts" in case for case in payload["scenarios"]
+    ) == len(DAY_SCENARIOS)
     # an RFC 6396 BGP4MP_ET (type 17) MESSAGE (subtype 1) frame
     assert struct.unpack_from(">4xHH", trace) == (17, 1)
 
 
-def test_check_flags_a_doctored_detection_case(corpus_copy):
+def test_check_flags_a_doctored_detection_case(corpus_copy, reuse_build):
     cases_path = corpus_copy / CASES_FILE
     cases = json.loads(cases_path.read_text())
     cases["detection"][0]["digest"] = "f" * 64
@@ -127,13 +146,23 @@ def test_check_flags_a_doctored_detection_case(corpus_copy):
     assert any("detection" in problem for problem in problems)
 
 
-def test_check_flags_a_doctored_scenario_case(corpus_copy):
+@pytest.mark.parametrize("name, field", [
+    ("multi_exchange_day", "detection_counts"),
+    ("ablation_damping", "digest"),
+])
+def test_check_flags_a_doctored_scenario_case(
+    corpus_copy, reuse_build, name, field
+):
     cases_path = corpus_copy / CASES_FILE
     cases = json.loads(cases_path.read_text())
-    cases["scenarios"][0]["detection_counts"]["moas_conflict"] = 10**6
+    case = next(c for c in cases["scenarios"] if c["scenario"] == name)
+    if field == "digest":
+        case["digest"] = "0" * 64
+    else:
+        case["detection_counts"]["moas_conflict"] = 10**6
     cases_path.write_text(json.dumps(cases, indent=2, sort_keys=True))
     problems = check_golden(corpus_copy)
-    assert any("scenario" in problem for problem in problems)
+    assert any(f"scenario {name}" in problem for problem in problems)
 
 
 def test_scenario_cases_cover_every_attack_kind():
@@ -141,7 +170,7 @@ def test_scenario_cases_cover_every_attack_kind():
 
     cases = json.loads((GOLDEN_DIR / CASES_FILE).read_text())
     frozen = {case["scenario"] for case in cases["scenarios"]}
-    assert frozen == set(DAY_SCENARIOS)
+    assert frozen == {name for name, _ in SCENARIOS}
     assert set(ATTACK_KINDS) <= frozen
     # every attack's signature flag is non-zero in its frozen counts
     signatures = {

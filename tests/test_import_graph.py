@@ -21,7 +21,6 @@ import pytest
 
 from repro.collector.log import FileLog
 from repro.core.columns import AttributeTable
-from repro.sim.scenarios import simulate
 from repro.verify.golden import CASES_FILE
 from repro.workloads.generator import campaign_generator
 
@@ -159,14 +158,15 @@ FAMILIES = {
     "multi_exchange_day": ("multi_exchange_day", {}),
     "hijack_moas": ("hijack_moas", {}),
     "parallel": ("hijack_moas", {"engine": "parallel", "workers": 2}),
+    "studies": ("stateless_exchange", {}),
 }
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_each_family_imports_what_it_runs(family):
     """A fresh interpreter that imported only the façade runs the
-    family to the digest of the golden corpus (the attack scenarios)
-    or of this process, which has every module loaded already."""
+    family to the events and digest the golden corpus pins for its
+    scenario (on every engine)."""
     scenario, options = FAMILIES[family]
     done = _in_child(
         "import json\n"
@@ -180,12 +180,7 @@ def test_each_family_imports_what_it_runs(family):
         case["scenario"]: [case["events"], case["digest"]]
         for case in json.loads(golden.read_text())["scenarios"]
     }
-    if scenario in frozen:
-        expected = frozen[scenario]
-    else:
-        result = simulate(scenario, smoke=True)
-        expected = [result.events, result.digest]
-    assert json.loads(done.stdout.splitlines()[-1]) == expected
+    assert json.loads(done.stdout.splitlines()[-1]) == frozen[scenario]
 
 
 #: (start-up, timed call) of each entry point; ``{archive}`` is the path

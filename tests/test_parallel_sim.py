@@ -27,6 +27,7 @@ from repro.sim.refengine import ReferenceEngine
 from repro.sim.scenarios import (
     DAY_SCENARIOS,
     SCENARIOS,
+    SEEDLESS,
     day_config,
     run_exchange_day,
     simulate,
@@ -226,12 +227,23 @@ def test_simulate_engines_agree(name):
         assert par.workers == 2 and par.windows > 1
 
 
-def test_simulate_seed_changes_digest():
-    base = simulate("multi_exchange_day", engine="calendar", smoke=True)
-    other = simulate(
-        "multi_exchange_day", engine="calendar", smoke=True, seed=11
-    )
+@pytest.mark.parametrize(
+    "name", [name for name, _ in SCENARIOS if name not in SEEDLESS]
+)
+def test_simulate_seed_changes_digest(name):
+    base = simulate(name, engine="calendar", smoke=True)
+    other = simulate(name, engine="calendar", smoke=True, seed=12345)
     assert base.digest != other.digest
+
+
+@pytest.mark.parametrize("name", sorted(SEEDLESS))
+def test_seedless_family_ignores_seed(name):
+    """A family that declares no draws gives one digest for every
+    seed (the ``seed`` a registered experiment passes it would be
+    dead)."""
+    base = simulate(name, engine="calendar", smoke=True)
+    other = simulate(name, engine="calendar", smoke=True, seed=12345)
+    assert base.digest == other.digest
 
 
 def test_simulate_rejects_bad_arguments():
@@ -260,7 +272,7 @@ def test_canonical_entry_points_do_not_warn():
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         SynchronizationStudy(n=3, seed=1, external_rate=0.0).advance(120.0)
-        FlapStormScenario(n_routers=3, prefixes_per_router=2).storm(
+        FlapStormScenario(Engine(), n_routers=3, prefixes_per_router=2).storm(
             flaps=3, over_seconds=2.0, observe_for=20.0
         )
 

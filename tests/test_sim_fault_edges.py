@@ -23,7 +23,7 @@ from repro.sim.flapstorm import FlapStormScenario
 def small_storm(**overrides):
     settings = dict(n_routers=3, prefixes_per_router=4, hold_time=30.0, seed=3)
     settings.update(overrides)
-    return FlapStormScenario(**settings)
+    return FlapStormScenario(Engine(), **settings)
 
 
 class TestFaultsAtTimeZero:

@@ -182,7 +182,9 @@ class TestSelfSynchronization:
 
 class TestFlapStorm:
     def test_settled_mesh_is_fully_peered(self):
-        scenario = FlapStormScenario(n_routers=4, prefixes_per_router=10)
+        scenario = FlapStormScenario(
+            Engine(), n_routers=4, prefixes_per_router=10
+        )
         scenario.settle()
         established = [
             session.is_established
@@ -196,6 +198,7 @@ class TestFlapStorm:
 
     def test_storm_ignites_with_slow_cpu(self):
         scenario = FlapStormScenario(
+            Engine(),
             n_routers=5,
             prefixes_per_router=40,
             cpu=CpuModel(**self.STORM_CPU),
@@ -211,6 +214,7 @@ class TestFlapStorm:
 
     def test_fast_cpu_absorbs_same_burst(self):
         scenario = FlapStormScenario(
+            Engine(),
             n_routers=5,
             prefixes_per_router=40,
             cpu=CpuModel(per_update=0.001, per_sent_update=0.001,
@@ -229,11 +233,13 @@ class TestFlapStorm:
             seed=1,
         )
         vulnerable = FlapStormScenario(
+            Engine(),
             cpu=CpuModel(**self.STORM_CPU),
             keepalive_priority=False,
             **kwargs,
         )
         protected = FlapStormScenario(
+            Engine(),
             cpu=CpuModel(**self.STORM_CPU),
             keepalive_priority=True,
             **kwargs,

@@ -109,10 +109,12 @@ class TestRouteServerSessionLog:
         """The flap-storm scenario's cascade shows up as a detected
         storm in a route-server-style session log built from the
         routers' FSM histories."""
+        from repro.sim.engine import Engine
         from repro.sim.flapstorm import FlapStormScenario
         from repro.sim.router import CpuModel
 
         scenario = FlapStormScenario(
+            Engine(),
             n_routers=5, prefixes_per_router=40,
             cpu=CpuModel(per_update=0.1, per_sent_update=0.05,
                          per_dump_route=0.05),

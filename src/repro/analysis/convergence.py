@@ -17,7 +17,7 @@ Two tools:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional
 
 from ..collector.record import UpdateRecord
 from ..net.prefix import Prefix

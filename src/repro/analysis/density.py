@@ -11,7 +11,7 @@ contrast, the 10am maintenance line, incident days).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
 

@@ -59,7 +59,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..collector.record import UpdateKind, UpdateRecord
-from ..core.columns import NO_ATTR, AttributeTable, ColumnClassifier, RecordColumns
+from ..core.columns import AttributeTable, ColumnClassifier, RecordColumns
 from ..core.taxonomy import INSTABILITY_CATEGORIES, UpdateCategory
 from ..topology.relationships import AsRelationships
 

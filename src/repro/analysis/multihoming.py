@@ -13,7 +13,6 @@ Two entry points:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
 
 from ..bgp.rib import LocRib
 from ..topology.multihoming import MultihomingSeries

@@ -15,9 +15,8 @@ variances against those of white-noise surrogates.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 

@@ -21,7 +21,7 @@ detects and characterizes storms:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Sequence, Set
+from typing import Iterable, List, Set
 
 from ..collector.record import SessionEvent
 

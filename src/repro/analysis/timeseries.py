@@ -11,13 +11,12 @@ filtering."
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..collector.record import UpdateRecord
-from ..collector.store import SECONDS_PER_DAY
 
 __all__ = [
     "bin_records",

@@ -30,10 +30,9 @@ simulated router CPU beyond the modelled policy cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
-from .attributes import AsPath
 
 __all__ = ["AsPathRegexError", "AsPathRegex", "compile_regex"]
 

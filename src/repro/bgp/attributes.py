@@ -25,6 +25,7 @@ __all__ = [
     "PathAttributes",
     "WELL_KNOWN_COMMUNITIES",
     "attribute_tuple",
+    "bundle_attributes",
     "interned",
 ]
 
@@ -185,6 +186,13 @@ def attribute_tuple(attrs: PathAttributes) -> tuple:
     return (attrs.next_hop, tuple(attrs.as_path), int(attrs.origin),
             attrs.med, attrs.local_pref, tuple(sorted(attrs.communities)),
             attrs.atomic_aggregate, attrs.aggregator)
+
+
+def bundle_attributes(bundle: tuple) -> PathAttributes:
+    """The bundle whose :func:`attribute_tuple` is ``bundle``."""
+    hop, path, origin, med, pref, comms, atomic, aggregator = bundle
+    return PathAttributes(AsPath(path), hop, Origin(origin), med, pref,
+                          frozenset(comms), atomic, aggregator)
 
 
 #: Cap on the interning pool; cleared wholesale when hit so pathological

@@ -19,7 +19,7 @@ import struct
 from typing import List, Tuple
 
 from ..net.prefix import Prefix
-from .attributes import AsPath, Origin, PathAttributes, interned
+from .attributes import Origin, PathAttributes, bundle_attributes, interned
 from .messages import (
     KeepAliveMessage,
     MessageType,
@@ -33,6 +33,8 @@ __all__ = [
     "WireError",
     "encode_message",
     "decode_message",
+    "decode_update",
+    "update_message",
     "encode_message_cached",
     "decode_message_cached",
     "HEADER_SIZE",
@@ -74,25 +76,6 @@ def _encode_nlri(prefix: Prefix) -> bytes:
     nbytes = (prefix.length + 7) // 8
     addr = struct.pack(">I", prefix.network)[:nbytes]
     return bytes([prefix.length]) + addr
-
-
-def _decode_nlri(data: bytes, offset: int) -> Tuple[Prefix, int]:
-    """Decode one prefix at ``offset``; returns (prefix, next offset)."""
-    if offset >= len(data):
-        raise WireError("truncated NLRI")
-    length = data[offset]
-    if length > 32:
-        raise WireError(f"NLRI length {length} > 32")
-    nbytes = (length + 7) // 8
-    end = offset + 1 + nbytes
-    if end > len(data):
-        raise WireError("truncated NLRI address bytes")
-    addr_bytes = data[offset + 1:end] + b"\x00" * (4 - nbytes)
-    network = struct.unpack(">I", addr_bytes)[0]
-    mask = (0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF if length else 0
-    if network & ~mask:
-        raise WireError("NLRI host bits set")
-    return Prefix(network, length), end
 
 
 # ---------------------------------------------------------------------------
@@ -172,53 +155,115 @@ def _encode_attributes(attrs: PathAttributes) -> bytes:
     return b"".join(chunks)
 
 
-def _decode_attributes(data: bytes) -> PathAttributes:
-    offset = 0
-    origin = Origin.IGP
-    as_path = AsPath()
+# ---------------------------------------------------------------------------
+# UPDATE decoding: one tuple-level core
+# ---------------------------------------------------------------------------
+#
+# An UPDATE decodes to plain tuples: its withdrawn and announced
+# prefixes as ``(network, length)`` pairs and its attribute bundle as
+# the :func:`~repro.bgp.attributes.attribute_tuple` it stands for.
+# :func:`decode_message` builds its objects from them; the archive
+# reader interns the bundle and packs the pairs as they are.
+
+_U16 = struct.Struct(">H")
+_U32 = struct.Struct(">I")
+_AGGREGATOR = struct.Struct(">HI")
+
+#: The bundle of an UPDATE without path attributes (``PathAttributes()``).
+_NO_ATTRIBUTES = (0, (), int(Origin.IGP), None, None, (), False, None)
+
+
+def _decode_prefixes(
+    data: bytes, offset: int, stop: int
+) -> Tuple[List[Tuple[int, int]], int]:
+    """The NLRI from ``offset`` while it is below ``stop``, as
+    ``(network, length)`` pairs; returns (pairs, next offset), which
+    may overrun ``stop`` but never ``data``."""
+    end = len(data)
+    pairs = []
+    while offset < stop:
+        length = data[offset]
+        if length > 32:
+            raise WireError(f"NLRI length {length} > 32")
+        start = offset + 1
+        offset = start + ((length + 7) >> 3)
+        if offset > end:
+            raise WireError("truncated NLRI address bytes")
+        network = int.from_bytes(data[start:offset], "big") << (
+            32 - 8 * (offset - start)
+        )
+        if network & (0xFFFFFFFF >> length):
+            raise WireError("NLRI host bits set")
+        pairs.append((network, length))
+    return pairs, offset
+
+
+def _decode_as_path(data: bytes, offset: int, end: int) -> tuple:
+    asns: tuple = ()
+    while offset < end:
+        if offset + 2 > end:
+            raise WireError("truncated AS_PATH segment header")
+        seg_type, count = data[offset], data[offset + 1]
+        offset += 2
+        if seg_type != _AS_SEQUENCE:
+            raise WireError(f"unsupported AS_PATH segment type {seg_type}")
+        stop = offset + 2 * count
+        if stop > end:
+            raise WireError("truncated AS_PATH segment")
+        asns += struct.unpack_from(f">{count}H", data, offset)
+        offset = stop
+    if 0 in asns:  # RFC 7607: AS 0 in an AS_PATH is malformed
+        raise WireError("AS_PATH holds AS 0")
+    return asns
+
+
+def _decode_attributes(data: bytes, offset: int, end: int) -> tuple:
+    """The bundle of the path attributes in ``data[offset:end]``."""
+    origin = int(Origin.IGP)
+    as_path: tuple = ()
     next_hop = 0
     med = None
     local_pref = None
     atomic = False
     aggregator = None
-    communities: frozenset = frozenset()
-    while offset < len(data):
-        if offset + 2 > len(data):
+    communities: tuple = ()
+    while offset < end:
+        if offset + 2 > end:
             raise WireError("truncated attribute header")
         flags, type_code = data[offset], data[offset + 1]
         offset += 2
         if flags & _FLAG_EXTENDED_LENGTH:
-            if offset + 2 > len(data):
+            if offset + 2 > end:
                 raise WireError("truncated extended length")
-            (length,) = struct.unpack_from(">H", data, offset)
+            (length,) = _U16.unpack_from(data, offset)
             offset += 2
         else:
-            if offset + 1 > len(data):
+            if offset + 1 > end:
                 raise WireError("truncated attribute length")
             length = data[offset]
             offset += 1
-        value = data[offset:offset + length]
-        if len(value) != length:
-            raise WireError("truncated attribute value")
+        start = offset
         offset += length
+        if offset > end:
+            raise WireError("truncated attribute value")
         if type_code == _ATTR_ORIGIN:
-            if length != 1 or value[0] > 2:
+            if length != 1 or data[start] > 2:
                 raise WireError("bad ORIGIN")
-            origin = Origin(value[0])
+            origin = data[start]
         elif type_code == _ATTR_AS_PATH:
-            as_path = _decode_as_path(value)
+            as_path = _decode_as_path(data, start, offset)
         elif type_code == _ATTR_NEXT_HOP:
             if length != 4:
                 raise WireError("bad NEXT_HOP length")
-            (next_hop,) = struct.unpack(">I", value)
+            (next_hop,) = _U32.unpack_from(data, start)
         elif type_code == _ATTR_MED:
             if length != 4:
                 raise WireError("bad MED length")
-            (med,) = struct.unpack(">I", value)
+            (med,) = _U32.unpack_from(data, start)
         elif type_code == _ATTR_LOCAL_PREF:
             if length != 4:
                 raise WireError("bad LOCAL_PREF length")
-            (local_pref,) = struct.unpack(">I", value)
+            (local_pref,) = _U32.unpack_from(data, start)
         elif type_code == _ATTR_ATOMIC_AGGREGATE:
             if length:
                 raise WireError("ATOMIC_AGGREGATE carries no data")
@@ -226,49 +271,49 @@ def _decode_attributes(data: bytes) -> PathAttributes:
         elif type_code == _ATTR_AGGREGATOR:
             if length != 6:
                 raise WireError("bad AGGREGATOR length")
-            aggregator = struct.unpack(">HI", value)
+            aggregator = _AGGREGATOR.unpack_from(data, start)
         elif type_code == _ATTR_COMMUNITIES:
             if length % 4:
                 raise WireError("bad COMMUNITIES length")
-            communities = frozenset(
-                struct.unpack(">I", value[i:i + 4])[0]
-                for i in range(0, length, 4)
-            )
+            communities = tuple(sorted(set(
+                struct.unpack_from(f">{length >> 2}I", data, start)
+            )))
         else:
             raise WireError(f"unsupported attribute type {type_code}")
-    return interned(
-        PathAttributes(
-            as_path=as_path,
-            next_hop=next_hop,
-            origin=origin,
-            med=med,
-            local_pref=local_pref,
-            communities=communities,
-            atomic_aggregate=atomic,
-            aggregator=aggregator,
-        )
+    return (next_hop, as_path, origin, med, local_pref, communities,
+            atomic, aggregator)
+
+
+def _decode_update(body: bytes) -> tuple:
+    """``(withdrawn, announced, bundle)`` of an UPDATE body: the one
+    UPDATE decoder, and every check a received UPDATE meets."""
+    if len(body) < 4:
+        raise WireError("truncated UPDATE")
+    withdrawn_end = 2 + _U16.unpack_from(body, 0)[0]
+    if withdrawn_end + 2 > len(body):
+        raise WireError("UPDATE withdrawn length overruns message")
+    withdrawn, offset = _decode_prefixes(body, 2, withdrawn_end)
+    if offset != withdrawn_end:
+        raise WireError("withdrawn routes length mismatch")
+    attrs_end = offset + 2 + _U16.unpack_from(body, offset)[0]
+    if attrs_end > len(body):
+        raise WireError("UPDATE attribute length overruns message")
+    bundle = (
+        _decode_attributes(body, offset + 2, attrs_end)
+        if attrs_end > offset + 2
+        else _NO_ATTRIBUTES
     )
+    announced, _ = _decode_prefixes(body, attrs_end, len(body))
+    return withdrawn, announced, bundle
 
 
-def _decode_as_path(value: bytes) -> AsPath:
-    asns: List[int] = []
-    offset = 0
-    while offset < len(value):
-        if offset + 2 > len(value):
-            raise WireError("truncated AS_PATH segment header")
-        seg_type, count = value[offset], value[offset + 1]
-        offset += 2
-        if seg_type != _AS_SEQUENCE:
-            raise WireError(f"unsupported AS_PATH segment type {seg_type}")
-        end = offset + 2 * count
-        if end > len(value):
-            raise WireError("truncated AS_PATH segment")
-        asns.extend(
-            struct.unpack(">H", value[i:i + 2])[0]
-            for i in range(offset, end, 2)
-        )
-        offset = end
-    return AsPath(asns)
+def update_message(withdrawn, announced, bundle) -> UpdateMessage:
+    """The :class:`UpdateMessage` of :func:`decode_update`'s parts."""
+    return UpdateMessage(
+        withdrawn=tuple(Prefix(*pair) for pair in withdrawn),
+        announced=tuple(Prefix(*pair) for pair in announced),
+        attributes=interned(bundle_attributes(bundle)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -321,42 +366,6 @@ def _encode_update(msg: UpdateMessage) -> bytes:
     )
 
 
-def _decode_update(body: bytes) -> UpdateMessage:
-    if len(body) < 4:
-        raise WireError("truncated UPDATE")
-    (withdrawn_len,) = struct.unpack_from(">H", body, 0)
-    offset = 2
-    withdrawn_end = offset + withdrawn_len
-    if withdrawn_end + 2 > len(body):
-        raise WireError("UPDATE withdrawn length overruns message")
-    withdrawn: List[Prefix] = []
-    while offset < withdrawn_end:
-        prefix, offset = _decode_nlri(body, offset)
-        withdrawn.append(prefix)
-    if offset != withdrawn_end:
-        raise WireError("withdrawn routes length mismatch")
-    (attrs_len,) = struct.unpack_from(">H", body, offset)
-    offset += 2
-    attrs_end = offset + attrs_len
-    if attrs_end > len(body):
-        raise WireError("UPDATE attribute length overruns message")
-    attributes = (
-        _decode_attributes(body[offset:attrs_end])
-        if attrs_len
-        else PathAttributes()
-    )
-    offset = attrs_end
-    announced: List[Prefix] = []
-    while offset < len(body):
-        prefix, offset = _decode_nlri(body, offset)
-        announced.append(prefix)
-    return UpdateMessage(
-        withdrawn=tuple(withdrawn),
-        announced=tuple(announced),
-        attributes=attributes,
-    )
-
-
 def _encode_notification(msg: NotificationMessage) -> bytes:
     return bytes([int(msg.code), msg.subcode]) + msg.data
 
@@ -394,12 +403,8 @@ def encode_message(message) -> bytes:
     return header + body
 
 
-def decode_message(data: bytes):
-    """Decode one wire message; returns ``(message, bytes_consumed)``.
-
-    Raises :class:`WireError` on malformed input.  ``data`` may contain
-    trailing bytes (the start of the next message on the stream).
-    """
+def _header(data: bytes) -> Tuple[int, int]:
+    """The length and type code of the message ``data`` starts with."""
     if len(data) < HEADER_SIZE:
         raise WireError("truncated header")
     if data[:16] != _MARKER:
@@ -409,11 +414,21 @@ def decode_message(data: bytes):
         raise WireError(f"bad message length {total}")
     if len(data) < total:
         raise WireError("truncated message body")
+    return total, type_code
+
+
+def decode_message(data: bytes):
+    """Decode one wire message; returns ``(message, bytes_consumed)``.
+
+    Raises :class:`WireError` on malformed input.  ``data`` may contain
+    trailing bytes (the start of the next message on the stream).
+    """
+    total, type_code = _header(data)
     body = data[HEADER_SIZE:total]
     if type_code == MessageType.OPEN:
         return _decode_open(body), total
     if type_code == MessageType.UPDATE:
-        return _decode_update(body), total
+        return update_message(*_decode_update(body)), total
     if type_code == MessageType.KEEPALIVE:
         if body:
             raise WireError("KEEPALIVE carries no body")
@@ -421,6 +436,23 @@ def decode_message(data: bytes):
     if type_code == MessageType.NOTIFICATION:
         return _decode_notification(body), total
     raise WireError(f"unknown message type {type_code}")
+
+
+def decode_update(data: bytes):
+    """Decode one wire message to plain tuples; returns ``(parts,
+    bytes_consumed)``.
+
+    For an UPDATE, ``parts`` is ``(withdrawn, announced, bundle)``: the
+    prefixes as lists of ``(network, length)`` pairs and the attribute
+    bundle as its :func:`~repro.bgp.attributes.attribute_tuple`; no
+    object is built.  Any other message is decoded and checked as
+    :func:`decode_message` does, and ``parts`` is ``None``.  Raises
+    :class:`WireError` exactly where :func:`decode_message` does.
+    """
+    total, type_code = _header(data)
+    if type_code != MessageType.UPDATE:
+        return None, decode_message(data)[1]
+    return _decode_update(data[HEADER_SIZE:total]), total
 
 
 # ---------------------------------------------------------------------------

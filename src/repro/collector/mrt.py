@@ -45,7 +45,12 @@ from typing import (
 )
 
 from ..bgp.messages import UpdateMessage
-from ..bgp.wire import WireError, decode_message, encode_message
+from ..bgp.wire import (
+    WireError,
+    decode_update,
+    encode_message,
+    update_message,
+)
 from ..net.prefix import Prefix
 from .record import SessionEvent, UpdateKind, UpdateRecord, update_rows
 
@@ -301,16 +306,22 @@ class PayloadMemo(dict):
         return row
 
 
+def _update_parts(payload: bytes) -> tuple:
+    """The :func:`~repro.bgp.wire.decode_update` parts of a payload
+    that must be exactly one BGP UPDATE."""
+    try:
+        parts, consumed = decode_update(payload)
+    except WireError as exc:
+        raise MrtError(f"bad BGP payload: {exc}") from exc
+    if consumed != len(payload) or parts is None:
+        raise MrtError("record payload is not a single BGP UPDATE")
+    return parts
+
+
 def _update_rows(payload: bytes) -> tuple:
     """The :func:`update_rows` of a payload that must be exactly one
     BGP UPDATE."""
-    try:
-        message, consumed = decode_message(payload)
-    except WireError as exc:
-        raise MrtError(f"bad BGP payload: {exc}") from exc
-    if consumed != len(payload) or not isinstance(message, UpdateMessage):
-        raise MrtError("record payload is not a single BGP UPDATE")
-    return update_rows(message)
+    return update_rows(update_message(*_update_parts(payload)))
 
 
 def _state_pair(payload: bytes) -> Tuple[str, str]:
@@ -393,6 +404,7 @@ def _scan_frames(
     read = stream.read
     length_of = _LENGTH.unpack_from
     lookup = memo.__getitem__
+    common, ahead = _COMMON_SIZE, _FRAME_SIZE
     carry = b""
     while True:
         block = read(_BLOCK_BYTES)
@@ -400,20 +412,20 @@ def _scan_frames(
         end = len(buffer)
         offsets: List[int] = []
         rows: list = []
+        add_offset, add_row = offsets.append, rows.append
         misses = 0
         position = 0
-        last = end - _COMMON_SIZE  # the last offset a header fits at
+        last = end - common  # the last offset a header fits at
         while position <= last:
-            stop = position + _COMMON_SIZE + length_of(buffer, position)[0]
+            stop = position + common + length_of(buffer, position)[0]
             if stop > end:
                 break
             try:
-                row = lookup(buffer[position + _FRAME_SIZE:stop])
+                add_row(lookup(buffer[position + ahead:stop]))
             except MrtError:  # type 16, or a fault: settled below
-                row = None
+                add_row(None)
                 misses += 1
-            rows.append(row)
-            offsets.append(position)
+            add_offset(position)
             position = stop
         if position <= last and length_of(buffer, position)[0] > _MAX_BODY:
             offsets.append(position)  # fails the check; never carried
@@ -516,24 +528,26 @@ def read_column_batches(
     if batch_size <= 0:
         raise ValueError(f"batch_size must be positive, got {batch_size}")
     table = attrs if attrs is not None else AttributeTable()
-    intern = table.intern
+    intern_tuple = table.intern_tuple
     no_attr = int(NO_ATTR)
+    withdraw = int(UpdateKind.WITHDRAW)
+    announce = int(UpdateKind.ANNOUNCE)
     pack = _ROW_TAIL.pack
     tail_dtype = np.dtype(_ROW_TAIL_FIELDS)
 
     several = False  # has any payload so far held other than one prefix?
 
-    def tail_of(prefix: Prefix, kind: int, attributes) -> bytes:
-        attr_id = no_attr if attributes is None else intern(attributes)
-        return pack(prefix.network, prefix.length, kind, attr_id)
-
     def row_of(payload: bytes) -> bytes:
         nonlocal several
-        rows = _update_rows(payload)
-        if len(rows) == 1:
-            return tail_of(*rows[0])
-        several = True
-        return b"".join([tail_of(*row) for row in rows])
+        withdrawn, announced, bundle = _update_parts(payload)
+        tails = [pack(net, plen, withdraw, no_attr) for net, plen in withdrawn]
+        if announced:
+            attr_id = intern_tuple(bundle)
+            tails += [pack(net, plen, announce, attr_id)
+                      for net, plen in announced]
+        if len(tails) != 1:
+            several = True
+        return b"".join(tails)
 
     pending: List[Any] = []
     count = 0

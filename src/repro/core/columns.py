@@ -41,7 +41,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..bgp.attributes import AsPath, Origin, PathAttributes, attribute_tuple
+from ..bgp.attributes import PathAttributes, attribute_tuple, bundle_attributes
 from ..collector.record import UpdateKind, UpdateRecord
 from ..net.prefix import Prefix
 from .routestate import route_state_digest
@@ -162,10 +162,8 @@ class AttributeTable:
     def __getitem__(self, attr_id: int) -> PathAttributes:
         attrs = self._attrs[attr_id]
         if attrs is None:
-            hop, path, origin, med, pref, comms, *rest = self._tuples[attr_id]
-            attrs = self._attrs[attr_id] = PathAttributes(
-                AsPath(path), hop, Origin(origin), med, pref, frozenset(comms),
-                *rest,
+            attrs = self._attrs[attr_id] = bundle_attributes(
+                self._tuples[attr_id]
             )
         return attrs
 

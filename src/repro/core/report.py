@@ -10,7 +10,7 @@ generated from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 __all__ = ["Table", "Series", "ExperimentResult", "format_number"]
 

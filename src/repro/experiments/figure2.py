@@ -13,7 +13,7 @@ generator and reports monthly per-category totals (the aggregate tier
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from ..core.report import ExperimentResult, Series, Table
 from ..core.taxonomy import UpdateCategory

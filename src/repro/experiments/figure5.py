@@ -15,8 +15,6 @@ all three estimators.
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 from ..analysis.mem import mem_psd

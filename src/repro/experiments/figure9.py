@@ -22,7 +22,7 @@ import numpy as np
 
 from ..analysis.affected import DayAffected, affected_series_stats
 from ..core.report import ExperimentResult, Series, Table
-from ..core.taxonomy import INSTABILITY_CATEGORIES, UpdateCategory
+from ..core.taxonomy import INSTABILITY_CATEGORIES
 from ..workloads.generator import TraceGenerator
 from ..workloads.incidents import default_campaign_schedule
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from .prefix import MAX_PREFIX_LENGTH, Prefix
 
@@ -90,22 +90,34 @@ class SwampAllocator:
 
     def __init__(self, rng: Optional[random.Random] = None) -> None:
         self._rng = rng or random.Random(0)
-        self._free: List[int] = []
         self._block_iter = iter(self.SWAMP_BLOCKS)
-
-    def _refill(self) -> None:
-        block = next(self._block_iter, None)
-        if block is None:
-            raise AddressExhausted("swamp space exhausted")
-        networks = [p.network for p in block.subnets(24)]
-        self._rng.shuffle(networks)
-        self._free.extend(networks)
+        self._base = 0  # the current block's network
+        self._left = 0  # its /24s not yet handed out
+        #: Where the shuffle moved a /24: index in the block → network.
+        self._moved: Dict[int, int] = {}
 
     def allocate(self) -> Prefix:
-        """Allocate one scattered /24."""
-        if not self._free:
-            self._refill()
-        return Prefix(self._free.pop(), 24)
+        """Allocate one scattered /24.
+
+        Each call is one step of a Fisher–Yates shuffle of the current
+        block, run lazily from its top: the order ``random.shuffle``
+        would give the block's /24s, popped from the end, without
+        building the 65 536 of them up front.
+        """
+        if not self._left:
+            block = next(self._block_iter, None)
+            if block is None:
+                raise AddressExhausted("swamp space exhausted")
+            self._base = block.network
+            self._left = 1 << (24 - block.length)
+        self._left -= 1
+        i = self._left
+        moved = self._moved
+        top = moved.pop(i, self._base + (i << 8))
+        j = self._rng.randrange(i + 1) if i else i
+        if j != i:
+            top, moved[j] = moved.get(j, self._base + (j << 8)), top
+        return Prefix(top, 24)
 
     def allocate_many(self, count: int) -> List[Prefix]:
         """Allocate ``count`` scattered /24s."""

@@ -21,7 +21,7 @@ use (accumulate route changes, flush on expiry).
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Optional, Set
 
 from .engine import Engine, EventHandle
 

@@ -26,8 +26,8 @@ instability.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from ..net.prefix import Prefix
 from .engine import Engine

@@ -25,11 +25,10 @@ a flap-intensity function.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from ..collector.store import SECONDS_PER_DAY, SECONDS_PER_HOUR, SECONDS_PER_WEEK
+from ..collector.store import SECONDS_PER_DAY, SECONDS_PER_HOUR
 
 __all__ = ["DiurnalModel", "hour_of_day", "day_of_week"]
 

@@ -13,10 +13,8 @@ diurnal model.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
-
-from ..collector.store import SECONDS_PER_DAY
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Set
 
 __all__ = ["Incident", "IncidentSchedule", "default_campaign_schedule"]
 

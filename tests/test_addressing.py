@@ -84,6 +84,21 @@ class TestSwampAllocator:
         # its /23 sibling among them.
         assert len({p.network >> 9 for p in got}) > 0.9 * len(got)
 
+    def test_pops_follow_random_shuffle_across_a_block(self):
+        """The lazy shuffle hands out what shuffling each whole block
+        with the same RNG and popping from its end hands out — through
+        the draw-free last /24 of a block and into the next block."""
+        count = 65536 + 40
+        rng = random.Random(17)
+        free, blocks, want = [], iter(SwampAllocator.SWAMP_BLOCKS), []
+        for _ in range(count):
+            if not free:
+                free = [p.network for p in next(blocks).subnets(24)]
+                rng.shuffle(free)
+            want.append(Prefix(free.pop(), 24))
+        got = SwampAllocator(random.Random(17)).allocate_many(count)
+        assert got == want
+
 
 class TestAddressPlan:
     def test_announced_union_sorted_unique(self):

@@ -2,7 +2,6 @@
 (Fig 3), contribution (Fig 6), distribution (Fig 7), affected (Fig 9),
 multihoming (Fig 10)."""
 
-import numpy as np
 import pytest
 
 from repro.analysis.affected import DayAffected, affected_series_stats
@@ -170,7 +169,6 @@ class TestDensity:
 class TestContribution:
     def _daily(self):
         daily = {}
-        rng_shift = 0
         for day in range(5):
             records = []
             base = day * 86400.0

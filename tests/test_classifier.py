@@ -7,7 +7,6 @@ exhaustive about sequence semantics.  Every sequence goes through
 oracle.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -1,8 +1,5 @@
 """Tests for the command-line interface."""
 
-import io
-import sys
-
 import pytest
 
 from repro.__main__ import main

@@ -107,6 +107,14 @@ def _archive(records) -> bytes:
 
 _WITHDRAW_ONE = encode_message(UpdateMessage(withdrawn=(P("10.0.0.0/8"),)))
 
+#: An announcement whose AS_SEQUENCE holds AS 0 (malformed, RFC 7607).
+_AS0_UPDATE = encode_message(
+    UpdateMessage(
+        announced=(P("10.0.0.0/8"),),
+        attributes=PathAttributes(as_path=AsPath((7, 3561))),
+    )
+).replace(bytes([2, 2, 0, 7]), bytes([2, 2, 0, 0]))
+
 #: A real archive the way collectors publish them: bzip2-compressed.
 _COMPRESSED = bz2.compress(_archive([announce(time=1.5), withdraw()]))
 
@@ -334,6 +342,10 @@ MALFORMED_ARCHIVES = {
         _frame(b"\x00" * len(_WITHDRAW_ONE)),
         "bad BGP payload: ",
     ),
+    "AS 0 in an AS_PATH": (
+        _frame(_AS0_UPDATE),
+        "bad BGP payload: AS_PATH holds AS 0",
+    ),
     "non-UPDATE payload": (
         _frame(encode_message(KeepAliveMessage())),
         "record payload is not a single BGP UPDATE",
@@ -447,6 +459,17 @@ def test_bad_payload_after_its_good_twin_is_memoized(reader):
 
 
 @_BOTH_READERS
+def test_as0_path_raises_after_the_frames_ahead_of_it(reader):
+    """AS 0 in an AS_PATH is a payload fault like any other: the frames
+    ahead of it come out, then ``MrtError`` — not a bare ValueError."""
+    data = _frame(_WITHDRAW_ONE) * 2 + _frame(_AS0_UPDATE)
+    assert _records_until_error(reader, data) == (
+        [withdraw(time=1.0)] * 2, "bad BGP payload: AS_PATH holds AS 0"
+    )
+    assert _reference_read(data) == _records_until_error(reader, data)
+
+
+@_BOTH_READERS
 def test_truncation_at_every_byte_offset(reader):
     """Cut a small archive at each offset: the whole frames before the
     cut come out, then ``MrtError`` names the half-frame — whether the
@@ -557,6 +580,45 @@ def test_damage_meets_the_reference_ladder(reader, block, monkeypatch):
         assert _records_until_error(reader, data) == expected
         faults.add((expected[1] or "").split(" ")[0])
     assert len(faults) >= 4  # the damage reached several rungs
+
+
+@pytest.mark.parametrize("block", (33, 4096))
+@_BOTH_READERS
+def test_all_distinct_payloads_meet_the_reference(reader, block, monkeypatch):
+    """An archive in which no two payloads repeat (a distinct MED,
+    prefix or path per frame), so every frame misses the memo and is
+    decoded: each reader yields exactly the frame-by-frame reading."""
+    monkeypatch.setattr(mrt, "_BLOCK_BYTES", block)
+    rng = random.Random(block)
+    payloads, frames = set(), []
+    for i in range(300):
+        prefix = Prefix((10 << 24) | (i << 8), 24)
+        if i % 5 == 0:
+            message = UpdateMessage(withdrawn=(prefix,))
+        else:
+            message = UpdateMessage(
+                withdrawn=(P("192.0.2.0/24"),) * (i % 3 == 0),
+                announced=(prefix,) + (P("198.51.100.0/24"),) * (i % 4 == 0),
+                attributes=PathAttributes(
+                    as_path=AsPath(rng.sample(range(1, 65536), i % 4 + 1)),
+                    next_hop=rng.randrange(1 << 32),
+                    med=i,
+                    local_pref=rng.choice((None, 100, 200)),
+                    communities=frozenset(rng.sample(range(1 << 32), i % 3)),
+                    atomic_aggregate=i % 7 == 0,
+                    aggregator=(701, i) if i % 11 == 0 else None,
+                ),
+            )
+        payloads.add(encode_message(message))
+        frames.append(_frame(
+            encode_message(message), mrt_type=rng.choice((16, 17)),
+            seconds=i, microseconds=rng.randrange(10**6),
+        ))
+    assert len(payloads) == len(frames)
+    data = b"".join(frames)
+    expected = _reference_read(data)
+    assert expected[1] is None and len(expected[0]) > 300
+    assert _records_until_error(reader, data) == expected
 
 
 @pytest.mark.parametrize("batch_size", (0, -5))

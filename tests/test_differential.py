@@ -26,11 +26,7 @@ from repro.verify.differential import (
     stream_digest,
 )
 from repro.verify.reference import reference_classify
-from repro.verify.streams import (
-    ADVERSARIAL_GENERATORS,
-    FuzzStream,
-    fuzz_stream,
-)
+from repro.verify.streams import ADVERSARIAL_GENERATORS, fuzz_stream
 
 
 def assert_ok(report):

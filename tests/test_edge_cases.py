@@ -2,7 +2,6 @@
 
 import re
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -4,12 +4,11 @@ hold regardless of inputs."""
 import random
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.bgp.attributes import AsPath, PathAttributes
 from repro.bgp.rib import LocRib, Route, best_route
-from repro.collector.record import UpdateKind, UpdateRecord
 from repro.net.prefix import Prefix
 from repro.sim.engine import Engine
 from repro.workloads.generator import PeerPopulation, TraceGenerator
@@ -219,8 +218,6 @@ class TestGeneratorInvariants:
 # ---------------------------------------------------------------------------
 # end-to-end eventual consistency
 # ---------------------------------------------------------------------------
-
-from hypothesis import HealthCheck
 
 flap_sequences = st.lists(
     st.tuples(

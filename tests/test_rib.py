@@ -1,7 +1,5 @@
 """Unit tests for the RIBs and decision process."""
 
-import pytest
-
 from repro.bgp.attributes import (
     AsPath,
     Origin,

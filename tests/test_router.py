@@ -1,8 +1,6 @@
 """Integration tests for the router model: propagation, statefulness,
 pathology genesis, CPU coupling, and crashes."""
 
-import random
-
 import pytest
 
 from repro.bgp.attributes import AsPath, PathAttributes
@@ -10,7 +8,6 @@ from repro.collector.record import MemoryLog
 from repro.core.taxonomy import UpdateCategory
 from repro.net.prefix import Prefix
 from repro.sim.engine import Engine
-from repro.sim.link import Link
 from repro.sim.refengine import ReferenceEngine
 from repro.sim.router import CpuModel, RouteCache, Router, connect
 from repro.sim.routeserver import RouteServer

@@ -6,7 +6,6 @@ paper's §4.1 definitions — every category, the policy-fluctuation
 flag, the Figure 8 bin edges, and the aggregations.
 """
 
-import pytest
 
 from repro.bgp.attributes import AsPath, PathAttributes
 from repro.collector.record import UpdateKind, UpdateRecord

@@ -1,10 +1,17 @@
 """Unit and property tests for the BGP wire codec."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bgp.attributes import AsPath, Origin, PathAttributes
+from repro.bgp.attributes import (
+    AsPath,
+    Origin,
+    PathAttributes,
+    attribute_tuple,
+)
 from repro.bgp.messages import (
     KeepAliveMessage,
     NotificationCode,
@@ -12,7 +19,14 @@ from repro.bgp.messages import (
     OpenMessage,
     UpdateMessage,
 )
-from repro.bgp.wire import HEADER_SIZE, WireError, decode_message, encode_message
+from repro.bgp.wire import (
+    HEADER_SIZE,
+    WireError,
+    decode_message,
+    decode_update,
+    encode_message,
+)
+from repro.collector.record import UpdateKind, update_rows
 from repro.net.prefix import Prefix
 
 from .test_prefix import prefixes
@@ -133,6 +147,22 @@ class TestUpdate:
             decode_message(bytes(data))
 
 
+    def test_rejects_as_zero_in_as_path(self):
+        """RFC 7607: AS 0 in an AS_PATH makes the UPDATE malformed — a
+        WireError, not the ValueError ``AsPath`` raises."""
+        data = encode_message(
+            UpdateMessage(
+                announced=(Prefix.parse("10.0.0.0/8"),),
+                attributes=PathAttributes(as_path=AsPath((7, 3561))),
+            )
+        )
+        bad = data.replace(bytes([2, 2, 0, 7]), bytes([2, 2, 0, 0]))
+        assert bad != data
+        for decode in (decode_message, decode_update):
+            with pytest.raises(WireError, match="AS_PATH holds AS 0"):
+                decode(bad)
+
+
 class TestFraming:
     def test_bad_marker(self):
         data = bytearray(encode_message(KeepAliveMessage()))
@@ -215,3 +245,98 @@ def test_decoder_never_crashes_on_garbage(data):
         decode_message(data)
     except WireError:
         pass  # rejecting is fine; raising anything else is not
+
+
+# -- the tuple-level core against the object path -------------------------
+
+def _core_rows(data: bytes):
+    """``decode_update``'s outcome as ``(net, plen, kind, bundle)``
+    rows, or the WireError message it raises."""
+    try:
+        parts, consumed = decode_update(data)
+    except WireError as exc:
+        return str(exc)
+    if parts is None:
+        return None, consumed
+    withdrawn, announced, bundle = parts
+    return [
+        (net, plen, UpdateKind.WITHDRAW, None) for net, plen in withdrawn
+    ] + [
+        (net, plen, UpdateKind.ANNOUNCE, bundle) for net, plen in announced
+    ], consumed
+
+
+def _object_rows(data: bytes):
+    """The same, read off ``update_rows(decode_message(...))`` and
+    ``attribute_tuple``."""
+    try:
+        message, consumed = decode_message(data)
+    except WireError as exc:
+        return str(exc)
+    if not isinstance(message, UpdateMessage):
+        return None, consumed
+    return [
+        (prefix.network, prefix.length, kind,
+         None if attributes is None else attribute_tuple(attributes))
+        for prefix, kind, attributes in update_rows(message)
+    ], consumed
+
+
+@settings(max_examples=80)
+@given(update_strategy)
+def test_core_matches_the_object_path(msg):
+    data = encode_message(msg)
+    rows, consumed = _core_rows(data)
+    assert (rows, consumed) == _object_rows(data)
+    assert consumed == len(data)
+    assert [row[:2] for row in rows] == [
+        tuple(prefix) for prefix in msg.withdrawn + msg.announced
+    ]
+    assert rows[-1][3] == attribute_tuple(msg.attributes)
+
+
+#: UPDATEs whose every byte the mutation test below damages.
+_MUTATED = [
+    UpdateMessage(
+        withdrawn=(Prefix.parse("10.0.0.0/8"), Prefix.parse("192.0.2.0/24")),
+        announced=(Prefix.parse("198.51.100.0/24"), Prefix.parse("0.0.0.0/0")),
+        attributes=PathAttributes(
+            as_path=AsPath((7, 1239, 3561, 3561)),
+            next_hop=0x0A000001,
+            origin=Origin.INCOMPLETE,
+            med=120,
+            local_pref=200,
+            communities=frozenset({0xFFFFFF01, 0x02BC0001, 5}),
+            atomic_aggregate=True,
+            aggregator=(701, 0x0A0000FF),
+        ),
+    ),
+    UpdateMessage(
+        announced=(Prefix.parse("192.0.2.1/32"),),
+        attributes=PathAttributes(as_path=AsPath((65535,)), next_hop=1),
+    ),
+    UpdateMessage(withdrawn=(Prefix.parse("172.16.0.0/12"),)),
+    UpdateMessage(),
+]
+
+
+def test_core_matches_the_object_path_under_byte_damage():
+    """Every single-byte mutation (to 0, 255 and a seeded value) of a
+    few rich UPDATEs: the core and the object path agree on the rows
+    and bundle, or raise the same WireError message — and neither
+    raises anything else."""
+    rng = random.Random(4271)
+    outcomes = set()
+    for msg in _MUTATED:
+        data = encode_message(msg)
+        for offset in range(len(data)):
+            for value in (0, 255, rng.randrange(256)):
+                damaged = bytearray(data)
+                damaged[offset] = value
+                damaged = bytes(damaged)
+                expected = _object_rows(damaged)
+                assert _core_rows(damaged) == expected, (offset, value)
+                if isinstance(expected, str):
+                    outcomes.add(expected)
+    assert "AS_PATH holds AS 0" in outcomes
+    assert len(outcomes) >= 10, outcomes  # the damage reached many rungs

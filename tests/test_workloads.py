@@ -1,8 +1,6 @@
 """Tests for calibration, the diurnal model, incidents, and the
 statistical trace generator."""
 
-import math
-
 import pytest
 
 from repro.collector.store import SECONDS_PER_DAY, SECONDS_PER_HOUR
@@ -15,11 +13,7 @@ from repro.workloads.diurnal import (
     day_of_week,
     hour_of_day,
 )
-from repro.workloads.generator import (
-    GeneratorTargets,
-    PeerPopulation,
-    TraceGenerator,
-)
+from repro.workloads.generator import PeerPopulation, TraceGenerator
 from repro.workloads.incidents import (
     BINS_PER_DAY,
     Incident,

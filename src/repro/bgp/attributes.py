@@ -107,14 +107,6 @@ class AsPath(tuple):
     def __str__(self) -> str:
         return " ".join(str(a) for a in self)
 
-    @classmethod
-    def parse(cls, text: str) -> "AsPath":
-        """Parse a space-separated ASPATH string like ``"701 1239 3561"``."""
-        text = text.strip()
-        if not text:
-            return cls()
-        return cls(int(tok) for tok in text.split())
-
 
 #: Well-known community values (RFC 1997).
 WELL_KNOWN_COMMUNITIES = {

@@ -9,9 +9,10 @@ route-maps of match/action terms applied at import or export time.
 
 A :class:`RouteMap` is an ordered list of :class:`PolicyTerm`; the first
 matching term decides.  Terms match on prefix lists (with optional
-length ranges), ASPATH membership, origin AS, and communities, and
-either deny the route or permit it with attribute rewrites (the classic
-set local-pref / set MED / add community / prepend actions).
+length ranges), an AS anywhere on the ASPATH, the origin AS, and a
+community, and either deny the route or permit it with attribute
+rewrites (the classic set local-pref / set MED / add community /
+prepend actions).
 """
 
 from __future__ import annotations
@@ -38,9 +39,7 @@ class MatchCondition:
 
     ``prefixes`` matches when the candidate prefix is covered by any
     listed prefix and its length lies in ``ge``..``le`` (router-style
-    ``ge``/``le`` prefix-list semantics).  ``as_path_regex`` is a
-    router-style as-path access-list pattern (see
-    :mod:`repro.bgp.aspath_regex`), compiled lazily and cached.
+    ``ge``/``le`` prefix-list semantics).
     """
 
     prefixes: Tuple[Prefix, ...] = ()
@@ -49,16 +48,6 @@ class MatchCondition:
     as_on_path: Optional[int] = None
     origin_as: Optional[int] = None
     community: Optional[int] = None
-    as_path_regex: Optional[str] = None
-
-    def _compiled_regex(self):
-        cached = _REGEX_CACHE.get(self.as_path_regex)
-        if cached is None:
-            from .aspath_regex import compile_regex
-
-            cached = compile_regex(self.as_path_regex)
-            _REGEX_CACHE[self.as_path_regex] = cached
-        return cached
 
     def matches(self, prefix: Prefix, attrs: PathAttributes) -> bool:
         """True if this condition matches the candidate route."""
@@ -76,15 +65,7 @@ class MatchCondition:
         if self.community is not None:
             if self.community not in attrs.communities:
                 return False
-        if self.as_path_regex is not None:
-            if not self._compiled_regex().search(attrs.as_path):
-                return False
         return True
-
-
-#: Compiled-pattern cache shared by all conditions (patterns are few
-#: and immutable; MatchCondition itself stays a frozen dataclass).
-_REGEX_CACHE: dict = {}
 
 
 @dataclass(frozen=True)

@@ -271,10 +271,3 @@ class CampaignResult:
                 per_day[day] = count
         active = per_day[per_day > 0]
         return active / float(total_pairs * len(self.config.exchanges))
-
-    def to_payload(self) -> dict:
-        return {
-            "config": self.config.to_payload(),
-            "result": self.partial.to_payload(),
-            "shards": self.shard_count,
-        }

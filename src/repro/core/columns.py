@@ -672,9 +672,6 @@ class ColumnClassifier:
             for key, state in self._states.items()
         )
 
-    def reset(self) -> None:
-        self._states.clear()
-
 
 def classify_columns(
     columns: RecordColumns,

@@ -5,8 +5,7 @@ The entire reproduction traffics in network-layer address blocks
 reachability for a prefix, the default-free routing table is a set of
 prefixes, and aggregation combines prefixes into supernets.  This module
 provides a small, immutable, hashable :class:`Prefix` value type plus the
-arithmetic the rest of the library needs (containment, supernetting,
-subnetting, adjacency).
+arithmetic the rest of the library needs (containment and subnetting).
 
 We deliberately implement prefixes from scratch instead of wrapping
 :mod:`ipaddress`: the simulator creates and compares millions of prefixes,
@@ -153,16 +152,6 @@ class Prefix(tuple):
         return NotImplemented  # type: ignore[return-value]
 
     # -- arithmetic ----------------------------------------------------------
-
-    def supernet(self, new_length: Optional[int] = None) -> "Prefix":
-        """The enclosing prefix at ``new_length`` (default: one bit shorter)."""
-        if new_length is None:
-            new_length = self[1] - 1
-        if not 0 <= new_length <= self[1]:
-            raise PrefixError(
-                f"cannot widen {self} to /{new_length}"
-            )
-        return Prefix(self[0] & _MASKS[new_length], new_length)
 
     def subnets(self, new_length: Optional[int] = None) -> Iterator["Prefix"]:
         """Iterate the subnets of this prefix at ``new_length``.

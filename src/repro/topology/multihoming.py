@@ -114,12 +114,3 @@ class MultihomingGrowthModel:
         days = list(range(n_days))
         counts = [self.count_on(day) for day in days]
         return MultihomingSeries(days=days, counts=counts)
-
-    def multi_homed_fraction(
-        self, day: int, total_prefixes: int = 42000
-    ) -> float:
-        """Share of the default-free table that is multi-homed."""
-        count = self.count_on(day)
-        if count is None:
-            return float("nan")
-        return count / total_prefixes

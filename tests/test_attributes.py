@@ -52,11 +52,6 @@ class TestAsPath:
         with pytest.raises(ValueError):
             AsPath((70000,))
 
-    def test_parse_roundtrip(self):
-        assert AsPath.parse("701 1239 3561") == AsPath((701, 1239, 3561))
-        assert AsPath.parse("") == AsPath()
-        assert AsPath.parse(str(AsPath((7, 8)))) == AsPath((7, 8))
-
     def test_hashable_tuple_compatible(self):
         assert hash(AsPath((1, 2))) == hash((1, 2))
         assert AsPath((1, 2)) == (1, 2)

@@ -139,12 +139,6 @@ class TestStateIsolation:
         ((second, _),) = labels([A(1)], clf)
         assert second is UpdateCategory.AADUP
 
-    def test_reset_clears_state(self):
-        clf = ColumnClassifier()
-        labels([A(0)], clf)
-        clf.reset()
-        assert labels([A(1)], clf) == [(UpdateCategory.NEW_ANNOUNCE, False)]
-
 
 class TestTaxonomySets:
     def test_instability_and_pathology_disjoint(self):

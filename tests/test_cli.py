@@ -1,8 +1,13 @@
 """Tests for the command-line interface."""
 
+import io
+
 import pytest
 
 from repro.__main__ import main
+from repro.collector.mrt import MrtError, read_column_batches
+
+from .test_collector import MALFORMED_ARCHIVES
 
 
 class TestListCommand:
@@ -62,6 +67,21 @@ class TestSimulateClassify:
     def test_classify_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             main(["classify", str(tmp_path / "nope.mrt")])
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_ARCHIVES))
+    def test_classify_damaged_archive(self, case, tmp_path, capsys):
+        """A damaged archive is one ``error:`` line carrying the
+        reader's message, exit status 2, and no breakdown."""
+        data, message = MALFORMED_ARCHIVES[case]
+        with pytest.raises(MrtError) as caught:
+            list(read_column_batches(io.BytesIO(data)))
+        assert str(caught.value).startswith(message)
+        archive = tmp_path / "damaged.mrt"
+        archive.write_bytes(data)
+        assert main(["classify", str(archive)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {archive}: {caught.value}\n"
+        assert captured.out == ""
 
 
 class TestCampaignCommand:

@@ -1,11 +1,5 @@
-"""Edge-case and differential tests across the substrates."""
+"""Edge-case tests across the substrates."""
 
-import re
-
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from repro.bgp.aspath_regex import compile_regex
 from repro.bgp.attributes import AsPath, PathAttributes
 from repro.bgp.messages import OpenMessage, UpdateMessage
 from repro.bgp.session import ActionKind, PeeringSession
@@ -91,47 +85,6 @@ class TestMraiBatcherLifecycle:
         batcher.mark_dirty("q")
         engine.run_until(25.0)
         assert flushes == [{"q"}]
-
-
-# -- differential: AS-path regex vs Python re over a token encoding -----
-
-def _to_string(path):
-    """Encode a path so each AS is an unambiguous token."""
-    return "".join(f"<{a}>" for a in path)
-
-
-def _translate(pattern_atoms):
-    """Translate a list of (atom, quantifier) pairs to both dialects."""
-    ours = []
-    theirs = []
-    for atom, quant in pattern_atoms:
-        if atom == ".":
-            ours.append("." + quant)
-            theirs.append(r"(?:<\d+>)" + quant)
-        else:
-            ours.append(str(atom) + quant)
-            theirs.append(f"(?:<{atom}>)" + quant)
-    return "^" + " ".join(ours) + "$", "^" + "".join(theirs) + "$"
-
-
-atoms = st.tuples(
-    st.one_of(st.just("."), st.integers(1, 5)),
-    st.sampled_from(["", "*", "+", "?"]),
-)
-
-
-@settings(max_examples=120)
-@given(
-    st.lists(atoms, min_size=1, max_size=4),
-    st.lists(st.integers(1, 5), max_size=6),
-)
-def test_regex_differential_against_re(pattern_atoms, path):
-    ours_pattern, re_pattern = _translate(pattern_atoms)
-    ours = compile_regex(ours_pattern).search(tuple(path))
-    theirs = re.fullmatch(
-        re_pattern.strip("^$"), _to_string(path)
-    ) is not None
-    assert ours == theirs, (ours_pattern, re_pattern, path)
 
 
 class TestPrefixEdgeCases:

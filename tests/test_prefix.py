@@ -79,16 +79,6 @@ class TestRelations:
 
 
 class TestArithmetic:
-    def test_supernet_default_one_bit(self):
-        assert str(Prefix.parse("10.1.0.0/16").supernet()) == "10.0.0.0/15"
-
-    def test_supernet_to_length(self):
-        assert str(Prefix.parse("10.1.2.0/24").supernet(8)) == "10.0.0.0/8"
-
-    def test_supernet_rejects_longer(self):
-        with pytest.raises(PrefixError):
-            Prefix.parse("10.0.0.0/8").supernet(16)
-
     def test_subnets_halves(self):
         halves = list(Prefix.parse("10.0.0.0/8").subnets())
         assert [str(h) for h in halves] == ["10.0.0.0/9", "10.128.0.0/9"]

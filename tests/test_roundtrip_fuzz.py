@@ -1,11 +1,8 @@
-"""Seeded round-trip property tests for the codecs and the AS-path
-regex engine.
+"""Seeded round-trip property tests for the wire and MRT codecs.
 
-Wire/MRT: encode → decode → encode must reproduce identical bytes
-(the codec is canonical — there is exactly one encoding of a message),
-and decode → encode → decode identical values.  AS-path regexes:
-parse → render (``.pattern``) → parse must yield an engine that
-accepts exactly the same paths.
+Encode → decode → encode must reproduce identical bytes (the codec is
+canonical — there is exactly one encoding of a message), and decode →
+encode → decode identical values.
 """
 
 import io
@@ -13,7 +10,6 @@ import random
 
 import pytest
 
-from repro.bgp.aspath_regex import AsPathRegexError, compile_regex
 from repro.bgp.attributes import AsPath, Origin, PathAttributes
 from repro.bgp.messages import (
     KeepAliveMessage,
@@ -142,73 +138,3 @@ def test_mrt_columnar_write_matches_streaming_write(seed):
     columnar = io.BytesIO()
     mrt.write_columns(columnar, RecordColumns.from_records(records))
     assert columnar.getvalue() == streaming.getvalue()
-
-
-# -- AS-path regex round trips ----------------------------------------------
-
-_VOCAB = (701, 1239, 3561, 65000, 7)
-
-
-def random_pattern(rng, depth=0):
-    """Compose a random router-style pattern from the grammar."""
-    pieces = []
-    for _ in range(rng.randint(1, 4)):
-        roll = rng.random()
-        if roll < 0.35:
-            piece = str(rng.choice(_VOCAB))
-        elif roll < 0.5:
-            piece = "."
-        elif roll < 0.6:
-            piece = "_"
-        elif roll < 0.75:
-            members = rng.sample(_VOCAB, rng.randint(1, 3))
-            piece = "[" + " ".join(str(m) for m in members) + "]"
-        elif depth < 2:
-            inner = random_pattern(rng, depth + 1)
-            if rng.random() < 0.4:
-                inner = f"{inner}|{random_pattern(rng, depth + 1)}"
-            piece = f"({inner})"
-        else:
-            piece = str(rng.choice(_VOCAB))
-        if piece not in ("_",) and rng.random() < 0.3:
-            piece += rng.choice("*+?")
-        pieces.append(piece)
-    pattern = "".join(pieces)
-    if rng.random() < 0.3:
-        pattern = "^" + pattern
-    if rng.random() < 0.3:
-        pattern = pattern + "$"
-    return pattern
-
-
-def random_path(rng):
-    return AsPath(
-        tuple(
-            rng.choice(_VOCAB + (9999,))
-            for _ in range(rng.randint(1, 6))
-        )
-    )
-
-
-@pytest.mark.fuzz
-@pytest.mark.parametrize("seed", FUZZ_SEEDS)
-def test_regex_parse_render_parse_same_language(seed):
-    rng = random.Random(seed)
-    for _ in range(20):
-        pattern = random_pattern(rng)
-        try:
-            first = compile_regex(pattern)
-        except AsPathRegexError:
-            continue  # composition produced an invalid pattern — fine
-        # Render is the stored pattern; re-parsing it must give an
-        # engine accepting exactly the same paths.
-        second = compile_regex(first.pattern)
-        assert first.pattern == second.pattern
-        for _ in range(30):
-            path = random_path(rng)
-            assert first.search(path) == second.search(path)
-
-
-def test_regex_render_is_input_pattern():
-    assert compile_regex("_701_").pattern == "_701_"
-    assert compile_regex("^1239 .* 701$").pattern == "^1239 .* 701$"

@@ -496,9 +496,7 @@ class TestRouteServerClientPolicies:
         # The picky client refuses anything transiting AS 100.
         server.client_policies[picky.router_id] = RouteMap(
             [
-                PolicyTerm(
-                    MatchCondition(as_path_regex="_100_"), permit=False
-                ),
+                PolicyTerm(MatchCondition(as_on_path=100), permit=False),
                 PolicyTerm(),
             ]
         )

@@ -87,10 +87,11 @@ def histogram_counts(gaps: Sequence[float]) -> np.ndarray:
     """
     if not isinstance(gaps, np.ndarray):
         gaps = np.asarray(list(gaps), dtype=float)
-    # Bin b holds gaps in (edge[b-1], edge[b]].
-    indices = np.searchsorted(FIGURE8_BINS, gaps, side="left")
-    indices = indices[indices < len(FIGURE8_BINS)]  # drop > 24h
-    return np.bincount(indices, minlength=len(FIGURE8_BINS)).astype(np.int64)
+    # Bin b holds gaps in (edge[b-1], edge[b]]: the counts at or below
+    # each edge, differenced.  A gap above 24h, or a NaN, is at or
+    # below none of them.  One boolean pass an edge, no index array.
+    at_most = [np.count_nonzero(gaps <= edge) for edge in FIGURE8_BINS]
+    return np.diff(at_most, prepend=0).astype(np.int64)
 
 
 def proportions_from_counts(counts: Sequence[int]) -> List[float]:

@@ -140,21 +140,14 @@ class ShardAccumulator:
         ):
             raise ValueError(f"day {day} batch holds times outside the day")
         self._last_day = day
-        groups = route_groups(data)
-        codes, policy = self._classifier.classify(columns, groups)
         if len(data) == 0:
             return
         self.records += len(data)
-        self._counts += CategoryCounts.from_codes(codes, policy)
-        # One contiguous copy (a record is 26 bytes) for the bins, the
-        # order check and the gather — taken once classify's arrays
-        # are gone, so it adds nothing to the day's peak.
-        times = np.ascontiguousarray(times)
+        # The bins go first, while the batch is all the day holds.  They,
+        # the order check and the gather read the time field in place: a
+        # contiguous copy would be one more f8 column at the day's peak.
         self._fold_bins(times)
-        times, slots, codes = self._group_day(
-            day, data, times, codes, policy, *groups[:2]
-        )
-        del groups  # the permutation dies before the gap passes allocate
+        times, slots, codes = self._group_day(day, columns)
         self._fold_interarrival(0, times, slots)
         for row, category in enumerate(FINE_GRAINED_CATEGORIES, start=1):
             rows = np.flatnonzero(codes == category.value)
@@ -165,13 +158,16 @@ class ShardAccumulator:
         # SHARD start, not the day start, so float rounding at bin
         # edges cannot diverge from the reference computation.
         start = self.spec.day_lo * SECONDS_PER_DAY
-        indices = np.floor(
-            (times - start) / self.config.bin_width
-        ).astype(int)
-        valid = (indices >= 0) & (indices < len(self._bin_counts))
-        self._bin_counts += np.bincount(
-            indices[valid], minlength=len(self._bin_counts)
-        )
+        # The same expression evaluated in place.  A checked day's times
+        # sit at or after the shard start, so no index is negative; one
+        # past the window (a float rounding up at its end) is cut off.
+        bins = times - start
+        bins /= self.config.bin_width
+        np.floor(bins, out=bins)
+        indices = bins.astype(np.intp)
+        del bins
+        n_bins = len(self._bin_counts)
+        self._bin_counts += np.bincount(indices, minlength=n_bins)[:n_bins]
 
     def _peer_index(self, asns: np.ndarray) -> np.ndarray:
         """Dense index of each of ``asns`` (one per group), registering
@@ -202,33 +198,35 @@ class ShardAccumulator:
         ranked = key[rank]
         if not first_of_run(ranked).all():
             return None
-        slots = np.empty(len(rank), dtype=np.intp)
+        slots = np.empty(len(rank), dtype=np.int32)
         slots[rank] = self._pair_slots(ranked)
         return peer, slots
 
     def _group_day(
-        self,
-        day: int,
-        data: np.ndarray,
-        time: np.ndarray,
-        codes: np.ndarray,
-        policy: np.ndarray,
-        order: np.ndarray,
-        starts: np.ndarray,
+        self, day: int, columns: RecordColumns
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Counts the day into the per-peer table and the pair registry
-        and returns ``(time, registry slot, code)`` per row, pair by
-        pair and each pair in time order.
+        """Classifies the day, counts it into the category, per-peer
+        and pair tallies and returns ``(time, registry slot, code)`` per
+        row, pair by pair and each pair in time order.
 
-        ``order`` / ``starts`` are the classifier's ``(peer_id,
-        prefix)`` groups.  They are the day's pairs as they stand when
-        the batch is in time order (the stable sort kept it inside
-        each group), a group holds one peer ASN, and no two groups
-        share a (prefix, ASN); everything per pair is then computed
-        over the groups, not the rows.  A batch that fails a check —
-        rows out of time order, a peer id announcing under two ASNs,
-        two sessions of one ASN on one prefix — is grouped again by
-        ``(prefix, ASN, time)`` and folds to the same aggregates."""
+        The classifier's ``(peer_id, prefix)`` groups are the day's
+        pairs as they stand when the batch is in time order (the stable
+        sort kept it inside each group), a group holds one peer ASN,
+        and no two groups share a (prefix, ASN); everything per pair is
+        then computed over the groups, not the rows.  A batch that
+        fails a check — rows out of time order, a peer id announcing
+        under two ASNs, two sessions of one ASN on one prefix — is
+        grouped again by ``(prefix, ASN, time)`` and folds to the same
+        aggregates.  The grouping and the batch-order labels live only
+        here, each dropped after its last reader, so none of them is
+        still held when the gap passes allocate."""
+        data = columns.data
+        time = data["time"]
+        groups = route_groups(data)
+        codes, policy = self._classifier.classify(columns, groups)
+        self._counts += CategoryCounts.from_codes(codes, policy)
+        order, starts = groups[:2]
+        del groups
         pairs = None
         if (time[1:] >= time[:-1]).all():
             changes = first_of_run(np.take(data["peer_asn"], order))
@@ -247,13 +245,15 @@ class ShardAccumulator:
         self._pair_rows[slots] += sizes
         self._pairs_per_day[day] = len(starts)
         codes = np.take(codes, order)
+        policy = np.take(policy, order)
         self._peer_counts += peer_tallies(
-            np.repeat(peer, sizes),
-            len(self._asns),
-            codes,
-            np.take(policy, order),
+            peer, len(self._asns), codes, policy, sizes
         )
-        return np.take(time, order), np.repeat(slots, sizes), codes
+        del policy
+        # Indexing, not np.take: take copies a strided field whole first.
+        time = time[order]
+        del order
+        return time, np.repeat(slots, sizes), codes
 
     def _pair_slots(self, keys: np.ndarray) -> np.ndarray:
         """Registry positions of ``keys`` (sorted, distinct), inserting
@@ -286,11 +286,12 @@ class ShardAccumulator:
         ends = np.append(starts[1:], len(slots)) - 1
         pairs = slots[starts]
         last = self._pair_last[row]
-        carried = times[starts] - last[pairs]
+        carried = times[starts] - last[pairs]  # NaN: no earlier event
         last[pairs] = times[ends]
-        self._hists[row] += histogram_counts(
-            np.diff(times)[~first[1:]]
-        ) + histogram_counts(carried[~np.isnan(carried)])
+        # A gap across two pairs is marked NaN, which no bin holds.
+        gaps = np.diff(times)
+        gaps[first[1:]] = np.nan
+        self._hists[row] += histogram_counts(gaps) + histogram_counts(carried)
 
     def result(self) -> PartialResult:
         """The shard's aggregates; call once, after the last day."""

@@ -342,42 +342,48 @@ def route_groups(
         idx_bits = max(1, int(n - 1).bit_length())
         shift = np.uint64(idx_bits)
         mask = np.uint64((1 << idx_bits) - 1)
-        arange = np.arange(n, dtype=np.uint64)
         peer = data["peer_id"]
         base = peer.min()
         if int(peer.max() - base).bit_length() + 32 + idx_bits <= 64:
             # Peer ids close together: one value sort covers both keys.
-            packed = (
-                ((peer - base).astype(np.uint64) << (shift + np.uint64(32)))
-                | (data["net"].astype(np.uint64) << shift)
-                | arange
-            )
+            # The key is packed in place, its groups read off the sorted
+            # buffer, and the buffer, masked to the index bits, is the
+            # permutation: one u64 a row besides the batch.
+            packed = (peer - base).astype(np.uint64)
+            packed <<= np.uint64(32)
+            packed |= data["net"]
+            packed <<= shift
+            packed |= np.arange(n, dtype=np.uint64)
             packed.sort()
-            order = (packed & mask).astype(np.int64)
             key_sorted = packed >> shift
-            first_key = np.uint64(base) << np.uint64(32)
-        else:
-            # Peer ids spread over the full width: LSD radix over two
-            # value sorts — stable-sort by net first, then by peer.
-            # Still far cheaper than one argsort.
-            packed = (data["net"].astype(np.uint64) << shift) | arange
-            packed.sort()
-            pos1 = packed & mask
-            net_by_net = packed >> shift
-            packed = (
-                np.take(peer, pos1.astype(np.int64)).astype(np.uint64)
-                << shift
-            ) | arange
-            packed.sort()
-            pos2 = (packed & mask).astype(np.int64)
-            order = np.take(pos1, pos2).astype(np.int64)
-            key_sorted = ((packed >> shift) << np.uint64(32)) | np.take(
-                net_by_net, pos2
-            )
-            first_key = np.uint64(0)
+            starts = np.flatnonzero(first_of_run(key_sorted))
+            keys = key_sorted[starts]
+            del key_sorted
+            keys += np.uint64(base) << np.uint64(32)
+            packed &= mask
+            plens = np.full(len(starts), plen[0], dtype=plen.dtype)
+            return packed.view(np.int64), starts, keys, plens
+        # Peer ids spread over the full width: LSD radix over two
+        # value sorts — stable-sort by net first, then by peer.
+        # Still far cheaper than one argsort.
+        arange = np.arange(n, dtype=np.uint64)
+        packed = (data["net"].astype(np.uint64) << shift) | arange
+        packed.sort()
+        pos1 = packed & mask
+        net_by_net = packed >> shift
+        packed = (
+            np.take(peer, pos1.astype(np.int64)).astype(np.uint64)
+            << shift
+        ) | arange
+        packed.sort()
+        pos2 = (packed & mask).astype(np.int64)
+        order = np.take(pos1, pos2).astype(np.int64)
+        key_sorted = ((packed >> shift) << np.uint64(32)) | np.take(
+            net_by_net, pos2
+        )
         starts = np.flatnonzero(first_of_run(key_sorted))
         plens = np.full(len(starts), plen[0], dtype=plen.dtype)
-        return order, starts, key_sorted[starts] + first_key, plens
+        return order, starts, key_sorted[starts], plens
     key = (data["peer_id"].astype(np.uint64) << np.uint64(32)) | data["net"]
     order = np.lexsort((plen, key))
     key_sorted = key[order]
@@ -536,16 +542,16 @@ class ColumnClassifier:
         """
         data = columns.data
         n = len(data)
-        codes = np.zeros(n, dtype=np.uint8)
-        policy = np.zeros(n, dtype=bool)
         if n == 0:
-            return codes, policy
+            return np.zeros(0, dtype=np.uint8), np.zeros(0, dtype=bool)
 
         if groups is None:
             groups = route_groups(data)
         order, group_start, g_key, g_plen = groups
-        # np.take is markedly faster than fancy indexing for these
-        # full-length gathers (contiguous output, no index checks).
+        # Beside the batch and the permutation, the full-length columns
+        # below set a fold's peak, so each is dropped after its last
+        # reader.  np.take is markedly faster than fancy indexing for
+        # these gathers (contiguous output, no index checks).
         is_ann = np.take(data["kind"], order) == _ANNOUNCE
         attr_id = np.take(data["attr_id"], order)
 
@@ -553,6 +559,9 @@ class ColumnClassifier:
         group_start = group_start.astype(pos_dtype)
         n_groups = len(group_start)
         group_counts = np.diff(np.append(group_start, n))
+        group_end = np.empty(n_groups, dtype=np.int64)
+        group_end[:-1] = group_start[1:] - 1
+        group_end[-1] = n - 1
 
         # Carry-in state per group, from prior batches.
         carry_reach = np.zeros(n_groups, dtype=bool)
@@ -581,14 +590,19 @@ class ColumnClassifier:
 
         # Position of the last announcement at or before each row
         # (global maximum-accumulate; leakage across group boundaries
-        # is filtered by comparing against the group start).
-        idx = np.arange(n, dtype=pos_dtype)
-        last_ann = np.maximum.accumulate(np.where(is_ann, idx, -1))
+        # is filtered by comparing against the group start).  Each
+        # group's last value is all the post-batch state needs of it.
+        last_ann = np.where(is_ann, np.arange(n, dtype=pos_dtype), -1)
+        np.maximum.accumulate(last_ann, out=last_ann)
+        end_last_ann = last_ann[group_end]
+        end_ever = (carry_ever | (end_last_ann >= group_start)).tolist()
+        end_last_ann = end_last_ann.tolist()
+        end_is_ann = is_ann[group_end].tolist()
         prev_ann = np.empty(n, dtype=pos_dtype)
         prev_ann[0] = -1
         prev_ann[1:] = last_ann[:-1]
-        start_of = np.repeat(group_start, group_counts)
-        in_group_prev_ann = prev_ann >= start_of
+        del last_ann
+        in_group_prev_ann = prev_ann >= np.repeat(group_start, group_counts)
         ever_before = in_group_prev_ann | np.repeat(carry_ever, group_counts)
 
         # Forwarding-tuple and full-attribute comparisons against the
@@ -604,7 +618,10 @@ class ColumnClassifier:
             prev = attr_id[prev_ann[in_batch]]
             same_fwd[in_batch] = fwd_ids[cur] == fwd_ids[prev]
             equal_prev[in_batch] = cur == prev
+            del cur, prev
+        del prev_ann, in_batch
         from_carry = np.flatnonzero(is_ann & ever_before & ~in_group_prev_ann)
+        del in_group_prev_ann
         if len(from_carry):
             tuple_of = columns.attrs.tuple_of
             rows = from_carry.tolist()
@@ -619,24 +636,19 @@ class ColumnClassifier:
 
         # The taxonomy transition table: one lookup through the
         # 16-entry code table (index bits ann/ever/reach/same_fwd).
-        state_index = (
-            (is_ann.view(np.uint8) << 3)
-            | (ever_before.view(np.uint8) << 2)
-            | (reach_before.view(np.uint8) << 1)
-            | same_fwd.view(np.uint8)
-        )
+        state_index = is_ann.view(np.uint8) << 3
+        state_index |= ever_before.view(np.uint8) << 2
+        state_index |= reach_before.view(np.uint8) << 1
+        state_index |= same_fwd.view(np.uint8)
+        del is_ann, ever_before, reach_before, same_fwd
         sorted_codes = _CODE_LUT[state_index]
+        del state_index
         # Policy fluctuation: an AADup whose non-forwarding attributes
         # changed (same forwarding tuple, different full bundle).
         sorted_policy = (sorted_codes == _AADUP_CODE) & ~equal_prev
+        del equal_prev
 
         # Post-batch state per group (for the next batch).
-        group_end = np.empty(n_groups, dtype=np.int64)
-        group_end[:-1] = group_start[1:] - 1
-        group_end[-1] = n - 1
-        end_is_ann = is_ann[group_end].tolist()
-        end_last_ann = last_ann[group_end].tolist()
-        end_ever = (carry_ever | (last_ann[group_end] >= group_start)).tolist()
         tuple_of = columns.attrs.tuple_of
         for gi in range(n_groups):
             key = keys[gi]
@@ -651,7 +663,9 @@ class ColumnClassifier:
             # attributes (possibly None) stay in place.
 
         # Scatter back to batch (stream) order.
+        codes = np.empty(n, dtype=np.uint8)
         codes[order] = sorted_codes
+        policy = np.empty(n, dtype=bool)
         policy[order] = sorted_policy
         return codes, policy
 

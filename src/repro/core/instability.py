@@ -156,15 +156,27 @@ def peer_tallies(
     n_peers: int,
     codes: "np.ndarray",
     policy: Optional["np.ndarray"] = None,
+    sizes: Optional["np.ndarray"] = None,
 ) -> "np.ndarray":
     """``(n_peers, 16)`` tallies of classified rows whose peers are
     dense indices: ``[i, c]`` counts peer ``i``'s rows of category code
     ``c``, and column 0 — no category has code 0 — its policy
-    fluctuations.  One ``np.bincount``, no sort; tallies add."""
-    keys = peer * 16 + np.asarray(codes)
+    fluctuations.  ``peer`` holds one index per row or, given
+    ``sizes``, one per run of ``sizes`` consecutive rows (a grouped
+    batch's groups), so no per-row peer column is built.  One
+    ``np.bincount`` over the row keys ``peer * 16 + code``, built in
+    the index type it reads, and one over the policy rows' peers (a
+    key's high bits); no sort; tallies add."""
+    keys = np.multiply(peer, 16, dtype=np.intp)
+    if sizes is not None:
+        keys = np.repeat(keys, sizes)
+    keys += np.asarray(codes)
+    tallies = np.bincount(keys, minlength=n_peers * 16).reshape(n_peers, 16)
     if policy is not None:
-        keys = np.concatenate((keys, peer[np.asarray(policy)] * 16))
-    return np.bincount(keys, minlength=n_peers * 16).reshape(n_peers, 16)
+        tallies[:, 0] += np.bincount(
+            keys[np.asarray(policy)] >> 4, minlength=n_peers
+        )
+    return tallies
 
 
 def peer_table(asns, tallies) -> Dict[int, "CategoryCounts"]:

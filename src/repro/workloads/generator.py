@@ -372,9 +372,13 @@ class _DrawStream:
         self._sums: List[Optional[np.ndarray]] = [None] * _EPISODE_DRAWS
 
     def more(self) -> None:
-        """Extend the unconsumed tail of the window by one block."""
+        """Extend the unconsumed tail of the window by one block.  The
+        spent window and its lane transforms go before the block is
+        drawn, so a refill holds the tail, the block and their join."""
+        tail = self.window[self.at:].copy()
+        del self.window, self.lengths, self._sums
         self.window = np.concatenate(
-            (self.window[self.at:], self._source.random_sample(_STREAM_BLOCK))
+            (tail, self._source.random_sample(_STREAM_BLOCK))
         )
         self._start_window()
 
@@ -392,7 +396,8 @@ class _DrawStream:
         if sums is None:
             lengths = _burst_lengths(self.window[lane::_EPISODE_DRAWS])
             self.lengths[lane::_EPISODE_DRAWS] = lengths
-            sums = self._sums[lane] = np.cumsum(lengths, dtype=np.int64)
+            # A window's bursts sum to under 2**31 (≤ 91 events each).
+            sums = self._sums[lane] = np.cumsum(lengths, dtype=np.int32)
         return sums
 
 
@@ -425,6 +430,14 @@ def _episode_times(
         cell += 1
         times[cell] = now
     return times
+
+
+def _joined(parts: List[np.ndarray]) -> np.ndarray:
+    """``parts`` joined into one array, the list emptied: each part is
+    freed once the joined column exists, not when its caller returns."""
+    joined = np.concatenate(parts)
+    parts.clear()
+    return joined
 
 
 def _earlier(keys: np.ndarray, values: np.ndarray) -> Tuple[np.ndarray, ...]:
@@ -672,26 +685,42 @@ class TraceGenerator:
             raise ValueError("pair_fraction must be in (0, 1]")
         plan = plan or self.plan_day(day)
         table = attrs if attrs is not None else AttributeTable()
-        # Per expanded window: each event's time, pair, attr_id.
-        events = [(np.empty(0), np.empty(0, np.intp), np.empty(0, np.uint32))]
+        # Per expanded window: each event's time, pair position, attr_id.
+        events: Tuple[List[np.ndarray], ...] = (
+            [np.empty(0)], [np.empty(0, np.int32)], [np.empty(0, np.uint32)]
+        )
         stream = _DrawStream(self._day_rng(day, salt=1))
         wanted = PLANNED_CATEGORIES if categories is None else categories
         for category in [c for c in PLANNED_CATEGORIES if c in wanted]:
             self._emit_category(
                 stream, plan, category, pair_fraction, table, events
             )
-        time, position, attr_id = map(np.concatenate, zip(*events))
+        # The assembly holds the day's events and about one column more:
+        # the draw window goes first, each column's window parts as it
+        # is joined, and each sorted column once it is in the records.
+        del stream
+        time, position, attr_id = map(_joined, events)
         # Stable: equal timestamps keep emission order, as the per-pair
-        # loop's record-at-a-time stream does.  The pair identity comes
-        # with one gather of its records' rows after the sort.
+        # loop's record-at-a-time stream does.
         order = stable_argsort(time)
-        data = np.take(self._records, position[order])
-        data["time"] = time[order]
-        data["attr_id"] = attr_id = attr_id[order]
+        time = np.take(time, order)
+        attr_id = np.take(attr_id, order)
+        position = np.take(position, order)
+        del order
+        data = np.empty(len(time), dtype=RECORD_DTYPE)
+        data["time"] = time
+        del time
+        data["attr_id"] = attr_id
         data["kind"] = np.where(
             attr_id == NO_ATTR,
             np.uint8(UpdateKind.WITHDRAW), np.uint8(UpdateKind.ANNOUNCE),
         )
+        del attr_id
+        # The pair identity: its records' fields, one gather each.
+        index = position.astype(np.intp)
+        del position
+        for name in ("peer_id", "peer_asn", "net", "plen"):
+            data[name] = np.take(self._records[name], index)
         return RecordColumns(data, table)
 
     # -- emission -------------------------------------------------------------
@@ -749,7 +778,7 @@ class TraceGenerator:
         category: UpdateCategory,
         pair_fraction: float,
         table: AttributeTable,
-        events: list,
+        events: Tuple[List[np.ndarray], ...],
     ) -> None:
         """One category's allocation as array work over the day's draw
         stream.
@@ -781,9 +810,10 @@ class TraceGenerator:
         walked: List[int] = []
 
         def expand() -> None:
-            events.append(
-                self._expand_runs(stream, plan, category, runs, due, table)
-            )
+            for column, part in zip(events, self._expand_runs(
+                stream, plan, category, runs, due, table
+            )):
+                column.append(part)
             for column in runs:
                 column.clear()
 
@@ -926,6 +956,10 @@ class TraceGenerator:
         bins[near] = np.searchsorted(cum, place[near] * total)
         bins = np.minimum(bins, len(cum) - 1)
         t0 = day_start + (bins + window[offset + 2]) * bin_width
+        # Per-episode and per-cell temporaries are dropped after their
+        # last reader: a window's expansion, not the events it leaves,
+        # sets the emission's peak.
+        del place, cell, bins, near
         # The Figure 8 mixture: 30 s timer, 60 s line, broad background.
         selector = window[offset + 3]
         spread = window[offset + 4]
@@ -936,6 +970,7 @@ class TraceGenerator:
         period[background] = list(map(
             math.exp, (_LOG_2S + _LOG_SPAN * spread[background]).tolist()
         ))
+        del selector, spread, background
         episode_run = np.repeat(np.arange(len(starts)), per_run)
         # A due pair's lead is its first episode to start before
         # midnight: its first, unless an in-bin offset rounded an
@@ -947,6 +982,7 @@ class TraceGenerator:
         first = first[pending]
         _, lead = np.unique(run_position[episode_run[first]], True)
         led = np.sort(first[lead])
+        del begun, first, pending, lead
         position = run_position[episode_run[led]]
         due[position] = False
         state = self._state
@@ -963,11 +999,13 @@ class TraceGenerator:
         boot[led[booted]] = True
         length += boot
         times = _episode_times(t0, period, length)
+        del t0
         row = np.cumsum(length) - length  # every episode's first cell
         # Days are hard boundaries: an episode's tail past midnight is
         # dropped (times only grow along a row).
         keep = np.flatnonzero(times < day_end)
         time = times[keep]
+        del times
         # A lead episode starts before midnight, so its first cell is kept.
         lead_cells = np.searchsorted(keep, row[led])
         if category is UpdateCategory.WWDUP:
@@ -989,16 +1027,23 @@ class TraceGenerator:
             withdrawn = np.flatnonzero(ahead)
             episode = cell_episode[withdrawn]
             attr_id = np.insert(attr_id, withdrawn, NO_ATTR)
+        del keep
         gap = np.minimum(
             0.5 + 3.5 * window[offset[episode] + 5], period[episode] / 2.0
         )
         early = time[withdrawn] - gap
         lead_time = np.where(early > day_start, early, time[withdrawn])
         time = np.insert(time, withdrawn, lead_time)
-        cell_run = np.insert(cell_run, withdrawn, cell_run[withdrawn])
+        # Pair positions are int32 from here on: the day holds one per
+        # event.
+        event_position = run_position.astype(np.int32)[cell_run]
+        del cell_run
+        event_position = np.insert(
+            event_position, withdrawn, event_position[withdrawn]
+        )
         if category is UpdateCategory.WWDUP:
             attr_id = np.broadcast_to(NO_ATTR, time.shape)
-        return time, run_position[cell_run], attr_id
+        return time, event_position, attr_id
 
     def _announced(
         self, window: np.ndarray, category: UpdateCategory,

@@ -15,6 +15,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -967,6 +968,47 @@ class TestOutOfCore:
         assert long <= 1.25 * short, (
             f"peak RSS grew {long / short:.2f}x from 4 to 12 days"
         )
+
+    def test_day_peak_is_its_records_and_about_a_column(self):
+        """One day's working set: the traced peak of generating and
+        folding a benchmark-size day (~120k records of 26 bytes) stays
+        under 65 bytes a record: the batch, the fold's permutation and
+        about one column more.  Each day is measured after a warm-up
+        day, so first-use imports and caches do not count; the peak is
+        deterministic for a given NumPy."""
+        config = CampaignConfig(
+            days=3, shards=1, n_peers=30, total_prefixes=2000, seed=1185
+        )
+        spec = config.shard_plan()[0]
+        generator = campaign_generator(
+            config.n_peers, config.total_prefixes,
+            spec.population_seed, spec.generator_seed,
+        )
+        accumulator = ShardAccumulator(config, spec)
+
+        def generate_and_fold(day: int) -> int:
+            columns = generator.day_columns(
+                day, pair_fraction=config.pair_fraction,
+                categories=config.category_set(), attrs=AttributeTable(),
+            )
+            accumulator.fold_day(day, columns)
+            return len(columns)
+
+        generate_and_fold(0)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            per_row = {}
+            for day in (1, 2):
+                base, _ = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                rows = generate_and_fold(day)
+                _, peak = tracemalloc.get_traced_memory()
+                per_row[day] = (peak - base) / rows
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert all(value <= 65.0 for value in per_row.values()), per_row
 
 
 def generated_days(config, spec):

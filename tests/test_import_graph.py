@@ -79,6 +79,37 @@ class TestStatisticalTierLoadsNoSimulator:
         ] == []
 
 
+#: The ``repro.verify`` submodules its package does not import.
+VERIFY_UNLOADED = ("repro.verify.chaos", "repro.verify.golden",
+                 "repro.verify.refgen")
+
+
+class TestVerifyPackageLoadsNoScript:
+    """Importing ``repro.verify`` loads neither the golden builder, nor
+    the chaos campaign, nor the scalar generator (their callers import
+    them from their own modules), so ``python -m repro.verify.golden``
+    runs ``golden.py`` once, as ``__main__``."""
+
+    def test_import_leaves_them_unloaded(self):
+        loaded = _loaded_after("import repro.verify\n")
+        assert "repro.verify.differential" in loaded
+        assert [m for m in loaded if m in VERIFY_UNLOADED] == []
+
+    def test_golden_runs_as_a_script_without_warning(self):
+        done = _in_child(
+            "import runpy, sys, warnings\n"
+            "warnings.simplefilter('error', RuntimeWarning)\n"
+            "sys.argv = ['golden', '--help']\n"
+            "try:\n"
+            "    runpy.run_module('repro.verify.golden', "
+            "run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as done:\n"
+            "    sys.exit(done.code)\n"
+        )
+        assert done.returncode == 0, done.stderr
+        assert "--check" in done.stdout
+
+
 def _statistical(module):
     """NumPy, or a module of the statistical tier (each imports it)."""
     return module in (

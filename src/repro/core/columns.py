@@ -394,9 +394,9 @@ def route_groups(
     return order, starts, key_sorted[starts], plen_sorted[starts]
 
 
-def stable_argsort(values: np.ndarray) -> np.ndarray:
+def stable_argsort(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """``np.argsort(values, kind="stable")`` for a 1-d array whose
-    values rarely repeat.
+    values rarely repeat, and ``values`` gathered in that order.
 
     An unstable sort already puts distinct values where the stable one
     does, and for float64 it runs several times faster; what is left
@@ -409,17 +409,20 @@ def stable_argsort(values: np.ndarray) -> np.ndarray:
     order = np.argsort(values)
     ranked = values[order]
     if len(ranked) < 2:
-        return order
+        return order, ranked
     tied = np.zeros(len(ranked), dtype=bool)
     np.equal(ranked[1:], ranked[:-1], out=tied[1:])
     tied[:-1] |= tied[1:]
     rows = np.flatnonzero(tied)
     if len(rows) * _TIE_REPAIR_SHARE > len(ranked) or ranked[-1] != ranked[-1]:
-        return np.argsort(values, kind="stable")
+        order = np.argsort(values, kind="stable")
+        return order, values[order]
     if len(rows):
         index = order[rows]
-        order[rows] = index[np.lexsort((index, ranked[rows]))]
-    return order
+        order[rows] = index = index[np.lexsort((index, ranked[rows]))]
+        # Equal, but not always the same bits: 0.0 == -0.0.
+        ranked[rows] = values[index]
+    return order, ranked
 
 
 def prefix_key(net: np.ndarray, plen: np.ndarray) -> np.ndarray:

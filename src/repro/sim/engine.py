@@ -37,10 +37,19 @@ Why this shape fits the paper's workloads:
   counts, sweeping dead entries out of future buckets only when the
   dead outnumber the living 4:1 (so ``pending`` is O(1) and memory
   stays bounded even when cancelled events sit far in the future).
-- **Handle reuse** (:meth:`Engine.reschedule`): a fired handle can be
-  re-armed in place — the :class:`repro.sim.timers.IntervalTimer` and
-  :class:`repro.sim.sync.PeriodicRouter` re-arm paths allocate zero
-  objects per period.
+- **Handle reuse**: a handle whose ``period`` is set re-queues itself
+  at ``time + period`` inside the drain loop, right after its callback
+  returns (unless the callback re-armed or cancelled it), so the
+  :class:`repro.sim.timers.IntervalTimer` period costs no call beyond
+  the callback's own; and a fired handle can be re-armed in place
+  (:meth:`Engine.reschedule`, the :class:`repro.sim.sync.PeriodicRouter`
+  path).  Neither allocates per period.
+- **A finished run frees itself** (:meth:`Engine.close`): an object
+  that holds its own handle (a timer, a hold-timer actor) and the
+  handle's callback bound to that object form a reference cycle
+  through the queue; dropping the queue and each live handle's
+  callback lets reference counting free the whole world, with no
+  work left for the cyclic collector.
 
 Adaptive heap fallback
 ----------------------
@@ -89,6 +98,7 @@ a full window of fresh evidence.
 from __future__ import annotations
 
 import itertools
+import sys
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -119,6 +129,10 @@ _ADAPT_WINDOW = 512
 #: cannot satisfy both, so the 0.4-0.6 sharing band is hysteresis.
 _TRIP_MARKS = 307
 
+#: The event limit of an unbounded drain: an int, so the per-event
+#: ``fired < limit`` test compares two ints.
+_UNBOUNDED = sys.maxsize
+
 
 class SimulationError(RuntimeError):
     """Raised for scheduling errors (e.g. events in the past)."""
@@ -126,9 +140,19 @@ class SimulationError(RuntimeError):
 
 class EventHandle:
     """A scheduled event; supports cancellation and (engine-mediated)
-    re-arming via :meth:`Engine.reschedule`."""
+    re-arming via :meth:`Engine.reschedule`.
 
-    __slots__ = ("time", "callback", "args", "cancelled", "fired", "seq", "engine")
+    ``period`` (None unless the scheduler's caller sets it) makes the
+    event periodic: after each firing the engine re-queues the handle
+    at ``time + period``, unless its callback re-armed it
+    (:meth:`Engine.reschedule`) or cancelled it.  The callback may
+    change ``period`` for the next re-queue.
+    """
+
+    __slots__ = (
+        "time", "callback", "args", "cancelled", "fired", "seq", "engine",
+        "period",
+    )
 
     def __init__(
         self,
@@ -145,12 +169,17 @@ class EventHandle:
         self.cancelled = False
         self.fired = False
         self.engine = engine
+        self.period: Optional[float] = None
 
     def cancel(self) -> None:
         """Prevent the event from firing (O(1); the queue entry is
         skipped when drained, and compacted away if dead entries pile
-        up)."""
-        if self.cancelled or self.fired:
+        up).  A periodic handle cancelled from its own callback is not
+        queued at that moment: cancelling ends its period instead."""
+        if self.cancelled:
+            return
+        if self.fired:
+            self.period = None
             return
         self.cancelled = True
         engine = self.engine
@@ -254,6 +283,7 @@ class Engine:
         handle.cancelled = False
         handle.fired = False
         handle.engine = self
+        handle.period = None
         if self._heap_mode:
             heappush(self._heap, (time, seq, handle))
         else:
@@ -282,6 +312,7 @@ class Engine:
         handle.cancelled = False
         handle.fired = False
         handle.engine = self
+        handle.period = None
         if self._heap_mode:
             heappush(self._heap, (time, seq, handle))
         else:
@@ -297,11 +328,14 @@ class Engine:
     def reschedule(self, handle: EventHandle, time: float) -> EventHandle:
         """Re-arm ``handle`` at ``time``, reusing the object when it has
         already fired (the periodic-timer fast path — no allocation).
+        A periodic handle keeps its ``period``, so re-arming it from its
+        own callback moves the whole series.
 
-        Falls back to a fresh :meth:`schedule_at` when the handle is
-        still pending or was cancelled — the pending event is left
-        untouched, so callers may hold one handle per logical timer and
-        re-arm unconditionally.  Returns the handle actually queued.
+        Falls back to a fresh :meth:`schedule_at` of the same callback,
+        args and period when the handle is still pending or was
+        cancelled — the pending event is left untouched, so callers may
+        hold one handle per logical timer and re-arm unconditionally.
+        Returns the handle actually queued.
         """
         # A fired handle can never also be cancelled (cancel() no-ops
         # once fired), so two checks suffice.
@@ -329,7 +363,9 @@ class Engine:
                     bucket.append(handle)
             self._live += 1
             return handle
-        return self.schedule_at(time, handle.callback, *handle.args)
+        fresh = self.schedule_at(time, handle.callback, *handle.args)
+        fresh.period = handle.period
+        return fresh
 
     def cancel(self, handle: EventHandle) -> None:
         """Cancel a pending handle — the :class:`EventScheduler`
@@ -346,7 +382,7 @@ class Engine:
     def run_until(self, end_time: float, max_events: Optional[int] = None) -> int:
         """Run events with time <= ``end_time``; advance the clock to
         ``end_time``.  Returns the number of events processed."""
-        limit = float("inf") if max_events is None else max_events
+        limit = _UNBOUNDED if max_events is None else max_events
         processed = self._service_head(end_time, limit)
         if self._now < end_time:
             self._now = end_time
@@ -354,10 +390,10 @@ class Engine:
 
     def run(self, max_events: Optional[int] = None) -> int:
         """Run until the queue drains (or ``max_events``)."""
-        limit = float("inf") if max_events is None else max_events
+        limit = _UNBOUNDED if max_events is None else max_events
         return self._service_head(float("inf"), limit)
 
-    def _service_head(self, end_time: float, limit: float) -> int:
+    def _service_head(self, end_time: float, limit: int) -> int:
         """Drain live events with ``time <= end_time``, at most ``limit``
         of them, in (time, seq) order.  The single home of the
         cancelled-skip logic (cancelled entries never count against
@@ -392,11 +428,14 @@ class Engine:
         return fired
 
     def _drain_calendar(
-        self, end_time: float, limit: float, outermost: bool
+        self, end_time: float, limit: int, outermost: bool
     ) -> int:
         """Calendar-mode drain loop.  Counts retired buckets per
         window of drained events and returns early (mode switched)
-        when the singleton fraction trips the heap fallback."""
+        when the singleton fraction trips the heap fallback.  A
+        periodic handle still fired after its callback is appended to
+        its next instant's bucket (a later instant, so never this
+        one)."""
         times = self._times
         buckets = self._buckets
         fired = 0
@@ -435,6 +474,17 @@ class Engine:
                     else:
                         handle.callback()
                     fired += 1
+                    period = handle.period
+                    if period is not None and handle.fired:
+                        handle.fired = False
+                        after = handle.time = time + period
+                        later = buckets.get(after)
+                        if later is None:
+                            buckets[after] = [handle]
+                            heappush(times, after)
+                        else:
+                            later.append(handle)
+                        self._live += 1
             finally:
                 self._head_pos = i
             size = len(bucket)
@@ -461,12 +511,14 @@ class Engine:
         return fired
 
     def _drain_heap(
-        self, end_time: float, limit: float, outermost: bool
+        self, end_time: float, limit: int, outermost: bool
     ) -> int:
         """Heap-mode drain loop: one C-level tuple heappop per event.
         Counts same-instant pops per window and migrates back to
         calendar mode (returning early) when phase-locked populations
-        re-emerge."""
+        re-emerge.  A periodic handle still fired after its callback
+        is pushed back with a fresh ``seq``, as :meth:`reschedule`
+        does."""
         heap = self._heap
         fired = 0
         while heap and fired < limit:
@@ -492,6 +544,13 @@ class Engine:
             else:
                 handle.callback()
             fired += 1
+            period = handle.period
+            if period is not None and handle.fired:
+                handle.fired = False
+                after = handle.time = time + period
+                seq = handle.seq = next(self._seq)
+                heappush(heap, (after, seq, handle))
+                self._live += 1
             if events >= _ADAPT_WINDOW:
                 marks = self._win_marks
                 self._win_events = 0
@@ -615,6 +674,32 @@ class Engine:
             else:
                 del buckets[time]
         self._dead -= removed
+
+    # -- teardown -------------------------------------------------------------
+
+    def close(self) -> None:
+        """Drop every queued event.  Each live handle is marked
+        cancelled (a held handle's ``cancel()`` then does nothing) and
+        loses its callback and args, which breaks the cycles a finished
+        run's objects form through the queue (object -> handle ->
+        callback -> object), so reference counting frees them.  Not
+        callable from a callback."""
+        if self._in_drain:
+            raise SimulationError("close() called during a drain")
+        queued = [entry[2] for entry in self._heap]
+        for bucket in self._buckets.values():
+            queued.extend(bucket)
+        for handle in queued:
+            if not (handle.cancelled or handle.fired):
+                handle.cancelled = True
+                handle.callback = None
+                handle.args = ()
+        self._buckets.clear()
+        self._times.clear()
+        self._heap.clear()
+        self._head_pos = 0
+        self._live = 0
+        self._dead = 0
 
     # -- introspection --------------------------------------------------------
 

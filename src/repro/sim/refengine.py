@@ -13,8 +13,10 @@ It shares :class:`~repro.sim.engine.EventHandle` (handles are created
 with ``engine=None`` so cancellation skips the calendar queue's
 bookkeeping) and implements the same public surface — ``schedule``,
 ``schedule_at``, ``reschedule``, ``step``, ``run``, ``run_until``,
-``pending``, ``next_event_time`` — so any scenario accepting an engine
-instance runs unmodified on either.
+``pending``, ``next_event_time``, ``close`` — so any scenario accepting
+an engine instance runs unmodified on either.  A periodic handle is
+pushed back after its callback with a fresh ``seq``, exactly as a
+fresh ``schedule_at`` at that moment would be.
 """
 
 from __future__ import annotations
@@ -67,21 +69,16 @@ class ReferenceEngine:
         return handle
 
     def reschedule(self, handle: EventHandle, time: float) -> EventHandle:
-        """Same contract as :meth:`Engine.reschedule`.  Handles here
-        carry no engine backref, so the reuse fast path never triggers
-        and every re-arm allocates — exactly the baseline behavior the
-        calendar queue is measured against."""
-        if handle.fired and not handle.cancelled and handle.engine is self:
-            if time < self._now:
-                raise SimulationError(
-                    f"cannot schedule at {time} before now ({self._now})"
-                )
-            handle.fired = False
-            handle.time = time
-            handle.seq = next(self._seq)
-            heapq.heappush(self._queue, handle)
-            return handle
-        return self.schedule_at(time, handle.callback, *handle.args)
+        """Same contract as :meth:`Engine.reschedule`, but every re-arm
+        allocates — exactly the baseline behavior the calendar queue is
+        measured against.  Re-arming a fired periodic handle moves its
+        series to the fresh handle, as the calendar queue's in-place
+        reuse does."""
+        fresh = self.schedule_at(time, handle.callback, *handle.args)
+        fresh.period = handle.period
+        if handle.fired:
+            handle.period = None
+        return fresh
 
     def cancel(self, handle: EventHandle) -> None:
         """Cancel a pending handle — the :class:`EventScheduler`
@@ -100,6 +97,11 @@ class ReferenceEngine:
             handle.fired = True
             self._now = handle.time
             handle.callback(*handle.args)
+            if handle.period is not None and handle.fired:
+                handle.fired = False
+                handle.time += handle.period
+                handle.seq = next(self._seq)
+                heapq.heappush(self._queue, handle)
             self.events_processed += 1
             return True
         return False
@@ -129,6 +131,17 @@ class ReferenceEngine:
             if max_events is not None and processed >= max_events:
                 break
         return processed
+
+    def close(self) -> None:
+        """Same contract as :meth:`Engine.close`: drop the queue, each
+        live handle marked cancelled and stripped of callback and
+        args."""
+        for handle in self._queue:
+            if not handle.cancelled:
+                handle.cancelled = True
+                handle.callback = None
+                handle.args = ()
+        self._queue.clear()
 
     @property
     def pending(self) -> int:

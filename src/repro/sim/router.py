@@ -278,8 +278,9 @@ class Router:
         session = self.sessions[peer_id]
         if session.is_established:
             return
-        self._run_actions(peer_id, session.start(self.engine.now))
-        self._schedule_session_wakeup(peer_id)
+        now = self.engine.now
+        self._run_actions(peer_id, session.start(now))
+        self._schedule_session_wakeup(peer_id, now)
 
     # ------------------------------------------------------------------
     # route origination (the customer-facing edge)
@@ -448,12 +449,13 @@ class Router:
         delay = self.restart_delay * self.rng.uniform(0.5, 1.5)
         self.engine.schedule(delay, self.start_session, peer_id)
 
-    def _schedule_session_wakeup(self, peer_id: int) -> None:
+    def _schedule_session_wakeup(self, peer_id: int, now: float) -> None:
+        """Arm the session's next wakeup; ``now`` is the clock the
+        calling handler read (the clock stands still inside one)."""
         deadline = self.sessions[peer_id].next_deadline()
         if deadline is None:
             return
         engine = self.engine
-        now = engine.now
         if deadline <= now:
             return
         armed = self._wakeups.get(peer_id)
@@ -471,10 +473,11 @@ class Router:
     def _session_wakeup(self, peer_id: int) -> None:
         if self.crashed:
             return
-        actions = self.sessions[peer_id].poll(self.engine.now)
+        now = self.engine.now
+        actions = self.sessions[peer_id].poll(now)
         if actions:
             self._run_actions(peer_id, actions)
-        self._schedule_session_wakeup(peer_id)
+        self._schedule_session_wakeup(peer_id, now)
 
     def _run_actions(self, peer_id: int, actions: List[SessionAction]) -> None:
         for action in actions:
@@ -584,23 +587,25 @@ class Router:
         session = self.sessions.get(sender_id)
         if session is None:
             return
+        now = self.engine.now
         if session.fsm.state is SessionState.IDLE:
             # Passive open: the peer initiated; come up ourselves,
             # including transmitting our own OPEN back.
-            self._run_actions(sender_id, session.start(self.engine.now))
-        self._run_actions(sender_id, session.on_open(self.engine.now, message))
-        self._schedule_session_wakeup(sender_id)
+            self._run_actions(sender_id, session.start(now))
+        self._run_actions(sender_id, session.on_open(now, message))
+        self._schedule_session_wakeup(sender_id, now)
 
     def _process_keepalive(self, sender_id: int) -> None:
         session = self.sessions.get(sender_id)
         if session is None or session.fsm.state is SessionState.IDLE:
             return
-        actions = session.on_keepalive(self.engine.now)
+        now = self.engine.now
+        actions = session.on_keepalive(now)
         if actions:
             self._run_actions(sender_id, actions)
         # Establishment arms the keepalive timer, which is sooner than
         # the hold deadline the current wakeup targets.
-        self._schedule_session_wakeup(sender_id)
+        self._schedule_session_wakeup(sender_id, now)
 
     def _process_notification(
         self, sender_id: int, message: NotificationMessage
@@ -616,9 +621,9 @@ class Router:
         session = self.sessions.get(sender_id)
         if session is None or not session.is_established:
             return
-        session.on_update(self.engine.now, message)
-        self.updates_received += message.prefix_update_count
         now = self.engine.now
+        session.on_update(now, message)
+        self.updates_received += message.prefix_update_count
         for prefix in message.withdrawn:
             if self.damper is not None:
                 self.damper.on_withdrawal(prefix, sender_id, now)
@@ -630,12 +635,12 @@ class Router:
             if attrs.as_path.contains_loop(self.asn):
                 return
             for prefix in message.announced:
-                self._receive_announcement(sender_id, prefix, attrs)
+                self._receive_announcement(sender_id, prefix, attrs, now)
 
     def _receive_announcement(
-        self, sender_id: int, prefix: Prefix, attrs: PathAttributes
+        self, sender_id: int, prefix: Prefix, attrs: PathAttributes,
+        now: float,
     ) -> None:
-        now = self.engine.now
         accepted = attrs
         if self.import_policy is not None:
             cost = (

@@ -111,23 +111,25 @@ def _noop() -> None:
 class _HoldTimerActor:
     """The BGP hold-timer reset pattern: every keepalive cancels the
     pending timeout and schedules a fresh one — in steady state the
-    timeout never fires and the queue fills with dead entries."""
+    timeout never fires and the queue fills with dead entries.
 
-    __slots__ = ("engine", "hold_time", "expired", "_pending", "_expire_cb")
+    The actor is its own timeout callback: a bound method would cost
+    an allocation per keepalive, or a reference cycle if stored."""
+
+    __slots__ = ("engine", "hold_time", "expired", "_pending")
 
     def __init__(self, engine, hold_time: float) -> None:
         self.engine = engine
         self.hold_time = hold_time
         self.expired = 0
         self._pending = None
-        self._expire_cb = self._expire
 
     def keepalive(self) -> None:
         if self._pending is not None:
             self._pending.cancel()
-        self._pending = self.engine.schedule(self.hold_time, self._expire_cb)
+        self._pending = self.engine.schedule(self.hold_time, self)
 
-    def _expire(self) -> None:
+    def __call__(self) -> None:
         self.expired += 1
 
 
@@ -182,6 +184,8 @@ def scenario_sync_population(
 
     # Churn: every 300 s stop a seeded slice of the population and
     # restart it 60 s later, leaving cancelled handles in the queue.
+    # The churn event is periodic: a closure that re-scheduled itself
+    # by name would be a cycle left to the collector.
     churn_rng = random.Random(churn_seed)
 
     def churn():
@@ -189,14 +193,12 @@ def scenario_sync_population(
         for index in victims:
             timers[index].stop()
         engine.schedule(60.0, restart, tuple(victims))
-        if engine.now + 300.0 <= duration:
-            engine.schedule(300.0, churn)
 
     def restart(victims):
         for index in victims:
             timers[index].start()
 
-    engine.schedule(300.0, churn)
+    engine.schedule(300.0, churn).period = 300.0
     engine.run_until(duration)
     digest = _digest(
         engine.events_processed,
@@ -204,6 +206,7 @@ def scenario_sync_population(
         tuple(t.fire_count for t in timers),
         tuple(a.expired for a in actors),
     )
+    engine.close()
     return engine.events_processed, digest
 
 

@@ -17,9 +17,22 @@ The contract, beyond the signatures:
 - ``schedule``/``schedule_at`` return an :class:`~repro.sim.engine.EventHandle`
   that can be cancelled (directly or via :meth:`EventScheduler.cancel`)
   or re-armed via :meth:`EventScheduler.reschedule`.
+- A handle whose ``period`` is set (a positive float; None by
+  default) is periodic: after its callback returns, the scheduler
+  re-queues it at ``time + period`` as if it were scheduled at that
+  moment, unless the callback re-armed it (``reschedule``) or
+  cancelled it.  Cancelling a periodic handle from its own callback
+  ends the series; the callback may also change ``period`` for the
+  next re-queue.  ``reschedule`` carries the period along: from the
+  handle's own callback it moves the series to ``time``.
 - ``run_until(end_time)`` fires everything with ``time <= end_time``
   and then advances the clock to ``end_time`` even if idle;
   ``run()`` drains the queue; ``step()`` fires exactly one event.
+- ``close()`` ends a simulation: it drops the queue, marks each live
+  handle cancelled (so a held handle's ``cancel()`` does nothing) and
+  clears its callback and args.  Objects that hold their own handles
+  form reference cycles through the queue; after ``close()`` reference
+  counting frees them.  It is not called from a callback.
 """
 
 from __future__ import annotations
@@ -87,4 +100,8 @@ class EventScheduler(Protocol):
 
     def next_event_time(self) -> Optional[float]:
         """When the next live event fires, or None."""
+        ...
+
+    def close(self) -> None:
+        """Drop every queued event and each live handle's callback."""
         ...

@@ -40,9 +40,10 @@ class IntervalTimer:
     (``Random(0)`` when a jittered timer is given none; an unjittered
     timer never draws and constructs no generator).
 
-    Re-arming goes through :meth:`Engine.reschedule`, which reuses the
-    just-fired :class:`EventHandle` — a long-lived timer allocates one
-    handle total, not one per period.
+    The timer's one :class:`EventHandle` is periodic (its ``period``
+    is set), so the engine re-queues it inside the drain loop after
+    each callback — no re-arm call, and no allocation per period.  A
+    jittered timer draws its next period after the callback returns.
     """
 
     __slots__ = (
@@ -89,22 +90,6 @@ class IntervalTimer:
         if self._running:
             return
         self._running = True
-        self._arm()
-
-    def stop(self) -> None:
-        """Disarm; a later :meth:`start` re-arms from scratch."""
-        self._running = False
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
-
-    def _next_period(self) -> float:
-        if self.jitter == 0.0:
-            return self.interval
-        low = self.interval * (1.0 - self.jitter)
-        return self.rng.uniform(low, self.interval)
-
-    def _arm(self) -> None:
         engine = self.engine
         interval = self.interval
         now = engine.now
@@ -117,50 +102,41 @@ class IntervalTimer:
             next_time = phase + ((now - phase) // interval + 1.0) * interval
             if next_time <= now:
                 next_time += interval
+            handle = engine.schedule_at(next_time, self._fire)
         else:
-            next_time = now + self._next_period()
-        handle = self._handle
-        if handle is None:
-            self._handle = engine.schedule_at(next_time, self._fire)
-        else:
-            self._handle = engine.reschedule(handle, next_time)
+            low = interval * (1.0 - self.jitter)
+            handle = engine.schedule_at(
+                now + self.rng.uniform(low, interval), self._fire_jittered
+            )
+        # A jittered period is redrawn before each re-queue.
+        handle.period = interval
+        self._handle = handle
+
+    def stop(self) -> None:
+        """Disarm; a later :meth:`start` re-arms from scratch.  From
+        the timer's own callback this ends the handle's period, so a
+        ``stop()``/``start()`` there leaves one series armed."""
+        self._running = False
+        if self._handle is not None:
+            self._handle.cancel()
+            self._handle = None
 
     def _fire(self) -> None:
-        if not self._running:
-            return
         self.fire_count += 1
         self.callback()
-        if self._running:
-            # Re-arm inline (keep in sync with :meth:`_arm`): this is
-            # the per-period hot path — a handle-reusing
-            # ``Engine.reschedule`` with no intermediate call frame.
-            engine = self.engine
+
+    def _fire_jittered(self) -> None:
+        self.fire_count += 1
+        self.callback()
+        handle = self._handle
+        # Still fired: the callback neither stopped nor restarted us,
+        # so the engine re-queues this handle after the drawn period.
+        if handle is not None and handle.fired:
+            # The draw :meth:`start` makes: ``Random.uniform(a, b)`` is
+            # ``a + (b - a) * random()``, operand for operand.
             interval = self.interval
-            now = engine._now
-            handle = self._handle
-            if self.jitter == 0.0:
-                if handle is not None and handle.time == now:
-                    # The overwhelmingly common case: re-arming from our
-                    # own on-grid firing instant.
-                    next_time = now + interval
-                else:
-                    phase = self.phase
-                    next_time = (
-                        phase + ((now - phase) // interval + 1.0) * interval
-                    )
-                    if next_time <= now:
-                        next_time += interval
-            else:
-                # :meth:`_next_period` inlined: ``Random.uniform(a, b)``
-                # is ``a + (b - a) * random()``, operand for operand.
-                low = interval * (1.0 - self.jitter)
-                next_time = now + (
-                    low + (interval - low) * self.rng.random()
-                )
-            if handle is None:
-                self._handle = engine.schedule_at(next_time, self._fire)
-            else:
-                self._handle = engine.reschedule(handle, next_time)
+            low = interval * (1.0 - self.jitter)
+            handle.period = low + (interval - low) * self.rng.random()
 
 
 class MraiBatcher:

@@ -702,8 +702,7 @@ class TraceGenerator:
         time, position, attr_id = map(_joined, events)
         # Stable: equal timestamps keep emission order, as the per-pair
         # loop's record-at-a-time stream does.
-        order = stable_argsort(time)
-        time = np.take(time, order)
+        order, time = stable_argsort(time)
         attr_id = np.take(attr_id, order)
         position = np.take(position, order)
         del order

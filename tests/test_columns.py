@@ -193,7 +193,8 @@ class TestConversions:
 
 class TestStableArgsort:
     """``stable_argsort`` is ``np.argsort(kind="stable")`` on any
-    input: through the early exits, the tie repair, and the fall-back
+    input, and its sorted values are ``values`` gathered by it bit for
+    bit: through the early exits, the tie repair, and the fall-back
     for tie-heavy or NaN-carrying input."""
 
     @staticmethod
@@ -222,8 +223,11 @@ class TestStableArgsort:
     @pytest.mark.parametrize("name", sorted(cases()))
     def test_equals_the_stable_sort(self, name):
         values = self.cases()[name]
-        order = stable_argsort(values)
-        assert order.tolist() == np.argsort(values, kind="stable").tolist()
+        order, ranked = stable_argsort(values)
+        expected = np.argsort(values, kind="stable")
+        assert order.tolist() == expected.tolist()
+        assert ranked.dtype == values.dtype
+        assert ranked.tobytes() == values[expected].tobytes()
 
 
 class TestRouteGroups:

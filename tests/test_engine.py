@@ -1,5 +1,6 @@
 """Unit tests for the event engine, timers, and links."""
 
+import gc
 import random
 
 import pytest
@@ -7,7 +8,12 @@ import pytest
 from repro.bgp.messages import KeepAliveMessage
 from repro.sim.engine import Engine, SimulationError
 from repro.sim.link import CsuLink, Link
+from repro.sim.refengine import ReferenceEngine
+from repro.sim.scenarios import simulate
 from repro.sim.timers import IntervalTimer, MraiBatcher
+
+#: Both schedulers, for the contract tests that must hold on either.
+ENGINES = (Engine, ReferenceEngine)
 
 
 class TestEngine:
@@ -191,6 +197,136 @@ class TestEngine:
         assert seen == [1.0, 4.0]
 
 
+@pytest.mark.parametrize("engine_cls", ENGINES)
+class TestPeriodicHandles:
+    """A handle with ``period`` set re-queues itself after each firing
+    unless its callback re-armed or cancelled it."""
+
+    def test_fires_every_period(self, engine_cls):
+        engine = engine_cls()
+        times = []
+        handle = engine.schedule(1.0, lambda: times.append(engine.now))
+        handle.period = 2.0
+        engine.run_until(7.0)
+        assert times == [1.0, 3.0, 5.0, 7.0]
+        assert engine.pending == 1
+        assert engine.next_event_time() == 9.0
+
+    def test_cancel_from_own_callback_ends_the_series(self, engine_cls):
+        engine = engine_cls()
+        times = []
+
+        def tick():
+            times.append(engine.now)
+            if len(times) == 2:
+                handle.cancel()
+
+        handle = engine.schedule(1.0, tick)
+        handle.period = 1.0
+        engine.run_until(10.0)
+        assert times == [1.0, 2.0]
+        assert engine.pending == 0
+
+    def test_reschedule_from_own_callback_moves_the_series(self, engine_cls):
+        engine = engine_cls()
+        times = []
+        box = []
+
+        def tick():
+            times.append(engine.now)
+            if engine.now == 2.0:
+                box[0] = engine.reschedule(box[0], 2.5)
+
+        box.append(engine.schedule(1.0, tick))
+        box[0].period = 1.0
+        engine.run_until(5.0)
+        assert times == [1.0, 2.0, 2.5, 3.5, 4.5]
+        assert engine.pending == 1
+
+    def test_callback_sets_the_next_period(self, engine_cls):
+        engine = engine_cls()
+        times = []
+
+        def tick():
+            times.append(engine.now)
+            handle.period *= 2.0
+
+        handle = engine.schedule(1.0, tick)
+        handle.period = 1.0
+        engine.run_until(20.0)
+        assert times == [1.0, 3.0, 7.0, 15.0]
+
+    def test_requeue_survives_the_event_limit(self, engine_cls):
+        engine = engine_cls()
+        handle = engine.schedule(1.0, lambda: None)
+        handle.period = 1.0
+        assert engine.run(max_events=3) == 3
+        assert engine.now == 3.0
+        assert engine.next_event_time() == 4.0
+
+
+@pytest.mark.parametrize("engine_cls", ENGINES)
+class TestClose:
+    def test_close_drops_the_queue(self, engine_cls):
+        engine = engine_cls()
+        fired = []
+        held = engine.schedule(5.0, fired.append, "held")
+        periodic = engine.schedule(1.0, fired.append, "tick")
+        periodic.period = 1.0
+        engine.schedule(2.0, fired.append, "dead").cancel()
+        engine.run_until(1.5)
+        engine.close()
+        assert engine.pending == 0
+        assert engine.next_event_time() is None
+        for handle in (held, periodic):
+            assert handle.cancelled
+            assert handle.callback is None and handle.args == ()
+        held.cancel()  # does nothing: the handle is gone with its queue
+        assert engine.pending == 0
+        assert engine.run() == 0
+        assert fired == ["tick"]
+
+    def test_close_after_a_limit_mid_instant(self, engine_cls):
+        engine = engine_cls()
+        fired = []
+        for tag in range(4):
+            engine.schedule(1.0, fired.append, tag)
+        engine.run(max_events=2)
+        engine.close()
+        assert fired == [0, 1]
+        assert engine.pending == 0
+        assert engine.next_event_time() is None
+        assert engine.run() == 0
+
+    def test_engine_still_schedules_after_close(self, engine_cls):
+        engine = engine_cls()
+        engine.schedule(1.0, lambda: None)
+        engine.close()
+        fired = []
+        engine.schedule(2.0, fired.append, "after")
+        assert engine.run() == 1 and fired == ["after"]
+
+
+def test_calendar_close_refuses_a_running_drain():
+    engine = Engine()
+    engine.schedule(1.0, engine.close)
+    with pytest.raises(SimulationError):
+        engine.run()
+
+
+@pytest.mark.parametrize("engine", ("calendar", "reference"))
+def test_a_finished_timer_population_leaves_no_cyclic_garbage(engine):
+    """``sync_population`` closes its engine, and its objects hold no
+    cycle of their own: reference counting frees the whole world."""
+    gc.collect()
+    gc.disable()
+    try:
+        simulate("sync_population", engine=engine, smoke=True)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 class TestIntervalTimer:
     def test_unjittered_fires_on_exact_multiples(self):
         engine = Engine()
@@ -305,6 +441,58 @@ class TestIntervalTimer:
             now += oracle.uniform(22.5, 30.0)
             expected.append(now)
         assert times == expected
+
+    @pytest.mark.parametrize("engine_cls", ENGINES)
+    def test_restart_from_own_callback_arms_once(self, engine_cls):
+        engine = engine_cls()
+        times = []
+
+        def tick():
+            times.append(engine.now)
+            if engine.now == 60.0:
+                timer.stop()
+                timer.start()
+
+        timer = IntervalTimer(engine, 30.0, tick)
+        timer.start()
+        engine.run_until(150.0)
+        assert times == [30.0, 60.0, 90.0, 120.0, 150.0]
+        assert engine.pending == 1
+
+    @pytest.mark.parametrize("engine_cls", ENGINES)
+    def test_jittered_restart_from_own_callback_arms_once(self, engine_cls):
+        engine = engine_cls()
+        times = []
+
+        def tick():
+            times.append(engine.now)
+            if len(times) == 3:
+                timer.stop()
+                timer.start()
+
+        timer = IntervalTimer(
+            engine, 30.0, tick, jitter=0.25, rng=random.Random(3)
+        )
+        timer.start()
+        engine.run_until(600.0)
+        gaps = [b - a for a, b in zip(times, times[1:])]
+        assert all(22.5 - 1e-9 <= g <= 30.0 + 1e-9 for g in gaps)
+        assert engine.pending == 1
+
+    @pytest.mark.parametrize("engine_cls", ENGINES)
+    def test_stop_from_own_callback(self, engine_cls):
+        engine = engine_cls()
+        times = []
+
+        def tick():
+            times.append(engine.now)
+            timer.stop()
+
+        timer = IntervalTimer(engine, 30.0, tick)
+        timer.start()
+        engine.run_until(300.0)
+        assert times == [30.0]
+        assert engine.pending == 0
 
     def test_stop_prevents_firing(self):
         engine = Engine()

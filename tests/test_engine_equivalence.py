@@ -4,9 +4,9 @@ The calendar queue (:class:`repro.sim.engine.Engine`) must be
 observationally identical to the original binary-heap scheduler
 (:class:`repro.sim.refengine.ReferenceEngine`) — same firing order,
 same clock, same counts — under every mix of schedule / schedule_at /
-cancel / reschedule / step / run_until the mechanism models use.  The
-property test drives both engines through identical seeded workloads
-and compares full traces; the golden test pins a FlapStormScenario
+cancel / reschedule / step / run_until / periodic handles / close the
+mechanism models use.  The property tests drive both engines through
+identical seeded workloads and compare full traces; the golden test pins a FlapStormScenario
 digest so a behavioral regression in *either* engine is caught even if
 they drift together.
 """
@@ -119,6 +119,124 @@ def _drive(engine_cls, seed):
 @pytest.mark.parametrize("seed", FUZZ_SEEDS)
 def test_randomized_workload_equivalence(seed):
     assert _drive(Engine, seed) == _drive(ReferenceEngine, seed)
+
+
+#: Periods of the randomized periodic workload: shared instants, and a
+#: 0.75 s series that lands between them.
+_PERIODS = (0.5, 1.0, 1.0, 2.0, 0.75)
+
+#: Periodic series the workload keeps; each slot has at most one live
+#: handle, so a callback's own handle is always ``series[slot]``.
+_SERIES = 12
+
+
+def _drive_periodic(engine_cls, seed):
+    """Periodic handles under re-arm, cancel and ``reschedule`` from
+    their own callbacks, amid phases dense and irregular enough to move
+    the calendar queue to its heap and back; returns the engine, the
+    observable trace and the scheduler mode after each phase (None on
+    the reference heap, which has one mode)."""
+    rng = random.Random(seed)
+    engine = engine_cls()
+    trace = []
+    series = []
+    modes = []
+
+    def record(tag):
+        trace.append((round(engine.now, 9), tag))
+
+    def periodic(delay, slot):
+        handle = engine.schedule(delay, tick, slot)
+        handle.period = rng.choice(_PERIODS)
+        return handle
+
+    def tick(slot):
+        trace.append((round(engine.now, 9), "tick", slot))
+        own = series[slot]
+        roll = rng.random()
+        if roll < 0.04:
+            own.cancel()  # the series ends
+        elif roll < 0.08:
+            # A timer's stop() and start(): a fresh series replaces it.
+            own.cancel()
+            series[slot] = periodic(rng.choice(_PERIODS), slot)
+        elif roll < 0.14:
+            # Re-armed from its own callback: the series moves.
+            series[slot] = engine.reschedule(
+                own, engine.now + rng.choice(_PERIODS)
+            )
+        elif roll < 0.17:
+            # Cancelled, then re-armed: one more firing, no period.
+            own.cancel()
+            series[slot] = engine.reschedule(
+                own, engine.now + rng.choice(_PERIODS)
+            )
+        elif roll < 0.25:
+            own.period = rng.choice(_PERIODS)
+        elif roll < 0.3:
+            engine.schedule(0.0, record, ("echo", slot))
+
+    series.extend(periodic(rng.choice(_PERIODS), slot)
+                  for slot in range(_SERIES))
+    tag = 0
+    handles = []
+    for phase in range(8):
+        irregular = phase % 2 == 0
+        for _ in range(1000):
+            if irregular:
+                delay = 0.001 + rng.random() * 3.0
+            else:
+                delay = float(rng.randrange(3))
+            handles.append(engine.schedule(delay, record, tag))
+            tag += 1
+        for _ in range(rng.randrange(40, 120)):
+            index = rng.randrange(len(handles))
+            if rng.random() < 0.5:
+                handles[index].cancel()
+            else:
+                handles[index] = engine.reschedule(
+                    handles[index], engine.now + rng.random() * 2.0
+                )
+        for _ in range(rng.randrange(0, 4)):
+            slot = rng.randrange(_SERIES)
+            # Moved from outside: cancel, then ``reschedule`` queues a
+            # fresh handle that carries the period.
+            series[slot].cancel()
+            series[slot] = engine.reschedule(
+                series[slot], engine.now + rng.choice(_PERIODS)
+            )
+        for _ in range(rng.randrange(0, 3)):
+            engine.step()
+        ran = engine.run_until(
+            engine.now + 3.5, max_events=rng.choice((None, 100, 1500))
+        )
+        trace.append(
+            ("ran", ran, engine.pending, engine.next_event_time(),
+             round(engine.now, 9))
+        )
+        modes.append(getattr(engine, "_heap_mode", None))
+    for handle in series[::2]:
+        handle.cancel()
+    trace.append(("tail", engine.run(max_events=50), engine.pending))
+    engine.close()
+    for handle in series:
+        handle.cancel()  # gone with the queue: does nothing
+    trace.append(
+        ("closed", engine.pending, engine.next_event_time(), engine.run())
+    )
+    trace.append(("final", engine.events_processed, round(engine.now, 9)))
+    return engine, trace, modes
+
+
+@pytest.mark.parametrize("seed", FUZZ_SEEDS)
+def test_periodic_workload_equivalence(seed):
+    _, calendar_trace, modes = _drive_periodic(Engine, seed)
+    _, reference_trace, _ = _drive_periodic(ReferenceEngine, seed)
+    assert calendar_trace == reference_trace
+    # The calendar queue really migrated both ways with periodic
+    # handles queued.
+    assert True in modes
+    assert False in modes[modes.index(True):]
 
 
 def _storm_digest(engine_cls):

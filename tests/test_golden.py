@@ -66,13 +66,14 @@ def test_committed_corpus_verifies(reuse_build):
     assert problems == []
 
 
-def test_regeneration_is_byte_stable(tmp_path):
-    first = tmp_path / "first"
-    second = tmp_path / "second"
-    write_golden(first)
-    write_golden(second)
+def test_regeneration_is_byte_stable(built_corpus, tmp_path):
+    """A fresh ``write_golden`` (its own build) against the session's
+    build: two independent regenerations, byte for byte."""
+    write_golden(tmp_path)
     for name in (CASES_FILE, TRACE_FILE):
-        assert (first / name).read_bytes() == (second / name).read_bytes()
+        assert (tmp_path / name).read_bytes() == (
+            built_corpus / name
+        ).read_bytes()
 
 
 def test_regenerating_committed_corpus_is_a_noop(built_corpus):
